@@ -255,6 +255,11 @@ struct CommitQueue {
     /// True while a commit leader (or an exclusive section: memtable
     /// seal, range delete) owns the WAL writer + seqno allocator.
     exclusive: bool,
+    /// Threads parked on [`DbCore::commit_cv`]. Releasing the exclusion
+    /// notifies only when this is non-zero: a condvar notify is a futex
+    /// syscall even with nobody to wake, and an uncontended writer would
+    /// otherwise pay it on every commit.
+    waiters: usize,
 }
 
 /// RAII token for the commit-exclusion domain: while held, no commit
@@ -268,9 +273,7 @@ struct CommitExclusion<'a> {
 
 impl Drop for CommitExclusion<'_> {
     fn drop(&mut self) {
-        let mut q = self.core.commit.lock();
-        q.exclusive = false;
-        self.core.commit_cv.notify_all();
+        self.core.release_commit_exclusion();
     }
 }
 
@@ -329,6 +332,8 @@ struct DbCore {
     /// Wakes queued committers (their result arrived, or leadership is
     /// free) and exclusion waiters.
     commit_cv: Condvar,
+    /// Times `commit_cv` was notified (see [`Db::commit_wakeups`]).
+    commit_wakeups: AtomicU64,
     /// The current read view. Writers to this lock only ever *store* a
     /// prebuilt `Arc` (never hold it across work), so readers observe a
     /// few-instruction critical section — an `Arc` swap in effect.
@@ -532,7 +537,9 @@ pub struct RangeIter {
     snapshot: SeqNo,
     rts: Vec<RangeTombstone>,
     krts: Arc<acheron_types::FragmentedRangeTombstones>,
-    decided_key: Option<Bytes>,
+    /// The user key whose newest visible version has been judged (its
+    /// older versions are skipped); `None` before the first key.
+    decided_key: Option<Vec<u8>>,
     core: Arc<DbCore>,
 }
 
@@ -543,27 +550,33 @@ impl RangeIter {
     /// because each step can hit I/O errors.)
     pub fn next_entry(&mut self) -> Result<Option<(Bytes, Bytes)>> {
         while self.merge.valid() {
-            let e = self.merge.entry()?;
-            if e.key[..] > self.hi[..] {
+            // Judge from the borrowed key; only a key's deciding version
+            // is materialized.
+            let (key, kind) = crate::merge::decode_key(self.merge.key())?;
+            if key.user_key() > &self.hi[..] {
                 return Ok(None);
             }
-            if self.decided_key.as_deref() == Some(&e.key[..]) || e.seqno > self.snapshot {
+            if self.decided_key.as_deref() == Some(key.user_key()) || key.seqno() > self.snapshot {
                 self.merge.advance()?;
                 continue;
             }
+            let decided = self.decided_key.get_or_insert_with(Vec::new);
+            decided.clear();
+            decided.extend_from_slice(key.user_key());
             // Newest visible version decides the key: a put that is not
             // range-erased (by either tombstone flavor) yields the
             // value; anything else hides the key. The sort-key check is
             // one binary search over the pre-fragmented index.
-            self.decided_key = Some(e.key.clone());
-            let live = e.kind.is_put_like()
-                && !self.rts.iter().any(|rt| rt.shadows(e.seqno, e.dkey))
+            let (seqno, dkey) = (key.seqno(), self.merge.dkey());
+            let live = kind.is_put_like()
+                && !self.rts.iter().any(|rt| rt.shadows(seqno, dkey))
                 && self
                     .krts
-                    .max_seqno_covering(&e.key, self.snapshot)
-                    .is_none_or(|cover| e.seqno >= cover);
+                    .max_seqno_covering(key.user_key(), self.snapshot)
+                    .is_none_or(|cover| seqno >= cover);
+            let row = live.then(|| self.merge.entry()).transpose()?;
             self.merge.advance()?;
-            if live {
+            if let Some(e) = row {
                 // Separated values are dereferenced lazily, at yield
                 // time: skipped keys never touch the vlog.
                 if e.kind == acheron_types::ValueKind::ValuePointer {
@@ -705,6 +718,7 @@ impl Db {
             wal: Mutex::new(wal),
             commit: Mutex::new(CommitQueue::default()),
             commit_cv: Condvar::new(),
+            commit_wakeups: AtomicU64::new(0),
             view: RwLock::new(view),
             seq_alloc: AtomicU64::new(last_seqno),
             visible_seqno: AtomicU64::new(last_seqno),
@@ -1332,19 +1346,22 @@ impl Db {
                 other => other,
             })
             .collect();
-        self.write_ops(ops)
+        self.write_ops::<Vec<WalOp>>(ops)
     }
 
     fn write(&self, op: WalOp) -> Result<()> {
-        self.write_ops(vec![op])
+        self.write_ops([op])
     }
 
     /// Group commit. The calling thread enqueues its ops and either
     /// becomes the leader (drains the whole queue, appends + fsyncs the
     /// WAL once outside the state lock, publishes the group) or parks
     /// until a leader hands it the group's result.
-    fn write_ops(&self, ops: Vec<WalOp>) -> Result<()> {
-        let trace = self.core().tracer.sample(trace_op_for(&ops));
+    ///
+    /// `ops` is an array for a lone put or delete — the common case, which
+    /// then never allocates a list to hold its one op — or a batch's `Vec`.
+    fn write_ops<O: AsMut<[WalOp]> + Into<Vec<WalOp>>>(&self, mut ops: O) -> Result<()> {
+        let trace = self.core().tracer.sample(trace_op_for(ops.as_mut()));
         self.write_ops_traced(ops, trace).map(|_| ())
     }
 
@@ -1352,9 +1369,9 @@ impl Db {
     /// finished trace when one was supplied. A rider (a thread whose
     /// batch a leader committed for it) attributes only its queue wait
     /// — the leader's trace owns the WAL/vlog/memtable spans.
-    fn write_ops_traced(
+    fn write_ops_traced<O: AsMut<[WalOp]> + Into<Vec<WalOp>>>(
         &self,
-        ops: Vec<WalOp>,
+        mut ops: O,
         mut trace: Option<TraceBuf>,
     ) -> Result<Option<OpTrace>> {
         let core = self.core();
@@ -1374,14 +1391,12 @@ impl Db {
         let mut q = core.commit.lock();
         if !q.exclusive && q.queue.is_empty() {
             // Uncontended fast path: commit alone as a group of one,
-            // with no request allocation or result round-trip.
+            // borrowing the ops — no request, no list, no result
+            // round-trip, and (nobody waiting) no wakeup.
             q.exclusive = true;
             drop(q);
-            let outcome = core.commit_group_inner(vec![ops], trace.as_mut());
-            let mut q = core.commit.lock();
-            q.exclusive = false;
-            core.commit_cv.notify_all();
-            drop(q);
+            let outcome = core.commit_group_inner(&mut [ops.as_mut()], trace.as_mut());
+            core.release_commit_exclusion();
             return match outcome {
                 Ok(kick) => {
                     if kick {
@@ -1395,7 +1410,7 @@ impl Db {
         let req = Arc::new(CommitRequest::default());
         q.queue.push(PendingCommit {
             req: Arc::clone(&req),
-            ops,
+            ops: ops.into(),
         });
         let queued_at = trace.as_ref().map(|_| Instant::now());
         loop {
@@ -1417,10 +1432,7 @@ impl Db {
                 let group = std::mem::take(&mut q.queue);
                 drop(q);
                 let kick = core.commit_group(group, trace.as_mut());
-                let mut q = core.commit.lock();
-                q.exclusive = false;
-                core.commit_cv.notify_all();
-                drop(q);
+                core.release_commit_exclusion();
                 if kick {
                     core.kick_workers();
                 }
@@ -1428,7 +1440,7 @@ impl Db {
                 res.map_err(Error::Internal)?;
                 return Ok(trace.map(|t| core.finish_trace(t)));
             }
-            core.commit_cv.wait(&mut q);
+            core.wait_for_commit_turn(&mut q);
         }
     }
 
@@ -1830,7 +1842,7 @@ impl Db {
             Arc::new(acheron_types::FragmentedRangeTombstones::build(&all))
         };
 
-        let seek_key = acheron_types::InternalKey::for_seek(lo, MAX_SEQNO);
+        let seek_key = acheron_types::SeekKey::new(lo, MAX_SEQNO);
         let mut sources: Vec<Box<dyn KvSource>> = Vec::new();
 
         // Memtables (active + sealed): materialize the range (all
@@ -1885,6 +1897,14 @@ impl Db {
     /// Engine statistics counters.
     pub fn stats(&self) -> &DbStats {
         &self.core().stats
+    }
+
+    /// Times the commit condvar has been notified. Test hook for the
+    /// allocation/syscall budget (`tests/alloc_budget.rs`): an
+    /// uncontended commit must leave it unchanged.
+    #[doc(hidden)]
+    pub fn commit_wakeups(&self) -> u64 {
+        self.core().commit_wakeups.load(Ordering::Relaxed)
     }
 
     /// The current write-pressure gauges, evaluated against the
@@ -2073,7 +2093,7 @@ impl Db {
             buf.trace_id = id;
         }
         let trace = self.write_ops_traced(
-            vec![WalOp::Put {
+            [WalOp::Put {
                 key: Bytes::copy_from_slice(key),
                 value: Bytes::copy_from_slice(value),
                 dkey,
@@ -2092,7 +2112,7 @@ impl Db {
             buf.trace_id = id;
         }
         let trace = self.write_ops_traced(
-            vec![WalOp::Delete {
+            [WalOp::Delete {
                 key: Bytes::copy_from_slice(key),
                 tick,
             }],
@@ -2502,10 +2522,32 @@ impl DbCore {
     fn commit_exclusive(&self) -> CommitExclusion<'_> {
         let mut q = self.commit.lock();
         while q.exclusive {
-            self.commit_cv.wait(&mut q);
+            self.wait_for_commit_turn(&mut q);
         }
         q.exclusive = true;
         CommitExclusion { core: self }
+    }
+
+    /// Park on `commit_cv`, registered as a waiter so whoever releases
+    /// the exclusion knows a wakeup is owed.
+    fn wait_for_commit_turn(&self, q: &mut parking_lot::MutexGuard<'_, CommitQueue>) {
+        q.waiters += 1;
+        self.commit_cv.wait(q);
+        q.waiters -= 1;
+    }
+
+    /// Leave the commit-exclusion domain, waking the parked threads if
+    /// there are any. Waiters register under the `commit` mutex before
+    /// they park, so a zero count here means nobody can miss this
+    /// release: a thread not yet counted has not yet looked at
+    /// `exclusive`, and will find it clear.
+    fn release_commit_exclusion(&self) {
+        let mut q = self.commit.lock();
+        q.exclusive = false;
+        if q.waiters > 0 {
+            self.commit_wakeups.fetch_add(1, Ordering::Relaxed);
+            self.commit_cv.notify_all();
+        }
     }
 
     /// Commit a drained group as its leader: one WAL record per request
@@ -2514,38 +2556,26 @@ impl DbCore {
     /// publish the memtable inserts, seqnos, and a fresh read view under
     /// a short state critical section. Distributes the result to every
     /// request; returns whether workers need a kick.
-    fn commit_group(&self, group: Vec<PendingCommit>, trace: Option<&mut TraceBuf>) -> bool {
-        let mut reqs = Vec::with_capacity(group.len());
-        let mut op_lists = Vec::with_capacity(group.len());
-        for p in group {
-            reqs.push(p.req);
-            op_lists.push(p.ops);
+    fn commit_group(&self, mut group: Vec<PendingCommit>, trace: Option<&mut TraceBuf>) -> bool {
+        let mut op_lists: Vec<&mut [WalOp]> = group.iter_mut().map(|p| &mut p.ops[..]).collect();
+        let outcome = self.commit_group_inner(&mut op_lists, trace);
+        let failure = outcome.as_ref().err().map(|e| e.to_string());
+        for p in &group {
+            *p.req.result.lock() = Some(failure.clone().map_or(Ok(()), Err));
         }
-        match self.commit_group_inner(op_lists, trace) {
-            Ok(kick) => {
-                for req in &reqs {
-                    *req.result.lock() = Some(Ok(()));
-                }
-                kick
-            }
-            Err(e) => {
-                let msg = e.to_string();
-                for req in &reqs {
-                    *req.result.lock() = Some(Err(msg.clone()));
-                }
-                false
-            }
-        }
+        outcome.unwrap_or(false)
     }
 
     fn commit_group_inner(
         &self,
-        group: Vec<Vec<WalOp>>,
+        group: &mut [&mut [WalOp]],
         mut trace: Option<&mut TraceBuf>,
     ) -> Result<bool> {
         // Phase 1: durability. WAL append + one group fsync under the
         // WAL mutex only — readers and background installs proceed.
-        let mut batches: Vec<WalBatch> = Vec::with_capacity(group.len());
+        // The group's seqnos are consecutive (only the leader allocates),
+        // so its first one is all phase 2 needs to re-derive the rest.
+        let first_seqno = self.seq_alloc.load(Ordering::Relaxed) + 1;
         let separation = self.opts.value_separation_threshold;
         // (segment, frame bytes) per value separated in this group,
         // folded into the live accounting once the WAL section ends.
@@ -2555,7 +2585,7 @@ impl DbCore {
         {
             let mut wal = self.wal.lock();
             let mut vlog = self.vlog.lock();
-            for mut ops in group {
+            for ops in group.iter_mut() {
                 // Key-value separation: a large put moves its value into
                 // the vlog *before* the WAL record referencing it is
                 // appended (and the vlog head is synced before the WAL
@@ -2596,21 +2626,18 @@ impl DbCore {
                         vlog_micros += s.elapsed().as_micros() as u64;
                     }
                 }
+                debug_assert!(!ops.is_empty(), "a commit carries at least one op");
                 let base = self.seq_alloc.load(Ordering::Relaxed) + 1;
                 if base > MAX_SEQNO {
                     return Err(Error::Internal("sequence number space exhausted".into()));
                 }
-                let batch = WalBatch {
-                    base_seqno: base,
-                    ops,
-                };
                 // Advance the allocator before the append: on an append
                 // error the consumed seqnos are never reused, so a
                 // durably written record from earlier in the group can
                 // never collide with a later retry's seqnos.
-                self.seq_alloc.store(batch.last_seqno(), Ordering::Relaxed);
-                wal.add_record(&batch.encode())?;
-                batches.push(batch);
+                self.seq_alloc
+                    .store(base + ops.len() as u64 - 1, Ordering::Relaxed);
+                wal.add_batch(base, ops)?;
             }
             if let Some(w) = vlog.as_mut() {
                 self.vlog_next_segment
@@ -2626,7 +2653,7 @@ impl DbCore {
                 self.stats.wal_syncs.fetch_add(1, Ordering::Relaxed);
                 self.stats
                     .wal_syncs_saved
-                    .fetch_add(batches.len() as u64 - 1, Ordering::Relaxed);
+                    .fetch_add(group.len() as u64 - 1, Ordering::Relaxed);
             }
         }
         if let Some(t) = trace.as_deref_mut() {
@@ -2653,11 +2680,11 @@ impl DbCore {
             }
         }
         self.stats.commit_groups.fetch_add(1, Ordering::Relaxed);
-        let total_ops: u64 = batches.iter().map(|b| b.ops.len() as u64).sum();
+        let total_ops: u64 = group.iter().map(|ops| ops.len() as u64).sum();
         self.stats.commit_group_ops.record(total_ops);
         self.obs.log(Event::WalGroupCommit {
             ops: total_ops,
-            commits: batches.len() as u64,
+            commits: group.len() as u64,
             synced: self.opts.wal_sync,
         });
 
@@ -2670,50 +2697,58 @@ impl DbCore {
         let mut point_deletes = 0u64;
         let mut krt_deletes = 0u64;
         let mut first_delete_tick: Option<Tick> = None;
-        for batch in &batches {
-            let (entries, _ranges, key_ranges) = batch.entries();
-            for e in entries {
-                let mut payload_len = e.value.len();
-                match e.kind {
-                    acheron_types::ValueKind::Put => {
+        let mut seqno = first_seqno;
+        for ops in group.iter() {
+            for op in ops.iter() {
+                // The entry shares the op's key and value allocations:
+                // the copy made when the write entered the engine is the
+                // one the memtable keeps.
+                let user_bytes = match op {
+                    WalOp::Put { key, value, .. } => {
                         self.stats.puts.fetch_add(1, Ordering::Relaxed);
+                        key.len() + value.len()
                     }
-                    acheron_types::ValueKind::ValuePointer => {
+                    WalOp::PutPtr { key, ptr, .. } => {
                         // Separated put: account the user's original value
                         // length, not the 20-byte pointer the tree stores.
                         self.stats.puts.fetch_add(1, Ordering::Relaxed);
-                        if let Some(ptr) = ValuePointer::decode(&e.value) {
-                            payload_len = (ptr.len as usize)
-                                .saturating_sub(acheron_vlog::FRAME_HEADER + 4 + e.key.len());
-                        }
+                        key.len()
+                            + (ptr.len as usize)
+                                .saturating_sub(acheron_vlog::FRAME_HEADER + 4 + key.len())
                     }
-                    acheron_types::ValueKind::Tombstone => {
+                    WalOp::Delete { key, tick } => {
                         self.stats.deletes.fetch_add(1, Ordering::Relaxed);
                         point_deletes += 1;
-                        first_delete_tick =
-                            Some(first_delete_tick.map_or(e.dkey, |t| t.min(e.dkey)));
+                        first_delete_tick = Some(first_delete_tick.map_or(*tick, |t| t.min(*tick)));
+                        key.len()
                     }
-                    acheron_types::ValueKind::RangeTombstone
-                    | acheron_types::ValueKind::KeyRangeTombstone => {}
+                    WalOp::RangeDelete { .. } => 0,
+                    WalOp::RangeDeleteKeys { start, end, tick } => {
+                        self.stats
+                            .sort_range_deletes
+                            .fetch_add(1, Ordering::Relaxed);
+                        krt_deletes += 1;
+                        first_delete_tick = Some(first_delete_tick.map_or(*tick, |t| t.min(*tick)));
+                        st.mem
+                            .add_range_tombstone(acheron_types::KeyRangeTombstone {
+                                start: start.clone(),
+                                end: end.clone(),
+                                seqno,
+                                dkey: *tick,
+                            });
+                        start.len() + end.len()
+                    }
+                };
+                self.stats
+                    .user_bytes
+                    .fetch_add(user_bytes as u64, Ordering::Relaxed);
+                if let Some(entry) = op.entry(seqno) {
+                    st.mem.insert(entry);
                 }
-                self.stats
-                    .user_bytes
-                    .fetch_add((e.key.len() + payload_len) as u64, Ordering::Relaxed);
-                st.mem.insert(e);
-            }
-            for krt in key_ranges {
-                self.stats
-                    .sort_range_deletes
-                    .fetch_add(1, Ordering::Relaxed);
-                self.stats
-                    .user_bytes
-                    .fetch_add((krt.start.len() + krt.end.len()) as u64, Ordering::Relaxed);
-                krt_deletes += 1;
-                first_delete_tick = Some(first_delete_tick.map_or(krt.dkey, |t| t.min(krt.dkey)));
-                st.mem.add_range_tombstone(krt);
+                seqno += 1;
             }
             if self.opts.auto_advance_clock {
-                self.opts.clock_advance(batch.ops.len() as u64);
+                self.opts.clock_advance(ops.len() as u64);
             }
         }
         if point_deletes > 0 || krt_deletes > 0 {
@@ -2725,7 +2760,7 @@ impl DbCore {
                 first_delete_tick.expect("deletes carry ticks"),
             );
         }
-        let last = batches.last().expect("non-empty group").last_seqno();
+        let last = seqno - 1;
         // This store is the entire visibility publish for a plain
         // commit: the inserts above went into the memtable every current
         // and future view shares, so advancing the ceiling (Release,
@@ -3142,6 +3177,17 @@ impl DbCore {
         now: Tick,
         micros: u64,
     ) -> Result<()> {
+        // A TTL rewrite within one level that came out as it went in
+        // would be picked again, unchanged, for as long as the clock
+        // stands still: have the picker pass over its outputs.
+        if task.reason == CompactionReason::TtlExpired
+            && task.level == task.output_level
+            && outcome.entries_dropped() == 0
+            && outcome.key_range_tombstones_dropped.is_empty()
+        {
+            self.picker
+                .note_futile_rewrite(now, outcome.added.iter().map(|f| f.id).collect());
+        }
         // Apply to the version first so range-tombstone retirement sees
         // the post-compaction file set. A tombstone is retirable only if
         // no *buffer* (active or sealed memtable) holds anything it
@@ -3452,7 +3498,7 @@ impl DbCore {
         if !ops.is_empty() {
             // Safe under the held exclusion: the commit path takes only
             // the WAL/vlog/state locks, never the exclusion itself.
-            self.commit_group_inner(vec![ops], None)?;
+            self.commit_group_inner(&mut [&mut ops[..]], None)?;
         }
 
         let reclaimed;

@@ -4,10 +4,17 @@
 //! materialized memtable ranges. The merge picks the minimum by linear
 //! scan — source counts are tens at most, and keys are compared without
 //! copying, which beats a heap that would have to own key copies.
+//!
+//! Sources *lend*: a key or value is borrowed from the page or memtable
+//! entry it already lives in until a consumer decides to keep the entry,
+//! and only then is an owned [`Entry`] built ([`MergeIterator::entry`]).
+
+use std::collections::VecDeque;
 
 use acheron_sstable::TableIterator;
-use acheron_types::key::compare_internal;
-use acheron_types::{Entry, RangeTombstone, Result, SeqNo, Tick, ValueKind, ValuePointer};
+use acheron_types::key::{compare_internal, InternalKeyRef};
+use acheron_types::seq::pack_tag;
+use acheron_types::{Entry, Error, RangeTombstone, Result, SeqNo, Tick, ValueKind, ValuePointer};
 use bytes::Bytes;
 
 /// A positioned stream of entries in internal-key order.
@@ -18,8 +25,10 @@ pub trait KvSource {
     fn key(&self) -> &[u8];
     /// The current secondary delete key.
     fn dkey(&self) -> u64;
-    /// The current value.
-    fn value(&self) -> &Bytes;
+    /// The current value: a handle sharing the source's allocation (a
+    /// page slice, a memtable entry's value), made on request. It costs
+    /// a reference count, so consumers ask only for entries they keep.
+    fn value(&self) -> Bytes;
     /// Advance past the current entry.
     fn next(&mut self) -> Result<()>;
 }
@@ -34,7 +43,7 @@ impl KvSource for TableIterator {
     fn dkey(&self) -> u64 {
         TableIterator::dkey(self)
     }
-    fn value(&self) -> &Bytes {
+    fn value(&self) -> Bytes {
         TableIterator::value(self)
     }
     fn next(&mut self) -> Result<()> {
@@ -46,9 +55,9 @@ impl KvSource for TableIterator {
 /// ranges, test fixtures).
 pub struct VecSource {
     entries: Vec<Entry>,
-    /// Cached encodings, parallel to `entries`.
-    keys: Vec<Vec<u8>>,
     pos: usize,
+    /// Encoding of the current entry's internal key.
+    key: Vec<u8>,
 }
 
 impl VecSource {
@@ -57,14 +66,21 @@ impl VecSource {
         debug_assert!(entries
             .windows(2)
             .all(|w| w[0].internal_key() < w[1].internal_key()));
-        let keys = entries
-            .iter()
-            .map(|e| e.internal_key().encoded().to_vec())
-            .collect();
-        VecSource {
+        let mut source = VecSource {
             entries,
-            keys,
             pos: 0,
+            key: Vec::new(),
+        };
+        source.encode_key();
+        source
+    }
+
+    fn encode_key(&mut self) {
+        self.key.clear();
+        if let Some(e) = self.entries.get(self.pos) {
+            self.key.extend_from_slice(&e.key);
+            self.key
+                .extend_from_slice(&pack_tag(e.seqno, e.kind as u8).to_le_bytes());
         }
     }
 }
@@ -74,18 +90,29 @@ impl KvSource for VecSource {
         self.pos < self.entries.len()
     }
     fn key(&self) -> &[u8] {
-        &self.keys[self.pos]
+        &self.key
     }
     fn dkey(&self) -> u64 {
         self.entries[self.pos].dkey
     }
-    fn value(&self) -> &Bytes {
-        &self.entries[self.pos].value
+    fn value(&self) -> Bytes {
+        self.entries[self.pos].value.clone()
     }
     fn next(&mut self) -> Result<()> {
         self.pos += 1;
+        self.encode_key();
         Ok(())
     }
+}
+
+/// Split an encoded internal key into its parts, rejecting encodings a
+/// table could only hold through corruption.
+pub(crate) fn decode_key(encoded: &[u8]) -> Result<(InternalKeyRef<'_>, ValueKind)> {
+    let key =
+        InternalKeyRef::decode(encoded).ok_or_else(|| Error::corruption("short key in merge"))?;
+    let kind = ValueKind::from_u8(key.kind_byte())
+        .ok_or_else(|| Error::corruption(format!("bad kind byte {:#x}", key.kind_byte())))?;
+    Ok((key, kind))
 }
 
 /// Merges multiple sources into one internal-key-ordered stream.
@@ -121,6 +148,10 @@ impl MergeIterator {
             .map(|(i, _)| i);
     }
 
+    fn source(&self) -> &dyn KvSource {
+        self.sources[self.current.expect("read of an exhausted merge")].as_ref()
+    }
+
     /// True if positioned at an entry.
     pub fn valid(&self) -> bool {
         self.current.is_some()
@@ -128,32 +159,30 @@ impl MergeIterator {
 
     /// Current encoded internal key.
     pub fn key(&self) -> &[u8] {
-        self.sources[self.current.expect("key() on exhausted merge")].key()
+        self.source().key()
     }
 
     /// Current delete key.
     pub fn dkey(&self) -> u64 {
-        self.sources[self.current.expect("dkey() on exhausted merge")].dkey()
+        self.source().dkey()
     }
 
-    /// Current value.
-    pub fn value(&self) -> &Bytes {
-        self.sources[self.current.expect("value() on exhausted merge")].value()
+    /// Current value (see [`KvSource::value`]).
+    pub fn value(&self) -> Bytes {
+        self.source().value()
     }
 
-    /// Materialize the current entry.
+    /// Materialize the current entry: the one point where a merged key
+    /// is copied to the heap, paid only for entries a consumer keeps.
     pub fn entry(&self) -> Result<Entry> {
-        let key = acheron_types::key::InternalKeyRef::decode(self.key())
-            .ok_or_else(|| acheron_types::Error::corruption("short key in merge"))?;
-        let kind = ValueKind::from_u8(key.kind_byte()).ok_or_else(|| {
-            acheron_types::Error::corruption(format!("bad kind byte {:#x}", key.kind_byte()))
-        })?;
+        let source = self.source();
+        let (key, kind) = decode_key(source.key())?;
         Ok(Entry {
             key: Bytes::copy_from_slice(key.user_key()),
             seqno: key.seqno(),
             kind,
-            dkey: self.dkey(),
-            value: self.value().clone(),
+            dkey: source.dkey(),
+            value: source.value(),
         })
     }
 
@@ -161,10 +190,12 @@ impl MergeIterator {
     /// keys in other sources).
     pub fn advance(&mut self) -> Result<()> {
         let cur = self.current.expect("advance() on exhausted merge");
-        let key = self.sources[cur].key().to_vec();
-        for (i, s) in self.sources.iter_mut().enumerate() {
-            if i != cur && s.valid() && s.key() == key.as_slice() {
-                s.next()?;
+        for i in 0..self.sources.len() {
+            if i != cur
+                && self.sources[i].valid()
+                && self.sources[i].key() == self.sources[cur].key()
+            {
+                self.sources[i].next()?;
             }
         }
         self.sources[cur].next()?;
@@ -192,7 +223,9 @@ pub struct CompactionStream<'a> {
     now: Tick,
     /// Survivors of the current user key's chain not yet handed out
     /// (non-empty only while snapshots force multiple versions).
-    pending: std::collections::VecDeque<Entry>,
+    pending: VecDeque<Entry>,
+    /// The current chain's user key (scratch of the snapshot-free path).
+    head_key: Vec<u8>,
     /// Entries dropped because a newer kept version shadowed them.
     pub shadowed: u64,
     /// Entries purged by a secondary range tombstone.
@@ -212,6 +245,13 @@ pub struct CompactionStream<'a> {
     pub vlog_dead: Vec<(u64, u64, Tick)>,
 }
 
+/// The value-log pointer an entry of `kind` carries in its value, if any.
+fn pointer_of(kind: ValueKind, value: impl FnOnce() -> Bytes) -> Option<ValuePointer> {
+    (kind == ValueKind::ValuePointer)
+        .then(|| ValuePointer::decode(&value()))
+        .flatten()
+}
+
 impl<'a> CompactionStream<'a> {
     /// Wrap a merge with compaction semantics.
     pub fn new(
@@ -227,7 +267,8 @@ impl<'a> CompactionStream<'a> {
             snapshots,
             bottommost,
             now,
-            pending: std::collections::VecDeque::new(),
+            pending: VecDeque::new(),
+            head_key: Vec::new(),
             shadowed: 0,
             range_purged: 0,
             tombstones_dropped: Vec::new(),
@@ -237,14 +278,57 @@ impl<'a> CompactionStream<'a> {
     }
 
     /// Record the vlog extent behind a dropped value-pointer entry.
-    fn note_dead_pointer(&mut self, dropped: &Entry, stamp: Tick) {
-        if dropped.kind != ValueKind::ValuePointer {
-            return;
-        }
-        if let Some(ptr) = ValuePointer::decode(&dropped.value) {
+    fn note_dead_pointer(&mut self, dropped: Option<ValuePointer>, stamp: Tick) {
+        if let Some(ptr) = dropped {
             self.vlog_dead
                 .push((ptr.segment, u64::from(ptr.len), stamp));
         }
+    }
+
+    /// Account an entry dropped because the head of its stratum shadows
+    /// it (rule 1 of [`CompactionStream::next_surviving`]).
+    fn note_shadowed(
+        &mut self,
+        seqno: SeqNo,
+        is_tombstone: bool,
+        ptr: Option<ValuePointer>,
+        stamp: Tick,
+    ) {
+        self.shadowed += 1;
+        if is_tombstone {
+            self.tombstones_superseded.push(seqno);
+        }
+        self.note_dead_pointer(ptr, stamp);
+    }
+
+    /// Apply rules 2 and 3 of [`CompactionStream::next_surviving`] to the
+    /// head of a stratum; `false` means it was purged or dropped (and
+    /// accounted).
+    fn head_survives(
+        &mut self,
+        seqno: SeqNo,
+        is_tombstone: bool,
+        dkey: u64,
+        ptr: Option<ValuePointer>,
+        older_pinned: bool,
+    ) -> bool {
+        let droppable = self.bottommost && !self.visible_to_snapshot(seqno) && !older_pinned;
+        if !droppable {
+            return true;
+        }
+        if self.rts.iter().any(|rt| rt.shadows(seqno, dkey)) {
+            self.range_purged += 1;
+            if is_tombstone {
+                self.tombstones_superseded.push(seqno);
+            }
+            self.note_dead_pointer(ptr, self.now);
+            return false;
+        }
+        if is_tombstone {
+            self.tombstones_dropped.push((dkey, seqno));
+            return false;
+        }
+        true
     }
 
     /// True if `newer` and `older` fall in the same snapshot stratum (no
@@ -285,80 +369,97 @@ impl<'a> CompactionStream<'a> {
             if !self.merge.valid() {
                 return Ok(None);
             }
-            // Collect the whole version chain for the next user key.
-            let first = self.merge.entry()?;
-            self.merge.advance()?;
-            let mut chain = vec![first];
-            while self.merge.valid() {
-                let nk = acheron_types::key::InternalKeyRef::decode(self.merge.key())
-                    .ok_or_else(|| acheron_types::Error::corruption("short key in merge"))?;
-                if nk.user_key() != &chain[0].key[..] {
-                    break;
-                }
-                chain.push(self.merge.entry()?);
-                self.merge.advance()?;
+            if !self.snapshots.is_empty() {
+                self.next_chain_pinned()?;
+            } else if let Some(e) = self.next_chain_unpinned()? {
+                return Ok(Some(e));
             }
+        }
+    }
 
-            // Per candidate: does some snapshot pin an *older* version
-            // of this key? Such a version survives dedup, so the
-            // candidate must stay to keep shadowing it (chain is
-            // newest → oldest).
-            let older_pinned: Vec<bool> = (0..chain.len())
-                .map(|i| {
-                    chain[i + 1..].iter().any(|older| {
-                        self.snapshots
-                            .iter()
-                            .any(|&s| older.seqno <= s && s < chain[i].seqno)
-                    })
-                })
-                .collect();
+    /// One user key's chain with no live snapshot: the whole chain is a
+    /// single stratum, so only its head can survive and nothing older
+    /// needs to be looked at before deciding. The chain streams past
+    /// without being collected; the head is the only entry materialized,
+    /// and only if it survives.
+    fn next_chain_unpinned(&mut self) -> Result<Option<Entry>> {
+        let (key, kind) = decode_key(self.merge.key())?;
+        let (seqno, dkey) = (key.seqno(), self.merge.dkey());
+        self.head_key.clear();
+        self.head_key.extend_from_slice(key.user_key());
+        let ptr = pointer_of(kind, || self.merge.value());
+        let survivor = self
+            .head_survives(seqno, kind.is_tombstone(), dkey, ptr, false)
+            .then(|| self.merge.entry())
+            .transpose()?;
+        self.merge.advance()?;
+        // A separated value shadowed by a tombstone dies *because of
+        // that delete*: seed its dead-extent age from the delete's own
+        // tick so the vlog GC deadline measures delete-to-reclaim end to
+        // end.
+        let stamp = if kind.is_tombstone() { dkey } else { self.now };
+        while self.merge.valid() {
+            let (key, kind) = decode_key(self.merge.key())?;
+            if key.user_key() != self.head_key {
+                break;
+            }
+            let seqno = key.seqno();
+            let ptr = pointer_of(kind, || self.merge.value());
+            self.note_shadowed(seqno, kind.is_tombstone(), ptr, stamp);
+            self.merge.advance()?;
+        }
+        Ok(survivor)
+    }
 
-            // `last_head` = the newest candidate that survived stratum
-            // dedup (whether emitted, purged, or dropped): the version
-            // that *decides* reads in its stratum. `(seqno, is_tombstone,
-            // dkey)` — the extra fields stamp dead vlog extents.
-            let mut last_head: Option<(SeqNo, bool, u64)> = None;
-            for (i, candidate) in chain.into_iter().enumerate() {
-                if let Some((head_seqno, head_is_del, head_dkey)) = last_head {
-                    if self.same_stratum(head_seqno, candidate.seqno) {
-                        self.shadowed += 1;
-                        if candidate.is_tombstone() {
-                            self.tombstones_superseded.push(candidate.seqno);
-                        }
-                        // A separated value shadowed by a tombstone dies
-                        // *because of that delete*: seed its dead-extent
-                        // age from the delete's own tick so the vlog GC
-                        // deadline measures delete-to-reclaim end to end.
-                        let stamp = if head_is_del { head_dkey } else { self.now };
-                        self.note_dead_pointer(&candidate, stamp);
-                        continue;
-                    }
+    /// One user key's chain while snapshots are live: collect it, then
+    /// walk it newest → oldest, queueing survivors on `pending`.
+    fn next_chain_pinned(&mut self) -> Result<()> {
+        let mut chain = vec![self.merge.entry()?];
+        self.merge.advance()?;
+        while self.merge.valid() {
+            let (key, _) = decode_key(self.merge.key())?;
+            if key.user_key() != &chain[0].key[..] {
+                break;
+            }
+            chain.push(self.merge.entry()?);
+            self.merge.advance()?;
+        }
+
+        // `last_head` = the newest candidate that survived stratum
+        // dedup (whether emitted, purged, or dropped): the version
+        // that *decides* reads in its stratum. `(seqno, is_tombstone,
+        // dkey)` — the extra fields stamp dead vlog extents.
+        let mut last_head: Option<(SeqNo, bool, u64)> = None;
+        let mut rest = chain.drain(..);
+        while let Some(candidate) = rest.next() {
+            let ptr = pointer_of(candidate.kind, || candidate.value.clone());
+            if let Some((head_seqno, head_is_del, head_dkey)) = last_head {
+                if self.same_stratum(head_seqno, candidate.seqno) {
+                    let stamp = if head_is_del { head_dkey } else { self.now };
+                    self.note_shadowed(candidate.seqno, candidate.is_tombstone(), ptr, stamp);
+                    continue;
                 }
-                last_head = Some((candidate.seqno, candidate.is_tombstone(), candidate.dkey));
-                let droppable = self.bottommost
-                    && !self.visible_to_snapshot(candidate.seqno)
-                    && !older_pinned[i];
-                let rt_shadow = self
-                    .rts
+            }
+            last_head = Some((candidate.seqno, candidate.is_tombstone(), candidate.dkey));
+            // Does some snapshot pin an *older* version of this key?
+            // Such a version survives dedup, so the candidate must stay
+            // to keep shadowing it (`rest` is what is older).
+            let older_pinned = rest.as_slice().iter().any(|older| {
+                self.snapshots
                     .iter()
-                    .any(|rt| rt.shadows(candidate.seqno, candidate.dkey));
-                if rt_shadow && droppable {
-                    self.range_purged += 1;
-                    if candidate.is_tombstone() {
-                        self.tombstones_superseded.push(candidate.seqno);
-                    }
-                    let stamp = self.now;
-                    self.note_dead_pointer(&candidate, stamp);
-                    continue;
-                }
-                if candidate.is_tombstone() && droppable {
-                    self.tombstones_dropped
-                        .push((candidate.dkey, candidate.seqno));
-                    continue;
-                }
+                    .any(|&s| older.seqno <= s && s < candidate.seqno)
+            });
+            if self.head_survives(
+                candidate.seqno,
+                candidate.is_tombstone(),
+                candidate.dkey,
+                ptr,
+                older_pinned,
+            ) {
                 self.pending.push_back(candidate);
             }
         }
+        Ok(())
     }
 }
 
@@ -455,6 +556,69 @@ mod tests {
         assert_eq!(out[0].seqno, 5);
         assert_eq!(&out[1].key[..], b"other");
         assert_eq!(shadowed, 2);
+    }
+
+    #[test]
+    fn snapshot_free_path_matches_the_general_path() {
+        // With no snapshots both chain walkers must agree on survivors
+        // and on every counter, in order. Chains of 1–4 versions mixing
+        // puts, tombstones and value pointers, some under a range
+        // tombstone.
+        let rts = [RangeTombstone {
+            seqno: 1_000,
+            range: DeleteKeyRange::new(0, 2),
+        }];
+        let make = || {
+            let mut entries = Vec::new();
+            let mut seq = 1u64;
+            for k in 0..40u64 {
+                for v in 0..=(k % 4) {
+                    let key = format!("k{k:03}").into_bytes();
+                    let n = k * 7 + v * 3;
+                    entries.push(match n % 3 {
+                        0 => Entry::tombstone(key, seq, n % 5),
+                        1 => Entry::put(key, vec![b'v'; 3], seq, n % 5),
+                        _ => Entry::value_pointer(
+                            key,
+                            ValuePointer {
+                                segment: n % 4,
+                                offset: n * 100,
+                                len: 100,
+                            },
+                            seq,
+                            n % 5,
+                        ),
+                    });
+                    seq += 1;
+                }
+            }
+            merge_of(vec![entries])
+        };
+        for bottommost in [false, true] {
+            let run = |general: bool| {
+                let mut s = CompactionStream::new(make(), &rts, &[], bottommost, 77);
+                let mut out = Vec::new();
+                while s.merge.valid() {
+                    if general {
+                        s.next_chain_pinned().unwrap();
+                        out.extend(s.pending.drain(..));
+                    } else {
+                        out.extend(s.next_chain_unpinned().unwrap());
+                    }
+                }
+                (
+                    out,
+                    s.shadowed,
+                    s.range_purged,
+                    s.tombstones_dropped,
+                    s.tombstones_superseded,
+                    s.vlog_dead,
+                )
+            };
+            let general = run(true);
+            assert!(general.1 > 0 && !general.5.is_empty(), "the case has teeth");
+            assert_eq!(run(false), general, "bottommost={bottommost}");
+        }
     }
 
     #[test]

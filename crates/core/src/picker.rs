@@ -144,6 +144,10 @@ pub struct Picker {
     cursors: Mutex<Vec<Option<Bytes>>>,
     /// `(next claim id, marks of running compactions)`.
     in_flight: Mutex<(u64, Vec<InFlightMark>)>,
+    /// Output files of the last within-bottom TTL rewrite that purged
+    /// and dropped nothing, and the tick it ran at (see
+    /// [`Picker::note_futile_rewrite`]).
+    futile: Mutex<(Tick, Vec<u64>)>,
 }
 
 impl Picker {
@@ -155,7 +159,19 @@ impl Picker {
             ttl,
             cursors: Mutex::new(vec![None; opts.max_levels]),
             in_flight: Mutex::new((0, Vec::new())),
+            futile: Mutex::new((0, Vec::new())),
         }
+    }
+
+    /// Record that a TTL rewrite within the bottom level at tick `now`
+    /// changed nothing — whatever keeps its tombstones from purging (a
+    /// snapshot, say) is still there — and produced `outputs`. Until the
+    /// clock moves, the TTL trigger passes over those files: rewriting
+    /// them again at the same tick would produce the same bytes, and an
+    /// inline maintenance pass, inside which the logical clock stands
+    /// still, would never end.
+    pub fn note_futile_rewrite(&self, now: Tick, outputs: Vec<u64>) {
+        *self.futile.lock() = (now, outputs);
     }
 
     /// The TTL schedule, if FADE is enabled.
@@ -231,13 +247,38 @@ impl Picker {
     /// FADE trigger: the most overdue expired file, if any.
     fn pick_ttl_expired(&self, version: &Version, now: Tick) -> Option<CompactionTask> {
         let ttl = self.ttl.as_ref()?;
-        let expired = version
-            .all_files()
-            .filter(|f| ttl.file_expired(f, now))
-            .max_by_key(|f| ttl.overdue_by(f, now))?
-            .clone();
-        let level = expired.level;
         let bottom = self.opts.max_levels - 1;
+        let mut expired = {
+            let futile = self.futile.lock();
+            version
+                .all_files()
+                .filter(|f| ttl.file_expired(f, now))
+                .filter(|f| !(futile.0 == now && futile.1.contains(&f.id)))
+                .max_by_key(|f| ttl.overdue_by(f, now))?
+                .clone()
+        };
+        if expired.level == bottom {
+            // A sort-key range tombstone at the bottom purges only once
+            // no file outside the merge holds an older entry in its
+            // range. While one does, rewriting the tombstone's file
+            // achieves nothing: the blocker is what has to descend, so
+            // it takes the expired file's turn (deepest first — it is
+            // the closest to being merged with the tombstone).
+            let blocker =
+                version.levels[..bottom]
+                    .iter()
+                    .flatten()
+                    .filter(|f| {
+                        expired.stats.range_tombstones.iter().any(|k| {
+                            f.stats.min_seqno < k.seqno && f.overlaps_keys(&k.start, &k.end)
+                        })
+                    })
+                    .max_by_key(|f| f.level);
+            if let Some(blocker) = blocker {
+                expired = Arc::clone(blocker);
+            }
+        }
+        let level = expired.level;
         if level == 0 {
             // L0 files overlap in both keys and seqnos: take them all so
             // newer versions never sink below older ones.

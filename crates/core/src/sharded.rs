@@ -431,17 +431,24 @@ impl ShardedDb {
                 "snapshot is from a fleet with a different shard count",
             ));
         }
-        let mut rows: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+        let mut runs = Vec::with_capacity(self.shards.len());
         for (db, s) in self.shards.iter().zip(&snap.shards) {
-            rows.extend(
-                db.scan_at(s, lo, hi)?
-                    .into_iter()
-                    .map(|(k, v)| (k.to_vec(), v.to_vec())),
-            );
+            runs.push(db.scan_at(s, lo, hi)?);
         }
-        // Shards partition the keyspace, so per-key uniqueness is
-        // guaranteed and a sort by key is the k-way merge.
-        rows.sort_unstable();
+        // Each shard's run is already sorted and shards partition the
+        // keyspace (no key appears twice), so a k-way merge of the run
+        // heads yields the fleet order; each row is copied once, into
+        // its final place.
+        let mut next = vec![0usize; runs.len()];
+        let mut rows = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+        while let Some(shard) = (0..runs.len())
+            .filter(|&i| next[i] < runs[i].len())
+            .min_by(|&a, &b| runs[a][next[a]].0.cmp(&runs[b][next[b]].0))
+        {
+            let (key, value) = &runs[shard][next[shard]];
+            rows.push((key.to_vec(), value.to_vec()));
+            next[shard] += 1;
+        }
         Ok(rows)
     }
 

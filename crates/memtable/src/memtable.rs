@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
 use acheron_types::{
-    Entry, FragmentedRangeTombstones, InternalKey, KeyRangeTombstone, SeqNo, Tick, ValueKind,
+    Entry, FragmentedRangeTombstones, KeyRangeTombstone, SeekKey, SeqNo, Tick, ValueKind,
 };
 use bytes::Bytes;
 
@@ -198,7 +198,7 @@ impl Memtable {
 
     /// Point lookup at snapshot `snapshot` (visible seqnos are `<= snapshot`).
     pub fn get(&self, user_key: &[u8], snapshot: SeqNo) -> LookupResult {
-        let seek_key = InternalKey::for_seek(user_key, snapshot);
+        let seek_key = SeekKey::new(user_key, snapshot);
         let mut it = self.list.iter();
         it.seek(seek_key.encoded());
         if !it.valid() {
@@ -222,7 +222,7 @@ impl Memtable {
     /// included) so the engine's early-exit lookup can compare its seqno
     /// against other sources and shadow-check range tombstones.
     pub fn newest_visible(&self, user_key: &[u8], snapshot: SeqNo) -> Option<Entry> {
-        let seek_key = InternalKey::for_seek(user_key, snapshot);
+        let seek_key = SeekKey::new(user_key, snapshot);
         let mut it = self.list.iter();
         it.seek(seek_key.encoded());
         if !it.valid() {
@@ -243,7 +243,7 @@ impl Memtable {
     /// one source alone cannot decide, since a newer version may live in
     /// another source.
     pub fn versions(&self, user_key: &[u8], snapshot: SeqNo) -> Vec<Entry> {
-        let seek_key = InternalKey::for_seek(user_key, snapshot);
+        let seek_key = SeekKey::new(user_key, snapshot);
         let mut it = self.list.iter();
         it.seek(seek_key.encoded());
         let mut out = Vec::new();

@@ -9,8 +9,8 @@
 //! The engine serializes writers externally (the commit leader is the
 //! only inserter of the active memtable); readers traverse concurrently
 //! with no synchronization beyond the atomics here. Publication follows
-//! the classic skiplist protocol: a node is fully constructed — entry,
-//! cached key, and tower pre-linked to its successors — and published
+//! the classic skiplist protocol: a node is fully constructed — entry
+//! and tower pre-linked to its successors — and published
 //! into its `OnceLock` slot *before* any predecessor's link is
 //! `Release`-stored to point at it, so an `Acquire` traversal can never
 //! observe a half-built node. Readers that race an insert either see the
@@ -28,7 +28,8 @@ use std::cmp::Ordering as CmpOrdering;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-use acheron_types::key::compare_internal;
+use acheron_types::key::{compare_parts, InternalKeyRef, TAG_LEN};
+use acheron_types::seq::pack_tag;
 use acheron_types::Entry;
 
 const MAX_HEIGHT: usize = 12;
@@ -48,13 +49,15 @@ const BASE_SHIFT: u32 = 10;
 /// realistic memtable and still within `u32` index space.
 const NUM_CHUNKS: usize = 21;
 
+/// A node owns nothing on the heap beyond its entry's key and value:
+/// the internal key is compared as `(entry.key, tag)` in place, and the
+/// tower is inline (levels above the node's height stay [`NIL`] and are
+/// never linked), so an insert allocates nothing.
 struct Node {
     /// `None` only for the head sentinel.
     entry: Option<Entry>,
-    /// Encoded internal key, cached to avoid re-encoding on every compare.
-    ikey: Vec<u8>,
     /// `tower[h]` is the next node at height `h`.
-    tower: Box<[AtomicU32]>,
+    tower: [AtomicU32; MAX_HEIGHT],
 }
 
 /// A skiplist of [`Entry`] values ordered by internal key.
@@ -92,8 +95,7 @@ impl SkipList {
         };
         let head = Node {
             entry: None,
-            ikey: Vec::new(),
-            tower: (0..MAX_HEIGHT).map(|_| AtomicU32::new(NIL)).collect(),
+            tower: std::array::from_fn(|_| AtomicU32::new(NIL)),
         };
         let ok = list.chunk(0)[0].set(head).is_ok();
         debug_assert!(ok);
@@ -158,18 +160,18 @@ impl SkipList {
             .expect("node published before any link to it")
     }
 
-    /// Compare the node at `idx` against `key` (encoded internal key).
-    /// The head sentinel compares less than everything.
+    /// Compare the node at `idx` against the internal key `(user_key,
+    /// tag)`. The head sentinel compares less than everything.
     #[inline]
-    fn cmp_node(&self, idx: u32, key: &[u8]) -> CmpOrdering {
-        if idx == HEAD {
-            return CmpOrdering::Less;
+    fn cmp_node(&self, idx: u32, user_key: &[u8], tag: u64) -> CmpOrdering {
+        match &self.node(idx).entry {
+            None => CmpOrdering::Less,
+            Some(e) => compare_parts(&e.key, pack_tag(e.seqno, e.kind as u8), user_key, tag),
         }
-        compare_internal(&self.node(idx).ikey, key)
     }
 
     /// Find, for every level, the rightmost node strictly less than
-    /// `key`, plus the level-0 successor *observed during the walk*
+    /// the internal key `(user_key, tag)`, plus the level-0 successor *observed during the walk*
     /// (NIL or the first node `>= key`). Lower-bound callers must use
     /// that observed successor rather than re-loading `preds[0]`'s
     /// link: between the walk and a second load, a concurrent insert
@@ -177,7 +179,7 @@ impl SkipList {
     /// of the same user key — seqno-descending order), and the re-load
     /// would return it, breaking the `>= key` contract.
     #[allow(clippy::needless_range_loop)] // descending level walk carries state between levels
-    fn find_predecessors(&self, key: &[u8]) -> ([u32; MAX_HEIGHT], u32) {
+    fn find_predecessors(&self, user_key: &[u8], tag: u64) -> ([u32; MAX_HEIGHT], u32) {
         let mut preds = [HEAD; MAX_HEIGHT];
         let mut current = HEAD;
         let mut succ0 = NIL;
@@ -185,7 +187,7 @@ impl SkipList {
         for level in (0..height).rev() {
             loop {
                 let next = self.node(current).tower[level].load(Ordering::Acquire);
-                if next != NIL && self.cmp_node(next, key) == CmpOrdering::Less {
+                if next != NIL && self.cmp_node(next, user_key, tag) == CmpOrdering::Less {
                     current = next;
                 } else {
                     if level == 0 {
@@ -209,13 +211,10 @@ impl SkipList {
     /// In debug builds, panics if an entry with an identical internal key
     /// is already present (sequence numbers must be unique).
     pub fn insert(&self, entry: Entry) {
-        let ikey = entry.internal_key().encoded().to_vec();
-        let (preds, _) = self.find_predecessors(&ikey);
+        let tag = pack_tag(entry.seqno, entry.kind as u8);
+        let (preds, succ) = self.find_predecessors(&entry.key, tag);
         debug_assert!(
-            {
-                let next = self.node(preds[0]).tower[0].load(Ordering::Acquire);
-                next == NIL || self.cmp_node(next, &ikey) != CmpOrdering::Equal
-            },
+            succ == NIL || self.cmp_node(succ, &entry.key, tag) != CmpOrdering::Equal,
             "duplicate internal key inserted into skiplist"
         );
 
@@ -227,22 +226,28 @@ impl SkipList {
             self.height.store(height, Ordering::Relaxed);
         }
 
-        self.approx_bytes
-            .fetch_add(entry.encoded_size() + ikey.len(), Ordering::Relaxed);
+        // Entry payload plus one encoded internal key: what a node cost
+        // when it cached that encoding. Flush points are defined by this
+        // sum, so it stays the charge now that the cache is gone.
+        self.approx_bytes.fetch_add(
+            entry.encoded_size() + entry.key.len() + TAG_LEN,
+            Ordering::Relaxed,
+        );
         let idx = self.count.load(Ordering::Relaxed);
         assert!(idx != NIL, "skiplist arena exhausted");
         // Pre-link the tower to the successors *before* publishing, so
         // the node is fully wired the instant it becomes reachable.
-        let tower: Box<[AtomicU32]> = (0..height)
-            .map(|level| {
-                AtomicU32::new(self.node(preds[level]).tower[level].load(Ordering::Relaxed))
+        let tower = std::array::from_fn(|level| {
+            AtomicU32::new(if level < height {
+                self.node(preds[level]).tower[level].load(Ordering::Relaxed)
+            } else {
+                NIL
             })
-            .collect();
+        });
         let (c, off) = Self::locate(idx);
         let published = self.chunk(c)[off]
             .set(Node {
                 entry: Some(entry),
-                ikey,
                 tower,
             })
             .is_ok();
@@ -261,7 +266,8 @@ impl SkipList {
     /// walk — never a re-load, which could race a concurrent insert of
     /// a smaller key (see [`SkipList::find_predecessors`]).
     fn lower_bound(&self, key: &[u8]) -> u32 {
-        self.find_predecessors(key).1
+        debug_assert!(key.len() >= TAG_LEN, "short internal key");
+        InternalKeyRef::decode(key).map_or(NIL, |k| self.find_predecessors(k.user_key(), k.tag()).1)
     }
 
     /// An iterator positioned before the first entry.

@@ -91,12 +91,20 @@ impl BlockBuilder {
     /// Serialize, consuming accumulated state; the builder can be reused
     /// afterwards via [`BlockBuilder::reset`].
     pub fn finish(&mut self) -> Vec<u8> {
-        let mut out = std::mem::take(&mut self.buf);
+        self.finish_in_place();
+        std::mem::take(&mut self.buf)
+    }
+
+    /// Serialize into the builder's own buffer and lend the result, so a
+    /// builder that is [`reset`](BlockBuilder::reset) between blocks
+    /// reuses one allocation for all of them.
+    pub fn finish_in_place(&mut self) -> &[u8] {
         for r in &self.restarts {
-            out.extend_from_slice(&r.to_le_bytes());
+            self.buf.extend_from_slice(&r.to_le_bytes());
         }
-        out.extend_from_slice(&(self.restarts.len() as u32).to_le_bytes());
-        out
+        self.buf
+            .extend_from_slice(&(self.restarts.len() as u32).to_le_bytes());
+        &self.buf
     }
 
     /// Clear for building the next block.
@@ -164,7 +172,7 @@ impl Block {
             offset: 0,
             key: Vec::new(),
             dkey: 0,
-            value: Bytes::new(),
+            value: 0..0,
             valid: false,
         }
     }
@@ -177,7 +185,10 @@ pub struct BlockIter {
     offset: usize,
     key: Vec<u8>,
     dkey: u64,
-    value: Bytes,
+    /// Where the current value sits in the block. Kept as a range, not a
+    /// `Bytes`: stepping over an entry must not touch the page's
+    /// reference count.
+    value: std::ops::Range<usize>,
     valid: bool,
 }
 
@@ -199,10 +210,11 @@ impl BlockIter {
         self.dkey
     }
 
-    /// The current entry's value.
-    pub fn value(&self) -> &Bytes {
+    /// The current entry's value: a handle on the page's allocation,
+    /// made on request — ask only for the entries you keep.
+    pub fn value(&self) -> Bytes {
         debug_assert!(self.valid);
-        &self.value
+        self.block.data.slice(self.value.clone())
     }
 
     /// Position at the first entry.
@@ -219,8 +231,7 @@ impl BlockIter {
         let (mut lo, mut hi) = (0usize, self.block.n_restarts - 1);
         while lo < hi {
             let mid = hi - (hi - lo) / 2; // upper mid so the loop shrinks
-            let key = self.restart_key(mid)?;
-            if compare_internal(&key, target) == Ordering::Less {
+            if compare_internal(self.restart_key(mid)?, target) == Ordering::Less {
                 lo = mid;
             } else {
                 hi = mid - 1;
@@ -244,8 +255,9 @@ impl BlockIter {
         self.parse_next()
     }
 
-    /// Decode the full key at restart point `i` (shared length is 0 there).
-    fn restart_key(&self, i: usize) -> Result<Vec<u8>> {
+    /// The full key at restart point `i` (shared length is 0 there),
+    /// borrowed from the block.
+    fn restart_key(&self, i: usize) -> Result<&[u8]> {
         let offset = self.block.restart_point(i);
         let data = &self.block.data[..self.block.restarts_offset];
         let src = data
@@ -263,10 +275,8 @@ impl BlockIter {
         let src = src
             .get(8..)
             .ok_or_else(|| Error::corruption("bad restart entry"))?;
-        let key = src
-            .get(..non_shared as usize)
-            .ok_or_else(|| Error::corruption("restart key out of bounds"))?;
-        Ok(key.to_vec())
+        src.get(..non_shared as usize)
+            .ok_or_else(|| Error::corruption("restart key out of bounds"))
     }
 
     fn parse_next(&mut self) -> Result<()> {
@@ -298,21 +308,17 @@ impl BlockIter {
             .get(..non_shared as usize)
             .ok_or_else(|| Error::corruption("truncated key delta"))?;
         let value_start = non_shared as usize;
-        // Bounds check only; the value itself is sliced zero-copy below.
+        // Bounds check only; the value stays in the page.
         src.get(value_start..value_start + value_len as usize)
             .ok_or_else(|| Error::corruption("truncated block value"))?;
 
         self.key.truncate(shared as usize);
         self.key.extend_from_slice(key_delta);
         self.dkey = dkey;
-        // Compute the value's absolute range to take a zero-copy slice.
         let consumed_before_value = (data_end - base) - src.len() + value_start;
         let abs_value_start = base + consumed_before_value;
-        self.value = self
-            .block
-            .data
-            .slice(abs_value_start..abs_value_start + value_len as usize);
-        self.offset = abs_value_start + value_len as usize;
+        self.value = abs_value_start..abs_value_start + value_len as usize;
+        self.offset = self.value.end;
         self.valid = true;
         Ok(())
     }
@@ -502,7 +508,7 @@ mod tests {
         let block = build(&entries, 16);
         let mut it = block.iter();
         it.seek_to_first().unwrap();
-        let v = it.value().clone();
+        let v = it.value();
         drop(it);
         // The value must stay alive independently of the iterator.
         assert_eq!(&v[..], b"value-0");

@@ -30,30 +30,23 @@ fn base_hash(key: &[u8]) -> u64 {
     h ^ (h >> 31)
 }
 
-impl BloomFilter {
-    /// Build a filter for `keys` at `bits_per_key` density.
-    pub fn build<'a>(
-        keys: impl ExactSizeIterator<Item = &'a [u8]>,
-        bits_per_key: usize,
-    ) -> BloomFilter {
-        let n = keys.len();
-        let k = ((bits_per_key as f64 * std::f64::consts::LN_2) as u8).clamp(1, 30);
-        // At least 64 bits to keep tiny filters from degenerating.
-        let nbits = (n * bits_per_key).max(64);
-        let nbytes = nbits.div_ceil(8);
-        let nbits = nbytes * 8;
-        let mut bits = vec![0u8; nbytes];
-        for key in keys {
-            let h = base_hash(key);
-            let mut probe = h;
-            let delta = h.rotate_left(31);
-            for _ in 0..k {
-                let bit = (probe % nbits as u64) as usize;
-                bits[bit / 8] |= 1 << (bit % 8);
-                probe = probe.wrapping_add(delta);
-            }
+/// A Bloom filter read in place from its serialized form — what the
+/// read path probes, so a lookup never copies filter bits.
+#[derive(Debug, Clone, Copy)]
+pub struct BloomFilterRef<'a> {
+    bits: &'a [u8],
+    k: u8,
+}
+
+impl<'a> BloomFilterRef<'a> {
+    /// View a serialized filter. Returns `None` on an empty slice or an
+    /// implausible probe count.
+    pub fn decode(data: &'a [u8]) -> Option<BloomFilterRef<'a>> {
+        let (&k, bits) = data.split_last()?;
+        if k == 0 || k > 30 {
+            return None;
         }
-        BloomFilter { bits, k }
+        Some(BloomFilterRef { bits, k })
     }
 
     /// True if `key` *may* be present; false means definitely absent.
@@ -74,6 +67,57 @@ impl BloomFilter {
         }
         true
     }
+}
+
+impl BloomFilter {
+    /// Build a filter for `keys` at `bits_per_key` density.
+    pub fn build<'a>(
+        keys: impl ExactSizeIterator<Item = &'a [u8]>,
+        bits_per_key: usize,
+    ) -> BloomFilter {
+        let mut bits = Vec::new();
+        BloomFilter::build_into(keys, bits_per_key, &mut bits);
+        let k = bits.pop().expect("serialized filter ends with k");
+        BloomFilter { bits, k }
+    }
+
+    /// Build a filter for `keys` and append its serialized form to `out`
+    /// (the table builder's filter block, grown in place).
+    pub fn build_into<'a>(
+        keys: impl ExactSizeIterator<Item = &'a [u8]>,
+        bits_per_key: usize,
+        out: &mut Vec<u8>,
+    ) {
+        let n = keys.len();
+        let k = ((bits_per_key as f64 * std::f64::consts::LN_2) as u8).clamp(1, 30);
+        // At least 64 bits to keep tiny filters from degenerating.
+        let nbits = (n * bits_per_key).max(64);
+        let nbytes = nbits.div_ceil(8);
+        let nbits = nbytes * 8;
+        let start = out.len();
+        out.resize(start + nbytes, 0);
+        let bits = &mut out[start..];
+        for key in keys {
+            let h = base_hash(key);
+            let mut probe = h;
+            let delta = h.rotate_left(31);
+            for _ in 0..k {
+                let bit = (probe % nbits as u64) as usize;
+                bits[bit / 8] |= 1 << (bit % 8);
+                probe = probe.wrapping_add(delta);
+            }
+        }
+        out.push(k);
+    }
+
+    /// True if `key` *may* be present; false means definitely absent.
+    pub fn may_contain(&self, key: &[u8]) -> bool {
+        let view = BloomFilterRef {
+            bits: &self.bits,
+            k: self.k,
+        };
+        view.may_contain(key)
+    }
 
     /// Serialize (`bits | k`).
     pub fn encode(&self) -> Vec<u8> {
@@ -83,15 +127,13 @@ impl BloomFilter {
         out
     }
 
-    /// Deserialize. Returns `None` on an empty slice.
+    /// Deserialize into an owned filter. Returns `None` on an empty
+    /// slice. Readers that only probe use [`BloomFilterRef::decode`].
     pub fn decode(data: &[u8]) -> Option<BloomFilter> {
-        let (&k, bits) = data.split_last()?;
-        if k == 0 || k > 30 {
-            return None;
-        }
+        let view = BloomFilterRef::decode(data)?;
         Some(BloomFilter {
-            bits: bits.to_vec(),
-            k,
+            bits: view.bits.to_vec(),
+            k: view.k,
         })
     }
 
@@ -180,6 +222,21 @@ mod tests {
         for k in &ks {
             assert!(decoded.may_contain(k));
         }
+    }
+
+    #[test]
+    fn borrowed_view_and_in_place_build_agree_with_owned() {
+        let ks = keys(300, "y");
+        let f = build(&ks, 10);
+        let mut block = vec![0xaa, 0xbb];
+        BloomFilter::build_into(ks.iter().map(|k| k.as_slice()), 10, &mut block);
+        assert_eq!(&block[2..], f.encode().as_slice());
+        let view = BloomFilterRef::decode(&block[2..]).unwrap();
+        for k in ks.iter().chain(keys(300, "z").iter()) {
+            assert_eq!(view.may_contain(k), f.may_contain(k));
+        }
+        assert!(BloomFilterRef::decode(&[]).is_none());
+        assert!(BloomFilterRef::decode(&[0xff, 31]).is_none());
     }
 
     #[test]

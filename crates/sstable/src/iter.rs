@@ -109,8 +109,8 @@ impl TableIterator {
         self.active[self.current.expect("dkey() on invalid iterator")].dkey()
     }
 
-    /// The current value.
-    pub fn value(&self) -> &Bytes {
+    /// The current value (a handle on its page, made on request).
+    pub fn value(&self) -> Bytes {
         self.active[self.current.expect("value() on invalid iterator")].value()
     }
 
@@ -118,7 +118,7 @@ impl TableIterator {
     pub fn entry(&self) -> Result<Entry> {
         let key = InternalKeyRef::decode(self.key())
             .ok_or_else(|| acheron_types::Error::corruption("short key in table iterator"))?;
-        entry_from_parts(key, self.dkey(), self.value().clone())
+        entry_from_parts(key, self.dkey(), self.value())
     }
 
     /// Starting at `self.tile_idx`, open the first tile that yields an

@@ -42,7 +42,7 @@ pub mod reader;
 pub mod writer;
 
 pub use block::{Block, BlockBuilder, BlockIter};
-pub use bloom::BloomFilter;
+pub use bloom::{BloomFilter, BloomFilterRef};
 pub use cache::{BlockCache, PageKey};
 pub use format::{BlockHandle, Footer, TableOptions, FOOTER_SIZE, TABLE_MAGIC};
 pub use iter::TableIterator;

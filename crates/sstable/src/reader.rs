@@ -6,12 +6,12 @@ use std::sync::Arc;
 
 use acheron_types::checksum;
 use acheron_types::key::{compare_internal, InternalKeyRef};
-use acheron_types::{Entry, Error, InternalKey, RangeTombstone, Result, SeqNo, ValueKind};
+use acheron_types::{Entry, Error, RangeTombstone, Result, SeekKey, SeqNo, ValueKind};
 use acheron_vfs::RandomAccessFile;
 use bytes::Bytes;
 
 use crate::block::Block;
-use crate::bloom::BloomFilter;
+use crate::bloom::BloomFilterRef;
 use crate::cache::{next_table_cache_id, BlockCache, PageKey};
 use crate::format::{BlockHandle, Footer, BLOCK_TRAILER_SIZE, FOOTER_SIZE};
 use crate::iter::TableIterator;
@@ -156,15 +156,15 @@ impl Table {
         Block::new(raw)
     }
 
-    /// Decode a page's Bloom filter, if it has one.
-    pub(crate) fn page_filter(&self, page: &PageMeta) -> Option<BloomFilter> {
+    /// A page's Bloom filter, if it has one, viewed in place inside the
+    /// table's filter block.
+    pub(crate) fn page_filter(&self, page: &PageMeta) -> Option<BloomFilterRef<'_>> {
         if page.filter_len == 0 {
             return None;
         }
         let start = page.filter_offset as usize;
         let end = start + page.filter_len as usize;
-        let slice = self.filter_data.get(start..end)?;
-        BloomFilter::decode(slice)
+        BloomFilterRef::decode(self.filter_data.get(start..end)?)
     }
 
     /// True if a live range tombstone lets this page be skipped outright.
@@ -191,7 +191,7 @@ impl Table {
         snapshot: SeqNo,
         rts: &[RangeTombstone],
     ) -> Result<Option<Entry>> {
-        let seek_key = InternalKey::for_seek(user_key, snapshot);
+        let seek_key = SeekKey::new(user_key, snapshot);
         let Some(mut tile_idx) = self.find_tile(seek_key.encoded()) else {
             return Ok(None);
         };
@@ -225,7 +225,7 @@ impl Table {
                     continue;
                 }
                 debug_assert!(found.seqno() <= snapshot);
-                let entry = entry_from_parts(found, it.dkey(), it.value().clone())?;
+                let entry = entry_from_parts(found, it.dkey(), it.value())?;
                 best = match best {
                     Some(b) if b.seqno >= entry.seqno => Some(b),
                     _ => Some(entry),
@@ -256,7 +256,7 @@ impl Table {
         snapshot: SeqNo,
         rts: &[RangeTombstone],
     ) -> Result<Vec<Entry>> {
-        let seek_key = InternalKey::for_seek(user_key, snapshot);
+        let seek_key = SeekKey::new(user_key, snapshot);
         let Some(first_tile) = self.find_tile(seek_key.encoded()) else {
             return Ok(Vec::new());
         };
@@ -288,7 +288,7 @@ impl Table {
                     if found.user_key() != user_key {
                         break;
                     }
-                    out.push(entry_from_parts(found, it.dkey(), it.value().clone())?);
+                    out.push(entry_from_parts(found, it.dkey(), it.value())?);
                     it.next()?;
                 }
             }

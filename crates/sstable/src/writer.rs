@@ -13,10 +13,9 @@
 use std::collections::BTreeMap;
 
 use acheron_types::checksum;
-use acheron_types::key::compare_internal;
-use acheron_types::{
-    Entry, Error, InternalKey, KeyRangeTombstone, Result, ValueKind, ValuePointer,
-};
+use acheron_types::key::{compare_parts, InternalKeyRef, TAG_LEN};
+use acheron_types::seq::pack_tag;
+use acheron_types::{Entry, Error, KeyRangeTombstone, Result, ValueKind, ValuePointer};
 use acheron_vfs::WritableFile;
 use bytes::Bytes;
 
@@ -25,8 +24,12 @@ use crate::bloom::BloomFilter;
 use crate::format::{BlockHandle, Footer, TableOptions, FORMAT_VERSION};
 use crate::meta::{encode_tiles, PageMeta, TableStats, TileMeta, VlogRef};
 
+/// One buffered entry of the open tile. Its encoded internal key lives
+/// in [`TableBuilder::tile_keys`]; the value is a handle on the caller's
+/// bytes, copied once when its page is serialized.
 struct PendingEntry {
-    ikey: Vec<u8>,
+    key_start: u32,
+    key_end: u32,
     dkey: u64,
     value: Bytes,
     is_tombstone: bool,
@@ -34,7 +37,7 @@ struct PendingEntry {
 
 impl PendingEntry {
     fn payload_size(&self) -> usize {
-        self.ikey.len() + self.value.len() + 16
+        (self.key_end - self.key_start) as usize + self.value.len() + 16
     }
 }
 
@@ -42,14 +45,25 @@ impl PendingEntry {
 pub struct TableBuilder {
     file: Box<dyn WritableFile>,
     opts: TableOptions,
+    /// The open tile's entries, in arrival (= internal-key) order.
     tile_buffer: Vec<PendingEntry>,
+    /// The open tile's encoded internal keys, back to back.
+    tile_keys: Vec<u8>,
     tile_buffer_bytes: usize,
+    /// Whether some user key has two versions in the open tile.
+    tile_multi_version: bool,
+    /// Weave scratch: indices into `tile_buffer` in page order.
+    order: Vec<u32>,
+    /// Page serializer, reset and reused for every page.
+    block: BlockBuilder,
     tiles: Vec<TileMeta>,
     filter_buf: Vec<u8>,
     stats: TableStats,
     /// Per-segment (bytes, max frame end) accumulated from value
     /// pointers; folded into `stats.vlog_refs` at finish.
     vlog_refs: BTreeMap<u64, (u64, u64)>,
+    /// The last key added, for the order check and the table's upper
+    /// user-key fence.
     last_ikey: Vec<u8>,
     offset: u64,
     finished: bool,
@@ -68,9 +82,13 @@ impl TableBuilder {
         };
         Ok(TableBuilder {
             file,
+            block: BlockBuilder::new(opts.restart_interval),
             opts,
             tile_buffer: Vec::new(),
+            tile_keys: Vec::new(),
             tile_buffer_bytes: 0,
+            tile_multi_version: false,
+            order: Vec::new(),
             tiles: Vec::new(),
             filter_buf: Vec::new(),
             stats,
@@ -85,23 +103,24 @@ impl TableBuilder {
     /// internal-key order.
     pub fn add(&mut self, entry: &Entry) -> Result<()> {
         debug_assert!(!self.finished);
-        let ikey = entry.internal_key().encoded().to_vec();
-        if !self.last_ikey.is_empty()
-            && compare_internal(&self.last_ikey, &ikey) != std::cmp::Ordering::Less
-        {
-            return Err(Error::invalid_argument(format!(
-                "table entries out of order: {:?} then {:?}",
-                InternalKey::decode(Bytes::copy_from_slice(&self.last_ikey)),
-                entry.internal_key(),
-            )));
+        let tag = pack_tag(entry.seqno, entry.kind as u8);
+        let last = InternalKeyRef::decode(&self.last_ikey);
+        if let Some(last) = last {
+            if compare_parts(last.user_key(), last.tag(), &entry.key, tag)
+                != std::cmp::Ordering::Less
+            {
+                return Err(Error::invalid_argument(format!(
+                    "table entries out of order: {last:?} then {:?}",
+                    entry.internal_key(),
+                )));
+            }
         }
-        self.last_ikey.clone_from(&ikey);
+        let user_key_boundary = last.is_none_or(|last| last.user_key() != &entry.key[..]);
 
         // Table-wide stats.
         if self.stats.entry_count == 0 {
             self.stats.min_user_key = entry.key.clone();
         }
-        self.stats.max_user_key = entry.key.clone();
         self.stats.entry_count += 1;
         if entry.is_tombstone() {
             self.stats.tombstone_count += 1;
@@ -128,30 +147,35 @@ impl TableBuilder {
             slot.1 = slot.1.max(ptr.end());
         }
 
-        let pending = PendingEntry {
-            ikey,
-            dkey: entry.dkey,
-            value: entry.value.clone(),
-            is_tombstone: entry.is_tombstone(),
-        };
         // Flush *before* the tile would exceed its budget, so a finished
         // tile never packs into more than `pages_per_tile` pages (modulo
         // single entries larger than a page). Tiles are additionally cut
         // only at user-key boundaries: a key's version chain never spans
         // tiles, which is what makes whole-tile drops sound.
+        let payload_size = entry.key.len() + TAG_LEN + entry.value.len() + 16;
         let budget = self.opts.page_size * self.opts.pages_per_tile;
-        let user_key_boundary = self
-            .tile_buffer
-            .last()
-            .is_none_or(|last| last.ikey[..last.ikey.len() - 8] != entry.key[..]);
         if !self.tile_buffer.is_empty()
             && user_key_boundary
-            && self.tile_buffer_bytes + pending.payload_size() > budget
+            && self.tile_buffer_bytes + payload_size > budget
         {
             self.flush_tile()?;
         }
-        self.tile_buffer_bytes += pending.payload_size();
-        self.tile_buffer.push(pending);
+        self.tile_multi_version |= !user_key_boundary;
+
+        let key_start = self.tile_keys.len() as u32;
+        self.tile_keys.extend_from_slice(&entry.key);
+        self.tile_keys.extend_from_slice(&tag.to_le_bytes());
+        self.last_ikey.clear();
+        self.last_ikey
+            .extend_from_slice(&self.tile_keys[key_start as usize..]);
+        self.tile_buffer_bytes += payload_size;
+        self.tile_buffer.push(PendingEntry {
+            key_start,
+            key_end: self.tile_keys.len() as u32,
+            dkey: entry.dkey,
+            value: entry.value.clone(),
+            is_tombstone: entry.is_tombstone(),
+        });
         Ok(())
     }
 
@@ -170,121 +194,101 @@ impl TableBuilder {
         if self.tile_buffer.is_empty() {
             return Ok(());
         }
-        // The fence is the largest internal key in the tile; entries
-        // arrived sorted, so it is the last one buffered.
-        let last_ikey = Bytes::copy_from_slice(&self.tile_buffer.last().expect("non-empty").ikey);
-
-        let mut entries = std::mem::take(&mut self.tile_buffer);
-        self.tile_buffer_bytes = 0;
-
-        // Entries arrive in internal-key order, so multiple versions of a
-        // user key are adjacent.
-        let multi_version = entries
-            .windows(2)
-            .any(|w| w[0].ikey[..w[0].ikey.len() - 8] == w[1].ikey[..w[1].ikey.len() - 8]);
+        let (entries, keys, order) = (&self.tile_buffer, &self.tile_keys, &mut self.order);
+        let ikey = |e: &PendingEntry| &keys[e.key_start as usize..e.key_end as usize];
 
         // The weave: order the tile's entries by delete key so each page
-        // covers a contiguous dkey band. Stable sort keeps the sort-key
-        // order within equal dkeys, and is skipped entirely for h = 1
+        // covers a contiguous dkey band. Entries arrived in internal-key
+        // order, so an entry's index *is* its sort-key rank: sorting
+        // `(dkey, index)` pairs gives the order a key-comparing stable
+        // sort would, without touching a key. Skipped entirely for h = 1
         // (one page — the band is the whole tile).
+        order.clear();
+        order.extend(0..entries.len() as u32);
         if self.opts.pages_per_tile > 1 {
-            entries.sort_by(|a, b| {
-                a.dkey
-                    .cmp(&b.dkey)
-                    .then_with(|| compare_internal(&a.ikey, &b.ikey))
-            });
+            order.sort_unstable_by_key(|&i| (entries[i as usize].dkey, i));
         }
 
         // Greedily pack dkey-ordered entries into pages of ~page_size.
-        let mut pages: Vec<Vec<PendingEntry>> = Vec::with_capacity(self.opts.pages_per_tile);
-        let mut current: Vec<PendingEntry> = Vec::new();
-        let mut current_bytes = 0usize;
-        for e in entries {
-            let sz = e.payload_size();
-            if !current.is_empty() && current_bytes + sz > self.opts.page_size {
-                pages.push(std::mem::take(&mut current));
-                current_bytes = 0;
+        let mut page_metas = Vec::with_capacity(self.opts.pages_per_tile);
+        let mut rest = &mut order[..];
+        while !rest.is_empty() {
+            let mut len = 0;
+            let mut page_bytes = 0usize;
+            for &i in rest.iter() {
+                let sz = entries[i as usize].payload_size();
+                if len > 0 && page_bytes + sz > self.opts.page_size {
+                    break;
+                }
+                page_bytes += sz;
+                len += 1;
             }
-            current_bytes += sz;
-            current.push(e);
-        }
-        if !current.is_empty() {
-            pages.push(current);
-        }
-
-        let mut page_metas = Vec::with_capacity(pages.len());
-        for mut page in pages {
-            // Restore sort-key order inside the page.
-            page.sort_by(|a, b| compare_internal(&a.ikey, &b.ikey));
-
-            let dkey_min = page.iter().map(|e| e.dkey).min().expect("non-empty page");
-            let dkey_max = page.iter().map(|e| e.dkey).max().expect("non-empty page");
-            let max_seqno = page
-                .iter()
-                .map(|e| {
-                    InternalKey::decode(Bytes::copy_from_slice(&e.ikey))
-                        .expect("valid ikey")
-                        .seqno()
-                })
-                .max()
-                .expect("non-empty page");
-            let tombstone_count = page.iter().filter(|e| e.is_tombstone).count() as u64;
-
-            let mut block = BlockBuilder::new(self.opts.restart_interval);
-            for e in &page {
-                block.add(&e.ikey, e.dkey, &e.value);
+            let (page, tail) = rest.split_at_mut(len);
+            rest = tail;
+            // Restore sort-key order inside the page (ascending rank).
+            if self.opts.pages_per_tile > 1 {
+                page.sort_unstable();
             }
-            let handle = self.write_block(&block.finish())?;
 
-            // Per-page Bloom filter over user keys.
-            let (filter_offset, filter_len) = if self.opts.bloom_bits_per_key > 0 {
-                let user_keys: Vec<&[u8]> =
-                    page.iter().map(|e| &e.ikey[..e.ikey.len() - 8]).collect();
-                let filter =
-                    BloomFilter::build(user_keys.iter().copied(), self.opts.bloom_bits_per_key);
-                let off = self.filter_buf.len() as u64;
-                self.filter_buf.extend_from_slice(&filter.encode());
-                (off, self.filter_buf.len() as u64 - off)
-            } else {
-                (0, 0)
-            };
-
-            page_metas.push(PageMeta {
-                handle,
-                dkey_min,
-                dkey_max,
-                max_seqno,
+            let mut meta = PageMeta {
+                handle: BlockHandle { offset: 0, size: 0 },
+                dkey_min: u64::MAX,
+                dkey_max: 0,
+                max_seqno: 0,
                 entry_count: page.len() as u64,
-                tombstone_count,
-                filter_offset,
-                filter_len,
-            });
+                tombstone_count: 0,
+                filter_offset: 0,
+                filter_len: 0,
+            };
+            self.block.reset();
+            for e in page.iter().map(|&i| &entries[i as usize]) {
+                let key = InternalKeyRef::decode(ikey(e)).expect("buffered key has a trailer");
+                meta.dkey_min = meta.dkey_min.min(e.dkey);
+                meta.dkey_max = meta.dkey_max.max(e.dkey);
+                meta.max_seqno = meta.max_seqno.max(key.seqno());
+                meta.tombstone_count += u64::from(e.is_tombstone);
+                self.block.add(key.encoded(), e.dkey, &e.value);
+            }
+            meta.handle = write_block(
+                self.file.as_mut(),
+                &mut self.offset,
+                self.block.finish_in_place(),
+            )?;
+
+            // Per-page Bloom filter over user keys, built straight into
+            // the filter block.
+            if self.opts.bloom_bits_per_key > 0 {
+                meta.filter_offset = self.filter_buf.len() as u64;
+                let user_keys = page.iter().map(|&i| {
+                    let key = ikey(&entries[i as usize]);
+                    &key[..key.len() - TAG_LEN]
+                });
+                BloomFilter::build_into(
+                    user_keys,
+                    self.opts.bloom_bits_per_key,
+                    &mut self.filter_buf,
+                );
+                meta.filter_len = self.filter_buf.len() as u64 - meta.filter_offset;
+            }
+            page_metas.push(meta);
             self.stats.page_count += 1;
         }
 
         self.tiles.push(TileMeta {
-            last_ikey,
+            // The fence is the largest internal key in the tile; entries
+            // arrived sorted, so it is the last one buffered.
+            last_ikey: Bytes::copy_from_slice(ikey(entries.last().expect("non-empty"))),
             pages: page_metas,
-            multi_version,
+            multi_version: self.tile_multi_version,
         });
         self.stats.tile_count += 1;
-        Ok(())
-    }
 
-    /// Write raw block contents plus the `type | crc` trailer.
-    fn write_block(&mut self, contents: &[u8]) -> Result<BlockHandle> {
-        let handle = BlockHandle {
-            offset: self.offset,
-            size: contents.len() as u64,
-        };
-        self.file.append(contents)?;
-        let mut trailer = [0u8; 5];
-        trailer[0] = 0; // compression: none
-        let crc = checksum::mask(checksum::extend(checksum::crc32c(contents), &trailer[..1]));
-        trailer[1..].copy_from_slice(&crc.to_le_bytes());
-        self.file.append(&trailer)?;
-        self.offset += contents.len() as u64 + trailer.len() as u64;
-        Ok(handle)
+        // Cleared, not dropped: the next tile reuses the allocations.
+        self.tile_buffer.clear();
+        self.tile_keys.clear();
+        self.tile_buffer_bytes = 0;
+        self.tile_multi_version = false;
+        Ok(())
     }
 
     /// Attach the sort-key range tombstones this table carries; they are
@@ -318,12 +322,13 @@ impl TableBuilder {
                 max_end,
             })
             .collect();
-        let filter = std::mem::take(&mut self.filter_buf);
-        let filter_handle = self.write_block(&filter)?;
-        let tile_meta = encode_tiles(&self.tiles);
-        let tile_meta_handle = self.write_block(&tile_meta)?;
-        let stats_block = self.stats.encode();
-        let stats_handle = self.write_block(&stats_block)?;
+        if let Some(last) = InternalKeyRef::decode(&self.last_ikey) {
+            self.stats.max_user_key = Bytes::copy_from_slice(last.user_key());
+        }
+        let (file, offset) = (self.file.as_mut(), &mut self.offset);
+        let filter_handle = write_block(file, offset, &self.filter_buf)?;
+        let tile_meta_handle = write_block(file, offset, &encode_tiles(&self.tiles))?;
+        let stats_handle = write_block(file, offset, &self.stats.encode())?;
         let footer = Footer {
             filter: filter_handle,
             tile_meta: tile_meta_handle,
@@ -335,6 +340,26 @@ impl TableBuilder {
         self.file.finish()?;
         Ok(self.stats)
     }
+}
+
+/// Write raw block contents plus the `type | crc` trailer at `*offset`.
+fn write_block(
+    file: &mut dyn WritableFile,
+    offset: &mut u64,
+    contents: &[u8],
+) -> Result<BlockHandle> {
+    let handle = BlockHandle {
+        offset: *offset,
+        size: contents.len() as u64,
+    };
+    file.append(contents)?;
+    let mut trailer = [0u8; 5];
+    trailer[0] = 0; // compression: none
+    let crc = checksum::mask(checksum::extend(checksum::crc32c(contents), &trailer[..1]));
+    trailer[1..].copy_from_slice(&crc.to_le_bytes());
+    file.append(&trailer)?;
+    *offset += contents.len() as u64 + trailer.len() as u64;
+    Ok(handle)
 }
 
 #[cfg(test)]

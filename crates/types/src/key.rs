@@ -133,6 +133,49 @@ impl PartialOrd for InternalKey {
     }
 }
 
+/// A seek key (see [`InternalKey::for_seek`]) for one lookup, encoded on
+/// the stack when the user key is short enough: point reads build one per
+/// probe and must not pay a heap allocation for it.
+pub struct SeekKey {
+    inline: [u8; SeekKey::INLINE],
+    heap: Vec<u8>,
+    len: usize,
+}
+
+impl SeekKey {
+    const INLINE: usize = 64;
+
+    /// The key that positions at the first entry for `user_key` visible
+    /// at snapshot `seq`.
+    pub fn new(user_key: &[u8], seq: SeqNo) -> SeekKey {
+        let len = user_key.len() + TAG_LEN;
+        let mut key = SeekKey {
+            inline: [0; SeekKey::INLINE],
+            heap: Vec::new(),
+            len,
+        };
+        let buf = if len <= SeekKey::INLINE {
+            &mut key.inline[..len]
+        } else {
+            key.heap.resize(len, 0);
+            &mut key.heap[..]
+        };
+        buf[..user_key.len()].copy_from_slice(user_key);
+        buf[user_key.len()..].copy_from_slice(&pack_tag(seq, SEEK_KIND).to_le_bytes());
+        key
+    }
+
+    /// The encoded internal key.
+    #[inline]
+    pub fn encoded(&self) -> &[u8] {
+        if self.len <= SeekKey::INLINE {
+            &self.inline[..self.len]
+        } else {
+            &self.heap
+        }
+    }
+}
+
 /// A borrowed view of an encoded internal key.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub struct InternalKeyRef<'a> {
@@ -228,6 +271,13 @@ pub fn compare_internal(a: &[u8], b: &[u8]) -> Ordering {
     }
 }
 
+/// [`compare_internal`] over keys held as `(user key, packed tag)` pairs,
+/// for callers that keep the parts and never build the encoding.
+#[inline]
+pub fn compare_parts(ua: &[u8], ta: u64, ub: &[u8], tb: u64) -> Ordering {
+    ua.cmp(ub).then_with(|| tb.cmp(&ta))
+}
+
 /// Compare user keys (plain byte order); named for symmetry and to keep
 /// call sites explicit about which domain they compare in.
 #[inline]
@@ -289,6 +339,34 @@ mod tests {
         assert!(seek <= put_at_10);
         // ... but after seqno-11 entries (which are invisible to snapshot 10).
         assert!(put_at_11 < seek);
+    }
+
+    #[test]
+    fn stack_seek_key_matches_owned_encoding() {
+        for len in [0usize, 1, 20, 56, 57, 300] {
+            let user_key = vec![b'k'; len];
+            let owned = InternalKey::for_seek(&user_key, 77);
+            assert_eq!(SeekKey::new(&user_key, 77).encoded(), owned.encoded());
+        }
+    }
+
+    #[test]
+    fn compare_parts_matches_compare_internal() {
+        let keys = [
+            ik("a", 1, ValueKind::Put),
+            ik("a", 2, ValueKind::Tombstone),
+            ik("ab", 1, ValueKind::Put),
+            ik("", 9, ValueKind::Put),
+        ];
+        for x in &keys {
+            for y in &keys {
+                let (rx, ry) = (x.as_ref(), y.as_ref());
+                assert_eq!(
+                    compare_parts(rx.user_key(), rx.tag(), ry.user_key(), ry.tag()),
+                    compare_internal(x.encoded(), y.encoded())
+                );
+            }
+        }
     }
 
     #[test]

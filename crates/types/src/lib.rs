@@ -25,7 +25,7 @@ pub mod vptr;
 pub use clock::{Clock, LogicalClock, SystemClock, Tick};
 pub use entry::{DeleteKeyRange, Entry, RangeTombstone, DELETE_KEY_NONE};
 pub use error::{Error, Result};
-pub use key::{InternalKey, InternalKeyRef, UserKey};
+pub use key::{InternalKey, InternalKeyRef, SeekKey, UserKey};
 pub use krange::{FragmentedRangeTombstones, KeyRangeTombstone, RangeFragment};
 pub use seq::{SeqNo, ValueKind, MAX_SEQNO};
 pub use vptr::{ValuePointer, VALUE_POINTER_SIZE};

@@ -1,9 +1,10 @@
 //! Log writer: fragments records across 32 KiB blocks.
 
 use acheron_types::checksum;
-use acheron_types::Result;
+use acheron_types::{Result, SeqNo};
 use acheron_vfs::WritableFile;
 
+use crate::batch::{encode_ops, WalOp};
 use crate::{RecordType, BLOCK_SIZE, HEADER_SIZE};
 
 /// Appends framed records to a [`WritableFile`].
@@ -11,13 +12,32 @@ pub struct LogWriter {
     file: Box<dyn WritableFile>,
     /// Offset within the current block.
     block_offset: usize,
+    /// Encoding buffer for [`LogWriter::add_batch`], kept between
+    /// commits so a steady stream of them allocates nothing.
+    scratch: Vec<u8>,
 }
 
 impl LogWriter {
     /// Wrap a fresh (or resumed-at-block-boundary) file.
     pub fn new(file: Box<dyn WritableFile>) -> LogWriter {
         let block_offset = (file.len() as usize) % BLOCK_SIZE;
-        LogWriter { file, block_offset }
+        LogWriter {
+            file,
+            block_offset,
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Append one record holding the batch of `ops` stamped from
+    /// `base_seqno` — `add_record(&WalBatch { .. }.encode())` without the
+    /// batch or the per-commit buffer.
+    pub fn add_batch(&mut self, base_seqno: SeqNo, ops: &[WalOp]) -> Result<()> {
+        let mut record = std::mem::take(&mut self.scratch);
+        record.clear();
+        encode_ops(base_seqno, ops, &mut record);
+        let res = self.add_record(&record);
+        self.scratch = record;
+        res
     }
 
     /// Append one record, fragmenting as needed.
@@ -124,6 +144,33 @@ mod tests {
             u32::from_le_bytes([data[0], data[1], data[2], data[3]]),
             expected
         );
+    }
+
+    #[test]
+    fn add_batch_writes_the_batch_encoding() {
+        use crate::WalBatch;
+        let batch = WalBatch {
+            base_seqno: 41,
+            ops: vec![
+                WalOp::Put {
+                    key: "k".into(),
+                    value: "v".into(),
+                    dkey: 3,
+                },
+                WalOp::Delete {
+                    key: "gone".into(),
+                    tick: 9,
+                },
+            ],
+        };
+        let fs = MemFs::new();
+        let mut a = LogWriter::new(fs.create("a").unwrap());
+        let mut b = LogWriter::new(fs.create("b").unwrap());
+        for _ in 0..3 {
+            a.add_record(&batch.encode()).unwrap();
+            b.add_batch(batch.base_seqno, &batch.ops).unwrap();
+        }
+        assert_eq!(fs.read_all("a").unwrap(), fs.read_all("b").unwrap());
     }
 
     #[test]
