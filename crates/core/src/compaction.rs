@@ -226,9 +226,10 @@ pub fn run_compaction(
         } else {
             Vec::new()
         };
-        // Compaction inputs are read once and rewritten: bypass the
-        // block cache so the merge neither evicts the read path's
-        // working set nor inflates the memory arbiter's fill signal.
+        // Compaction inputs are read once and rewritten: use what is
+        // resident, but fill nothing and promote nothing, so the merge
+        // neither evicts the read path's working set nor inflates the
+        // memory arbiter's fill signal.
         let mut it = f.table.iter_nofill(rts_for_file);
         it.seek_to_first()?;
         sources.push(Box::new(it));
@@ -255,7 +256,7 @@ pub fn run_compaction(
                           bytes_out: &mut u64|
      -> Result<()> {
         if let Some((id, b)) = builder.take() {
-            let stats = b.finish()?;
+            let (stats, lease) = b.finish_leased()?;
             let path = sst_path(dir, id);
             if stats.entry_count == 0 && stats.range_tombstones.is_empty() {
                 fs.delete(&path)?;
@@ -263,7 +264,7 @@ pub fn run_compaction(
             }
             let size = fs.file_size(&path)?;
             *bytes_out += size;
-            let table = Table::open_with_cache(fs.open(&path)?, cache.cloned())?;
+            let table = Table::open_leased(fs.open(&path)?, lease)?;
             added.push(Arc::new(FileMeta {
                 id,
                 level: task.output_level,
@@ -275,6 +276,13 @@ pub fn run_compaction(
             }));
         }
         Ok(())
+    };
+
+    // Outputs are written through to the cache: a page a compaction
+    // just produced is the page the next read of its keys wants.
+    let start_output = |id: u64| -> Result<TableBuilder> {
+        let file = fs.create(&sst_path(dir, id))?;
+        TableBuilder::with_cache(file, table_opts.clone(), cache.cloned())
     };
 
     let mut pending_krts = (!surviving_krts.is_empty()).then_some(surviving_krts);
@@ -307,8 +315,7 @@ pub fn run_compaction(
         }
         if builder.is_none() {
             let id = next_file_id();
-            let file = fs.create(&sst_path(dir, id))?;
-            let mut b = TableBuilder::new(file, table_opts.clone())?;
+            let mut b = start_output(id)?;
             if let Some(krts) = pending_krts.take() {
                 b.set_range_tombstones(krts);
             }
@@ -323,8 +330,7 @@ pub fn run_compaction(
         // No surviving entries to attach the tombstones to: write a
         // carrier table whose stats block alone keeps them durable.
         let id = next_file_id();
-        let file = fs.create(&sst_path(dir, id))?;
-        let mut b = TableBuilder::new(file, table_opts.clone())?;
+        let mut b = start_output(id)?;
         b.set_range_tombstones(krts);
         builder = Some((id, b));
     }
@@ -386,7 +392,7 @@ pub fn write_l0_table<'a>(
     };
     let path = sst_path(dir, id);
     let file = fs.create(&path)?;
-    let mut b = TableBuilder::new(file, table_opts)?;
+    let mut b = TableBuilder::with_cache(file, table_opts, cache.cloned())?;
     let mut any = false;
     for e in entries {
         b.add(e)?;
@@ -396,13 +402,13 @@ pub fn write_l0_table<'a>(
     if carries_krts {
         b.set_range_tombstones(key_range_tombstones);
     }
-    let stats = b.finish()?;
+    let (stats, lease) = b.finish_leased()?;
     if !any && !carries_krts {
         fs.delete(&path)?;
         return Ok(None);
     }
     let size = fs.file_size(&path)?;
-    let table = Table::open_with_cache(fs.open(&path)?, cache.cloned())?;
+    let table = Table::open_leased(fs.open(&path)?, lease)?;
     Ok(Some(Arc::new(FileMeta {
         id,
         level: 0,

@@ -1956,12 +1956,7 @@ impl Db {
         let mut s = core.stats.snapshot();
         if !core.cache_is_shared {
             if let Some(c) = &core.cache {
-                s.cache_hits = c.hits();
-                s.cache_misses = c.misses();
-                s.cache_evictions = c.evictions();
-                s.cache_inserted_bytes = c.inserted_bytes();
-                s.cache_used_bytes = c.used_bytes() as u64;
-                s.cache_capacity_bytes = c.capacity_bytes() as u64;
+                s.fill_cache(c);
             }
             if let Some(m) = &core.memory {
                 s.memory_budget_bytes = m.total_bytes() as u64;
@@ -2231,8 +2226,10 @@ impl Db {
         let view = self.core().current_view();
         view.version.check_invariants()?;
         for f in view.version.all_files() {
-            // A one-pass integrity scan must not wipe out the cache.
-            let mut it = f.table.iter_nofill(vec![]);
+            // Always the file's bytes: a resident page would hide
+            // exactly the damage this scan exists to find (and a
+            // one-pass scan must not wipe out the cache either).
+            let mut it = f.table.iter_bypass(vec![]);
             it.seek_to_first()?;
             let mut entries = 0u64;
             let mut tombstones = 0u64;
@@ -3288,18 +3285,6 @@ impl DbCore {
             .as_ref()
             .map(|f| f.delete_persistence_threshold);
         for (delete_tick, _seqno) in &outcome.tombstones_dropped {
-            if std::env::var_os("ACHERON_DEBUG_PURGE").is_some() {
-                if let Some(d) = d_th {
-                    let lat = now.saturating_sub(*delete_tick);
-                    if lat > d {
-                        eprintln!(
-                            "VIOLATION lat={lat} d_th={d} now={now} t0={delete_tick} reason={:?} level={} out={} inputs={:?}",
-                            task.reason, task.level, task.output_level,
-                            task.all_inputs().map(|f| (f.id, f.level, f.stats.oldest_tombstone_tick)).collect::<Vec<_>>()
-                        );
-                    }
-                }
-            }
             self.stats.record_tombstone_purge(*delete_tick, now, d_th);
         }
         // Purged sort-key range tombstones feed the same persistence
@@ -4608,29 +4593,127 @@ mod tests {
         assert!(db2.cache_stats().is_none());
     }
 
-    #[test]
-    fn results_identical_with_and_without_cache() {
-        let run = |cache: usize| -> Vec<(Vec<u8>, Vec<u8>)> {
-            let mut opts = small();
-            opts.block_cache_bytes = cache;
-            let (_fs, db) = open_mem(opts);
-            for i in 0..2000u32 {
-                db.put(format!("key{i:05}").as_bytes(), format!("v{i}").as_bytes())
-                    .unwrap();
-                if i % 3 == 0 {
-                    db.delete(format!("key{:05}", i / 2).as_bytes()).unwrap();
-                }
+    /// The calls `results_identical_with_and_without_cache` drives, so
+    /// one op stream runs against a `Db` and against a fleet.
+    trait CacheSubject {
+        fn write(&self, key: &[u8], value: Option<&[u8]>);
+        fn read(&self, key: &[u8]) -> Option<Vec<u8>>;
+        fn scan_all(&self) -> Vec<(Vec<u8>, Vec<u8>)>;
+        fn flush_and_maintain(&self);
+        fn compact(&self);
+    }
+
+    impl CacheSubject for Db {
+        fn write(&self, key: &[u8], value: Option<&[u8]>) {
+            match value {
+                Some(v) => self.put(key, v).unwrap(),
+                None => self.delete(key).unwrap(),
             }
-            db.compact_all().unwrap();
-            db.scan(b"key00000", b"key99999")
-                .unwrap()
-                .into_iter()
+        }
+        fn read(&self, key: &[u8]) -> Option<Vec<u8>> {
+            self.get(key).unwrap().map(|v| v.to_vec())
+        }
+        fn scan_all(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
+            let rows = self.scan(b"", b"\xff").unwrap();
+            rows.into_iter()
                 .map(|(k, v)| (k.to_vec(), v.to_vec()))
                 .collect()
+        }
+        fn flush_and_maintain(&self) {
+            self.flush().unwrap();
+            self.maintain().unwrap();
+        }
+        fn compact(&self) {
+            self.compact_all().unwrap();
+        }
+    }
+
+    impl CacheSubject for crate::sharded::ShardedDb {
+        fn write(&self, key: &[u8], value: Option<&[u8]>) {
+            match value {
+                Some(v) => self.put(key, v).unwrap(),
+                None => self.delete(key).unwrap(),
+            }
+        }
+        fn read(&self, key: &[u8]) -> Option<Vec<u8>> {
+            self.get(key).unwrap()
+        }
+        fn scan_all(&self) -> Vec<(Vec<u8>, Vec<u8>)> {
+            self.scan(b"", b"\xff").unwrap()
+        }
+        fn flush_and_maintain(&self) {
+            self.flush().unwrap();
+            self.maintain().unwrap();
+        }
+        fn compact(&self) {
+            for s in 0..self.shard_count() {
+                self.shard(s).compact_all().unwrap();
+            }
+        }
+    }
+
+    /// Every answer of a read stream interleaved with the maintenance
+    /// that replaces tables under it: flushes, picked and manual
+    /// compactions, and vlog GC (a third of the values are separated,
+    /// overwritten and deleted, so segments pass the dead ratio).
+    fn answers_under_table_churn(db: &dyn CacheSubject) -> Vec<Option<Vec<u8>>> {
+        let key = |i: u32| format!("key{i:05}").into_bytes();
+        let value = |i: u32| match i % 3 {
+            0 => big_value(i),
+            _ => format!("v{i}").into_bytes(),
         };
-        assert_eq!(run(0), run(1 << 20));
-        // A pathologically tiny cache must also be correct.
-        assert_eq!(run(0), run(64));
+        let mut answers = Vec::new();
+        for i in 0..2000u32 {
+            db.write(&key(i % 700), Some(&value(i)));
+            if i % 3 == 0 {
+                db.write(&key((i / 2) % 700), None);
+            }
+            // Reads trail the writes: some land in the memtable, most in
+            // tables a flush or compaction has just written or replaced.
+            answers.push(db.read(&key((i * 7) % 700)));
+            match i % 400 {
+                150 | 350 => db.flush_and_maintain(),
+                399 => db.compact(),
+                _ => {}
+            }
+            if i % 250 == 249 {
+                answers.extend(db.scan_all().into_iter().map(|(_, v)| Some(v)));
+            }
+        }
+        answers.extend(db.scan_all().into_iter().map(|(k, _)| Some(k)));
+        answers
+    }
+
+    #[test]
+    fn results_identical_with_and_without_cache() {
+        let single = |cache: usize| {
+            let mut opts = vlog_opts();
+            opts.block_cache_bytes = cache;
+            let (_fs, db) = open_mem(opts);
+            let answers = answers_under_table_churn(&db);
+            let stats = db.stats_snapshot();
+            assert!(stats.flushes > 5 && stats.compactions > 5 && stats.vlog_gc_rewrites > 0);
+            db.verify_integrity().unwrap();
+            answers
+        };
+        // One cache shared by four shards: each shard's table deaths
+        // erase pages next to the other shards' live ones.
+        let fleet = |cache: usize| {
+            let mut opts = vlog_opts();
+            opts.block_cache_bytes = cache;
+            let fs = Arc::new(MemFs::new());
+            let db = crate::sharded::ShardedDb::open(fs as Arc<dyn Vfs>, "db", opts, 4).unwrap();
+            let answers = answers_under_table_churn(&db);
+            db.verify_integrity().unwrap();
+            answers
+        };
+        let expected = single(0);
+        assert_eq!(expected, fleet(0), "sharding changes no answer");
+        // A roomy cache, and a pathologically tiny one.
+        for cache in [1 << 20, 64] {
+            assert_eq!(expected, single(cache), "Db, cache {cache}");
+            assert_eq!(expected, fleet(cache), "fleet, cache {cache}");
+        }
     }
 
     #[test]

@@ -434,9 +434,9 @@ pub fn check_db_with_threshold(
 
 /// Deep-verify one table: ordering, stats consistency, tile invariants.
 fn verify_table(table: &std::sync::Arc<Table>, id: u64) -> Result<()> {
-    // Full iteration: checksums verified on every page read; ordering
-    // and stats checked as we go.
-    let mut it = table.iter(vec![]);
+    // Full iteration, always from the file: checksums verified on every
+    // page read; ordering and stats checked as we go.
+    let mut it = table.iter_bypass(vec![]);
     it.seek_to_first()?;
     let mut entries = 0u64;
     let mut tombstones = 0u64;

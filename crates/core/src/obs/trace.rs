@@ -116,7 +116,10 @@ pub enum TraceStage {
     ImmProbes,
     /// Read: table files actually read (post-prescreen).
     TableProbes,
-    /// Read: files skipped by bloom/fence prescreen.
+    /// Read: files skipped because the key lies outside their min/max
+    /// key fence (`FileMeta::contains_key`). No Bloom filter is
+    /// consulted here, despite the name (kept: consumers read the stage
+    /// by it); page filters are probed inside a table probe.
     BloomPrescreenSkips,
     /// Read: files skipped by seqno-window pruning.
     SeqnoSkips,

@@ -59,9 +59,9 @@
 //! The captured cut therefore contains a *prefix* of the router's
 //! admission order — no write can be half-visible across shards — and
 //! each per-shard snapshot pins its shard's state exactly as the
-//! single-engine snapshot does. Scan results merge trivially: the
-//! shards' keyspaces are disjoint, so sorting the concatenated rows by
-//! key *is* the merge.
+//! single-engine snapshot does. Each shard returns its rows sorted and
+//! the shards' keyspaces are disjoint, so a k-way merge of the run
+//! heads yields the fleet order, copying each row once.
 
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
@@ -518,12 +518,7 @@ impl ShardedDb {
             .map(|d| d.stats_snapshot())
             .fold(StatsSnapshot::default(), |acc, s| acc.merge(&s));
         if let Some(c) = &self.cache {
-            s.cache_hits = c.hits();
-            s.cache_misses = c.misses();
-            s.cache_evictions = c.evictions();
-            s.cache_inserted_bytes = c.inserted_bytes();
-            s.cache_used_bytes = c.used_bytes() as u64;
-            s.cache_capacity_bytes = c.capacity_bytes() as u64;
+            s.fill_cache(c);
         }
         if let Some(m) = &self.memory {
             s.memory_budget_bytes = m.total_bytes() as u64;

@@ -318,6 +318,7 @@ impl DbStats {
             cache_misses: 0,
             cache_evictions: 0,
             cache_inserted_bytes: 0,
+            cache_prepopulated_bytes: 0,
             cache_used_bytes: 0,
             cache_capacity_bytes: 0,
             memory_budget_bytes: 0,
@@ -378,6 +379,7 @@ pub struct StatsSnapshot {
     pub cache_misses: u64,
     pub cache_evictions: u64,
     pub cache_inserted_bytes: u64,
+    pub cache_prepopulated_bytes: u64,
     pub cache_used_bytes: u64,
     pub cache_capacity_bytes: u64,
     pub memory_budget_bytes: u64,
@@ -387,6 +389,19 @@ pub struct StatsSnapshot {
 }
 
 impl StatsSnapshot {
+    /// Fill the cache fields from `cache`. Called once per cache
+    /// instance — by the owning engine, or by the fleet router for a
+    /// shared one — so merging shard snapshots cannot multiply them.
+    pub(crate) fn fill_cache(&mut self, cache: &acheron_sstable::BlockCache) {
+        self.cache_hits = cache.hits();
+        self.cache_misses = cache.misses();
+        self.cache_evictions = cache.evictions();
+        self.cache_inserted_bytes = cache.inserted_bytes();
+        self.cache_prepopulated_bytes = cache.prepopulated_bytes();
+        self.cache_used_bytes = cache.used_bytes() as u64;
+        self.cache_capacity_bytes = cache.capacity_bytes() as u64;
+    }
+
     /// Combine two snapshots into a fleet-wide view: counters sum,
     /// `imm_queue_peak` takes the worst shard, histogram summaries merge
     /// per [`HistogramSummary::merge`] (quantiles upper-bounded by the
@@ -440,6 +455,8 @@ impl StatsSnapshot {
             cache_misses: self.cache_misses + other.cache_misses,
             cache_evictions: self.cache_evictions + other.cache_evictions,
             cache_inserted_bytes: self.cache_inserted_bytes + other.cache_inserted_bytes,
+            cache_prepopulated_bytes: self.cache_prepopulated_bytes
+                + other.cache_prepopulated_bytes,
             cache_used_bytes: self.cache_used_bytes + other.cache_used_bytes,
             cache_capacity_bytes: self.cache_capacity_bytes + other.cache_capacity_bytes,
             memory_budget_bytes: self.memory_budget_bytes + other.memory_budget_bytes,
@@ -509,6 +526,10 @@ impl StatsSnapshot {
             ("db_cache_misses".into(), self.cache_misses),
             ("db_cache_evictions".into(), self.cache_evictions),
             ("db_cache_inserted_bytes".into(), self.cache_inserted_bytes),
+            (
+                "db_cache_prepopulated_bytes".into(),
+                self.cache_prepopulated_bytes,
+            ),
             ("db_cache_used_bytes".into(), self.cache_used_bytes),
             ("db_cache_capacity_bytes".into(), self.cache_capacity_bytes),
             ("db_memory_budget_bytes".into(), self.memory_budget_bytes),
@@ -669,6 +690,7 @@ mod tests {
             cache_misses: 36,
             cache_evictions: 37,
             cache_inserted_bytes: 38,
+            cache_prepopulated_bytes: 46,
             cache_used_bytes: 39,
             cache_capacity_bytes: 40,
             memory_budget_bytes: 41,
@@ -724,6 +746,7 @@ mod tests {
             cache_misses,
             cache_evictions,
             cache_inserted_bytes,
+            cache_prepopulated_bytes,
             cache_used_bytes,
             cache_capacity_bytes,
             memory_budget_bytes,
@@ -773,6 +796,7 @@ mod tests {
             ("db_cache_misses", cache_misses),
             ("db_cache_evictions", cache_evictions),
             ("db_cache_inserted_bytes", cache_inserted_bytes),
+            ("db_cache_prepopulated_bytes", cache_prepopulated_bytes),
             ("db_cache_used_bytes", cache_used_bytes),
             ("db_cache_capacity_bytes", cache_capacity_bytes),
             ("db_memory_budget_bytes", memory_budget_bytes),

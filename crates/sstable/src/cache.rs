@@ -12,11 +12,23 @@
 //! Each shard runs a segmented LRU: new pages enter a *probation*
 //! segment and are promoted to the *protected* segment (capped at
 //! `PROTECTED_NUM`/`PROTECTED_DEN` of the shard) only on a repeat
-//! hit. Evictions drain probation first, so a one-pass scan or a cold
-//! compaction read stream churns through probation without displacing
-//! the hot set that has proven itself with re-references. Overflowing
-//! the protected cap demotes its tail back to probation rather than
-//! evicting outright, preserving a second chance.
+//! hit. Evictions drain probation first, so a one-pass scan or a
+//! compaction's output stream churns through probation without
+//! displacing the hot set that has proven itself with re-references.
+//! Overflowing the protected cap demotes its tail back to probation
+//! rather than evicting outright, preserving a second chance.
+//!
+//! # Residency
+//!
+//! A page is resident only while its table is live, and it is born
+//! resident when it is written. A [`CacheLease`] is a table's claim on
+//! the cache: the builder writing the table inserts each finished data
+//! page under it ([`BlockCache::prepopulate`] — probation, like any new
+//! page, so a bulk flush or compaction cannot displace the protected
+//! set), the open table inherits it, and dropping it — with the table's
+//! last handle, or with a build that never became a table — erases the
+//! pages ([`BlockCache::erase`]). Compaction inputs read through
+//! [`BlockCache::peek`], which moves nothing.
 //!
 //! # Dynamic resize
 //!
@@ -28,6 +40,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -189,13 +202,8 @@ impl Shard {
         } else {
             return 0;
         };
-        let (key, size) = {
-            let n = &self.nodes[victim as usize];
-            (n.key, n.size)
-        };
-        self.unlink(victim);
-        self.map.remove(&key);
-        self.release(victim);
+        let size = self.nodes[victim as usize].size;
+        self.remove(victim);
         size
     }
 
@@ -236,14 +244,41 @@ impl Shard {
         Some(block)
     }
 
+    /// The page under `key`, leaving recency and segment untouched.
+    fn peek(&self, key: &PageKey) -> Option<Block> {
+        let idx = *self.map.get(key)?;
+        self.nodes[idx as usize].block.clone()
+    }
+
+    /// Drop every page of `table`. A full pass over the shard's map:
+    /// table deaths are orders of magnitude rarer than page touches, so
+    /// the hot paths carry no per-table index for this.
+    fn erase(&mut self, table: u64) {
+        let doomed: Vec<u32> = self
+            .map
+            .iter()
+            .filter(|(key, _)| key.table == table)
+            .map(|(_, &idx)| idx)
+            .collect();
+        for idx in doomed {
+            self.remove(idx);
+        }
+    }
+
+    /// Unmap `idx` and return its slot to the free list.
+    fn remove(&mut self, idx: u32) {
+        let key = self.nodes[idx as usize].key;
+        self.unlink(idx);
+        self.map.remove(&key);
+        self.release(idx);
+    }
+
     fn insert(&mut self, key: PageKey, block: Block, size: usize) -> Evicted {
         if size > self.capacity {
             return Evicted::default(); // larger than the whole shard: not cacheable
         }
         if let Some(&old) = self.map.get(&key) {
-            self.unlink(old);
-            self.map.remove(&key);
-            self.release(old);
+            self.remove(old);
         }
         let ev = self.evict_to_fit(size);
         let idx = match self.free.pop() {
@@ -302,6 +337,7 @@ pub struct BlockCache {
     evictions: AtomicU64,
     evicted_bytes: AtomicU64,
     inserted_bytes: AtomicU64,
+    prepopulated_bytes: AtomicU64,
 }
 
 impl std::fmt::Debug for BlockCache {
@@ -329,6 +365,7 @@ impl BlockCache {
             evictions: AtomicU64::new(0),
             evicted_bytes: AtomicU64::new(0),
             inserted_bytes: AtomicU64::new(0),
+            prepopulated_bytes: AtomicU64::new(0),
         }
     }
 
@@ -360,12 +397,38 @@ impl BlockCache {
         got
     }
 
-    /// Insert a page of `size` bytes.
+    /// Look up a page without touching recency or the hit/miss
+    /// counters: for one-pass readers (compaction inputs) that should
+    /// use what is resident but must not look like demand.
+    pub fn peek(&self, key: &PageKey) -> Option<Block> {
+        self.shard_of(key).lock().peek(key)
+    }
+
+    /// Insert a page of `size` bytes read on a miss.
     pub fn insert(&self, key: PageKey, block: Block, size: usize) {
+        self.insert_counted(key, block, size, &self.inserted_bytes);
+    }
+
+    /// Insert a page of `size` bytes that was just written (flush or
+    /// compaction output). Same placement as a miss fill — probation —
+    /// but counted apart: these bytes follow the write rate, not read
+    /// demand, and must stay out of the arbiter's miss-fill signal.
+    pub fn prepopulate(&self, key: PageKey, block: Block, size: usize) {
+        self.insert_counted(key, block, size, &self.prepopulated_bytes);
+    }
+
+    fn insert_counted(&self, key: PageKey, block: Block, size: usize, counter: &AtomicU64) {
         let ev = self.shard_of(&key).lock().insert(key, block, size);
-        self.inserted_bytes
-            .fetch_add(size as u64, Ordering::Relaxed);
+        counter.fetch_add(size as u64, Ordering::Relaxed);
         self.record_evicted(ev);
+    }
+
+    /// Drop every page of `table` (its last handle is gone). Not an
+    /// eviction: nothing live was displaced, so no counter moves.
+    pub fn erase(&self, table: u64) {
+        for shard in &self.shards {
+            shard.lock().erase(table);
+        }
     }
 
     /// Retarget the total byte budget and evict to fit. Safe to call
@@ -411,6 +474,11 @@ impl BlockCache {
         self.inserted_bytes.load(Ordering::Relaxed)
     }
 
+    /// Bytes written through by flushes and compactions so far.
+    pub fn prepopulated_bytes(&self) -> u64 {
+        self.prepopulated_bytes.load(Ordering::Relaxed)
+    }
+
     /// Total cached bytes (approximate across shards).
     pub fn used_bytes(&self) -> usize {
         self.shards.iter().map(|s| s.lock().bytes()).sum()
@@ -421,6 +489,45 @@ impl BlockCache {
 pub fn next_table_cache_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)
+}
+
+/// One table's claim on a cache: the id its pages are keyed by, held
+/// by whoever currently owns the table — the builder writing it, then
+/// the open [`Table`](crate::reader::Table). Dropping the lease erases
+/// the pages, so an abandoned build, a failed open, and the last handle
+/// of a replaced table all leave nothing resident.
+pub struct CacheLease {
+    cache: Arc<BlockCache>,
+    table: u64,
+}
+
+impl CacheLease {
+    /// Claim a fresh table id in `cache`.
+    pub fn new(cache: Arc<BlockCache>) -> CacheLease {
+        CacheLease {
+            cache,
+            table: next_table_cache_id(),
+        }
+    }
+
+    /// The cache the lease is on.
+    pub fn cache(&self) -> &BlockCache {
+        &self.cache
+    }
+
+    /// The cache key of this table's page at `offset`.
+    pub fn key(&self, offset: u64) -> PageKey {
+        PageKey {
+            table: self.table,
+            offset,
+        }
+    }
+}
+
+impl Drop for CacheLease {
+    fn drop(&mut self) {
+        self.cache.erase(self.table);
+    }
 }
 
 #[cfg(test)]
@@ -619,6 +726,110 @@ mod tests {
             }
         }
         assert!(live >= 1, "churn must not empty the shard");
+    }
+
+    #[test]
+    fn peek_neither_promotes_nor_counts() {
+        let (b, size) = block(0);
+        let cache = BlockCache::new(16 * (size * 4)); // shard holds ~4 blocks
+        let peeked = same_shard_key(5, 0);
+        cache.insert(peeked, b, size);
+        for _ in 0..3 {
+            assert!(cache.peek(&peeked).is_some());
+        }
+        assert!(cache.peek(&same_shard_key(5, 999)).is_none());
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
+        // Still on probation: the cold stream that spares a page with a
+        // repeat hit (`repeat_hits_survive_a_cold_scan`) pushes this one out.
+        for i in 1..50u64 {
+            let (cold, s) = block((i % 250) as u8);
+            cache.insert(same_shard_key(5, i), cold, s);
+        }
+        assert!(cache.peek(&peeked).is_none());
+    }
+
+    #[test]
+    fn erase_takes_one_table_and_nothing_else() {
+        let cache = BlockCache::new(1 << 20);
+        let mut live_bytes = 0;
+        for i in 0..40u64 {
+            for table in [1u64, 2] {
+                let (b, size) = block(i as u8);
+                // Spread over every shard.
+                let key = PageKey {
+                    table,
+                    offset: i * 4096,
+                };
+                cache.insert(key, b, size);
+                if i % 2 == 0 {
+                    cache.get(&key); // some pages protected, some not
+                }
+                if table == 2 {
+                    live_bytes += size;
+                }
+            }
+        }
+        cache.erase(1);
+        for i in 0..40u64 {
+            let off = i * 4096;
+            assert!(cache
+                .peek(&PageKey {
+                    table: 1,
+                    offset: off
+                })
+                .is_none());
+            assert!(cache
+                .peek(&PageKey {
+                    table: 2,
+                    offset: off
+                })
+                .is_some());
+        }
+        assert_eq!(cache.used_bytes(), live_bytes);
+        assert_eq!(cache.evictions(), 0, "an erase displaces nothing live");
+        // Freed slots are reused and the ledger stays exact.
+        let (b, size) = block(7);
+        cache.insert(
+            PageKey {
+                table: 3,
+                offset: 0,
+            },
+            b,
+            size,
+        );
+        assert_eq!(cache.used_bytes(), live_bytes + size);
+        cache.erase(1); // idempotent
+        cache.erase(3);
+        assert_eq!(cache.used_bytes(), live_bytes);
+    }
+
+    #[test]
+    fn prepopulated_bytes_stay_out_of_the_fill_signal() {
+        let cache = BlockCache::new(1 << 20);
+        let key = PageKey {
+            table: 1,
+            offset: 0,
+        };
+        let (b, size) = block(1);
+        cache.prepopulate(key, b, size);
+        assert_eq!(cache.inserted_bytes(), 0);
+        assert_eq!(cache.prepopulated_bytes(), size as u64);
+        assert!(cache.get(&key).is_some(), "a written-through page is a hit");
+    }
+
+    #[test]
+    fn dropping_a_lease_erases_its_pages() {
+        let cache = Arc::new(BlockCache::new(1 << 20));
+        let keep = CacheLease::new(Arc::clone(&cache));
+        let gone = CacheLease::new(Arc::clone(&cache));
+        for lease in [&keep, &gone] {
+            let (b, size) = block(1);
+            cache.insert(lease.key(0), b, size);
+        }
+        let gone_key = gone.key(0);
+        drop(gone);
+        assert!(cache.peek(&gone_key).is_none());
+        assert!(cache.peek(&keep.key(0)).is_some());
     }
 
     #[test]

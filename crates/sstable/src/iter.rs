@@ -15,7 +15,7 @@ use acheron_types::{Entry, RangeTombstone, Result};
 use bytes::Bytes;
 
 use crate::block::BlockIter;
-use crate::reader::{entry_from_parts, Table};
+use crate::reader::{entry_from_parts, CacheUse, Table};
 
 /// Iterator over every live entry of a table.
 pub struct TableIterator {
@@ -26,17 +26,15 @@ pub struct TableIterator {
     active: Vec<BlockIter>,
     /// Index into `active` of the smallest current key.
     current: Option<usize>,
-    /// Admit pages read by this iterator to the block cache. One-pass
-    /// readers (compaction) iterate with `false` so a bulk merge never
-    /// evicts the point-read working set.
-    fill_cache: bool,
+    /// How this iterator's page reads treat the block cache.
+    cache_use: CacheUse,
 }
 
 impl TableIterator {
     pub(crate) fn new(
         table: Arc<Table>,
         rts: Vec<RangeTombstone>,
-        fill_cache: bool,
+        cache_use: CacheUse,
     ) -> TableIterator {
         TableIterator {
             table,
@@ -44,7 +42,7 @@ impl TableIterator {
             tile_idx: 0,
             active: Vec::new(),
             current: None,
-            fill_cache,
+            cache_use,
         }
     }
 
@@ -178,7 +176,7 @@ impl TableIterator {
                     .fetch_add(1, AtomicOrdering::Relaxed);
                 continue;
             }
-            let block = self.table.read_page_opts(page.handle, self.fill_cache)?;
+            let block = self.table.read_page_opts(page.handle, self.cache_use)?;
             let mut it = block.iter();
             match target {
                 Some(t) => it.seek(t)?,

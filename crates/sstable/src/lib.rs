@@ -43,7 +43,7 @@ pub mod writer;
 
 pub use block::{Block, BlockBuilder, BlockIter};
 pub use bloom::{BloomFilter, BloomFilterRef};
-pub use cache::{BlockCache, PageKey};
+pub use cache::{BlockCache, CacheLease, PageKey};
 pub use format::{BlockHandle, Footer, TableOptions, FOOTER_SIZE, TABLE_MAGIC};
 pub use iter::TableIterator;
 pub use meta::{PageMeta, TableStats, TileMeta};

@@ -12,7 +12,7 @@ use bytes::Bytes;
 
 use crate::block::Block;
 use crate::bloom::BloomFilterRef;
-use crate::cache::{next_table_cache_id, BlockCache, PageKey};
+use crate::cache::{BlockCache, CacheLease};
 use crate::format::{BlockHandle, Footer, BLOCK_TRAILER_SIZE, FOOTER_SIZE};
 use crate::iter::TableIterator;
 use crate::meta::{decode_tiles, PageMeta, TableStats, TileMeta};
@@ -29,6 +29,18 @@ pub struct ReadCounters {
     pub bloom_skips: AtomicU64,
 }
 
+/// How a page read treats the block cache.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum CacheUse {
+    /// Demand read: hit or miss is counted, a miss fills.
+    Fill,
+    /// One-pass read (compaction input): use a resident page, untouched
+    /// and uncounted; read the file otherwise, without filling.
+    Peek,
+    /// Integrity scan: always the file's bytes, CRC verified.
+    Bypass,
+}
+
 /// An immutable, open SSTable.
 ///
 /// Debug output is intentionally shallow (tile/page counts, not
@@ -38,10 +50,10 @@ pub struct Table {
     tiles: Vec<TileMeta>,
     stats: TableStats,
     filter_data: Bytes,
-    /// Shared page cache, if the database configured one.
-    cache: Option<Arc<BlockCache>>,
-    /// Process-unique id namespacing this table's pages in the cache.
-    cache_id: u64,
+    /// This table's claim on the shared page cache, if the database
+    /// configured one. Dropped with the table's last handle, which
+    /// erases its pages.
+    lease: Option<CacheLease>,
     /// Read counters (shared by all iterators over this table).
     pub counters: ReadCounters,
 }
@@ -67,6 +79,17 @@ impl Table {
         file: Arc<dyn RandomAccessFile>,
         cache: Option<Arc<BlockCache>>,
     ) -> Result<Arc<Table>> {
+        Self::open_leased(file, cache.map(CacheLease::new))
+    }
+
+    /// Open a table whose pages are (or will be) cached under `lease` —
+    /// the one its builder wrote them through
+    /// ([`TableBuilder::finish_leased`](crate::writer::TableBuilder::finish_leased)),
+    /// so the table is resident from its first read.
+    pub fn open_leased(
+        file: Arc<dyn RandomAccessFile>,
+        lease: Option<CacheLease>,
+    ) -> Result<Arc<Table>> {
         let size = file.size();
         if size < FOOTER_SIZE as u64 {
             return Err(Error::corruption(format!(
@@ -85,8 +108,7 @@ impl Table {
             tiles,
             stats,
             filter_data,
-            cache,
-            cache_id: next_table_cache_id(),
+            lease,
             counters: ReadCounters::default(),
         }))
     }
@@ -117,38 +139,38 @@ impl Table {
 
     /// Read and verify a data page (through the cache, if configured).
     pub(crate) fn read_page(&self, handle: BlockHandle) -> Result<Block> {
-        self.read_page_opts(handle, true)
+        self.read_page_opts(handle, CacheUse::Fill)
     }
 
-    /// Read and verify a data page. With `fill_cache = false` the cache
-    /// is bypassed entirely: one-pass readers (compaction, integrity
-    /// scans) would otherwise flood the cache with bytes that will never
-    /// be read again — and, worse, pollute the fill-traffic signal the
-    /// memory arbiter uses to size the cache against the write buffer.
-    pub(crate) fn read_page_opts(&self, handle: BlockHandle, fill_cache: bool) -> Result<Block> {
-        if !fill_cache {
-            let raw = read_block_raw(self.file.as_ref(), handle)?;
-            self.counters
-                .pages_read
-                .fetch_add(1, AtomicOrdering::Relaxed);
-            return Block::new(raw);
-        }
-        if let Some(cache) = &self.cache {
-            let key = PageKey {
-                table: self.cache_id,
-                offset: handle.offset,
-            };
-            if let Some(block) = cache.get(&key) {
-                return Ok(block);
-            }
-            let raw = read_block_raw(self.file.as_ref(), handle)?;
-            self.counters
-                .pages_read
-                .fetch_add(1, AtomicOrdering::Relaxed);
-            let block = Block::new(raw)?;
-            cache.insert(key, block.clone(), handle.size as usize);
+    /// Read a data page. Only [`CacheUse::Fill`] moves the cache's
+    /// recency, hit/miss counters and fill-traffic signal (which the
+    /// memory arbiter sizes the cache by): one-pass readers must neither
+    /// evict the working set nor look like demand.
+    pub(crate) fn read_page_opts(&self, handle: BlockHandle, cache_use: CacheUse) -> Result<Block> {
+        let lease = match &self.lease {
+            Some(lease) if cache_use != CacheUse::Bypass => lease,
+            _ => return self.read_page_from_file(handle),
+        };
+        let key = lease.key(handle.offset);
+        let resident = if cache_use == CacheUse::Fill {
+            lease.cache().get(&key)
+        } else {
+            lease.cache().peek(&key)
+        };
+        if let Some(block) = resident {
             return Ok(block);
         }
+        let block = self.read_page_from_file(handle)?;
+        if cache_use == CacheUse::Fill {
+            lease
+                .cache()
+                .insert(key, block.clone(), handle.size as usize);
+        }
+        Ok(block)
+    }
+
+    /// The miss path: read the page from the file and verify its CRC.
+    fn read_page_from_file(&self, handle: BlockHandle) -> Result<Block> {
         let raw = read_block_raw(self.file.as_ref(), handle)?;
         self.counters
             .pages_read
@@ -310,15 +332,23 @@ impl Table {
     /// An iterator over the whole table, skipping pages droppable under
     /// `rts`.
     pub fn iter(self: &Arc<Self>, rts: Vec<RangeTombstone>) -> TableIterator {
-        TableIterator::new(Arc::clone(self), rts, true)
+        TableIterator::new(Arc::clone(self), rts, CacheUse::Fill)
     }
 
     /// Like [`Table::iter`], but pages read are never admitted to the
-    /// block cache. For one-pass consumers (compaction inputs,
-    /// integrity verification) whose reads carry no reuse: bypassing
-    /// keeps a bulk merge from evicting the read path's working set.
+    /// block cache, and resident ones are used without promotion. For
+    /// compaction inputs, whose reads carry no reuse: a bulk merge must
+    /// not evict the read path's working set, but need not re-read and
+    /// re-verify a page that is already decoded in memory.
     pub fn iter_nofill(self: &Arc<Self>, rts: Vec<RangeTombstone>) -> TableIterator {
-        TableIterator::new(Arc::clone(self), rts, false)
+        TableIterator::new(Arc::clone(self), rts, CacheUse::Peek)
+    }
+
+    /// Like [`Table::iter`], but every page comes from the file and is
+    /// CRC-verified, whatever the cache holds: for integrity scans, which
+    /// exist to notice that the bytes on disk changed.
+    pub fn iter_bypass(self: &Arc<Self>, rts: Vec<RangeTombstone>) -> TableIterator {
+        TableIterator::new(Arc::clone(self), rts, CacheUse::Bypass)
     }
 }
 
@@ -564,6 +594,153 @@ mod tests {
         let err = table2.get(b"key00000", u64::MAX >> 8, &[]).unwrap_err();
         assert!(err.is_corruption());
         drop(table);
+    }
+
+    const CACHED_OPTS: TableOptions = TableOptions {
+        page_size: 512,
+        pages_per_tile: 4,
+        restart_interval: 16,
+        bloom_bits_per_key: 10,
+    };
+
+    /// Build `entries` into `t.sst`, writing through to `cache`.
+    fn write_cached(fs: &MemFs, entries: &[Entry], cache: &Arc<BlockCache>) -> Option<CacheLease> {
+        let file = fs.create("t.sst").unwrap();
+        let mut b = TableBuilder::with_cache(file, CACHED_OPTS, Some(Arc::clone(cache))).unwrap();
+        for e in entries {
+            b.add(e).unwrap();
+        }
+        b.finish_leased().unwrap().1
+    }
+
+    fn build_cached(fs: &MemFs, entries: &[Entry], cache: &Arc<BlockCache>) -> Arc<Table> {
+        let lease = write_cached(fs, entries, cache);
+        Table::open_leased(fs.open("t.sst").unwrap(), lease).unwrap()
+    }
+
+    fn page_keys(table: &Table) -> Vec<crate::cache::PageKey> {
+        let lease = table.lease.as_ref().unwrap();
+        table
+            .tiles()
+            .iter()
+            .flat_map(|t| t.pages.iter())
+            .map(|p| lease.key(p.handle.offset))
+            .collect()
+    }
+
+    #[test]
+    fn written_through_table_is_read_without_touching_the_file() {
+        let fs = MemFs::new();
+        let cache = Arc::new(BlockCache::new(4 << 20));
+        let entries = dataset(800);
+        let table = build_cached(&fs, &entries, &cache);
+        assert!(page_keys(&table).len() > 8);
+        assert_eq!(
+            cache.inserted_bytes(),
+            0,
+            "write-through is not a miss fill"
+        );
+        assert!(cache.prepopulated_bytes() > 0);
+        let reads_before = fs.io_stats().snapshot().read_ops;
+        for e in &entries {
+            let got = table.get(&e.key, u64::MAX >> 8, &[]).unwrap().unwrap();
+            assert_eq!(got.value, e.value);
+        }
+        let mut it = table.iter_nofill(vec![]);
+        it.seek_to_first().unwrap();
+        assert_eq!(it.drain().unwrap().len(), entries.len());
+        assert_eq!(fs.io_stats().snapshot().read_ops, reads_before);
+        assert_eq!(table.counters.pages_read.load(AtomicOrdering::Relaxed), 0);
+        assert_eq!(cache.misses(), 0);
+    }
+
+    #[test]
+    fn peek_reads_do_not_fill_or_count() {
+        let (fs, _uncached) = build(&dataset(800), TableOptions::default());
+        // Opened cold (as after a restart): nothing resident.
+        let cache = Arc::new(BlockCache::new(4 << 20));
+        let table =
+            Table::open_with_cache(fs.open("t.sst").unwrap(), Some(Arc::clone(&cache))).unwrap();
+        let mut it = table.iter_nofill(vec![]);
+        it.seek_to_first().unwrap();
+        assert_eq!(it.drain().unwrap().len(), 800);
+        assert!(table.counters.pages_read.load(AtomicOrdering::Relaxed) > 0);
+        assert_eq!(cache.used_bytes(), 0);
+        assert_eq!((cache.hits(), cache.misses()), (0, 0));
+        assert_eq!(cache.inserted_bytes(), 0);
+    }
+
+    #[test]
+    fn last_handle_takes_the_pages_with_it() {
+        let fs = MemFs::new();
+        let cache = Arc::new(BlockCache::new(4 << 20));
+        let table = build_cached(&fs, &dataset(800), &cache);
+        let keys = page_keys(&table);
+        // An iterator opened while the table was live outlives every
+        // other handle, and re-fills pages after they were evicted.
+        let mut it = table.iter(vec![]);
+        it.seek_to_first().unwrap();
+        drop(table);
+        cache.resize(0);
+        cache.resize(4 << 20);
+        assert_eq!(cache.used_bytes(), 0);
+        assert_eq!(it.drain().unwrap().len(), 800);
+        assert!(cache.used_bytes() > 0, "a late reader still fills");
+        drop(it);
+        assert_eq!(cache.used_bytes(), 0);
+        assert!(keys.iter().all(|k| cache.peek(k).is_none()));
+    }
+
+    #[test]
+    fn bypass_reads_the_file_even_when_every_page_is_resident() {
+        let fs = MemFs::new();
+        let cache = Arc::new(BlockCache::new(4 << 20));
+        let lease = write_cached(&fs, &dataset(200), &cache);
+        // Flip a byte of the first data page in the file; the cache holds
+        // every page as it was encoded.
+        let mut raw = fs.read_all("t.sst").unwrap().to_vec();
+        raw[10] ^= 0xff;
+        fs.write_all("t.sst", &raw).unwrap();
+        let table = Table::open_leased(fs.open("t.sst").unwrap(), lease).unwrap();
+        for mut it in [table.iter(vec![]), table.iter_nofill(vec![])] {
+            it.seek_to_first().unwrap();
+            assert_eq!(it.drain().unwrap().len(), 200, "resident pages serve");
+        }
+        let mut it = table.iter_bypass(vec![]);
+        assert!(it.seek_to_first().unwrap_err().is_corruption());
+    }
+
+    #[test]
+    fn abandoned_and_failed_builds_leave_no_pages() {
+        use acheron_vfs::{FaultKind, FaultOp, FaultRule, FaultVfs};
+        let cache = Arc::new(BlockCache::new(4 << 20));
+        let entries = dataset(800);
+
+        // Dropped mid-build.
+        let fs = MemFs::new();
+        let file = fs.create("t.sst").unwrap();
+        let mut b = TableBuilder::with_cache(file, CACHED_OPTS, Some(Arc::clone(&cache))).unwrap();
+        for e in &entries {
+            b.add(e).unwrap();
+        }
+        assert!(cache.used_bytes() > 0, "pages go in as they are written");
+        drop(b);
+        assert_eq!(cache.used_bytes(), 0);
+
+        // An append fails part-way through.
+        let faulty = FaultVfs::new(Arc::new(MemFs::new()));
+        faulty.inject(FaultRule::new(FaultOp::Append, FaultKind::Error).after(20));
+        let file = faulty.create("t.sst").unwrap();
+        let mut b = TableBuilder::with_cache(file, CACHED_OPTS, Some(Arc::clone(&cache))).unwrap();
+        let failed = entries.iter().try_for_each(|e| b.add(e));
+        assert!(failed.is_err());
+        assert!(cache.used_bytes() > 0);
+        drop(b);
+        assert_eq!(cache.used_bytes(), 0);
+
+        // Finished, but never opened (the open failed, say).
+        drop(write_cached(&fs, &entries, &cache));
+        assert_eq!(cache.used_bytes(), 0);
     }
 
     #[test]

@@ -19,8 +19,11 @@ use acheron_types::{Entry, Error, KeyRangeTombstone, Result, ValueKind, ValuePoi
 use acheron_vfs::WritableFile;
 use bytes::Bytes;
 
-use crate::block::BlockBuilder;
+use std::sync::Arc;
+
+use crate::block::{Block, BlockBuilder};
 use crate::bloom::BloomFilter;
+use crate::cache::{BlockCache, CacheLease};
 use crate::format::{BlockHandle, Footer, TableOptions, FORMAT_VERSION};
 use crate::meta::{encode_tiles, PageMeta, TableStats, TileMeta, VlogRef};
 
@@ -67,11 +70,27 @@ pub struct TableBuilder {
     last_ikey: Vec<u8>,
     offset: u64,
     finished: bool,
+    /// Write-through target: each finished data page is also inserted
+    /// here, so the table is resident the moment it is installed.
+    lease: Option<CacheLease>,
 }
 
 impl TableBuilder {
     /// Start building into `file` with the given options.
     pub fn new(file: Box<dyn WritableFile>, opts: TableOptions) -> Result<TableBuilder> {
+        Self::with_cache(file, opts, None)
+    }
+
+    /// Like [`TableBuilder::new`], writing data pages through to `cache`:
+    /// one copy of the bytes just encoded, no re-read, no CRC. Finish
+    /// with [`TableBuilder::finish_leased`] and open the table under the
+    /// lease it returns; a builder dropped before that takes its pages
+    /// out of the cache with it.
+    pub fn with_cache(
+        file: Box<dyn WritableFile>,
+        opts: TableOptions,
+        cache: Option<Arc<BlockCache>>,
+    ) -> Result<TableBuilder> {
         opts.validate()?;
         let stats = TableStats {
             min_dkey: u64::MAX,
@@ -96,6 +115,7 @@ impl TableBuilder {
             last_ikey: Vec::new(),
             offset: 0,
             finished: false,
+            lease: cache.map(CacheLease::new),
         })
     }
 
@@ -249,11 +269,14 @@ impl TableBuilder {
                 meta.tombstone_count += u64::from(e.is_tombstone);
                 self.block.add(key.encoded(), e.dkey, &e.value);
             }
-            meta.handle = write_block(
-                self.file.as_mut(),
-                &mut self.offset,
-                self.block.finish_in_place(),
-            )?;
+            let contents = self.block.finish_in_place();
+            meta.handle = write_block(self.file.as_mut(), &mut self.offset, contents)?;
+            if let Some(lease) = &self.lease {
+                let page = Block::new(Bytes::copy_from_slice(contents))?;
+                lease
+                    .cache()
+                    .prepopulate(lease.key(meta.handle.offset), page, contents.len());
+            }
 
             // Per-page Bloom filter over user keys, built straight into
             // the filter block.
@@ -307,7 +330,14 @@ impl TableBuilder {
 
     /// Flush the final tile, write filter/meta/stats/footer, and finish
     /// the file. Returns the table's statistics.
-    pub fn finish(mut self) -> Result<TableStats> {
+    pub fn finish(self) -> Result<TableStats> {
+        self.finish_leased().map(|(stats, _)| stats)
+    }
+
+    /// [`TableBuilder::finish`], also handing over the lease the data
+    /// pages were written through under (for
+    /// [`Table::open_leased`](crate::reader::Table::open_leased)).
+    pub fn finish_leased(mut self) -> Result<(TableStats, Option<CacheLease>)> {
         self.flush_tile()?;
         self.finished = true;
         if self.stats.entry_count == 0 {
@@ -338,7 +368,7 @@ impl TableBuilder {
         self.file.append(&footer.encode())?;
         self.file.sync()?;
         self.file.finish()?;
-        Ok(self.stats)
+        Ok((self.stats, self.lease))
     }
 }
 

@@ -18,6 +18,7 @@
 //! | `get`, cached-table hit                     | 10.000 |   half |
 //! | row of a 50-key `scan` over a cached table  |  3.389 |   half |
 //! | entry of `compact_all()` (50k, one version) | 10.933 |      3 |
+//! | the same, outputs written through a cache   |      — |      3 |
 //!
 //! The write budgets are what the path costs today plus its amortized
 //! growth (not the 6 and 5 the change set out to reach): a gate looser
@@ -170,9 +171,10 @@ fn table_reads() {
     assert_within("scan row", scan / 50.0, PARENT_SCAN_ROW / 2.0);
 }
 
-#[test]
-fn compaction() {
-    let db = open(0);
+/// Allocations per entry of a `compact_all()` that merges four 12,500-
+/// entry L0 files into the bottom level.
+fn compacted_entry(cache_bytes: usize) -> f64 {
+    let db = open(cache_bytes);
     for i in 0..50_000 {
         db.put(&key(i), &VALUE).expect("put");
         if i % 12_500 == 12_499 {
@@ -180,10 +182,24 @@ fn compaction() {
         }
     }
     let merged = allocations(|| db.compact_all().expect("compact")) as f64 / 50_000.0;
-    // One for the surviving key; the rest is per page, not per entry.
-    assert_within("compacted entry", merged, 3.0);
     assert_eq!(
         db.get(&key(49_999)).expect("get").as_deref(),
         Some(&VALUE[..])
+    );
+    merged
+}
+
+#[test]
+fn compaction() {
+    // One for the surviving key; the rest is per page, not per entry.
+    assert_within("compacted entry", compacted_entry(0), 3.0);
+    // With a cache each output page is also written through: one copy of
+    // the page's bytes, +0.03 per entry at ~30 entries a page. The inputs
+    // are read from the cache (no file read, so no buffer for one), which
+    // gives most of that back: 1.218 without a cache, 1.226 with.
+    assert_within(
+        "compacted entry, written through",
+        compacted_entry(64 << 20),
+        3.0,
     );
 }
