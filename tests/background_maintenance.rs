@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use acheron::{Db, DbOptions};
+use acheron::{Db, DbOptions, Event};
 use acheron_vfs::{MemFs, Vfs};
 
 fn opts(background_threads: usize) -> DbOptions {
@@ -302,41 +302,187 @@ fn drop_joins_workers_and_leaves_no_residue() {
     db.verify_integrity().unwrap();
 }
 
+/// Options for the schedule tests: FADE tight enough that TTL-driven
+/// compactions fire mid-run, value separation with segments small
+/// enough that vlog GC runs, and an event ring that retains the whole
+/// run.
+fn schedule_opts(background_threads: usize) -> DbOptions {
+    DbOptions {
+        value_separation_threshold: 96,
+        vlog_segment_bytes: 8 << 10,
+        event_log_capacity: 1 << 16,
+        ..opts(background_threads)
+    }
+    .with_fade(4_000)
+}
+
+/// Replay the seeded schedule workload: 40% deletes over 1,500 keys,
+/// one put in four large enough to separate, a sort-key range delete,
+/// a mid-run `maintain()`, a `flush()` and a final `compact_all()`.
+/// `settle_every` inserts a `wait_idle()` every that-many ops (the
+/// background runs use it to bound how far the writer outruns the
+/// workers; the synchronous digest run passes `None`). Returns the
+/// final scan.
+fn run_schedule(db: &Db, settle_every: Option<u64>) -> Vec<(Vec<u8>, Vec<u8>)> {
+    let mut state = 0x5EED_AC4E_2017u64;
+    let mut next = move || {
+        // SplitMix64.
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    for i in 0..8_000u64 {
+        let key = format!("key{:05}", next() % 1_500);
+        if next() % 100 < 40 {
+            db.delete(key.as_bytes()).unwrap();
+        } else {
+            let len = if next() % 4 == 0 { 200 } else { 24 };
+            let value = vec![b'a' + (i % 26) as u8; len];
+            db.put(key.as_bytes(), &value).unwrap();
+        }
+        match i {
+            2_500 => db.range_delete_keys(b"key00200", b"key00260").unwrap(),
+            3_000 => db.maintain().unwrap(),
+            5_500 => db.flush().unwrap(),
+            _ => {}
+        }
+        if settle_every.is_some_and(|n| i % n == n - 1) {
+            db.wait_idle().unwrap();
+        }
+    }
+    db.compact_all().unwrap();
+    db.wait_idle().unwrap();
+    db.scan(b"key00000", b"key99999")
+        .unwrap()
+        .into_iter()
+        .map(|(k, v)| (k.to_vec(), v.to_vec()))
+        .collect()
+}
+
+/// FNV-1a over the maintenance schedule a run left behind: the ordered
+/// seal / flush / pick / compaction / vlog-GC events (every field but
+/// the wall-clock `micros`), the manifest bytes, and the CRC32C of
+/// every live table.
+fn schedule_digest(db: &Db, fs: &MemFs) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for b in bytes {
+            h = (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    let log = db.events();
+    assert_eq!(log.dropped, 0, "the ring must retain the whole run");
+    for e in &log.events {
+        let fields: Vec<u64> = match e.event {
+            Event::MemtableSealed {
+                entries,
+                bytes,
+                sealed_behind,
+            } => vec![1, entries, bytes, sealed_behind],
+            Event::FlushEnd {
+                file_id,
+                bytes,
+                entries,
+                micros: _,
+            } => vec![2, file_id, bytes, entries],
+            Event::CompactionPicked {
+                level,
+                output_level,
+                input_files,
+                input_bytes,
+                reason,
+                overdue_by,
+                deadline,
+            } => vec![
+                3,
+                level,
+                output_level,
+                input_files,
+                input_bytes,
+                reason.code(),
+                overdue_by,
+                deadline,
+            ],
+            Event::CompactionEnd {
+                level,
+                output_level,
+                bytes_in,
+                bytes_out,
+                entries_dropped,
+                tombstones_purged,
+                micros: _,
+            } => vec![
+                4,
+                level,
+                output_level,
+                bytes_in,
+                bytes_out,
+                entries_dropped,
+                tombstones_purged,
+            ],
+            Event::VlogGc {
+                segment,
+                rewritten_bytes,
+                reclaimed_bytes,
+                micros: _,
+            } => vec![5, segment, rewritten_bytes, reclaimed_bytes],
+            _ => continue,
+        };
+        for f in fields {
+            eat(&f.to_le_bytes());
+        }
+    }
+    let mut names = fs.list("db").unwrap();
+    names.sort();
+    for name in names {
+        let path = format!("db/{name}");
+        if name.starts_with("MANIFEST") {
+            eat(name.as_bytes());
+            eat(&fs.read_all(&path).unwrap());
+        } else if name.ends_with(".sst") {
+            eat(name.as_bytes());
+            eat(&acheron_types::checksum::crc32c(&fs.read_all(&path).unwrap()).to_le_bytes());
+        }
+    }
+    h
+}
+
+/// The digest of [`run_schedule`] at `background_threads = 0`, recorded
+/// at the commit before the inline executor became a driver over the
+/// workers' step. It moves only if the sequence of seals, flushes,
+/// picks, file ids, manifest records or table bytes moves.
+const SCHEDULE_DIGEST: u64 = 0xebd4_7593_a6ca_4354;
+
 /// `background_threads = 0` is the deterministic mode: the same op
-/// sequence always produces the same tree and the same read results.
+/// sequence always produces the same schedule, the same files and the
+/// same read results — run to run, and commit to commit.
 #[test]
 fn synchronous_mode_is_deterministic() {
     let run = || {
-        let db = Db::open(Arc::new(MemFs::new()), "db", opts(0)).unwrap();
-        for round in 0..4u64 {
-            for k in 0u64..800 {
-                db.put(
-                    format!("key{k:05}").as_bytes(),
-                    format!("r{round}-{k}").as_bytes(),
-                )
-                .unwrap();
-                if k % 5 == 0 {
-                    db.delete(format!("key{:05}", (k + 13) % 800).as_bytes())
-                        .unwrap();
-                }
-            }
+        let fs = Arc::new(MemFs::new());
+        let db = Db::open(fs.clone(), "db", schedule_opts(0)).unwrap();
+        let rows = run_schedule(&db, None);
+        use std::sync::atomic::Ordering::Relaxed;
+        let s = db.stats();
+        for (what, n) in [
+            ("flushes", s.flushes.load(Relaxed)),
+            ("ttl compactions", s.ttl_compactions.load(Relaxed)),
+            ("vlog GC rewrites", s.vlog_gc_rewrites.load(Relaxed)),
+            ("sort-key range deletes", s.sort_range_deletes.load(Relaxed)),
+        ] {
+            assert!(n > 0, "the schedule workload must exercise {what}");
         }
-        let rows: Vec<(Vec<u8>, Vec<u8>)> = db
-            .scan(b"key00000", b"key99999")
-            .unwrap()
-            .into_iter()
-            .map(|(k, v)| (k.to_vec(), v.to_vec()))
-            .collect();
-        let shape: Vec<(usize, usize, u64)> = db
-            .level_summary()
-            .into_iter()
-            .map(|l| (l.files, l.runs, l.entries))
-            .collect();
-        (rows, shape, db.table_bytes())
+        (rows, schedule_digest(&db, &fs))
     };
     let a = run();
     let b = run();
-    assert_eq!(a.1, b.1, "tree shape must be identical run to run");
-    assert_eq!(a.2, b.2, "table bytes must be identical run to run");
     assert_eq!(a.0, b.0, "read results must be identical run to run");
+    assert_eq!(a.1, b.1, "the schedule must be identical run to run");
+    assert_eq!(
+        a.1, SCHEDULE_DIGEST,
+        "the synchronous schedule moved: {:#018x}",
+        a.1
+    );
 }
