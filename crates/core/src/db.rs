@@ -27,11 +27,12 @@
 //! by [`DbOptions::background_threads`]. When the L0 file count or the
 //! sealed queue exceeds its configured limit, writes are first slowed
 //! and then stalled on a condition variable until the workers catch up.
-//! With `background_threads = 0` every flush and compaction instead
-//! runs synchronously inside the write path, so a given op sequence
-//! always produces the same tree — the deterministic mode the
-//! experiments use (`DbOptions::small`). The full lock hierarchy,
-//! task-claiming protocol, and crash-safety invariants are documented in
+//! With `background_threads = 0` the committing thread is the worker:
+//! it runs the same maintenance step (the `maintenance` submodule)
+//! inside the write path, so a given op sequence always produces the
+//! same tree — the deterministic mode the experiments use
+//! (`DbOptions::small`). The full lock hierarchy, task-claiming
+//! protocol, and crash-safety invariants are documented in
 //! `ARCHITECTURE.md` at the repository root.
 //!
 //! # Secondary range-delete semantics
@@ -71,11 +72,12 @@ use crate::obs::trace::{
 };
 use crate::obs::{Event, EventLog, EventSnapshot, GcKind, RecoveryStepKind, TombstoneGauges};
 use crate::options::DbOptions;
-use crate::picker::{CompactionReason, CompactionTask, Picker};
+use crate::picker::{entry_hull, CompactionReason, CompactionTask, Picker};
 use crate::stats::DbStats;
 use crate::version::{FileMeta, Version};
 
 mod maintenance;
+use maintenance::{MaintTask, FLUSH, TREE, VLOG_GC};
 
 /// A sealed (immutable) memtable queued for flush, together with the
 /// WAL segment that made it durable.
@@ -1380,19 +1382,10 @@ impl Db {
             // Uncontended fast path: commit alone as a group of one,
             // borrowing the ops — no request, no list, no result
             // round-trip, and (nobody waiting) no wakeup.
-            q.exclusive = true;
-            drop(q);
-            let outcome = core.commit_group_inner(&mut [ops.as_mut()], trace.as_mut());
-            core.release_commit_exclusion();
-            return match outcome {
-                Ok(kick) => {
-                    if kick {
-                        core.kick_workers();
-                    }
-                    Ok(trace.map(|t| core.finish_trace(t)))
-                }
-                Err(e) => Err(e),
-            };
+            let excl = core.enter_exclusion(q);
+            core.commit_group_inner(&excl, &mut [ops.as_mut()], trace.as_mut())?;
+            drop(excl);
+            return Ok(trace.map(|t| core.finish_trace(t)));
         }
         let req = Arc::new(CommitRequest::default());
         q.queue.push(PendingCommit {
@@ -1415,14 +1408,10 @@ impl Db {
                 if let (Some(t), Some(at)) = (trace.as_mut(), queued_at) {
                     t.add(TraceStage::CommitQueueWait, at.elapsed().as_micros() as u64);
                 }
-                q.exclusive = true;
                 let group = std::mem::take(&mut q.queue);
-                drop(q);
-                let kick = core.commit_group(group, trace.as_mut());
-                core.release_commit_exclusion();
-                if kick {
-                    core.kick_workers();
-                }
+                let excl = core.enter_exclusion(q);
+                core.commit_group(&excl, group, trace.as_mut());
+                drop(excl);
                 let res = req.result.lock().take().expect("leader result is set");
                 res.map_err(Error::Internal)?;
                 return Ok(trace.map(|t| core.finish_trace(t)));
@@ -1469,12 +1458,9 @@ impl Db {
     /// the duration so the flush is complete on return.
     pub fn flush(&self) -> Result<()> {
         let core = self.core();
-        let _pause = core.paused();
-        core.check_background_error()?;
-        let _excl = core.commit_exclusive();
-        let mut st = core.state.write();
-        core.seal_memtable_locked(&mut st)?;
-        core.flush_imms_locked(&mut st)
+        let (_pause, excl) = core.quiesce()?;
+        core.seal_memtable_locked(&excl, &mut core.state.write())?;
+        core.drive(&FLUSH, Some(&excl))
     }
 
     /// Full manual compaction: flush, then merge every level down until
@@ -1483,37 +1469,30 @@ impl Db {
     /// background workers quiesced.
     pub fn compact_all(&self) -> Result<()> {
         let core = self.core();
-        let _pause = core.paused();
-        core.check_background_error()?;
-        let _excl = core.commit_exclusive();
-        let mut st = core.state.write();
-        core.seal_memtable_locked(&mut st)?;
-        core.flush_imms_locked(&mut st)?;
-        core.maintain_locked(&mut st)?;
+        let (_pause, excl) = core.quiesce()?;
+        core.seal_memtable_locked(&excl, &mut core.state.write())?;
+        core.drive(&TREE, Some(&excl))?;
+        // Writers and workers are held off, so the version read here is
+        // still current when the task built from it installs.
+        let run_manual = |version: Arc<Version>, task: CompactionTask| {
+            let task = MaintTask::Compact {
+                task,
+                claim: None,
+                version,
+            };
+            core.run_task(task, Some(&excl))
+        };
         let bottom = core.opts.max_levels - 1;
         for level in 0..bottom {
             loop {
-                let inputs = st.version.levels[level].clone();
+                let version = Arc::clone(&core.state.read().version);
+                let inputs = version.levels[level].clone();
                 if inputs.is_empty() {
                     break;
                 }
-                let next = {
-                    let mut lo: Option<Bytes> = None;
-                    let mut hi: Option<Bytes> = None;
-                    for f in inputs.iter().filter(|f| f.stats.entry_count > 0) {
-                        lo =
-                            Some(lo.map_or(f.min_key().clone(), |c: Bytes| {
-                                c.min(f.min_key().clone())
-                            }));
-                        hi =
-                            Some(hi.map_or(f.max_key().clone(), |c: Bytes| {
-                                c.max(f.max_key().clone())
-                            }));
-                    }
-                    match (lo, hi) {
-                        (Some(lo), Some(hi)) => st.version.overlapping_files(level + 1, &lo, &hi),
-                        _ => Vec::new(),
-                    }
+                let next = match entry_hull(&inputs) {
+                    Some((lo, hi)) => version.overlapping_files(level + 1, &lo, &hi),
+                    None => Vec::new(),
                 };
                 let task = CompactionTask {
                     level,
@@ -1523,7 +1502,7 @@ impl Db {
                     output_run: 0,
                     reason: CompactionReason::Manual,
                 };
-                core.run_task_locked(&mut st, &task)?;
+                run_manual(version, task)?;
             }
         }
         // Reclaim pass: bottom-level files still overlapping a live
@@ -1533,12 +1512,13 @@ impl Db {
         // purge. Bounded passes: snapshots may legitimately pin covered
         // entries, leaving the tombstone live; don't spin on it.
         for _ in 0..4 {
-            let rts = st.version.range_tombstones.clone();
-            let krts = st.version.collect_key_range_tombstones();
+            let version = Arc::clone(&core.state.read().version);
+            let rts = &version.range_tombstones;
+            let krts = version.collect_key_range_tombstones();
             if rts.is_empty() && krts.is_empty() {
                 break;
             }
-            let mut victims: Vec<_> = st.version.levels[bottom]
+            let mut victims: Vec<_> = version.levels[bottom]
                 .iter()
                 .filter(|f| {
                     f.has_key_range_tombstones()
@@ -1557,24 +1537,9 @@ impl Db {
             }
             // Close the victim set over entry-hull overlap so the merge
             // stays bottommost (required for any physical drop).
-            loop {
-                let span =
-                    {
-                        let mut lo: Option<Bytes> = None;
-                        let mut hi: Option<Bytes> = None;
-                        for f in victims.iter().filter(|f| f.stats.entry_count > 0) {
-                            lo = Some(lo.map_or(f.min_key().clone(), |c: Bytes| {
-                                c.min(f.min_key().clone())
-                            }));
-                            hi = Some(hi.map_or(f.max_key().clone(), |c: Bytes| {
-                                c.max(f.max_key().clone())
-                            }));
-                        }
-                        lo.zip(hi)
-                    };
-                let Some((lo, hi)) = span else { break };
+            while let Some((lo, hi)) = entry_hull(&victims) {
                 let before = victims.len();
-                for f in st.version.levels[bottom].iter() {
+                for f in version.levels[bottom].iter() {
                     if f.overlaps_keys(&lo, &hi) && !victims.iter().any(|v| v.id == f.id) {
                         victims.push(Arc::clone(f));
                     }
@@ -1591,9 +1556,9 @@ impl Db {
                 output_run: 0,
                 reason: CompactionReason::Manual,
             };
-            core.run_task_locked(&mut st, &task)?;
+            run_manual(version, task)?;
         }
-        core.maintain_locked(&mut st)
+        core.drive(&TREE, Some(&excl))
     }
 
     /// Advance the engine's logical clock by `n` ticks (no-op when the
@@ -1611,26 +1576,16 @@ impl Db {
     /// the duration; any sticky background error is surfaced here.
     pub fn maintain(&self) -> Result<()> {
         let core = self.core();
-        let _pause = core.paused();
-        core.check_background_error()?;
-        {
-            let _excl = core.commit_exclusive();
-            let mut st = core.state.write();
-            if let Some(ttl) = core.picker.ttl_schedule() {
-                if ttl.buffer_expired(&st.mem, core.opts.clock.now()) {
-                    core.seal_memtable_locked(&mut st)?;
-                }
-            }
-            core.flush_imms_locked(&mut st)?;
-            core.maintain_locked(&mut st)?;
-        }
+        let (_pause, excl) = core.quiesce()?;
+        core.drive(&TREE, Some(&excl))?;
+        drop(excl);
         // One arbiter sample per quiescent pass: this is the inline
         // analogue of the background workers' per-step tick.
         core.memory_tick();
         // Vlog GC runs after the tree is quiescent — compaction installs
-        // above are what turn frames dead — and outside the locks, since
-        // each rewrite re-enters the commit path.
-        core.run_vlog_gc_until_quiet()
+        // above are what turn frames dead — and outside the exclusion,
+        // which each rewrite takes for itself.
+        core.drive(&VLOG_GC, None)
     }
 
     /// Block until background maintenance has nothing left to do: no
@@ -2508,6 +2463,17 @@ impl DbCore {
         while q.exclusive {
             self.wait_for_commit_turn(&mut q);
         }
+        self.enter_exclusion(q)
+    }
+
+    /// Take the exclusion, which `q` shows to be free. How a commit
+    /// leader enters the domain: it already holds the queue lock and
+    /// has just seen that nobody else is in.
+    fn enter_exclusion<'a>(
+        &'a self,
+        mut q: parking_lot::MutexGuard<'_, CommitQueue>,
+    ) -> CommitExclusion<'a> {
+        debug_assert!(!q.exclusive, "the exclusion has one holder");
         q.exclusive = true;
         CommitExclusion { core: self }
     }
@@ -2539,22 +2505,32 @@ impl DbCore {
     /// fsync for the whole group — both outside the state lock — then
     /// publish the memtable inserts, seqnos, and a fresh read view under
     /// a short state critical section. Distributes the result to every
-    /// request; returns whether workers need a kick.
-    fn commit_group(&self, mut group: Vec<PendingCommit>, trace: Option<&mut TraceBuf>) -> bool {
+    /// request.
+    fn commit_group(
+        &self,
+        excl: &CommitExclusion<'_>,
+        mut group: Vec<PendingCommit>,
+        trace: Option<&mut TraceBuf>,
+    ) {
         let mut op_lists: Vec<&mut [WalOp]> = group.iter_mut().map(|p| &mut p.ops[..]).collect();
-        let outcome = self.commit_group_inner(&mut op_lists, trace);
-        let failure = outcome.as_ref().err().map(|e| e.to_string());
+        let outcome = self.commit_group_inner(excl, &mut op_lists, trace);
+        let failure = outcome.err().map(|e| e.to_string());
         for p in &group {
             *p.req.result.lock() = Some(failure.clone().map_or(Ok(()), Err));
         }
-        outcome.unwrap_or(false)
     }
 
+    /// The commit itself. `excl` is the caller's hold on the
+    /// commit-exclusion domain — what makes it the only WAL appender
+    /// and seqno allocator — and is what lets the commit seal a full
+    /// memtable and, when that (or a crossed TTL deadline) leaves work
+    /// behind, hand it to [`DbCore::announce_work`].
     fn commit_group_inner(
         &self,
+        excl: &CommitExclusion<'_>,
         group: &mut [&mut [WalOp]],
         mut trace: Option<&mut TraceBuf>,
-    ) -> Result<bool> {
+    ) -> Result<()> {
         // Phase 1: durability. WAL append + one group fsync under the
         // WAL mutex only — readers and background installs proceed.
         // The group's seqnos are consecutive (only the leader allocates),
@@ -2772,33 +2748,17 @@ impl DbCore {
                 );
             }
         }
-        let mut kick = false;
-        if st.mem.approximate_bytes() >= self.write_buffer_limit() {
-            // The leader already owns the commit-exclusion domain, so it
-            // may seal (swap the WAL writer) directly.
-            self.seal_memtable_locked(&mut st)?;
-            if self.background() {
-                // Workers flush the sealed queue; the writer moves on.
-                kick = true;
-            } else {
-                self.flush_imms_locked(&mut st)?;
-                self.maintain_locked(&mut st)?;
-            }
-        } else if let Some(deadline) = st.ttl_deadline {
+        let work = if st.mem.approximate_bytes() >= self.write_buffer_limit() {
+            self.seal_memtable_locked(excl, &mut st)?;
+            true
+        } else {
             // Exact FADE trigger: something's residency budget ran out.
-            if self.opts.clock.now() > deadline {
-                if self.background() {
-                    kick = true;
-                } else {
-                    if let Some(ttl) = self.picker.ttl_schedule() {
-                        if ttl.buffer_expired(&st.mem, self.opts.clock.now()) {
-                            self.seal_memtable_locked(&mut st)?;
-                            self.flush_imms_locked(&mut st)?;
-                        }
-                    }
-                    self.maintain_locked(&mut st)?;
-                }
-            }
+            st.ttl_deadline
+                .is_some_and(|deadline| self.opts.clock.now() > deadline)
+        };
+        drop(st);
+        if work {
+            self.announce_work(excl)?;
         }
         if let Some(t) = trace {
             // Nonzero only in synchronous mode, where the seal/flush/
@@ -2811,7 +2771,7 @@ impl DbCore {
                 t.add(TraceStage::InlineMaintenance, micros);
             }
         }
-        Ok(kick)
+        Ok(())
     }
 }
 

@@ -11,18 +11,18 @@ use acheron_memtable::Memtable;
 use acheron_types::{Error, Result, SeqNo, Tick, ValuePointer};
 use acheron_wal::{LogWriter, WalOp};
 
-use super::{DbCore, ImmMemtable, PauseGuard, State};
+use super::{CommitExclusion, DbCore, ImmMemtable, PauseGuard, State};
 use crate::compaction::{run_compaction, write_l0_table};
 use crate::filenames::{sst_path, vlog_path, wal_path};
 use crate::manifest::{EditBatch, VersionEdit};
 use crate::obs::trace::CohortStage;
 use crate::obs::Event;
-use crate::picker::{CompactionReason, CompactionTask};
+use crate::picker::{CompactionClaim, CompactionReason, CompactionTask};
 use crate::version::{FileMeta, Version};
 
-/// Upper bound on back-to-back compactions per maintenance pass; a
+/// Upper bound on back-to-back tasks per inline maintenance pass; a
 /// correctly converging picker never reaches it.
-const MAX_COMPACTIONS_PER_PASS: usize = 10_000;
+const MAX_TASKS_PER_PASS: usize = 10_000;
 
 /// How long an idle worker sleeps before re-polling for work (it is
 /// also woken eagerly by [`DbCore::kick_workers`]).
@@ -33,6 +33,47 @@ const STALL_RECHECK: Duration = Duration::from_millis(10);
 
 /// Delay injected per write once L0 crosses the soft limit.
 const SLOWDOWN_DELAY: Duration = Duration::from_micros(250);
+
+/// One unit of maintenance, as decided by [`DbCore::next_task`] and
+/// executed by [`DbCore::run_task`].
+pub(super) enum MaintTask {
+    /// FADE: a tombstone in this (the active) write buffer ran out its
+    /// station budget; seal it so the flush starts its descent.
+    SealExpired(Arc<Memtable>),
+    /// Flush this sealed memtable, the front of the queue.
+    Flush(Arc<Memtable>),
+    /// Run one compaction against the version it was picked from.
+    Compact {
+        task: CompactionTask,
+        /// The picker's in-flight marks; `None` for a task hand-built
+        /// while the workers are paused ([`super::Db::compact_all`]).
+        claim: Option<CompactionClaim>,
+        version: Arc<Version>,
+    },
+    /// Rewrite one value-log segment.
+    VlogGc(u64),
+}
+
+/// The kinds of [`MaintTask`], most urgent first.
+#[derive(Clone, Copy, PartialEq, PartialOrd)]
+pub(super) enum Kind {
+    SealExpired,
+    Flush,
+    Compact,
+    VlogGc,
+}
+
+/// Which kinds a caller of [`DbCore::next_task`] wants considered: a
+/// stretch of the urgency order.
+pub(super) type Scope = std::ops::RangeInclusive<Kind>;
+/// Drain the sealed queue, nothing else (`Db::flush`).
+pub(super) const FLUSH: Scope = Kind::Flush..=Kind::Flush;
+/// What brings the tree within its triggers.
+pub(super) const TREE: Scope = Kind::SealExpired..=Kind::Compact;
+/// What can lower the write throttle's gauges (sealing raises one).
+const PRESSURE: Scope = Kind::Flush..=Kind::Compact;
+pub(super) const VLOG_GC: Scope = Kind::VlogGc..=Kind::VlogGc;
+pub(super) const ALL: Scope = Kind::SealExpired..=Kind::VlogGc;
 
 impl DbCore {
     /// Recompute the cached earliest-TTL-expiry tick from the current
@@ -63,10 +104,13 @@ impl DbCore {
     /// sealed data's durability still comes from its WAL segment, whose
     /// replay is bounded by the manifest's last `LogNumber`.
     ///
-    /// Callers must be inside the commit-exclusion domain (they are a
-    /// commit leader or hold a [`CommitExclusion`]): swapping the WAL
-    /// writer under a leader's feet would tear its group.
-    pub(super) fn seal_memtable_locked(&self, st: &mut State) -> Result<()> {
+    /// Swapping the WAL writer under a commit leader's feet would tear
+    /// its group, hence the [`CommitExclusion`] witness.
+    pub(super) fn seal_memtable_locked(
+        &self,
+        _excl: &CommitExclusion<'_>,
+        st: &mut State,
+    ) -> Result<()> {
         if st.mem.is_empty() {
             return Ok(());
         }
@@ -117,8 +161,8 @@ impl DbCore {
         Ok(())
     }
 
-    /// Build an L0 table from a sealed memtable. Pure I/O — callers run
-    /// this without the state lock (background) or with it (inline).
+    /// Build an L0 table from a sealed memtable. Pure I/O, run without
+    /// the state lock.
     fn build_l0_table(&self, mem: &Memtable) -> Result<Option<Arc<FileMeta>>> {
         self.obs.log(Event::FlushStart {
             entries: mem.stats().entries as u64,
@@ -236,33 +280,13 @@ impl DbCore {
         Ok(())
     }
 
-    /// Drain the sealed-memtable queue inline (state lock held). Used by
-    /// the synchronous mode and by paused foreground maintenance.
-    pub(super) fn flush_imms_locked(&self, st: &mut State) -> Result<()> {
-        while let Some(front) = st.imms.front() {
-            let mem = Arc::clone(&front.mem);
-            let started = Instant::now();
-            let file = self.build_l0_table(&mem)?;
-            self.install_flush_locked(st, file, started.elapsed().as_micros() as u64)?;
-        }
-        Ok(())
-    }
-
-    /// Background flush of the front sealed memtable: build the table
-    /// off-lock, then install under the state lock. Returns whether a
-    /// flush happened. Callers must hold the `flush_claimed` ticket —
-    /// combined with pauses draining `in_flight` before any foreground
-    /// flush, that makes the front of the queue stable for the builder.
-    fn flush_front_imm(&self) -> Result<bool> {
-        let mem = {
-            let st = self.state.read();
-            match st.imms.front() {
-                Some(i) => Arc::clone(&i.mem),
-                None => return Ok(false),
-            }
-        };
+    /// Flush `mem`, the front sealed memtable: build the table off-lock,
+    /// then install under the state lock. Callers hold the
+    /// `flush_claimed` ticket, which is what keeps `mem` at the front of
+    /// the queue (installs pop in queue order) until the install here.
+    fn flush_front_imm(&self, mem: &Memtable) -> Result<()> {
         let started = Instant::now();
-        let file = self.build_l0_table(&mem)?;
+        let file = self.build_l0_table(mem)?;
         {
             let mut st = self.state.write();
             self.install_flush_locked(&mut st, file, started.elapsed().as_micros() as u64)?;
@@ -270,27 +294,12 @@ impl DbCore {
         self.stats
             .flush_micros
             .record(started.elapsed().as_micros() as u64);
-        Ok(true)
+        Ok(())
     }
 
     // ------------------------------------------------------------------
     // Compaction
     // ------------------------------------------------------------------
-
-    /// Run saturation/TTL compactions inline until the picker is
-    /// quiescent (state lock held).
-    pub(super) fn maintain_locked(&self, st: &mut State) -> Result<()> {
-        for _ in 0..MAX_COMPACTIONS_PER_PASS {
-            let now = self.opts.clock.now();
-            let Some(task) = self.picker.pick(&st.version, now) else {
-                return Ok(());
-            };
-            self.run_task_locked(st, &task)?;
-        }
-        Err(Error::Internal(
-            "compaction did not converge within the per-pass bound".into(),
-        ))
-    }
 
     /// Record a `CompactionPicked` event for `task`, with the FADE
     /// trigger inputs (most overdue input tombstone, cumulative budget
@@ -311,34 +320,14 @@ impl DbCore {
         });
     }
 
-    /// Execute one compaction task inline: run it against the current
-    /// version, then install the outcome (state lock held throughout).
-    pub(super) fn run_task_locked(&self, st: &mut State, task: &CompactionTask) -> Result<()> {
-        let started = Instant::now();
-        let now = self.opts.clock.now();
-        self.log_compaction_picked(task, now);
-        let snapshots = self.snapshot_list();
-        let outcome = run_compaction(
-            &self.fs,
-            &self.dir,
-            &self.opts,
-            self.cache.as_ref(),
-            &st.version,
-            task,
-            &snapshots,
-            now,
-            || self.alloc_file_id(),
-        )?;
-        self.install_compaction_locked(st, task, outcome, now, started.elapsed().as_micros() as u64)
-    }
-
-    /// Background variant: merge against the version captured when the
-    /// task was claimed (disjointness is guaranteed by the picker's
-    /// claim marks), then install against the *current* version. Sound
-    /// because concurrent installs are key- and file-disjoint, newer L0
-    /// flushes only add data above the inputs, and snapshots registered
-    /// after the claim hold seqnos at or above everything in the inputs.
-    fn run_claimed_compaction(&self, version: &Version, task: &CompactionTask) -> Result<()> {
+    /// Run one compaction: merge against the version captured when the
+    /// task was picked (disjointness from concurrent tasks is guaranteed
+    /// by the picker's claim marks), then install against the *current*
+    /// version. Sound because concurrent installs are key- and
+    /// file-disjoint, newer L0 flushes only add data above the inputs,
+    /// and snapshots registered after the pick hold seqnos at or above
+    /// everything in the inputs.
+    fn run_compaction_task(&self, version: &Version, task: &CompactionTask) -> Result<()> {
         let started = Instant::now();
         let now = self.opts.clock.now();
         self.log_compaction_picked(task, now);
@@ -660,7 +649,7 @@ impl DbCore {
         let data = self.fs.read_all(&path)?;
         let scan = acheron_vlog::scan_segment(&data);
 
-        let _excl = self.commit_exclusive();
+        let excl = self.commit_exclusive();
         let snapshot = self.visible_seqno.load(Ordering::Acquire);
         let view = self.current_view();
         let mut ops: Vec<WalOp> = Vec::new();
@@ -689,9 +678,7 @@ impl DbCore {
             });
         }
         if !ops.is_empty() {
-            // Safe under the held exclusion: the commit path takes only
-            // the WAL/vlog/state locks, never the exclusion itself.
-            self.commit_group_inner(&mut [&mut ops[..]], None)?;
+            self.commit_group_inner(&excl, &mut [&mut ops[..]], None)?;
         }
 
         let reclaimed;
@@ -771,26 +758,161 @@ impl DbCore {
         Ok(())
     }
 
-    /// Run vlog GC until no candidate remains (bounded, like
-    /// `maintain_locked`, against pathological configurations).
-    pub(super) fn run_vlog_gc_until_quiet(&self) -> Result<()> {
-        for _ in 0..MAX_COMPACTIONS_PER_PASS {
-            let now = self.opts.clock.now();
-            let Some(segment) = self.vlog_gc_candidate(now) else {
-                return Ok(());
-            };
-            self.run_vlog_gc(segment)?;
+    // ------------------------------------------------------------------
+    // The executor: one decision, one step, two drivers
+    // ------------------------------------------------------------------
+
+    /// The most urgent maintenance task within `scope`, or `None` when
+    /// there is nothing to do (or, when claiming, nothing that does not
+    /// collide with a task already running). Urgency order: a
+    /// TTL-expired write buffer (FADE's deadline starts its descent
+    /// there), the front of the sealed queue, one compaction, one
+    /// value-log segment.
+    ///
+    /// With `claim` the task is accepted for execution: a flush takes
+    /// the single-flusher ticket, a compaction registers its claim marks
+    /// and moves the picker's cursor, and the caller must pass the task
+    /// to [`DbCore::run_task`], which gives both back. Without it this
+    /// is a pure query — no ticket, no claim, no cursor — and the task
+    /// must not be run.
+    fn next_task(&self, scope: &Scope, claim: bool) -> Option<MaintTask> {
+        let now = self.opts.clock.now();
+        {
+            // Claims are registered under the state lock, so no install
+            // can slip between judging a version and marking its files.
+            let st = self.state.read();
+            if scope.contains(&Kind::SealExpired) {
+                if let Some(ttl) = self.picker.ttl_schedule() {
+                    if ttl.buffer_expired(&st.mem, now) {
+                        return Some(MaintTask::SealExpired(Arc::clone(&st.mem)));
+                    }
+                }
+            }
+            if scope.contains(&Kind::Flush) {
+                if let Some(front) = st.imms.front() {
+                    // Flushes install in queue order, so only one
+                    // thread owns the front at a time; the rest fall
+                    // through to compaction.
+                    let ticket = || {
+                        self.flush_claimed
+                            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
+                            .is_ok()
+                    };
+                    if !claim || ticket() {
+                        return Some(MaintTask::Flush(Arc::clone(&front.mem)));
+                    }
+                }
+            }
+            if scope.contains(&Kind::Compact) {
+                let picked = if claim {
+                    self.picker
+                        .pick_claimed(&st.version, now)
+                        .map(|(task, claim)| (task, Some(claim)))
+                } else {
+                    self.picker.pick(&st.version, now).map(|task| (task, None))
+                };
+                if let Some((task, claim)) = picked {
+                    return Some(MaintTask::Compact {
+                        task,
+                        claim,
+                        version: Arc::clone(&st.version),
+                    });
+                }
+            }
         }
-        Ok(())
+        if scope.contains(&Kind::VlogGc) {
+            return self.vlog_gc_candidate(now).map(MaintTask::VlogGc);
+        }
+        None
     }
 
-    // ------------------------------------------------------------------
-    // Background executor
-    // ------------------------------------------------------------------
+    /// Execute one claimed task: build or merge off the state lock,
+    /// install under it, and give back whatever [`DbCore::next_task`]
+    /// claimed. `witness` is the caller's own hold on the
+    /// commit-exclusion domain, if it has one: sealing then runs under
+    /// it instead of deadlocking on it. (Vlog GC enters the exclusion
+    /// itself, part-way through, and is never driven under a witness.)
+    pub(super) fn run_task(
+        &self,
+        task: MaintTask,
+        witness: Option<&CommitExclusion<'_>>,
+    ) -> Result<()> {
+        match task {
+            MaintTask::SealExpired(mem) => {
+                // Sealing swaps the WAL writer, so the exclusion comes
+                // first (before the state lock, per the lock hierarchy).
+                let own = witness.is_none().then(|| self.commit_exclusive());
+                let excl = witness.or(own.as_ref()).expect("held or just entered");
+                let mut st = self.state.write();
+                // Still the buffer that was judged expired? (A racing
+                // writer may have filled and sealed it; an expired
+                // buffer never un-expires, so identity is the whole
+                // re-check.)
+                if Arc::ptr_eq(&st.mem, &mem) {
+                    self.seal_memtable_locked(excl, &mut st)?;
+                }
+                Ok(())
+            }
+            MaintTask::Flush(mem) => {
+                let flushed = self.flush_front_imm(&mem);
+                self.flush_claimed.store(false, Ordering::SeqCst);
+                flushed
+            }
+            MaintTask::Compact {
+                task,
+                claim,
+                version,
+            } => {
+                let compacted = self.run_compaction_task(&version, &task);
+                if let Some(claim) = claim {
+                    self.picker.release(claim);
+                }
+                compacted
+            }
+            MaintTask::VlogGc(segment) => {
+                debug_assert!(witness.is_none(), "a rewrite enters the exclusion itself");
+                self.run_vlog_gc(segment)
+            }
+        }
+    }
 
-    /// Worker thread body: claim a step, run it, repeat; sleep (with a
-    /// periodic re-poll, so clock-driven TTL expiry is noticed) when
-    /// there is nothing to do, while paused, and after an error.
+    /// The inline driver: the calling thread is the worker, and runs
+    /// tasks within `scope` until none is left. This is all of
+    /// maintenance when `background_threads = 0`, and how the
+    /// foreground entry points (`flush`, `maintain`, `compact_all`) run
+    /// theirs while the workers are paused.
+    pub(super) fn drive(&self, scope: &Scope, witness: Option<&CommitExclusion<'_>>) -> Result<()> {
+        for _ in 0..MAX_TASKS_PER_PASS {
+            let Some(task) = self.next_task(scope, true) else {
+                return Ok(());
+            };
+            self.run_task(task, witness)?;
+        }
+        Err(Error::Internal(
+            "maintenance did not converge within the per-pass bound".into(),
+        ))
+    }
+
+    /// Act on a commit that sealed the memtable or crossed a TTL
+    /// deadline: wake the workers, or — when the committing thread is
+    /// the worker — do the work now, under the exclusion the committer
+    /// still holds, so other writers are held back until the tree is
+    /// within its triggers again. Value-log GC is not part of it: a
+    /// rewrite re-enters the commit path, and runs only from workers
+    /// and [`super::Db::maintain`].
+    pub(super) fn announce_work(&self, excl: &CommitExclusion<'_>) -> Result<()> {
+        if self.background() {
+            self.kick_workers();
+            Ok(())
+        } else {
+            self.drive(&TREE, Some(excl))
+        }
+    }
+
+    /// Worker thread body, the pool driver: claim a task, run it,
+    /// repeat; sleep (with a periodic re-poll, so clock-driven TTL
+    /// expiry is noticed) when there is nothing to do, while paused, and
+    /// after an error.
     pub(super) fn worker_loop(core: Arc<DbCore>) {
         loop {
             let mut maint = core.maint.lock();
@@ -803,12 +925,15 @@ impl DbCore {
             }
             // `in_flight` is bumped under the same critical section that
             // observed `pause_depth == 0`, so a pause that begins after
-            // this point waits for the step below to finish.
+            // this point waits for the task below to finish.
             let seen_kicks = maint.kicks;
             maint.in_flight += 1;
             drop(maint);
 
-            let outcome = core.run_one_maintenance_step();
+            let outcome = match core.next_task(&ALL, true) {
+                Some(task) => core.run_task(task, None).map(|()| true),
+                None => Ok(false),
+            };
             // Sample the arbiter once per worker step; differencing in
             // the tuner makes redundant calls classify as hold.
             core.memory_tick();
@@ -831,69 +956,6 @@ impl DbCore {
                 }
             }
         }
-    }
-
-    /// Perform at most one unit of maintenance, most urgent first:
-    /// seal a TTL-expired write buffer, flush the oldest sealed
-    /// memtable, or run one claimed compaction. Returns whether any
-    /// work was done.
-    fn run_one_maintenance_step(&self) -> Result<bool> {
-        // 1. FADE: a tombstone in the active buffer ran out its station
-        //    budget — seal so the flush (next step) starts its descent.
-        if let Some(ttl) = self.picker.ttl_schedule() {
-            let expired = {
-                let st = self.state.read();
-                ttl.buffer_expired(&st.mem, self.opts.clock.now())
-            };
-            if expired {
-                // Sealing swaps the WAL writer, so enter the commit-
-                // exclusion domain first (before the state lock, per the
-                // lock hierarchy).
-                let _excl = self.commit_exclusive();
-                let mut st = self.state.write();
-                // Re-check under the write lock: a racing writer may
-                // have sealed already.
-                if ttl.buffer_expired(&st.mem, self.opts.clock.now()) {
-                    self.seal_memtable_locked(&mut st)?;
-                    return Ok(true);
-                }
-            }
-        }
-        // 2. Flush the front of the sealed queue (single flusher keeps
-        //    installs in seqno order).
-        if self
-            .flush_claimed
-            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            let flushed = self.flush_front_imm();
-            self.flush_claimed.store(false, Ordering::SeqCst);
-            if flushed? {
-                return Ok(true);
-            }
-        }
-        // 3. One compaction, claimed so concurrent workers never touch
-        //    overlapping inputs.
-        let picked = {
-            let st = self.state.read();
-            let now = self.opts.clock.now();
-            self.picker
-                .pick_claimed(&st.version, now)
-                .map(|(task, claim)| (task, claim, Arc::clone(&st.version)))
-        };
-        if let Some((task, claim, version)) = picked {
-            let result = self.run_claimed_compaction(&version, &task);
-            self.picker.release(claim);
-            result?;
-            return Ok(true);
-        }
-        // 4. Vlog GC: rewrite one segment whose dead bytes are overdue
-        //    under D_th or past the dead-ratio trigger.
-        if let Some(segment) = self.vlog_gc_candidate(self.opts.clock.now()) {
-            self.run_vlog_gc(segment)?;
-            return Ok(true);
-        }
-        Ok(false)
     }
 
     /// Wake all workers (and bump the kick counter so a worker that was
@@ -937,10 +999,15 @@ impl DbCore {
         self.work_cv.notify_all();
     }
 
-    /// Scoped pause used by foreground maintenance entry points.
-    pub(super) fn paused(&self) -> PauseGuard<'_> {
+    /// How every foreground maintenance entry point opens: workers
+    /// quiesced, the sticky background error surfaced, then the
+    /// commit-exclusion domain entered. Bind the guards in this order —
+    /// the exclusion must be released before the pause.
+    pub(super) fn quiesce(&self) -> Result<(PauseGuard<'_>, CommitExclusion<'_>)> {
         self.pause_raw();
-        PauseGuard { core: self }
+        let pause = PauseGuard { core: self };
+        self.check_background_error()?;
+        Ok((pause, self.commit_exclusive()))
     }
 
     /// Surface the sticky background error, if any.
@@ -970,13 +1037,7 @@ impl DbCore {
     /// final (e.g. a misconfigured stall limit below the picker's own
     /// triggers).
     fn reducible_pressure(&self) -> bool {
-        let view = self.current_view();
-        if !view.imms.is_empty() {
-            return true;
-        }
-        self.picker
-            .pick(&view.version, self.opts.clock.now())
-            .is_some()
+        self.next_task(&PRESSURE, false).is_some()
     }
 
     /// Backpressure, applied before each write takes any lock: delay
@@ -1025,21 +1086,8 @@ impl DbCore {
     }
 
     /// Whether any maintenance work is currently visible (used by
-    /// [`Db::wait_idle`]).
+    /// [`super::Db::wait_idle`]).
     pub(super) fn has_pending_work(&self) -> bool {
-        let view = self.current_view();
-        if !view.imms.is_empty() {
-            return true;
-        }
-        let now = self.opts.clock.now();
-        if let Some(ttl) = self.picker.ttl_schedule() {
-            if ttl.buffer_expired(&view.mem, now) {
-                return true;
-            }
-        }
-        if self.picker.pick(&view.version, now).is_some() {
-            return true;
-        }
-        self.vlog_gc_candidate(now).is_some()
+        self.next_task(&ALL, false).is_some()
     }
 }

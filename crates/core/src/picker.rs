@@ -90,19 +90,7 @@ impl CompactionTask {
     /// The union user-key range of all inputs, `None` if inputs are all
     /// empty tables.
     pub fn key_range(&self) -> Option<(Bytes, Bytes)> {
-        let mut lo: Option<Bytes> = None;
-        let mut hi: Option<Bytes> = None;
-        for f in self.all_inputs().filter(|f| f.stats.entry_count > 0) {
-            lo = Some(match lo {
-                Some(cur) => cur.min(f.min_key().clone()),
-                None => f.min_key().clone(),
-            });
-            hi = Some(match hi {
-                Some(cur) => cur.max(f.max_key().clone()),
-                None => f.max_key().clone(),
-            });
-        }
-        Some((lo?, hi?))
+        entry_hull(self.all_inputs())
     }
 
     /// Total input bytes.
@@ -202,6 +190,13 @@ impl Picker {
         if conflicts {
             return None;
         }
+        // Accepted: only now does the round-robin cursor move past the
+        // file the data-movement policy chose (`pick` itself is a pure
+        // query — it is polled by idle and pressure checks, and a pick
+        // that loses on a claim conflict compacts nothing).
+        if let (CompactionReason::LevelSaturation, [file]) = (task.reason, &task.inputs[..]) {
+            self.cursors.lock()[task.level] = Some(file.max_key().clone());
+        }
         let id = *next_id;
         *next_id += 1;
         marks.push(InFlightMark {
@@ -230,7 +225,9 @@ impl Picker {
             .collect()
     }
 
-    /// Pick the most urgent compaction, if any.
+    /// Pick the most urgent compaction, if any. A pure query: asking
+    /// twice about the same `version` at the same `now` names the same
+    /// task (the round-robin cursor moves in [`Picker::pick_claimed`]).
     pub fn pick(&self, version: &Version, now: Tick) -> Option<CompactionTask> {
         // FADE's TTL trigger outranks saturation: persistence is a
         // correctness deadline, saturation only a performance one.
@@ -376,10 +373,6 @@ impl Picker {
             .map(|f| f.saturation_pick)
             .unwrap_or(self.opts.baseline_pick);
         let file = self.choose_file(version, level, policy)?;
-        {
-            let mut cursors = self.cursors.lock();
-            cursors[level] = Some(file.max_key().clone());
-        }
         let next = version.overlapping_files(level + 1, file.min_key(), file.max_key());
         Some(CompactionTask {
             level,
@@ -505,26 +498,31 @@ impl Picker {
     }
 }
 
+/// The smallest span covering every span in `spans`.
+fn hull(spans: impl Iterator<Item = (Bytes, Bytes)>) -> Option<(Bytes, Bytes)> {
+    spans.reduce(|(lo, hi), (flo, fhi)| (lo.min(flo), hi.max(fhi)))
+}
+
+/// The min/max user keys of the entries in `files` (their fence keys),
+/// `None` when no file holds an entry.
+pub(crate) fn entry_hull<'a>(
+    files: impl IntoIterator<Item = &'a Arc<FileMeta>>,
+) -> Option<(Bytes, Bytes)> {
+    hull(
+        files
+            .into_iter()
+            .filter(|f| f.stats.entry_count > 0)
+            .map(|f| (f.min_key().clone(), f.max_key().clone())),
+    )
+}
+
 /// The min/max user keys across `files`: entry fences folded with
 /// sort-key range-tombstone spans, so a carrier file (tombstones, no
 /// entries) still contributes the keys its tombstones cover. `None`
 /// only for completely empty tables.
 fn key_span(files: &[Arc<FileMeta>]) -> Option<(Bytes, Bytes)> {
-    let mut lo: Option<Bytes> = None;
-    let mut hi: Option<Bytes> = None;
-    let fold = |lo: &mut Option<Bytes>, hi: &mut Option<Bytes>, flo: Bytes, fhi: Bytes| {
-        *lo = Some(lo.take().map_or(flo.clone(), |c| c.min(flo)));
-        *hi = Some(hi.take().map_or(fhi.clone(), |c| c.max(fhi)));
-    };
-    for f in files {
-        if f.stats.entry_count > 0 {
-            fold(&mut lo, &mut hi, f.min_key().clone(), f.max_key().clone());
-        }
-        if let Some((klo, khi)) = f.key_range_tombstone_span() {
-            fold(&mut lo, &mut hi, klo, khi);
-        }
-    }
-    lo.zip(hi)
+    let tombstone_spans = files.iter().filter_map(|f| f.key_range_tombstone_span());
+    hull(entry_hull(files).into_iter().chain(tombstone_spans))
 }
 
 /// Whether two key spans intersect. A `None` span (task with only empty
@@ -712,6 +710,48 @@ mod tests {
             1,
             "merges with the bottom run"
         );
+    }
+
+    #[test]
+    fn round_robin_cursor_moves_only_on_accepted_picks() {
+        let mut o = opts(CompactionLayout::Leveling);
+        o.baseline_pick = FilePickPolicy::RoundRobin;
+        let fs = MemFs::new();
+        let picker = Picker::new(&o);
+        // Three disjoint L1 files, together over the level's budget, and
+        // one L2 file under all of them (so any two L1 picks conflict).
+        let mut files: Vec<_> = (0..3u32)
+            .map(|i| make_file(&fs, u64::from(i) + 1, 1, i * 200..i * 200 + 150, 1000))
+            .collect();
+        files.push(make_file(&fs, 9, 2, 0..600, 100));
+        let v = Version::empty(4).apply(files, &[], &[], &[]);
+        assert!(v.level_bytes(1) > 3_000, "setup must saturate L1");
+        let queried = || picker.pick(&v, 0).expect("saturation").inputs[0].id;
+
+        // A query does not rotate: the same file, however often asked.
+        assert_eq!(queried(), 1);
+        assert_eq!(queried(), 1);
+
+        // Accepted picks rotate through the level and wrap around.
+        for expected in [1, 2, 3] {
+            let (task, claim) = picker.pick_claimed(&v, 0).expect("nothing in flight");
+            assert_eq!(task.inputs[0].id, expected);
+            picker.release(claim);
+        }
+        assert_eq!(queried(), 1);
+
+        // A pick that loses on a claim conflict leaves the cursor put.
+        let (_, claim) = picker.pick_claimed(&v, 0).expect("nothing in flight");
+        assert_eq!(queried(), 2);
+        assert!(
+            picker.pick_claimed(&v, 0).is_none(),
+            "file 2 shares the L2 file with the task in flight"
+        );
+        assert_eq!(queried(), 2, "the refused pick must not rotate past file 2");
+        picker.release(claim);
+        let (task, claim) = picker.pick_claimed(&v, 0).expect("conflict released");
+        assert_eq!(task.inputs[0].id, 2);
+        picker.release(claim);
     }
 
     #[test]

@@ -486,3 +486,151 @@ fn synchronous_mode_is_deterministic() {
         a.1
     );
 }
+
+/// The inline driver and the worker pool run the same step, so the
+/// schedule workload ends in the same rows, a sound tree and a passing
+/// delete audit under either — and both time every flush and
+/// compaction they run.
+#[test]
+fn both_drivers_agree_and_time_every_step() {
+    let run = |background_threads: usize, settle_every: Option<u64>| {
+        let db = Db::open(
+            Arc::new(MemFs::new()),
+            "db",
+            schedule_opts(background_threads),
+        )
+        .unwrap();
+        let rows = run_schedule(&db, settle_every);
+        db.verify_integrity().unwrap();
+        // The tombstone families of the delete audit: every cohort's
+        // point and sort-key range tombstones purged within D_th, and
+        // nothing live older than it. (Dead vlog extents are reclaimed
+        // by `maintain()` and the workers only, so their family is
+        // bounded by how often the host calls it — once, here.)
+        let audit = db.delete_audit();
+        let d_th = audit.d_th.expect("FADE is on");
+        for c in &audit.cohorts {
+            let purged = (c.resolved >= c.total_deletes()).then_some(c.purged_tick);
+            let until = purged.map_or(audit.now, |t| t.unwrap_or(c.first_delete_tick));
+            assert!(
+                until.saturating_sub(c.first_delete_tick) <= d_th,
+                "background_threads = {background_threads}: tombstones outlived D_th: {}",
+                c.render(audit.now, audit.d_th)
+            );
+        }
+        assert!(
+            audit
+                .oldest_live_tombstone_tick
+                .is_none_or(|t0| audit.now.saturating_sub(t0) <= d_th),
+            "background_threads = {background_threads}: a live tombstone outlived D_th"
+        );
+        use std::sync::atomic::Ordering::Relaxed;
+        let s = db.stats();
+        assert_eq!(
+            s.flush_micros.count(),
+            s.flushes.load(Relaxed),
+            "background_threads = {background_threads}: every flush is timed"
+        );
+        assert_eq!(
+            s.compaction_micros.count(),
+            s.compactions.load(Relaxed),
+            "background_threads = {background_threads}: every compaction is timed"
+        );
+        rows
+    };
+    let inline = run(0, None);
+    assert!(!inline.is_empty(), "the workload must leave live rows");
+    // The writer settles every 100 ops: FADE's trigger margin is in
+    // ticks (one per op), and an unthrottled writer could outrun it.
+    assert_eq!(run(2, Some(100)), inline);
+}
+
+/// `background_threads = 0` with several threads: a writer's commits
+/// drive maintenance inline under the exclusion they already hold, while
+/// another thread keeps entering the same exclusion through `flush()`,
+/// `maintain()` and `compact_all()`. Nobody deadlocks, and a reader
+/// never sees a value regress or a key vanish.
+#[test]
+fn inline_driver_shares_the_exclusion_without_deadlock() {
+    const KEYS: u64 = 400;
+    const ROUNDS: u64 = 12;
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let body = std::thread::spawn(move || {
+        // No value separation here: a reader without a snapshot can lose
+        // a race with vlog GC deleting the segment its pointer names,
+        // with any executor — not what this test is about.
+        let db = Db::open(Arc::new(MemFs::new()), "db", opts(0).with_fade(4_000)).unwrap();
+        let stop = AtomicBool::new(false);
+        crossbeam::scope(|s| {
+            let writer = {
+                let db = db.clone();
+                s.spawn(move |_| {
+                    for round in 1..=ROUNDS {
+                        for k in 0..KEYS {
+                            let key = format!("key{k:05}");
+                            // Tombstones (for keys nobody reads) keep
+                            // FADE's TTL triggers, and the expired-buffer
+                            // seal, firing.
+                            if (k + round) % 5 == 0 {
+                                db.delete(format!("gone{k:05}").as_bytes()).unwrap();
+                            }
+                            db.put(key.as_bytes(), format!("{round:024}").as_bytes())
+                                .unwrap();
+                        }
+                    }
+                })
+            };
+            {
+                let (db, stop) = (db.clone(), &stop);
+                s.spawn(move |_| {
+                    while !stop.load(Ordering::Acquire) {
+                        db.flush().unwrap();
+                        db.maintain().unwrap();
+                        db.compact_all().unwrap();
+                    }
+                });
+            }
+            {
+                let (db, stop) = (db.clone(), &stop);
+                s.spawn(move |_| {
+                    let mut last_seen = vec![0u64; KEYS as usize];
+                    let mut k = 0;
+                    while !stop.load(Ordering::Acquire) {
+                        k = (k + 37) % KEYS;
+                        let got = db.get(format!("key{k:05}").as_bytes()).unwrap();
+                        let round: u64 = match &got {
+                            Some(v) => std::str::from_utf8(v).unwrap().parse().unwrap(),
+                            None => 0,
+                        };
+                        assert!(
+                            round >= last_seen[k as usize],
+                            "key{k:05} went from round {} to {round}",
+                            last_seen[k as usize]
+                        );
+                        last_seen[k as usize] = round;
+                    }
+                });
+            }
+            writer.join().unwrap();
+            stop.store(true, Ordering::Release);
+        })
+        .unwrap();
+        for k in 0..KEYS {
+            let v = db.get(format!("key{k:05}").as_bytes()).unwrap().unwrap();
+            let round: u64 = std::str::from_utf8(&v).unwrap().parse().unwrap();
+            assert_eq!(round, ROUNDS, "key{k:05}");
+        }
+        db.verify_integrity().unwrap();
+        done_tx.send(()).unwrap();
+    });
+    match done_rx.recv_timeout(Duration::from_secs(120)) {
+        Ok(()) => body.join().unwrap(),
+        // The body panicked: surface its message, not a timeout.
+        Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(body.join().unwrap_err())
+        }
+        Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+            panic!("writer, maintenance caller and reader deadlocked")
+        }
+    }
+}
