@@ -1472,15 +1472,10 @@ impl Db {
         let (_pause, excl) = core.quiesce()?;
         core.seal_memtable_locked(&excl, &mut core.state.write())?;
         core.drive(&TREE, Some(&excl))?;
-        // Writers and workers are held off, so the version read here is
-        // still current when the task built from it installs.
+        // Writers and workers are held off: a version read here is still
+        // current when the task built from it installs.
         let run_manual = |version: Arc<Version>, task: CompactionTask| {
-            let task = MaintTask::Compact {
-                task,
-                claim: None,
-                version,
-            };
-            core.run_task(task, Some(&excl))
+            core.run_task(MaintTask::Compact(task, None, version), Some(&excl))
         };
         let bottom = core.opts.max_levels - 1;
         for level in 0..bottom {
@@ -2520,11 +2515,10 @@ impl DbCore {
         }
     }
 
-    /// The commit itself. `excl` is the caller's hold on the
-    /// commit-exclusion domain — what makes it the only WAL appender
-    /// and seqno allocator — and is what lets the commit seal a full
-    /// memtable and, when that (or a crossed TTL deadline) leaves work
-    /// behind, hand it to [`DbCore::announce_work`].
+    /// The commit itself. `excl` — the caller's hold on the exclusion,
+    /// which makes it the only WAL appender and seqno allocator — is
+    /// what lets it seal a full memtable and hand the work that (or a
+    /// crossed TTL deadline) leaves behind to [`DbCore::announce_work`].
     fn commit_group_inner(
         &self,
         excl: &CommitExclusion<'_>,

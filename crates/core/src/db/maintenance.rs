@@ -42,14 +42,10 @@ pub(super) enum MaintTask {
     SealExpired(Arc<Memtable>),
     /// Flush this sealed memtable, the front of the queue.
     Flush(Arc<Memtable>),
-    /// Run one compaction against the version it was picked from.
-    Compact {
-        task: CompactionTask,
-        /// The picker's in-flight marks; `None` for a task hand-built
-        /// while the workers are paused ([`super::Db::compact_all`]).
-        claim: Option<CompactionClaim>,
-        version: Arc<Version>,
-    },
+    /// Run one compaction against the version it was picked from. The
+    /// claim is the picker's in-flight marks: `None` for a task
+    /// hand-built while the workers are paused (`Db::compact_all`).
+    Compact(CompactionTask, Option<CompactionClaim>, Arc<Version>),
     /// Rewrite one value-log segment.
     VlogGc(u64),
 }
@@ -790,15 +786,9 @@ impl DbCore {
             }
             if scope.contains(&Kind::Flush) {
                 if let Some(front) = st.imms.front() {
-                    // Flushes install in queue order, so only one
-                    // thread owns the front at a time; the rest fall
-                    // through to compaction.
-                    let ticket = || {
-                        self.flush_claimed
-                            .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                            .is_ok()
-                    };
-                    if !claim || ticket() {
+                    // One flusher at a time (installs go in queue
+                    // order); the rest fall through to compaction.
+                    if !claim || !self.flush_claimed.swap(true, Ordering::SeqCst) {
                         return Some(MaintTask::Flush(Arc::clone(&front.mem)));
                     }
                 }
@@ -812,11 +802,7 @@ impl DbCore {
                     self.picker.pick(&st.version, now).map(|task| (task, None))
                 };
                 if let Some((task, claim)) = picked {
-                    return Some(MaintTask::Compact {
-                        task,
-                        claim,
-                        version: Arc::clone(&st.version),
-                    });
+                    return Some(MaintTask::Compact(task, claim, Arc::clone(&st.version)));
                 }
             }
         }
@@ -844,10 +830,9 @@ impl DbCore {
                 let own = witness.is_none().then(|| self.commit_exclusive());
                 let excl = witness.or(own.as_ref()).expect("held or just entered");
                 let mut st = self.state.write();
-                // Still the buffer that was judged expired? (A racing
-                // writer may have filled and sealed it; an expired
-                // buffer never un-expires, so identity is the whole
-                // re-check.)
+                // A racing writer may have filled and sealed it; an
+                // expired buffer never un-expires, so identity is the
+                // whole re-check.
                 if Arc::ptr_eq(&st.mem, &mem) {
                     self.seal_memtable_locked(excl, &mut st)?;
                 }
@@ -858,11 +843,7 @@ impl DbCore {
                 self.flush_claimed.store(false, Ordering::SeqCst);
                 flushed
             }
-            MaintTask::Compact {
-                task,
-                claim,
-                version,
-            } => {
+            MaintTask::Compact(task, claim, version) => {
                 let compacted = self.run_compaction_task(&version, &task);
                 if let Some(claim) = claim {
                     self.picker.release(claim);
@@ -877,10 +858,9 @@ impl DbCore {
     }
 
     /// The inline driver: the calling thread is the worker, and runs
-    /// tasks within `scope` until none is left. This is all of
-    /// maintenance when `background_threads = 0`, and how the
-    /// foreground entry points (`flush`, `maintain`, `compact_all`) run
-    /// theirs while the workers are paused.
+    /// tasks within `scope` until none is left. All of maintenance when
+    /// `background_threads = 0`; how `flush`, `maintain` and
+    /// `compact_all` run theirs, workers paused, in either mode.
     pub(super) fn drive(&self, scope: &Scope, witness: Option<&CommitExclusion<'_>>) -> Result<()> {
         for _ in 0..MAX_TASKS_PER_PASS {
             let Some(task) = self.next_task(scope, true) else {
@@ -896,10 +876,8 @@ impl DbCore {
     /// Act on a commit that sealed the memtable or crossed a TTL
     /// deadline: wake the workers, or — when the committing thread is
     /// the worker — do the work now, under the exclusion the committer
-    /// still holds, so other writers are held back until the tree is
-    /// within its triggers again. Value-log GC is not part of it: a
-    /// rewrite re-enters the commit path, and runs only from workers
-    /// and [`super::Db::maintain`].
+    /// holds, so other writers wait until the tree is within its
+    /// triggers again. Not vlog GC: a rewrite re-enters the commit path.
     pub(super) fn announce_work(&self, excl: &CommitExclusion<'_>) -> Result<()> {
         if self.background() {
             self.kick_workers();
@@ -1001,8 +979,7 @@ impl DbCore {
 
     /// How every foreground maintenance entry point opens: workers
     /// quiesced, the sticky background error surfaced, then the
-    /// commit-exclusion domain entered. Bind the guards in this order —
-    /// the exclusion must be released before the pause.
+    /// commit-exclusion domain entered (and released first).
     pub(super) fn quiesce(&self) -> Result<(PauseGuard<'_>, CommitExclusion<'_>)> {
         self.pause_raw();
         let pause = PauseGuard { core: self };

@@ -191,9 +191,8 @@ impl Picker {
             return None;
         }
         // Accepted: only now does the round-robin cursor move past the
-        // file the data-movement policy chose (`pick` itself is a pure
-        // query — it is polled by idle and pressure checks, and a pick
-        // that loses on a claim conflict compacts nothing).
+        // chosen file (`pick` is polled by idle and pressure checks, and
+        // a pick that loses on a claim conflict compacts nothing).
         if let (CompactionReason::LevelSaturation, [file]) = (task.reason, &task.inputs[..]) {
             self.cursors.lock()[task.level] = Some(file.max_key().clone());
         }
@@ -225,9 +224,8 @@ impl Picker {
             .collect()
     }
 
-    /// Pick the most urgent compaction, if any. A pure query: asking
-    /// twice about the same `version` at the same `now` names the same
-    /// task (the round-robin cursor moves in [`Picker::pick_claimed`]).
+    /// Pick the most urgent compaction, if any. A pure query: the
+    /// round-robin cursor moves in [`Picker::pick_claimed`].
     pub fn pick(&self, version: &Version, now: Tick) -> Option<CompactionTask> {
         // FADE's TTL trigger outranks saturation: persistence is a
         // correctness deadline, saturation only a performance one.
