@@ -1390,6 +1390,36 @@ mod tests {
         }
     }
 
+    /// One instance of every variant, taken from the decoder itself: a
+    /// fixed word pattern per tag (the codes at each position are valid
+    /// for every coded field that can sit there) until the tags run out.
+    fn every_variant() -> Vec<Event> {
+        (0..)
+            .map_while(|tag| Event::decode(&[tag, 4, 2, 9, 11, 3, 6, 7]))
+            .collect()
+    }
+
+    /// Golden pin (len + CRC32C) of the raw ring words and of the
+    /// `events` text over every variant, recorded before the event and
+    /// code tables existed; see `tests/golden.rs` for the method.
+    #[test]
+    fn golden_ring_words_and_event_text() {
+        use acheron_types::checksum::crc32c;
+        let log = EventLog::new(64);
+        let mut words = Vec::new();
+        for ev in every_variant() {
+            words.extend(ev.encode().iter().flat_map(|w| w.to_le_bytes()));
+            log.log(ev);
+        }
+        assert_eq!((words.len(), crc32c(&words)), (960, 0x7399_92f4));
+        let text = render_events(&log.snapshot());
+        assert_eq!(
+            (text.len(), crc32c(text.as_bytes())),
+            (1032, 0xd450_f2ce),
+            "{text}"
+        );
+    }
+
     #[test]
     fn log_and_snapshot_preserve_order_and_payload() {
         let log = EventLog::new(64);
