@@ -70,7 +70,9 @@ use crate::memory::{MemoryBudget, TunerSample};
 use crate::obs::trace::{
     DeleteAudit, DeleteLedger, OpTrace, TraceBuf, TraceOp, TraceStage, Tracer,
 };
-use crate::obs::{Event, EventLog, EventSnapshot, GcKind, RecoveryStepKind, TombstoneGauges};
+use crate::obs::{
+    min_tick, Event, EventLog, EventSnapshot, GcKind, RecoveryStepKind, TombstoneGauges,
+};
 use crate::options::DbOptions;
 use crate::picker::{entry_hull, CompactionReason, CompactionTask, Picker};
 use crate::stats::DbStats;
@@ -1892,13 +1894,7 @@ impl Db {
         let core = self.core();
         let mut s = core.stats.snapshot();
         if !core.cache_is_shared {
-            if let Some(c) = &core.cache {
-                s.fill_cache(c);
-            }
-            if let Some(m) = &core.memory {
-                s.memory_budget_bytes = m.total_bytes() as u64;
-                s.memory_adjustments = m.adjustments();
-            }
+            s.fill_shared(core.cache.as_deref(), core.memory.as_deref());
         }
         s.memtable_budget_bytes = core.write_buffer_limit() as u64;
         s.pinned_bytes = core.pinned_contrib.load(Ordering::Relaxed) as u64;
@@ -2130,13 +2126,9 @@ impl Db {
         for m in std::iter::once(&view.mem).chain(view.imms.iter()) {
             let s = m.stats();
             buffered += s.tombstones as u64;
-            if let Some(t0) = s.oldest_tombstone_tick {
-                oldest = Some(oldest.map_or(t0, |cur| cur.min(t0)));
-            }
+            oldest = min_tick(oldest, s.oldest_tombstone_tick);
             buffered_krts += s.range_tombstones as u64;
-            if let Some(t0) = s.oldest_range_tombstone_tick {
-                oldest_krt = Some(oldest_krt.map_or(t0, |cur| cur.min(t0)));
-            }
+            oldest_krt = min_tick(oldest_krt, s.oldest_range_tombstone_tick);
         }
         gauges.buffer_tombstones = buffered;
         gauges.buffer_oldest_tick = oldest;
@@ -2148,10 +2140,8 @@ impl Db {
             for acct in vs.segments.values() {
                 gauges.vlog_live_bytes += acct.live_bytes;
                 gauges.vlog_dead_bytes += acct.dead_bytes;
-                if let Some(t0) = acct.oldest_dead_tick {
-                    gauges.vlog_oldest_dead_tick =
-                        Some(gauges.vlog_oldest_dead_tick.map_or(t0, |cur| cur.min(t0)));
-                }
+                gauges.vlog_oldest_dead_tick =
+                    min_tick(gauges.vlog_oldest_dead_tick, acct.oldest_dead_tick);
             }
         }
         gauges

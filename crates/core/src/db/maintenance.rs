@@ -536,7 +536,6 @@ impl DbCore {
                 ledger.vlog_dead(*segment, *stamp);
             }
         }
-        *self.stats.last_compaction_reason.lock() = Some(format!("{:?}", task.reason));
         self.obs.log(Event::CompactionEnd {
             level: task.level as u64,
             output_level: task.output_level as u64,

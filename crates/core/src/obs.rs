@@ -32,6 +32,7 @@
 //! atomics, so racing accesses are well-defined; the stamps only
 //! guard logical consistency.
 
+use std::fmt::{Display, Write};
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use acheron_types::Tick;
@@ -43,601 +44,367 @@ pub mod trace;
 
 use trace::{CohortStage, TraceOp, TraceStage};
 
-/// A recovery milestone carried by [`Event::RecoveryStep`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryStepKind {
-    /// The manifest chain was folded into a live file set.
-    ManifestLoaded,
-    /// One WAL segment replayed cleanly (detail = records).
-    WalSegmentReplayed,
-    /// A torn WAL tail was healed (detail = segment number).
-    TornTailHealed,
-    /// The compacted snapshot manifest was made durable.
-    SnapshotManifestWritten,
-    /// Recovery finished (detail = entries recovered into the buffer).
-    Finished,
+/// A value that fits one ring-slot word: plain numbers, flags, and the
+/// coded enums. `shown` is its form in `key=value` event text.
+pub(crate) trait Word: Copy {
+    /// What `key=value` text prints for the value.
+    type Shown: std::fmt::Display;
+    fn to_word(self) -> u64;
+    /// `None` when `w` is not a code this type knows.
+    fn from_word(w: u64) -> Option<Self>;
+    fn shown(self) -> Self::Shown;
 }
 
-impl RecoveryStepKind {
-    fn code(self) -> u64 {
-        match self {
-            RecoveryStepKind::ManifestLoaded => 0,
-            RecoveryStepKind::WalSegmentReplayed => 1,
-            RecoveryStepKind::TornTailHealed => 2,
-            RecoveryStepKind::SnapshotManifestWritten => 3,
-            RecoveryStepKind::Finished => 4,
-        }
+impl Word for u64 {
+    type Shown = u64;
+    fn to_word(self) -> u64 {
+        self
     }
-
-    fn from_code(code: u64) -> Option<RecoveryStepKind> {
-        Some(match code {
-            0 => RecoveryStepKind::ManifestLoaded,
-            1 => RecoveryStepKind::WalSegmentReplayed,
-            2 => RecoveryStepKind::TornTailHealed,
-            3 => RecoveryStepKind::SnapshotManifestWritten,
-            4 => RecoveryStepKind::Finished,
-            _ => return None,
-        })
+    fn from_word(w: u64) -> Option<u64> {
+        Some(w)
     }
-
-    /// Lowercase name for text exposition.
-    pub fn name(self) -> &'static str {
-        match self {
-            RecoveryStepKind::ManifestLoaded => "manifest_loaded",
-            RecoveryStepKind::WalSegmentReplayed => "wal_segment_replayed",
-            RecoveryStepKind::TornTailHealed => "torn_tail_healed",
-            RecoveryStepKind::SnapshotManifestWritten => "snapshot_manifest_written",
-            RecoveryStepKind::Finished => "finished",
-        }
+    fn shown(self) -> u64 {
+        self
     }
 }
 
-/// What kind of dead file recovery garbage-collected, carried by
-/// [`Event::GcDropped`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GcKind {
-    /// A table file not referenced by the manifest.
-    OrphanTable,
-    /// A WAL segment older than the manifest's log number.
-    DeadWal,
-    /// A manifest superseded by the recovery snapshot.
-    StaleManifest,
-    /// Crash debris from an interrupted rename.
-    TempFile,
-    /// A value-log segment no surviving pointer references.
-    VlogSegment,
-}
-
-impl GcKind {
-    fn code(self) -> u64 {
-        match self {
-            GcKind::OrphanTable => 0,
-            GcKind::DeadWal => 1,
-            GcKind::StaleManifest => 2,
-            GcKind::TempFile => 3,
-            GcKind::VlogSegment => 4,
-        }
+impl Word for bool {
+    type Shown = u64;
+    fn to_word(self) -> u64 {
+        u64::from(self)
     }
-
-    fn from_code(code: u64) -> Option<GcKind> {
-        Some(match code {
-            0 => GcKind::OrphanTable,
-            1 => GcKind::DeadWal,
-            2 => GcKind::StaleManifest,
-            3 => GcKind::TempFile,
-            4 => GcKind::VlogSegment,
-            _ => return None,
-        })
+    fn from_word(w: u64) -> Option<bool> {
+        Some(w != 0)
     }
-
-    /// Lowercase name for text exposition.
-    pub fn name(self) -> &'static str {
-        match self {
-            GcKind::OrphanTable => "orphan_table",
-            GcKind::DeadWal => "dead_wal",
-            GcKind::StaleManifest => "stale_manifest",
-            GcKind::TempFile => "temp_file",
-            GcKind::VlogSegment => "vlog_segment",
-        }
+    fn shown(self) -> u64 {
+        u64::from(self)
     }
 }
 
-/// One typed engine event. Every variant is `Copy` and carries only
-/// numeric fields, so logging never allocates and a whole event fits
-/// in one ring slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Event {
-    /// The active memtable was swapped out for flushing.
-    MemtableSealed {
-        /// Entries in the sealed memtable.
-        entries: u64,
-        /// Approximate bytes in the sealed memtable.
-        bytes: u64,
-        /// Sealed memtables now queued behind the flusher.
-        sealed_behind: u64,
-    },
-    /// A sealed memtable starts flushing to an L0 table.
-    FlushStart {
-        /// Entries about to be written.
-        entries: u64,
-    },
-    /// A flush installed its L0 table.
-    FlushEnd {
-        /// Id of the new table file.
-        file_id: u64,
-        /// Size of the new table file.
-        bytes: u64,
-        /// Entries written.
-        entries: u64,
-        /// Wall time of build + install.
-        micros: u64,
-    },
-    /// The picker scheduled a compaction. `overdue_by`/`deadline` are
-    /// the FADE trigger inputs: how far past its cumulative TTL budget
-    /// the driving tombstone is, and what that budget was (both zero
-    /// for saturation-triggered picks or when FADE is off).
-    CompactionPicked {
-        /// Input level.
-        level: u64,
-        /// Level the merged output lands in.
-        output_level: u64,
-        /// Number of input files (both levels).
-        input_files: u64,
-        /// Total input bytes.
-        input_bytes: u64,
-        /// Trigger that scheduled the task.
-        reason: CompactionReason,
-        /// Ticks past the TTL deadline (TTL picks only).
-        overdue_by: Tick,
-        /// The cumulative TTL budget at the input level (TTL picks only).
-        deadline: Tick,
-    },
-    /// A compaction installed its outputs.
-    CompactionEnd {
-        /// Input level.
-        level: u64,
-        /// Output level.
-        output_level: u64,
-        /// Bytes read from input tables.
-        bytes_in: u64,
-        /// Bytes written to output tables.
-        bytes_out: u64,
-        /// Entries dropped (shadowed versions + range-deleted entries).
-        entries_dropped: u64,
-        /// Point tombstones purged (persisted deletes).
-        tombstones_purged: u64,
-        /// Wall time of merge + install.
-        micros: u64,
-    },
-    /// Writers hit the stall threshold and block.
-    StallEnter {
-        /// L0 file count at entry.
-        l0_files: u64,
-        /// Sealed memtables queued at entry.
-        sealed_memtables: u64,
-    },
-    /// The stall condition cleared.
-    StallExit {
-        /// How long the writer waited.
-        waited_micros: u64,
-    },
-    /// Writers crossed the slowdown threshold and are being paced.
-    SlowdownEnter {
-        /// L0 file count at entry.
-        l0_files: u64,
-        /// Sealed memtables queued at entry.
-        sealed_memtables: u64,
-    },
-    /// Write pressure dropped back below the slowdown threshold.
-    SlowdownExit,
-    /// A recovery milestone (buffered during `Db::open`, visible once
-    /// the engine is constructed).
-    RecoveryStep {
-        /// Which milestone.
-        step: RecoveryStepKind,
-        /// Step-specific detail (records replayed, segment number, …).
-        detail: u64,
-    },
-    /// Recovery garbage-collected a dead file.
-    GcDropped {
-        /// What kind of file.
-        kind: GcKind,
-        /// Its file/segment number (0 when unnumbered, e.g. temp files).
-        id: u64,
-    },
-    /// A WAL commit group was appended (and possibly fsynced).
-    WalGroupCommit {
-        /// Operations in the group.
-        ops: u64,
-        /// Commits coalesced into the group.
-        commits: u64,
-        /// Whether this append fsynced the segment.
-        synced: bool,
-    },
-    /// Value-log GC processed one segment: surviving values were
-    /// re-appended to the head and the segment reclaimed (or retired
-    /// pending snapshot drain, in which case `reclaimed_bytes` is 0).
-    VlogGc {
-        /// The segment processed.
-        segment: u64,
-        /// Live frame bytes re-appended to the log head.
-        rewritten_bytes: u64,
-        /// Bytes freed by deleting the segment file.
-        reclaimed_bytes: u64,
-        /// Wall time of the pass.
-        micros: u64,
-    },
-    /// One stage of a sampled per-op trace (see [`trace`]).
-    TraceSpan {
-        /// Fleet-unique trace id.
-        trace_id: u64,
-        /// The traced operation.
-        op: TraceOp,
-        /// Which stage.
-        stage: TraceStage,
-        /// Stage value: wall micros for `_micros` stages, else a count.
-        value: u64,
-    },
-    /// A tombstone cohort advanced a delete-lifecycle stage (see
-    /// [`trace::DeleteLedger`]).
-    CohortAdvanced {
-        /// The cohort's flush epoch (shard-local).
-        epoch: u64,
-        /// Which lifecycle stage.
-        stage: CohortStage,
-        /// Output level for `entered_level` advances, else 0.
-        level: u64,
-        /// Member deletes in the cohort.
-        tombstones: u64,
-        /// Clock tick of the advance.
-        tick: Tick,
-    },
+/// Declare an enum whose variants each carry a stable numeric code (the
+/// ring-slot encoding) and a lowercase exposition name:
+/// `Variant = code => "name",`. Generates the enum, `code`,
+/// `from_code`, `name`, and the [`Word`] impl that lets an [`Event`]
+/// field hold it.
+macro_rules! coded_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $Name:ident {
+            $( $(#[$vmeta:meta])* $Variant:ident = $code:literal => $name:literal, )*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $Name {
+            $( $(#[$vmeta])* $Variant = $code, )*
+        }
+
+        impl $Name {
+            /// Stable numeric code (event-ring slot encoding).
+            pub fn code(self) -> u64 {
+                self as u64
+            }
+
+            /// Inverse of [`Self::code`]; `None` for an unknown code.
+            pub fn from_code(code: u64) -> Option<$Name> {
+                match code {
+                    $( $code => Some($Name::$Variant), )*
+                    _ => None,
+                }
+            }
+
+            /// Lowercase name for text exposition.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( $Name::$Variant => $name, )*
+                }
+            }
+        }
+
+        impl $crate::obs::Word for $Name {
+            type Shown = &'static str;
+            fn to_word(self) -> u64 {
+                self.code()
+            }
+            fn from_word(w: u64) -> Option<$Name> {
+                $Name::from_code(w)
+            }
+            fn shown(self) -> &'static str {
+                self.name()
+            }
+        }
+    };
+}
+pub(crate) use coded_enum;
+
+coded_enum! {
+    /// A recovery milestone carried by [`Event::RecoveryStep`].
+    pub enum RecoveryStepKind {
+        /// The manifest chain was folded into a live file set.
+        ManifestLoaded = 0 => "manifest_loaded",
+        /// One WAL segment replayed cleanly (detail = records).
+        WalSegmentReplayed = 1 => "wal_segment_replayed",
+        /// A torn WAL tail was healed (detail = segment number).
+        TornTailHealed = 2 => "torn_tail_healed",
+        /// The compacted snapshot manifest was made durable.
+        SnapshotManifestWritten = 3 => "snapshot_manifest_written",
+        /// Recovery finished (detail = entries recovered into the buffer).
+        Finished = 4 => "finished",
+    }
+}
+
+coded_enum! {
+    /// What kind of dead file recovery garbage-collected, carried by
+    /// [`Event::GcDropped`].
+    pub enum GcKind {
+        /// A table file not referenced by the manifest.
+        OrphanTable = 0 => "orphan_table",
+        /// A WAL segment older than the manifest's log number.
+        DeadWal = 1 => "dead_wal",
+        /// A manifest superseded by the recovery snapshot.
+        StaleManifest = 2 => "stale_manifest",
+        /// Crash debris from an interrupted rename.
+        TempFile = 3 => "temp_file",
+        /// A value-log segment no surviving pointer references.
+        VlogSegment = 4 => "vlog_segment",
+    }
 }
 
 /// Ring-slot payload width: one tag word plus up to seven fields.
 const WORDS: usize = 8;
 
-impl Event {
-    /// Lowercase event-kind name for text exposition.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Event::MemtableSealed { .. } => "memtable_sealed",
-            Event::FlushStart { .. } => "flush_start",
-            Event::FlushEnd { .. } => "flush_end",
-            Event::CompactionPicked { .. } => "compaction_picked",
-            Event::CompactionEnd { .. } => "compaction_end",
-            Event::StallEnter { .. } => "stall_enter",
-            Event::StallExit { .. } => "stall_exit",
-            Event::SlowdownEnter { .. } => "slowdown_enter",
-            Event::SlowdownExit => "slowdown_exit",
-            Event::RecoveryStep { .. } => "recovery_step",
-            Event::GcDropped { .. } => "gc_dropped",
-            Event::WalGroupCommit { .. } => "wal_group_commit",
-            Event::VlogGc { .. } => "vlog_gc",
-            Event::TraceSpan { .. } => "trace_span",
-            Event::CohortAdvanced { .. } => "cohort_advanced",
-        }
-    }
+/// The `key` of a field's `key=value` text: its name unless the table
+/// row says `as "key"`.
+macro_rules! field_key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $key:literal) => {
+        $key
+    };
+}
 
-    /// The event's fields as `key=value` text (allocates; exposition
-    /// path only, never the hot path).
-    pub fn describe(&self) -> String {
-        match *self {
-            Event::MemtableSealed {
-                entries,
-                bytes,
-                sealed_behind,
-            } => format!("entries={entries} bytes={bytes} sealed_behind={sealed_behind}"),
-            Event::FlushStart { entries } => format!("entries={entries}"),
-            Event::FlushEnd {
-                file_id,
-                bytes,
-                entries,
-                micros,
-            } => format!("file={file_id} bytes={bytes} entries={entries} micros={micros}"),
-            Event::CompactionPicked {
-                level,
-                output_level,
-                input_files,
-                input_bytes,
-                reason,
-                overdue_by,
-                deadline,
-            } => format!(
-                "level={level} output_level={output_level} input_files={input_files} \
-                 input_bytes={input_bytes} reason={} overdue_by={overdue_by} deadline={deadline}",
-                reason.name()
-            ),
-            Event::CompactionEnd {
-                level,
-                output_level,
-                bytes_in,
-                bytes_out,
-                entries_dropped,
-                tombstones_purged,
-                micros,
-            } => format!(
-                "level={level} output_level={output_level} bytes_in={bytes_in} \
-                 bytes_out={bytes_out} entries_dropped={entries_dropped} \
-                 tombstones_purged={tombstones_purged} micros={micros}"
-            ),
-            Event::StallEnter {
-                l0_files,
-                sealed_memtables,
-            } => format!("l0_files={l0_files} sealed_memtables={sealed_memtables}"),
-            Event::StallExit { waited_micros } => format!("waited_micros={waited_micros}"),
-            Event::SlowdownEnter {
-                l0_files,
-                sealed_memtables,
-            } => format!("l0_files={l0_files} sealed_memtables={sealed_memtables}"),
-            Event::SlowdownExit => String::new(),
-            Event::RecoveryStep { step, detail } => {
-                format!("step={} detail={detail}", step.name())
-            }
-            Event::GcDropped { kind, id } => format!("kind={} id={id}", kind.name()),
-            Event::WalGroupCommit {
-                ops,
-                commits,
-                synced,
-            } => format!("ops={ops} commits={commits} synced={}", u64::from(synced)),
-            Event::VlogGc {
-                segment,
-                rewritten_bytes,
-                reclaimed_bytes,
-                micros,
-            } => format!(
-                "segment={segment} rewritten_bytes={rewritten_bytes} \
-                 reclaimed_bytes={reclaimed_bytes} micros={micros}"
-            ),
-            Event::TraceSpan {
-                trace_id,
-                op,
-                stage,
-                value,
-            } => format!(
-                "trace={trace_id} op={} stage={} value={value}",
-                op.name(),
-                stage.name()
-            ),
-            Event::CohortAdvanced {
-                epoch,
-                stage,
-                level,
-                tombstones,
-                tick,
-            } => format!(
-                "epoch={epoch} stage={} level={level} tombstones={tombstones} tick={tick}",
-                stage.name()
-            ),
+/// Declare the event kinds: `Variant = tag => "name" { field: type, .. }`.
+/// The tag is the ring slot's first word, the fields follow it in
+/// declaration order (at most seven — a longer row panics in the
+/// every-variant round-trip test), and every field type is a [`Word`].
+/// Generates the enum with `name`, `describe`, `encode` and `decode`.
+macro_rules! events {
+    (
+        $(#[$meta:meta])*
+        pub enum Event {
+            $(
+                $(#[$vmeta:meta])*
+                $Variant:ident = $tag:literal => $name:literal
+                $({ $( $(#[$fmeta:meta])* $field:ident $(as $key:literal)? : $ty:ty, )* })?,
+            )*
         }
-    }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Event {
+            $( $(#[$vmeta])* $Variant $({ $( $(#[$fmeta])* $field: $ty, )* })?, )*
+        }
 
-    fn encode(&self) -> [u64; WORDS] {
-        let mut w = [0u64; WORDS];
-        match *self {
-            Event::MemtableSealed {
-                entries,
-                bytes,
-                sealed_behind,
-            } => {
-                w[0] = 0;
-                w[1] = entries;
-                w[2] = bytes;
-                w[3] = sealed_behind;
+        impl Event {
+            /// Lowercase event-kind name for text exposition.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( Event::$Variant $({ $($field: _),* })? => $name, )*
+                }
             }
-            Event::FlushStart { entries } => {
-                w[0] = 1;
-                w[1] = entries;
+
+            /// The event's fields as `key=value` text (allocates;
+            /// exposition path only, never the hot path).
+            pub fn describe(&self) -> String {
+                let mut out = String::new();
+                match *self {
+                    $( Event::$Variant $({ $($field),* })? => {
+                        $($(
+                            let sep = if out.is_empty() { "" } else { " " };
+                            let key = field_key!($field $($key)?);
+                            let _ = write!(out, "{sep}{key}={}", Word::shown($field));
+                        )*)?
+                    } )*
+                }
+                out
             }
-            Event::FlushEnd {
-                file_id,
-                bytes,
-                entries,
-                micros,
-            } => {
-                w[0] = 2;
-                w[1] = file_id;
-                w[2] = bytes;
-                w[3] = entries;
-                w[4] = micros;
+
+            fn encode(&self) -> [u64; WORDS] {
+                let mut w = [0u64; WORDS];
+                match *self {
+                    $( Event::$Variant $({ $($field),* })? => {
+                        w[0] = $tag;
+                        let fields: &[u64] = &[$($( Word::to_word($field) ),*)?];
+                        w[1..=fields.len()].copy_from_slice(fields);
+                    } )*
+                }
+                w
             }
-            Event::CompactionPicked {
-                level,
-                output_level,
-                input_files,
-                input_bytes,
-                reason,
-                overdue_by,
-                deadline,
-            } => {
-                w[0] = 3;
-                w[1] = level;
-                w[2] = output_level;
-                w[3] = input_files;
-                w[4] = input_bytes;
-                w[5] = reason.code();
-                w[6] = overdue_by;
-                w[7] = deadline;
-            }
-            Event::CompactionEnd {
-                level,
-                output_level,
-                bytes_in,
-                bytes_out,
-                entries_dropped,
-                tombstones_purged,
-                micros,
-            } => {
-                w[0] = 4;
-                w[1] = level;
-                w[2] = output_level;
-                w[3] = bytes_in;
-                w[4] = bytes_out;
-                w[5] = entries_dropped;
-                w[6] = tombstones_purged;
-                w[7] = micros;
-            }
-            Event::StallEnter {
-                l0_files,
-                sealed_memtables,
-            } => {
-                w[0] = 5;
-                w[1] = l0_files;
-                w[2] = sealed_memtables;
-            }
-            Event::StallExit { waited_micros } => {
-                w[0] = 6;
-                w[1] = waited_micros;
-            }
-            Event::SlowdownEnter {
-                l0_files,
-                sealed_memtables,
-            } => {
-                w[0] = 7;
-                w[1] = l0_files;
-                w[2] = sealed_memtables;
-            }
-            Event::SlowdownExit => w[0] = 8,
-            Event::RecoveryStep { step, detail } => {
-                w[0] = 9;
-                w[1] = step.code();
-                w[2] = detail;
-            }
-            Event::GcDropped { kind, id } => {
-                w[0] = 10;
-                w[1] = kind.code();
-                w[2] = id;
-            }
-            Event::WalGroupCommit {
-                ops,
-                commits,
-                synced,
-            } => {
-                w[0] = 11;
-                w[1] = ops;
-                w[2] = commits;
-                w[3] = u64::from(synced);
-            }
-            Event::VlogGc {
-                segment,
-                rewritten_bytes,
-                reclaimed_bytes,
-                micros,
-            } => {
-                w[0] = 12;
-                w[1] = segment;
-                w[2] = rewritten_bytes;
-                w[3] = reclaimed_bytes;
-                w[4] = micros;
-            }
-            Event::TraceSpan {
-                trace_id,
-                op,
-                stage,
-                value,
-            } => {
-                w[0] = 13;
-                w[1] = trace_id;
-                w[2] = op.code();
-                w[3] = stage.code();
-                w[4] = value;
-            }
-            Event::CohortAdvanced {
-                epoch,
-                stage,
-                level,
-                tombstones,
-                tick,
-            } => {
-                w[0] = 14;
-                w[1] = epoch;
-                w[2] = stage.code();
-                w[3] = level;
-                w[4] = tombstones;
-                w[5] = tick;
+
+            fn decode(w: &[u64; WORDS]) -> Option<Event> {
+                let mut fields = w[1..].iter().copied();
+                Some(match w[0] {
+                    $( $tag => Event::$Variant $({
+                        $( $field: <$ty as Word>::from_word(fields.next()?)?, )*
+                    })?, )*
+                    _ => return None,
+                })
             }
         }
-        w
-    }
+    };
+}
 
-    fn decode(w: &[u64; WORDS]) -> Option<Event> {
-        Some(match w[0] {
-            0 => Event::MemtableSealed {
-                entries: w[1],
-                bytes: w[2],
-                sealed_behind: w[3],
-            },
-            1 => Event::FlushStart { entries: w[1] },
-            2 => Event::FlushEnd {
-                file_id: w[1],
-                bytes: w[2],
-                entries: w[3],
-                micros: w[4],
-            },
-            3 => Event::CompactionPicked {
-                level: w[1],
-                output_level: w[2],
-                input_files: w[3],
-                input_bytes: w[4],
-                reason: CompactionReason::from_code(w[5])?,
-                overdue_by: w[6],
-                deadline: w[7],
-            },
-            4 => Event::CompactionEnd {
-                level: w[1],
-                output_level: w[2],
-                bytes_in: w[3],
-                bytes_out: w[4],
-                entries_dropped: w[5],
-                tombstones_purged: w[6],
-                micros: w[7],
-            },
-            5 => Event::StallEnter {
-                l0_files: w[1],
-                sealed_memtables: w[2],
-            },
-            6 => Event::StallExit {
-                waited_micros: w[1],
-            },
-            7 => Event::SlowdownEnter {
-                l0_files: w[1],
-                sealed_memtables: w[2],
-            },
-            8 => Event::SlowdownExit,
-            9 => Event::RecoveryStep {
-                step: RecoveryStepKind::from_code(w[1])?,
-                detail: w[2],
-            },
-            10 => Event::GcDropped {
-                kind: GcKind::from_code(w[1])?,
-                id: w[2],
-            },
-            11 => Event::WalGroupCommit {
-                ops: w[1],
-                commits: w[2],
-                synced: w[3] != 0,
-            },
-            12 => Event::VlogGc {
-                segment: w[1],
-                rewritten_bytes: w[2],
-                reclaimed_bytes: w[3],
-                micros: w[4],
-            },
-            13 => Event::TraceSpan {
-                trace_id: w[1],
-                op: TraceOp::from_code(w[2])?,
-                stage: TraceStage::from_code(w[3])?,
-                value: w[4],
-            },
-            14 => Event::CohortAdvanced {
-                epoch: w[1],
-                stage: CohortStage::from_code(w[2])?,
-                level: w[3],
-                tombstones: w[4],
-                tick: w[5],
-            },
-            _ => return None,
-        })
+events! {
+    /// One typed engine event. Every variant is `Copy` and carries only
+    /// numeric fields, so logging never allocates and a whole event fits
+    /// in one ring slot.
+    pub enum Event {
+        /// The active memtable was swapped out for flushing.
+        MemtableSealed = 0 => "memtable_sealed" {
+            /// Entries in the sealed memtable.
+            entries: u64,
+            /// Approximate bytes in the sealed memtable.
+            bytes: u64,
+            /// Sealed memtables now queued behind the flusher.
+            sealed_behind: u64,
+        },
+        /// A sealed memtable starts flushing to an L0 table.
+        FlushStart = 1 => "flush_start" {
+            /// Entries about to be written.
+            entries: u64,
+        },
+        /// A flush installed its L0 table.
+        FlushEnd = 2 => "flush_end" {
+            /// Id of the new table file.
+            file_id as "file": u64,
+            /// Size of the new table file.
+            bytes: u64,
+            /// Entries written.
+            entries: u64,
+            /// Wall time of build + install.
+            micros: u64,
+        },
+        /// The picker scheduled a compaction. `overdue_by`/`deadline` are
+        /// the FADE trigger inputs: how far past its cumulative TTL budget
+        /// the driving tombstone is, and what that budget was (both zero
+        /// for saturation-triggered picks or when FADE is off).
+        CompactionPicked = 3 => "compaction_picked" {
+            /// Input level.
+            level: u64,
+            /// Level the merged output lands in.
+            output_level: u64,
+            /// Number of input files (both levels).
+            input_files: u64,
+            /// Total input bytes.
+            input_bytes: u64,
+            /// Trigger that scheduled the task.
+            reason: CompactionReason,
+            /// Ticks past the TTL deadline (TTL picks only).
+            overdue_by: Tick,
+            /// The cumulative TTL budget at the input level (TTL picks only).
+            deadline: Tick,
+        },
+        /// A compaction installed its outputs.
+        CompactionEnd = 4 => "compaction_end" {
+            /// Input level.
+            level: u64,
+            /// Output level.
+            output_level: u64,
+            /// Bytes read from input tables.
+            bytes_in: u64,
+            /// Bytes written to output tables.
+            bytes_out: u64,
+            /// Entries dropped (shadowed versions + range-deleted entries).
+            entries_dropped: u64,
+            /// Point tombstones purged (persisted deletes).
+            tombstones_purged: u64,
+            /// Wall time of merge + install.
+            micros: u64,
+        },
+        /// Writers hit the stall threshold and block.
+        StallEnter = 5 => "stall_enter" {
+            /// L0 file count at entry.
+            l0_files: u64,
+            /// Sealed memtables queued at entry.
+            sealed_memtables: u64,
+        },
+        /// The stall condition cleared.
+        StallExit = 6 => "stall_exit" {
+            /// How long the writer waited.
+            waited_micros: u64,
+        },
+        /// Writers crossed the slowdown threshold and are being paced.
+        SlowdownEnter = 7 => "slowdown_enter" {
+            /// L0 file count at entry.
+            l0_files: u64,
+            /// Sealed memtables queued at entry.
+            sealed_memtables: u64,
+        },
+        /// Write pressure dropped back below the slowdown threshold.
+        SlowdownExit = 8 => "slowdown_exit",
+        /// A recovery milestone (buffered during `Db::open`, visible once
+        /// the engine is constructed).
+        RecoveryStep = 9 => "recovery_step" {
+            /// Which milestone.
+            step: RecoveryStepKind,
+            /// Step-specific detail (records replayed, segment number, …).
+            detail: u64,
+        },
+        /// Recovery garbage-collected a dead file.
+        GcDropped = 10 => "gc_dropped" {
+            /// What kind of file.
+            kind: GcKind,
+            /// Its file/segment number (0 when unnumbered, e.g. temp files).
+            id: u64,
+        },
+        /// A WAL commit group was appended (and possibly fsynced).
+        WalGroupCommit = 11 => "wal_group_commit" {
+            /// Operations in the group.
+            ops: u64,
+            /// Commits coalesced into the group.
+            commits: u64,
+            /// Whether this append fsynced the segment.
+            synced: bool,
+        },
+        /// Value-log GC processed one segment: surviving values were
+        /// re-appended to the head and the segment reclaimed (or retired
+        /// pending snapshot drain, in which case `reclaimed_bytes` is 0).
+        VlogGc = 12 => "vlog_gc" {
+            /// The segment processed.
+            segment: u64,
+            /// Live frame bytes re-appended to the log head.
+            rewritten_bytes: u64,
+            /// Bytes freed by deleting the segment file.
+            reclaimed_bytes: u64,
+            /// Wall time of the pass.
+            micros: u64,
+        },
+        /// One stage of a sampled per-op trace (see [`trace`]).
+        TraceSpan = 13 => "trace_span" {
+            /// Fleet-unique trace id.
+            trace_id as "trace": u64,
+            /// The traced operation.
+            op: TraceOp,
+            /// Which stage.
+            stage: TraceStage,
+            /// Stage value: wall micros for `_micros` stages, else a count.
+            value: u64,
+        },
+        /// A tombstone cohort advanced a delete-lifecycle stage (see
+        /// [`trace::DeleteLedger`]).
+        CohortAdvanced = 14 => "cohort_advanced" {
+            /// The cohort's flush epoch (shard-local).
+            epoch: u64,
+            /// Which lifecycle stage.
+            stage: CohortStage,
+            /// Output level for `entered_level` advances, else 0.
+            level: u64,
+            /// Member deletes in the cohort.
+            tombstones: u64,
+            /// Clock tick of the advance.
+            tick: Tick,
+        },
     }
 }
 
@@ -772,6 +539,11 @@ impl EventLog {
     }
 }
 
+/// The older of two optional birth ticks (`None` = nothing live).
+pub(crate) fn min_tick(a: Option<Tick>, b: Option<Tick>) -> Option<Tick> {
+    a.into_iter().chain(b).min()
+}
+
 /// Per-level occupancy and tombstone-population gauge.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LevelGauge {
@@ -850,8 +622,7 @@ impl TombstoneGauges {
                 g.entries += f.stats.entry_count;
                 g.tombstones += f.stats.tombstone_count;
                 if let Some(t0) = f.stats.oldest_tombstone_tick {
-                    g.oldest_tombstone_tick =
-                        Some(g.oldest_tombstone_tick.map_or(t0, |cur| cur.min(t0)));
+                    g.oldest_tombstone_tick = min_tick(g.oldest_tombstone_tick, Some(t0));
                     if f.stats.tombstone_count > 0 {
                         file_populations.push((f.stats.tombstone_count, t0));
                     }
@@ -860,8 +631,7 @@ impl TombstoneGauges {
                 if krts > 0 {
                     g.key_range_tombstones += krts;
                     if let Some(t0) = f.stats.oldest_range_tombstone_tick() {
-                        g.oldest_key_range_tick =
-                            Some(g.oldest_key_range_tick.map_or(t0, |cur| cur.min(t0)));
+                        g.oldest_key_range_tick = min_tick(g.oldest_key_range_tick, Some(t0));
                         file_populations.push((krts, t0));
                     }
                 }
@@ -929,42 +699,30 @@ impl TombstoneGauges {
             m.bytes += g.bytes;
             m.entries += g.entries;
             m.tombstones += g.tombstones;
-            m.oldest_tombstone_tick = match (m.oldest_tombstone_tick, g.oldest_tombstone_tick) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
+            m.oldest_tombstone_tick = min_tick(m.oldest_tombstone_tick, g.oldest_tombstone_tick);
             m.key_range_tombstones += g.key_range_tombstones;
-            m.oldest_key_range_tick = match (m.oldest_key_range_tick, g.oldest_key_range_tick) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
+            m.oldest_key_range_tick = min_tick(m.oldest_key_range_tick, g.oldest_key_range_tick);
         }
         let mut file_populations = self.file_populations.clone();
         file_populations.extend_from_slice(&other.file_populations);
         TombstoneGauges {
             levels: by_level.into_values().collect(),
             buffer_tombstones: self.buffer_tombstones + other.buffer_tombstones,
-            buffer_oldest_tick: match (self.buffer_oldest_tick, other.buffer_oldest_tick) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            },
+            buffer_oldest_tick: min_tick(self.buffer_oldest_tick, other.buffer_oldest_tick),
             buffer_key_range_tombstones: self.buffer_key_range_tombstones
                 + other.buffer_key_range_tombstones,
-            buffer_oldest_key_range_tick: match (
+            buffer_oldest_key_range_tick: min_tick(
                 self.buffer_oldest_key_range_tick,
                 other.buffer_oldest_key_range_tick,
-            ) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            },
+            ),
             range_tombstones: self.range_tombstones + other.range_tombstones,
             file_populations,
             vlog_live_bytes: self.vlog_live_bytes + other.vlog_live_bytes,
             vlog_dead_bytes: self.vlog_dead_bytes + other.vlog_dead_bytes,
-            vlog_oldest_dead_tick: match (self.vlog_oldest_dead_tick, other.vlog_oldest_dead_tick) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            },
+            vlog_oldest_dead_tick: min_tick(
+                self.vlog_oldest_dead_tick,
+                other.vlog_oldest_dead_tick,
+            ),
         }
     }
 
@@ -1043,236 +801,132 @@ pub struct AgeHistogram {
     pub d_th: Option<Tick>,
 }
 
+/// Prometheus text-exposition writer. A caller names a sample's family
+/// and the writer stamps the family's `# TYPE` line before its first
+/// sample, so no family can be emitted without one.
+#[derive(Default)]
+pub struct Exposition {
+    out: String,
+    typed: std::collections::BTreeSet<String>,
+}
+
+impl Exposition {
+    /// One gauge sample: `family value`, or `family{label="v"} value`.
+    pub fn gauge(&mut self, family: &str, label: Option<(&str, &dyn Display)>, value: u64) {
+        self.sample(family, "gauge", "", label, value);
+    }
+
+    fn sample(
+        &mut self,
+        family: &str,
+        kind: &str,
+        suffix: &str,
+        label: Option<(&str, &dyn Display)>,
+        value: u64,
+    ) {
+        if self.typed.insert(family.to_string()) {
+            let _ = writeln!(self.out, "# TYPE {family} {kind}");
+        }
+        let _ = match label {
+            Some((key, v)) => writeln!(self.out, "{family}{suffix}{{{key}=\"{v}\"}} {value}"),
+            None => writeln!(self.out, "{family}{suffix} {value}"),
+        };
+    }
+
+    /// The exposition text written so far.
+    pub fn finish(self) -> String {
+        self.out
+    }
+}
+
 /// Render counters plus the delete-persistence gauges as Prometheus
 /// text exposition (`name{label} value` lines). `pairs` is any flat
 /// counter list (`StatsSnapshot::to_pairs`, server metrics, pressure
 /// gauges); the tombstone gauges and age histogram are rendered with
-/// per-level / per-bucket labels. Every metric family gets a `# TYPE`
-/// line before its first sample; flat counters are exposed as gauges
-/// because a scrape reports their point-in-time value.
+/// per-level / per-bucket labels. Flat counters are exposed as gauges
+/// because a scrape reports their point-in-time value; a `None` row is
+/// a series with nothing to report (no tombstone live, `D_th` unset).
 pub fn render_prometheus(
     pairs: &[(String, u64)],
     gauges: &TombstoneGauges,
     now: Tick,
     d_th: Option<Tick>,
 ) -> String {
-    let mut out = String::new();
-    let mut typed = std::collections::BTreeSet::new();
-    // Stamp the family's `# TYPE` line before its first sample.
-    fn emit(
-        out: &mut String,
-        typed: &mut std::collections::BTreeSet<String>,
-        family: &str,
-        kind: &str,
-        line: String,
-    ) {
-        if typed.insert(family.to_string()) {
-            out.push_str(&format!("# TYPE {family} {kind}\n"));
-        }
-        out.push_str(&line);
-    }
+    let mut x = Exposition::default();
+    let age = |t0: Tick| now.saturating_sub(t0);
     for (name, value) in pairs {
-        emit(
-            &mut out,
-            &mut typed,
-            name,
-            "gauge",
-            format!("{name} {value}\n"),
-        );
+        x.gauge(name, None, *value);
     }
-    emit(
-        &mut out,
-        &mut typed,
-        "db_clock_tick",
-        "gauge",
-        format!("db_clock_tick {now}\n"),
-    );
+    x.gauge("db_clock_tick", None, now);
     if let Some(d) = d_th {
-        emit(
-            &mut out,
-            &mut typed,
-            "db_delete_persistence_threshold_ticks",
-            "gauge",
-            format!("db_delete_persistence_threshold_ticks {d}\n"),
-        );
+        x.gauge("db_delete_persistence_threshold_ticks", None, d);
     }
     for g in &gauges.levels {
-        let l = g.level;
-        emit(
-            &mut out,
-            &mut typed,
-            "db_level_files",
-            "gauge",
-            format!("db_level_files{{level=\"{l}\"}} {}\n", g.files),
-        );
-        emit(
-            &mut out,
-            &mut typed,
-            "db_level_bytes",
-            "gauge",
-            format!("db_level_bytes{{level=\"{l}\"}} {}\n", g.bytes),
-        );
-        emit(
-            &mut out,
-            &mut typed,
-            "db_level_entries",
-            "gauge",
-            format!("db_level_entries{{level=\"{l}\"}} {}\n", g.entries),
-        );
-        emit(
-            &mut out,
-            &mut typed,
-            "db_level_tombstones",
-            "gauge",
-            format!("db_level_tombstones{{level=\"{l}\"}} {}\n", g.tombstones),
-        );
-        if let Some(t0) = g.oldest_tombstone_tick {
-            emit(
-                &mut out,
-                &mut typed,
+        let krts = g.key_range_tombstones;
+        for (family, value) in [
+            ("db_level_files", Some(g.files)),
+            ("db_level_bytes", Some(g.bytes)),
+            ("db_level_entries", Some(g.entries)),
+            ("db_level_tombstones", Some(g.tombstones)),
+            (
                 "db_level_oldest_tombstone_age_ticks",
-                "gauge",
-                format!(
-                    "db_level_oldest_tombstone_age_ticks{{level=\"{l}\"}} {}\n",
-                    now.saturating_sub(t0)
-                ),
-            );
-        }
-        if g.key_range_tombstones > 0 {
-            emit(
-                &mut out,
-                &mut typed,
-                "db_level_key_range_tombstones",
-                "gauge",
-                format!(
-                    "db_level_key_range_tombstones{{level=\"{l}\"}} {}\n",
-                    g.key_range_tombstones
-                ),
-            );
-        }
-        if let Some(t0) = g.oldest_key_range_tick {
-            emit(
-                &mut out,
-                &mut typed,
+                g.oldest_tombstone_tick.map(age),
+            ),
+            ("db_level_key_range_tombstones", (krts > 0).then_some(krts)),
+            (
                 "db_level_oldest_key_range_tombstone_age_ticks",
-                "gauge",
-                format!(
-                    "db_level_oldest_key_range_tombstone_age_ticks{{level=\"{l}\"}} {}\n",
-                    now.saturating_sub(t0)
-                ),
-            );
+                g.oldest_key_range_tick.map(age),
+            ),
+        ] {
+            if let Some(v) = value {
+                x.gauge(family, Some(("level", &g.level)), v);
+            }
         }
     }
-    emit(
-        &mut out,
-        &mut typed,
-        "db_buffer_tombstones",
-        "gauge",
-        format!("db_buffer_tombstones {}\n", gauges.buffer_tombstones),
-    );
-    emit(
-        &mut out,
-        &mut typed,
-        "db_live_range_tombstones",
-        "gauge",
-        format!("db_live_range_tombstones {}\n", gauges.range_tombstones),
-    );
-    emit(
-        &mut out,
-        &mut typed,
-        "db_buffer_key_range_tombstones",
-        "gauge",
-        format!(
-            "db_buffer_key_range_tombstones {}\n",
-            gauges.buffer_key_range_tombstones
+    for (family, value) in [
+        ("db_buffer_tombstones", Some(gauges.buffer_tombstones)),
+        ("db_live_range_tombstones", Some(gauges.range_tombstones)),
+        (
+            "db_buffer_key_range_tombstones",
+            Some(gauges.buffer_key_range_tombstones),
         ),
-    );
-    emit(
-        &mut out,
-        &mut typed,
-        "db_live_key_range_tombstones",
-        "gauge",
-        format!(
-            "db_live_key_range_tombstones {}\n",
-            gauges.live_key_range_tombstones()
+        (
+            "db_live_key_range_tombstones",
+            Some(gauges.live_key_range_tombstones()),
         ),
-    );
-    if let Some(t0) = gauges.oldest_live_key_range_tick() {
-        emit(
-            &mut out,
-            &mut typed,
+        (
             "db_key_range_tombstone_oldest_age_ticks",
-            "gauge",
-            format!(
-                "db_key_range_tombstone_oldest_age_ticks {}\n",
-                now.saturating_sub(t0)
-            ),
-        );
-    }
-    emit(
-        &mut out,
-        &mut typed,
-        "db_live_tombstones",
-        "gauge",
-        format!("db_live_tombstones {}\n", gauges.live_tombstones()),
-    );
-    emit(
-        &mut out,
-        &mut typed,
-        "db_vlog_live_bytes",
-        "gauge",
-        format!("db_vlog_live_bytes {}\n", gauges.vlog_live_bytes),
-    );
-    emit(
-        &mut out,
-        &mut typed,
-        "db_vlog_dead_bytes",
-        "gauge",
-        format!("db_vlog_dead_bytes {}\n", gauges.vlog_dead_bytes),
-    );
-    if let Some(t0) = gauges.vlog_oldest_dead_tick {
-        emit(
-            &mut out,
-            &mut typed,
+            gauges.oldest_live_key_range_tick().map(age),
+        ),
+        ("db_live_tombstones", Some(gauges.live_tombstones())),
+        ("db_vlog_live_bytes", Some(gauges.vlog_live_bytes)),
+        ("db_vlog_dead_bytes", Some(gauges.vlog_dead_bytes)),
+        (
             "db_vlog_oldest_dead_extent_age_ticks",
-            "gauge",
-            format!(
-                "db_vlog_oldest_dead_extent_age_ticks {}\n",
-                now.saturating_sub(t0)
-            ),
-        );
+            gauges.vlog_oldest_dead_tick.map(age),
+        ),
+    ] {
+        if let Some(v) = value {
+            x.gauge(family, None, v);
+        }
     }
     let hist = gauges.age_histogram(now, d_th);
+    let family = "db_tombstone_age_ticks";
     for (le, count) in hist.bounds.iter().zip(&hist.counts) {
-        emit(
-            &mut out,
-            &mut typed,
-            "db_tombstone_age_ticks",
-            "histogram",
-            format!("db_tombstone_age_ticks_bucket{{le=\"{le}\"}} {count}\n"),
-        );
+        x.sample(family, "histogram", "_bucket", Some(("le", le)), *count);
     }
-    emit(
-        &mut out,
-        &mut typed,
-        "db_tombstone_age_ticks",
+    x.sample(
+        family,
         "histogram",
-        format!(
-            "db_tombstone_age_ticks_bucket{{le=\"+Inf\"}} {}\n",
-            hist.total
-        ),
+        "_bucket",
+        Some(("le", &"+Inf")),
+        hist.total,
     );
-    out.push_str(&format!("db_tombstone_age_ticks_count {}\n", hist.total));
-    if let Some(age) = hist.oldest_age {
-        emit(
-            &mut out,
-            &mut typed,
-            "db_tombstone_age_ticks_max",
-            "gauge",
-            format!("db_tombstone_age_ticks_max {age}\n"),
-        );
+    x.sample(family, "histogram", "_count", None, hist.total);
+    if let Some(oldest) = hist.oldest_age {
+        x.gauge("db_tombstone_age_ticks_max", None, oldest);
     }
-    out
+    x.finish()
 }
 
 /// Render an event snapshot as one line per event, oldest first, with
@@ -1306,90 +960,6 @@ pub fn render_sharded_events(shards: &[EventSnapshot]) -> String {
 mod tests {
     use super::*;
 
-    fn all_events() -> Vec<Event> {
-        vec![
-            Event::MemtableSealed {
-                entries: 1,
-                bytes: 2,
-                sealed_behind: 3,
-            },
-            Event::FlushStart { entries: 9 },
-            Event::FlushEnd {
-                file_id: 7,
-                bytes: 4096,
-                entries: 10,
-                micros: 55,
-            },
-            Event::CompactionPicked {
-                level: 1,
-                output_level: 2,
-                input_files: 3,
-                input_bytes: 999,
-                reason: CompactionReason::TtlExpired,
-                overdue_by: 17,
-                deadline: 1200,
-            },
-            Event::CompactionEnd {
-                level: 1,
-                output_level: 2,
-                bytes_in: 100,
-                bytes_out: 80,
-                entries_dropped: 5,
-                tombstones_purged: 2,
-                micros: 77,
-            },
-            Event::StallEnter {
-                l0_files: 9,
-                sealed_memtables: 2,
-            },
-            Event::StallExit { waited_micros: 300 },
-            Event::SlowdownEnter {
-                l0_files: 7,
-                sealed_memtables: 1,
-            },
-            Event::SlowdownExit,
-            Event::RecoveryStep {
-                step: RecoveryStepKind::WalSegmentReplayed,
-                detail: 42,
-            },
-            Event::GcDropped {
-                kind: GcKind::OrphanTable,
-                id: 13,
-            },
-            Event::WalGroupCommit {
-                ops: 8,
-                commits: 3,
-                synced: true,
-            },
-            Event::VlogGc {
-                segment: 6,
-                rewritten_bytes: 2048,
-                reclaimed_bytes: 8192,
-                micros: 91,
-            },
-            Event::TraceSpan {
-                trace_id: 17,
-                op: TraceOp::Get,
-                stage: TraceStage::BloomPrescreenSkips,
-                value: 3,
-            },
-            Event::CohortAdvanced {
-                epoch: 5,
-                stage: CohortStage::EnteredLevel,
-                level: 2,
-                tombstones: 40,
-                tick: 1234,
-            },
-        ]
-    }
-
-    #[test]
-    fn encode_decode_roundtrip_every_variant() {
-        for ev in all_events() {
-            assert_eq!(Event::decode(&ev.encode()), Some(ev), "{}", ev.name());
-        }
-    }
-
     /// One instance of every variant, taken from the decoder itself: a
     /// fixed word pattern per tag (the codes at each position are valid
     /// for every coded field that can sit there) until the tags run out.
@@ -1420,17 +990,68 @@ mod tests {
         );
     }
 
+    /// Every variant the event table declares survives the ring
+    /// encoding, and a word no row knows — an unknown tag, an unknown
+    /// code in a coded field — decodes to `None`, never to another event.
+    #[test]
+    fn every_variant_round_trips_and_unknown_words_decode_to_none() {
+        let events = every_variant();
+        assert_eq!(events.len(), 15, "one sample per table row");
+        assert_eq!(
+            Event::decode(&[events.len() as u64, 0, 0, 0, 0, 0, 0, 0]),
+            None
+        );
+        let mut rejected = 0;
+        for ev in events {
+            let words = ev.encode();
+            assert_eq!(Event::decode(&words), Some(ev), "{}", ev.name());
+            // Poison one word at a time: a coded field rejects the
+            // unknown code, any other word yields an event that is
+            // itself stable under the encoding.
+            for i in 1..WORDS {
+                let mut poisoned = words;
+                poisoned[i] = u64::MAX;
+                match Event::decode(&poisoned) {
+                    Some(got) => assert_eq!(Event::decode(&got.encode()), Some(got)),
+                    None => rejected += 1,
+                }
+            }
+        }
+        assert_eq!(rejected, 6, "one per coded field in the table");
+    }
+
+    fn codes_round_trip<T: Word + PartialEq + std::fmt::Debug>(variants: u64) {
+        let mut names = std::collections::BTreeSet::new();
+        for code in 0..variants {
+            let v = T::from_word(code).unwrap();
+            assert_eq!(v.to_word(), code);
+            assert!(names.insert(v.shown().to_string()), "{v:?} reuses a name");
+        }
+        assert_eq!(T::from_word(variants), None);
+        assert_eq!(T::from_word(u64::MAX), None);
+    }
+
+    #[test]
+    fn coded_enums_round_trip_and_reject_unknown_codes() {
+        codes_round_trip::<TraceOp>(4);
+        codes_round_trip::<TraceStage>(17);
+        codes_round_trip::<CohortStage>(5);
+        codes_round_trip::<RecoveryStepKind>(5);
+        codes_round_trip::<GcKind>(5);
+        codes_round_trip::<CompactionReason>(4);
+    }
+
     #[test]
     fn log_and_snapshot_preserve_order_and_payload() {
         let log = EventLog::new(64);
-        for ev in all_events() {
+        for ev in every_variant() {
             log.log(ev);
         }
         let snap = log.snapshot();
-        assert_eq!(snap.emitted, all_events().len() as u64);
+        assert_eq!(snap.emitted, every_variant().len() as u64);
         assert_eq!(snap.dropped, 0);
         let got: Vec<Event> = snap.events.iter().map(|s| s.event).collect();
-        assert_eq!(got, all_events());
+        assert_eq!(got, every_variant());
         for (i, s) in snap.events.iter().enumerate() {
             assert_eq!(s.seqno, i as u64);
         }

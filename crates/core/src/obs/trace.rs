@@ -39,218 +39,88 @@ use std::time::Instant;
 use acheron_types::{SeqNo, Tick};
 use parking_lot::Mutex;
 
+use super::{coded_enum, min_tick};
+
 /// Whole traces retained for the `traces` command (newest wins).
 const RECENT_TRACES: usize = 64;
 
 /// Resolved cohorts retained per shard before the oldest are evicted.
 const COHORT_RETENTION: usize = 1024;
 
-/// Which operation a trace describes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceOp {
-    /// A single put.
-    Put,
-    /// A single point delete.
-    Delete,
-    /// A point lookup.
-    Get,
-    /// A multi-op write batch.
-    Write,
-}
-
-impl TraceOp {
-    pub(crate) fn code(self) -> u64 {
-        match self {
-            TraceOp::Put => 0,
-            TraceOp::Delete => 1,
-            TraceOp::Get => 2,
-            TraceOp::Write => 3,
-        }
-    }
-
-    pub(crate) fn from_code(code: u64) -> Option<TraceOp> {
-        Some(match code {
-            0 => TraceOp::Put,
-            1 => TraceOp::Delete,
-            2 => TraceOp::Get,
-            3 => TraceOp::Write,
-            _ => return None,
-        })
-    }
-
-    /// Lowercase name for text exposition.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceOp::Put => "put",
-            TraceOp::Delete => "delete",
-            TraceOp::Get => "get",
-            TraceOp::Write => "write",
-        }
+coded_enum! {
+    /// Which operation a trace describes.
+    pub enum TraceOp {
+        /// A single put.
+        Put = 0 => "put",
+        /// A single point delete.
+        Delete = 1 => "delete",
+        /// A point lookup.
+        Get = 2 => "get",
+        /// A multi-op write batch.
+        Write = 3 => "write",
     }
 }
 
-/// One named stage of a traced operation. Stages ending in `_micros`
-/// carry wall time; the rest carry counts observed while the op ran.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceStage {
-    /// Write: time paced or stalled by L0/imm back-pressure.
-    ThrottleWait,
-    /// Write: time queued behind the commit-group leader.
-    CommitQueueWait,
-    /// Write (leader): WAL append + fsync.
-    WalAppendFsync,
-    /// Write (leader): value-log frame appends.
-    VlogAppend,
-    /// Write (leader): separated values appended to the vlog.
-    VlogFramesAppended,
-    /// Write (leader): memtable inserts + view publish.
-    MemtableInsert,
-    /// Write: synchronous flush/compaction ran inside the op
-    /// (`background_threads = 0` only).
-    InlineMaintenance,
-    /// Read: cloning the read view.
-    ViewClone,
-    /// Read: probing the active + sealed memtables.
-    MemtableProbe,
-    /// Read: sealed memtables probed.
-    ImmProbes,
-    /// Read: table files actually read (post-prescreen).
-    TableProbes,
-    /// Read: files skipped because the key lies outside their min/max
-    /// key fence (`FileMeta::contains_key`). No Bloom filter is
-    /// consulted here, despite the name (kept: consumers read the stage
-    /// by it); page filters are probed inside a table probe.
-    BloomPrescreenSkips,
-    /// Read: files skipped by seqno-window pruning.
-    SeqnoSkips,
-    /// Read: pages served from the block cache.
-    CacheHitPages,
-    /// Read: pages read from disk.
-    CacheMissPages,
-    /// Read: resolving a value pointer through the vlog.
-    VlogDeref,
-    /// Whole-operation wall time.
-    Total,
-}
-
-impl TraceStage {
-    pub(crate) fn code(self) -> u64 {
-        match self {
-            TraceStage::ThrottleWait => 0,
-            TraceStage::CommitQueueWait => 1,
-            TraceStage::WalAppendFsync => 2,
-            TraceStage::VlogAppend => 3,
-            TraceStage::VlogFramesAppended => 4,
-            TraceStage::MemtableInsert => 5,
-            TraceStage::InlineMaintenance => 6,
-            TraceStage::ViewClone => 7,
-            TraceStage::MemtableProbe => 8,
-            TraceStage::ImmProbes => 9,
-            TraceStage::TableProbes => 10,
-            TraceStage::BloomPrescreenSkips => 11,
-            TraceStage::SeqnoSkips => 12,
-            TraceStage::CacheHitPages => 13,
-            TraceStage::CacheMissPages => 14,
-            TraceStage::VlogDeref => 15,
-            TraceStage::Total => 16,
-        }
-    }
-
-    pub(crate) fn from_code(code: u64) -> Option<TraceStage> {
-        Some(match code {
-            0 => TraceStage::ThrottleWait,
-            1 => TraceStage::CommitQueueWait,
-            2 => TraceStage::WalAppendFsync,
-            3 => TraceStage::VlogAppend,
-            4 => TraceStage::VlogFramesAppended,
-            5 => TraceStage::MemtableInsert,
-            6 => TraceStage::InlineMaintenance,
-            7 => TraceStage::ViewClone,
-            8 => TraceStage::MemtableProbe,
-            9 => TraceStage::ImmProbes,
-            10 => TraceStage::TableProbes,
-            11 => TraceStage::BloomPrescreenSkips,
-            12 => TraceStage::SeqnoSkips,
-            13 => TraceStage::CacheHitPages,
-            14 => TraceStage::CacheMissPages,
-            15 => TraceStage::VlogDeref,
-            16 => TraceStage::Total,
-            _ => return None,
-        })
-    }
-
-    /// Lowercase name for text exposition.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceStage::ThrottleWait => "throttle_wait_micros",
-            TraceStage::CommitQueueWait => "commit_queue_wait_micros",
-            TraceStage::WalAppendFsync => "wal_append_fsync_micros",
-            TraceStage::VlogAppend => "vlog_append_micros",
-            TraceStage::VlogFramesAppended => "vlog_frames_appended",
-            TraceStage::MemtableInsert => "memtable_insert_micros",
-            TraceStage::InlineMaintenance => "inline_maintenance_micros",
-            TraceStage::ViewClone => "view_clone_micros",
-            TraceStage::MemtableProbe => "memtable_probe_micros",
-            TraceStage::ImmProbes => "imm_probes",
-            TraceStage::TableProbes => "table_probes",
-            TraceStage::BloomPrescreenSkips => "bloom_prescreen_skips",
-            TraceStage::SeqnoSkips => "seqno_skips",
-            TraceStage::CacheHitPages => "cache_hit_pages",
-            TraceStage::CacheMissPages => "cache_miss_pages",
-            TraceStage::VlogDeref => "vlog_deref_micros",
-            TraceStage::Total => "total_micros",
-        }
+coded_enum! {
+    /// One named stage of a traced operation. Stages ending in `_micros`
+    /// carry wall time; the rest carry counts observed while the op ran.
+    pub enum TraceStage {
+        /// Write: time paced or stalled by L0/imm back-pressure.
+        ThrottleWait = 0 => "throttle_wait_micros",
+        /// Write: time queued behind the commit-group leader.
+        CommitQueueWait = 1 => "commit_queue_wait_micros",
+        /// Write (leader): WAL append + fsync.
+        WalAppendFsync = 2 => "wal_append_fsync_micros",
+        /// Write (leader): value-log frame appends.
+        VlogAppend = 3 => "vlog_append_micros",
+        /// Write (leader): separated values appended to the vlog.
+        VlogFramesAppended = 4 => "vlog_frames_appended",
+        /// Write (leader): memtable inserts + view publish.
+        MemtableInsert = 5 => "memtable_insert_micros",
+        /// Write: synchronous flush/compaction ran inside the op
+        /// (`background_threads = 0` only).
+        InlineMaintenance = 6 => "inline_maintenance_micros",
+        /// Read: cloning the read view.
+        ViewClone = 7 => "view_clone_micros",
+        /// Read: probing the active + sealed memtables.
+        MemtableProbe = 8 => "memtable_probe_micros",
+        /// Read: sealed memtables probed.
+        ImmProbes = 9 => "imm_probes",
+        /// Read: table files actually read (post-prescreen).
+        TableProbes = 10 => "table_probes",
+        /// Read: files skipped because the key lies outside their min/max
+        /// key fence (`FileMeta::contains_key`). No Bloom filter is
+        /// consulted here, despite the name (kept: consumers read the stage
+        /// by it); page filters are probed inside a table probe.
+        BloomPrescreenSkips = 11 => "bloom_prescreen_skips",
+        /// Read: files skipped by seqno-window pruning.
+        SeqnoSkips = 12 => "seqno_skips",
+        /// Read: pages served from the block cache.
+        CacheHitPages = 13 => "cache_hit_pages",
+        /// Read: pages read from disk.
+        CacheMissPages = 14 => "cache_miss_pages",
+        /// Read: resolving a value pointer through the vlog.
+        VlogDeref = 15 => "vlog_deref_micros",
+        /// Whole-operation wall time.
+        Total = 16 => "total_micros",
     }
 }
 
-/// A lifecycle milestone carried by
-/// [`Event::CohortAdvanced`](crate::obs::Event::CohortAdvanced).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CohortStage {
-    /// The cohort's memtable generation was sealed.
-    Sealed,
-    /// The generation reached an L0 table.
-    Flushed,
-    /// A compaction moved cohort members into a deeper level.
-    EnteredLevel,
-    /// Every member tombstone has been purged or superseded.
-    Purged,
-    /// The last dead vlog extent attributed to the cohort was
-    /// reclaimed.
-    VlogReclaimed,
-}
-
-impl CohortStage {
-    pub(crate) fn code(self) -> u64 {
-        match self {
-            CohortStage::Sealed => 0,
-            CohortStage::Flushed => 1,
-            CohortStage::EnteredLevel => 2,
-            CohortStage::Purged => 3,
-            CohortStage::VlogReclaimed => 4,
-        }
-    }
-
-    pub(crate) fn from_code(code: u64) -> Option<CohortStage> {
-        Some(match code {
-            0 => CohortStage::Sealed,
-            1 => CohortStage::Flushed,
-            2 => CohortStage::EnteredLevel,
-            3 => CohortStage::Purged,
-            4 => CohortStage::VlogReclaimed,
-            _ => return None,
-        })
-    }
-
-    /// Lowercase name for text exposition.
-    pub fn name(self) -> &'static str {
-        match self {
-            CohortStage::Sealed => "sealed",
-            CohortStage::Flushed => "flushed",
-            CohortStage::EnteredLevel => "entered_level",
-            CohortStage::Purged => "purged",
-            CohortStage::VlogReclaimed => "vlog_reclaimed",
-        }
+coded_enum! {
+    /// A lifecycle milestone carried by
+    /// [`Event::CohortAdvanced`](crate::obs::Event::CohortAdvanced).
+    pub enum CohortStage {
+        /// The cohort's memtable generation was sealed.
+        Sealed = 0 => "sealed",
+        /// The generation reached an L0 table.
+        Flushed = 1 => "flushed",
+        /// A compaction moved cohort members into a deeper level.
+        EnteredLevel = 2 => "entered_level",
+        /// Every member tombstone has been purged or superseded.
+        Purged = 3 => "purged",
+        /// The last dead vlog extent attributed to the cohort was
+        /// reclaimed.
+        VlogReclaimed = 4 => "vlog_reclaimed",
     }
 }
 
@@ -583,7 +453,7 @@ impl DeleteLedger {
         }
         self.open.deletes += point;
         self.open.key_range_deletes += key_range;
-        self.open.first_tick = Some(self.open.first_tick.map_or(tick, |t| t.min(tick)));
+        self.open.first_tick = min_tick(self.open.first_tick, Some(tick));
         self.open.last_tick = self.open.last_tick.max(tick);
     }
 
@@ -930,25 +800,6 @@ mod tests {
         let recent = t.recent();
         assert_eq!(recent.len(), RECENT_TRACES);
         assert!(recent[0].trace_id < recent.last().unwrap().trace_id);
-    }
-
-    #[test]
-    fn stage_and_op_codes_roundtrip() {
-        for code in 0..17 {
-            let s = TraceStage::from_code(code).unwrap();
-            assert_eq!(s.code(), code);
-        }
-        assert!(TraceStage::from_code(17).is_none());
-        for code in 0..4 {
-            let o = TraceOp::from_code(code).unwrap();
-            assert_eq!(o.code(), code);
-        }
-        assert!(TraceOp::from_code(4).is_none());
-        for code in 0..5 {
-            let c = CohortStage::from_code(code).unwrap();
-            assert_eq!(c.code(), code);
-        }
-        assert!(CohortStage::from_code(5).is_none());
     }
 
     fn full_lifecycle_ledger() -> DeleteLedger {

@@ -14,52 +14,21 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 
 use crate::fade::TtlSchedule;
+use crate::obs::coded_enum;
 use crate::options::{CompactionLayout, DbOptions, FilePickPolicy};
 use crate::version::{FileMeta, Version};
 
-/// Why a compaction was scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompactionReason {
-    /// L0 accumulated too many files.
-    L0Saturation,
-    /// A level exceeded its byte budget.
-    LevelSaturation,
-    /// FADE: a file's oldest tombstone outlived its level TTL.
-    TtlExpired,
-    /// Explicit request (tests, `Db::compact_all`).
-    Manual,
-}
-
-impl CompactionReason {
-    /// Lowercase name for logs and metric labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            CompactionReason::L0Saturation => "l0_saturation",
-            CompactionReason::LevelSaturation => "level_saturation",
-            CompactionReason::TtlExpired => "ttl_expired",
-            CompactionReason::Manual => "manual",
-        }
-    }
-
-    /// Stable numeric code (event-ring slot encoding).
-    pub fn code(self) -> u64 {
-        match self {
-            CompactionReason::L0Saturation => 0,
-            CompactionReason::LevelSaturation => 1,
-            CompactionReason::TtlExpired => 2,
-            CompactionReason::Manual => 3,
-        }
-    }
-
-    /// Inverse of [`CompactionReason::code`].
-    pub fn from_code(code: u64) -> Option<CompactionReason> {
-        Some(match code {
-            0 => CompactionReason::L0Saturation,
-            1 => CompactionReason::LevelSaturation,
-            2 => CompactionReason::TtlExpired,
-            3 => CompactionReason::Manual,
-            _ => return None,
-        })
+coded_enum! {
+    /// Why a compaction was scheduled.
+    pub enum CompactionReason {
+        /// L0 accumulated too many files.
+        L0Saturation = 0 => "l0_saturation",
+        /// A level exceeded its byte budget.
+        LevelSaturation = 1 => "level_saturation",
+        /// FADE: a file's oldest tombstone outlived its level TTL.
+        TtlExpired = 2 => "ttl_expired",
+        /// Explicit request (tests, `Db::compact_all`).
+        Manual = 3 => "manual",
     }
 }
 

@@ -74,7 +74,7 @@ use crate::db::{Db, Snapshot, WritePressure};
 use crate::doctor::{self, DoctorReport};
 use crate::memory::MemoryBudget;
 use crate::obs::trace::{DeleteAudit, OpTrace};
-use crate::obs::{EventSnapshot, TombstoneGauges};
+use crate::obs::{min_tick, EventSnapshot, TombstoneGauges};
 use crate::options::DbOptions;
 use crate::stats::StatsSnapshot;
 
@@ -517,13 +517,7 @@ impl ShardedDb {
             .iter()
             .map(|d| d.stats_snapshot())
             .fold(StatsSnapshot::default(), |acc, s| acc.merge(&s));
-        if let Some(c) = &self.cache {
-            s.fill_cache(c);
-        }
-        if let Some(m) = &self.memory {
-            s.memory_budget_bytes = m.total_bytes() as u64;
-            s.memory_adjustments = m.adjustments();
-        }
+        s.fill_shared(self.cache.as_deref(), self.memory.as_deref());
         s
     }
 
@@ -623,24 +617,16 @@ impl ShardedDb {
                 .fade
                 .as_ref()
                 .map(|f| f.delete_persistence_threshold),
-            cohorts: Vec::new(),
-            oldest_live_tombstone_tick: None,
-            oldest_vlog_dead_tick: None,
+            ..DeleteAudit::default()
         };
         for a in audits {
             fleet.cohorts.extend(a.cohorts);
-            fleet.oldest_live_tombstone_tick = match (
+            fleet.oldest_live_tombstone_tick = min_tick(
                 fleet.oldest_live_tombstone_tick,
                 a.oldest_live_tombstone_tick,
-            ) {
-                (Some(x), Some(y)) => Some(x.min(y)),
-                (x, y) => x.or(y),
-            };
+            );
             fleet.oldest_vlog_dead_tick =
-                match (fleet.oldest_vlog_dead_tick, a.oldest_vlog_dead_tick) {
-                    (Some(x), Some(y)) => Some(x.min(y)),
-                    (x, y) => x.or(y),
-                };
+                min_tick(fleet.oldest_vlog_dead_tick, a.oldest_vlog_dead_tick);
         }
         fleet.cohorts.sort_by_key(|c| (c.shard, c.epoch));
         fleet
@@ -919,6 +905,46 @@ mod tests {
         let merged = db.stats_snapshot();
         assert_eq!(merged.puts, 400);
         assert_eq!(merged.deletes, 100);
+    }
+
+    /// The metric table's `shared_once` rows against a live fleet: zero
+    /// in every shard's snapshot, and in the fleet's exactly what the one
+    /// shared cache and budget report — once, not once per shard.
+    #[test]
+    fn shared_once_metrics_are_zero_per_shard_and_filled_once_by_the_fleet() {
+        let opts = DbOptions::small().with_memory_budget(1 << 20);
+        let db = ShardedDb::open(Arc::new(MemFs::new()), "db", opts, 4).unwrap();
+        for i in 0..400u32 {
+            db.put(format!("key{i:06}").as_bytes(), &[b'v'; 32])
+                .unwrap();
+        }
+        db.flush().unwrap();
+        for i in 0..400u32 {
+            db.get(format!("key{i:06}").as_bytes()).unwrap().unwrap();
+        }
+        let shared = |name: &str| {
+            StatsSnapshot::ROWS
+                .iter()
+                .any(|&(_, export, rule)| export == name && rule == "shared_once")
+        };
+        for shard in db.shard_stats() {
+            for (name, value) in shard.to_pairs() {
+                assert!(!shared(&name) || value == 0, "{name} = {value} on a shard");
+            }
+        }
+        let mut once = StatsSnapshot::default();
+        once.fill_shared(db.cache.as_deref(), db.memory.as_deref());
+        let fleet = db.stats_snapshot().to_pairs();
+        let mut checked = 0;
+        for (pair, want) in fleet.iter().zip(once.to_pairs()) {
+            if shared(&pair.0) {
+                assert_eq!(*pair, want);
+                checked += 1;
+            }
+        }
+        assert_eq!(checked, 9);
+        assert_eq!(once.memory_budget_bytes, 1 << 20);
+        assert!(once.cache_hits + once.cache_misses > 0);
     }
 
     #[test]

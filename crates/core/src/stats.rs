@@ -4,7 +4,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use acheron_types::Tick;
-use parking_lot::Mutex;
 
 /// Number of power-of-two latency buckets.
 const HISTOGRAM_BUCKETS: usize = 40;
@@ -71,11 +70,13 @@ impl LatencyHistogram {
         for (i, b) in self.buckets.iter().enumerate() {
             seen += b.load(Ordering::Relaxed);
             if seen >= rank {
-                // Bucket i holds values in [2^(i-1), 2^i).
-                return if i >= 63 {
-                    u64::MAX
+                // Bucket i holds values in [2^(i-1), 2^i); the last one
+                // also takes everything above, so only the recorded
+                // maximum bounds it.
+                return if i == HISTOGRAM_BUCKETS - 1 {
+                    self.max()
                 } else {
-                    (1u64 << i).saturating_sub(1)
+                    (1u64 << i) - 1
                 };
             }
         }
@@ -146,100 +147,300 @@ impl HistogramSummary {
     }
 }
 
-/// Monotone counters describing everything the engine has done.
-#[derive(Debug, Default)]
-pub struct DbStats {
-    /// Put operations accepted.
-    pub puts: AtomicU64,
-    /// Point deletes accepted.
-    pub deletes: AtomicU64,
-    /// Secondary range deletes accepted.
-    pub range_deletes: AtomicU64,
-    /// Sort-key range deletes accepted.
-    pub sort_range_deletes: AtomicU64,
-    /// Point lookups served.
-    pub gets: AtomicU64,
-    /// Range scans served.
-    pub scans: AtomicU64,
-    /// User payload bytes (key+value) accepted.
-    pub user_bytes: AtomicU64,
-    /// Memtable flushes performed.
-    pub flushes: AtomicU64,
-    /// Compactions performed.
-    pub compactions: AtomicU64,
-    /// Compactions triggered by FADE TTL expiry rather than saturation.
-    pub ttl_compactions: AtomicU64,
-    /// Bytes read by compactions.
-    pub compaction_bytes_in: AtomicU64,
-    /// Bytes written by compactions and flushes (table files only).
-    pub compaction_bytes_out: AtomicU64,
-    /// Entries dropped because a newer version/tombstone shadowed them.
-    pub entries_shadowed: AtomicU64,
-    /// Entries dropped because a secondary range tombstone covered them.
-    pub entries_range_purged: AtomicU64,
-    /// Entries dropped because a sort-key range tombstone shadowed them.
-    pub entries_key_range_purged: AtomicU64,
-    /// Point tombstones physically dropped at the bottom level.
-    pub tombstones_purged: AtomicU64,
-    /// Sort-key range tombstones physically purged at the bottom level.
-    pub key_range_tombstones_purged: AtomicU64,
-    /// KiWi pages dropped wholesale (never read) during compactions.
-    pub pages_dropped: AtomicU64,
-    /// Delete persistence latency: recorded for each purged tombstone as
-    /// (purge tick - delete tick).
-    pub persistence_latency: LatencyHistogram,
-    /// Persistence-threshold violations observed (FADE should keep this
-    /// at zero; the baseline will not).
-    pub persistence_violations: AtomicU64,
-    /// Ticks of the most recent compaction per reason, for debugging.
-    pub last_compaction_reason: Mutex<Option<String>>,
-    /// Stall episodes: writes that blocked on the hard L0 / sealed-
-    /// memtable limits until background maintenance caught up.
-    pub write_stalls: AtomicU64,
-    /// Writes briefly delayed because L0 reached the soft limit.
-    pub write_slowdowns: AtomicU64,
-    /// Wall-clock microseconds per stall episode.
-    pub stall_micros: LatencyHistogram,
-    /// Wall-clock microseconds per memtable flush (table build through
-    /// manifest install).
-    pub flush_micros: LatencyHistogram,
-    /// Wall-clock microseconds per compaction (merge through install).
-    pub compaction_micros: LatencyHistogram,
-    /// Deepest the sealed-memtable queue has ever grown.
-    pub imm_queue_peak: AtomicU64,
-    /// Failures recorded by the background maintenance executor.
-    pub background_errors: AtomicU64,
-    /// Commit groups published by write leaders (each group is one WAL
-    /// append+fsync covering every queued request).
-    pub commit_groups: AtomicU64,
-    /// Distribution of operations per commit group: the group-commit
-    /// batching factor under concurrent writers.
-    pub commit_group_ops: LatencyHistogram,
-    /// WAL fsyncs issued (at most one per commit group when `wal_sync`).
-    pub wal_syncs: AtomicU64,
-    /// Fsyncs avoided by group commit: requests that rode a leader's
-    /// sync instead of issuing their own.
-    pub wal_syncs_saved: AtomicU64,
-    /// Read-view publications (memtable seal, flush install, compaction
-    /// install, range delete, and one per commit group's seqno bump).
-    pub read_view_swaps: AtomicU64,
-    /// Values separated into the value log at commit time.
-    pub vlog_appends: AtomicU64,
-    /// Framed bytes appended to the value log (commit + GC rewrites).
-    pub vlog_bytes_written: AtomicU64,
-    /// Value-pointer dereferences served by reads and scans.
-    pub vlog_reads: AtomicU64,
-    /// Value-log GC passes that rewrote a segment's survivors.
-    pub vlog_gc_rewrites: AtomicU64,
-    /// Live bytes re-appended to the vlog head by GC rewrites.
-    pub vlog_gc_rewritten_bytes: AtomicU64,
-    /// Dead bytes reclaimed by deleting GC'd segments.
-    pub vlog_gc_reclaimed_bytes: AtomicU64,
-    /// Value-log segment files deleted (GC and recovery orphan sweep).
-    pub vlog_segments_deleted: AtomicU64,
-    /// Operations that received a full per-op trace (sampler hits plus
-    /// wire-requested traces).
-    pub traces_sampled: AtomicU64,
+/// Declare a set of metrics once; every place that must agree about
+/// them is generated from the rows. A row is
+///
+/// ```text
+/// /// What it counts.
+/// field: kind, "export_name", rule;
+/// ```
+///
+/// * `kind` — `counter` (an `AtomicU64`; `u64` in the snapshot) or
+///   `histogram` (a [`LatencyHistogram`]; a [`HistogramSummary`] in the
+///   snapshot, exported as `<name>_{count,mean,max,p50,p90,p99}`).
+/// * `rule` — how two snapshots combine into a fleet view:
+///   `sum`, `max` (the worst shard), or `shared_once` (describes one
+///   instance the whole fleet shares: zero in every shard's snapshot,
+///   filled once by the instance's owner, so adding is exact).
+///
+/// `live` rows exist on both structs; `filled` rows exist only on the
+/// snapshot and are written by whoever owns their source (they start
+/// at zero). The generated items are the live struct, the snapshot
+/// struct, `snapshot()`, `merge()` and `to_pairs()` (scalars in table
+/// order, then the histograms).
+///
+/// The first form declares a live struct alone, for a surface that
+/// flattens its own way: it gets `counters()` and `histograms()`, the
+/// `(export name, value)` lists in table order.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! metric_table {
+    (
+        $(#[$meta:meta])* pub struct $Live:ident;
+        $(#[$smeta:meta])* pub struct $Snap:ident;
+        live { $( $(#[$doc:meta])* $field:ident: $kind:ident, $export:literal, $rule:ident; )* }
+        filled { $( $(#[$fdoc:meta])* $filled:ident: $fexport:literal, $frule:ident; )* }
+    ) => {
+        $crate::metric_table!(@live $(#[$meta])* $Live { $( $(#[$doc])* $field: $kind, )* });
+
+        $(#[$smeta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq)]
+        pub struct $Snap {
+            $( $(#[$doc])* pub $field: $crate::metric_table!(@ty $kind, u64, $crate::stats::HistogramSummary), )*
+            $( $(#[$fdoc])* pub $filled: u64, )*
+        }
+
+        impl $Live {
+            /// A point-in-time, plain-data copy of every counter and
+            /// histogram summary — the exportable form of the stats.
+            /// `filled` fields are zero until their owner writes them.
+            pub fn snapshot(&self) -> $Snap {
+                use ::std::sync::atomic::Ordering::Relaxed;
+                $Snap {
+                    $( $field: $crate::metric_table!(@val $kind, self.$field.load(Relaxed), self.$field.summary()), )*
+                    $( $filled: 0, )*
+                }
+            }
+        }
+
+        impl $Snap {
+            /// Combine two snapshots into a fleet-wide view, each field
+            /// by the rule its table row names; histogram summaries
+            /// merge per [`HistogramSummary::merge`] (quantiles
+            /// upper-bounded by the worst shard).
+            pub fn merge(&self, other: &$Snap) -> $Snap {
+                $Snap {
+                    $( $field: $crate::metric_table!(@merge $kind $rule, self.$field, other.$field), )*
+                    $( $filled: $crate::metric_table!(@merge counter $frule, self.$filled, other.$filled), )*
+                }
+            }
+
+            /// Flatten into `(name, value)` pairs — the canonical
+            /// wire/export form: the scalars in table order, then each
+            /// histogram as `<name>_{count,mean,max,p50,p90,p99}` (the
+            /// mean rounded to an integer).
+            pub fn to_pairs(&self) -> Vec<(String, u64)> {
+                let scalars = [
+                    $( $crate::metric_table!(@val $kind, Some(($export, self.$field)), None), )*
+                    $( Some(($fexport, self.$filled)), )*
+                ];
+                let mut out: Vec<(String, u64)> = scalars
+                    .into_iter()
+                    .flatten()
+                    .map(|(name, value)| (name.to_string(), value))
+                    .collect();
+                $( $crate::metric_table!(@val $kind, (), {
+                    let h = &self.$field;
+                    for (stat, value) in [
+                        ("count", h.count),
+                        ("mean", h.mean.round() as u64),
+                        ("max", h.max),
+                        ("p50", h.p50),
+                        ("p90", h.p90),
+                        ("p99", h.p99),
+                    ] {
+                        out.push((format!("{}_{stat}", $export), value));
+                    }
+                }); )*
+                out
+            }
+
+            /// `(field, export name, merge rule)` of every row, in
+            /// table order.
+            #[cfg(test)]
+            pub(crate) const ROWS: &'static [(&'static str, &'static str, &'static str)] = &[
+                $( (stringify!($field), $export, stringify!($rule)), )*
+                $( (stringify!($filled), $fexport, stringify!($frule)), )*
+            ];
+
+            /// A snapshot whose `i`-th row holds `value(i)` (a histogram
+            /// row holds it in every statistic).
+            #[cfg(test)]
+            fn numbered(value: impl Fn(u64) -> u64) -> $Snap {
+                let mut rows = (0..).map(value);
+                let mut next = || rows.next().unwrap();
+                $Snap {
+                    $( $field: $crate::metric_table!(@val $kind, next(), {
+                        let v = next();
+                        $crate::stats::HistogramSummary {
+                            count: v, mean: v as f64, max: v, p50: v, p90: v, p99: v,
+                        }
+                    }), )*
+                    $( $filled: next(), )*
+                }
+            }
+        }
+    };
+    (
+        $(#[$meta:meta])* pub struct $Live:ident;
+        $( $(#[$doc:meta])* $field:ident: $kind:ident, $export:literal; )*
+    ) => {
+        $crate::metric_table!(@live $(#[$meta])* $Live { $( $(#[$doc])* $field: $kind, )* });
+
+        impl $Live {
+            /// `(export name, value)` of every counter, in table order.
+            pub fn counters(&self) -> Vec<(&'static str, u64)> {
+                use ::std::sync::atomic::Ordering::Relaxed;
+                let rows = [$( $crate::metric_table!(
+                    @val $kind, Some(($export, self.$field.load(Relaxed))), None
+                ), )*];
+                rows.into_iter().flatten().collect()
+            }
+
+            /// `(export name, summary)` of every histogram, in table
+            /// order.
+            pub fn histograms(&self) -> Vec<(&'static str, $crate::stats::HistogramSummary)> {
+                let rows = [$( $crate::metric_table!(
+                    @val $kind, None, Some(($export, self.$field.summary()))
+                ), )*];
+                rows.into_iter().flatten().collect()
+            }
+        }
+    };
+    (@live $(#[$meta:meta])* $Live:ident { $( $(#[$doc:meta])* $field:ident: $kind:ident, )* }) => {
+        $(#[$meta])*
+        #[derive(Debug, Default)]
+        pub struct $Live {
+            $( $(#[$doc])* pub $field: $crate::metric_table!(
+                @ty $kind, ::std::sync::atomic::AtomicU64, $crate::stats::LatencyHistogram
+            ), )*
+        }
+    };
+    // Select by kind: a type, a value, a merge expression.
+    (@ty counter, $c:ty, $h:ty) => { $c };
+    (@ty histogram, $c:ty, $h:ty) => { $h };
+    (@val counter, $c:expr, $h:expr) => { $c };
+    (@val histogram, $c:expr, $h:expr) => { $h };
+    (@merge counter sum, $a:expr, $b:expr) => { $a + $b };
+    (@merge counter max, $a:expr, $b:expr) => { $a.max($b) };
+    (@merge counter shared_once, $a:expr, $b:expr) => { $a + $b };
+    (@merge histogram sum, $a:expr, $b:expr) => { $a.merge(&$b) };
+}
+
+metric_table! {
+    /// Monotone counters describing everything the engine has done.
+    pub struct DbStats;
+    /// Plain-data, copyable snapshot of [`DbStats`] — safe to ship across
+    /// threads or the wire (the wire `stats` command serializes it).
+    pub struct StatsSnapshot;
+    live {
+        /// Put operations accepted.
+        puts: counter, "puts", sum;
+        /// Point deletes accepted.
+        deletes: counter, "deletes", sum;
+        /// Secondary range deletes accepted.
+        range_deletes: counter, "range_deletes", sum;
+        /// Sort-key range deletes accepted.
+        sort_range_deletes: counter, "sort_range_deletes", sum;
+        /// Point lookups served.
+        gets: counter, "gets", sum;
+        /// Range scans served.
+        scans: counter, "scans", sum;
+        /// User payload bytes (key+value) accepted.
+        user_bytes: counter, "user_bytes", sum;
+        /// Memtable flushes performed.
+        flushes: counter, "flushes", sum;
+        /// Compactions performed.
+        compactions: counter, "compactions", sum;
+        /// Compactions triggered by FADE TTL expiry rather than saturation.
+        ttl_compactions: counter, "ttl_compactions", sum;
+        /// Bytes read by compactions.
+        compaction_bytes_in: counter, "compaction_bytes_in", sum;
+        /// Bytes written by compactions and flushes (table files only).
+        compaction_bytes_out: counter, "compaction_bytes_out", sum;
+        /// Entries dropped because a newer version/tombstone shadowed them.
+        entries_shadowed: counter, "entries_shadowed", sum;
+        /// Entries dropped because a secondary range tombstone covered them.
+        entries_range_purged: counter, "entries_range_purged", sum;
+        /// Entries dropped because a sort-key range tombstone shadowed them.
+        entries_key_range_purged: counter, "entries_key_range_purged", sum;
+        /// Point tombstones physically dropped at the bottom level.
+        tombstones_purged: counter, "tombstones_purged", sum;
+        /// Sort-key range tombstones physically purged at the bottom level.
+        key_range_tombstones_purged: counter, "key_range_tombstones_purged", sum;
+        /// KiWi pages dropped wholesale (never read) during compactions.
+        pages_dropped: counter, "pages_dropped", sum;
+        /// Delete persistence latency: recorded for each purged tombstone as
+        /// (purge tick - delete tick).
+        persistence_latency: histogram, "persistence_latency", sum;
+        /// Persistence-threshold violations observed (FADE should keep this
+        /// at zero; the baseline will not).
+        persistence_violations: counter, "persistence_violations", sum;
+        /// Stall episodes: writes that blocked on the hard L0 / sealed-
+        /// memtable limits until background maintenance caught up.
+        write_stalls: counter, "write_stalls", sum;
+        /// Writes briefly delayed because L0 reached the soft limit.
+        write_slowdowns: counter, "write_slowdowns", sum;
+        /// Wall-clock microseconds per stall episode.
+        stall_micros: histogram, "stall_micros", sum;
+        /// Wall-clock microseconds per memtable flush (table build through
+        /// manifest install).
+        flush_micros: histogram, "flush_micros", sum;
+        /// Wall-clock microseconds per compaction (merge through install).
+        compaction_micros: histogram, "compaction_micros", sum;
+        /// Deepest the sealed-memtable queue has ever grown.
+        imm_queue_peak: counter, "imm_queue_peak", max;
+        /// Failures recorded by the background maintenance executor.
+        background_errors: counter, "background_errors", sum;
+        /// Commit groups published by write leaders (each group is one WAL
+        /// append+fsync covering every queued request).
+        commit_groups: counter, "commit_groups", sum;
+        /// Distribution of operations per commit group: the group-commit
+        /// batching factor under concurrent writers.
+        commit_group_ops: histogram, "commit_group_ops", sum;
+        /// WAL fsyncs issued (at most one per commit group when `wal_sync`).
+        wal_syncs: counter, "wal_syncs", sum;
+        /// Fsyncs avoided by group commit: requests that rode a leader's
+        /// sync instead of issuing their own.
+        wal_syncs_saved: counter, "wal_syncs_saved", sum;
+        /// Read-view publications (memtable seal, flush install, compaction
+        /// install, range delete, and one per commit group's seqno bump).
+        read_view_swaps: counter, "read_view_swaps", sum;
+        /// Values separated into the value log at commit time.
+        vlog_appends: counter, "vlog_appends", sum;
+        /// Framed bytes appended to the value log (commit + GC rewrites).
+        vlog_bytes_written: counter, "vlog_bytes_written", sum;
+        /// Value-pointer dereferences served by reads and scans.
+        vlog_reads: counter, "vlog_reads", sum;
+        /// Value-log GC passes that rewrote a segment's survivors.
+        vlog_gc_rewrites: counter, "vlog_gc_rewrites", sum;
+        /// Live bytes re-appended to the vlog head by GC rewrites.
+        vlog_gc_rewritten_bytes: counter, "vlog_gc_rewritten_bytes", sum;
+        /// Dead bytes reclaimed by deleting GC'd segments.
+        vlog_gc_reclaimed_bytes: counter, "vlog_gc_reclaimed_bytes", sum;
+        /// Value-log segment files deleted (GC and recovery orphan sweep).
+        vlog_segments_deleted: counter, "vlog_segments_deleted", sum;
+        /// Operations that received a full per-op trace (sampler hits plus
+        /// wire-requested traces).
+        traces_sampled: counter, "traces_sampled", sum;
+    }
+    // These live on the `BlockCache` / `MemoryBudget` / engine core, not
+    // in `DbStats`. The names carry the exposition prefix directly: the
+    // Prometheus rendering prints pair names verbatim.
+    filled {
+        /// Block-cache lookups served from memory.
+        cache_hits: "db_cache_hits", shared_once;
+        /// Block-cache lookups that went to disk.
+        cache_misses: "db_cache_misses", shared_once;
+        /// Blocks evicted from the cache.
+        cache_evictions: "db_cache_evictions", shared_once;
+        /// Bytes ever inserted into the cache.
+        cache_inserted_bytes: "db_cache_inserted_bytes", shared_once;
+        /// Bytes inserted by flush/compaction write-through.
+        cache_prepopulated_bytes: "db_cache_prepopulated_bytes", shared_once;
+        /// Bytes resident in the cache now.
+        cache_used_bytes: "db_cache_used_bytes", shared_once;
+        /// The cache's current capacity.
+        cache_capacity_bytes: "db_cache_capacity_bytes", shared_once;
+        /// Total bytes the memory arbiter divides.
+        memory_budget_bytes: "db_memory_budget_bytes", shared_once;
+        /// This engine's write-buffer allowance (always filled).
+        memtable_budget_bytes: "db_memory_memtable_budget_bytes", sum;
+        /// This engine's pinned filter/metadata bytes (always filled).
+        pinned_bytes: "db_memory_pinned_bytes", sum;
+        /// Rebalances the memory arbiter has applied.
+        memory_adjustments: "db_memory_budget_adjustments", shared_once;
+    }
 }
 
 impl DbStats {
@@ -263,301 +464,32 @@ impl DbStats {
         }
         self.compaction_bytes_out.load(Ordering::Relaxed) as f64 / user as f64
     }
-
-    /// A point-in-time, plain-data copy of every counter and histogram
-    /// summary — the exportable form of the stats (the wire `stats`
-    /// command serializes this).
-    pub fn snapshot(&self) -> StatsSnapshot {
-        use Ordering::Relaxed;
-        StatsSnapshot {
-            puts: self.puts.load(Relaxed),
-            deletes: self.deletes.load(Relaxed),
-            range_deletes: self.range_deletes.load(Relaxed),
-            sort_range_deletes: self.sort_range_deletes.load(Relaxed),
-            gets: self.gets.load(Relaxed),
-            scans: self.scans.load(Relaxed),
-            user_bytes: self.user_bytes.load(Relaxed),
-            flushes: self.flushes.load(Relaxed),
-            compactions: self.compactions.load(Relaxed),
-            ttl_compactions: self.ttl_compactions.load(Relaxed),
-            compaction_bytes_in: self.compaction_bytes_in.load(Relaxed),
-            compaction_bytes_out: self.compaction_bytes_out.load(Relaxed),
-            entries_shadowed: self.entries_shadowed.load(Relaxed),
-            entries_range_purged: self.entries_range_purged.load(Relaxed),
-            entries_key_range_purged: self.entries_key_range_purged.load(Relaxed),
-            tombstones_purged: self.tombstones_purged.load(Relaxed),
-            key_range_tombstones_purged: self.key_range_tombstones_purged.load(Relaxed),
-            pages_dropped: self.pages_dropped.load(Relaxed),
-            persistence_latency: self.persistence_latency.summary(),
-            persistence_violations: self.persistence_violations.load(Relaxed),
-            write_stalls: self.write_stalls.load(Relaxed),
-            write_slowdowns: self.write_slowdowns.load(Relaxed),
-            stall_micros: self.stall_micros.summary(),
-            flush_micros: self.flush_micros.summary(),
-            compaction_micros: self.compaction_micros.summary(),
-            imm_queue_peak: self.imm_queue_peak.load(Relaxed),
-            background_errors: self.background_errors.load(Relaxed),
-            commit_groups: self.commit_groups.load(Relaxed),
-            commit_group_ops: self.commit_group_ops.summary(),
-            wal_syncs: self.wal_syncs.load(Relaxed),
-            wal_syncs_saved: self.wal_syncs_saved.load(Relaxed),
-            read_view_swaps: self.read_view_swaps.load(Relaxed),
-            vlog_appends: self.vlog_appends.load(Relaxed),
-            vlog_bytes_written: self.vlog_bytes_written.load(Relaxed),
-            vlog_reads: self.vlog_reads.load(Relaxed),
-            vlog_gc_rewrites: self.vlog_gc_rewrites.load(Relaxed),
-            vlog_gc_rewritten_bytes: self.vlog_gc_rewritten_bytes.load(Relaxed),
-            vlog_gc_reclaimed_bytes: self.vlog_gc_reclaimed_bytes.load(Relaxed),
-            vlog_segments_deleted: self.vlog_segments_deleted.load(Relaxed),
-            traces_sampled: self.traces_sampled.load(Relaxed),
-            // Cache and memory-budget fields live on the BlockCache /
-            // MemoryBudget, not in DbStats; `Db::stats_snapshot` fills
-            // them (and the fleet router fills them once for a shared
-            // cache, so shard merges cannot multiply a global gauge).
-            cache_hits: 0,
-            cache_misses: 0,
-            cache_evictions: 0,
-            cache_inserted_bytes: 0,
-            cache_prepopulated_bytes: 0,
-            cache_used_bytes: 0,
-            cache_capacity_bytes: 0,
-            memory_budget_bytes: 0,
-            memtable_budget_bytes: 0,
-            pinned_bytes: 0,
-            memory_adjustments: 0,
-        }
-    }
-}
-
-/// Plain-data, copyable snapshot of [`DbStats`] — safe to ship across
-/// threads or the wire. Field meanings match the [`DbStats`] fields of
-/// the same names.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[allow(missing_docs)]
-pub struct StatsSnapshot {
-    pub puts: u64,
-    pub deletes: u64,
-    pub range_deletes: u64,
-    pub sort_range_deletes: u64,
-    pub gets: u64,
-    pub scans: u64,
-    pub user_bytes: u64,
-    pub flushes: u64,
-    pub compactions: u64,
-    pub ttl_compactions: u64,
-    pub compaction_bytes_in: u64,
-    pub compaction_bytes_out: u64,
-    pub entries_shadowed: u64,
-    pub entries_range_purged: u64,
-    pub entries_key_range_purged: u64,
-    pub tombstones_purged: u64,
-    pub key_range_tombstones_purged: u64,
-    pub pages_dropped: u64,
-    pub persistence_latency: HistogramSummary,
-    pub persistence_violations: u64,
-    pub write_stalls: u64,
-    pub write_slowdowns: u64,
-    pub stall_micros: HistogramSummary,
-    pub flush_micros: HistogramSummary,
-    pub compaction_micros: HistogramSummary,
-    pub imm_queue_peak: u64,
-    pub background_errors: u64,
-    pub commit_groups: u64,
-    pub commit_group_ops: HistogramSummary,
-    pub wal_syncs: u64,
-    pub wal_syncs_saved: u64,
-    pub read_view_swaps: u64,
-    pub vlog_appends: u64,
-    pub vlog_bytes_written: u64,
-    pub vlog_reads: u64,
-    pub vlog_gc_rewrites: u64,
-    pub vlog_gc_rewritten_bytes: u64,
-    pub vlog_gc_reclaimed_bytes: u64,
-    pub vlog_segments_deleted: u64,
-    pub traces_sampled: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub cache_evictions: u64,
-    pub cache_inserted_bytes: u64,
-    pub cache_prepopulated_bytes: u64,
-    pub cache_used_bytes: u64,
-    pub cache_capacity_bytes: u64,
-    pub memory_budget_bytes: u64,
-    pub memtable_budget_bytes: u64,
-    pub pinned_bytes: u64,
-    pub memory_adjustments: u64,
 }
 
 impl StatsSnapshot {
-    /// Fill the cache fields from `cache`. Called once per cache
-    /// instance — by the owning engine, or by the fleet router for a
-    /// shared one — so merging shard snapshots cannot multiply them.
-    pub(crate) fn fill_cache(&mut self, cache: &acheron_sstable::BlockCache) {
-        self.cache_hits = cache.hits();
-        self.cache_misses = cache.misses();
-        self.cache_evictions = cache.evictions();
-        self.cache_inserted_bytes = cache.inserted_bytes();
-        self.cache_prepopulated_bytes = cache.prepopulated_bytes();
-        self.cache_used_bytes = cache.used_bytes() as u64;
-        self.cache_capacity_bytes = cache.capacity_bytes() as u64;
-    }
-
-    /// Combine two snapshots into a fleet-wide view: counters sum,
-    /// `imm_queue_peak` takes the worst shard, histogram summaries merge
-    /// per [`HistogramSummary::merge`] (quantiles upper-bounded by the
-    /// worst shard). Written as an exhaustive struct expression so a new
-    /// field cannot be added without deciding how it aggregates.
-    pub fn merge(&self, other: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            puts: self.puts + other.puts,
-            deletes: self.deletes + other.deletes,
-            range_deletes: self.range_deletes + other.range_deletes,
-            sort_range_deletes: self.sort_range_deletes + other.sort_range_deletes,
-            gets: self.gets + other.gets,
-            scans: self.scans + other.scans,
-            user_bytes: self.user_bytes + other.user_bytes,
-            flushes: self.flushes + other.flushes,
-            compactions: self.compactions + other.compactions,
-            ttl_compactions: self.ttl_compactions + other.ttl_compactions,
-            compaction_bytes_in: self.compaction_bytes_in + other.compaction_bytes_in,
-            compaction_bytes_out: self.compaction_bytes_out + other.compaction_bytes_out,
-            entries_shadowed: self.entries_shadowed + other.entries_shadowed,
-            entries_range_purged: self.entries_range_purged + other.entries_range_purged,
-            entries_key_range_purged: self.entries_key_range_purged
-                + other.entries_key_range_purged,
-            tombstones_purged: self.tombstones_purged + other.tombstones_purged,
-            key_range_tombstones_purged: self.key_range_tombstones_purged
-                + other.key_range_tombstones_purged,
-            pages_dropped: self.pages_dropped + other.pages_dropped,
-            persistence_latency: self.persistence_latency.merge(&other.persistence_latency),
-            persistence_violations: self.persistence_violations + other.persistence_violations,
-            write_stalls: self.write_stalls + other.write_stalls,
-            write_slowdowns: self.write_slowdowns + other.write_slowdowns,
-            stall_micros: self.stall_micros.merge(&other.stall_micros),
-            flush_micros: self.flush_micros.merge(&other.flush_micros),
-            compaction_micros: self.compaction_micros.merge(&other.compaction_micros),
-            imm_queue_peak: self.imm_queue_peak.max(other.imm_queue_peak),
-            background_errors: self.background_errors + other.background_errors,
-            commit_groups: self.commit_groups + other.commit_groups,
-            commit_group_ops: self.commit_group_ops.merge(&other.commit_group_ops),
-            wal_syncs: self.wal_syncs + other.wal_syncs,
-            wal_syncs_saved: self.wal_syncs_saved + other.wal_syncs_saved,
-            read_view_swaps: self.read_view_swaps + other.read_view_swaps,
-            vlog_appends: self.vlog_appends + other.vlog_appends,
-            vlog_bytes_written: self.vlog_bytes_written + other.vlog_bytes_written,
-            vlog_reads: self.vlog_reads + other.vlog_reads,
-            vlog_gc_rewrites: self.vlog_gc_rewrites + other.vlog_gc_rewrites,
-            vlog_gc_rewritten_bytes: self.vlog_gc_rewritten_bytes + other.vlog_gc_rewritten_bytes,
-            vlog_gc_reclaimed_bytes: self.vlog_gc_reclaimed_bytes + other.vlog_gc_reclaimed_bytes,
-            vlog_segments_deleted: self.vlog_segments_deleted + other.vlog_segments_deleted,
-            traces_sampled: self.traces_sampled + other.traces_sampled,
-            cache_hits: self.cache_hits + other.cache_hits,
-            cache_misses: self.cache_misses + other.cache_misses,
-            cache_evictions: self.cache_evictions + other.cache_evictions,
-            cache_inserted_bytes: self.cache_inserted_bytes + other.cache_inserted_bytes,
-            cache_prepopulated_bytes: self.cache_prepopulated_bytes
-                + other.cache_prepopulated_bytes,
-            cache_used_bytes: self.cache_used_bytes + other.cache_used_bytes,
-            cache_capacity_bytes: self.cache_capacity_bytes + other.cache_capacity_bytes,
-            memory_budget_bytes: self.memory_budget_bytes + other.memory_budget_bytes,
-            memtable_budget_bytes: self.memtable_budget_bytes + other.memtable_budget_bytes,
-            pinned_bytes: self.pinned_bytes + other.pinned_bytes,
-            memory_adjustments: self.memory_adjustments + other.memory_adjustments,
+    /// Fill the `shared_once` fields from the one cache and one budget
+    /// they describe. Called by whoever owns the instance — a standalone
+    /// engine, or the fleet router once after merging its shards'
+    /// snapshots (which leave these zero) — so a merge cannot count a
+    /// shared instance once per shard.
+    pub(crate) fn fill_shared(
+        &mut self,
+        cache: Option<&acheron_sstable::BlockCache>,
+        memory: Option<&crate::memory::MemoryBudget>,
+    ) {
+        if let Some(c) = cache {
+            self.cache_hits = c.hits();
+            self.cache_misses = c.misses();
+            self.cache_evictions = c.evictions();
+            self.cache_inserted_bytes = c.inserted_bytes();
+            self.cache_prepopulated_bytes = c.prepopulated_bytes();
+            self.cache_used_bytes = c.used_bytes() as u64;
+            self.cache_capacity_bytes = c.capacity_bytes() as u64;
         }
-    }
-
-    /// Flatten into `(name, value)` pairs — the canonical wire/export
-    /// form. Histogram means are rounded to integers; the remaining
-    /// histogram fields are exported as `<name>_{count,max,p50,p90,p99}`.
-    pub fn to_pairs(&self) -> Vec<(String, u64)> {
-        let mut out: Vec<(String, u64)> = vec![
-            ("puts".into(), self.puts),
-            ("deletes".into(), self.deletes),
-            ("range_deletes".into(), self.range_deletes),
-            ("sort_range_deletes".into(), self.sort_range_deletes),
-            ("gets".into(), self.gets),
-            ("scans".into(), self.scans),
-            ("user_bytes".into(), self.user_bytes),
-            ("flushes".into(), self.flushes),
-            ("compactions".into(), self.compactions),
-            ("ttl_compactions".into(), self.ttl_compactions),
-            ("compaction_bytes_in".into(), self.compaction_bytes_in),
-            ("compaction_bytes_out".into(), self.compaction_bytes_out),
-            ("entries_shadowed".into(), self.entries_shadowed),
-            ("entries_range_purged".into(), self.entries_range_purged),
-            (
-                "entries_key_range_purged".into(),
-                self.entries_key_range_purged,
-            ),
-            ("tombstones_purged".into(), self.tombstones_purged),
-            (
-                "key_range_tombstones_purged".into(),
-                self.key_range_tombstones_purged,
-            ),
-            ("pages_dropped".into(), self.pages_dropped),
-            ("persistence_violations".into(), self.persistence_violations),
-            ("write_stalls".into(), self.write_stalls),
-            ("write_slowdowns".into(), self.write_slowdowns),
-            ("imm_queue_peak".into(), self.imm_queue_peak),
-            ("background_errors".into(), self.background_errors),
-            ("commit_groups".into(), self.commit_groups),
-            ("wal_syncs".into(), self.wal_syncs),
-            ("wal_syncs_saved".into(), self.wal_syncs_saved),
-            ("read_view_swaps".into(), self.read_view_swaps),
-            ("vlog_appends".into(), self.vlog_appends),
-            ("vlog_bytes_written".into(), self.vlog_bytes_written),
-            ("vlog_reads".into(), self.vlog_reads),
-            ("vlog_gc_rewrites".into(), self.vlog_gc_rewrites),
-            (
-                "vlog_gc_rewritten_bytes".into(),
-                self.vlog_gc_rewritten_bytes,
-            ),
-            (
-                "vlog_gc_reclaimed_bytes".into(),
-                self.vlog_gc_reclaimed_bytes,
-            ),
-            ("vlog_segments_deleted".into(), self.vlog_segments_deleted),
-            ("traces_sampled".into(), self.traces_sampled),
-            // Cache/memory names carry the exposition prefix directly so
-            // the Prometheus rendering (which prints pair names
-            // verbatim) emits the documented db_cache_* / db_memory_*
-            // series.
-            ("db_cache_hits".into(), self.cache_hits),
-            ("db_cache_misses".into(), self.cache_misses),
-            ("db_cache_evictions".into(), self.cache_evictions),
-            ("db_cache_inserted_bytes".into(), self.cache_inserted_bytes),
-            (
-                "db_cache_prepopulated_bytes".into(),
-                self.cache_prepopulated_bytes,
-            ),
-            ("db_cache_used_bytes".into(), self.cache_used_bytes),
-            ("db_cache_capacity_bytes".into(), self.cache_capacity_bytes),
-            ("db_memory_budget_bytes".into(), self.memory_budget_bytes),
-            (
-                "db_memory_memtable_budget_bytes".into(),
-                self.memtable_budget_bytes,
-            ),
-            ("db_memory_pinned_bytes".into(), self.pinned_bytes),
-            (
-                "db_memory_budget_adjustments".into(),
-                self.memory_adjustments,
-            ),
-        ];
-        for (name, h) in [
-            ("persistence_latency", &self.persistence_latency),
-            ("stall_micros", &self.stall_micros),
-            ("flush_micros", &self.flush_micros),
-            ("compaction_micros", &self.compaction_micros),
-            ("commit_group_ops", &self.commit_group_ops),
-        ] {
-            out.push((format!("{name}_count"), h.count));
-            out.push((format!("{name}_mean"), h.mean.round() as u64));
-            out.push((format!("{name}_max"), h.max));
-            out.push((format!("{name}_p50"), h.p50));
-            out.push((format!("{name}_p90"), h.p90));
-            out.push((format!("{name}_p99"), h.p99));
+        if let Some(m) = memory {
+            self.memory_budget_bytes = m.total_bytes() as u64;
+            self.memory_adjustments = m.adjustments();
         }
-        out
     }
 }
 
@@ -591,6 +523,10 @@ mod tests {
         assert!(h.quantile(1.0) >= 999);
         // The q=0 rank clamps to the first sample, which is 0 here.
         assert_eq!(h.quantile(0.0), 0);
+        // Past the last bucket boundary only the recorded maximum is an
+        // upper bound.
+        h.record(1 << 50);
+        assert_eq!(h.quantile(1.0), 1 << 50);
     }
 
     #[test]
@@ -633,205 +569,48 @@ mod tests {
         assert_eq!(get("persistence_latency_max"), Some(20));
     }
 
+    /// Walks the generated metric list: every row exports its own
+    /// field's value under a unique name, merging with `default()` is
+    /// the identity, and each row merges by the rule it names
+    /// (`shared_once` adds here; that shards leave it zero and the
+    /// fleet fills it once is checked against a live fleet in
+    /// `sharded.rs`).
     #[test]
-    fn to_pairs_covers_every_snapshot_field() {
-        fn hist(seed: u64) -> HistogramSummary {
-            HistogramSummary {
-                count: seed,
-                mean: seed as f64 + 0.25,
-                max: seed + 1,
-                p50: seed + 2,
-                p90: seed + 3,
-                p99: seed + 4,
+    fn every_table_row_exports_and_merges_by_its_rule() {
+        use std::collections::HashMap;
+        let values = |s: &StatsSnapshot| s.to_pairs().into_iter().collect::<HashMap<_, _>>();
+        // Row i holds i+1 in `a` and 1000-i in `b`: sums are constant,
+        // maxima are not.
+        let a = StatsSnapshot::numbered(|i| i + 1);
+        let b = StatsSnapshot::numbered(|i| 1000 - i);
+        let (va, vb, vm) = (values(&a), values(&b), values(&a.merge(&b)));
+        assert_eq!(va.len(), a.to_pairs().len(), "export names are unique");
+        assert_eq!(a.merge(&StatsSnapshot::default()), a);
+        assert_eq!(StatsSnapshot::default().merge(&a), a);
+        let mut exported = 0;
+        for (i, (field, export, rule)) in StatsSnapshot::ROWS.iter().enumerate() {
+            let (x, y) = (i as u64 + 1, 1000 - i as u64);
+            if let Some(&v) = va.get(*export) {
+                exported += 1;
+                assert_eq!((v, vb[*export]), (x, y), "{field} exports its own value");
+                let want = match *rule {
+                    "sum" | "shared_once" => x + y,
+                    "max" => x.max(y),
+                    other => panic!("{field}: unknown merge rule {other}"),
+                };
+                assert_eq!(vm[*export], want, "{field} merges by `{rule}`");
+            } else {
+                // A histogram row: six statistics; counts add, the rest
+                // take the worst shard.
+                for stat in ["count", "mean", "max", "p50", "p90", "p99"] {
+                    exported += 1;
+                    assert_eq!(va[&format!("{export}_{stat}")], x, "{field} {stat}");
+                }
+                assert_eq!(vm[&format!("{export}_count")], x + y, "{field}");
+                assert_eq!(vm[&format!("{export}_p99")], x.max(y), "{field}");
             }
         }
-        let snap = StatsSnapshot {
-            puts: 1,
-            deletes: 2,
-            range_deletes: 3,
-            sort_range_deletes: 25,
-            gets: 4,
-            scans: 5,
-            user_bytes: 6,
-            flushes: 7,
-            compactions: 8,
-            ttl_compactions: 9,
-            compaction_bytes_in: 10,
-            compaction_bytes_out: 11,
-            entries_shadowed: 12,
-            entries_range_purged: 13,
-            entries_key_range_purged: 26,
-            tombstones_purged: 14,
-            key_range_tombstones_purged: 27,
-            pages_dropped: 15,
-            persistence_latency: hist(100),
-            persistence_violations: 16,
-            write_stalls: 17,
-            write_slowdowns: 18,
-            stall_micros: hist(200),
-            flush_micros: hist(300),
-            compaction_micros: hist(400),
-            imm_queue_peak: 19,
-            background_errors: 20,
-            commit_groups: 21,
-            commit_group_ops: hist(500),
-            wal_syncs: 22,
-            wal_syncs_saved: 23,
-            read_view_swaps: 24,
-            vlog_appends: 28,
-            vlog_bytes_written: 29,
-            vlog_reads: 30,
-            vlog_gc_rewrites: 31,
-            vlog_gc_rewritten_bytes: 32,
-            vlog_gc_reclaimed_bytes: 33,
-            vlog_segments_deleted: 34,
-            traces_sampled: 45,
-            cache_hits: 35,
-            cache_misses: 36,
-            cache_evictions: 37,
-            cache_inserted_bytes: 38,
-            cache_prepopulated_bytes: 46,
-            cache_used_bytes: 39,
-            cache_capacity_bytes: 40,
-            memory_budget_bytes: 41,
-            memtable_budget_bytes: 42,
-            pinned_bytes: 43,
-            memory_adjustments: 44,
-        };
-        // Destructure with no `..`: adding a field to StatsSnapshot
-        // without deciding how it exports breaks this test at compile
-        // time, which is the point — to_pairs must not silently drift.
-        let StatsSnapshot {
-            puts,
-            deletes,
-            range_deletes,
-            sort_range_deletes,
-            gets,
-            scans,
-            user_bytes,
-            flushes,
-            compactions,
-            ttl_compactions,
-            compaction_bytes_in,
-            compaction_bytes_out,
-            entries_shadowed,
-            entries_range_purged,
-            entries_key_range_purged,
-            tombstones_purged,
-            key_range_tombstones_purged,
-            pages_dropped,
-            persistence_latency,
-            persistence_violations,
-            write_stalls,
-            write_slowdowns,
-            stall_micros,
-            flush_micros,
-            compaction_micros,
-            imm_queue_peak,
-            background_errors,
-            commit_groups,
-            commit_group_ops,
-            wal_syncs,
-            wal_syncs_saved,
-            read_view_swaps,
-            vlog_appends,
-            vlog_bytes_written,
-            vlog_reads,
-            vlog_gc_rewrites,
-            vlog_gc_rewritten_bytes,
-            vlog_gc_reclaimed_bytes,
-            vlog_segments_deleted,
-            traces_sampled,
-            cache_hits,
-            cache_misses,
-            cache_evictions,
-            cache_inserted_bytes,
-            cache_prepopulated_bytes,
-            cache_used_bytes,
-            cache_capacity_bytes,
-            memory_budget_bytes,
-            memtable_budget_bytes,
-            pinned_bytes,
-            memory_adjustments,
-        } = snap;
-        let pairs = snap.to_pairs();
-        let get = |n: &str| pairs.iter().find(|(k, _)| k == n).map(|(_, v)| *v);
-        let scalars = [
-            ("puts", puts),
-            ("deletes", deletes),
-            ("range_deletes", range_deletes),
-            ("sort_range_deletes", sort_range_deletes),
-            ("gets", gets),
-            ("scans", scans),
-            ("user_bytes", user_bytes),
-            ("flushes", flushes),
-            ("compactions", compactions),
-            ("ttl_compactions", ttl_compactions),
-            ("compaction_bytes_in", compaction_bytes_in),
-            ("compaction_bytes_out", compaction_bytes_out),
-            ("entries_shadowed", entries_shadowed),
-            ("entries_range_purged", entries_range_purged),
-            ("entries_key_range_purged", entries_key_range_purged),
-            ("tombstones_purged", tombstones_purged),
-            ("key_range_tombstones_purged", key_range_tombstones_purged),
-            ("pages_dropped", pages_dropped),
-            ("persistence_violations", persistence_violations),
-            ("write_stalls", write_stalls),
-            ("write_slowdowns", write_slowdowns),
-            ("imm_queue_peak", imm_queue_peak),
-            ("background_errors", background_errors),
-            ("commit_groups", commit_groups),
-            ("wal_syncs", wal_syncs),
-            ("wal_syncs_saved", wal_syncs_saved),
-            ("read_view_swaps", read_view_swaps),
-            ("vlog_appends", vlog_appends),
-            ("vlog_bytes_written", vlog_bytes_written),
-            ("vlog_reads", vlog_reads),
-            ("vlog_gc_rewrites", vlog_gc_rewrites),
-            ("vlog_gc_rewritten_bytes", vlog_gc_rewritten_bytes),
-            ("vlog_gc_reclaimed_bytes", vlog_gc_reclaimed_bytes),
-            ("vlog_segments_deleted", vlog_segments_deleted),
-            ("traces_sampled", traces_sampled),
-            ("db_cache_hits", cache_hits),
-            ("db_cache_misses", cache_misses),
-            ("db_cache_evictions", cache_evictions),
-            ("db_cache_inserted_bytes", cache_inserted_bytes),
-            ("db_cache_prepopulated_bytes", cache_prepopulated_bytes),
-            ("db_cache_used_bytes", cache_used_bytes),
-            ("db_cache_capacity_bytes", cache_capacity_bytes),
-            ("db_memory_budget_bytes", memory_budget_bytes),
-            ("db_memory_memtable_budget_bytes", memtable_budget_bytes),
-            ("db_memory_pinned_bytes", pinned_bytes),
-            ("db_memory_budget_adjustments", memory_adjustments),
-        ];
-        for (name, value) in scalars {
-            assert_eq!(
-                get(name),
-                Some(value),
-                "scalar {name} missing from to_pairs"
-            );
-        }
-        let histograms = [
-            ("persistence_latency", persistence_latency),
-            ("stall_micros", stall_micros),
-            ("flush_micros", flush_micros),
-            ("compaction_micros", compaction_micros),
-            ("commit_group_ops", commit_group_ops),
-        ];
-        for (name, h) in histograms {
-            assert_eq!(get(&format!("{name}_count")), Some(h.count), "{name}");
-            assert_eq!(
-                get(&format!("{name}_mean")),
-                Some(h.mean.round() as u64),
-                "{name}"
-            );
-            assert_eq!(get(&format!("{name}_max")), Some(h.max), "{name}");
-            assert_eq!(get(&format!("{name}_p50")), Some(h.p50), "{name}");
-            assert_eq!(get(&format!("{name}_p90")), Some(h.p90), "{name}");
-            assert_eq!(get(&format!("{name}_p99")), Some(h.p99), "{name}");
-        }
-        // And nothing extra: every exported pair traces back to a field.
-        assert_eq!(pairs.len(), scalars.len() + 6 * histograms.len());
+        assert_eq!(exported, va.len(), "every pair traces back to a row");
     }
 
     #[test]

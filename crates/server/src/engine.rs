@@ -14,6 +14,7 @@
 
 use std::sync::Arc;
 
+use acheron::obs::Exposition;
 use acheron::{Db, ShardedDb, StatsSnapshot, TombstoneGauges, WritePressure};
 use acheron_types::{Result, Tick};
 
@@ -167,87 +168,42 @@ impl Engine {
             return String::new();
         };
         let now = db.now();
-        // Group samples by family so each family gets exactly one
-        // `# TYPE` line before its first sample — the per-shard series
-        // repeat the family name once per shard.
-        let mut out = String::new();
-        let family = |out: &mut String, name: &str, lines: &[String]| {
-            out.push_str(&format!("# TYPE {name} gauge\n"));
-            for line in lines {
-                out.push_str(line);
-            }
-        };
-        family(
-            &mut out,
-            "db_shards",
-            &[format!("db_shards {}\n", db.shard_count())],
-        );
         let gauges = db.shard_gauges();
         let pressure = db.shard_pressure();
-        let per_shard = |f: &dyn Fn(usize) -> u64, name: &str| -> Vec<String> {
-            (0..db.shard_count())
-                .map(|i| format!("{name}{{shard=\"{i}\"}} {}\n", f(i)))
-                .collect()
-        };
-        family(
-            &mut out,
-            "db_shard_live_tombstones",
-            &per_shard(&|i| gauges[i].live_tombstones(), "db_shard_live_tombstones"),
-        );
-        family(
-            &mut out,
-            "db_shard_oldest_tombstone_age_ticks",
-            &per_shard(
-                &|i| {
-                    gauges[i]
-                        .oldest_live_tick()
-                        .map_or(0, |t0| now.saturating_sub(t0))
-                },
-                "db_shard_oldest_tombstone_age_ticks",
-            ),
-        );
-        family(
-            &mut out,
-            "db_shard_l0_files",
-            &per_shard(&|i| pressure[i].l0_files as u64, "db_shard_l0_files"),
-        );
-        family(
-            &mut out,
-            "db_shard_slowdown",
-            &per_shard(&|i| u64::from(pressure[i].slowdown), "db_shard_slowdown"),
-        );
-        family(
-            &mut out,
-            "db_shard_stall",
-            &per_shard(&|i| u64::from(pressure[i].stall), "db_shard_stall"),
-        );
-        // Per-shard memory-split gauges: each shard's write-buffer
-        // allowance under the shared arbiter, and its pinned
-        // filter/metadata contribution. The fleet-level totals are in
-        // the merged snapshot (`db_memory_*`).
+        // Per-shard memory split: each shard's write-buffer allowance
+        // under the shared arbiter and its pinned filter/metadata
+        // contribution. The fleet totals are in the merged snapshot
+        // (`db_memory_*`).
         let stats = db.shard_stats();
-        family(
-            &mut out,
-            "db_shard_memtable_budget_bytes",
-            &per_shard(
-                &|i| stats[i].memtable_budget_bytes,
-                "db_shard_memtable_budget_bytes",
-            ),
-        );
-        family(
-            &mut out,
-            "db_shard_pinned_bytes",
-            &per_shard(&|i| stats[i].pinned_bytes, "db_shard_pinned_bytes"),
-        );
-        family(
-            &mut out,
+        let mut x = Exposition::default();
+        x.gauge("db_shards", None, db.shard_count() as u64);
+        // A family's samples stay together: one series per shard.
+        let per_shard: [(&str, &dyn Fn(usize) -> u64); 7] = [
+            ("db_shard_live_tombstones", &|i| gauges[i].live_tombstones()),
+            ("db_shard_oldest_tombstone_age_ticks", &|i| {
+                gauges[i]
+                    .oldest_live_tick()
+                    .map_or(0, |t0| now.saturating_sub(t0))
+            }),
+            ("db_shard_l0_files", &|i| pressure[i].l0_files as u64),
+            ("db_shard_slowdown", &|i| u64::from(pressure[i].slowdown)),
+            ("db_shard_stall", &|i| u64::from(pressure[i].stall)),
+            ("db_shard_memtable_budget_bytes", &|i| {
+                stats[i].memtable_budget_bytes
+            }),
+            ("db_shard_pinned_bytes", &|i| stats[i].pinned_bytes),
+        ];
+        for (family, value) in per_shard {
+            for i in 0..db.shard_count() {
+                x.gauge(family, Some(("shard", &i)), value(i));
+            }
+        }
+        x.gauge(
             "db_fleet_max_tombstone_age_ticks",
-            &[format!(
-                "db_fleet_max_tombstone_age_ticks {}\n",
-                db.fleet_max_tombstone_age().unwrap_or(0)
-            )],
+            None,
+            db.fleet_max_tombstone_age().unwrap_or(0),
         );
-        out
+        x.finish()
     }
 
     /// The `events` command body: one engine's ring, or every shard's

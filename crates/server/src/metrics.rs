@@ -3,41 +3,39 @@
 //! connection threads. Surfaced through the `stats` wire command and
 //! the SERVE-mode status line.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
-use acheron::LatencyHistogram;
-
-/// Counters and histograms for one server instance.
-#[derive(Debug, Default)]
-pub struct ServerMetrics {
+acheron::metric_table! {
+    /// Counters and histograms for one server instance.
+    pub struct ServerMetrics;
     /// Connections accepted over the server's lifetime.
-    pub connections_opened: AtomicU64,
+    connections_opened: counter, "server_connections_opened";
     /// Connections that have fully terminated.
-    pub connections_closed: AtomicU64,
+    connections_closed: counter, "server_connections_closed";
     /// Connections refused because the pool was at `max_connections`.
-    pub connections_rejected: AtomicU64,
+    connections_rejected: counter, "server_connections_rejected";
     /// Request frames decoded.
-    pub requests: AtomicU64,
+    requests: counter, "server_requests";
     /// Requests shed with a `Busy` response under stall pressure.
-    pub busy_responses: AtomicU64,
+    busy_responses: counter, "server_busy_responses";
     /// Requests shed with a `Busy` response by per-connection
     /// admission control (token bucket), before reaching any engine.
-    pub rate_limited: AtomicU64,
+    rate_limited: counter, "server_rate_limited";
     /// Requests answered with an `Err` response.
-    pub error_responses: AtomicU64,
+    error_responses: counter, "server_error_responses";
     /// Connections dropped for protocol violations (bad frame, bad
     /// checksum, oversize, trailing garbage).
-    pub protocol_errors: AtomicU64,
+    protocol_errors: counter, "server_protocol_errors";
     /// Bytes received on the wire (frame headers included).
-    pub bytes_in: AtomicU64,
+    bytes_in: counter, "server_bytes_in";
     /// Bytes sent on the wire (frame headers included).
-    pub bytes_out: AtomicU64,
+    bytes_out: counter, "server_bytes_out";
     /// Times a write batch was delayed by slowdown throttling.
-    pub throttle_sleeps: AtomicU64,
+    throttle_sleeps: counter, "server_throttle_sleeps";
     /// Service latency (decode → response queued) for write ops, µs.
-    pub write_latency: LatencyHistogram,
+    write_latency: histogram, "server_write_us";
     /// Service latency for read ops (get/scan), µs.
-    pub read_latency: LatencyHistogram,
+    read_latency: histogram, "server_read_us";
 }
 
 impl ServerMetrics {
@@ -51,62 +49,26 @@ impl ServerMetrics {
     /// Flatten everything into `(name, value)` pairs for the `stats`
     /// wire response; histograms expand to `_{count,p50,p99,max}`.
     pub fn to_pairs(&self) -> Vec<(String, u64)> {
-        let mut pairs = vec![
-            (
-                "server_connections_opened".into(),
-                self.connections_opened.load(Ordering::Relaxed),
-            ),
-            (
-                "server_connections_closed".into(),
-                self.connections_closed.load(Ordering::Relaxed),
-            ),
-            (
-                "server_connections_rejected".into(),
-                self.connections_rejected.load(Ordering::Relaxed),
-            ),
+        let mut pairs: Vec<(String, u64)> = self
+            .counters()
+            .into_iter()
+            .map(|(name, value)| (name.to_string(), value))
+            .collect();
+        // The derived gauge sits right after the three counters it comes
+        // from; the wire order is pinned (tests/golden.rs).
+        pairs.insert(
+            3,
             ("server_connections_open".into(), self.open_connections()),
-            (
-                "server_requests".into(),
-                self.requests.load(Ordering::Relaxed),
-            ),
-            (
-                "server_busy_responses".into(),
-                self.busy_responses.load(Ordering::Relaxed),
-            ),
-            (
-                "server_rate_limited".into(),
-                self.rate_limited.load(Ordering::Relaxed),
-            ),
-            (
-                "server_error_responses".into(),
-                self.error_responses.load(Ordering::Relaxed),
-            ),
-            (
-                "server_protocol_errors".into(),
-                self.protocol_errors.load(Ordering::Relaxed),
-            ),
-            (
-                "server_bytes_in".into(),
-                self.bytes_in.load(Ordering::Relaxed),
-            ),
-            (
-                "server_bytes_out".into(),
-                self.bytes_out.load(Ordering::Relaxed),
-            ),
-            (
-                "server_throttle_sleeps".into(),
-                self.throttle_sleeps.load(Ordering::Relaxed),
-            ),
-        ];
-        for (name, hist) in [
-            ("server_write_us", &self.write_latency),
-            ("server_read_us", &self.read_latency),
-        ] {
-            let s = hist.summary();
-            pairs.push((format!("{name}_count"), s.count));
-            pairs.push((format!("{name}_p50"), s.p50));
-            pairs.push((format!("{name}_p99"), s.p99));
-            pairs.push((format!("{name}_max"), s.max));
+        );
+        for (name, s) in self.histograms() {
+            for (stat, value) in [
+                ("count", s.count),
+                ("p50", s.p50),
+                ("p99", s.p99),
+                ("max", s.max),
+            ] {
+                pairs.push((format!("{name}_{stat}"), value));
+            }
         }
         pairs
     }
