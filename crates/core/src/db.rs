@@ -1629,18 +1629,11 @@ impl Db {
 
     /// Point lookup at the latest state. Lock-free: one atomic load for
     /// the read point, one `Arc` clone for the view, then the lookup
-    /// runs entirely against the immutable view. The seqno MUST be
-    /// loaded before the view — see the ordering rule on `ReadView`.
+    /// runs entirely against the immutable view.
     pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
         let core = self.core();
         let mut trace = core.tracer.sample(TraceOp::Get);
-        let view_started = trace.as_ref().map(|_| Instant::now());
-        let snapshot = core.visible_seqno.load(Ordering::Acquire);
-        let view = core.current_view();
-        if let (Some(t), Some(s)) = (trace.as_mut(), view_started) {
-            t.add(TraceStage::ViewClone, s.elapsed().as_micros() as u64);
-        }
-        let res = self.get_in_view(&view, key, snapshot, trace.as_mut());
+        let res = self.get_latest(key, trace.as_mut());
         if let Some(t) = trace {
             core.finish_trace(t);
         }
@@ -1649,44 +1642,50 @@ impl Db {
 
     /// Point lookup at a snapshot.
     pub fn get_at(&self, snap: &Snapshot, key: &[u8]) -> Result<Option<Bytes>> {
-        let view = self.core().current_view();
-        self.get_in_view(&view, key, snap.seqno, None)
-    }
-
-    /// Early-exit newest-wins lookup. Sources are probed in recency
-    /// order — active memtable, sealed memtables newest-first, L0
-    /// newest-first, then deeper levels — and each source is skipped
-    /// outright when its seqno ceiling cannot beat the best version
-    /// found so far. Correctness does not depend on the probe order:
-    /// the per-file `max_seqno` bound is what allows a skip, which also
-    /// stays sound when FADE's TTL descents sink newer versions below
-    /// older runs. Table probes consult the per-page bloom filters
-    /// internally before any block read.
-    fn get_in_view(
-        &self,
-        view: &ReadView,
-        key: &[u8],
-        snapshot: SeqNo,
-        mut trace: Option<&mut TraceBuf>,
-    ) -> Result<Option<Bytes>> {
         let core = self.core();
         core.stats.gets.fetch_add(1, Ordering::Relaxed);
-        let Some(newest) = core.newest_live_in_view(view, key, snapshot, trace.as_deref_mut())?
-        else {
-            return Ok(None);
-        };
-        Ok(match newest.kind {
-            acheron_types::ValueKind::Put => Some(newest.value),
-            acheron_types::ValueKind::ValuePointer => {
-                let started = trace.as_ref().map(|_| Instant::now());
-                let value = core.deref_value_pointer(&newest)?;
-                if let (Some(t), Some(s)) = (trace, started) {
-                    t.add(TraceStage::VlogDeref, s.elapsed().as_micros() as u64);
-                }
-                Some(value)
+        let view = core.current_view();
+        match core.newest_live_in_view(&view, key, snap.seqno, None)? {
+            Some(newest) => core.resolve_value(newest, None),
+            None => Ok(None),
+        }
+    }
+
+    /// Lookup from a fresh read point. The seqno MUST be loaded before
+    /// the view — see the ordering rule on `ReadView`.
+    ///
+    /// No registered snapshot pins the pointers this read point sees, so
+    /// value-log GC may rewrite a value and delete the segment its old
+    /// pointer names between the view clone and the dereference. GC
+    /// commits the rewrite (the visible seqno advances) before it
+    /// deletes, so a dereference that fails at a read point that is no
+    /// longer current is retried once from a fresh one; at the current
+    /// read point the failure is real and is surfaced.
+    fn get_latest(&self, key: &[u8], mut trace: Option<&mut TraceBuf>) -> Result<Option<Bytes>> {
+        let core = self.core();
+        core.stats.gets.fetch_add(1, Ordering::Relaxed);
+        let mut retried = false;
+        loop {
+            let started = trace.as_ref().map(|_| Instant::now());
+            let snapshot = core.visible_seqno.load(Ordering::Acquire);
+            let view = core.current_view();
+            if let (Some(t), Some(s)) = (trace.as_deref_mut(), started) {
+                t.add(TraceStage::ViewClone, s.elapsed().as_micros() as u64);
             }
-            _ => None,
-        })
+            let Some(newest) =
+                core.newest_live_in_view(&view, key, snapshot, trace.as_deref_mut())?
+            else {
+                return Ok(None);
+            };
+            let moved = || {
+                core.visible_seqno.load(Ordering::Acquire) != snapshot
+                    || !Arc::ptr_eq(&view, &core.current_view())
+            };
+            match core.resolve_value(newest, trace.as_deref_mut()) {
+                Err(_) if !retried && moved() => retried = true,
+                res => return res,
+            }
+        }
     }
 
     /// Register a read snapshot at the current sequence number.
@@ -2060,11 +2059,7 @@ impl Db {
         if let Some(id) = trace_id {
             buf.trace_id = id;
         }
-        let started = Instant::now();
-        let snapshot = core.visible_seqno.load(Ordering::Acquire);
-        let view = core.current_view();
-        buf.add(TraceStage::ViewClone, started.elapsed().as_micros() as u64);
-        let value = self.get_in_view(&view, key, snapshot, Some(&mut buf))?;
+        let value = self.get_latest(key, Some(&mut buf))?;
         Ok((value, core.finish_trace(buf)))
     }
 
@@ -2211,13 +2206,21 @@ impl DbCore {
     // Group commit + read views
     // ------------------------------------------------------------------
 
-    /// The current read view (an O(1) `Arc` clone; the lock is only ever
-    /// write-held for a pointer store).
     /// The newest visible version of `key` at `snapshot` that is not
     /// erased by either range-tombstone flavor — the version that
     /// decides the key. `None` when no version is visible or the newest
     /// one is range-erased; the caller maps the surviving entry's kind
     /// (a point tombstone here still means "deleted").
+    ///
+    /// An early-exit newest-wins lookup: sources are probed in recency
+    /// order — active memtable, sealed memtables newest-first, L0
+    /// newest-first, then deeper levels — and each source is skipped
+    /// outright when its seqno ceiling cannot beat the best version
+    /// found so far. Correctness does not depend on the probe order:
+    /// the per-file `max_seqno` bound is what allows a skip, which also
+    /// stays sound when FADE's TTL descents sink newer versions below
+    /// older runs. Table probes consult the per-page bloom filters
+    /// internally before any block read.
     fn newest_live_in_view(
         &self,
         view: &ReadView,
@@ -2329,6 +2332,23 @@ impl DbCore {
         Ok(Some(newest))
     }
 
+    /// The user value of a lookup's deciding version: inline for a put,
+    /// through the value log for a pointer, none for a tombstone.
+    fn resolve_value(&self, newest: Entry, trace: Option<&mut TraceBuf>) -> Result<Option<Bytes>> {
+        Ok(match newest.kind {
+            acheron_types::ValueKind::Put => Some(newest.value),
+            acheron_types::ValueKind::ValuePointer => {
+                let started = trace.as_ref().map(|_| Instant::now());
+                let value = self.deref_value_pointer(&newest)?;
+                if let (Some(t), Some(s)) = (trace, started) {
+                    t.add(TraceStage::VlogDeref, s.elapsed().as_micros() as u64);
+                }
+                Some(value)
+            }
+            _ => None,
+        })
+    }
+
     /// Resolve a `ValuePointer` entry to the user value it references.
     ///
     /// Fails loudly (never returns wrong data) on a malformed pointer,
@@ -2346,6 +2366,8 @@ impl DbCore {
         self.vlog_reader.get(&ptr, &entry.key)
     }
 
+    /// The current read view (an O(1) `Arc` clone; the lock is only ever
+    /// write-held for a pointer store).
     fn current_view(&self) -> Arc<ReadView> {
         Arc::clone(&self.view.read())
     }

@@ -8,8 +8,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use acheron::{Db, DbOptions, Event};
-use acheron_types::checksum;
-use acheron_vfs::{MemFs, Vfs};
+use acheron_types::{checksum, Result};
+use acheron_vfs::{IoStats, MemFs, RandomAccessFile, Vfs, WritableFile};
+use bytes::Bytes;
 
 fn opts(background_threads: usize) -> DbOptions {
     DbOptions {
@@ -556,10 +557,12 @@ fn inline_driver_shares_the_exclusion_without_deadlock() {
     const ROUNDS: u64 = 12;
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     let body = std::thread::spawn(move || {
-        // No value separation here: a reader without a snapshot can lose
-        // a race with vlog GC deleting the segment its pointer names,
-        // with any executor — not what this test is about.
-        let db = Db::open(Arc::new(MemFs::new()), "db", opts(0).with_fade(4_000)).unwrap();
+        let db = Db::open(
+            Arc::new(MemFs::new()),
+            "db",
+            opts(0).with_fade(4_000).with_value_separation(16),
+        )
+        .unwrap();
         let stop = AtomicBool::new(false);
         crossbeam::scope(|s| {
             let writer = {
@@ -633,4 +636,128 @@ fn inline_driver_shares_the_exclusion_without_deadlock() {
             panic!("writer, maintenance caller and reader deadlocked")
         }
     }
+}
+
+/// What [`GatedFs`] runs before a value-log `open`: it gets the inner
+/// filesystem and the path being opened.
+type Gate = Box<dyn FnOnce(&MemFs, &str) + Send>;
+
+/// A `MemFs` whose next `open` of a value-log segment first runs a hook:
+/// the gate that lets a test act between a reader's view clone and its
+/// pointer dereference.
+#[derive(Default)]
+struct GatedFs {
+    inner: MemFs,
+    before_vlog_open: std::sync::Mutex<Option<Gate>>,
+}
+
+impl GatedFs {
+    fn arm(&self, gate: Gate) {
+        *self.before_vlog_open.lock().unwrap() = Some(gate);
+    }
+
+    fn fired(&self) -> bool {
+        self.before_vlog_open.lock().unwrap().is_none()
+    }
+}
+
+impl Vfs for GatedFs {
+    fn open(&self, path: &str) -> Result<Arc<dyn RandomAccessFile>> {
+        if path.ends_with(".vlg") {
+            let gate = self.before_vlog_open.lock().unwrap().take();
+            if let Some(gate) = gate {
+                gate(&self.inner, path);
+            }
+        }
+        self.inner.open(path)
+    }
+    fn create(&self, path: &str) -> Result<Box<dyn WritableFile>> {
+        self.inner.create(path)
+    }
+    fn read_all(&self, path: &str) -> Result<Bytes> {
+        self.inner.read_all(path)
+    }
+    fn write_all(&self, path: &str, data: &[u8]) -> Result<()> {
+        self.inner.write_all(path, data)
+    }
+    fn delete(&self, path: &str) -> Result<()> {
+        self.inner.delete(path)
+    }
+    fn rename(&self, from: &str, to: &str) -> Result<()> {
+        self.inner.rename(from, to)
+    }
+    fn exists(&self, path: &str) -> bool {
+        self.inner.exists(path)
+    }
+    fn list(&self, dir: &str) -> Result<Vec<String>> {
+        self.inner.list(dir)
+    }
+    fn mkdir_all(&self, path: &str) -> Result<()> {
+        self.inner.mkdir_all(path)
+    }
+    fn sync_dir(&self, dir: &str) -> Result<()> {
+        self.inner.sync_dir(dir)
+    }
+    fn file_size(&self, path: &str) -> Result<u64> {
+        self.inner.file_size(path)
+    }
+    fn io_stats(&self) -> Arc<IoStats> {
+        self.inner.io_stats()
+    }
+}
+
+/// A `get` without a snapshot holds a read point whose value pointers
+/// nothing pins. Value-log GC rewrites the survivors and deletes the
+/// segment exactly between the reader's view clone and its dereference
+/// (the gate runs `maintain()` inside the reader's `open`): the reader
+/// must come back with the value from a fresh read point, not with the
+/// segment's `NotFound`. A dereference that fails at the *current* read
+/// point is a real error and still surfaces.
+#[test]
+fn get_racing_vlog_gc_retries_from_a_fresh_read_point() {
+    let fs = Arc::new(GatedFs::default());
+    let mut o = opts(0).with_value_separation(64);
+    o.vlog_segment_bytes = 2048;
+    // Each phase starts on a freshly opened engine: its reader has no
+    // segment handle cached, so the first dereference opens one.
+    let open = || Db::open(fs.clone(), "db", o.clone()).unwrap();
+    let key = |i: u32| format!("big{i:04}").into_bytes();
+    let value = |i: u32| format!("value-{i:04}-").repeat(16).into_bytes();
+    // Delete all but every `keep`-th key and compact the tombstones in,
+    // so the segments' dead ratio fires on the next `maintain()` — which
+    // the gate runs under the next reader to open a segment.
+    let arm_gc_after_keeping = |db: &Db, keep: u32, was: u32| {
+        for i in (0..150).filter(|i| i % was == 0 && i % keep != 0) {
+            db.delete(&key(i)).unwrap();
+        }
+        db.compact_all().unwrap();
+        assert_eq!(db.stats_snapshot().vlog_segments_deleted, 0);
+        let gc = db.clone();
+        fs.arm(Box::new(move |_, _| gc.maintain().unwrap()));
+    };
+    let gc_ran_under_the_reader =
+        |db: &Db| fs.fired() && db.stats_snapshot().vlog_segments_deleted > 0;
+
+    let db = open();
+    for i in 0..150 {
+        db.put(&key(i), &value(i)).unwrap();
+    }
+    db.flush().unwrap();
+    arm_gc_after_keeping(&db, 5, 1);
+    assert_eq!(db.get(&key(0)).unwrap().unwrap(), value(0));
+    assert!(gc_ran_under_the_reader(&db));
+    drop(db);
+
+    let db = open();
+    arm_gc_after_keeping(&db, 10, 5);
+    let (got, _trace) = db.get_traced(&key(140), None).unwrap();
+    assert_eq!(got.unwrap(), value(140));
+    assert!(gc_ran_under_the_reader(&db));
+    drop(db);
+
+    // The segment vanishes but the read point has not moved: surfaced.
+    let db = open();
+    fs.arm(Box::new(|inner, path| inner.delete(path).unwrap()));
+    assert!(db.get(&key(0)).is_err());
+    assert!(fs.fired());
 }
