@@ -169,8 +169,9 @@ impl HistogramSummary {
 /// struct, `snapshot()`, `merge()` and `to_pairs()` (scalars in table
 /// order, then the histograms).
 ///
-/// The first form declares a live struct alone, for a surface that
-/// flattens its own way: it gets `counters()` and `histograms()`, the
+/// The short form — one `pub struct`, rows without a rule — declares a
+/// live struct alone, for a surface that flattens its own way
+/// (`ServerMetrics`): it gets `counters()` and `histograms()`, the
 /// `(export name, value)` lists in table order.
 #[doc(hidden)]
 #[macro_export]
