@@ -922,11 +922,12 @@ mod tests {
         for i in 0..400u32 {
             db.get(format!("key{i:06}").as_bytes()).unwrap().unwrap();
         }
-        let shared = |name: &str| {
-            StatsSnapshot::ROWS
-                .iter()
-                .any(|&(_, export, rule)| export == name && rule == "shared_once")
-        };
+        let shared_rows: Vec<&str> = StatsSnapshot::ROWS
+            .iter()
+            .filter(|row| row.2 == "shared_once")
+            .map(|row| row.1)
+            .collect();
+        let shared = |name: &str| shared_rows.contains(&name);
         for shard in db.shard_stats() {
             for (name, value) in shard.to_pairs() {
                 assert!(!shared(&name) || value == 0, "{name} = {value} on a shard");
@@ -942,7 +943,8 @@ mod tests {
                 checked += 1;
             }
         }
-        assert_eq!(checked, 9);
+        assert_eq!(checked, shared_rows.len());
+        assert!(checked > 0);
         assert_eq!(once.memory_budget_bytes, 1 << 20);
         assert!(once.cache_hits + once.cache_misses > 0);
     }
