@@ -17,11 +17,18 @@
 //! power-cut models (unsynced suffix dropped wholesale, or torn to a
 //! random length the way physical sectors tear).
 
+use std::sync::{Arc, Mutex};
+
+use acheron::manifest::{read_current, read_manifest, VersionEdit};
 use acheron::testutil::{
     count_crash_points, demonstrate_delete_before_manifest, run_crash_suite,
     run_recovery_crash_point, CrashConfig, CrashWorkload,
 };
-use acheron_vfs::CutDurability;
+use acheron::{Db, DbOptions, Event};
+use acheron_types::checksum::crc32c;
+use acheron_types::Result;
+use acheron_vfs::{CutDurability, IoStats, MemFs, RandomAccessFile, Vfs, WritableFile};
+use bytes::Bytes;
 use proptest::prelude::*;
 
 fn sync_cfg() -> CrashConfig {
@@ -316,4 +323,286 @@ proptest! {
             report.violations()
         );
     }
+}
+
+/// The ordered mutating calls a [`RecordingFs`] has seen: one line per
+/// call — op, file name, byte length where the op carries bytes.
+type CallLog = Arc<Mutex<Vec<String>>>;
+
+fn file_name(path: &str) -> &str {
+    path.rsplit('/').next().unwrap_or(path)
+}
+
+/// A `MemFs` that writes down every call that changes the directory or
+/// makes a change durable. Reads pass through unrecorded.
+#[derive(Default)]
+struct RecordingFs {
+    inner: MemFs,
+    calls: CallLog,
+}
+
+impl RecordingFs {
+    fn note(&self, line: String) {
+        self.calls.lock().unwrap().push(line);
+    }
+}
+
+struct RecordingFile {
+    inner: Box<dyn WritableFile>,
+    name: String,
+    calls: CallLog,
+}
+
+impl RecordingFile {
+    fn note(&self, line: String) {
+        self.calls.lock().unwrap().push(line);
+    }
+}
+
+impl WritableFile for RecordingFile {
+    fn append(&mut self, data: &[u8]) -> Result<()> {
+        self.note(format!("append {} {}", self.name, data.len()));
+        self.inner.append(data)
+    }
+    fn sync(&mut self) -> Result<()> {
+        self.note(format!("sync {}", self.name));
+        self.inner.sync()
+    }
+    fn len(&self) -> u64 {
+        self.inner.len()
+    }
+    fn finish(&mut self) -> Result<()> {
+        self.note(format!("finish {}", self.name));
+        self.inner.finish()
+    }
+}
+
+impl Vfs for RecordingFs {
+    fn create(&self, path: &str) -> Result<Box<dyn WritableFile>> {
+        self.note(format!("create {}", file_name(path)));
+        Ok(Box::new(RecordingFile {
+            inner: self.inner.create(path)?,
+            name: file_name(path).to_string(),
+            calls: Arc::clone(&self.calls),
+        }))
+    }
+    fn open(&self, path: &str) -> Result<Arc<dyn RandomAccessFile>> {
+        self.inner.open(path)
+    }
+    fn read_all(&self, path: &str) -> Result<Bytes> {
+        self.inner.read_all(path)
+    }
+    fn write_all(&self, path: &str, data: &[u8]) -> Result<()> {
+        self.note(format!("write_all {} {}", file_name(path), data.len()));
+        self.inner.write_all(path, data)
+    }
+    fn delete(&self, path: &str) -> Result<()> {
+        self.note(format!("delete {}", file_name(path)));
+        self.inner.delete(path)
+    }
+    fn rename(&self, from: &str, to: &str) -> Result<()> {
+        self.note(format!("rename {} {}", file_name(from), file_name(to)));
+        self.inner.rename(from, to)
+    }
+    fn exists(&self, path: &str) -> bool {
+        self.inner.exists(path)
+    }
+    fn list(&self, dir: &str) -> Result<Vec<String>> {
+        self.inner.list(dir)
+    }
+    fn mkdir_all(&self, path: &str) -> Result<()> {
+        self.note(format!("mkdir_all {path}"));
+        self.inner.mkdir_all(path)
+    }
+    fn sync_dir(&self, dir: &str) -> Result<()> {
+        self.note(format!("sync_dir {dir}"));
+        self.inner.sync_dir(dir)
+    }
+    fn file_size(&self, path: &str) -> Result<u64> {
+        self.inner.file_size(path)
+    }
+    fn io_stats(&self) -> Arc<IoStats> {
+        self.inner.io_stats()
+    }
+}
+
+fn pinned_opts() -> DbOptions {
+    let mut opts = DbOptions::small().with_value_separation(64);
+    opts.vlog_segment_bytes = 2048;
+    opts
+}
+
+fn big_key(i: u32) -> Vec<u8> {
+    format!("big{i:04}").into_bytes()
+}
+
+fn big_value(i: u32) -> Vec<u8> {
+    format!("value-{i:04}-").repeat(25).into_bytes()
+}
+
+fn newest(fs: &RecordingFs, suffix: &str) -> String {
+    let name = fs
+        .list("db")
+        .unwrap()
+        .into_iter()
+        .filter(|n| n.ends_with(suffix))
+        .max()
+        .unwrap_or_else(|| panic!("no {suffix} file in the image"));
+    format!("db/{name}")
+}
+
+fn chop_tail(fs: &RecordingFs, path: &str, bytes: usize) {
+    let data = fs.read_all(path).unwrap();
+    fs.write_all(path, &data[..data.len() - bytes]).unwrap();
+}
+
+fn dropped_vlog_segments(fs: &RecordingFs) -> usize {
+    let manifest = read_current(fs, "db").unwrap().expect("CURRENT");
+    read_manifest(fs, &format!("db/{manifest}"))
+        .unwrap()
+        .iter()
+        .flat_map(|b| &b.edits)
+        .filter(|e| matches!(e, VersionEdit::DropVlogSegment { .. }))
+        .count()
+}
+
+/// Clean shutdown of a value-separated engine whose vlog GC rewrote and
+/// deleted segments that live tables still hold (shadowed) pointers
+/// into: recovery must carry the drop markers forward.
+fn image_clean_with_dropped_segment() -> Arc<RecordingFs> {
+    let fs = Arc::new(RecordingFs::default());
+    let db = Db::open(fs.clone(), "db", pinned_opts()).unwrap();
+    for i in 0..150 {
+        db.put(&big_key(i), &big_value(i)).unwrap();
+    }
+    db.flush().unwrap();
+    for i in (0..150).filter(|i| i % 5 != 0) {
+        db.delete(&big_key(i)).unwrap();
+    }
+    db.compact_all().unwrap();
+    db.maintain().unwrap();
+    assert!(db.stats_snapshot().vlog_segments_deleted > 0);
+    drop(db);
+    assert!(dropped_vlog_segments(&fs) > 0);
+    fs
+}
+
+/// A crash tore the tail of the one live WAL segment.
+fn image_torn_wal_tail() -> Arc<RecordingFs> {
+    let fs = Arc::new(RecordingFs::default());
+    let db = Db::open(fs.clone(), "db", pinned_opts()).unwrap();
+    for i in 0..20 {
+        db.put(format!("key{i:04}").as_bytes(), b"inline").unwrap();
+    }
+    db.delete(b"key0003").unwrap();
+    drop(db);
+    chop_tail(&fs, &newest(&fs, ".log"), 3);
+    fs
+}
+
+/// A crash tore the vlog head behind the newest WAL record's pointer,
+/// and left an unadopted table, a superseded manifest and rename debris.
+fn image_torn_vlog_with_debris() -> Arc<RecordingFs> {
+    let fs = Arc::new(RecordingFs::default());
+    let db = Db::open(fs.clone(), "db", pinned_opts()).unwrap();
+    for i in 0..12 {
+        db.put(&big_key(i), &big_value(i)).unwrap();
+    }
+    drop(db);
+    chop_tail(&fs, &newest(&fs, ".vlg"), 5);
+    fs.write_all("db/999990.sst", b"half-built table junk")
+        .unwrap();
+    let manifest = fs.read_all(&newest(&fs, "CURRENT")).unwrap();
+    let manifest = std::str::from_utf8(&manifest).unwrap().trim().to_string();
+    let stale = fs.read_all(&format!("db/{manifest}")).unwrap();
+    fs.write_all("db/MANIFEST-000000", &stale).unwrap();
+    fs.write_all("db/000042.log.tmp", b"interrupted heal")
+        .unwrap();
+    fs
+}
+
+/// Recover `fs` and fold what the repair did into one CRC32C: (a) the
+/// ordered mutating `Vfs` calls of the open, (b) the recovery events it
+/// buffered, (c) the directory it left, each file by name and CRC32C.
+fn repair_digest(fs: &Arc<RecordingFs>) -> (u32, String) {
+    let mut text = String::new();
+    fs.calls.lock().unwrap().clear();
+    let db = Db::open(fs.clone(), "db", pinned_opts()).unwrap();
+    for call in fs.calls.lock().unwrap().iter() {
+        text.push_str(call);
+        text.push('\n');
+    }
+    let events = db.events().events;
+    let finished = events
+        .iter()
+        .position(|e| {
+            matches!(
+                e.event,
+                Event::RecoveryStep {
+                    step: acheron::RecoveryStepKind::Finished,
+                    ..
+                }
+            )
+        })
+        .expect("recovery logs its last step");
+    for e in &events[..=finished] {
+        assert!(
+            matches!(
+                e.event,
+                Event::RecoveryStep { .. } | Event::GcDropped { .. }
+            ),
+            "unexpected event inside recovery: {e}"
+        );
+        text.push_str(&format!("{e}\n"));
+    }
+    drop(db);
+    let mut names = fs.list("db").unwrap();
+    names.sort();
+    for name in names {
+        let crc = crc32c(&fs.read_all(&format!("db/{name}")).unwrap());
+        text.push_str(&format!("{name} {crc:08x}\n"));
+    }
+    (crc32c(text.as_bytes()), text)
+}
+
+/// The digests of [`repair_digest`] over the three images, recorded at
+/// the commit before recovery was split into a read-only survey and a
+/// repair. They move only if the repair issues a different mutation or
+/// durability point, in a different order, logs different milestones,
+/// or leaves different bytes behind.
+const REPAIR_DIGESTS: [u32; 3] = [0x5c72_03fa, 0xa68b_866c, 0x5036_89a6];
+
+#[test]
+fn recovery_repair_sequence_is_pinned() {
+    let images = [
+        image_clean_with_dropped_segment(),
+        image_torn_wal_tail(),
+        image_torn_vlog_with_debris(),
+    ];
+    let texts: Vec<(u32, String)> = images.iter().map(repair_digest).collect();
+    assert!(
+        dropped_vlog_segments(&images[0]) > 0,
+        "a live table still names the dropped segment, so its marker is carried forward"
+    );
+    assert!(texts[1].1.contains("torn_tail_healed"), "{}", texts[1].1);
+    for needle in [
+        "torn_tail_healed",
+        "rename vlog-",
+        "orphan_table",
+        "stale_manifest",
+        "temp_file",
+    ] {
+        assert!(texts[2].1.contains(needle), "{needle}:\n{}", texts[2].1);
+    }
+    let got: Vec<u32> = texts.iter().map(|t| t.0).collect();
+    assert_eq!(
+        got,
+        REPAIR_DIGESTS,
+        "the repair sequence moved: {got:#010x?}\n{}",
+        texts
+            .iter()
+            .map(|t| t.1.as_str())
+            .collect::<Vec<_>>()
+            .join("----\n")
+    );
 }
