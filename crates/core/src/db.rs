@@ -58,28 +58,25 @@ use acheron_types::{
 };
 use acheron_vfs::Vfs;
 use acheron_vlog::{VlogReader, VlogWriter};
-use acheron_wal::{recover_records, LogWriter, WalBatch, WalOp};
+use acheron_wal::{LogWriter, WalOp};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock};
 
-use crate::filenames::{manifest_name, parse_file_name, sst_path, vlog_path, wal_path, FileKind};
-use crate::manifest::{
-    read_current, read_manifest, write_current, EditBatch, ManifestWriter, VersionEdit,
-};
+use crate::manifest::{EditBatch, ManifestWriter, VersionEdit};
 use crate::memory::{MemoryBudget, TunerSample};
 use crate::obs::trace::{
     DeleteAudit, DeleteLedger, OpTrace, TraceBuf, TraceOp, TraceStage, Tracer,
 };
-use crate::obs::{
-    min_tick, Event, EventLog, EventSnapshot, GcKind, RecoveryStepKind, TombstoneGauges,
-};
+use crate::obs::{min_tick, Event, EventLog, EventSnapshot, TombstoneGauges};
 use crate::options::DbOptions;
 use crate::picker::{entry_hull, CompactionReason, CompactionTask, Picker};
 use crate::stats::DbStats;
-use crate::version::{FileMeta, Version};
+use crate::version::Version;
 
 mod maintenance;
+mod recovery;
 use maintenance::{MaintTask, FLUSH, TREE, VLOG_GC};
+use recovery::Bootstrap;
 
 /// A sealed (immutable) memtable queued for flush, together with the
 /// WAL segment that made it durable.
@@ -90,28 +87,6 @@ struct ImmMemtable {
     wal_number: u64,
     /// Highest sequence number in the memtable (it is non-empty).
     max_seqno: SeqNo,
-}
-
-/// What `initialize`/`recover` hand to `open`: the initial state plus
-/// the pieces that live outside the state lock (the active WAL writer
-/// and the seqno the allocator starts from).
-struct Bootstrap {
-    state: State,
-    wal: LogWriter,
-    last_seqno: SeqNo,
-    next_file_id: u64,
-    /// Recovery-time events, buffered because `recover` runs before the
-    /// [`EventLog`] exists; `open` replays them into the ring.
-    events: Vec<Event>,
-    /// Per-segment value-log accounting rebuilt from table metadata and
-    /// WAL replay.
-    vlog_segments: BTreeMap<u64, VlogSegmentAcct>,
-    /// GC-deleted vlog segments some live table or WAL record still
-    /// (stalely) points into — see [`VlogState::dropped`].
-    vlog_dropped: BTreeSet<u64>,
-    /// One past the highest vlog segment on disk (the id a lazily
-    /// created writer starts at).
-    vlog_next_segment: u64,
 }
 
 /// Per-segment byte accounting for the value log.
@@ -161,21 +136,6 @@ impl VlogState {
             acct.oldest_dead_tick = Some(acct.oldest_dead_tick.map_or(stamp, |t| t.min(stamp)));
         }
     }
-}
-
-/// File length covering the first `records` intact records of a WAL
-/// segment — the truncation point when replay rejects a later record
-/// (an unreadable vlog frame behind one of its pointers).
-fn wal_record_prefix_len(data: &Bytes, records: usize) -> u64 {
-    let mut reader = acheron_wal::LogReader::new(data.clone());
-    let mut len = 0u64;
-    for _ in 0..records {
-        match reader.next_record() {
-            acheron_wal::ReadOutcome::Record(_) => len = reader.offset(),
-            _ => break,
-        }
-    }
-    len
 }
 
 struct State {
@@ -662,20 +622,15 @@ impl Db {
         if let Some(m) = &memory {
             m.register_writer();
         }
-        let boot = match read_current(fs.as_ref(), dir)? {
-            None => Self::initialize(&fs, dir, &opts)?,
-            Some(manifest) => Self::recover(&fs, dir, &opts, &manifest, cache.as_ref())?,
-        };
         let Bootstrap {
             state,
             wal,
             last_seqno,
             next_file_id,
             events: boot_events,
-            vlog_segments,
-            vlog_dropped,
+            vlog_state,
             vlog_next_segment,
-        } = boot;
+        } = recovery::open_image(fs.as_ref(), dir, &opts, cache.as_ref())?;
         let view = Arc::new(ReadView {
             mem: Arc::clone(&state.mem),
             imms: Vec::new(),
@@ -692,10 +647,7 @@ impl Db {
             vlog: Mutex::new(None),
             vlog_next_segment: AtomicU64::new(vlog_next_segment),
             vlog_reader: Arc::new(VlogReader::new(Arc::clone(&fs), dir)),
-            vlog_state: Mutex::new(VlogState {
-                segments: vlog_segments,
-                dropped: vlog_dropped,
-            }),
+            vlog_state: Mutex::new(vlog_state),
             fs,
             dir: dir.to_string(),
             opts,
@@ -754,521 +706,6 @@ impl Db {
 
     fn core(&self) -> &DbCore {
         &self.inner.core
-    }
-
-    /// Create a fresh database directory layout.
-    fn initialize(fs: &Arc<dyn Vfs>, dir: &str, opts: &DbOptions) -> Result<Bootstrap> {
-        let mut next_file_id = 1u64;
-        let manifest_number = next_file_id;
-        next_file_id += 1;
-        let wal_number = next_file_id;
-        next_file_id += 1;
-
-        let name = manifest_name(manifest_number);
-        let mut manifest = ManifestWriter::create(fs.as_ref(), &acheron_vfs::join(dir, &name))?;
-        manifest.append(&EditBatch {
-            edits: vec![
-                VersionEdit::NextFileId { id: next_file_id },
-                VersionEdit::LogNumber { number: wal_number },
-            ],
-        })?;
-        write_current(fs.as_ref(), dir, &name)?;
-        // The directory entries for the manifest and CURRENT must be
-        // durable before the open reports success.
-        fs.sync_dir(dir)?;
-        let wal = LogWriter::new(fs.create(&wal_path(dir, wal_number))?);
-        Ok(Bootstrap {
-            state: State {
-                mem: Arc::new(Memtable::new()),
-                imms: VecDeque::new(),
-                live_wals: vec![wal_number],
-                version: Arc::new(Version::empty(opts.max_levels)),
-                persisted_seqno: 0,
-                manifest,
-                ttl_deadline: None,
-            },
-            wal,
-            last_seqno: 0,
-            next_file_id,
-            events: Vec::new(),
-            vlog_segments: BTreeMap::new(),
-            vlog_dropped: BTreeSet::new(),
-            vlog_next_segment: 1,
-        })
-    }
-
-    /// Recover from an existing manifest + WAL set.
-    fn recover(
-        fs: &Arc<dyn Vfs>,
-        dir: &str,
-        opts: &DbOptions,
-        manifest: &str,
-        cache: Option<&Arc<acheron_sstable::BlockCache>>,
-    ) -> Result<Bootstrap> {
-        let batches = read_manifest(fs.as_ref(), &acheron_vfs::join(dir, manifest))?;
-        // Milestones are buffered here and replayed into the event ring
-        // by `open` — recovery runs before the ring exists.
-        let mut events: Vec<Event> = Vec::new();
-        // Fold edits into the recovered metadata state.
-        struct RecFile {
-            level: u64,
-            run: u64,
-            size: u64,
-            created_tick: u64,
-        }
-        let mut files: BTreeMap<u64, RecFile> = BTreeMap::new();
-        let mut rts: Vec<RangeTombstone> = Vec::new();
-        let mut persisted_seqno = 0u64;
-        let mut log_number = 0u64;
-        let mut next_file_id = 1u64;
-        let mut vlog_dropped: BTreeSet<u64> = BTreeSet::new();
-        for batch in &batches {
-            for edit in &batch.edits {
-                match edit {
-                    VersionEdit::AddFile {
-                        level,
-                        run,
-                        id,
-                        size,
-                        created_tick,
-                    } => {
-                        files.insert(
-                            *id,
-                            RecFile {
-                                level: *level,
-                                run: *run,
-                                size: *size,
-                                created_tick: *created_tick,
-                            },
-                        );
-                    }
-                    VersionEdit::DeleteFile { id } => {
-                        files.remove(id);
-                    }
-                    VersionEdit::AddRangeTombstone { seqno, range } => {
-                        rts.push(RangeTombstone {
-                            seqno: *seqno,
-                            range: *range,
-                        });
-                    }
-                    VersionEdit::DropRangeTombstone { seqno } => {
-                        rts.retain(|rt| rt.seqno != *seqno);
-                    }
-                    VersionEdit::PersistedSeqno { seqno } => {
-                        persisted_seqno = persisted_seqno.max(*seqno);
-                    }
-                    VersionEdit::LogNumber { number } => log_number = log_number.max(*number),
-                    VersionEdit::NextFileId { id } => next_file_id = next_file_id.max(*id),
-                    VersionEdit::DropVlogSegment { segment } => {
-                        vlog_dropped.insert(*segment);
-                    }
-                }
-            }
-        }
-
-        events.push(Event::RecoveryStep {
-            step: RecoveryStepKind::ManifestLoaded,
-            detail: files.len() as u64,
-        });
-
-        // Open every live table.
-        let mut version = Version::empty(opts.max_levels);
-        let mut metas = Vec::with_capacity(files.len());
-        for (id, rec) in &files {
-            let path = sst_path(dir, *id);
-            let table = acheron_sstable::Table::open_with_cache(fs.open(&path)?, cache.cloned())?;
-            let stats = table.stats().clone();
-            metas.push(Arc::new(FileMeta {
-                id: *id,
-                level: rec.level as usize,
-                run: rec.run,
-                size_bytes: rec.size,
-                stats,
-                created_tick: rec.created_tick,
-                table,
-            }));
-        }
-        version = version.apply(metas, &[], &rts, &[]);
-
-        // Scan the directory for WALs to replay, vlog segments to
-        // re-account, and to bound file ids.
-        let mut wal_numbers: Vec<u64> = Vec::new();
-        let mut vlog_on_disk: Vec<u64> = Vec::new();
-        for name in fs.list(dir)? {
-            match parse_file_name(&name) {
-                FileKind::Wal(n) => {
-                    next_file_id = next_file_id.max(n + 1);
-                    if n >= log_number {
-                        wal_numbers.push(n);
-                    }
-                }
-                FileKind::Table(n) | FileKind::Manifest(n) => {
-                    next_file_id = next_file_id.max(n + 1);
-                }
-                FileKind::Vlog(n) => vlog_on_disk.push(n),
-                _ => {}
-            }
-        }
-        wal_numbers.sort_unstable();
-
-        // Replay surviving WAL records into a fresh memtable.
-        //
-        // Prefix recovery: the first torn tail ends replay *globally*,
-        // not just for its own segment. Records in later-numbered
-        // segments were written strictly after the ones lost in the
-        // tear, so replaying them would recover a non-contiguous
-        // history — resurrecting overwritten values and, worse, deleted
-        // keys. How segments past a tear are handled depends on the
-        // durability mode — see the tear block below.
-        let mem = Memtable::new();
-        let mut last_seqno = persisted_seqno.max(rts.iter().map(|rt| rt.seqno).max().unwrap_or(0));
-        let mut replayed: Vec<u64> = Vec::new();
-        let mut dropped_wals: Vec<u64> = Vec::new();
-        let mut tear: Option<(u64, u64)> = None; // (segment, valid prefix length)
-                                                 // Pointer probes during replay. The commit path appends and
-                                                 // syncs vlog frames *before* the WAL record that references
-                                                 // them, so a replayed pointer whose frame does not read back is
-                                                 // a commit that never finished — treated exactly like a torn
-                                                 // WAL tail at that record.
-        let vlog_probe = VlogReader::new(Arc::clone(fs), dir);
-        let mut vlog_wal_live: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut vlog_wal_refs: BTreeSet<u64> = BTreeSet::new();
-        for n in wal_numbers {
-            if tear.is_some() {
-                dropped_wals.push(n);
-                continue;
-            }
-            let data = fs.read_all(&wal_path(dir, n))?;
-            let recovered = recover_records(data.clone());
-            let mut applied = 0usize;
-            let mut ptr_torn = false;
-            'records: for rec in &recovered.records {
-                let batch = WalBatch::decode(rec)?;
-                let (entries, _ranges, key_ranges) = batch.entries();
-                // Validate every pointer the record references before
-                // any of its entries become visible — a record is an
-                // atomic unit, so one unreadable frame voids it whole.
-                for e in &entries {
-                    if e.kind == acheron_types::ValueKind::ValuePointer && e.seqno > persisted_seqno
-                    {
-                        // A pointer into a GC-dropped segment is not a
-                        // tear: the drop record's durability ordering
-                        // guarantees the rewrite that shadows this
-                        // entry is later in the WAL.
-                        let ok = ValuePointer::decode(&e.value).is_some_and(|ptr| {
-                            vlog_dropped.contains(&ptr.segment)
-                                || vlog_probe.get(&ptr, &e.key).is_ok()
-                        });
-                        if !ok {
-                            ptr_torn = true;
-                            break 'records;
-                        }
-                    }
-                }
-                for e in entries {
-                    if e.seqno > persisted_seqno {
-                        last_seqno = last_seqno.max(e.seqno);
-                        if e.kind == acheron_types::ValueKind::ValuePointer {
-                            if let Some(ptr) = ValuePointer::decode(&e.value) {
-                                vlog_wal_refs.insert(ptr.segment);
-                                if !vlog_dropped.contains(&ptr.segment) {
-                                    *vlog_wal_live.entry(ptr.segment).or_default() +=
-                                        u64::from(ptr.len);
-                                }
-                            }
-                        }
-                        mem.insert(e);
-                    }
-                }
-                for krt in key_ranges {
-                    if krt.seqno > persisted_seqno {
-                        last_seqno = last_seqno.max(krt.seqno);
-                        mem.add_range_tombstone(krt);
-                    }
-                }
-                applied += 1;
-            }
-            replayed.push(n);
-            events.push(Event::RecoveryStep {
-                step: RecoveryStepKind::WalSegmentReplayed,
-                detail: applied as u64,
-            });
-            if ptr_torn {
-                tear = Some((n, wal_record_prefix_len(&data, applied)));
-            } else if recovered.is_torn() {
-                tear = Some((n, recovered.valid_len));
-            }
-        }
-        if let Some((torn_wal, valid_len)) = tear {
-            // A crash can only tear the highest-numbered segment: under
-            // `wal_sync` every record in an older segment was synced
-            // before anything was written after it. Segments *beyond* a
-            // tear therefore mean media corruption mid-history — their
-            // records may be durably acknowledged writes, so silently
-            // discarding them would be data loss. Fail open and leave
-            // the image for explicit repair. Without `wal_sync` no
-            // write was ever acknowledged durable and multiple torn
-            // segments are ordinary crash debris; the prefix rule keeps
-            // recovery consistent.
-            if !dropped_wals.is_empty() && opts.wal_sync {
-                return Err(Error::corruption(format!(
-                    "WAL segment {torn_wal:06} is torn mid-history: {} later segment(s) \
-                     (first: {:06}) hold records that may be acknowledged synced writes; \
-                     refusing to discard them",
-                    dropped_wals.len(),
-                    dropped_wals[0],
-                )));
-            }
-            // Durably remove every post-tear segment BEFORE the heal
-            // below can land. Once the tear is healed the segment reads
-            // as clean, so nothing would stop a later open from
-            // replaying these segments — resurrecting deleted keys and
-            // overwritten values. Failure here is fatal to the open for
-            // the same reason; these deletes must not be best-effort.
-            for n in &dropped_wals {
-                fs.delete(&wal_path(dir, *n))?;
-                events.push(Event::GcDropped {
-                    kind: GcKind::DeadWal,
-                    id: *n,
-                });
-            }
-            if !dropped_wals.is_empty() {
-                fs.sync_dir(dir)?;
-            }
-            // Heal the tear: cut the segment back to its valid prefix
-            // so it is healed once, here, instead of being rediscovered
-            // (and re-reported by `doctor`) on every future open. The
-            // rewrite goes write-temp-then-rename — an in-place rewrite
-            // would destroy the valid prefix (synced, acknowledged
-            // records whose only copy is this segment) if the power
-            // died mid-write. A crash before the rename leaves the torn
-            // original plus `.tmp` debris the next recovery collects; a
-            // crash after it leaves the healed segment. The segment
-            // stays live — it holds the replayed records until the next
-            // flush retires it.
-            let path = wal_path(dir, torn_wal);
-            let data = fs.read_all(&path)?;
-            let tmp = format!("{path}.tmp");
-            let mut healed = fs.create(&tmp)?;
-            healed.append(&data[..valid_len as usize])?;
-            healed.sync()?;
-            healed.finish()?;
-            drop(healed);
-            fs.rename(&tmp, &path)?;
-            events.push(Event::RecoveryStep {
-                step: RecoveryStepKind::TornTailHealed,
-                detail: torn_wal,
-            });
-        }
-        let wal_numbers = replayed;
-
-        // A dropped-segment marker only matters while some live table
-        // or surviving WAL record still names the segment; once
-        // compaction has rewritten the last stale pointer the marker is
-        // garbage and stops being carried forward. The next-segment
-        // high-water is taken before pruning so a fully forgotten
-        // segment's id is never reused under old pointers.
-        let vlog_next_segment = vlog_on_disk
-            .iter()
-            .chain(vlog_dropped.iter())
-            .max()
-            .map_or(1, |m| m + 1);
-        let mut vlog_referenced = vlog_wal_refs;
-        for f in version.all_files() {
-            for r in &f.stats.vlog_refs {
-                vlog_referenced.insert(r.segment);
-            }
-        }
-        vlog_dropped.retain(|seg| vlog_referenced.contains(seg));
-
-        // Start a new manifest containing a snapshot of the recovered
-        // state (keeps manifests from growing without bound and lets the
-        // old one be collected).
-        let manifest_number = next_file_id;
-        next_file_id += 1;
-        let wal_number = next_file_id;
-        next_file_id += 1;
-        let name = manifest_name(manifest_number);
-        let mut manifest = ManifestWriter::create(fs.as_ref(), &acheron_vfs::join(dir, &name))?;
-        let mut snapshot_edits = vec![
-            VersionEdit::NextFileId { id: next_file_id },
-            VersionEdit::PersistedSeqno {
-                seqno: persisted_seqno,
-            },
-        ];
-        // Old WALs must still replay next time if we crash before the
-        // next flush, so the log number keeps pointing at the oldest
-        // live segment.
-        let oldest_live_wal = wal_numbers.first().copied().unwrap_or(wal_number);
-        snapshot_edits.push(VersionEdit::LogNumber {
-            number: oldest_live_wal.min(wal_number),
-        });
-        for f in version.all_files() {
-            snapshot_edits.push(VersionEdit::AddFile {
-                level: f.level as u64,
-                run: f.run,
-                id: f.id,
-                size: f.size_bytes,
-                created_tick: f.created_tick,
-            });
-        }
-        for rt in &version.range_tombstones {
-            snapshot_edits.push(VersionEdit::AddRangeTombstone {
-                seqno: rt.seqno,
-                range: rt.range,
-            });
-        }
-        for seg in &vlog_dropped {
-            snapshot_edits.push(VersionEdit::DropVlogSegment { segment: *seg });
-        }
-        manifest.append(&EditBatch {
-            edits: snapshot_edits,
-        })?;
-        write_current(fs.as_ref(), dir, &name)?;
-        // Make the snapshot manifest, the CURRENT repoint, and the tear
-        // heal durable before anything they supersede is deleted: until
-        // this fsync a real filesystem may still have CURRENT pointing
-        // at the *old* manifest, and deleting it first would leave the
-        // database unopenable after a crash.
-        fs.sync_dir(dir)?;
-        events.push(Event::RecoveryStep {
-            step: RecoveryStepKind::SnapshotManifestWritten,
-            detail: manifest_number,
-        });
-
-        // Rebuild value-log accounting. Live bytes are whatever the
-        // recovered tree (per-table vlog refs) and the replayed WAL
-        // still reference; every other byte inside a referenced segment
-        // is dead with an unknown stamp, so it is conservatively
-        // treated as already overdue (stamp 0) — `D_th` must hold even
-        // across a crash that lost the in-memory stamps. Segments no
-        // pointer references at all are deleted outright below.
-        let mut vlog_segments: BTreeMap<u64, VlogSegmentAcct> = BTreeMap::new();
-        for f in version.all_files() {
-            for r in &f.stats.vlog_refs {
-                // References into GC-dropped segments are stale and
-                // shadowed — they hold no bytes live.
-                if !vlog_dropped.contains(&r.segment) {
-                    vlog_segments.entry(r.segment).or_default().live_bytes += r.bytes;
-                }
-            }
-        }
-        for (seg, bytes) in vlog_wal_live {
-            vlog_segments.entry(seg).or_default().live_bytes += bytes;
-        }
-        // Referenced-but-missing segments stay out of the accounting:
-        // reads through such a pointer fail loudly (and `doctor` flags
-        // them); GC must not try to rewrite a file that is not there.
-        vlog_segments.retain(|seg, _| vlog_on_disk.contains(seg));
-        let mut vlog_healed = false;
-        for seg in &vlog_on_disk {
-            if let Some(acct) = vlog_segments.get_mut(seg) {
-                let path = vlog_path(dir, *seg);
-                let data = fs.read_all(&path)?;
-                let scan = acheron_vlog::scan_segment(&data);
-                let mut size = data.len() as u64;
-                if scan.torn {
-                    // Trim crash debris past the last intact frame, the
-                    // same write-temp-then-rename heal as a torn WAL
-                    // tail (an in-place rewrite would risk the intact
-                    // prefix, whose frames live pointers reference).
-                    // No record is lost: a pointer into the torn region
-                    // already ended WAL replay at its record.
-                    let tmp = format!("{path}.tmp");
-                    let mut healed = fs.create(&tmp)?;
-                    healed.append(&data[..scan.valid_len as usize])?;
-                    healed.sync()?;
-                    healed.finish()?;
-                    drop(healed);
-                    fs.rename(&tmp, &path)?;
-                    vlog_healed = true;
-                    size = scan.valid_len;
-                }
-                let dead = size.saturating_sub(acct.live_bytes);
-                if dead > 0 {
-                    acct.dead_bytes = dead;
-                    acct.oldest_dead_tick = Some(0);
-                }
-            }
-        }
-        if vlog_healed {
-            fs.sync_dir(dir)?;
-        }
-
-        // Garbage-collect everything the snapshot manifest does not
-        // reference: tables orphaned by a crash between a manifest
-        // append and its physical deletes (or mid-build), WAL segments
-        // older than the log number (post-tear segments were already
-        // durably removed above), superseded manifests, temp-file
-        // debris from an interrupted heal or CURRENT update, vlog
-        // segments no surviving pointer names (an unreferenced head
-        // left by a crash before its WAL record landed, or one emptied
-        // by compaction), and — in torn-tail crashes — partially
-        // persisted junk. Safe now that CURRENT durably points at the
-        // snapshot; best-effort because everything deleted here is
-        // unreferenced, so leftover garbage is a space leak, not a
-        // correctness problem.
-        let live_tables: BTreeSet<u64> = version.all_files().map(|f| f.id).collect();
-        for fname in fs.list(dir)? {
-            let dead = match parse_file_name(&fname) {
-                FileKind::Table(id) if !live_tables.contains(&id) => {
-                    Some((GcKind::OrphanTable, id))
-                }
-                FileKind::Wal(n) if n < oldest_live_wal.min(wal_number) => {
-                    Some((GcKind::DeadWal, n))
-                }
-                FileKind::Manifest(m) if manifest_name(m) != name => {
-                    Some((GcKind::StaleManifest, m))
-                }
-                FileKind::Vlog(seg) if !vlog_segments.contains_key(&seg) => {
-                    Some((GcKind::VlogSegment, seg))
-                }
-                FileKind::Temp => Some((GcKind::TempFile, 0)),
-                _ => None,
-            };
-            if let Some((kind, id)) = dead {
-                let _ = fs.delete(&acheron_vfs::join(dir, &fname));
-                events.push(Event::GcDropped { kind, id });
-            }
-        }
-
-        let wal = LogWriter::new(fs.create(&wal_path(dir, wal_number))?);
-        let mut live_wals = wal_numbers;
-        live_wals.push(wal_number);
-
-        // Keep the clock ahead of every recovered tombstone tick so ages
-        // stay meaningful after restart.
-        let max_tick = version
-            .all_files()
-            .map(|f| f.created_tick)
-            .chain(mem.stats().max_dkey)
-            .chain(mem.range_tombstone_list().iter().map(|krt| krt.dkey))
-            .max()
-            .unwrap_or(0);
-        opts.clock_advance_to(max_tick);
-
-        events.push(Event::RecoveryStep {
-            step: RecoveryStepKind::Finished,
-            detail: mem.stats().entries as u64,
-        });
-        Ok(Bootstrap {
-            state: State {
-                mem: Arc::new(mem),
-                imms: VecDeque::new(),
-                live_wals,
-                version: Arc::new(version),
-                persisted_seqno,
-                manifest,
-                ttl_deadline: None,
-            },
-            wal,
-            last_seqno,
-            next_file_id,
-            events,
-            vlog_segments,
-            vlog_dropped,
-            vlog_next_segment,
-        })
     }
 
     // ------------------------------------------------------------------
@@ -2147,40 +1584,11 @@ impl Db {
     pub fn verify_integrity(&self) -> Result<()> {
         let view = self.core().current_view();
         view.version.check_invariants()?;
+        // Always the files' bytes: a resident page would hide exactly
+        // the damage this scan exists to find (and a one-pass scan must
+        // not wipe out the cache either).
         for f in view.version.all_files() {
-            // Always the file's bytes: a resident page would hide
-            // exactly the damage this scan exists to find (and a
-            // one-pass scan must not wipe out the cache either).
-            let mut it = f.table.iter_bypass(vec![]);
-            it.seek_to_first()?;
-            let mut entries = 0u64;
-            let mut tombstones = 0u64;
-            let mut last: Option<Vec<u8>> = None;
-            while acheron_sstable::TableIterator::valid(&it) {
-                if let Some(prev) = &last {
-                    if acheron_types::key::compare_internal(prev, it.key())
-                        != std::cmp::Ordering::Less
-                    {
-                        return Err(Error::Internal(format!(
-                            "file {}: entries out of order",
-                            f.id
-                        )));
-                    }
-                }
-                last = Some(it.key().to_vec());
-                let e = it.entry()?;
-                entries += 1;
-                if e.is_tombstone() {
-                    tombstones += 1;
-                }
-                acheron_sstable::TableIterator::next(&mut it)?;
-            }
-            if entries != f.stats.entry_count || tombstones != f.stats.tombstone_count {
-                return Err(Error::Internal(format!(
-                    "file {}: stats mismatch (entries {entries} vs {}, tombstones {tombstones} vs {})",
-                    f.id, f.stats.entry_count, f.stats.tombstone_count
-                )));
-            }
+            crate::doctor::verify_table(&f.table, f.id)?;
         }
         Ok(())
     }
@@ -2828,7 +2236,7 @@ mod tests {
         (fs, db)
     }
 
-    fn small() -> DbOptions {
+    pub(super) fn small() -> DbOptions {
         DbOptions::small()
     }
 
@@ -3124,267 +2532,6 @@ mod tests {
             baseline > 0,
             "delete-blind baseline has no reason to purge: {baseline}"
         );
-    }
-
-    #[test]
-    fn crash_recovery_restores_acknowledged_writes() {
-        let fs = Arc::new(MemFs::new());
-        {
-            let db = Db::open(fs.clone() as Arc<dyn Vfs>, "db", small()).unwrap();
-            for i in 0..1500u32 {
-                db.put(format!("key{i:05}").as_bytes(), format!("v{i}").as_bytes())
-                    .unwrap();
-            }
-            db.delete(b"key00007").unwrap();
-            db.range_delete_secondary(1, 2).unwrap();
-            // No clean shutdown: just drop the handle.
-        }
-        let db = Db::open(fs as Arc<dyn Vfs>, "db", small()).unwrap();
-        assert_eq!(db.get(b"key00007").unwrap(), None);
-        for i in (0..1500u32).step_by(119) {
-            if i == 7 {
-                continue;
-            }
-            let got = db.get(format!("key{i:05}").as_bytes()).unwrap();
-            assert_eq!(
-                got.unwrap().as_ref(),
-                format!("v{i}").as_bytes(),
-                "key{i:05}"
-            );
-        }
-        db.verify_integrity().unwrap();
-    }
-
-    #[test]
-    fn recovery_is_idempotent_across_restarts() {
-        let fs = Arc::new(MemFs::new());
-        for restart in 0..3 {
-            let db = Db::open(fs.clone() as Arc<dyn Vfs>, "db", small()).unwrap();
-            db.put(format!("round{restart}").as_bytes(), b"done")
-                .unwrap();
-            for r in 0..=restart {
-                assert_eq!(
-                    db.get(format!("round{r}").as_bytes())
-                        .unwrap()
-                        .unwrap()
-                        .as_ref(),
-                    b"done",
-                    "restart {restart}, round {r}"
-                );
-            }
-        }
-    }
-
-    /// Build the torn-mid-history image of the test below: a torn
-    /// active segment plus a later-numbered segment holding a delete of
-    /// "alpha" that must never replay.
-    fn torn_mid_history_image() -> (Arc<MemFs>, String) {
-        let fs = Arc::new(MemFs::new());
-        {
-            let db = Db::open(fs.clone() as Arc<dyn Vfs>, "db", small()).unwrap();
-            db.put(b"alpha", b"keep").unwrap();
-            db.put(b"beta", b"torn-away").unwrap();
-        }
-        // Tear the tail of the active segment: "beta" is lost.
-        let wal_name = fs
-            .list("db")
-            .unwrap()
-            .into_iter()
-            .filter(|n| n.ends_with(".log"))
-            .max()
-            .unwrap();
-        let wal_file = acheron_vfs::join("db", &wal_name);
-        let data = fs.read_all(&wal_file).unwrap();
-        fs.write_all(&wal_file, &data[..data.len() - 3]).unwrap();
-        // Craft a later-numbered segment holding a delete of "alpha" —
-        // the on-disk shape of unsynced writes landing out of order.
-        let later = acheron_vfs::join("db", "000099.log");
-        let mut w = LogWriter::new(fs.create(&later).unwrap());
-        let mut batch = WalBatch::new(10);
-        batch.ops.push(WalOp::Delete {
-            key: Bytes::from_static(b"alpha"),
-            tick: 1,
-        });
-        w.add_record(&batch.encode()).unwrap();
-        w.finish().unwrap();
-        (fs, later)
-    }
-
-    #[test]
-    fn torn_wal_tail_stops_replay_of_later_segments() {
-        // A tear in one WAL segment must end replay globally: records in
-        // later-numbered segments were written strictly after the bytes
-        // lost in the tear, so replaying them would recover a
-        // non-contiguous history — here, resurrecting a delete whose
-        // predecessors were never durable. (Dropping them silently is
-        // only legitimate without `wal_sync`, when no write was ever
-        // acknowledged durable — which is what `small()` uses; the
-        // synced-WAL case refuses to open instead, tested below.)
-        let (fs, later) = torn_mid_history_image();
-        let db = Db::open(fs.clone() as Arc<dyn Vfs>, "db", small()).unwrap();
-        assert_eq!(
-            db.get(b"alpha").unwrap().as_deref(),
-            Some(&b"keep"[..]),
-            "a delete past the tear must not replay"
-        );
-        assert_eq!(db.get(b"beta").unwrap(), None, "the torn record is lost");
-        assert!(
-            !fs.exists(&later),
-            "the unreplayable segment is collected at recovery"
-        );
-    }
-
-    #[test]
-    fn torn_mid_history_with_synced_wal_refuses_to_open() {
-        // Under `wal_sync` every record in an older segment was synced
-        // before anything after it was written, so a tear followed by
-        // more segments cannot come from a crash — it is media
-        // corruption, and the later segments may hold acknowledged
-        // writes. Discarding them silently would be data loss.
-        let (fs, _later) = torn_mid_history_image();
-        let opts = DbOptions {
-            wal_sync: true,
-            ..small()
-        };
-        let err = match Db::open(fs as Arc<dyn Vfs>, "db", opts) {
-            Err(e) => e,
-            Ok(_) => panic!("open must refuse a torn mid-history image under wal_sync"),
-        };
-        assert!(err.is_corruption(), "{err}");
-        assert!(err.to_string().contains("torn mid-history"), "{err}");
-    }
-
-    #[test]
-    fn failed_dropped_segment_delete_is_fatal_to_open() {
-        // The post-tear segments must be durably gone before the tear
-        // is healed; a failed delete silently shrugged off would leave
-        // a healed (clean-reading) segment alongside the dropped one,
-        // and the next open would replay it — resurrecting the delete
-        // of "alpha". So the delete failure must abort the open.
-        use acheron_vfs::{FaultKind, FaultOp, FaultRule, FaultVfs};
-        let (fs, later) = torn_mid_history_image();
-        let fault = FaultVfs::new(fs.clone() as Arc<dyn Vfs>);
-        fault.inject(FaultRule::new(FaultOp::Delete, FaultKind::Error).on_path("000099.log"));
-        assert!(
-            Db::open(Arc::new(fault.clone()) as Arc<dyn Vfs>, "db", small()).is_err(),
-            "a failed dropped-segment delete must be fatal"
-        );
-        assert!(fs.exists(&later), "the segment outlived its failed delete");
-        // With the fault cleared the same image opens and the delete
-        // past the tear still must not replay.
-        fault.clear_faults();
-        let db = Db::open(Arc::new(fault) as Arc<dyn Vfs>, "db", small()).unwrap();
-        assert_eq!(db.get(b"alpha").unwrap().as_deref(), Some(&b"keep"[..]));
-    }
-
-    #[test]
-    fn crash_between_dropped_segment_delete_and_heal_cannot_resurrect() {
-        // Power dies exactly at the dropped-segment delete, before the
-        // heal could land. The surviving image still shows the tear, so
-        // the next open re-drops (and this time deletes) the later
-        // segment instead of replaying its delete of "alpha".
-        use acheron_vfs::{FaultKind, FaultOp, FaultRule, FaultVfs};
-        let (fs, later) = torn_mid_history_image();
-        let fault = FaultVfs::new(fs as Arc<dyn Vfs>);
-        fault.inject(FaultRule::new(FaultOp::Delete, FaultKind::PowerCut).on_path("000099.log"));
-        assert!(
-            Db::open(Arc::new(fault.clone()) as Arc<dyn Vfs>, "db", small()).is_err(),
-            "power died mid-recovery"
-        );
-        fault.reboot();
-        let db = Db::open(Arc::new(fault.clone()) as Arc<dyn Vfs>, "db", small()).unwrap();
-        assert_eq!(
-            db.get(b"alpha").unwrap().as_deref(),
-            Some(&b"keep"[..]),
-            "the dropped segment's delete must not resurrect across the recovery crash"
-        );
-        assert!(
-            !fault.exists(&later),
-            "second recovery collected the dropped segment"
-        );
-    }
-
-    #[test]
-    fn crash_during_tear_heal_preserves_the_valid_prefix() {
-        // The heal rewrites the torn segment via write-temp-then-rename;
-        // whatever instant power dies at, the segment's valid prefix
-        // (synced, acknowledged records whose only copy is this file)
-        // must survive. Sweep a cut over every durability point of the
-        // recovery, reboot, reopen, and check.
-        use acheron_vfs::FaultVfs;
-        for point in 0..8 {
-            let fs = Arc::new(MemFs::new());
-            {
-                let db = Db::open(fs.clone() as Arc<dyn Vfs>, "db", small()).unwrap();
-                db.put(b"alpha", b"keep").unwrap();
-                db.put(b"beta", b"torn-away").unwrap();
-            }
-            let wal_name = fs
-                .list("db")
-                .unwrap()
-                .into_iter()
-                .filter(|n| n.ends_with(".log"))
-                .max()
-                .unwrap();
-            let wal_file = acheron_vfs::join("db", &wal_name);
-            let data = fs.read_all(&wal_file).unwrap();
-            fs.write_all(&wal_file, &data[..data.len() - 3]).unwrap();
-
-            let fault = FaultVfs::new(fs as Arc<dyn Vfs>);
-            fault.arm_power_cut_at(point);
-            let _ = Db::open(Arc::new(fault.clone()) as Arc<dyn Vfs>, "db", small());
-            fault.reboot();
-            let db = Db::open(Arc::new(fault.clone()) as Arc<dyn Vfs>, "db", small())
-                .unwrap_or_else(|e| panic!("reopen after cut at point {point}: {e}"));
-            assert_eq!(
-                db.get(b"alpha").unwrap().as_deref(),
-                Some(&b"keep"[..]),
-                "valid prefix lost by a heal crash at point {point}"
-            );
-            drop(db);
-            for name in fault.list("db").unwrap() {
-                assert!(
-                    !name.ends_with(".tmp"),
-                    "heal debris {name} not collected (cut point {point})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn recovery_collects_orphan_files() {
-        let fs = Arc::new(MemFs::new());
-        {
-            let db = Db::open(fs.clone() as Arc<dyn Vfs>, "db", small()).unwrap();
-            for i in 0..2000u32 {
-                db.put(format!("key{i:05}").as_bytes(), &[b'v'; 48])
-                    .unwrap();
-            }
-            db.flush().unwrap();
-        }
-        // Plant garbage a crash could leave behind: a table the
-        // manifest never adopted and a stale pre-log-number WAL.
-        fs.write_all("db/999990.sst", b"half-built table junk")
-            .unwrap();
-        fs.write_all("db/000001.log", b"stale segment").unwrap();
-        let old_manifest = fs
-            .list("db")
-            .unwrap()
-            .into_iter()
-            .find(|n| n.starts_with("MANIFEST-"))
-            .unwrap();
-        let db = Db::open(fs.clone() as Arc<dyn Vfs>, "db", small()).unwrap();
-        assert!(!fs.exists("db/999990.sst"), "orphan table collected");
-        assert!(!fs.exists("db/000001.log"), "obsolete WAL collected");
-        assert!(
-            !fs.exists(&acheron_vfs::join("db", &old_manifest)),
-            "superseded manifest collected"
-        );
-        // Nothing live was touched.
-        for i in (0..2000u32).step_by(97) {
-            assert!(db.get(format!("key{i:05}").as_bytes()).unwrap().is_some());
-        }
-        db.verify_integrity().unwrap();
     }
 
     #[test]
@@ -3744,7 +2891,7 @@ mod tests {
 
     use std::sync::atomic::Ordering::Relaxed;
 
-    fn vlog_opts() -> DbOptions {
+    pub(super) fn vlog_opts() -> DbOptions {
         let mut opts = small().with_value_separation(64);
         // Small segments so workloads span several files and the GC has
         // non-head segments to work on.
@@ -3752,7 +2899,7 @@ mod tests {
         opts
     }
 
-    fn big_value(i: u32) -> Vec<u8> {
+    pub(super) fn big_value(i: u32) -> Vec<u8> {
         format!("value-{i:04}-")
             .into_bytes()
             .into_iter()
@@ -3788,61 +2935,6 @@ mod tests {
         let gauges = db.tombstone_gauges();
         assert!(gauges.vlog_live_bytes > 0);
         db.verify_integrity().unwrap();
-    }
-
-    #[test]
-    fn separated_values_survive_crash_and_reopen() {
-        let fs = Arc::new(MemFs::new());
-        {
-            let db = Db::open(fs.clone() as Arc<dyn Vfs>, "db", vlog_opts()).unwrap();
-            for i in 0..120u32 {
-                db.put(format!("big{i:04}").as_bytes(), &big_value(i))
-                    .unwrap();
-            }
-            db.flush().unwrap();
-            // These stay in the WAL: recovery must re-validate their
-            // vlog frames before replaying the pointers.
-            for i in 120..160u32 {
-                db.put(format!("big{i:04}").as_bytes(), &big_value(i))
-                    .unwrap();
-            }
-            // No clean shutdown: just drop the handle.
-        }
-        let db = Db::open(fs.clone() as Arc<dyn Vfs>, "db", vlog_opts()).unwrap();
-        for i in 0..160u32 {
-            assert_eq!(
-                db.get(format!("big{i:04}").as_bytes()).unwrap().unwrap(),
-                big_value(i),
-                "big{i:04} lost across reopen"
-            );
-        }
-        assert!(db.tombstone_gauges().vlog_live_bytes > 0);
-        db.verify_integrity().unwrap();
-    }
-
-    #[test]
-    fn recovery_drops_orphan_vlog_segments() {
-        let fs = Arc::new(MemFs::new());
-        {
-            let db = Db::open(fs.clone() as Arc<dyn Vfs>, "db", vlog_opts()).unwrap();
-            for i in 0..50u32 {
-                db.put(format!("big{i:04}").as_bytes(), &big_value(i))
-                    .unwrap();
-            }
-            db.flush().unwrap();
-        }
-        // A segment no pointer references (e.g. GC finished rewriting it
-        // but crashed before deleting the file).
-        let stray = "db/vlog-000099.vlg";
-        (fs.clone() as Arc<dyn Vfs>)
-            .write_all(stray, b"leftover bytes")
-            .unwrap();
-        let db = Db::open(fs.clone() as Arc<dyn Vfs>, "db", vlog_opts()).unwrap();
-        assert!(
-            !(fs.clone() as Arc<dyn Vfs>).exists(stray),
-            "orphan segment should be removed by recovery GC"
-        );
-        assert_eq!(db.get(b"big0001").unwrap().unwrap(), big_value(1));
     }
 
     #[test]
@@ -3954,40 +3046,6 @@ mod tests {
                 db.get(format!("big{i:04}").as_bytes()).unwrap().unwrap(),
                 big_value(i)
             );
-        }
-    }
-
-    #[test]
-    fn recovery_rebuilds_vlog_accounting() {
-        let fs = Arc::new(MemFs::new());
-        {
-            let db = Db::open(fs.clone() as Arc<dyn Vfs>, "db", vlog_opts()).unwrap();
-            for i in 0..100u32 {
-                db.put(format!("big{i:04}").as_bytes(), &big_value(i))
-                    .unwrap();
-            }
-            db.flush().unwrap();
-            for i in 0..40u32 {
-                db.delete(format!("big{i:04}").as_bytes()).unwrap();
-            }
-            // Drop the pointers but leave GC to the next incarnation.
-            let _pause = db.pause_maintenance();
-            db.compact_all().unwrap();
-        }
-        let db = Db::open(fs.clone() as Arc<dyn Vfs>, "db", vlog_opts()).unwrap();
-        let gauges = db.tombstone_gauges();
-        assert!(
-            gauges.vlog_live_bytes > 0,
-            "live bytes rebuilt from table refs"
-        );
-        for i in 40..100u32 {
-            assert_eq!(
-                db.get(format!("big{i:04}").as_bytes()).unwrap().unwrap(),
-                big_value(i)
-            );
-        }
-        for i in 0..40u32 {
-            assert_eq!(db.get(format!("big{i:04}").as_bytes()).unwrap(), None);
         }
     }
 

@@ -57,6 +57,7 @@ pub mod options;
 pub mod picker;
 pub mod sharded;
 pub mod stats;
+mod survey;
 pub mod testutil;
 pub mod version;
 
