@@ -320,6 +320,7 @@ mod tests {
     use super::super::tests::{big_value, small, vlog_opts};
     use super::super::Db;
     use crate::options::DbOptions;
+    use crate::testutil::OpenForecast;
     use acheron_vfs::{MemFs, Vfs};
     use acheron_wal::{LogWriter, WalBatch, WalOp};
     use bytes::Bytes;
@@ -407,6 +408,72 @@ mod tests {
         w.add_record(&batch.encode()).unwrap();
         w.finish().unwrap();
         (fs, later)
+    }
+
+    /// `doctor`'s forecast for the image on `fs` against what opening it
+    /// is then observed to do.
+    fn forecast_and_open(fs: &MemFs, opts: &DbOptions) -> (OpenForecast, OpenForecast) {
+        (
+            OpenForecast::by_doctor(fs, "db").unwrap(),
+            OpenForecast::by_open(fs, "db", opts).unwrap(),
+        )
+    }
+
+    #[test]
+    fn doctor_forecasts_the_prefix_rule_past_a_tear() {
+        // Without `wal_sync` the open replays the torn segment's valid
+        // prefix and deletes the later segment unreplayed; doctor used
+        // to count that segment's record as replayable.
+        let (fs, _later) = torn_mid_history_image();
+        let (forecast, seen) = forecast_and_open(&fs, &small());
+        assert_eq!(forecast, seen);
+        assert_eq!(forecast.wal_records, 1, "alpha's put, not 000099's delete");
+        assert!(
+            forecast.collected.contains(&("dead_wal", 99)),
+            "{forecast:?}"
+        );
+    }
+
+    #[test]
+    fn doctor_forecasts_the_records_before_an_unreadable_pointer() {
+        // A crash tore the vlog head behind the newest WAL record. The
+        // open cuts the WAL at that record and keeps the records before
+        // it — their frames in the same segment stay live; doctor used
+        // to drop every WAL-held byte of the segment.
+        let fs = Arc::new(MemFs::new());
+        {
+            let db = Db::open(fs.clone() as Arc<dyn Vfs>, "db", vlog_opts()).unwrap();
+            for i in 0..12u32 {
+                db.put(format!("big{i:04}").as_bytes(), &big_value(i))
+                    .unwrap();
+            }
+        }
+        let head = fs
+            .list("db")
+            .unwrap()
+            .into_iter()
+            .filter(|n| n.ends_with(".vlg"))
+            .max()
+            .unwrap();
+        let head = acheron_vfs::join("db", &head);
+        let data = fs.read_all(&head).unwrap();
+        fs.write_all(&head, &data[..data.len() - 5]).unwrap();
+        let whole_segments: u64 = fs
+            .list("db")
+            .unwrap()
+            .iter()
+            .map(|n| acheron_vfs::join("db", n))
+            .filter(|p| p.ends_with(".vlg") && *p != head)
+            .map(|p| fs.file_size(&p).unwrap())
+            .sum();
+
+        let (forecast, seen) = forecast_and_open(&fs, &vlog_opts());
+        assert_eq!(forecast, seen);
+        assert_eq!(forecast.wal_records, 11, "every put but the torn one");
+        assert!(
+            forecast.vlog_live_bytes > whole_segments,
+            "the torn segment's intact frames stay live: {forecast:?}"
+        );
     }
 
     #[test]

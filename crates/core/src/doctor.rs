@@ -544,6 +544,9 @@ mod tests {
         fs.delete(&acheron_vfs::join("db", &name)).unwrap();
         let err = check_db(fs.as_ref(), "db").expect_err("missing table must be detected");
         assert!(err.to_string().contains("missing table"), "{err}");
+        // The open reads the same survey, so it says the same.
+        let err = Db::open(fs, "db", DbOptions::small()).err().unwrap();
+        assert!(err.is_corruption() && err.to_string().contains("missing table"));
     }
 
     #[test]

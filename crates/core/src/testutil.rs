@@ -13,7 +13,9 @@
 //!
 //!   1. every acknowledged (WAL-synced) write is readable;
 //!   2. no acknowledged delete is resurrected;
-//!   3. the surviving image and the recovered image are `doctor`-clean;
+//!   3. the surviving image and the recovered image are `doctor`-clean,
+//!      and what `doctor` forecasts for the surviving image is what the
+//!      open then does ([`OpenForecast`]);
 //!   4. FADE's delete-persistence bound still holds going forward.
 //!
 //!   [`run_crash_point`] checks one crash instant; [`run_crash_suite`]
@@ -40,6 +42,8 @@ use acheron_vfs::{CutDurability, FaultVfs, MemFs, Vfs};
 
 use crate::db::Db;
 use crate::doctor;
+use crate::filenames::{parse_file_name, FileKind};
+use crate::obs::{Event, GcKind, RecoveryStepKind};
 use crate::options::DbOptions;
 use crate::version::FileMeta;
 
@@ -398,6 +402,96 @@ pub fn count_crash_points(cfg: &CrashConfig) -> u64 {
     fault.durability_points()
 }
 
+/// What opening an image does to it, as far as [`doctor`] forecasts it:
+/// the two sides of invariant 3c. Both read one survey of the directory,
+/// so they can only differ if the repair stops following it.
+#[derive(Debug, PartialEq, Eq)]
+pub struct OpenForecast {
+    /// WAL records replayed into the write buffer.
+    pub wal_records: u64,
+    /// Value-log bytes the rebuilt accounting holds live.
+    pub vlog_live_bytes: u64,
+    /// Dead files deleted, as sorted `(kind name, file number)` pairs.
+    pub collected: Vec<(&'static str, u64)>,
+}
+
+impl OpenForecast {
+    /// The forecast `doctor` makes for the image under `dir`.
+    pub fn by_doctor(fs: &dyn Vfs, dir: &str) -> Result<OpenForecast> {
+        let report = doctor::check_db(fs, dir)?;
+        // Every open replaces the live manifest; doctor does not warn
+        // about that one, the open still logs it.
+        let live_manifest = crate::manifest::read_current(fs, dir)?.unwrap_or_default();
+        let named = |w: &str| {
+            w.split_whitespace()
+                .map(|word| parse_file_name(word.trim_end_matches(':')))
+                .find(|kind| *kind != FileKind::Unknown)
+        };
+        let mut collected: Vec<(&'static str, u64)> = report
+            .warnings
+            .iter()
+            .filter(|w| w.contains("will be collected"))
+            .map(|w| named(w).unwrap_or_else(|| panic!("no file named in {w:?}")))
+            .chain([parse_file_name(&live_manifest)])
+            .map(|kind| match kind {
+                FileKind::Table(id) => (GcKind::OrphanTable.name(), id),
+                FileKind::Wal(n) => (GcKind::DeadWal.name(), n),
+                FileKind::Manifest(n) => (GcKind::StaleManifest.name(), n),
+                FileKind::Vlog(seg) => (GcKind::VlogSegment.name(), seg),
+                _ => (GcKind::TempFile.name(), 0),
+            })
+            .collect();
+        collected.sort_unstable();
+        Ok(OpenForecast {
+            wal_records: report.wal_records,
+            vlog_live_bytes: report.vlog_live_bytes,
+            collected,
+        })
+    }
+
+    /// What an open of the image under `dir` is observed to do: its
+    /// `WalSegmentReplayed` details, its rebuilt vlog accounting and its
+    /// `GcDropped` events. Taken from a copy of the image, opened with
+    /// `opts` minus everything that could start maintenance — the gauges
+    /// then still show what the repair rebuilt — so `fs` is untouched.
+    pub fn by_open(fs: &dyn Vfs, dir: &str, opts: &DbOptions) -> Result<OpenForecast> {
+        let copy = Arc::new(MemFs::new());
+        copy.mkdir_all(dir)?;
+        for name in fs.list(dir)? {
+            let path = acheron_vfs::join(dir, &name);
+            copy.write_all(&path, &fs.read_all(&path)?)?;
+        }
+        let quiet = DbOptions {
+            fade: None,
+            vlog_gc_dead_ratio_percent: 0,
+            background_threads: 0,
+            level0_file_limit: usize::MAX,
+            level1_target_bytes: 1 << 50,
+            memory_budget_bytes: 0,
+            ..opts.clone()
+        };
+        let db = Db::open(copy, dir, quiet)?;
+        let mut seen = OpenForecast {
+            wal_records: 0,
+            vlog_live_bytes: db.tombstone_gauges().vlog_live_bytes,
+            collected: Vec::new(),
+        };
+        for e in db.events().events {
+            match e.event {
+                Event::RecoveryStep {
+                    step: RecoveryStepKind::WalSegmentReplayed,
+                    detail,
+                } => seen.wal_records += detail,
+                Event::RecoveryStep { .. } => {}
+                Event::GcDropped { kind, id } => seen.collected.push((kind.name(), id)),
+                other => panic!("the observing open was not quiet: {other:?}"),
+            }
+        }
+        seen.collected.sort_unstable();
+        Ok(seen)
+    }
+}
+
 /// Run the workload, cut power at the `point`-th durability point,
 /// reboot, reopen, and check every recovery invariant. Violations are
 /// returned, not panicked.
@@ -434,8 +528,16 @@ pub fn run_crash_point(cfg: &CrashConfig, point: u64) -> CrashPointOutcome {
     // WAL tails, orphan tables) are expected crash debris; an *error*
     // would mean the manifest references bytes that never became
     // durable — the ordering invariant broken.
-    if let Err(e) = doctor::check_db(&fault, "db") {
-        violations.push(format!("doctor failed on the crashed image: {e}"));
+    // Invariant 3c: and what doctor says the next open will do — records
+    // replayed, vlog bytes kept live, files collected — is what it does.
+    match OpenForecast::by_doctor(&fault, "db") {
+        Err(e) => violations.push(format!("doctor failed on the crashed image: {e}")),
+        Ok(forecast) => match OpenForecast::by_open(&fault, "db", &cfg.db_options()) {
+            // The reopen below reports a failed open.
+            Err(_) => {}
+            Ok(seen) if seen == forecast => {}
+            Ok(seen) => violations.push(format!("doctor forecast {forecast:?}, open did {seen:?}")),
+        },
     }
 
     match Db::open(Arc::new(fault.clone()), "db", cfg.db_options()) {
