@@ -492,6 +492,9 @@ pub struct RangeIter {
     /// older versions are skipped); `None` before the first key.
     decided_key: Option<Vec<u8>>,
     core: Arc<DbCore>,
+    /// The read point's registration, when [`Db::range_iter`] took it
+    /// itself rather than borrowing the caller's.
+    pinned: Option<Snapshot>,
 }
 
 impl RangeIter {
@@ -1169,30 +1172,25 @@ impl Db {
     /// large and you want to stop early or avoid materializing it.
     ///
     /// The iterator reads from the version current at creation; writes
-    /// issued afterwards are not visible to it.
+    /// issued afterwards are not visible to it. It holds a [`Snapshot`]
+    /// of its read point for as long as it lives: separated values are
+    /// dereferenced lazily, a stream cannot retry rows it has already
+    /// yielded, and value-log GC defers deleting a rewritten segment
+    /// while a snapshot may still point into it.
     pub fn range_iter(&self, lo: &[u8], hi: &[u8]) -> Result<RangeIter> {
-        let core = self.core();
-        // Seqno before view — see the ordering rule on `ReadView`.
-        let snapshot = core.visible_seqno.load(Ordering::Acquire);
-        let view = core.current_view();
-        self.range_iter_in_view(&view, lo, hi, snapshot)
+        let snap = self.snapshot();
+        let mut it = self.range_iter_at(&snap, lo, hi)?;
+        it.pinned = Some(snap);
+        Ok(it)
     }
 
     /// A streaming range iterator at a snapshot.
     pub fn range_iter_at(&self, snap: &Snapshot, lo: &[u8], hi: &[u8]) -> Result<RangeIter> {
-        let view = self.core().current_view();
-        self.range_iter_in_view(&view, lo, hi, snap.seqno)
-    }
-
-    fn range_iter_in_view(
-        &self,
-        view: &ReadView,
-        lo: &[u8],
-        hi: &[u8],
-        snapshot: SeqNo,
-    ) -> Result<RangeIter> {
         use crate::merge::{KvSource, MergeIterator, VecSource};
         let core = self.core();
+        // Seqno (the snapshot's) before view — see the ordering rule on
+        // `ReadView`.
+        let (snapshot, view) = (snap.seqno, core.current_view());
         core.stats.scans.fetch_add(1, Ordering::Relaxed);
         let visible_rts: Vec<RangeTombstone> = view
             .rts
@@ -1262,6 +1260,7 @@ impl Db {
             krts,
             decided_key: None,
             core: Arc::clone(&self.inner.core),
+            pinned: None,
         })
     }
 

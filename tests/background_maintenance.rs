@@ -761,3 +761,48 @@ fn get_racing_vlog_gc_retries_from_a_fresh_read_point() {
     assert!(db.get(&key(0)).is_err());
     assert!(fs.fired());
 }
+
+/// A `range_iter` without a snapshot dereferences value pointers lazily,
+/// row by row, and cannot re-yield rows from a fresh read point. So the
+/// stream registers its own snapshot: value-log GC that rewrites the
+/// survivors mid-stream (the gate runs `maintain()` under a later row's
+/// dereference) retires the segments instead of deleting them, and every
+/// remaining row still reads its value. The segments go once the stream
+/// is dropped.
+#[test]
+fn range_iter_pins_its_read_point_against_vlog_gc() {
+    let fs = Arc::new(GatedFs::default());
+    let mut o = opts(0).with_value_separation(64);
+    o.vlog_segment_bytes = 2048;
+    let db = Db::open(fs.clone(), "db", o).unwrap();
+    let key = |i: u32| format!("big{i:04}").into_bytes();
+    let value = |i: u32| format!("value-{i:04}-").repeat(16).into_bytes();
+    for i in 0..150 {
+        db.put(&key(i), &value(i)).unwrap();
+    }
+    db.flush().unwrap();
+    for i in (0..150).filter(|i| i % 5 != 0) {
+        db.delete(&key(i)).unwrap();
+    }
+    db.compact_all().unwrap();
+
+    let mut it = db.range_iter(&key(0), &key(149)).unwrap();
+    assert_eq!(it.next_entry().unwrap().unwrap().1, value(0));
+    let gc = db.clone();
+    fs.arm(Box::new(move |_, _| gc.maintain().unwrap()));
+    let mut rows = 1;
+    while let Some((k, v)) = it.next_entry().unwrap() {
+        assert_eq!((k.to_vec(), v.to_vec()), (key(rows * 5), value(rows * 5)));
+        rows += 1;
+    }
+    assert_eq!(rows, 30);
+    assert!(fs.fired() && db.stats_snapshot().vlog_gc_rewrites > 0);
+    assert_eq!(
+        db.stats_snapshot().vlog_segments_deleted,
+        0,
+        "no segment goes while the stream may still point into it"
+    );
+    drop(it);
+    db.maintain().unwrap();
+    assert!(db.stats_snapshot().vlog_segments_deleted > 0);
+}
