@@ -2,27 +2,30 @@
 //! opening (and thereby mutating) it** — recovery rewrites the manifest,
 //! a doctor must not.
 //!
-//! Checks performed:
+//! What a directory contains is read by [`crate::survey`] — the same
+//! function `Db::open` repairs from, with the same result — so the
+//! counts reported here (`wal_records`, `vlog_live_bytes`, the files
+//! that "will be collected") are what the next open will do. On top of
+//! the survey the doctor adds judgment:
 //!
-//! * `CURRENT` resolves to a readable, decodable manifest;
-//! * every live table file exists, its blocks pass their checksums, its
-//!   entries are strictly ordered, and its stats block matches the
-//!   actual contents (invariant I6);
+//! * `CURRENT` resolves to a readable, decodable manifest, and every
+//!   live table file exists (the survey's own errors);
+//! * every live table's blocks pass their checksums, its entries are
+//!   strictly ordered, and its stats block matches the actual contents
+//!   (invariant I6);
 //! * KiWi tile invariants: pages within a tile are dkey-disjoint bands,
 //!   the `multi_version` flag is truthful, and tile fences bracket their
 //!   contents (invariant I1);
 //! * runs have disjoint key ranges (`Version::check_invariants` on the
 //!   recovered layout);
-//! * WAL segments newer than the manifest's log number replay to a
-//!   clean EOF or a torn tail (never mid-file corruption followed by
-//!   more records);
-//! * value-log segments: every segment referenced by a live table
-//!   exists and is frame-intact through the highest referenced offset
-//!   (the dangling-pointer scan); live/dead byte accounting is
-//!   recomputed from the table references so it can be cross-checked
-//!   against the engine's gauges; with `--d-th`, dead extents — whose
-//!   on-disk age is unknowable offline — are conservatively flagged as
-//!   overdue, mirroring how recovery stamps them.
+//! * WAL segments replay to a clean EOF or a torn tail; a tear with live
+//!   segments after it is reported as corruption mid-history, and those
+//!   segments as unreplayable;
+//! * value-log segments: every segment a live table references exists
+//!   and is frame-intact through the highest referenced offset (the
+//!   dangling-pointer scan); with `--d-th`, dead extents — whose on-disk
+//!   age is unknowable offline — are flagged as overdue, which is how
+//!   the open stamps them.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -74,18 +77,21 @@ pub struct DoctorReport {
     pub key_range_tombstones: u64,
     /// Live secondary range tombstones.
     pub range_tombstones: usize,
-    /// WAL segments replayed.
+    /// WAL segments the next open replays (up to and including the
+    /// first torn one).
     pub wals_checked: usize,
-    /// WAL records that decoded cleanly.
+    /// WAL records the next open replays.
     pub wal_records: u64,
     /// Value-log segments scanned.
     pub vlog_segments_checked: usize,
-    /// Vlog bytes referenced by live tables or replayable WAL records —
-    /// computed exactly as recovery rebuilds the engine's accounting,
-    /// so it must equal the `db_vlog_live_bytes` gauge.
+    /// Vlog bytes referenced by live tables or replayed WAL records:
+    /// the live bytes of `survey`'s per-segment accounting, which is
+    /// the accounting the next open installs (`db_vlog_live_bytes`).
     pub vlog_live_bytes: u64,
-    /// Vlog bytes no live pointer references (segment sizes minus
-    /// `vlog_live_bytes`) — the counterpart of `db_vlog_dead_bytes`.
+    /// Vlog bytes no live pointer references — the counterpart of
+    /// `db_vlog_dead_bytes`: the intact rest of every referenced
+    /// segment, plus the whole of every segment nothing references
+    /// (which the next open deletes).
     pub vlog_dead_bytes: u64,
     /// Per-level live-tombstone populations (levels holding none are
     /// omitted).
