@@ -15,7 +15,7 @@
 //!   2. no acknowledged delete is resurrected;
 //!   3. the surviving image and the recovered image are `doctor`-clean,
 //!      and what `doctor` forecasts for the surviving image is what the
-//!      open then does ([`OpenForecast`]);
+//!      open then does;
 //!   4. FADE's delete-persistence bound still holds going forward.
 //!
 //!   [`run_crash_point`] checks one crash instant; [`run_crash_suite`]
@@ -406,7 +406,7 @@ pub fn count_crash_points(cfg: &CrashConfig) -> u64 {
 /// the two sides of invariant 3c. Both read one survey of the directory,
 /// so they can only differ if the repair stops following it.
 #[derive(Debug, PartialEq, Eq)]
-pub struct OpenForecast {
+pub(crate) struct OpenForecast {
     /// WAL records replayed into the write buffer.
     pub wal_records: u64,
     /// Value-log bytes the rebuilt accounting holds live.
@@ -417,7 +417,7 @@ pub struct OpenForecast {
 
 impl OpenForecast {
     /// The forecast `doctor` makes for the image under `dir`.
-    pub fn by_doctor(fs: &dyn Vfs, dir: &str) -> Result<OpenForecast> {
+    pub(crate) fn by_doctor(fs: &dyn Vfs, dir: &str) -> Result<OpenForecast> {
         let report = doctor::check_db(fs, dir)?;
         // Every open replaces the live manifest; doctor does not warn
         // about that one, the open still logs it.
@@ -454,7 +454,7 @@ impl OpenForecast {
     /// `GcDropped` events. Taken from a copy of the image, opened with
     /// `opts` minus everything that could start maintenance — the gauges
     /// then still show what the repair rebuilt — so `fs` is untouched.
-    pub fn by_open(fs: &dyn Vfs, dir: &str, opts: &DbOptions) -> Result<OpenForecast> {
+    pub(crate) fn by_open(fs: &dyn Vfs, dir: &str, opts: &DbOptions) -> Result<OpenForecast> {
         let copy = Arc::new(MemFs::new());
         copy.mkdir_all(dir)?;
         for name in fs.list(dir)? {

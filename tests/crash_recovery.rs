@@ -512,8 +512,7 @@ fn image_torn_vlog_with_debris() -> Arc<RecordingFs> {
     chop_tail(&fs, &newest(&fs, ".vlg"), 5);
     fs.write_all("db/999990.sst", b"half-built table junk")
         .unwrap();
-    let manifest = fs.read_all(&newest(&fs, "CURRENT")).unwrap();
-    let manifest = std::str::from_utf8(&manifest).unwrap().trim().to_string();
+    let manifest = read_current(fs.as_ref(), "db").unwrap().expect("CURRENT");
     let stale = fs.read_all(&format!("db/{manifest}")).unwrap();
     fs.write_all("db/MANIFEST-000000", &stale).unwrap();
     fs.write_all("db/000042.log.tmp", b"interrupted heal")
