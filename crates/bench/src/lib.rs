@@ -7,6 +7,8 @@
 //! persistence latencies are deterministic tick counts, so the *shapes*
 //! the paper claims are reproduced without device noise.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use acheron::{Db, DbOptions};

@@ -21,6 +21,8 @@
 //! manifest or collects files, so it is safe to run against a directory
 //! another process might recover later.
 
+#![forbid(unsafe_code)]
+
 use acheron::{check_db_with_threshold, check_sharded_db, read_shard_map, DoctorReport};
 use acheron_vfs::StdFs;
 

@@ -7,6 +7,8 @@
 //! around stdin); being a plain function of `&str -> String` it is fully
 //! unit-testable.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use acheron::{CompactionLayout, Db, DbOptions};

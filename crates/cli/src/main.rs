@@ -34,6 +34,8 @@
 //!
 //! Also scriptable: `echo "put a 1\nget a" | cargo run -p acheron-cli`.
 
+#![forbid(unsafe_code)]
+
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 

@@ -43,6 +43,7 @@
 //! runs deterministic. See `ARCHITECTURE.md` for the full model.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod compaction;
 pub mod db;

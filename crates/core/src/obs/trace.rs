@@ -432,6 +432,10 @@ pub struct DeleteLedger {
     /// completions.
     pending_flush: VecDeque<u64>,
     cohorts: BTreeMap<u64, CohortRecord>,
+    /// `max_seqno` → epoch of every cohort in `cohorts`. Generations
+    /// partition the seqno space in epoch order, so the cohort holding
+    /// a seqno is the first one whose `max_seqno` reaches it.
+    by_max_seqno: BTreeMap<SeqNo, u64>,
 }
 
 impl DeleteLedger {
@@ -443,6 +447,7 @@ impl DeleteLedger {
             next_epoch: 0,
             pending_flush: VecDeque::new(),
             cohorts: BTreeMap::new(),
+            by_max_seqno: BTreeMap::new(),
         }
     }
 
@@ -465,6 +470,7 @@ impl DeleteLedger {
         self.pending_flush.push_back(epoch);
         let open = std::mem::take(&mut self.open);
         let first = open.first_tick?;
+        self.by_max_seqno.insert(max_seqno, epoch);
         self.cohorts.insert(
             epoch,
             CohortRecord {
@@ -530,10 +536,11 @@ impl DeleteLedger {
     /// One member tombstone (seqno `seqno`) was purged or superseded.
     /// Returns the epoch of a cohort that just fully purged.
     pub fn tombstone_resolved(&mut self, seqno: SeqNo, now: Tick) -> Option<u64> {
-        let c = self
-            .cohorts
-            .values_mut()
-            .find(|c| c.min_seqno <= seqno && seqno <= c.max_seqno)?;
+        let (_, epoch) = self.by_max_seqno.range(seqno..).next()?;
+        let c = self.cohorts.get_mut(epoch)?;
+        if seqno < c.min_seqno {
+            return None;
+        }
         c.resolved += 1;
         if c.resolved >= c.total_deletes() && c.purged_tick.is_none() {
             c.purged_tick = Some(now);
@@ -617,10 +624,11 @@ impl DeleteLedger {
                 .cohorts
                 .iter()
                 .find(|(_, c)| c.is_resolved())
-                .map(|(&e, _)| e);
+                .map(|(&e, c)| (e, c.max_seqno));
             match victim {
-                Some(e) => {
+                Some((e, max_seqno)) => {
                     self.cohorts.remove(&e);
+                    self.by_max_seqno.remove(&max_seqno);
                 }
                 // Nothing resolved to evict: keep everything — an
                 // unresolved cohort is exactly what an audit must see.
@@ -848,6 +856,32 @@ mod tests {
         assert_eq!(c.age(9_999), 300, "resolved age is fixed");
         assert!(!c.violates(9_999, 300));
         assert!(c.violates(9_999, 299));
+    }
+
+    #[test]
+    fn resolved_tombstones_find_their_cohort_by_seqno_range() {
+        let mut l = DeleteLedger::new(0);
+        // Cohorts over [10, 19], [20, 29] (delete-free, untracked),
+        // [30, 39], [40, 49]: two deletes each.
+        for (epoch, lo) in [10u64, 20, 30, 40].into_iter().enumerate() {
+            if epoch != 1 {
+                l.note_deletes(2, 0, lo);
+            }
+            l.seal(lo, lo + 9, lo + 5);
+        }
+        for seqno in 0..60 {
+            let before = l.snapshot();
+            l.tombstone_resolved(seqno, 100);
+            let holder = before
+                .iter()
+                .position(|c| c.min_seqno <= seqno && seqno <= c.max_seqno);
+            for (i, (b, a)) in before.iter().zip(l.snapshot()).enumerate() {
+                let expect = b.resolved + u64::from(holder == Some(i));
+                assert_eq!(a.resolved, expect, "seqno {seqno} cohort {i}");
+            }
+        }
+        let resolved: Vec<u64> = l.snapshot().iter().map(|c| c.resolved).collect();
+        assert_eq!(resolved, [10, 10, 10]);
     }
 
     #[test]

@@ -122,7 +122,7 @@ fn encode_shard_map(shards: u32) -> Vec<u8> {
     out.extend_from_slice(SHARD_MAP_MAGIC);
     out.extend_from_slice(&shards.to_le_bytes());
     out.extend_from_slice(&HASH_FNV1A64.to_le_bytes());
-    let crc = checksum::mask(checksum::crc32c(&out));
+    let crc = checksum::masked(&[&out]);
     out.extend_from_slice(&crc.to_le_bytes());
     out
 }
@@ -141,7 +141,7 @@ pub fn read_shard_map(fs: &dyn Vfs, dir: &str) -> Result<Option<u32>> {
         return Err(Error::corruption("shard map: bad magic or length"));
     }
     let stored = u32::from_le_bytes(data[16..20].try_into().unwrap());
-    if checksum::unmask(stored) != checksum::crc32c(&data[..16]) {
+    if stored != checksum::masked(&[&data[..16]]) {
         return Err(Error::corruption("shard map: checksum mismatch"));
     }
     let shards = u32::from_le_bytes(data[8..12].try_into().unwrap());

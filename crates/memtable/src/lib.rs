@@ -3,6 +3,8 @@
 //! tombstone tick, secondary delete-key fences) that FADE and KiWi
 //! consume once the buffer is flushed into an SSTable.
 
+#![forbid(unsafe_code)]
+
 pub mod memtable;
 pub mod skiplist;
 

@@ -600,7 +600,7 @@ impl Response {
 /// Append one framed message (header + payload) to `dst`.
 pub fn encode_frame(payload: &[u8], dst: &mut Vec<u8>) {
     put_u32_le(dst, payload.len() as u32);
-    put_u32_le(dst, checksum::mask(checksum::crc32c(payload)));
+    put_u32_le(dst, checksum::masked(&[payload]));
     dst.extend_from_slice(payload);
 }
 
@@ -664,7 +664,7 @@ impl FrameDecoder {
             return Ok(None);
         }
         let payload = &body[..len];
-        if checksum::unmask(stored_crc) != checksum::crc32c(payload) {
+        if stored_crc != checksum::masked(&[payload]) {
             return Err(Error::corruption("frame checksum mismatch"));
         }
         let payload = payload.to_vec();

@@ -32,6 +32,8 @@
 //!   page's dkey band is fully covered by a newer range tombstone
 //!   ([`acheron_types::RangeTombstone::covers_region`]).
 
+#![forbid(unsafe_code)]
+
 pub mod block;
 pub mod bloom;
 pub mod cache;

@@ -372,7 +372,7 @@ fn read_block_raw(file: &dyn RandomAccessFile, handle: BlockHandle) -> Result<By
     let raw = file.read_at(handle.offset, total)?;
     let (contents, trailer) = raw.split_at(handle.size as usize);
     let stored = u32::from_le_bytes(trailer[1..5].try_into().unwrap());
-    let actual = checksum::mask(checksum::extend(checksum::crc32c(contents), &trailer[..1]));
+    let actual = checksum::masked(&[contents, &trailer[..1]]);
     if stored != actual {
         return Err(Error::corruption(format!(
             "block checksum mismatch at offset {} (size {})",

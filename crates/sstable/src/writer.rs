@@ -385,7 +385,7 @@ fn write_block(
     file.append(contents)?;
     let mut trailer = [0u8; 5];
     trailer[0] = 0; // compression: none
-    let crc = checksum::mask(checksum::extend(checksum::crc32c(contents), &trailer[..1]));
+    let crc = checksum::masked(&[contents, &trailer[..1]]);
     trailer[1..].copy_from_slice(&crc.to_le_bytes());
     file.append(&trailer)?;
     *offset += contents.len() as u64 + trailer.len() as u64;

@@ -11,6 +11,8 @@
 //! types; nothing here performs I/O.
 
 #![warn(missing_docs)]
+// One exception: the dispatch onto the hardware CRC32C kernel in `checksum`.
+#![deny(unsafe_code)]
 
 pub mod checksum;
 pub mod clock;

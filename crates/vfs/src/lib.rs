@@ -17,6 +17,8 @@
 //! create truncates), which the conformance test-suite in this crate runs
 //! against each implementation.
 
+#![forbid(unsafe_code)]
+
 pub mod fault;
 pub mod mem;
 pub mod stats;

@@ -31,6 +31,7 @@
 //! pointer exactly like a torn WAL tail: the commit never finished.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -65,7 +66,7 @@ pub fn encode_frame(key: &[u8], value: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&(key.len() as u32).to_le_bytes());
     out.extend_from_slice(key);
     out.extend_from_slice(value);
-    let crc = checksum::mask(checksum::crc32c(&out[FRAME_HEADER..]));
+    let crc = checksum::masked(&[&out[FRAME_HEADER..]]);
     out[4..8].copy_from_slice(&crc.to_le_bytes());
     out
 }
@@ -84,7 +85,7 @@ pub fn decode_frame(frame: &Bytes) -> Result<(Bytes, Bytes)> {
     }
     let stored_crc = u32::from_le_bytes(frame[4..8].try_into().unwrap());
     let payload = &frame[FRAME_HEADER..];
-    let actual = checksum::mask(checksum::crc32c(payload));
+    let actual = checksum::masked(&[payload]);
     if actual != stored_crc {
         return Err(Error::corruption("vlog frame: checksum mismatch"));
     }

@@ -12,6 +12,8 @@
 //! with a base sequence number — exactly the unit of atomicity the
 //! engine's write path needs.
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod reader;
 pub mod writer;

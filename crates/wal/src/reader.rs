@@ -123,7 +123,7 @@ impl LogReader {
                 return FragOutcome::Corrupt("truncated fragment payload".into());
             }
             let payload = self.data.slice(start..start + len);
-            let actual = checksum::mask(checksum::extend(checksum::crc32c(&[type_byte]), &payload));
+            let actual = checksum::masked(&[&[type_byte], &payload]);
             if actual != stored_crc {
                 return FragOutcome::Corrupt("fragment checksum mismatch".into());
             }
@@ -305,10 +305,7 @@ mod tests {
     fn middle_without_first_is_corrupt() {
         // Handcraft a MIDDLE fragment at offset 0.
         let payload = b"stray";
-        let crc = checksum::mask(checksum::extend(
-            checksum::crc32c(&[RecordType::Middle as u8]),
-            payload,
-        ));
+        let crc = checksum::masked(&[&[RecordType::Middle as u8], payload]);
         let mut data = Vec::new();
         data.extend_from_slice(&crc.to_le_bytes());
         data.extend_from_slice(&(payload.len() as u16).to_le_bytes());

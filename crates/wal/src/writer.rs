@@ -76,10 +76,7 @@ impl LogWriter {
 
     fn emit(&mut self, rt: RecordType, fragment: &[u8]) -> Result<()> {
         debug_assert!(self.block_offset + HEADER_SIZE + fragment.len() <= BLOCK_SIZE);
-        let crc = {
-            let c = checksum::extend(checksum::crc32c(&[rt as u8]), fragment);
-            checksum::mask(c)
-        };
+        let crc = checksum::masked(&[&[rt as u8], fragment]);
         let mut header = [0u8; HEADER_SIZE];
         header[..4].copy_from_slice(&crc.to_le_bytes());
         header[4..6].copy_from_slice(&(fragment.len() as u16).to_le_bytes());

@@ -3,6 +3,7 @@
 //! a deterministic runner that drives a database and reports throughput.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod dist;
 pub mod ops;
