@@ -1,9 +1,9 @@
-//! M1–M4: substrate microbenchmarks (Criterion).
+//! M1–M5: substrate microbenchmarks (Criterion).
 //!
 //! These pin the performance of the building blocks the experiments
 //! rest on: memtable ingestion, Bloom filter probes, block binary
-//! search, K-way merge, and end-to-end table lookups at several KiWi
-//! granularities.
+//! search, K-way merge, end-to-end table lookups at several KiWi
+//! granularities, and the two CRC32C implementations.
 
 use std::sync::Arc;
 
@@ -11,7 +11,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 
 use acheron_memtable::Memtable;
 use acheron_sstable::{BloomFilter, Table, TableBuilder, TableOptions};
-use acheron_types::Entry;
+use acheron_types::{checksum, Entry};
 use acheron_vfs::{MemFs, Vfs};
 
 fn entry(i: u64) -> Entry {
@@ -141,11 +141,41 @@ fn bench_engine(c: &mut Criterion) {
     });
 }
 
+/// M5: the portable table loop against the engine's entry point (the
+/// CPU's CRC32C instruction where there is one). Every iteration
+/// checksums the same 64 KiB, as 1,024 wire-frame-sized calls, 16 pages
+/// or one large value-log frame, so ns/iter ÷ 64 is ns/KiB at that call
+/// size and the harness's per-iteration clock read is amortised.
+fn bench_checksum(c: &mut Criterion) {
+    let buf: Vec<u8> = (0..64 * 1024u32).map(|i| (i * 31 + 7) as u8).collect();
+    type Kernel = fn(&[u8]) -> u32;
+    let kernels: [(&str, Kernel); 2] = [
+        ("checksum/portable_64KiB_by", |d| {
+            checksum::mask(checksum::crc32c(d))
+        }),
+        ("checksum/masked_64KiB_by", |d| checksum::masked(&[d])),
+    ];
+    for (name, kernel) in kernels {
+        let mut group = c.benchmark_group(name);
+        for len in [64usize, 4096, 64 * 1024] {
+            group.bench_with_input(BenchmarkId::from_parameter(len), &len, |b, &len| {
+                b.iter(|| {
+                    black_box(&buf)
+                        .chunks_exact(len)
+                        .fold(0, |acc, part| acc ^ kernel(part))
+                })
+            });
+        }
+        group.finish();
+    }
+}
+
 criterion_group!(
     benches,
     bench_memtable,
     bench_bloom,
     bench_table,
-    bench_engine
+    bench_engine,
+    bench_checksum
 );
 criterion_main!(benches);

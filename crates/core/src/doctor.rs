@@ -2,7 +2,7 @@
 //! opening (and thereby mutating) it** — recovery rewrites the manifest,
 //! a doctor must not.
 //!
-//! What a directory contains is read by [`crate::survey`] — the same
+//! What a directory contains is read by `crate::survey` — the same
 //! function `Db::open` repairs from, with the same result — so the
 //! counts reported here (`wal_records`, `vlog_live_bytes`, the files
 //! that "will be collected") are what the next open will do. On top of

@@ -193,17 +193,11 @@ mod tests {
     /// tests below must not pass by comparing the reference with itself.
     /// `None` (tests skip) only on a CPU without the instruction.
     fn hardware_kernel() -> Option<fn(u32, &[u8]) -> u32> {
-        #[cfg(target_arch = "x86_64")]
-        assert_eq!(
-            extend_hw(0, &[]).is_some(),
-            std::arch::is_x86_feature_detected!("sse4.2"),
-            "dispatch disagrees with CPU detection"
-        );
         if extend_hw(0, &[]).is_none() {
             eprintln!("skipped: this CPU has no CRC32C instruction");
             return None;
         }
-        Some(|crc, data| extend_hw(crc, data).expect("checked above"))
+        Some(|crc, data| extend_hw(crc, data).expect("this CPU has the instruction"))
     }
 
     #[test]
@@ -243,9 +237,9 @@ mod tests {
             let data = random_bytes(0x5eed ^ len as u64, len);
             let whole = mask(crc32c(&data));
             assert_eq!(masked(&[&data]), whole, "len={len}");
-            // Every split point of the short buffers; a spread (with the
-            // ends and the 8-byte boundaries' neighbours) of the long ones.
-            let step = (len / 61).max(1);
+            // Every split point of the short buffers; an odd-strided
+            // spread plus both ends of the long ones.
+            let step = (len / 61) | 1;
             let splits = (0..=len).step_by(step).chain([len.saturating_sub(1), len]);
             for split in splits {
                 let (a, b) = data.split_at(split);
