@@ -39,9 +39,9 @@
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 
-use acheron::{Db, DbOptions, ShardedDb};
+use acheron::{DbOptions, ShardedDb};
 use acheron_cli::{Outcome, RemoteSession, Session};
-use acheron_server::{Client, Engine, RateLimitConfig, Server, ServerOptions};
+use acheron_server::{Client, RateLimitConfig, Server, ServerOptions};
 use acheron_vfs::{MemFs, StdFs};
 
 fn main() {
@@ -113,46 +113,12 @@ fn expose(cmd: &str, target: &str) {
             })
             .map_err(|e| format!("query {target}: {e}"))
     } else if std::path::Path::new(target).is_dir() {
-        let fs = Arc::new(StdFs::new(false));
-        // A root with a SHARDMAP is a sharded fleet: open every shard
-        // and render the aggregated (fleet-wide) view.
-        match acheron::read_shard_map(fs.as_ref(), target) {
-            Err(e) => Err(format!("open {target}: {e}")),
-            Ok(Some(n)) => ShardedDb::open(fs, target, DbOptions::default(), n as usize)
-                .map(|db| match cmd {
-                    "stats" => {
-                        acheron::obs::render_prometheus(
-                            &db.stats_snapshot().to_pairs(),
-                            &db.tombstone_gauges(),
-                            db.now(),
-                            db.options()
-                                .fade
-                                .as_ref()
-                                .map(|f| f.delete_persistence_threshold),
-                        ) + &format!(
-                            "db_shards {}\ndb_fleet_max_tombstone_age_ticks {}\n",
-                            db.shard_count(),
-                            db.fleet_max_tombstone_age().unwrap_or(0)
-                        )
-                    }
-                    _ => acheron::obs::render_sharded_events(&db.shard_events()),
-                })
-                .map_err(|e| format!("open {target}: {e}")),
-            Ok(None) => Db::open(fs, target, DbOptions::default())
-                .map(|db| match cmd {
-                    "stats" => acheron::obs::render_prometheus(
-                        &db.stats_snapshot().to_pairs(),
-                        &db.tombstone_gauges(),
-                        db.now(),
-                        db.options()
-                            .fade
-                            .as_ref()
-                            .map(|f| f.delete_persistence_threshold),
-                    ),
-                    _ => acheron::obs::render_events(&db.events()),
-                })
-                .map_err(|e| format!("open {target}: {e}")),
-        }
+        // The same text a server over this root would send, less the
+        // server's own pairs.
+        open_dir(target).map(|db| match cmd {
+            "stats" => db.render_metrics(&[]),
+            _ => db.events_text(),
+        })
     } else {
         Err(format!(
             "{target} is neither a host:port address nor a database directory"
@@ -165,6 +131,13 @@ fn expose(cmd: &str, target: &str) {
             std::process::exit(1);
         }
     }
+}
+
+/// Open the database directory `dir` offline, whichever shape it holds
+/// (recovery events included).
+fn open_dir(dir: &str) -> Result<ShardedDb, String> {
+    ShardedDb::open_root(Arc::new(StdFs::new(false)), dir, DbOptions::default())
+        .map_err(|e| format!("open {dir}: {e}"))
 }
 
 /// One-shot trace listing: print the server's recently sampled per-op
@@ -248,17 +221,7 @@ fn audit(args: &AuditArgs) {
         eprintln!("{target} is neither a host:port address nor a database directory");
         std::process::exit(2);
     }
-    let fs = Arc::new(StdFs::new(false));
-    let report = match acheron::read_shard_map(fs.as_ref(), target) {
-        Err(e) => Err(format!("open {target}: {e}")),
-        Ok(Some(n)) => ShardedDb::open(fs, target, DbOptions::default(), n as usize)
-            .map(|db| db.delete_audit())
-            .map_err(|e| format!("open {target}: {e}")),
-        Ok(None) => Db::open(fs, target, DbOptions::default())
-            .map(|db| db.delete_audit())
-            .map_err(|e| format!("open {target}: {e}")),
-    };
-    match report {
+    match open_dir(target).map(|db| db.delete_audit()) {
         Ok(mut report) => {
             if args.d_th.is_some() {
                 report.d_th = args.d_th;
@@ -368,21 +331,19 @@ fn serve(args: &ServeArgs) {
     if args.memory_budget > 0 {
         opts = opts.with_memory_budget(args.memory_budget);
     }
-    let engine: Engine = if args.shards > 1 {
-        match ShardedDb::open(Arc::new(MemFs::new()), "serve-db", opts, args.shards) {
-            Ok(db) => Arc::new(db).into(),
-            Err(e) => {
-                eprintln!("open failed: {e}");
-                std::process::exit(1);
-            }
-        }
+    // A fresh root: `--shards N` lays out a fleet, otherwise the root
+    // opens as one plain engine.
+    let fs = Arc::new(MemFs::new());
+    let opened = if args.shards > 1 {
+        ShardedDb::open(fs, "serve-db", opts, args.shards)
     } else {
-        match Db::open(Arc::new(MemFs::new()), "serve-db", opts) {
-            Ok(db) => Arc::new(db).into(),
-            Err(e) => {
-                eprintln!("open failed: {e}");
-                std::process::exit(1);
-            }
+        ShardedDb::open_root(fs, "serve-db", opts)
+    };
+    let engine = match opened {
+        Ok(db) => Arc::new(db),
+        Err(e) => {
+            eprintln!("open failed: {e}");
+            std::process::exit(1);
         }
     };
     let server_opts = ServerOptions {

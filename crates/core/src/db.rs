@@ -53,8 +53,7 @@ use std::time::Instant;
 
 use acheron_memtable::Memtable;
 use acheron_types::{
-    Clock, DeleteKeyRange, Entry, Error, RangeTombstone, Result, SeqNo, Tick, ValuePointer,
-    MAX_SEQNO,
+    DeleteKeyRange, Entry, Error, RangeTombstone, Result, SeqNo, Tick, ValuePointer, MAX_SEQNO,
 };
 use acheron_vfs::Vfs;
 use acheron_vlog::{VlogReader, VlogWriter};
@@ -559,6 +558,23 @@ pub struct WritePressure {
     /// A hard limit is reached (L0 stall files or sealed-queue depth):
     /// the next write blocks until background maintenance catches up.
     pub stall: bool,
+}
+
+impl WritePressure {
+    /// The worst-case composition of several engines' pressure (max
+    /// gauges, OR flags): what a write touching all of them must
+    /// respect. Panics on an empty slice.
+    pub fn worst(all: &[WritePressure]) -> WritePressure {
+        all.iter()
+            .copied()
+            .reduce(|a, b| WritePressure {
+                l0_files: a.l0_files.max(b.l0_files),
+                sealed_memtables: a.sealed_memtables.max(b.sealed_memtables),
+                slowdown: a.slowdown || b.slowdown,
+                stall: a.stall || b.stall,
+            })
+            .expect("at least one engine")
+    }
 }
 
 /// Summary of one level for stats displays.
@@ -1343,6 +1359,12 @@ impl Db {
         self.core().memory.clone()
     }
 
+    /// The block cache the engine reads through (private or
+    /// fleet-shared), when caching is enabled.
+    pub(crate) fn block_cache(&self) -> Option<Arc<acheron_sstable::BlockCache>> {
+        self.core().cache.clone()
+    }
+
     /// Per-level summary of the current tree.
     pub fn level_summary(&self) -> Vec<LevelInfo> {
         let view = self.core().current_view();
@@ -2095,7 +2117,6 @@ impl DbCore {
                         first_delete_tick = Some(first_delete_tick.map_or(*tick, |t| t.min(*tick)));
                         key.len()
                     }
-                    WalOp::RangeDelete { .. } => 0,
                     WalOp::RangeDeleteKeys { start, end, tick } => {
                         self.stats
                             .sort_range_deletes
@@ -2200,26 +2221,15 @@ fn trace_op_for(ops: &[WalOp]) -> TraceOp {
 
 impl DbOptions {
     fn clock_advance(&self, n: u64) {
-        if let Some(lc) = self.logical_clock() {
+        if let Some(lc) = self.clock.as_logical() {
             lc.advance(n);
         }
     }
 
     fn clock_advance_to(&self, t: Tick) {
-        if let Some(lc) = self.logical_clock() {
+        if let Some(lc) = self.clock.as_logical() {
             lc.advance_to(t);
         }
-    }
-
-    /// Downcast the clock to a logical clock, if that is what it is.
-    fn logical_clock(&self) -> Option<&acheron_types::LogicalClock> {
-        // Clock is object-safe without Any; use the concrete default.
-        // DbOptions users driving a custom clock advance it themselves.
-        let clock: &dyn Clock = self.clock.as_ref();
-        // SAFETY-free downcast via trait object comparison is not
-        // possible without `Any`; instead LogicalClock is detected by a
-        // vtable-free helper on the trait.
-        clock.as_logical()
     }
 }
 

@@ -50,6 +50,18 @@
 //! sixteen. This is also what makes a sharded run *result-identical*
 //! to a single-engine run on the same op stream (dkey stamps match).
 //!
+//! # A plain engine is a fleet of one
+//!
+//! [`ShardedDb::from`] wraps one already-open [`Db`]: no shard map, the
+//! engine's own cache, budget and trace ids, and no router tick — the
+//! engine keeps its own `auto_advance_clock`, so nothing is ticked
+//! twice. Its stats, gauges, audit, traces and event text are the
+//! engine's own. [`ShardedDb::open_root`] opens either shape from what
+//! the directory holds, so a caller serving or inspecting a database
+//! never asks which shape it is: the one difference, whether the
+//! exposition carries per-shard series, is decided here by whether the
+//! root has a shard map.
+//!
 //! # Cross-shard scans and the read barrier
 //!
 //! Point ops touch exactly one shard and need no coordination. A scan
@@ -74,7 +86,7 @@ use crate::db::{Db, Snapshot, WritePressure};
 use crate::doctor::{self, DoctorReport};
 use crate::memory::MemoryBudget;
 use crate::obs::trace::{DeleteAudit, OpTrace};
-use crate::obs::{min_tick, EventSnapshot, TombstoneGauges};
+use crate::obs::{min_tick, EventSnapshot, Exposition, TombstoneGauges};
 use crate::options::DbOptions;
 use crate::stats::StatsSnapshot;
 
@@ -195,14 +207,36 @@ pub struct ShardedDb {
     /// [`ShardedDb::snapshot`] holds `write` while capturing the cut.
     barrier: RwLock<()>,
     /// The single fleet-wide block cache every shard shares (present
-    /// when caching is enabled at all). One instance, one budget —
-    /// never N private copies of `block_cache_bytes` each.
+    /// when caching is enabled at all; a wrapped engine's own). One
+    /// instance, one budget — never N private copies of
+    /// `block_cache_bytes` each.
     cache: Option<Arc<acheron_sstable::BlockCache>>,
     /// The fleet-wide memory arbiter, present when
-    /// [`DbOptions::memory_budget_bytes`] is non-zero. Every shard is a
-    /// registered writer on it.
+    /// [`DbOptions::memory_budget_bytes`] is non-zero (a wrapped
+    /// engine's own). Every shard is a registered writer on it.
     memory: Option<Arc<MemoryBudget>>,
     opts: DbOptions,
+    /// Whether the root has a shard map: a fleet renders per-shard
+    /// series and per-shard event sections, a wrapped engine its own.
+    shard_map: bool,
+}
+
+/// A plain engine as a fleet of one: no shard map, the engine's own
+/// cache and budget, and no router tick (the engine's own
+/// `auto_advance_clock` ticks once per op, as it does embedded).
+impl From<Db> for ShardedDb {
+    fn from(db: Db) -> ShardedDb {
+        ShardedDb {
+            clock: Arc::clone(&db.options().clock),
+            auto_advance: false,
+            barrier: RwLock::new(()),
+            cache: db.block_cache(),
+            memory: db.memory_budget(),
+            opts: db.options().clone(),
+            shard_map: false,
+            shards: vec![db],
+        }
+    }
 }
 
 impl std::fmt::Debug for ShardedDb {
@@ -299,7 +333,18 @@ impl ShardedDb {
             cache,
             memory,
             opts,
+            shard_map: true,
         })
+    }
+
+    /// Open whatever `dir` holds: the fleet its shard map names, or —
+    /// with no map, a fresh directory included — one plain engine as a
+    /// fleet of one ([`ShardedDb::from`]).
+    pub fn open_root(fs: Arc<dyn Vfs>, dir: &str, opts: DbOptions) -> Result<ShardedDb> {
+        match read_shard_map(fs.as_ref(), dir)? {
+            Some(n) => ShardedDb::open(fs, dir, opts, n as usize),
+            None => Db::open(fs, dir, opts).map(ShardedDb::from),
+        }
     }
 
     /// Number of shards in the fleet.
@@ -510,13 +555,15 @@ impl ShardedDb {
     /// maxima, and conservatively merged histogram summaries), with the
     /// shared cache and memory-budget gauges filled in exactly once —
     /// shard snapshots leave shared-scope fields zero precisely so this
-    /// sum cannot count the single shared instance N times.
+    /// sum cannot count the single shared instance N times. The fold
+    /// starts from the first shard, so a fleet of one is its engine.
     pub fn stats_snapshot(&self) -> StatsSnapshot {
         let mut s = self
             .shards
             .iter()
-            .map(|d| d.stats_snapshot())
-            .fold(StatsSnapshot::default(), |acc, s| acc.merge(&s));
+            .map(Db::stats_snapshot)
+            .reduce(|acc, s| acc.merge(&s))
+            .expect("a fleet has at least one shard");
         s.fill_shared(self.cache.as_deref(), self.memory.as_deref());
         s
     }
@@ -545,7 +592,8 @@ impl ShardedDb {
         self.shards
             .iter()
             .map(Db::tombstone_gauges)
-            .fold(TombstoneGauges::default(), |acc, g| acc.merge(&g))
+            .reduce(|acc, g| acc.merge(&g))
+            .expect("a fleet has at least one shard")
     }
 
     /// Per-shard tombstone gauges, in shard order.
@@ -567,24 +615,11 @@ impl ShardedDb {
 
     /// Fleet-wide write pressure: worst-case composition (max gauges,
     /// OR flags). `stall` means *some* shard is stalled — per-key
-    /// admission should consult [`ShardedDb::shard_for`] instead, but
-    /// broadcast writes (range deletes) and pacing decisions want the
-    /// fleet view.
+    /// admission should consult the owning shard's entry of
+    /// [`ShardedDb::shard_pressure`] instead, but broadcast writes
+    /// (range deletes) and pacing decisions want the fleet view.
     pub fn write_pressure(&self) -> WritePressure {
-        self.shards.iter().map(Db::write_pressure).fold(
-            WritePressure {
-                l0_files: 0,
-                sealed_memtables: 0,
-                slowdown: false,
-                stall: false,
-            },
-            |acc, p| WritePressure {
-                l0_files: acc.l0_files.max(p.l0_files),
-                sealed_memtables: acc.sealed_memtables.max(p.sealed_memtables),
-                slowdown: acc.slowdown || p.slowdown,
-                stall: acc.stall || p.stall,
-            },
-        )
+        WritePressure::worst(&self.shard_pressure())
     }
 
     /// Total live point tombstones across the fleet.
@@ -609,27 +644,98 @@ impl ShardedDb {
     /// a plain concatenation — no cross-shard merging is needed, and a
     /// violation names the exact (shard, epoch) cohort responsible.
     pub fn delete_audit(&self) -> DeleteAudit {
-        let audits: Vec<DeleteAudit> = self.shards.iter().map(Db::delete_audit).collect();
-        let mut fleet = DeleteAudit {
-            now: self.clock.now(),
-            d_th: self
-                .opts
-                .fade
-                .as_ref()
-                .map(|f| f.delete_persistence_threshold),
-            ..DeleteAudit::default()
-        };
-        for a in audits {
-            fleet.cohorts.extend(a.cohorts);
-            fleet.oldest_live_tombstone_tick = min_tick(
-                fleet.oldest_live_tombstone_tick,
-                a.oldest_live_tombstone_tick,
-            );
-            fleet.oldest_vlog_dead_tick =
-                min_tick(fleet.oldest_vlog_dead_tick, a.oldest_vlog_dead_tick);
-        }
+        let mut fleet = self
+            .shards
+            .iter()
+            .map(Db::delete_audit)
+            .reduce(|mut fleet, a| {
+                fleet.cohorts.extend(a.cohorts);
+                fleet.oldest_live_tombstone_tick = min_tick(
+                    fleet.oldest_live_tombstone_tick,
+                    a.oldest_live_tombstone_tick,
+                );
+                fleet.oldest_vlog_dead_tick =
+                    min_tick(fleet.oldest_vlog_dead_tick, a.oldest_vlog_dead_tick);
+                fleet
+            })
+            .expect("a fleet has at least one shard");
+        fleet.now = self.clock.now();
         fleet.cohorts.sort_by_key(|c| (c.shard, c.epoch));
         fleet
+    }
+
+    /// The Prometheus exposition: the merged engine view over the
+    /// snapshot's pairs followed by `extra` (a server's pressure and
+    /// connection metrics), then — when the root has a shard map — the
+    /// shard count, per-shard series and the fleet-wide maximum
+    /// tombstone age.
+    pub fn render_metrics(&self, extra: &[(String, u64)]) -> String {
+        let mut pairs = self.stats_snapshot().to_pairs();
+        pairs.extend_from_slice(extra);
+        let d_th = self
+            .opts
+            .fade
+            .as_ref()
+            .map(|f| f.delete_persistence_threshold);
+        let mut text =
+            crate::obs::render_prometheus(&pairs, &self.tombstone_gauges(), self.now(), d_th);
+        if self.shard_map {
+            text.push_str(&self.shard_metrics_lines());
+        }
+        text
+    }
+
+    /// Shard count, per-shard tombstone / pressure / memory series and
+    /// the fleet-wide maximum tombstone age (0 when no tombstone is live
+    /// — always emitted so dashboards can alert on it unconditionally).
+    fn shard_metrics_lines(&self) -> String {
+        let now = self.now();
+        let gauges = self.shard_gauges();
+        let pressure = self.shard_pressure();
+        // Per-shard memory split: each shard's write-buffer allowance
+        // under the shared arbiter and its pinned filter/metadata
+        // contribution. The fleet totals are in the merged snapshot
+        // (`db_memory_*`).
+        let stats = self.shard_stats();
+        let mut x = Exposition::default();
+        x.gauge("db_shards", None, self.shard_count() as u64);
+        // A family's samples stay together: one series per shard.
+        let per_shard: [(&str, &dyn Fn(usize) -> u64); 7] = [
+            ("db_shard_live_tombstones", &|i| gauges[i].live_tombstones()),
+            ("db_shard_oldest_tombstone_age_ticks", &|i| {
+                gauges[i]
+                    .oldest_live_tick()
+                    .map_or(0, |t0| now.saturating_sub(t0))
+            }),
+            ("db_shard_l0_files", &|i| pressure[i].l0_files as u64),
+            ("db_shard_slowdown", &|i| u64::from(pressure[i].slowdown)),
+            ("db_shard_stall", &|i| u64::from(pressure[i].stall)),
+            ("db_shard_memtable_budget_bytes", &|i| {
+                stats[i].memtable_budget_bytes
+            }),
+            ("db_shard_pinned_bytes", &|i| stats[i].pinned_bytes),
+        ];
+        for (family, value) in per_shard {
+            for i in 0..self.shard_count() {
+                x.gauge(family, Some(("shard", &i)), value(i));
+            }
+        }
+        x.gauge(
+            "db_fleet_max_tombstone_age_ticks",
+            None,
+            self.fleet_max_tombstone_age().unwrap_or(0),
+        );
+        x.finish()
+    }
+
+    /// The `events` text: the engine's ring, or — when the root has a
+    /// shard map — every shard's ring in its own section.
+    pub fn events_text(&self) -> String {
+        if self.shard_map {
+            crate::obs::render_sharded_events(&self.shard_events())
+        } else {
+            crate::obs::render_events(&self.shards[0].events())
+        }
     }
 
     /// Recently sampled op traces across the fleet, newest last within
@@ -879,6 +985,64 @@ mod tests {
             .map(|(k, v)| (k.to_vec(), v.to_vec()))
             .collect();
         assert_eq!(srows, fleet.scan(b"", b"\xff").unwrap());
+    }
+
+    /// A wrapped engine answers every observability question exactly as
+    /// the engine does, and the router never ticks on its behalf.
+    #[test]
+    fn a_one_engine_fleet_is_its_engine() {
+        let opts = DbOptions::small()
+            .with_fade(5_000)
+            .with_value_separation(64)
+            .with_trace_sampling(4)
+            .with_memory_budget(1 << 20);
+        let db = Db::open(Arc::new(MemFs::new()), "db", opts).unwrap();
+        let fleet = ShardedDb::from(db.clone());
+        let mut ops = 0;
+        let mut step = |op: &dyn Fn() -> Result<()>| {
+            let before = db.now();
+            op().unwrap();
+            ops += 1;
+            assert_eq!(db.now(), before + 1, "op {ops} ticked once");
+        };
+        for i in 0..600u32 {
+            let key = format!("key{i:05}");
+            let key = key.as_bytes();
+            let big = [b'v'; 200];
+            match i % 6 {
+                0 => step(&|| fleet.put(key, b"small")),
+                1 => step(&|| fleet.put_with_dkey(key, &big, u64::from(i))),
+                2 => step(&|| fleet.delete(format!("key{:05}", i / 2).as_bytes())),
+                3 => step(&|| fleet.put_traced(key, &big, Some(u64::from(i))).map(drop)),
+                4 => step(&|| fleet.delete_traced(key, None).map(drop)),
+                _ => {
+                    fleet.get_traced(key, Some(u64::from(i))).unwrap();
+                    fleet.get(key).unwrap();
+                }
+            }
+            if i % 150 == 149 {
+                step(&|| fleet.range_delete_secondary(u64::from(i) - 40, u64::from(i) - 20));
+                step(&|| fleet.range_delete_keys(b"key00010", b"key00030"));
+                fleet.flush().unwrap();
+            }
+        }
+        fleet.scan(b"", b"\xff").unwrap();
+        assert_eq!(fleet.now(), db.now());
+        assert_eq!(
+            fleet.stats_snapshot().to_pairs(),
+            db.stats_snapshot().to_pairs()
+        );
+        assert_eq!(
+            format!("{:?}", fleet.tombstone_gauges()),
+            format!("{:?}", db.tombstone_gauges())
+        );
+        assert_eq!(fleet.delete_audit().render(), db.delete_audit().render());
+        assert_eq!(fleet.events_text(), crate::obs::render_events(&db.events()));
+        assert_eq!(fleet.recent_traces(), db.recent_traces());
+        assert!(!db.recent_traces().is_empty());
+        assert_eq!(fleet.write_pressure(), db.write_pressure());
+        // No per-shard series: the exposition is the engine's own.
+        assert!(!fleet.render_metrics(&[]).contains("db_shard"));
     }
 
     #[test]

@@ -308,7 +308,7 @@ pub(crate) fn survey(
                 ReadOutcome::Eof => break WalEnd::Clean,
                 ReadOutcome::Corrupt { offset, reason } => break WalEnd::Torn { offset, reason },
             };
-            let (entries, _ranges, key_ranges) = WalBatch::decode(&rec)?.entries();
+            let (entries, key_ranges) = WalBatch::decode(&rec)?.entries();
             // Every pointer of the record is checked before any of its
             // entries is replayed: one unreadable frame voids it whole.
             // A pointer into a GC-dropped segment is not a tear — the

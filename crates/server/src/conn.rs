@@ -14,10 +14,9 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use acheron::WritePressure;
+use acheron::{shard_of, ShardedDb, WritePressure};
 use acheron_types::{Error, Result};
 
-use crate::engine::Engine;
 use crate::rate_limit::TokenBucket;
 use crate::server::Shared;
 use crate::wire::{encode_frame, FrameDecoder, Request, Response};
@@ -121,7 +120,10 @@ fn serve(mut stream: &TcpStream, shared: &Arc<Shared>) -> Result<()> {
 /// connections share one WAL fsync through the engine's commit group.
 ///
 /// Admission order per request: token bucket (data ops only), then the
-/// stall check (writes only, per-shard on a fleet), then the engine.
+/// stall check (writes only), then the engine. Pressure is captured once
+/// per group, per shard: a keyed write is shed when its owning shard
+/// was stalled, a broadcast write when any shard was — for a fleet of
+/// one, both are the engine's own flag.
 fn handle_group(
     shared: &Arc<Shared>,
     requests: &[Request],
@@ -129,7 +131,12 @@ fn handle_group(
 ) -> Vec<Response> {
     let engine = &shared.engine;
     let metrics = &shared.metrics;
-    let pressure = engine.write_pressure();
+    let shard_pressure = engine.shard_pressure();
+    let pressure = WritePressure::worst(&shard_pressure);
+    let stalled = |req: &Request| match req.key() {
+        Some(key) => shard_pressure[shard_of(key, shard_pressure.len())].stall,
+        None => pressure.stall,
+    };
     let mut responses: Vec<Response> = Vec::with_capacity(requests.len());
     let mut committed_writes = false;
 
@@ -158,7 +165,7 @@ fn handle_group(
                 }
             }
         }
-        if req.is_write() && engine.stall_write(req, &pressure) {
+        if req.is_write() && stalled(req) {
             // The stall tier of backpressure: shed instead of queueing.
             metrics.busy_responses.fetch_add(1, Ordering::Relaxed);
             responses.push(Response::Busy);
@@ -227,19 +234,16 @@ fn handle_group(
                     .record(started.elapsed().as_micros() as u64);
                 resp
             }
-            Request::Stats => Response::Stats(stats_pairs(engine, &pressure, metrics)),
+            Request::Stats => {
+                let mut pairs = engine.stats_snapshot().to_pairs();
+                pairs.extend(server_pairs(&pressure, metrics));
+                Response::Stats(pairs)
+            }
             Request::Metrics => {
-                let mut text = acheron::obs::render_prometheus(
-                    &stats_pairs(engine, &pressure, metrics),
-                    &engine.tombstone_gauges(),
-                    engine.now(),
-                    engine.d_th(),
-                );
-                text.push_str(&engine.shard_metrics_lines());
-                Response::Text(text)
+                Response::Text(engine.render_metrics(&server_pairs(&pressure, metrics)))
             }
             Request::Events => Response::Text(engine.events_text()),
-            Request::Traces => Response::Text(engine.traces_text()),
+            Request::Traces => Response::Text(acheron::render_traces(&engine.recent_traces())),
             Request::Audit => {
                 let audit = engine.delete_audit();
                 Response::Audit {
@@ -277,7 +281,7 @@ fn handle_group(
 /// trace wrapper and surface the plain `Busy`/`Err` — the caller's
 /// retry logic should see exactly what an untraced op would produce.
 fn handle_traced(
-    engine: &Engine,
+    engine: &ShardedDb,
     trace_id: u64,
     inner: &Request,
     metrics: &crate::metrics::ServerMetrics,
@@ -295,16 +299,16 @@ fn handle_traced(
             if let Some(d) = dkey {
                 return to_response(engine.put_with_dkey(key, value, *d), metrics);
             }
-            match engine.put_traced(key, value, trace_id) {
+            match engine.put_traced(key, value, Some(trace_id)) {
                 Ok(trace) => wrap(trace, Response::Unit),
                 Err(e) => err_response(e, metrics),
             }
         }
-        Request::Delete { key } => match engine.delete_traced(key, trace_id) {
+        Request::Delete { key } => match engine.delete_traced(key, Some(trace_id)) {
             Ok(trace) => wrap(trace, Response::Unit),
             Err(e) => err_response(e, metrics),
         },
-        Request::Get { key } => match engine.get_traced(key, trace_id) {
+        Request::Get { key } => match engine.get_traced(key, Some(trace_id)) {
             Ok((value, trace)) => wrap(trace, Response::Value(value)),
             Err(e) => err_response(e, metrics),
         },
@@ -331,16 +335,14 @@ fn err_response(e: Error, metrics: &crate::metrics::ServerMetrics) -> Response {
     }
 }
 
-/// Engine counters + live pressure gauges + server metrics, flattened
-/// for the `stats` wire response. On a fleet the engine counters are
-/// the per-shard sums and the pressure gauges the worst shard's.
-fn stats_pairs(
-    engine: &Engine,
+/// What the server adds to the engine's pairs in the `stats` and
+/// `metrics` responses: live pressure gauges (the worst shard's on a
+/// fleet) and the server's own metrics.
+fn server_pairs(
     pressure: &WritePressure,
     metrics: &crate::metrics::ServerMetrics,
 ) -> Vec<(String, u64)> {
-    let mut pairs = engine.stats_snapshot().to_pairs();
-    pairs.push(("db_l0_files".into(), pressure.l0_files as u64));
+    let mut pairs = vec![("db_l0_files".to_string(), pressure.l0_files as u64)];
     pairs.push((
         "db_sealed_memtables".into(),
         pressure.sealed_memtables as u64,

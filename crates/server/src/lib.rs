@@ -10,8 +10,11 @@
 //! * [`Server`] — a bounded thread-per-connection TCP server with
 //!   server-side write batching, end-to-end backpressure (engine stall
 //!   → wire [`wire::Response::Busy`]; slowdown → per-connection
-//!   pacing), and graceful shutdown. It serves an [`Engine`]: a single
-//!   `Arc<Db>` or a hash-partitioned `Arc<acheron::ShardedDb>` fleet.
+//!   pacing), and graceful shutdown. It serves one
+//!   `Arc<acheron::ShardedDb>`: a hash-partitioned fleet, or a plain
+//!   `Arc<Db>` served as a fleet of one (see [`IntoFleet`]) — one code
+//!   path for both shapes, whose rendering differences live in
+//!   `acheron::sharded`.
 //! * [`RateLimitConfig`] — per-connection token-bucket admission
 //!   control; over-rate data operations are shed as `Busy` before they
 //!   reach any engine, composing with the engine's own stall/slowdown
@@ -44,15 +47,13 @@
 
 pub mod client;
 mod conn;
-pub mod engine;
 pub mod metrics;
 pub mod rate_limit;
 pub mod server;
 pub mod wire;
 
 pub use client::{Client, ClientOptions, TracedResult};
-pub use engine::Engine;
 pub use metrics::ServerMetrics;
 pub use rate_limit::{RateLimitConfig, TokenBucket};
-pub use server::{Server, ServerOptions};
+pub use server::{IntoFleet, Server, ServerOptions};
 pub use wire::{Request, Response};

@@ -1,6 +1,6 @@
 //! The TCP server: a bounded thread-per-connection accept loop over a
-//! shared [`Engine`] (a single `Db` or a sharded fleet), with graceful
-//! shutdown.
+//! shared [`ShardedDb`] (a fleet, or a plain `Db` served as a fleet of
+//! one), with graceful shutdown.
 //!
 //! # Threading
 //!
@@ -27,11 +27,11 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
+use acheron::{Db, ShardedDb};
 use acheron_types::{Error, Result};
 use parking_lot::Mutex;
 
 use crate::conn;
-use crate::engine::Engine;
 use crate::metrics::ServerMetrics;
 use crate::rate_limit::RateLimitConfig;
 use crate::wire::DEFAULT_MAX_FRAME_BYTES;
@@ -76,9 +76,28 @@ impl Default for ServerOptions {
     }
 }
 
+/// What [`Server::start`] serves: a fleet, or a plain engine, which is
+/// served as a fleet of one ([`ShardedDb::from`]).
+pub trait IntoFleet {
+    /// The handle every connection dispatches to.
+    fn into_fleet(self) -> Arc<ShardedDb>;
+}
+
+impl IntoFleet for Arc<Db> {
+    fn into_fleet(self) -> Arc<ShardedDb> {
+        Arc::new(ShardedDb::from(Db::clone(&self)))
+    }
+}
+
+impl IntoFleet for Arc<ShardedDb> {
+    fn into_fleet(self) -> Arc<ShardedDb> {
+        self
+    }
+}
+
 /// State shared between the accept loop and every connection handler.
 pub(crate) struct Shared {
-    pub(crate) engine: Engine,
+    pub(crate) engine: Arc<ShardedDb>,
     pub(crate) opts: ServerOptions,
     pub(crate) metrics: Arc<ServerMetrics>,
     pub(crate) shutdown: AtomicBool,
@@ -94,15 +113,15 @@ pub struct Server {
 }
 
 impl Server {
-    /// Bind `addr` and start serving `engine` on background threads.
-    /// `engine` is anything convertible into an [`Engine`]: an
-    /// `Arc<Db>` (single engine) or an `Arc<ShardedDb>` (fleet).
+    /// Bind `addr` and start serving `engine` on background threads:
+    /// an `Arc<ShardedDb>` fleet or a plain `Arc<Db>` (see
+    /// [`IntoFleet`]).
     pub fn start(
-        engine: impl Into<Engine>,
+        engine: impl IntoFleet,
         addr: impl ToSocketAddrs,
         opts: ServerOptions,
     ) -> Result<Server> {
-        let engine = engine.into();
+        let engine = engine.into_fleet();
         let listener = TcpListener::bind(addr).map_err(|e| Error::io("server bind", e))?;
         let local_addr = listener
             .local_addr()

@@ -8,17 +8,15 @@
 //! ```
 //!
 //! For puts the payload is the value; for point deletes it is empty; for
-//! secondary range deletes the key is empty and the payload is the
-//! 16-byte [`DeleteKeyRange`] encoding. Ops in a batch are stamped
-//! `base_seqno`, `base_seqno + 1`, … in order.
+//! sort-key range deletes the key is the start and the payload the end.
+//! Secondary range deletes are not logged here: they are manifest edits.
+//! Ops in a batch are stamped `base_seqno`, `base_seqno + 1`, … in order.
 
 use acheron_types::codec::{
     get_u64_le, put_length_prefixed, put_u64_le, put_varint32, put_varint64,
     require_length_prefixed, require_varint64,
 };
-use acheron_types::{
-    DeleteKeyRange, Entry, Error, KeyRangeTombstone, Result, SeqNo, ValueKind, ValuePointer,
-};
+use acheron_types::{Entry, Error, KeyRangeTombstone, Result, SeqNo, ValueKind, ValuePointer};
 use bytes::Bytes;
 
 /// One mutation inside a batch.
@@ -40,8 +38,6 @@ pub enum WalOp {
     },
     /// Point-delete `key`; `tick` is the issue tick (FADE's age seed).
     Delete { key: Bytes, tick: u64 },
-    /// Secondary range delete over the delete-key domain.
-    RangeDelete { range: DeleteKeyRange },
     /// Sort-key range delete over `[start, end]` (inclusive); `tick` is
     /// the issue tick (FADE's age seed, same as point deletes).
     RangeDeleteKeys { start: Bytes, end: Bytes, tick: u64 },
@@ -53,14 +49,13 @@ impl WalOp {
             WalOp::Put { .. } => ValueKind::Put,
             WalOp::PutPtr { .. } => ValueKind::ValuePointer,
             WalOp::Delete { .. } => ValueKind::Tombstone,
-            WalOp::RangeDelete { .. } => ValueKind::RangeTombstone,
             WalOp::RangeDeleteKeys { .. } => ValueKind::KeyRangeTombstone,
         }
     }
 
     /// The memtable entry this op becomes at `seqno`, sharing the op's
-    /// key and value allocations; `None` for the range-delete flavours,
-    /// which do not live in the skiplist.
+    /// key and value allocations; `None` for a range delete, which does
+    /// not live in the skiplist.
     pub fn entry(&self, seqno: SeqNo) -> Option<Entry> {
         match self {
             WalOp::Put { key, value, dkey } => {
@@ -70,7 +65,7 @@ impl WalOp {
                 Some(Entry::value_pointer(key.clone(), *ptr, seqno, *dkey))
             }
             WalOp::Delete { key, tick } => Some(Entry::tombstone(key.clone(), seqno, *tick)),
-            WalOp::RangeDelete { .. } | WalOp::RangeDeleteKeys { .. } => None,
+            WalOp::RangeDeleteKeys { .. } => None,
         }
     }
 }
@@ -83,7 +78,7 @@ pub fn encode_ops(base_seqno: SeqNo, ops: &[WalOp], out: &mut Vec<u8>) {
     put_varint32(out, ops.len() as u32);
     for op in ops {
         // op := kind | dkey | key | payload, whatever the kind.
-        let (ptr, range);
+        let ptr;
         let (dkey, key, payload): (u64, &[u8], &[u8]) = match op {
             WalOp::Put { key, value, dkey } => (*dkey, key, value),
             WalOp::PutPtr { key, ptr: p, dkey } => {
@@ -91,10 +86,6 @@ pub fn encode_ops(base_seqno: SeqNo, ops: &[WalOp], out: &mut Vec<u8>) {
                 (*dkey, key, &ptr)
             }
             WalOp::Delete { key, tick } => (*tick, key, &[]),
-            WalOp::RangeDelete { range: r } => {
-                range = r.encode();
-                (0, &[], &range)
-            }
             WalOp::RangeDeleteKeys { start, end, tick } => (*tick, start, end),
         };
         out.push(op.kind() as u8);
@@ -139,9 +130,8 @@ impl WalBatch {
             let (&kind_byte, r) = rest
                 .split_first()
                 .ok_or_else(|| Error::corruption(format!("wal batch: truncated op {i}")))?;
-            let kind = ValueKind::from_u8(kind_byte).ok_or_else(|| {
-                Error::corruption(format!("wal batch: unknown op kind {kind_byte}"))
-            })?;
+            let unknown = || Error::corruption(format!("wal batch: unknown op kind {kind_byte}"));
+            let kind = ValueKind::from_u8(kind_byte).ok_or_else(unknown)?;
             let (dkey, r) = require_varint64(r, "wal op dkey")?;
             let (key, r) = require_length_prefixed(r, "wal op key")?;
             let (payload, r) = require_length_prefixed(r, "wal op payload")?;
@@ -170,12 +160,9 @@ impl WalBatch {
                         tick: dkey,
                     }
                 }
-                ValueKind::RangeTombstone => {
-                    let range = DeleteKeyRange::decode(payload).ok_or_else(|| {
-                        Error::corruption("wal range-delete op: bad range encoding")
-                    })?;
-                    WalOp::RangeDelete { range }
-                }
+                // Secondary range deletes are manifest edits; no engine
+                // has ever logged one.
+                ValueKind::RangeTombstone => return Err(unknown()),
                 ValueKind::KeyRangeTombstone => {
                     if payload < key {
                         return Err(Error::corruption(
@@ -200,23 +187,14 @@ impl WalBatch {
     }
 
     /// Materialize the batch's point mutations as [`Entry`] values with
-    /// their assigned sequence numbers. Secondary range deletes are
-    /// yielded as `(seqno, range)` via the second element; sort-key range
-    /// deletes as [`KeyRangeTombstone`]s via the third.
-    pub fn entries(
-        &self,
-    ) -> (
-        Vec<Entry>,
-        Vec<(SeqNo, DeleteKeyRange)>,
-        Vec<KeyRangeTombstone>,
-    ) {
+    /// their assigned sequence numbers, and its sort-key range deletes as
+    /// [`KeyRangeTombstone`]s.
+    pub fn entries(&self) -> (Vec<Entry>, Vec<KeyRangeTombstone>) {
         let mut entries = Vec::new();
-        let mut ranges = Vec::new();
         let mut key_ranges = Vec::new();
         for (i, op) in self.ops.iter().enumerate() {
             let seqno = self.base_seqno + i as u64;
             match op {
-                WalOp::RangeDelete { range } => ranges.push((seqno, *range)),
                 WalOp::RangeDeleteKeys { start, end, tick } => {
                     key_ranges.push(KeyRangeTombstone {
                         start: start.clone(),
@@ -228,7 +206,7 @@ impl WalBatch {
                 point => entries.extend(point.entry(seqno)),
             }
         }
-        (entries, ranges, key_ranges)
+        (entries, key_ranges)
     }
 }
 
@@ -248,9 +226,6 @@ mod tests {
                 WalOp::Delete {
                     key: Bytes::from_static(b"k2"),
                     tick: 55,
-                },
-                WalOp::RangeDelete {
-                    range: DeleteKeyRange::new(10, 20),
                 },
                 WalOp::Put {
                     key: Bytes::from_static(b""),
@@ -290,14 +265,14 @@ mod tests {
 
     #[test]
     fn entries_assign_consecutive_seqnos() {
-        let (entries, ranges, key_ranges) = sample().entries();
+        let (entries, key_ranges) = sample().entries();
         assert_eq!(entries.len(), 4);
         assert_eq!(entries[0].seqno, 100);
         assert_eq!(entries[1].seqno, 101);
         assert!(entries[1].is_tombstone());
         assert_eq!(entries[1].dkey, 55);
-        assert_eq!(entries[2].seqno, 103);
-        assert_eq!(entries[3].seqno, 105);
+        assert_eq!(entries[2].seqno, 102);
+        assert_eq!(entries[3].seqno, 104);
         assert_eq!(entries[3].kind, ValueKind::ValuePointer);
         assert_eq!(
             ValuePointer::decode(&entries[3].value),
@@ -307,16 +282,32 @@ mod tests {
                 len: 517,
             })
         );
-        assert_eq!(ranges, vec![(102, DeleteKeyRange::new(10, 20))]);
         assert_eq!(
             key_ranges,
             vec![KeyRangeTombstone {
                 start: Bytes::from_static(b"a"),
                 end: Bytes::from_static(b"m"),
-                seqno: 104,
+                seqno: 103,
                 dkey: 42,
             }]
         );
+    }
+
+    #[test]
+    fn decode_rejects_a_logged_secondary_range_delete() {
+        // The record a secondary range delete would have been: empty key,
+        // a 16-byte `[lo, hi]` payload. Such deletes are manifest edits,
+        // so the kind is not a WAL op.
+        let mut data = Vec::new();
+        put_u64_le(&mut data, 1);
+        put_varint32(&mut data, 1);
+        data.push(ValueKind::RangeTombstone as u8);
+        put_varint64(&mut data, 0);
+        put_length_prefixed(&mut data, b"");
+        put_length_prefixed(&mut data, &[0u8; 16]);
+        let err = WalBatch::decode(&data).unwrap_err();
+        assert!(err.is_corruption(), "{err}");
+        assert!(err.to_string().contains("unknown op kind"), "{err}");
     }
 
     #[test]

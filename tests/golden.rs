@@ -151,38 +151,36 @@ fn prometheus_rendering_of_a_fixed_snapshot() {
     assert_eq!(pin(&without), (5777, 0xa6d4_68ff), "{without}");
 }
 
-/// Open `$open` with a seeded load that leaves tombstones of every
-/// family behind (point deletes, a sort-key range delete, a secondary
-/// range delete, separated values whose deletes turn vlog bytes dead),
-/// serve it, and return the `# TYPE` family names of its `metrics`
-/// response in order: what a scraper sees. A macro because `Db` and
-/// `ShardedDb` share method names, not a trait.
-macro_rules! wire_metric_families {
-    ($open:expr) => {{
-        let db = Arc::new($open);
-        for k in 0..1500u64 {
-            db.put(format!("key{k:05}").as_bytes(), &[b'v'; 96])
-                .unwrap();
-            if k % 3 == 0 {
-                db.delete(format!("key{k:05}").as_bytes()).unwrap();
-            }
-        }
-        db.range_delete_keys(b"key00100", b"key00120").unwrap();
-        db.range_delete_secondary(10, 20).unwrap();
-        db.flush().unwrap();
-        let mut server = Server::start(db, "127.0.0.1:0", ServerOptions::default()).unwrap();
-        let text = Client::connect(server.local_addr())
-            .unwrap()
-            .metrics()
+/// Give `db` a seeded load that leaves tombstones of every family
+/// behind (point deletes, a sort-key range delete, a secondary range
+/// delete, separated values whose deletes turn vlog bytes dead), serve
+/// it, and return the `# TYPE` family names of its `metrics` response in
+/// order: what a scraper sees. A plain engine comes in as a fleet of
+/// one, as the server serves it.
+fn wire_metric_families(db: ShardedDb) -> String {
+    let db = Arc::new(db);
+    for k in 0..1500u64 {
+        db.put(format!("key{k:05}").as_bytes(), &[b'v'; 96])
             .unwrap();
-        server.shutdown();
-        let families: Vec<&str> = text
-            .lines()
-            .filter_map(|l| l.strip_prefix("# TYPE "))
-            .map(|rest| rest.split(' ').next().unwrap())
-            .collect();
-        families.join("\n")
-    }};
+        if k % 3 == 0 {
+            db.delete(format!("key{k:05}").as_bytes()).unwrap();
+        }
+    }
+    db.range_delete_keys(b"key00100", b"key00120").unwrap();
+    db.range_delete_secondary(10, 20).unwrap();
+    db.flush().unwrap();
+    let mut server = Server::start(db, "127.0.0.1:0", ServerOptions::default()).unwrap();
+    let text = Client::connect(server.local_addr())
+        .unwrap()
+        .metrics()
+        .unwrap();
+    server.shutdown();
+    let families: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .map(|rest| rest.split(' ').next().unwrap())
+        .collect();
+    families.join("\n")
 }
 
 fn opts() -> DbOptions {
@@ -194,8 +192,8 @@ fn opts() -> DbOptions {
 #[test]
 fn wire_metrics_family_order() {
     let fs = || Arc::new(MemFs::new());
-    let single = wire_metric_families!(Db::open(fs(), "db", opts()).unwrap());
+    let single = wire_metric_families(Db::open(fs(), "db", opts()).unwrap().into());
     assert_eq!(pin(&single), (2424, 0x861f_20c2), "{single}");
-    let fleet = wire_metric_families!(ShardedDb::open(fs(), "db", opts(), 4).unwrap());
+    let fleet = wire_metric_families(ShardedDb::open(fs(), "db", opts(), 4).unwrap());
     assert_eq!(pin(&fleet), (2632, 0x371c_1423), "{fleet}");
 }

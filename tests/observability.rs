@@ -292,23 +292,16 @@ fn malformed_metrics_and_events_frames_do_not_panic_server() {
     server.shutdown();
 }
 
-/// Lint the Prometheus text exposition of a live sharded server: every
-/// sample line parses, metric and label names are spec-valid, each
-/// family declares exactly one `# TYPE` before its first sample, and no
-/// series (name + label set) appears twice. A 4-shard engine is the
-/// hard case — per-shard and per-level labels are where duplicate
-/// series would sneak in.
+/// Lint the Prometheus text exposition of a live sharded server and of
+/// the same root closed, reopened offline with `open_root` and rendered
+/// (what `acheron stats <dir>` prints). A 4-shard engine is the hard
+/// case — per-shard and per-level labels are where duplicate series
+/// would sneak in.
 #[test]
 fn prometheus_exposition_is_lint_clean() {
-    let db = Arc::new(
-        acheron::ShardedDb::open(
-            Arc::new(MemFs::new()),
-            "db",
-            DbOptions::small().with_fade(5_000),
-            4,
-        )
-        .unwrap(),
-    );
+    let fs = Arc::new(MemFs::new());
+    let opts = DbOptions::small().with_fade(5_000);
+    let db = Arc::new(acheron::ShardedDb::open(fs.clone(), "db", opts.clone(), 4).unwrap());
     for k in 0..2000u64 {
         db.put(format!("key{k:05}").as_bytes(), b"value-payload-0123456789")
             .unwrap();
@@ -317,12 +310,27 @@ fn prometheus_exposition_is_lint_clean() {
         }
     }
     db.flush().unwrap();
-    let mut server = Server::start(Arc::clone(&db), "127.0.0.1:0", ServerOptions::default())
+    let server = Server::start(Arc::clone(&db), "127.0.0.1:0", ServerOptions::default())
         .expect("bind server");
     let mut client = Client::connect(server.local_addr()).unwrap();
-    let text = client.metrics().unwrap();
-    server.shutdown();
+    let wire = client.metrics().unwrap();
+    drop(server);
+    drop(db);
+    lint_exposition(&wire);
 
+    let offline = acheron::ShardedDb::open_root(fs, "db", opts)
+        .unwrap()
+        .render_metrics(&[]);
+    lint_exposition(&offline);
+    for series in ["db_shards 4", "db_shard_live_tombstones{shard=\"3\"}"] {
+        assert!(offline.contains(series), "{series} missing:\n{offline}");
+    }
+}
+
+/// Every sample line parses, metric and label names are spec-valid,
+/// each family declares exactly one `# TYPE` before its first sample,
+/// and no series (name + label set) appears twice.
+fn lint_exposition(text: &str) {
     let valid_metric = |name: &str| {
         let mut chars = name.chars();
         chars

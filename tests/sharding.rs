@@ -401,6 +401,77 @@ fn rate_limited_connections_shed_busy_and_recover() {
     server.shutdown();
 }
 
+/// The stall tier on a fleet is per shard: with maintenance paused on
+/// shard 0 alone, writes routed there are shed as `Busy` once it
+/// stalls, writes to every other shard commit, and the control plane
+/// keeps answering.
+#[test]
+fn a_stalled_shard_sheds_only_its_own_writes() {
+    let opts = DbOptions {
+        write_buffer_bytes: 4 << 10,
+        max_imm_memtables: 1,
+        background_threads: 1,
+        ..DbOptions::default()
+    };
+    let db = Arc::new(ShardedDb::open(Arc::new(MemFs::new()), "db", opts, SHARDS).unwrap());
+    let mut server =
+        Server::start(Arc::clone(&db), "127.0.0.1:0", ServerOptions::default()).unwrap();
+    let mut client = Client::connect_with(
+        server.local_addr(),
+        ClientOptions {
+            busy_retries: 0,
+            ..ClientOptions::default()
+        },
+    )
+    .unwrap();
+    let keys_of = |shard: usize| {
+        (0u32..)
+            .map(|i| format!("key{i:06}").into_bytes())
+            .filter(move |k| acheron::shard_of(k, SHARDS) == shard)
+    };
+    let put = |key: Vec<u8>| Request::Put {
+        key,
+        value: vec![b'x'; 256],
+        dkey: None,
+    };
+
+    let pause = db.shard(0).pause_maintenance();
+    let mut shed = false;
+    for key in keys_of(0).take(200) {
+        match client.request(&put(key)).unwrap() {
+            Response::Unit => {}
+            Response::Busy => {
+                shed = true;
+                break;
+            }
+            other => panic!("unexpected response: {other:?}"),
+        }
+    }
+    assert!(shed, "paused shard 0 must stall and shed its writes");
+    assert!(db.shard(0).write_pressure().stall);
+    // Still stalled: its next write is shed too, while every other
+    // shard commits (a few writes each, under one buffer, so no other
+    // shard passes through its own brief stall while a flush runs).
+    let key = keys_of(0).nth(500).unwrap();
+    assert_eq!(client.request(&put(key)).unwrap(), Response::Busy);
+    for shard in 1..SHARDS {
+        for key in keys_of(shard).take(8) {
+            assert_eq!(client.request(&put(key)).unwrap(), Response::Unit);
+        }
+    }
+    assert_eq!(client.request(&Request::Ping).unwrap(), Response::Unit);
+    let stats = client.stats().unwrap();
+    assert!(stats
+        .iter()
+        .any(|(name, busy)| name == "server_busy_responses" && *busy >= 2));
+
+    drop(pause);
+    db.wait_idle().unwrap();
+    client.put(b"after", b"recovery").unwrap();
+    server.shutdown();
+    db.verify_integrity().unwrap();
+}
+
 // ---------------------------------------------------------------------
 // Fleet observability over the wire
 // ---------------------------------------------------------------------
