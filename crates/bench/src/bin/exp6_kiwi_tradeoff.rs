@@ -6,6 +6,11 @@
 //! tiles → narrower per-page dkey bands → more droppable pages). Lethe
 //! argues the point-lookup cost stays near-flat thanks to the filters
 //! while the delete benefit grows.
+//!
+//! The engine weaves only the outputs of bottommost compactions (every
+//! other table is written with `h = 1`). The `compact_all()` after the
+//! load puts every table at the bottom, so the reads below measure
+//! woven tiles at the `h` of each row.
 
 use std::time::Instant;
 

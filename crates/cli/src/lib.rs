@@ -363,14 +363,15 @@ impl Session {
             }
             let bar = "#".repeat(((level.bytes / 4096) as usize).clamp(1, 50));
             out.push_str(&format!(
-                "L{} {:<50} {:>4} files {:>2} runs {:>9} B {:>7} entries {:>6} tombstones\n",
+                "L{} {:<50} {:>4} files {:>2} runs {:>9} B {:>7} entries {:>6} tombstones {:>4} woven\n",
                 level.level,
                 bar,
                 level.files,
                 level.runs,
                 level.bytes,
                 level.entries,
-                level.tombstones
+                level.tombstones,
+                level.woven_files
             ));
         }
         if out.lines().count() <= 1 {

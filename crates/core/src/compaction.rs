@@ -239,9 +239,14 @@ pub fn run_compaction(
     let mut stream =
         CompactionStream::new(merge, &version.range_tombstones, snapshots, bottommost, now);
 
+    // Weave only where a later compaction can drop the pages (DESIGN.md
+    // decision 14): a KiWi tile costs `h` page reads per sort-key seek,
+    // and pages are dropped only from `drop_eligible` inputs of a
+    // bottommost compaction, i.e. from files with nothing beneath them.
+    // Anywhere else the output is sort-ordered (one page per tile).
     let table_opts = TableOptions {
         page_size: opts.page_size,
-        pages_per_tile: opts.pages_per_tile,
+        pages_per_tile: if bottommost { opts.pages_per_tile } else { 1 },
         bloom_bits_per_key: opts.bloom_bits_per_key,
         ..TableOptions::default()
     };
@@ -372,6 +377,11 @@ pub fn run_compaction(
 /// block; a table holding only those (no entries) is still written — a
 /// *carrier* file whose sole job is to keep the tombstones durable
 /// until a bottommost compaction purges them.
+///
+/// L0 tables are always sort-ordered, whatever `pages_per_tile` says: L0
+/// files overlap each other, so a compaction can drop an L0 page only
+/// when the file sits alone over an otherwise empty key range, and the
+/// woven layout would make every read of it pay `h` pages for that.
 #[allow(clippy::too_many_arguments)]
 pub fn write_l0_table<'a>(
     fs: &Arc<dyn Vfs>,
@@ -386,7 +396,7 @@ pub fn write_l0_table<'a>(
 ) -> Result<Option<Arc<FileMeta>>> {
     let table_opts = TableOptions {
         page_size: opts.page_size,
-        pages_per_tile: opts.pages_per_tile,
+        pages_per_tile: 1,
         bloom_bits_per_key: opts.bloom_bits_per_key,
         ..TableOptions::default()
     };

@@ -592,6 +592,9 @@ pub struct LevelInfo {
     pub entries: u64,
     /// Live point tombstones.
     pub tombstones: u64,
+    /// Files whose pages are KiWi-woven (`pages_per_tile > 1` in their
+    /// stats): only bottommost compactions write them.
+    pub woven_files: usize,
 }
 
 impl Db {
@@ -1382,6 +1385,10 @@ impl Db {
                     .iter()
                     .map(|f| f.stats.tombstone_count)
                     .sum(),
+                woven_files: view.version.levels[level]
+                    .iter()
+                    .filter(|f| f.stats.pages_per_tile > 1)
+                    .count(),
             })
             .collect()
     }
@@ -2630,6 +2637,10 @@ mod tests {
         assert!(
             summary.iter().any(|l| l.level > 0 && l.files > 0),
             "data should reach L1+"
+        );
+        assert!(
+            summary.iter().all(|l| l.woven_files == 0),
+            "h = 1 weaves nothing"
         );
     }
 

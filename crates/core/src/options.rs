@@ -99,6 +99,12 @@ pub struct DbOptions {
     /// SSTable page size in bytes.
     pub page_size: usize,
     /// KiWi delete-tile granularity `h` (pages per tile); 1 = classic.
+    ///
+    /// Applies only to the outputs of *bottommost* compactions, the one
+    /// place a later compaction can drop pages from. Flushes (L0) and
+    /// compactions with data beneath their key range write sort-ordered
+    /// tables, so a sort-key seek into them reads one page per table,
+    /// not `h`. A table moved down by a trivial move keeps its layout.
     pub pages_per_tile: usize,
     /// Bloom bits per key (0 disables filters).
     pub bloom_bits_per_key: usize,
@@ -251,7 +257,9 @@ impl DbOptions {
         self
     }
 
-    /// Set the KiWi tile granularity.
+    /// Set the KiWi tile granularity of bottommost compaction outputs
+    /// (see [`DbOptions::pages_per_tile`]; every other table is written
+    /// with `h = 1`).
     pub fn with_tile(mut self, h: usize) -> DbOptions {
         self.pages_per_tile = h;
         self

@@ -248,6 +248,12 @@ impl Table {
                 }
                 debug_assert!(found.seqno() <= snapshot);
                 let entry = entry_from_parts(found, it.dkey(), it.value())?;
+                // A single-version tile holds each user key once, and
+                // chains never span tiles: this is the file's only
+                // version, so the sibling pages need no probe.
+                if !tile.multi_version {
+                    return Ok(Some(entry));
+                }
                 best = match best {
                     Some(b) if b.seqno >= entry.seqno => Some(b),
                     _ => Some(entry),
@@ -528,6 +534,68 @@ mod tests {
         let kept = entries.iter().find(|e| e.dkey > 63).unwrap();
         let got = table.get(&kept.key, u64::MAX >> 8, &[rt]).unwrap();
         assert_eq!(got.unwrap().value, kept.value);
+    }
+
+    /// Bloom skips the full tile loop would count for a hit on `key`:
+    /// every page of its tile whose filter rejects the key.
+    fn full_loop_skips(table: &Table, key: &[u8]) -> u64 {
+        let seek_key = SeekKey::new(key, u64::MAX >> 8);
+        let tile = &table.tiles()[table.find_tile(seek_key.encoded()).unwrap()];
+        tile.pages
+            .iter()
+            .filter(|p| table.page_filter(p).is_some_and(|f| !f.may_contain(key)))
+            .count() as u64
+    }
+
+    #[test]
+    fn get_stops_at_the_first_hit_in_single_version_tiles_only() {
+        let opts = TableOptions {
+            pages_per_tile: 4,
+            page_size: 512,
+            ..Default::default()
+        };
+        let single = dataset(800);
+        // Two versions of every key: every tile is multi-version.
+        let multi: Vec<Entry> = single
+            .iter()
+            .flat_map(|e| {
+                let mut older = e.clone();
+                older.seqno -= 500;
+                older.dkey = 127 - e.dkey;
+                [e.clone(), older]
+            })
+            .collect();
+        for (entries, multi_version) in [(single, false), (multi, true)] {
+            let (_fs, table) = build(&entries, opts.clone());
+            assert!(table
+                .tiles()
+                .iter()
+                .all(|t| t.multi_version == multi_version));
+            assert!(table.tiles().iter().any(|t| t.pages.len() > 1));
+            let mut full_loop = 0;
+            for e in entries.iter().filter(|e| e.seqno >= 1000) {
+                for snapshot in [u64::MAX >> 8, e.seqno - 1] {
+                    let newest = table.get_versions(&e.key, snapshot, &[]).unwrap();
+                    let got = table.get(&e.key, snapshot, &[]).unwrap();
+                    assert_eq!(got.as_ref(), newest.first(), "mv={multi_version}");
+                }
+                full_loop += full_loop_skips(&table, &e.key);
+            }
+            // Count the skips of the newest-version hits alone.
+            let before = table.counters.bloom_skips.load(AtomicOrdering::Relaxed);
+            for e in entries.iter().filter(|e| e.seqno >= 1000) {
+                assert!(table.get(&e.key, u64::MAX >> 8, &[]).unwrap().is_some());
+            }
+            let skips = table.counters.bloom_skips.load(AtomicOrdering::Relaxed) - before;
+            if multi_version {
+                assert_eq!(skips, full_loop, "multi-version tiles probe every page");
+            } else {
+                assert!(
+                    skips < full_loop,
+                    "single-version tiles stop at the hit: {skips} skips vs {full_loop}"
+                );
+            }
+        }
     }
 
     #[test]

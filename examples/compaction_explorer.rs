@@ -2,9 +2,9 @@
 //! strategies — the interactive heart of the Acheron/Compactionary
 //! demos, in terminal form.
 //!
-//! Runs the same delete-containing workload under four configurations
-//! and renders each tree's level occupancy, tombstone population, and
-//! amplification after every workload phase.
+//! Runs the same delete-containing workload under five configurations
+//! and renders each tree's level occupancy, tombstone population, KiWi
+//! layout, and amplification after every workload phase.
 //!
 //! Run with: `cargo run --example compaction_explorer`
 
@@ -21,8 +21,15 @@ fn render(db: &Db, label: &str) {
         }
         let bar = "#".repeat(((level.bytes / 8_192) as usize).clamp(1, 60));
         println!(
-            "    L{} {:<60} {:>4} files {:>3} runs {:>8} B {:>6} entries {:>5} tombstones",
-            level.level, bar, level.files, level.runs, level.bytes, level.entries, level.tombstones
+            "    L{} {:<60} {:>4} files {:>3} runs {:>8} B {:>6} entries {:>5} tombstones {:>4} woven",
+            level.level,
+            bar,
+            level.files,
+            level.runs,
+            level.bytes,
+            level.entries,
+            level.tombstones,
+            level.woven_files
         );
     }
     use std::sync::atomic::Ordering::Relaxed;
@@ -57,6 +64,7 @@ fn main() {
             "leveling + FADE D_th=20k",
             DbOptions::small().with_fade(20_000),
         ),
+        ("leveling + KiWi h=4", DbOptions::small().with_tile(4)),
     ];
 
     let dbs: Vec<(&str, Db)> = configs
@@ -119,6 +127,7 @@ fn main() {
     println!(
         "\nThings to notice: tiering stacks runs per level (more runs, lower write-amp);\n\
          FADE's tombstone count collapses in the quiet phase while the baseline's\n\
-         lingers; lazy leveling keeps the bottom level as one run."
+         lingers; lazy leveling keeps the bottom level as one run; KiWi weaves only\n\
+         the files a bottommost compaction wrote, since only those can drop pages."
     );
 }

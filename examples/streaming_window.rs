@@ -80,4 +80,5 @@ fn main() {
         survivors.len() as u64 <= WINDOW + EXPIRE_EVERY,
         "retention must bound the live set"
     );
+    assert!(dropped > 0, "expiry must drop whole KiWi pages unread");
 }
