@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use acheron::{Db, DbOptions, Event};
+use acheron::{CompactionLayout, Db, DbOptions, Event, FilePickPolicy};
 use acheron_types::{checksum, Result};
 use acheron_vfs::{IoStats, MemFs, RandomAccessFile, Vfs, WritableFile};
 use bytes::Bytes;
@@ -453,35 +453,94 @@ fn schedule_digest(db: &Db, fs: &MemFs) -> u32 {
 /// picks, file ids, manifest records or table bytes moves.
 const SCHEDULE_DIGEST: u32 = 0x50f5_f72e;
 
+/// The schedule digest of every compaction policy the engine offers:
+/// `(layout, file pick, FADE on, digest)`. The first row is
+/// [`schedule_opts`] itself. The file pick only matters to leveling's
+/// saturation compactions, so the tiered layouts run the default.
+const SCHEDULE_TABLE: [(CompactionLayout, FilePickPolicy, bool, u32); 11] = {
+    use CompactionLayout::{LazyLeveling, Leveling, Tiering};
+    use FilePickPolicy::{MinOverlap, OldestTombstone, RoundRobin, TombstoneDensity};
+    [
+        (Leveling, MinOverlap, true, SCHEDULE_DIGEST),
+        (Leveling, MinOverlap, false, 0xdeb4_6fa5),
+        (Leveling, TombstoneDensity, true, 0xa1e9_0ad1),
+        (Leveling, TombstoneDensity, false, 0x0546_3a68),
+        (Leveling, OldestTombstone, true, 0xf9fb_9be0),
+        (Leveling, OldestTombstone, false, 0xff9a_20b9),
+        (Leveling, RoundRobin, true, 0x50f5_f72e),
+        (Leveling, RoundRobin, false, 0xa259_9b70),
+        (Tiering, MinOverlap, false, 0x6e79_7caf),
+        (LazyLeveling, MinOverlap, true, 0x2435_4206),
+        (LazyLeveling, MinOverlap, false, 0x6e79_7caf),
+    ]
+};
+
+/// [`schedule_opts`] under one row of [`SCHEDULE_TABLE`].
+fn schedule_row_opts(layout: CompactionLayout, pick: FilePickPolicy, fade: bool) -> DbOptions {
+    let mut o = DbOptions {
+        layout,
+        baseline_pick: pick,
+        ..schedule_opts(0)
+    };
+    match o.fade.as_mut() {
+        Some(f) if fade => f.saturation_pick = pick,
+        _ => o.fade = None,
+    }
+    o
+}
+
 /// `background_threads = 0` is the deterministic mode: the same op
 /// sequence always produces the same schedule, the same files and the
-/// same read results — run to run, and commit to commit.
+/// same read results — run to run, and commit to commit, under every
+/// layout and file pick, with FADE on and off.
 #[test]
 fn synchronous_mode_is_deterministic() {
-    let run = || {
+    let run = |opts: DbOptions| {
+        let fade = opts.fade.is_some();
+        let row = format!("{:?} {:?} fade={fade}", opts.layout, opts.baseline_pick);
         let fs = Arc::new(MemFs::new());
-        let db = Db::open(fs.clone(), "db", schedule_opts(0)).unwrap();
+        let db = Db::open(fs.clone(), "db", opts).unwrap();
         let rows = run_schedule(&db, None);
         use std::sync::atomic::Ordering::Relaxed;
         let s = db.stats();
         for (what, n) in [
             ("flushes", s.flushes.load(Relaxed)),
-            ("ttl compactions", s.ttl_compactions.load(Relaxed)),
             ("vlog GC rewrites", s.vlog_gc_rewrites.load(Relaxed)),
             ("sort-key range deletes", s.sort_range_deletes.load(Relaxed)),
         ] {
-            assert!(n > 0, "the schedule workload must exercise {what}");
+            assert!(n > 0, "{row}: the schedule workload must exercise {what}");
         }
-        (rows, schedule_digest(&db, &fs))
+        let ttl_compactions = s.ttl_compactions.load(Relaxed);
+        assert!(
+            fade || ttl_compactions == 0,
+            "{row}: TTL compactions without FADE"
+        );
+        (rows, schedule_digest(&db, &fs), ttl_compactions)
     };
-    let a = run();
-    let b = run();
+    let (layout, pick, fade, _) = SCHEDULE_TABLE[0];
+    let a = run(schedule_row_opts(layout, pick, fade));
+    let b = run(schedule_row_opts(layout, pick, fade));
     assert_eq!(a.0, b.0, "read results must be identical run to run");
     assert_eq!(a.1, b.1, "the schedule must be identical run to run");
-    assert_eq!(
-        a.1, SCHEDULE_DIGEST,
-        "the synchronous schedule moved: {:#010x}",
-        a.1
+    assert!(
+        a.2 > 0,
+        "the schedule workload must exercise TTL compactions"
+    );
+    let mut moved = Vec::new();
+    for (i, &(layout, pick, fade, digest)) in SCHEDULE_TABLE.iter().enumerate() {
+        let got = if i == 0 {
+            a.1
+        } else {
+            run(schedule_row_opts(layout, pick, fade)).1
+        };
+        if got != digest {
+            moved.push(format!("{layout:?} {pick:?} fade={fade}: {got:#010x}"));
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "the synchronous schedule moved:\n{}",
+        moved.join("\n")
     );
 }
 
