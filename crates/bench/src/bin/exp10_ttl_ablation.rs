@@ -6,7 +6,7 @@
 //! choice) gives deep levels proportionally more time and should meet
 //! the same bound with less write amplification.
 
-use acheron::{FadeOptions, FilePickPolicy, TtlAllocation};
+use acheron::{FadeOptions, TtlAllocation};
 use acheron_bench::{base_opts, f2, grouped, open_db, print_table};
 use acheron_workload::{run_ops, KeyDistribution, OpMix, WorkloadGen, WorkloadSpec};
 
@@ -17,7 +17,6 @@ fn run(alloc: TtlAllocation, d_th: u64) -> Vec<String> {
     opts.fade = Some(FadeOptions {
         delete_persistence_threshold: d_th,
         ttl_allocation: alloc,
-        saturation_pick: FilePickPolicy::MinOverlap,
     });
     let (_fs, db) = open_db(opts);
     let spec = WorkloadSpec::new(OpMix::write_heavy(20), KeyDistribution::uniform(30_000));

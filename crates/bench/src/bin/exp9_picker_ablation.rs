@@ -14,10 +14,10 @@ const D_TH: u64 = 40_000;
 
 fn run(policy: FilePickPolicy, label: &str) -> Vec<String> {
     let mut opts = base_opts();
+    opts.file_pick = policy;
     opts.fade = Some(FadeOptions {
         delete_persistence_threshold: D_TH,
         ttl_allocation: TtlAllocation::Exponential,
-        saturation_pick: policy,
     });
     let (_fs, db) = open_db(opts);
     let spec = WorkloadSpec::new(OpMix::write_heavy(20), KeyDistribution::uniform(30_000));

@@ -114,12 +114,10 @@ pub fn run_compaction(
         && !task.inputs.is_empty()
         && (task.inputs[0].stats.tombstone_count > 0
             || !task.inputs[0].stats.range_tombstones.is_empty()
-            || version.range_tombstones.iter().any(|rt| {
-                task.inputs[0].stats.min_seqno < rt.seqno
-                    && rt
-                        .range
-                        .overlaps(task.inputs[0].stats.min_dkey, task.inputs[0].stats.max_dkey)
-            }));
+            || version
+                .range_tombstones
+                .iter()
+                .any(|rt| task.inputs[0].under_range_tombstone(rt)));
     if task.level != 0
         && task.inputs.len() == 1
         && task.next_level_inputs.is_empty()
@@ -167,11 +165,9 @@ pub fn run_compaction(
     {
         let purgeable = bottommost
             && snapshots.is_empty()
-            && !version.all_files().any(|f| {
-                !deleted_ids.contains(&f.id)
-                    && f.stats.min_seqno < k.seqno
-                    && f.overlaps_keys(&k.start, &k.end)
-            });
+            && !version
+                .all_files()
+                .any(|f| !deleted_ids.contains(&f.id) && f.under_key_range_tombstone(k));
         if purgeable {
             key_range_tombstones_dropped.push((k.dkey, k.seqno));
         } else {

@@ -68,7 +68,7 @@ use crate::obs::trace::{
 };
 use crate::obs::{min_tick, Event, EventLog, EventSnapshot, TombstoneGauges};
 use crate::options::DbOptions;
-use crate::picker::{entry_hull, CompactionReason, CompactionTask, Picker};
+use crate::picker::Picker;
 use crate::stats::DbStats;
 use crate::version::Version;
 
@@ -934,85 +934,22 @@ impl Db {
         core.seal_memtable_locked(&excl, &mut core.state.write())?;
         core.drive(&TREE, Some(&excl))?;
         // Writers and workers are held off: a version read here is still
-        // current when the task built from it installs.
-        let run_manual = |version: Arc<Version>, task: CompactionTask| {
-            core.run_task(MaintTask::Compact(task, None, version), Some(&excl))
-        };
-        let bottom = core.opts.max_levels - 1;
-        for level in 0..bottom {
-            loop {
-                let version = Arc::clone(&core.state.read().version);
-                let inputs = version.levels[level].clone();
-                if inputs.is_empty() {
-                    break;
-                }
-                let next = match entry_hull(&inputs) {
-                    Some((lo, hi)) => version.overlapping_files(level + 1, &lo, &hi),
-                    None => Vec::new(),
-                };
-                let task = CompactionTask {
-                    level,
-                    inputs,
-                    next_level_inputs: next,
-                    output_level: level + 1,
-                    output_run: 0,
-                    reason: CompactionReason::Manual,
-                };
-                run_manual(version, task)?;
-            }
-        }
-        // Reclaim pass: bottom-level files still overlapping a live
-        // range tombstone (secondary *or* sort-key) are rewritten in
-        // place so the erased entries (and, under KiWi, whole covered
-        // pages) are physically dropped and the tombstone can retire or
-        // purge. Bounded passes: snapshots may legitimately pin covered
-        // entries, leaving the tombstone live; don't spin on it.
-        for _ in 0..4 {
+        // current when the task picked from it installs. A snapshot may
+        // pin what a reclaim pass would drop and so leave the same pass
+        // to be picked again: run at most four.
+        let mut reclaim_passes = 0;
+        loop {
             let version = Arc::clone(&core.state.read().version);
-            let rts = &version.range_tombstones;
-            let krts = version.collect_key_range_tombstones();
-            if rts.is_empty() && krts.is_empty() {
+            let Some(task) = core.picker.pick_manual(&version) else {
                 break;
-            }
-            let mut victims: Vec<_> = version.levels[bottom]
-                .iter()
-                .filter(|f| {
-                    f.has_key_range_tombstones()
-                        || (f.stats.entry_count > 0
-                            && (rts.iter().any(|rt| {
-                                f.stats.min_seqno < rt.seqno
-                                    && rt.range.overlaps(f.stats.min_dkey, f.stats.max_dkey)
-                            }) || krts.iter().any(|k| {
-                                f.stats.min_seqno < k.seqno && f.overlaps_keys(&k.start, &k.end)
-                            })))
-                })
-                .cloned()
-                .collect();
-            if victims.is_empty() {
-                break;
-            }
-            // Close the victim set over entry-hull overlap so the merge
-            // stays bottommost (required for any physical drop).
-            while let Some((lo, hi)) = entry_hull(&victims) {
-                let before = victims.len();
-                for f in version.levels[bottom].iter() {
-                    if f.overlaps_keys(&lo, &hi) && !victims.iter().any(|v| v.id == f.id) {
-                        victims.push(Arc::clone(f));
-                    }
-                }
-                if victims.len() == before {
+            };
+            if task.level == task.output_level {
+                reclaim_passes += 1;
+                if reclaim_passes > 4 {
                     break;
                 }
             }
-            let task = CompactionTask {
-                level: bottom,
-                inputs: victims,
-                next_level_inputs: Vec::new(),
-                output_level: bottom,
-                output_run: 0,
-                reason: CompactionReason::Manual,
-            };
-            run_manual(version, task)?;
+            core.run_task(MaintTask::Compact(task, None, version), Some(&excl))?;
         }
         core.drive(&TREE, Some(&excl))
     }

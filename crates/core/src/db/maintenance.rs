@@ -43,8 +43,8 @@ pub(super) enum MaintTask {
     /// Flush this sealed memtable, the front of the queue.
     Flush(Arc<Memtable>),
     /// Run one compaction against the version it was picked from. The
-    /// claim is the picker's in-flight marks: `None` for a task
-    /// hand-built while the workers are paused (`Db::compact_all`).
+    /// claim is the picker's in-flight marks: `None` for a task run
+    /// while the workers are paused (`Db::compact_all`).
     Compact(CompactionTask, Option<CompactionClaim>, Arc<Version>),
     /// Rewrite one value-log segment.
     VlogGc(u64),
@@ -79,15 +79,13 @@ impl DbCore {
             st.ttl_deadline = None;
             return;
         };
-        let tree = ttl.next_deadline(st.version.all_files().map(|f| f.as_ref()), &st.mem);
+        let files = st.version.all_files().filter_map(|f| ttl.file_deadline(f));
         // Sealed memtables are still "station 0": their tombstones keep
         // aging against the buffer TTL until their flush installs.
-        let imm = st
-            .imms
-            .iter()
-            .filter_map(|i| ttl.buffer_deadline(&i.mem))
-            .min();
-        st.ttl_deadline = tree.into_iter().chain(imm).min();
+        let buffers = std::iter::once(&st.mem)
+            .chain(st.imms.iter().map(|i| &i.mem))
+            .filter_map(|m| ttl.buffer_deadline(m));
+        st.ttl_deadline = files.chain(buffers).min();
     }
 
     // ------------------------------------------------------------------
@@ -298,11 +296,19 @@ impl DbCore {
     // ------------------------------------------------------------------
 
     /// Record a `CompactionPicked` event for `task`, with the FADE
-    /// trigger inputs (most overdue input tombstone, cumulative budget
-    /// at the input level) when a TTL schedule is configured.
+    /// trigger inputs when a TTL schedule is configured: how far past
+    /// its deadline the most overdue input tombstone is (0 when none
+    /// is), and the cumulative budget at the input level.
     fn log_compaction_picked(&self, task: &CompactionTask, now: Tick) {
         let (overdue_by, deadline) = match self.picker.ttl_schedule() {
-            Some(ttl) => ttl.trigger_inputs(task.all_inputs().map(|f| f.as_ref()), task.level, now),
+            Some(ttl) => (
+                task.all_inputs()
+                    .filter_map(|f| ttl.file_deadline(f))
+                    .map(|d| now.saturating_sub(d))
+                    .max()
+                    .unwrap_or(0),
+                ttl.deadline(task.level),
+            ),
             None => (0, 0),
         };
         self.obs.log(Event::CompactionPicked {
@@ -376,7 +382,7 @@ impl DbCore {
             && outcome.key_range_tombstones_dropped.is_empty()
         {
             self.picker
-                .note_futile_rewrite(now, outcome.added.iter().map(|f| f.id).collect());
+                .note_futile_rewrite(now, outcome.added.iter().map(|f| f.id));
         }
         // Apply to the version first so range-tombstone retirement sees
         // the post-compaction file set. A tombstone is retirable only if
@@ -777,10 +783,12 @@ impl DbCore {
             // can slip between judging a version and marking its files.
             let st = self.state.read();
             if scope.contains(&Kind::SealExpired) {
-                if let Some(ttl) = self.picker.ttl_schedule() {
-                    if ttl.buffer_expired(&st.mem, now) {
-                        return Some(MaintTask::SealExpired(Arc::clone(&st.mem)));
-                    }
+                let deadline = self
+                    .picker
+                    .ttl_schedule()
+                    .and_then(|t| t.buffer_deadline(&st.mem));
+                if deadline.is_some_and(|d| now > d) {
+                    return Some(MaintTask::SealExpired(Arc::clone(&st.mem)));
                 }
             }
             if scope.contains(&Kind::Flush) {

@@ -28,13 +28,13 @@ use crate::version::FileMeta;
 
 /// The per-station TTL schedule. Station 0 is the write buffer; station
 /// `i + 1` is disk level `i`. The bottom disk level has no station —
-/// arrival there is persistence.
+/// arrival there is persistence. Every question the engine asks of it
+/// is answered as a deadline, an absolute tick, which callers compare
+/// with `now`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TtlSchedule {
-    per_station: Vec<Tick>,
     /// `cumulative[s]` = total age budget through station `s`.
     cumulative: Vec<Tick>,
-    d_th: Tick,
 }
 
 impl TtlSchedule {
@@ -69,21 +69,7 @@ impl TtlSchedule {
             acc = acc.saturating_add(*d);
             cumulative.push(acc);
         }
-        TtlSchedule {
-            per_station,
-            cumulative,
-            d_th,
-        }
-    }
-
-    /// Residency budget of the write buffer.
-    pub fn buffer_ttl(&self) -> Tick {
-        self.per_station[0]
-    }
-
-    /// Residency budget of disk level `level`.
-    pub fn level_ttl(&self, level: usize) -> Tick {
-        self.per_station.get(level + 1).copied().unwrap_or(0)
+        TtlSchedule { cumulative }
     }
 
     /// Cumulative age budget through disk level `level`: a tombstone at
@@ -92,14 +78,6 @@ impl TtlSchedule {
     pub fn deadline(&self, level: usize) -> Tick {
         let idx = (level + 1).min(self.cumulative.len() - 1);
         self.cumulative[idx]
-    }
-
-    /// True if the write buffer holds a tombstone past its budget.
-    pub fn buffer_expired(&self, mem: &Memtable, now: Tick) -> bool {
-        match self.buffer_deadline(mem) {
-            Some(deadline) => now > deadline,
-            None => false,
-        }
     }
 
     /// Absolute tick by which `mem`'s oldest tombstone — point *or*
@@ -113,73 +91,23 @@ impl TtlSchedule {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
-        oldest.map(|t0| t0.saturating_add(self.buffer_ttl()))
+        oldest.map(|t0| t0.saturating_add(self.cumulative[0]))
     }
 
-    /// True if `file` (at its level) holds an expired tombstone at
-    /// `now`. Range tombstones age on the same clock as point ones.
-    pub fn file_expired(&self, file: &FileMeta, now: Tick) -> bool {
-        match file.stats.oldest_any_tombstone_tick() {
-            Some(t0) => now.saturating_sub(t0) > self.deadline(file.level),
-            None => false,
-        }
-    }
-
-    /// How overdue the file's oldest tombstone (either flavor) is
-    /// (0 if not expired).
-    pub fn overdue_by(&self, file: &FileMeta, now: Tick) -> Tick {
-        match file.stats.oldest_any_tombstone_tick() {
-            Some(t0) => now
-                .saturating_sub(t0)
-                .saturating_sub(self.deadline(file.level)),
-            None => 0,
-        }
-    }
-
-    /// The earliest future tick at which something expires, given the
-    /// current tree — the write path compares `now` against this instead
-    /// of rescanning files on every operation.
-    pub fn next_deadline<'a>(
-        &self,
-        files: impl Iterator<Item = &'a FileMeta>,
-        mem: &Memtable,
-    ) -> Option<Tick> {
-        let file_deadline = files
-            .filter_map(|f| {
-                f.stats
-                    .oldest_any_tombstone_tick()
-                    .map(|t0| t0.saturating_add(self.deadline(f.level)))
-            })
-            .min();
-        let mem_deadline = self.buffer_deadline(mem);
-        file_deadline.into_iter().chain(mem_deadline).min()
-    }
-
-    /// The configured threshold.
-    pub fn d_th(&self) -> Tick {
-        self.d_th
-    }
-
-    /// The FADE trigger inputs recorded on a `CompactionPicked` event:
-    /// how far past its cumulative budget the task's most overdue input
-    /// tombstone is, and what that budget (`deadline(level)`) was.
-    /// `(0, deadline)` for saturation-triggered picks over unexpired
-    /// inputs.
-    pub fn trigger_inputs<'a>(
-        &self,
-        inputs: impl Iterator<Item = &'a FileMeta>,
-        level: usize,
-        now: Tick,
-    ) -> (Tick, Tick) {
-        let overdue = inputs.map(|f| self.overdue_by(f, now)).max().unwrap_or(0);
-        (overdue, self.deadline(level))
+    /// Absolute tick by which `file`'s oldest tombstone — point *or*
+    /// sort-key range — must leave the file's level (`None` when it
+    /// holds neither). The file is expired once `now` passes it.
+    pub fn file_deadline(&self, file: &FileMeta) -> Option<Tick> {
+        let t0 = file.stats.oldest_any_tombstone_tick()?;
+        Some(t0.saturating_add(self.deadline(file.level)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::options::{DbOptions, FadeOptions, FilePickPolicy};
+    use crate::options::{DbOptions, FadeOptions};
+    use acheron_types::Entry;
 
     fn opts(alloc: TtlAllocation, d_th: Tick, levels: usize, ratio: u64) -> DbOptions {
         DbOptions {
@@ -188,36 +116,38 @@ mod tests {
             fade: Some(FadeOptions {
                 delete_persistence_threshold: d_th,
                 ttl_allocation: alloc,
-                saturation_pick: FilePickPolicy::MinOverlap,
             }),
             ..DbOptions::default()
         }
+    }
+
+    /// Each station's own budget: station 0 is the buffer, station
+    /// `i + 1` disk level `i`.
+    fn budgets(s: &TtlSchedule) -> Vec<Tick> {
+        let mut prev = 0;
+        s.cumulative
+            .iter()
+            .map(|&c| c - std::mem::replace(&mut prev, c))
+            .collect()
     }
 
     #[test]
     fn uniform_splits_evenly_with_margin() {
         // D_th = 1600 → margin 100 → D_eff = 1500 over 5 stations.
         let s = TtlSchedule::new(&opts(TtlAllocation::Uniform, 1600, 5, 4));
-        assert_eq!(s.buffer_ttl(), 300);
-        for level in 0..4 {
-            assert_eq!(s.level_ttl(level), 300);
-        }
+        assert_eq!(budgets(&s), vec![300; 5]);
         // Level 0 deadline = buffer + L0 budgets.
         assert_eq!(s.deadline(0), 600);
         assert_eq!(s.deadline(3), 1500);
         // Bottom level saturates at the last station.
         assert_eq!(s.deadline(4), 1500);
-        assert!(s.deadline(3) <= s.d_th());
     }
 
     #[test]
     fn exponential_gives_deeper_stations_more_time() {
         let s = TtlSchedule::new(&opts(TtlAllocation::Exponential, 1600, 4, 4));
         // D_eff = 1500; weights 1,4,16,64 over denom 85.
-        assert_eq!(s.buffer_ttl(), 17);
-        assert_eq!(s.level_ttl(0), 70);
-        assert_eq!(s.level_ttl(1), 282);
-        assert_eq!(s.level_ttl(2), 1129);
+        assert_eq!(budgets(&s), vec![17, 70, 282, 1129]);
         assert!(s.deadline(2) <= 1500);
     }
 
@@ -241,25 +171,14 @@ mod tests {
     }
 
     #[test]
-    fn buffer_expiry_detection() {
-        use acheron_types::Entry;
+    fn buffer_deadline_follows_the_oldest_tombstone() {
         let s = TtlSchedule::new(&opts(TtlAllocation::Uniform, 1000, 5, 4));
         let mem = Memtable::new();
-        assert!(!s.buffer_expired(&mem, 10_000), "no tombstones, no expiry");
-        mem.insert(Entry::tombstone(&b"k"[..], 1, 500));
-        assert!(!s.buffer_expired(&mem, 500 + s.buffer_ttl()));
-        assert!(s.buffer_expired(&mem, 501 + s.buffer_ttl()));
-    }
-
-    #[test]
-    fn next_deadline_is_min_over_sources() {
-        use acheron_types::Entry;
-        let s = TtlSchedule::new(&opts(TtlAllocation::Uniform, 1600, 5, 4));
-        let mem = Memtable::new();
-        assert_eq!(s.next_deadline(std::iter::empty(), &mem), None);
-        mem.insert(Entry::tombstone(&b"k"[..], 1, 1000));
-        // Buffer budget 300 → deadline 1300.
-        assert_eq!(s.next_deadline(std::iter::empty(), &mem), Some(1300));
+        mem.insert(Entry::put(&b"k"[..], &b"v"[..], 1, 100));
+        assert_eq!(s.buffer_deadline(&mem), None, "no tombstones, no deadline");
+        mem.insert(Entry::tombstone(&b"k"[..], 2, 500));
+        // D_eff = 938 over 5 stations: 187 ticks in the buffer.
+        assert_eq!(s.buffer_deadline(&mem), Some(687));
     }
 
     #[test]
@@ -275,19 +194,25 @@ mod tests {
             dkey: 1000,
         });
         assert_eq!(s.buffer_deadline(&mem), Some(1300));
-        assert!(s.buffer_expired(&mem, 1301));
         // An older point tombstone tightens the deadline further.
-        use acheron_types::Entry;
         mem.insert(Entry::tombstone(&b"k"[..], 2, 500));
         assert_eq!(s.buffer_deadline(&mem), Some(800));
     }
 
     #[test]
+    fn file_deadline_is_the_oldest_tombstone_plus_its_level_budget() {
+        use crate::testutil::{make_file, make_file_with};
+        let fs = acheron_vfs::MemFs::new();
+        let s = TtlSchedule::new(&opts(TtlAllocation::Uniform, 1600, 5, 4));
+        assert_eq!(s.file_deadline(&make_file(&fs, 1, 2, 0..50, 1)), None);
+        // Tombstones every 5th key, born at their key ids: 10, 15, ...
+        let f = make_file_with(&fs, 2, 2, 0, 10..50, 1, 5, 0);
+        assert_eq!(s.file_deadline(&f), Some(10 + s.deadline(2)));
+    }
+
+    #[test]
     fn tiny_threshold_still_positive() {
         let s = TtlSchedule::new(&opts(TtlAllocation::Exponential, 3, 5, 10));
-        assert!(s.buffer_ttl() >= 1);
-        for level in 0..4 {
-            assert!(s.level_ttl(level) >= 1);
-        }
+        assert!(budgets(&s).iter().all(|&d| d >= 1));
     }
 }

@@ -16,7 +16,10 @@
 //!   primitives of the LSM compaction design space — trigger, layout,
 //!   granularity, data movement — so the delete-blind baselines
 //!   (leveling / tiering / lazy-leveling with min-overlap picks) and the
-//!   delete-aware policies are points in one space ([`picker`]).
+//!   delete-aware policies are points in one space. Every compaction
+//!   task is decided and built in [`picker`]; FADE contributes its
+//!   trigger as deadlines ([`fade::TtlSchedule`]) and the movement
+//!   policy is one option ([`options::DbOptions::file_pick`]).
 //!
 //! ## Quick start
 //!

@@ -2,9 +2,9 @@
 //!
 //! The options mirror the knobs the Acheron demo exposes: the LSM shape
 //! (buffer size, size ratio `T`, level count), the compaction strategy
-//! (the *data layout* primitive), FADE's delete-persistence threshold
-//! `D_th` with its TTL-allocation and file-picking policies, and KiWi's
-//! delete-tile granularity `h`.
+//! (the *data layout* and *data movement* primitives), FADE's
+//! delete-persistence threshold `D_th` with its TTL allocation, and
+//! KiWi's delete-tile granularity `h`.
 
 use std::sync::Arc;
 
@@ -24,7 +24,8 @@ pub enum CompactionLayout {
     LazyLeveling,
 }
 
-/// Data-movement primitive: which file a saturated level compacts first.
+/// Data-movement primitive: which file a saturated level compacts first
+/// (leveling only; a tiered level moves whole).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FilePickPolicy {
     /// The file overlapping the fewest bytes in the next level
@@ -41,7 +42,9 @@ pub enum FilePickPolicy {
 /// How FADE splits the persistence threshold `D_th` into per-level TTLs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TtlAllocation {
-    /// `d_i = D_th / (L-1)` for every level.
+    /// Every one of the `L` stations (the write buffer and disk levels
+    /// `0 … L-2`) gets `D_eff / L`, where `D_eff = D_th − D_th/16`
+    /// keeps a margin for trigger latency.
     Uniform,
     /// `d_i ∝ T^i` (levels hold exponentially more data, so tombstones
     /// get exponentially more time in deeper levels); Lethe's choice.
@@ -57,8 +60,6 @@ pub struct FadeOptions {
     pub delete_persistence_threshold: Tick,
     /// TTL split across levels.
     pub ttl_allocation: TtlAllocation,
-    /// File choice when a level is saturated but nothing has expired.
-    pub saturation_pick: FilePickPolicy,
 }
 
 impl Default for FadeOptions {
@@ -66,11 +67,6 @@ impl Default for FadeOptions {
         FadeOptions {
             delete_persistence_threshold: 100_000,
             ttl_allocation: TtlAllocation::Exponential,
-            // Lethe's default FADE mode keeps the write-optimized
-            // min-overlap pick for saturation compactions; the TTL
-            // trigger alone provides the persistence bound. Density-
-            // driven picking is an ablation variant (see E9).
-            saturation_pick: FilePickPolicy::MinOverlap,
         }
     }
 }
@@ -92,8 +88,9 @@ pub struct DbOptions {
     pub target_file_bytes: u64,
     /// Data layout across levels.
     pub layout: CompactionLayout,
-    /// Delete-blind file pick for the non-FADE baseline.
-    pub baseline_pick: FilePickPolicy,
+    /// File choice when a level is saturated (FADE's TTL trigger picks
+    /// its own: the most overdue file).
+    pub file_pick: FilePickPolicy,
     /// FADE (bounded delete persistence); `None` = delete-blind baseline.
     pub fade: Option<FadeOptions>,
     /// SSTable page size in bytes.
@@ -208,7 +205,10 @@ impl Default for DbOptions {
             level1_target_bytes: 16 << 20,
             target_file_bytes: 4 << 20,
             layout: CompactionLayout::Leveling,
-            baseline_pick: FilePickPolicy::MinOverlap,
+            // Write-optimized, and Lethe's default with FADE too: the TTL
+            // trigger alone provides the persistence bound. Density-
+            // driven picking is an ablation variant (see E9).
+            file_pick: FilePickPolicy::MinOverlap,
             fade: None,
             page_size: 4096,
             pages_per_tile: 1,

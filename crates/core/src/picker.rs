@@ -5,7 +5,9 @@
 //! layout (leveling / tiering / lazy-leveling), a granularity (whole
 //! level for tiering, single file + overlap for leveling), and a
 //! data-movement policy (which file moves first). [`Picker::pick`]
-//! inspects a [`Version`] and produces at most one [`CompactionTask`].
+//! inspects a [`Version`] and produces at most one [`CompactionTask`];
+//! [`Picker::pick_manual`] does the same for a full manual compaction.
+//! This module is the only place that builds a task.
 
 use std::sync::Arc;
 
@@ -77,16 +79,14 @@ pub struct CompactionClaim {
     id: u64,
 }
 
-/// Claim marks for one in-flight compaction: the levels it reads and
-/// writes, its input file ids, and its user-key span. A candidate task
-/// conflicts (and is not handed out) when it shares a file id or its key
-/// span overlaps — so two workers never compact overlapping inputs and
-/// never install overlapping outputs into the same run.
+/// Claim marks for one in-flight compaction: its input file ids and its
+/// user-key span. A candidate task conflicts (and is not handed out)
+/// when it shares a file id or its key span overlaps — so two workers
+/// never compact overlapping inputs and never install overlapping
+/// outputs into the same run.
 #[derive(Debug)]
 struct InFlightMark {
     id: u64,
-    input_level: usize,
-    output_level: usize,
     file_ids: Vec<u64>,
     key_range: Option<(Bytes, Bytes)>,
 }
@@ -101,8 +101,8 @@ pub struct Picker {
     cursors: Mutex<Vec<Option<Bytes>>>,
     /// `(next claim id, marks of running compactions)`.
     in_flight: Mutex<(u64, Vec<InFlightMark>)>,
-    /// Output files of the last within-bottom TTL rewrite that purged
-    /// and dropped nothing, and the tick it ran at (see
+    /// Output files of the within-bottom TTL rewrites that purged and
+    /// dropped nothing, and the tick they ran at (see
     /// [`Picker::note_futile_rewrite`]).
     futile: Mutex<(Tick, Vec<u64>)>,
 }
@@ -123,12 +123,17 @@ impl Picker {
     /// Record that a TTL rewrite within the bottom level at tick `now`
     /// changed nothing — whatever keeps its tombstones from purging (a
     /// snapshot, say) is still there — and produced `outputs`. Until the
-    /// clock moves, the TTL trigger passes over those files: rewriting
-    /// them again at the same tick would produce the same bytes, and an
-    /// inline maintenance pass, inside which the logical clock stands
-    /// still, would never end.
-    pub fn note_futile_rewrite(&self, now: Tick, outputs: Vec<u64>) {
-        *self.futile.lock() = (now, outputs);
+    /// clock moves, the TTL trigger passes over those files, and over
+    /// those of every other futile rewrite at the same tick: rewriting
+    /// them again would produce the same bytes, and an inline
+    /// maintenance pass, inside which the logical clock stands still,
+    /// would never end.
+    pub fn note_futile_rewrite(&self, now: Tick, outputs: impl IntoIterator<Item = u64>) {
+        let mut futile = self.futile.lock();
+        if futile.0 != now {
+            *futile = (now, Vec::new());
+        }
+        futile.1.extend(outputs);
     }
 
     /// The TTL schedule, if FADE is enabled.
@@ -169,8 +174,6 @@ impl Picker {
         *next_id += 1;
         marks.push(InFlightMark {
             id,
-            input_level: task.level,
-            output_level: task.output_level,
             file_ids,
             key_range,
         });
@@ -180,17 +183,6 @@ impl Picker {
     /// Drop the in-flight mark registered by [`Picker::pick_claimed`].
     pub fn release(&self, claim: CompactionClaim) {
         self.in_flight.lock().1.retain(|m| m.id != claim.id);
-    }
-
-    /// Levels currently touched by in-flight compactions, as
-    /// `(input level, output level)` pairs (introspection/debugging).
-    pub fn in_flight_levels(&self) -> Vec<(usize, usize)> {
-        self.in_flight
-            .lock()
-            .1
-            .iter()
-            .map(|m| (m.input_level, m.output_level))
-            .collect()
     }
 
     /// Pick the most urgent compaction, if any. A pure query: the
@@ -208,18 +200,57 @@ impl Picker {
         }
     }
 
+    /// The next step of a full manual compaction (`Db::compact_all`),
+    /// `None` once there is none. First the drain: the shallowest
+    /// non-empty level above the bottom merges whole into the next one.
+    /// Then the reclaim pass: the bottom files that may hold what a live
+    /// range tombstone (secondary *or* sort-key) erases, or that carry
+    /// sort-key range tombstones, are rewritten in place, so the erased
+    /// entries (and, under KiWi, whole covered pages) are physically
+    /// dropped and the tombstones can retire or purge. A snapshot may
+    /// pin covered entries and so leave a reclaim task in place for
+    /// good: the caller bounds how many it runs.
+    pub fn pick_manual(&self, version: &Version) -> Option<CompactionTask> {
+        let bottom = self.opts.max_levels - 1;
+        let reason = CompactionReason::Manual;
+        if let Some(level) = (0..bottom).find(|&l| !version.levels[l].is_empty()) {
+            let inputs = version.levels[level].clone();
+            let span = entry_hull(&inputs);
+            return Some(push_down(version, level, inputs, span, reason));
+        }
+        let rts = &version.range_tombstones;
+        let krts = version.collect_key_range_tombstones();
+        let victims: Vec<_> = version.levels[bottom]
+            .iter()
+            .filter(|f| {
+                f.has_key_range_tombstones()
+                    || rts.iter().any(|rt| f.under_range_tombstone(rt))
+                    || krts.iter().any(|k| f.under_key_range_tombstone(k))
+            })
+            .cloned()
+            .collect();
+        if victims.is_empty() {
+            return None;
+        }
+        let span = entry_hull(&victims);
+        Some(self.close_over_bottom(version, victims, span, reason))
+    }
+
     /// FADE trigger: the most overdue expired file, if any.
     fn pick_ttl_expired(&self, version: &Version, now: Tick) -> Option<CompactionTask> {
         let ttl = self.ttl.as_ref()?;
         let bottom = self.opts.max_levels - 1;
         let mut expired = {
             let futile = self.futile.lock();
-            version
+            let (file, _) = version
                 .all_files()
-                .filter(|f| ttl.file_expired(f, now))
-                .filter(|f| !(futile.0 == now && futile.1.contains(&f.id)))
-                .max_by_key(|f| ttl.overdue_by(f, now))?
-                .clone()
+                .filter_map(|f| Some((f, ttl.file_deadline(f)?)))
+                .filter(|&(f, deadline)| {
+                    now > deadline && !(futile.0 == now && futile.1.contains(&f.id))
+                })
+                // Of equally overdue files, the last one wins.
+                .max_by_key(|&(_, deadline)| now - deadline)?;
+            Arc::clone(file)
         };
         if expired.level == bottom {
             // A sort-key range tombstone at the bottom purges only once
@@ -228,96 +259,80 @@ impl Picker {
             // achieves nothing: the blocker is what has to descend, so
             // it takes the expired file's turn (deepest first — it is
             // the closest to being merged with the tombstone).
-            let blocker =
-                version.levels[..bottom]
-                    .iter()
-                    .flatten()
-                    .filter(|f| {
-                        expired.stats.range_tombstones.iter().any(|k| {
-                            f.stats.min_seqno < k.seqno && f.overlaps_keys(&k.start, &k.end)
-                        })
-                    })
-                    .max_by_key(|f| f.level);
+            let blocker = version.levels[..bottom]
+                .iter()
+                .flatten()
+                .filter(|f| {
+                    expired
+                        .stats
+                        .range_tombstones
+                        .iter()
+                        .any(|k| f.under_key_range_tombstone(k))
+                })
+                .max_by_key(|f| f.level);
             if let Some(blocker) = blocker {
                 expired = Arc::clone(blocker);
             }
         }
-        let level = expired.level;
+        let (level, reason) = (expired.level, CompactionReason::TtlExpired);
         if level == 0 {
-            // L0 files overlap in both keys and seqnos: take them all so
-            // newer versions never sink below older ones.
-            let inputs = version.levels[0].clone();
-            let (lo, hi) = key_span(&inputs)?;
-            let next = version.overlapping_files(1, &lo, &hi);
-            return Some(CompactionTask {
-                level: 0,
-                inputs,
-                next_level_inputs: next,
-                output_level: 1,
-                output_run: 0,
-                reason: CompactionReason::TtlExpired,
-            });
+            return whole_l0(version, reason);
         }
-        let output_level = (level + 1).min(bottom);
-        let mut inputs = vec![Arc::clone(&expired)];
-        let next = if level == bottom {
-            // Within-bottom rewrite purges the overdue tombstones. A
-            // range tombstone only purges once the entries it covers
-            // are gone, so the rewrite must absorb every bottom file
-            // its span touches — closed over entry hulls so the merge
-            // stays bottommost (tiering runs overlap in key space).
-            if expired.has_key_range_tombstones() {
-                if let Some((mut lo, mut hi)) = key_span(std::slice::from_ref(&expired)) {
-                    loop {
-                        let mut grew = false;
-                        for f in &version.levels[bottom] {
-                            if inputs.iter().any(|g| g.id == f.id) || !f.overlaps_keys(&lo, &hi) {
-                                continue;
-                            }
-                            lo = lo.min(f.min_key().clone());
-                            hi = hi.max(f.max_key().clone());
-                            inputs.push(Arc::clone(f));
-                            grew = true;
-                        }
-                        if !grew {
-                            break;
-                        }
+        let inputs = vec![expired];
+        let span = key_span(&inputs);
+        if level == bottom {
+            return Some(self.close_over_bottom(version, inputs, span, reason));
+        }
+        Some(push_down(version, level, inputs, span, reason))
+    }
+
+    /// A rewrite within the bottom level of `inputs`, a set of bottom
+    /// files, closed over the bottom level: every bottom file whose
+    /// entries reach into the span grown from `seed_span` joins, and
+    /// widens the span in turn. The merge is then bottommost, which any
+    /// purge needs: tiered runs overlap in key space, and a rewrite that
+    /// left an older run out could drop nothing. On a leveled bottom the
+    /// files are disjoint and the closure adds only the files between
+    /// the inputs.
+    fn close_over_bottom(
+        &self,
+        version: &Version,
+        mut inputs: Vec<Arc<FileMeta>>,
+        seed_span: Option<(Bytes, Bytes)>,
+        reason: CompactionReason,
+    ) -> CompactionTask {
+        let bottom = self.opts.max_levels - 1;
+        if let Some((mut lo, mut hi)) = seed_span {
+            loop {
+                let mut grew = false;
+                for f in &version.levels[bottom] {
+                    if f.overlaps_keys(&lo, &hi) && !inputs.iter().any(|g| g.id == f.id) {
+                        lo = lo.min(f.min_key().clone());
+                        hi = hi.max(f.max_key().clone());
+                        inputs.push(Arc::clone(f));
+                        grew = true;
                     }
                 }
+                if !grew {
+                    break;
+                }
             }
-            Vec::new()
-        } else {
-            match key_span(std::slice::from_ref(&expired)) {
-                Some((lo, hi)) => version.overlapping_files(output_level, &lo, &hi),
-                None => Vec::new(),
-            }
-        };
-        Some(CompactionTask {
-            level,
+        }
+        CompactionTask {
+            level: bottom,
             inputs,
-            next_level_inputs: next,
-            output_level,
+            next_level_inputs: Vec::new(),
+            output_level: bottom,
             output_run: 0,
-            reason: CompactionReason::TtlExpired,
-        })
+            reason,
+        }
     }
 
     /// Classic leveled compaction: L0 by file count, deeper levels by
     /// byte budget, one file at a time chosen by the pick policy.
     fn pick_leveling(&self, version: &Version) -> Option<CompactionTask> {
-        // L0 first.
         if version.level_files(0) >= self.opts.level0_file_limit {
-            let inputs = version.levels[0].clone();
-            let (lo, hi) = key_span(&inputs)?;
-            let next = version.overlapping_files(1, &lo, &hi);
-            return Some(CompactionTask {
-                level: 0,
-                inputs,
-                next_level_inputs: next,
-                output_level: 1,
-                output_run: 0,
-                reason: CompactionReason::L0Saturation,
-            });
+            return whole_l0(version, CompactionReason::L0Saturation);
         }
         // Deeper levels: highest fill ratio first.
         let bottom = self.opts.max_levels - 1;
@@ -333,31 +348,19 @@ impl Picker {
             }
         }
         let (_, level) = worst?;
-        let policy = self
-            .opts
-            .fade
-            .as_ref()
-            .map(|f| f.saturation_pick)
-            .unwrap_or(self.opts.baseline_pick);
-        let file = self.choose_file(version, level, policy)?;
-        let next = version.overlapping_files(level + 1, file.min_key(), file.max_key());
-        Some(CompactionTask {
+        let file = self.choose_file(version, level)?;
+        let span = Some((file.min_key().clone(), file.max_key().clone()));
+        Some(push_down(
+            version,
             level,
-            inputs: vec![file],
-            next_level_inputs: next,
-            output_level: level + 1,
-            output_run: 0,
-            reason: CompactionReason::LevelSaturation,
-        })
+            vec![file],
+            span,
+            CompactionReason::LevelSaturation,
+        ))
     }
 
     /// Apply the data-movement policy at `level`.
-    fn choose_file(
-        &self,
-        version: &Version,
-        level: usize,
-        policy: FilePickPolicy,
-    ) -> Option<Arc<FileMeta>> {
+    fn choose_file(&self, version: &Version, level: usize) -> Option<Arc<FileMeta>> {
         let files = version.levels.get(level)?;
         if files.is_empty() {
             return None;
@@ -369,7 +372,7 @@ impl Picker {
                 .map(|g| g.size_bytes)
                 .sum()
         };
-        match policy {
+        match self.opts.file_pick {
             FilePickPolicy::MinOverlap => files
                 .iter()
                 .min_by_key(|f| (overlap_bytes(f), f.id))
@@ -465,6 +468,37 @@ impl Picker {
     }
 }
 
+/// `inputs` from `level` into the next level, merged with the files
+/// there that `span` overlaps.
+fn push_down(
+    version: &Version,
+    level: usize,
+    inputs: Vec<Arc<FileMeta>>,
+    span: Option<(Bytes, Bytes)>,
+    reason: CompactionReason,
+) -> CompactionTask {
+    let next_level_inputs = match span {
+        Some((lo, hi)) => version.overlapping_files(level + 1, &lo, &hi),
+        None => Vec::new(),
+    };
+    CompactionTask {
+        level,
+        inputs,
+        next_level_inputs,
+        output_level: level + 1,
+        output_run: 0,
+        reason,
+    }
+}
+
+/// Every L0 file into L1. L0 files overlap in both keys and seqnos:
+/// taking them all keeps newer versions from sinking below older ones.
+fn whole_l0(version: &Version, reason: CompactionReason) -> Option<CompactionTask> {
+    let inputs = version.levels[0].clone();
+    let span = key_span(&inputs)?;
+    Some(push_down(version, 0, inputs, Some(span), reason))
+}
+
 /// The smallest span covering every span in `spans`.
 fn hull(spans: impl Iterator<Item = (Bytes, Bytes)>) -> Option<(Bytes, Bytes)> {
     spans.reduce(|(lo, hi), (flo, fhi)| (lo.min(flo), hi.max(fhi)))
@@ -472,9 +506,7 @@ fn hull(spans: impl Iterator<Item = (Bytes, Bytes)>) -> Option<(Bytes, Bytes)> {
 
 /// The min/max user keys of the entries in `files` (their fence keys),
 /// `None` when no file holds an entry.
-pub(crate) fn entry_hull<'a>(
-    files: impl IntoIterator<Item = &'a Arc<FileMeta>>,
-) -> Option<(Bytes, Bytes)> {
+fn entry_hull<'a>(files: impl IntoIterator<Item = &'a Arc<FileMeta>>) -> Option<(Bytes, Bytes)> {
     hull(
         files
             .into_iter()
@@ -507,7 +539,9 @@ mod tests {
     use super::*;
     use crate::options::{CompactionLayout, FadeOptions, TtlAllocation};
     use crate::testutil::{make_file, make_file_with};
-    use acheron_vfs::MemFs;
+    use acheron_sstable::{Table, TableBuilder, TableOptions};
+    use acheron_types::{DeleteKeyRange, KeyRangeTombstone, RangeTombstone};
+    use acheron_vfs::{MemFs, Vfs};
 
     fn opts(layout: CompactionLayout) -> DbOptions {
         DbOptions {
@@ -518,6 +552,52 @@ mod tests {
             level1_target_bytes: 3_000,
             ..DbOptions::default()
         }
+    }
+
+    /// [`opts`] with FADE on at threshold `d_th`, split uniformly.
+    fn fade_opts(layout: CompactionLayout, d_th: Tick) -> DbOptions {
+        DbOptions {
+            fade: Some(FadeOptions {
+                delete_persistence_threshold: d_th,
+                ttl_allocation: TtlAllocation::Uniform,
+            }),
+            ..opts(layout)
+        }
+    }
+
+    /// A carrier table at `level`: no entries, one sort-key range
+    /// tombstone over the keys `lo..=hi` with sequence number `seqno`,
+    /// born at tick `t0`.
+    fn carrier(
+        fs: &MemFs,
+        id: u64,
+        level: usize,
+        (lo, hi): (u32, u32),
+        seqno: u64,
+        t0: Tick,
+    ) -> Arc<FileMeta> {
+        let path = crate::filenames::sst_path("", id);
+        let mut b = TableBuilder::new(fs.create(&path).unwrap(), TableOptions::default()).unwrap();
+        b.set_range_tombstones(vec![KeyRangeTombstone {
+            start: Bytes::from(format!("key{lo:06}")),
+            end: Bytes::from(format!("key{hi:06}")),
+            seqno,
+            dkey: t0,
+        }]);
+        let stats = b.finish().unwrap();
+        Arc::new(FileMeta {
+            id,
+            level,
+            run: 0,
+            size_bytes: fs.file_size(&path).unwrap(),
+            stats,
+            created_tick: 0,
+            table: Table::open(fs.open(&path).unwrap()).unwrap(),
+        })
+    }
+
+    fn ids(files: &[Arc<FileMeta>]) -> Vec<u64> {
+        files.iter().map(|f| f.id).collect()
     }
 
     #[test]
@@ -567,12 +647,11 @@ mod tests {
 
     #[test]
     fn tombstone_density_pick_prefers_delete_heavy_file() {
-        let mut o = opts(CompactionLayout::Leveling);
-        o.fade = Some(FadeOptions {
-            delete_persistence_threshold: 1_000_000, // never expires in test
-            ttl_allocation: TtlAllocation::Uniform,
-            saturation_pick: FilePickPolicy::TombstoneDensity,
-        });
+        let o = DbOptions {
+            file_pick: FilePickPolicy::TombstoneDensity,
+            // Never expires in this test.
+            ..fade_opts(CompactionLayout::Leveling, 1_000_000)
+        };
         let fs = MemFs::new();
         let picker = Picker::new(&o);
         let clean = make_file_with(&fs, 1, 1, 0, 0..200, 1000, 0, 0);
@@ -584,14 +663,8 @@ mod tests {
 
     #[test]
     fn ttl_expiry_outranks_saturation_and_targets_the_overdue_file() {
-        let mut o = opts(CompactionLayout::Leveling);
-        o.fade = Some(FadeOptions {
-            delete_persistence_threshold: 1_000,
-            ttl_allocation: TtlAllocation::Uniform,
-            saturation_pick: FilePickPolicy::MinOverlap,
-        });
         let fs = MemFs::new();
-        let picker = Picker::new(&o);
+        let picker = Picker::new(&fade_opts(CompactionLayout::Leveling, 1_000));
         // A tombstone born at tick 10 in an L1 file.
         let expired = make_file_with(&fs, 1, 1, 0, 0..50, 1000, 5, 10);
         let v = Version::empty(4).apply(vec![expired], &[], &[], &[]);
@@ -606,14 +679,8 @@ mod tests {
 
     #[test]
     fn ttl_expiry_at_l0_takes_all_l0_files() {
-        let mut o = opts(CompactionLayout::Leveling);
-        o.fade = Some(FadeOptions {
-            delete_persistence_threshold: 100,
-            ttl_allocation: TtlAllocation::Uniform,
-            saturation_pick: FilePickPolicy::MinOverlap,
-        });
         let fs = MemFs::new();
-        let picker = Picker::new(&o);
+        let picker = Picker::new(&fade_opts(CompactionLayout::Leveling, 100));
         let old = make_file_with(&fs, 1, 0, 1, 0..20, 100, 2, 0);
         let newer = make_file(&fs, 2, 0, 10..30, 500);
         let v = Version::empty(4).apply(vec![old, newer], &[], &[], &[]);
@@ -682,7 +749,7 @@ mod tests {
     #[test]
     fn round_robin_cursor_moves_only_on_accepted_picks() {
         let mut o = opts(CompactionLayout::Leveling);
-        o.baseline_pick = FilePickPolicy::RoundRobin;
+        o.file_pick = FilePickPolicy::RoundRobin;
         let fs = MemFs::new();
         let picker = Picker::new(&o);
         // Three disjoint L1 files, together over the level's budget, and
@@ -719,6 +786,114 @@ mod tests {
         let (task, claim) = picker.pick_claimed(&v, 0).expect("conflict released");
         assert_eq!(task.inputs[0].id, 2);
         picker.release(claim);
+    }
+
+    #[test]
+    fn ttl_expiry_in_a_tiered_bottom_takes_the_overlapping_older_run() {
+        let fs = MemFs::new();
+        let picker = Picker::new(&fade_opts(CompactionLayout::Tiering, 1_000));
+        // Bottom (level 3): an older run under keys 0..100 and 500..600,
+        // and a newer run over 50..150 whose tombstones are long overdue.
+        let older = make_file_with(&fs, 1, 3, 0, 0..100, 1, 0, 0);
+        let apart = make_file_with(&fs, 3, 3, 0, 500..600, 200, 0, 0);
+        let newer = make_file_with(&fs, 2, 3, 1, 50..150, 1_000, 5, 0);
+        let v = Version::empty(4).apply(vec![older, apart, newer], &[], &[], &[]);
+        let task = picker.pick(&v, 10_000).expect("expired file");
+        assert_eq!(task.reason, CompactionReason::TtlExpired);
+        assert_eq!((task.level, task.output_level), (3, 3));
+        assert_eq!(
+            ids(&task.inputs),
+            vec![2, 1],
+            "the rewrite must absorb the run beneath its keys, or it drops nothing"
+        );
+    }
+
+    #[test]
+    fn a_blocker_above_a_bottom_carrier_takes_the_expired_files_turn() {
+        let fs = MemFs::new();
+        let picker = Picker::new(&fade_opts(CompactionLayout::Leveling, 1_000));
+        let files = vec![
+            // An overdue sort-key range tombstone over keys 0..=100.
+            carrier(&fs, 1, 3, (0, 100), 500, 0),
+            // Older entries in its range at L1 and L2 block its purge;
+            // the deeper one is the closer to the bottom.
+            make_file(&fs, 2, 1, 10..20, 1),
+            make_file(&fs, 3, 2, 30..40, 1),
+            // Newer than the tombstone, so not a blocker.
+            make_file(&fs, 4, 2, 50..60, 600),
+        ];
+        let v = Version::empty(4).apply(files, &[], &[], &[]);
+        let task = picker.pick(&v, 10_000).expect("expired carrier");
+        assert_eq!(task.reason, CompactionReason::TtlExpired);
+        assert_eq!(ids(&task.inputs), vec![3]);
+        assert_eq!(task.output_level, 3);
+    }
+
+    #[test]
+    fn of_equally_overdue_files_the_last_one_wins() {
+        let fs = MemFs::new();
+        let picker = Picker::new(&fade_opts(CompactionLayout::Leveling, 1_000));
+        let files = vec![
+            carrier(&fs, 1, 1, (0, 10), 100, 7),
+            carrier(&fs, 2, 1, (20, 30), 101, 7),
+        ];
+        let v = Version::empty(4).apply(files, &[], &[], &[]);
+        let task = picker.pick(&v, 10_000).expect("expired carriers");
+        assert_eq!(ids(&task.inputs), vec![2]);
+    }
+
+    #[test]
+    fn the_memo_skips_the_outputs_of_every_futile_rewrite_at_a_tick() {
+        let fs = MemFs::new();
+        let picker = Picker::new(&fade_opts(CompactionLayout::Leveling, 1_000));
+        // Three bottom files, most overdue first (tombstone ticks 0,
+        // 100 and 200).
+        let files = (0..3u32)
+            .map(|i| make_file_with(&fs, u64::from(i) + 1, 3, 0, i * 100..i * 100 + 50, 1, 5, 0))
+            .collect();
+        let v = Version::empty(4).apply(files, &[], &[], &[]);
+        let now = 10_000;
+        for expected in [1, 2, 3] {
+            let task = picker
+                .pick(&v, now)
+                .expect("an expired file not yet rewritten");
+            assert_eq!(ids(&task.inputs), vec![expected]);
+            picker.note_futile_rewrite(now, [expected]);
+        }
+        assert!(
+            picker.pick(&v, now).is_none(),
+            "every file was rewritten in vain"
+        );
+        let task = picker.pick(&v, now + 1).expect("the clock moved");
+        assert_eq!(ids(&task.inputs), vec![1]);
+    }
+
+    #[test]
+    fn manual_compaction_drains_top_down_then_reclaims_the_bottom() {
+        let fs = MemFs::new();
+        let picker = Picker::new(&opts(CompactionLayout::Leveling));
+        let rt = RangeTombstone {
+            seqno: 5_000,
+            range: DeleteKeyRange::new(0, 99),
+        };
+        // Bottom: keys 0..50 lie under the range tombstone's delete keys,
+        // 50..100 too, 100..150 do not.
+        let bottom: Vec<_> = (0..3u32)
+            .map(|i| make_file(&fs, u64::from(i) + 1, 3, i * 50..i * 50 + 50, 1))
+            .collect();
+        let v = Version::empty(4).apply(bottom, &[], &[rt], &[]);
+        let l2 = make_file(&fs, 9, 2, 40..60, 2_000);
+        let drain = picker
+            .pick_manual(&v.apply(vec![l2], &[], &[], &[]))
+            .expect("L2 holds data");
+        assert_eq!((drain.level, drain.output_level), (2, 3));
+        assert_eq!(ids(&drain.next_level_inputs), vec![1, 2]);
+        let reclaim = picker
+            .pick_manual(&v)
+            .expect("the bottom holds erased entries");
+        assert_eq!((reclaim.level, reclaim.output_level), (3, 3));
+        assert_eq!(ids(&reclaim.inputs), vec![1, 2]);
+        assert!(picker.pick_manual(&Version::empty(4)).is_none());
     }
 
     #[test]

@@ -56,12 +56,18 @@ impl FileMeta {
         self.overlaps_keys(key, key)
     }
 
-    /// Age of the file's oldest tombstone at `now` (0 if tombstone-free).
-    pub fn oldest_tombstone_age(&self, now: Tick) -> Tick {
-        match self.stats.oldest_tombstone_tick {
-            Some(t) => now.saturating_sub(t),
-            None => 0,
-        }
+    /// True if the file may hold an entry the secondary range tombstone
+    /// `rt` erases: one older than it, under a delete key in its range.
+    pub fn under_range_tombstone(&self, rt: &RangeTombstone) -> bool {
+        self.stats.entry_count > 0
+            && self.stats.min_seqno < rt.seqno
+            && rt.range.overlaps(self.stats.min_dkey, self.stats.max_dkey)
+    }
+
+    /// True if the file may hold an entry the sort-key range tombstone
+    /// `k` erases: one older than it, under a user key in its range.
+    pub fn under_key_range_tombstone(&self, k: &KeyRangeTombstone) -> bool {
+        self.stats.min_seqno < k.seqno && self.overlaps_keys(&k.start, &k.end)
     }
 
     /// True if the file carries sort-key range tombstones. Such a file
@@ -243,13 +249,7 @@ impl Version {
     pub fn retirable_range_tombstones(&self) -> Vec<SeqNo> {
         self.range_tombstones
             .iter()
-            .filter(|rt| {
-                !self.all_files().any(|f| {
-                    f.stats.entry_count > 0
-                        && f.stats.min_seqno < rt.seqno
-                        && rt.range.overlaps(f.stats.min_dkey, f.stats.max_dkey)
-                })
-            })
+            .filter(|rt| !self.all_files().any(|f| f.under_range_tombstone(rt)))
             .map(|rt| rt.seqno)
             .collect()
     }

@@ -87,9 +87,15 @@ fn compaction_layouts_are_read_equivalent() {
 fn fade_never_changes_results() {
     let ops = mixed_ops(33, 2_000);
     let reference = fingerprint(small(CompactionLayout::Leveling, 1, None), &ops);
-    for d_th in [200u64, 5_000, 1_000_000] {
-        let got = fingerprint(small(CompactionLayout::Leveling, 1, Some(d_th)), &ops);
-        assert_eq!(got, reference, "FADE D_th={d_th} diverged");
+    for layout in [
+        CompactionLayout::Leveling,
+        CompactionLayout::Tiering,
+        CompactionLayout::LazyLeveling,
+    ] {
+        for d_th in [200u64, 5_000, 1_000_000] {
+            let got = fingerprint(small(layout, 1, Some(d_th)), &ops);
+            assert_eq!(got, reference, "{layout:?} with FADE D_th={d_th} diverged");
+        }
     }
 }
 

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use acheron::{Db, DbOptions, FadeOptions, FilePickPolicy, TtlAllocation};
+use acheron::{Db, DbOptions, FadeOptions, TtlAllocation};
 use acheron_vfs::MemFs;
 use proptest::prelude::*;
 // Explicit (non-glob) imports: proptest's prelude re-exports a different
@@ -25,7 +25,6 @@ fn opts(d_th: u64, alloc: TtlAllocation) -> DbOptions {
     o.fade = Some(FadeOptions {
         delete_persistence_threshold: d_th,
         ttl_allocation: alloc,
-        saturation_pick: FilePickPolicy::MinOverlap,
     });
     o
 }
@@ -369,4 +368,33 @@ fn range_tombstone_blocked_at_the_bottom_does_not_spin() {
     );
     assert_eq!(db.stats().persistence_violations.load(Relaxed), 0);
     assert_eq!(db.scan(&key(0), &key(399)).unwrap(), vec![]);
+}
+
+#[test]
+fn snapshot_pinned_bottom_does_not_spin() {
+    // A snapshot pins the tombstones of every bottom file it predates,
+    // so each within-bottom TTL rewrite of them comes out as it went in.
+    // The picker must pass over the outputs of *all* such rewrites at
+    // the same tick, not only of the last one: otherwise two files take
+    // turns until the per-pass bound fails the pass and every later
+    // write with it.
+    let o = DbOptions {
+        max_levels: 3,
+        ..DbOptions::small()
+    }
+    .with_fade(1_000);
+    let db = Db::open(Arc::new(MemFs::new()), "db", o).unwrap();
+    let key = |i: u32| format!("key{i:05}").into_bytes();
+    for i in 0..3_000 {
+        db.put(&key(i), &[b'v'; 24]).unwrap();
+    }
+    db.compact_all().unwrap();
+    let _snapshot = db.snapshot();
+    for i in (0..3_000).step_by(50) {
+        db.delete(&key(i)).unwrap();
+    }
+    db.compact_all().unwrap();
+    db.advance_clock(5_000);
+    db.maintain().unwrap();
+    db.put(&key(0), &[b'w'; 24]).unwrap();
 }
