@@ -943,11 +943,9 @@ impl Db {
             let Some(task) = core.picker.pick_manual(&version) else {
                 break;
             };
-            if task.level == task.output_level {
-                reclaim_passes += 1;
-                if reclaim_passes > 4 {
-                    break;
-                }
+            reclaim_passes += usize::from(task.level == task.output_level);
+            if reclaim_passes > 4 {
+                break;
             }
             core.run_task(MaintTask::Compact(task, None, version), Some(&excl))?;
         }
