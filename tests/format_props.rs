@@ -2,11 +2,13 @@
 //! entries written through a `TableBuilder` reads back identically
 //! (point and scan) across KiWi granularities and lays its pages out
 //! exactly as the reference weave does, a fixed dataset builds to pinned
-//! file bytes, and any record sequence written through the WAL framing
-//! survives every prefix truncation as a record prefix.
+//! file bytes, a fixed full compaction writes pinned output files, and
+//! any record sequence written through the WAL framing survives every
+//! prefix truncation as a record prefix.
 
 use std::sync::Arc;
 
+use acheron::{Db, DbOptions};
 use acheron_sstable::{Table, TableBuilder, TableOptions};
 use acheron_types::checksum::crc32c;
 use acheron_types::key::compare_internal;
@@ -179,6 +181,127 @@ fn table_file_bytes_are_pinned() {
             "h={h}: table file bytes changed"
         );
     }
+}
+
+/// `(file name, length, CRC32C)` of every table file under `dir`, by
+/// name.
+fn table_files(fs: &MemFs, dir: &str) -> Vec<(String, usize, u32)> {
+    let mut names: Vec<String> = fs
+        .list(dir)
+        .unwrap()
+        .into_iter()
+        .filter(|n| n.ends_with(".sst"))
+        .collect();
+    names.sort();
+    names
+        .into_iter()
+        .map(|n| {
+            let bytes = fs.read_all(&format!("{dir}/{n}")).unwrap();
+            (n, bytes.len(), crc32c(&bytes))
+        })
+        .collect()
+}
+
+/// What `run_compaction` writes is pinned the way the builder's output
+/// is: a deterministic engine (logical clock, no workers) under leveling
+/// with a KiWi `h = 4` bottom takes puts with scattered delete keys,
+/// point deletes, separated values, sort-key and secondary range
+/// deletes, and one version chain a snapshot pins. `compact_all` then
+/// runs once with the snapshot held (every chain takes the pinned path)
+/// and once after it is released and more writes landed (every chain
+/// takes the snapshot-free path, and tombstones and sort-key range
+/// tombstones are purged). Every table file left after each is pinned.
+#[test]
+fn compaction_output_bytes_are_pinned() {
+    let fs = Arc::new(MemFs::new());
+    let opts = DbOptions {
+        write_buffer_bytes: 16 << 10,
+        level1_target_bytes: 64 << 10,
+        target_file_bytes: 16 << 10,
+        page_size: 1024,
+        max_levels: 3,
+        background_threads: 0,
+        ..DbOptions::default()
+    }
+    .with_tile(4)
+    .with_value_separation(96);
+    let db = Db::open(Arc::clone(&fs) as Arc<dyn Vfs>, "db", opts).unwrap();
+    let key = |i: u64| format!("key{:06}", i % 3_000).into_bytes();
+    let write = |from: u64, to: u64| {
+        for i in from..to {
+            let k = key(i.wrapping_mul(7_919));
+            let dkey = i.wrapping_mul(2_654_435_761) % 1_000;
+            match i % 10 {
+                0 | 5 => db.delete(&k).unwrap(),
+                3 => db
+                    .put_with_dkey(&k, &vec![(i % 251) as u8; 96 + (i % 64) as usize], dkey)
+                    .unwrap(),
+                _ => db
+                    .put_with_dkey(&k, &vec![(i % 251) as u8; (i % 40) as usize], dkey)
+                    .unwrap(),
+            }
+            if i % 1_500 == 1_499 {
+                let lo = i % 2_900;
+                db.range_delete_keys(&key(lo), &key(lo + 25)).unwrap();
+            }
+        }
+    };
+    write(0, 6_000);
+    db.put(b"pinned", b"old").unwrap();
+    let snap = db.snapshot();
+    db.put(b"pinned", b"new").unwrap();
+    write(6_000, 7_000);
+    db.compact_all().unwrap();
+    assert_eq!(
+        db.get_at(&snap, b"pinned").unwrap().as_deref(),
+        Some(&b"old"[..])
+    );
+    let held = table_files(&fs, "db");
+    drop(snap);
+    db.range_delete_secondary(100, 160).unwrap();
+    write(7_000, 9_000);
+    db.compact_all().unwrap();
+    let released = table_files(&fs, "db");
+    // The case has teeth: both paths purge, and the bottom is woven.
+    let st = db.stats_snapshot();
+    assert!(st.tombstones_purged > 0 && st.key_range_tombstones_purged > 0);
+    assert!(st.entries_range_purged > 0 && st.entries_key_range_purged > 0);
+    assert!(db.level_summary().iter().any(|l| l.woven_files > 0));
+    let pinned = |files: &[(&str, usize, u32)]| -> Vec<(String, usize, u32)> {
+        files
+            .iter()
+            .map(|&(n, len, crc)| (n.to_string(), len, crc))
+            .collect()
+    };
+    assert_eq!(
+        held,
+        pinned(&[
+            ("000110.sst", 16_770, 1_060_689_509),
+            ("000111.sst", 16_697, 4_099_658_372),
+            ("000112.sst", 16_678, 440_117_068),
+            ("000113.sst", 1_992, 3_633_739_589),
+            ("000132.sst", 16_816, 3_566_246_405),
+            ("000133.sst", 16_689, 2_146_786_413),
+            ("000134.sst", 16_653, 1_526_385_263),
+            ("000135.sst", 16_651, 2_924_593_338),
+            ("000136.sst", 16_688, 1_297_613_031),
+            ("000137.sst", 16_732, 279_662_004),
+        ]),
+        "snapshot held: compaction output bytes changed"
+    );
+    assert_eq!(
+        released,
+        pinned(&[
+            ("000192.sst", 16_795, 360_907_497),
+            ("000193.sst", 16_806, 1_184_362_380),
+            ("000194.sst", 16_810, 1_972_214_305),
+            ("000195.sst", 16_818, 2_417_472_002),
+            ("000196.sst", 16_828, 1_407_073_330),
+            ("000197.sst", 16_817, 3_688_867_351),
+            ("000198.sst", 5_192, 313_426_581),
+        ]),
+        "snapshot released: compaction output bytes changed"
+    );
 }
 
 proptest! {
