@@ -6,7 +6,9 @@ use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::Arc;
 
 use acheron_sstable::{BlockCache, Table, TableBuilder, TableOptions};
-use acheron_types::{Entry, KeyRangeTombstone, RangeTombstone, Result, SeqNo, Tick};
+use acheron_types::{
+    Entry, KeyRangeTombstone, RangeTombstone, Result, SeqNo, Tick, ValueKind, ValuePointer,
+};
 use acheron_vfs::Vfs;
 
 use crate::filenames::sst_path;
@@ -249,7 +251,6 @@ pub fn run_compaction(
 
     let mut added: Vec<Arc<FileMeta>> = Vec::new();
     let mut builder: Option<(u64, TableBuilder)> = None;
-    let mut last_user_key: Vec<u8> = Vec::new();
     let mut bytes_out = 0u64;
 
     let finish_builder = |builder: &mut Option<(u64, TableBuilder)>,
@@ -289,26 +290,30 @@ pub fn run_compaction(
     let mut pending_krts = (!surviving_krts.is_empty()).then_some(surviving_krts);
     let mut krt_vlog_dead: Vec<(u64, u64, Tick)> = Vec::new();
     let mut krt_superseded: Vec<SeqNo> = Vec::new();
-    while let Some(entry) = stream.next_surviving()? {
+    while let Some(survivor) = stream.next_survivor()? {
+        let (user_key, seqno) = (survivor.key.user_key(), survivor.key.seqno());
         if let Some(idx) = krt_drop_index {
             if idx
-                .max_seqno_covering(&entry.key, u64::MAX)
-                .is_some_and(|cover| entry.seqno < cover)
+                .max_seqno_covering(user_key, u64::MAX)
+                .is_some_and(|cover| seqno < cover)
             {
                 key_range_purged += 1;
-                if entry.is_tombstone() {
-                    krt_superseded.push(entry.seqno);
+                if survivor.kind.is_tombstone() {
+                    krt_superseded.push(seqno);
                 }
-                if entry.kind == acheron_types::ValueKind::ValuePointer {
-                    if let Some(ptr) = acheron_types::ValuePointer::decode(&entry.value) {
+                if survivor.kind == ValueKind::ValuePointer {
+                    if let Some(ptr) = ValuePointer::decode(&survivor.value) {
                         krt_vlog_dead.push((ptr.segment, u64::from(ptr.len), now));
                     }
                 }
                 continue;
             }
         }
+        // A version chain never spans two output files.
         let split = match &builder {
-            Some((_, b)) => b.file_bytes() >= opts.target_file_bytes && entry.key != last_user_key,
+            Some((_, b)) => {
+                b.file_bytes() >= opts.target_file_bytes && b.last_user_key() != Some(user_key)
+            }
             None => false,
         };
         if split {
@@ -323,9 +328,7 @@ pub fn run_compaction(
             builder = Some((id, b));
         }
         let (_, b) = builder.as_mut().expect("builder just ensured");
-        b.add(&entry)?;
-        last_user_key.clear();
-        last_user_key.extend_from_slice(&entry.key);
+        b.add_encoded(survivor.key.encoded(), survivor.dkey, survivor.value)?;
     }
     if let Some(krts) = pending_krts.take() {
         // No surviving entries to attach the tombstones to: write a

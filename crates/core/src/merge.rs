@@ -1,13 +1,18 @@
 //! K-way merging of heterogeneous entry sources in internal-key order.
 //!
 //! Sources implement [`KvSource`]; the engine merges table iterators and
-//! materialized memtable ranges. The merge picks the minimum by linear
-//! scan — source counts are tens at most, and keys are compared without
-//! copying, which beats a heap that would have to own key copies.
+//! materialized memtable ranges. The merge keeps a winner tree over
+//! source *indices*: every internal node remembers which of its two
+//! subtrees' current entries is smaller, so advancing one source replays
+//! only the matches on its leaf-to-root path — ⌈log₂k⌉ key compares per
+//! entry for `k` sources instead of a scan over all of them. Keys stay
+//! in their sources and are compared in place; the tree owns no key.
 //!
 //! Sources *lend*: a key or value is borrowed from the page or memtable
-//! entry it already lives in until a consumer decides to keep the entry,
-//! and only then is an owned [`Entry`] built ([`MergeIterator::entry`]).
+//! entry it already lives in until a consumer decides to keep the entry.
+//! A compaction hands each survivor to the table builder still borrowed
+//! ([`CompactionStream::next_survivor`]); a scan builds an owned
+//! [`Entry`] only for a row it yields ([`MergeIterator::entry`]).
 
 use std::collections::VecDeque;
 
@@ -124,28 +129,114 @@ pub(crate) fn decode_key(encoded: &[u8]) -> Result<(InternalKeyRef<'_>, ValueKin
 /// lower-indexed source wins and the other copy is skipped.
 pub struct MergeIterator {
     sources: Vec<Box<dyn KvSource>>,
+    /// The winner tree, one word per internal node. With `k` sources,
+    /// node `n` in `1..k` has children `2n` and `2n + 1`, node `k + i` is
+    /// source `i`'s leaf, and `tree[n - 1]` holds the index of the source
+    /// that won at `n`, plus [`TIED`] when both sides held the same key
+    /// and [`DONE`] when the winner is exhausted. Empty (so never
+    /// allocated) for one source.
+    tree: Vec<u32>,
     current: Option<usize>,
+}
+
+/// Marks a tree node whose match was a tie: an identical internal key
+/// sits in a second source.
+const TIED: u32 = 1 << 31;
+/// Marks a tree node whose winner is exhausted, and so is every source
+/// beneath it.
+const DONE: u32 = 1 << 30;
+/// The source-index bits of a tree node.
+const INDEX: u32 = DONE - 1;
+
+/// A match entrant: a source's index and its current key (`None` once
+/// the source is exhausted).
+type Entrant<'k> = (usize, Option<&'k [u8]>);
+
+/// The entrant that won at `node`: a leaf's own source, or an internal
+/// node's recorded winner. Costs one `key` call (and a `valid` call for
+/// a leaf); an exhausted internal winner costs none.
+fn entrant<'k>(sources: &'k [Box<dyn KvSource>], tree: &[u32], node: usize) -> Entrant<'k> {
+    let k = sources.len();
+    let (i, done) = if node >= k {
+        (node - k, !sources[node - k].valid())
+    } else {
+        let word = tree[node - 1];
+        ((word & INDEX) as usize, word & DONE != 0)
+    };
+    (i, (!done).then(|| sources[i].key()))
+}
+
+/// One match: the smaller key wins, an exhausted entrant loses, and a
+/// tie goes to the lower index. Returns the winner and the word its
+/// node records.
+fn duel<'k>(a: Entrant<'k>, b: Entrant<'k>) -> (Entrant<'k>, u32) {
+    match (a.1, b.1) {
+        (Some(ka), Some(kb)) => match compare_internal(ka, kb) {
+            std::cmp::Ordering::Less => (a, a.0 as u32),
+            std::cmp::Ordering::Greater => (b, b.0 as u32),
+            std::cmp::Ordering::Equal => {
+                let w = if a.0 < b.0 { a } else { b };
+                (w, w.0 as u32 | TIED)
+            }
+        },
+        (Some(_), None) => (a, a.0 as u32),
+        (None, Some(_)) => (b, b.0 as u32),
+        (None, None) => (a, a.0 as u32 | DONE),
+    }
 }
 
 impl MergeIterator {
     /// Merge the given sources (each already positioned at its start).
     pub fn new(sources: Vec<Box<dyn KvSource>>) -> MergeIterator {
+        assert!(sources.len() <= INDEX as usize, "too many merge sources");
+        let mut tree = vec![0; sources.len().saturating_sub(1)];
+        for node in (1..sources.len()).rev() {
+            let left = entrant(&sources, &tree, 2 * node);
+            let (_, word) = duel(left, entrant(&sources, &tree, 2 * node + 1));
+            tree[node - 1] = word;
+        }
         let mut m = MergeIterator {
             sources,
+            tree,
             current: None,
         };
-        m.pick();
+        m.set_current();
         m
     }
 
-    fn pick(&mut self) {
-        self.current = self
-            .sources
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.valid())
-            .min_by(|(_, a), (_, b)| compare_internal(a.key(), b.key()))
-            .map(|(i, _)| i);
+    /// Replay the matches on source `i`'s path to the root after `i`
+    /// moved, carrying the winner's key up so each level costs one
+    /// compare and one `key` call.
+    fn replay(&mut self, i: usize) {
+        let (sources, tree) = (&self.sources, &mut self.tree);
+        let mut node = sources.len() + i;
+        let mut carried = entrant(sources, tree, node);
+        while node > 1 {
+            let (won, word) = duel(carried, entrant(sources, tree, node ^ 1));
+            node /= 2;
+            tree[node - 1] = word;
+            carried = won;
+        }
+    }
+
+    /// True if a match on source `i`'s path to the root was a tie.
+    fn tied_path(&self, i: usize) -> bool {
+        let mut node = (self.sources.len() + i) / 2;
+        while node >= 1 {
+            if self.tree[node - 1] & TIED != 0 {
+                return true;
+            }
+            node /= 2;
+        }
+        false
+    }
+
+    /// Point `current` at the root's winner, if it holds an entry.
+    fn set_current(&mut self) {
+        self.current = match self.tree.first() {
+            Some(&root) => (root & DONE == 0).then_some((root & INDEX) as usize),
+            None => (self.sources.len() == 1 && self.sources[0].valid()).then_some(0),
+        };
     }
 
     fn source(&self) -> &dyn KvSource {
@@ -190,16 +281,22 @@ impl MergeIterator {
     /// keys in other sources).
     pub fn advance(&mut self) -> Result<()> {
         let cur = self.current.expect("advance() on exhausted merge");
-        for i in 0..self.sources.len() {
-            if i != cur
-                && self.sources[i].valid()
-                && self.sources[i].key() == self.sources[cur].key()
-            {
-                self.sources[i].next()?;
+        // The winner beat every other source's smallest key on its path
+        // to the root, so a duplicate of its key shows as a tie there.
+        if self.tied_path(cur) {
+            for i in 0..self.sources.len() {
+                if i != cur
+                    && self.sources[i].valid()
+                    && self.sources[i].key() == self.sources[cur].key()
+                {
+                    self.sources[i].next()?;
+                    self.replay(i);
+                }
             }
         }
         self.sources[cur].next()?;
-        self.pick();
+        self.replay(cur);
+        self.set_current();
         Ok(())
     }
 }
@@ -224,8 +321,16 @@ pub struct CompactionStream<'a> {
     /// Survivors of the current user key's chain not yet handed out
     /// (non-empty only while snapshots force multiple versions).
     pending: VecDeque<Entry>,
+    /// The encoded internal key of the pending survivor last lent out.
+    pending_key: Vec<u8>,
     /// The current chain's user key (scratch of the snapshot-free path).
     head_key: Vec<u8>,
+    /// Whether the merge still sits on a chain head lent out by the last
+    /// call, with the rest of its chain unread.
+    head_lent: bool,
+    /// Stamp for the vlog extents of the entries the current head
+    /// shadows (see [`CompactionStream::next_survivor`]).
+    head_stamp: Tick,
     /// Entries dropped because a newer kept version shadowed them.
     pub shadowed: u64,
     /// Entries purged by a secondary range tombstone.
@@ -243,6 +348,20 @@ pub struct CompactionStream<'a> {
     /// head is a tombstone the stamp is the tombstone's delete tick —
     /// the FADE-correct age seed — otherwise the compaction's `now`.
     pub vlog_dead: Vec<(u64, u64, Tick)>,
+}
+
+/// One surviving entry of a compaction, lent from where it lives: the
+/// key from its source page (or, for a snapshot-pinned chain, from the
+/// stream's scratch), the value as a handle on its source's bytes.
+pub struct Survivor<'s> {
+    /// The encoded internal key.
+    pub key: InternalKeyRef<'s>,
+    /// The key's kind (already validated).
+    pub kind: ValueKind,
+    /// The secondary delete key.
+    pub dkey: u64,
+    /// The value.
+    pub value: Bytes,
 }
 
 /// The value-log pointer an entry of `kind` carries in its value, if any.
@@ -268,7 +387,10 @@ impl<'a> CompactionStream<'a> {
             bottommost,
             now,
             pending: VecDeque::new(),
+            pending_key: Vec::new(),
             head_key: Vec::new(),
+            head_lent: false,
+            head_stamp: 0,
             shadowed: 0,
             range_purged: 0,
             tombstones_dropped: Vec::new(),
@@ -286,7 +408,7 @@ impl<'a> CompactionStream<'a> {
     }
 
     /// Account an entry dropped because the head of its stratum shadows
-    /// it (rule 1 of [`CompactionStream::next_surviving`]).
+    /// it (rule 1 of [`CompactionStream::next_survivor`]).
     fn note_shadowed(
         &mut self,
         seqno: SeqNo,
@@ -301,7 +423,7 @@ impl<'a> CompactionStream<'a> {
         self.note_dead_pointer(ptr, stamp);
     }
 
-    /// Apply rules 2 and 3 of [`CompactionStream::next_surviving`] to the
+    /// Apply rules 2 and 3 of [`CompactionStream::next_survivor`] to the
     /// head of a stratum; `false` means it was purged or dropped (and
     /// accounted).
     fn head_survives(
@@ -343,7 +465,8 @@ impl<'a> CompactionStream<'a> {
         self.snapshots.iter().any(|&s| seqno <= s)
     }
 
-    /// Produce the next surviving entry, or `None` at end of input.
+    /// Lend out the next surviving entry, or `None` at end of input.
+    /// The counters are complete once this has returned `None`.
     ///
     /// Per user key, candidates are processed newest → oldest under the
     /// engine's *newest-version-decides* semantics:
@@ -361,43 +484,65 @@ impl<'a> CompactionStream<'a> {
     /// *older* version of the same key: a pinned older version survives
     /// the stratum dedup, and physically dropping the newer head would
     /// promote it to chain head — resurrecting it for live readers.
-    pub fn next_surviving(&mut self) -> Result<Option<Entry>> {
+    ///
+    /// With no live snapshot a chain is a single stratum, so only its
+    /// head can survive and nothing older needs to be looked at before
+    /// deciding: the head is lent straight from its source, and the rest
+    /// of its chain streams past (accounted as shadowed) on the next
+    /// call. With snapshots a chain is collected and walked instead.
+    pub fn next_survivor(&mut self) -> Result<Option<Survivor<'_>>> {
+        if self.head_lent {
+            self.head_lent = false;
+            self.skip_chain()?;
+        }
         loop {
             if let Some(e) = self.pending.pop_front() {
-                return Ok(Some(e));
+                self.pending_key.clear();
+                self.pending_key.extend_from_slice(&e.key);
+                self.pending_key
+                    .extend_from_slice(&pack_tag(e.seqno, e.kind as u8).to_le_bytes());
+                return Ok(Some(Survivor {
+                    key: InternalKeyRef::decode(&self.pending_key).expect("key has a tag"),
+                    kind: e.kind,
+                    dkey: e.dkey,
+                    value: e.value,
+                }));
             }
             if !self.merge.valid() {
                 return Ok(None);
             }
             if !self.snapshots.is_empty() {
                 self.next_chain_pinned()?;
-            } else if let Some(e) = self.next_chain_unpinned()? {
-                return Ok(Some(e));
+                continue;
             }
+            let (key, kind) = decode_key(self.merge.key())?;
+            let (seqno, dkey) = (key.seqno(), self.merge.dkey());
+            self.head_key.clear();
+            self.head_key.extend_from_slice(key.user_key());
+            // A separated value shadowed by a tombstone dies *because of
+            // that delete*: seed its dead-extent age from the delete's
+            // own tick so the vlog GC deadline measures delete-to-reclaim
+            // end to end.
+            self.head_stamp = if kind.is_tombstone() { dkey } else { self.now };
+            let ptr = pointer_of(kind, || self.merge.value());
+            if self.head_survives(seqno, kind.is_tombstone(), dkey, ptr, false) {
+                self.head_lent = true;
+                let (key, kind) = decode_key(self.merge.key())?;
+                return Ok(Some(Survivor {
+                    key,
+                    kind,
+                    dkey,
+                    value: self.merge.value(),
+                }));
+            }
+            self.skip_chain()?;
         }
     }
 
-    /// One user key's chain with no live snapshot: the whole chain is a
-    /// single stratum, so only its head can survive and nothing older
-    /// needs to be looked at before deciding. The chain streams past
-    /// without being collected; the head is the only entry materialized,
-    /// and only if it survives.
-    fn next_chain_unpinned(&mut self) -> Result<Option<Entry>> {
-        let (key, kind) = decode_key(self.merge.key())?;
-        let (seqno, dkey) = (key.seqno(), self.merge.dkey());
-        self.head_key.clear();
-        self.head_key.extend_from_slice(key.user_key());
-        let ptr = pointer_of(kind, || self.merge.value());
-        let survivor = self
-            .head_survives(seqno, kind.is_tombstone(), dkey, ptr, false)
-            .then(|| self.merge.entry())
-            .transpose()?;
+    /// Step past the current chain head and every older version of its
+    /// user key, accounting each as shadowed by the head.
+    fn skip_chain(&mut self) -> Result<()> {
         self.merge.advance()?;
-        // A separated value shadowed by a tombstone dies *because of
-        // that delete*: seed its dead-extent age from the delete's own
-        // tick so the vlog GC deadline measures delete-to-reclaim end to
-        // end.
-        let stamp = if kind.is_tombstone() { dkey } else { self.now };
         while self.merge.valid() {
             let (key, kind) = decode_key(self.merge.key())?;
             if key.user_key() != self.head_key {
@@ -405,10 +550,10 @@ impl<'a> CompactionStream<'a> {
             }
             let seqno = key.seqno();
             let ptr = pointer_of(kind, || self.merge.value());
-            self.note_shadowed(seqno, kind.is_tombstone(), ptr, stamp);
+            self.note_shadowed(seqno, kind.is_tombstone(), ptr, self.head_stamp);
             self.merge.advance()?;
         }
-        Ok(survivor)
+        Ok(())
     }
 
     /// One user key's chain while snapshots are live: collect it, then
@@ -536,11 +681,23 @@ mod tests {
         assert!(!m.valid());
     }
 
-    fn drain_stream(mut s: CompactionStream<'_>) -> (Vec<Entry>, u64, u64, usize) {
+    /// Every survivor of `s`, owned.
+    fn survivors(s: &mut CompactionStream<'_>) -> Vec<Entry> {
         let mut out = Vec::new();
-        while let Some(e) = s.next_surviving().unwrap() {
-            out.push(e);
+        while let Some(v) = s.next_survivor().unwrap() {
+            out.push(Entry {
+                key: Bytes::copy_from_slice(v.key.user_key()),
+                seqno: v.key.seqno(),
+                kind: v.kind,
+                dkey: v.dkey,
+                value: v.value,
+            });
         }
+        out
+    }
+
+    fn drain_stream(mut s: CompactionStream<'_>) -> (Vec<Entry>, u64, u64, usize) {
+        let out = survivors(&mut s);
         (out, s.shadowed, s.range_purged, s.tombstones_dropped.len())
     }
 
@@ -598,13 +755,13 @@ mod tests {
             let run = |general: bool| {
                 let mut s = CompactionStream::new(make(), &rts, &[], bottommost, 77);
                 let mut out = Vec::new();
-                while s.merge.valid() {
-                    if general {
+                if general {
+                    while s.merge.valid() {
                         s.next_chain_pinned().unwrap();
                         out.extend(s.pending.drain(..));
-                    } else {
-                        out.extend(s.next_chain_unpinned().unwrap());
                     }
+                } else {
+                    out = survivors(&mut s);
                 }
                 (
                     out,
@@ -750,6 +907,42 @@ mod tests {
         let s = CompactionStream::new(m, &rts, &[], true, 0);
         let (out, ..) = drain_stream(s);
         assert!(out.is_empty());
+    }
+
+    proptest::proptest! {
+        /// The tree merge against a sort-and-dedup reference, over 0–17
+        /// sources (most counts not a power of two), empty ones among
+        /// them, drawn from a key space small enough that the same
+        /// internal key often sits in several sources. Each entry's
+        /// delete key names its source, so the output shows that the
+        /// lowest-indexed copy won and the others were skipped.
+        #[test]
+        fn merge_matches_sort_and_dedup(
+            sets in proptest::collection::vec(
+                proptest::collection::btree_map((0u8..24, 1u64..40), proptest::bool::ANY, 0..30),
+                0..=17,
+            )
+        ) {
+            let entry = |src: usize, (k, seq): (u8, u64)| {
+                let key = format!("k{k:02}").into_bytes();
+                if (u64::from(k) + seq) % 3 == 0 {
+                    Entry::tombstone(key, seq, src as u64)
+                } else {
+                    Entry::put(key, format!("s{src}").into_bytes(), seq, src as u64)
+                }
+            };
+            let sources: Vec<Vec<Entry>> = sets
+                .iter()
+                .enumerate()
+                .map(|(src, set)| set.keys().map(|&ks| entry(src, ks)).collect())
+                .collect();
+            let mut expected: Vec<Entry> = sources.iter().flatten().cloned().collect();
+            // Stable: equal internal keys keep source order, so the
+            // lowest index comes first and survives the dedup.
+            expected.sort_by_key(|e| e.internal_key());
+            expected.dedup_by(|b, a| a.internal_key() == b.internal_key());
+            proptest::prop_assert_eq!(drain_merge(merge_of(sources)), expected);
+        }
     }
 
     #[test]

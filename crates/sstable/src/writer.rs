@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 
 use acheron_types::checksum;
-use acheron_types::key::{compare_parts, InternalKeyRef, TAG_LEN};
+use acheron_types::key::{compare_internal, InternalKeyRef, TAG_LEN};
 use acheron_types::seq::pack_tag;
 use acheron_types::{Entry, Error, KeyRangeTombstone, Result, ValueKind, ValuePointer};
 use acheron_vfs::WritableFile;
@@ -65,9 +65,8 @@ pub struct TableBuilder {
     /// Per-segment (bytes, max frame end) accumulated from value
     /// pointers; folded into `stats.vlog_refs` at finish.
     vlog_refs: BTreeMap<u64, (u64, u64)>,
-    /// The last key added, for the order check and the table's upper
-    /// user-key fence.
-    last_ikey: Vec<u8>,
+    /// Scratch for [`TableBuilder::add`]'s encoding of an entry's key.
+    entry_key: Vec<u8>,
     offset: u64,
     finished: bool,
     /// Write-through target: each finished data page is also inserted
@@ -112,7 +111,7 @@ impl TableBuilder {
             filter_buf: Vec::new(),
             stats,
             vlog_refs: BTreeMap::new(),
-            last_ikey: Vec::new(),
+            entry_key: Vec::new(),
             offset: 0,
             finished: false,
             lease: cache.map(CacheLease::new),
@@ -120,46 +119,61 @@ impl TableBuilder {
     }
 
     /// Append an entry. Must be called in strictly increasing
-    /// internal-key order.
+    /// internal-key order. A wrapper over [`TableBuilder::add_encoded`]
+    /// for callers holding owned entries (flushes, tests).
     pub fn add(&mut self, entry: &Entry) -> Result<()> {
+        let mut ikey = std::mem::take(&mut self.entry_key);
+        ikey.clear();
+        ikey.extend_from_slice(&entry.key);
+        ikey.extend_from_slice(&pack_tag(entry.seqno, entry.kind as u8).to_le_bytes());
+        let added = self.add_encoded(&ikey, entry.dkey, entry.value.clone());
+        self.entry_key = ikey;
+        added
+    }
+
+    /// Append an entry given as its encoded internal key, delete key and
+    /// value: the form a compaction holds it in, borrowed from its input
+    /// page, so nothing is decoded into an owned entry first. Must be
+    /// called in strictly increasing internal-key order.
+    pub fn add_encoded(&mut self, ikey: &[u8], dkey: u64, value: Bytes) -> Result<()> {
         debug_assert!(!self.finished);
-        let tag = pack_tag(entry.seqno, entry.kind as u8);
-        let last = InternalKeyRef::decode(&self.last_ikey);
+        let key = InternalKeyRef::decode(ikey)
+            .ok_or_else(|| Error::invalid_argument("internal key shorter than its tag"))?;
+        let kind = ValueKind::from_u8(key.kind_byte()).ok_or_else(|| {
+            Error::invalid_argument(format!("bad kind byte {:#x}", key.kind_byte()))
+        })?;
+        let last = self.last_key();
         if let Some(last) = last {
-            if compare_parts(last.user_key(), last.tag(), &entry.key, tag)
-                != std::cmp::Ordering::Less
-            {
+            if compare_internal(last.encoded(), ikey) != std::cmp::Ordering::Less {
                 return Err(Error::invalid_argument(format!(
-                    "table entries out of order: {last:?} then {:?}",
-                    entry.internal_key(),
+                    "table entries out of order: {last:?} then {key:?}"
                 )));
             }
         }
-        let user_key_boundary = last.is_none_or(|last| last.user_key() != &entry.key[..]);
+        let user_key_boundary = last.is_none_or(|last| last.user_key() != key.user_key());
 
         // Table-wide stats.
         if self.stats.entry_count == 0 {
-            self.stats.min_user_key = entry.key.clone();
+            self.stats.min_user_key = Bytes::copy_from_slice(key.user_key());
         }
         self.stats.entry_count += 1;
-        if entry.is_tombstone() {
+        if kind.is_tombstone() {
             self.stats.tombstone_count += 1;
             self.stats.oldest_tombstone_tick = Some(match self.stats.oldest_tombstone_tick {
-                Some(t) => t.min(entry.dkey),
-                None => entry.dkey,
+                Some(t) => t.min(dkey),
+                None => dkey,
             });
         }
-        self.stats.min_dkey = self.stats.min_dkey.min(entry.dkey);
-        self.stats.max_dkey = self.stats.max_dkey.max(entry.dkey);
-        self.stats.user_bytes += (entry.key.len() + entry.value.len()) as u64;
-        self.stats.max_seqno = self.stats.max_seqno.max(entry.seqno);
-        self.stats.min_seqno = self.stats.min_seqno.min(entry.seqno);
-        if entry.kind == ValueKind::ValuePointer {
-            let ptr = ValuePointer::decode(&entry.value).ok_or_else(|| {
+        self.stats.min_dkey = self.stats.min_dkey.min(dkey);
+        self.stats.max_dkey = self.stats.max_dkey.max(dkey);
+        self.stats.user_bytes += (key.user_key().len() + value.len()) as u64;
+        self.stats.max_seqno = self.stats.max_seqno.max(key.seqno());
+        self.stats.min_seqno = self.stats.min_seqno.min(key.seqno());
+        if kind == ValueKind::ValuePointer {
+            let ptr = ValuePointer::decode(&value).ok_or_else(|| {
                 Error::invalid_argument(format!(
-                    "value-pointer entry for key {:?} has a malformed {}-byte pointer",
-                    entry.key,
-                    entry.value.len()
+                    "value-pointer entry {key:?} has a malformed {}-byte pointer",
+                    value.len()
                 ))
             })?;
             let slot = self.vlog_refs.entry(ptr.segment).or_insert((0, 0));
@@ -172,7 +186,7 @@ impl TableBuilder {
         // single entries larger than a page). Tiles are additionally cut
         // only at user-key boundaries: a key's version chain never spans
         // tiles, which is what makes whole-tile drops sound.
-        let payload_size = entry.key.len() + TAG_LEN + entry.value.len() + 16;
+        let payload_size = ikey.len() + value.len() + 16;
         let budget = self.opts.page_size * self.opts.pages_per_tile;
         if !self.tile_buffer.is_empty()
             && user_key_boundary
@@ -183,20 +197,31 @@ impl TableBuilder {
         self.tile_multi_version |= !user_key_boundary;
 
         let key_start = self.tile_keys.len() as u32;
-        self.tile_keys.extend_from_slice(&entry.key);
-        self.tile_keys.extend_from_slice(&tag.to_le_bytes());
-        self.last_ikey.clear();
-        self.last_ikey
-            .extend_from_slice(&self.tile_keys[key_start as usize..]);
+        self.tile_keys.extend_from_slice(ikey);
         self.tile_buffer_bytes += payload_size;
         self.tile_buffer.push(PendingEntry {
             key_start,
             key_end: self.tile_keys.len() as u32,
-            dkey: entry.dkey,
-            value: entry.value.clone(),
-            is_tombstone: entry.is_tombstone(),
+            dkey,
+            value,
+            is_tombstone: kind.is_tombstone(),
         });
         Ok(())
+    }
+
+    /// The last key added: the open tile's last entry, or else the fence
+    /// of the last tile written.
+    fn last_key(&self) -> Option<InternalKeyRef<'_>> {
+        let encoded = match self.tile_buffer.last() {
+            Some(e) => &self.tile_keys[e.key_start as usize..e.key_end as usize],
+            None => &self.tiles.last()?.last_ikey[..],
+        };
+        InternalKeyRef::decode(encoded)
+    }
+
+    /// The user key of the last entry added, if any.
+    pub fn last_user_key(&self) -> Option<&[u8]> {
+        self.last_key().map(|k| k.user_key())
     }
 
     /// Entries added so far.
@@ -352,8 +377,8 @@ impl TableBuilder {
                 max_end,
             })
             .collect();
-        if let Some(last) = InternalKeyRef::decode(&self.last_ikey) {
-            self.stats.max_user_key = Bytes::copy_from_slice(last.user_key());
+        if let Some(last) = self.last_user_key() {
+            self.stats.max_user_key = Bytes::copy_from_slice(last);
         }
         let (file, offset) = (self.file.as_mut(), &mut self.offset);
         let filter_handle = write_block(file, offset, &self.filter_buf)?;
@@ -611,6 +636,19 @@ mod tests {
             value: Bytes::from_static(b"short"),
         };
         assert!(b.add(&bogus).is_err());
+    }
+
+    #[test]
+    fn malformed_encoded_keys_rejected() {
+        let fs = MemFs::new();
+        let file = fs.create("t.sst").unwrap();
+        let mut b = TableBuilder::new(file, TableOptions::default()).unwrap();
+        let v = Bytes::from_static(b"v");
+        assert!(b.add_encoded(b"short", 0, v.clone()).is_err());
+        let mut ikey = b"k".to_vec();
+        ikey.extend_from_slice(&pack_tag(1, 0x7f).to_le_bytes());
+        assert!(b.add_encoded(&ikey, 0, v).is_err(), "unknown kind byte");
+        assert_eq!(b.entry_count(), 0);
     }
 
     #[test]
