@@ -16,14 +16,22 @@
 //! | `delete`                                    | 12.001 |    1.1 |
 //! | `get`, memtable hit                         |  2.000 |   half |
 //! | `get`, cached-table hit                     | 10.000 |   half |
-//! | row of a 50-key `scan` over a cached table  |  3.389 |   half |
-//! | entry of `compact_all()` (50k, one version) | 10.933 |      3 |
-//! | the same, outputs written through a cache   |      — |      3 |
+//! | row of a 50-key `scan` over a cached table  |  3.389 |   1.26 |
+//! | entry of `compact_all()` (50k, one version) | 10.933 |    0.3 |
+//! | the same, outputs written through a cache   |      — |    0.3 |
 //!
 //! The write budgets are what the path costs today plus its amortized
 //! growth (not the 6 and 5 the change set out to reach): a gate looser
 //! than the code lets allocations creep back in unnoticed. "half" is
 //! half the parent's count.
+//!
+//! Later changes moved three rows. The scan row reached 1.254 and its
+//! budget was set there: every scan builds one merge, so the merge must
+//! add nothing per scan (its tree is not allocated for the single source
+//! this scan reads, and it keeps no key buffer). The compaction rows fell from 1.219 and 1.226 to 0.218 and
+//! 0.226 when survivors began to leave the merge as borrowed key parts
+//! instead of owned entries (a heap copy of each surviving key), and
+//! their budget fell from 3 to 0.3 with them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -73,7 +81,6 @@ static GLOBAL: Counting = Counting;
 
 const PARENT_GET_MEMTABLE: f64 = 2.0;
 const PARENT_GET_TABLE: f64 = 10.0;
-const PARENT_SCAN_ROW: f64 = 3.389;
 
 /// Allocations `f` makes on this thread.
 fn allocations(f: impl FnOnce()) -> u64 {
@@ -168,7 +175,7 @@ fn table_reads() {
         let rows = db.scan(&key(i * 100), &key(i * 100 + 49)).expect("scan");
         assert_eq!(rows.len(), 50);
     });
-    assert_within("scan row", scan / 50.0, PARENT_SCAN_ROW / 2.0);
+    assert_within("scan row", scan / 50.0, 1.26);
 }
 
 /// Allocations per entry of a `compact_all()` that merges four 12,500-
@@ -191,15 +198,16 @@ fn compacted_entry(cache_bytes: usize) -> f64 {
 
 #[test]
 fn compaction() {
-    // One for the surviving key; the rest is per page, not per entry.
-    assert_within("compacted entry", compacted_entry(0), 3.0);
+    // Nothing per surviving entry: what is left is per page, not per
+    // entry.
+    assert_within("compacted entry", compacted_entry(0), 0.3);
     // With a cache each output page is also written through: one copy of
     // the page's bytes, +0.03 per entry at ~30 entries a page. The inputs
     // are read from the cache (no file read, so no buffer for one), which
-    // gives most of that back: 1.218 without a cache, 1.226 with.
+    // gives most of that back: 0.218 without a cache, 0.226 with.
     assert_within(
         "compacted entry, written through",
         compacted_entry(64 << 20),
-        3.0,
+        0.3,
     );
 }
