@@ -22,15 +22,21 @@
 //!
 //! # Ring-buffer consistency
 //!
-//! Writers never coordinate: `log` allocates a seqno with one
-//! `fetch_add`, then writes the slot `seqno % capacity` under a
-//! per-slot seqlock (`begin` stamp, release fence, payload words,
-//! `end` stamp). A reader accepts a slot only when `begin == end ==
-//! seqno + 1` re-reads consistently around the payload, so a slot
-//! being overwritten mid-drain is *skipped* (counted as dropped), and
-//! drains never block or delay writers. All payload fields are
-//! atomics, so racing accesses are well-defined; the stamps only
-//! guard logical consistency.
+//! `log` allocates a seqno with one `fetch_add`, then writes the slot
+//! `seqno % capacity` under a per-slot seqlock with one writer at a
+//! time. The writer claims the slot with a forward-only CAS on its
+//! `begin` stamp that also marks it *writing*, then writes the payload
+//! words, the `end` stamp, and `begin` again with the mark cleared.
+//! Two writers meet on a slot only a lap apart (seqnos `s` and
+//! `s + capacity`): the newer one waits while the older write is in
+//! flight, and an older writer that finds a newer claim drops its event
+//! (it is already outside the retained window, so it counts as
+//! dropped). A reader accepts a slot only when `end == seqno + 1` and
+//! `begin` re-reads as that seqno's claim, not writing, around the
+//! payload, so a slot being written mid-drain is *skipped* (counted as
+//! dropped), and drains never block or delay writers. All payload
+//! fields are atomics, so racing accesses are well-defined; the stamps
+//! only guard logical consistency.
 
 use std::fmt::{Display, Write};
 use std::sync::atomic::{fence, AtomicU64, Ordering};
@@ -440,8 +446,10 @@ pub struct EventSnapshot {
     pub dropped: u64,
 }
 
-/// One ring slot: a seqlock (`begin`/`end` stamps hold `seqno + 1`)
-/// around an atomic word payload.
+/// One ring slot: a seqlock around an atomic word payload. `end` holds
+/// `seqno + 1` of the last event written; `begin` holds the claim of the
+/// last writer, `(seqno + 1) << 1`, with [`WRITING`] set while its write
+/// is in flight.
 struct Slot {
     begin: AtomicU64,
     end: AtomicU64,
@@ -457,6 +465,9 @@ impl Slot {
         }
     }
 }
+
+/// The low bit of a slot's `begin` claim: a write is in flight.
+const WRITING: u64 = 1;
 
 /// Lock-free fixed-capacity event ring. See the module docs for the
 /// consistency argument.
@@ -485,21 +496,58 @@ impl EventLog {
         self.next.load(Ordering::Acquire)
     }
 
-    /// Record one event; returns its seqno. Wait-free except for the
-    /// single `fetch_add`: no lock, no allocation, one slot write.
+    /// Record one event; returns its seqno. No lock, no allocation, one
+    /// slot write. A writer waits only on a writer a whole lap older
+    /// still writing the same slot.
     pub fn log(&self, event: Event) -> u64 {
         let seqno = self.next.fetch_add(1, Ordering::AcqRel);
+        self.write(seqno, event);
+        seqno
+    }
+
+    /// Write event `seqno` into its slot, unless a newer event has
+    /// claimed the slot already.
+    fn write(&self, seqno: u64, event: Event) {
         let slot = &self.slots[(seqno % self.slots.len() as u64) as usize];
-        // Seqlock write: stamp `begin` first so a concurrent reader
-        // can tell the payload is in flux, then the payload, then
-        // `end` (release) to publish.
-        slot.begin.store(seqno + 1, Ordering::Relaxed);
+        let claim = (seqno + 1) << 1;
+        // Claim the slot: `begin` only moves forward, and only from a
+        // slot no one is writing.
+        let mut spins = 0u32;
+        let mut seen = slot.begin.load(Ordering::Acquire);
+        loop {
+            if seen > claim {
+                // A newer event owns the slot; this one has already
+                // left the retained window.
+                return;
+            }
+            if seen & WRITING != 0 {
+                spins += 1;
+                if spins.is_multiple_of(64) {
+                    std::thread::yield_now();
+                } else {
+                    std::hint::spin_loop();
+                }
+                seen = slot.begin.load(Ordering::Acquire);
+                continue;
+            }
+            match slot.begin.compare_exchange_weak(
+                seen,
+                claim | WRITING,
+                Ordering::Acquire,
+                Ordering::Acquire,
+            ) {
+                Ok(_) => break,
+                Err(now) => seen = now,
+            }
+        }
+        // Seqlock write: the claim marks the payload in flux, then the
+        // payload, then `end` and the cleared claim (release) publish.
         fence(Ordering::Release);
         for (w, v) in slot.words.iter().zip(event.encode()) {
             w.store(v, Ordering::Relaxed);
         }
         slot.end.store(seqno + 1, Ordering::Release);
-        seqno
+        slot.begin.store(claim, Ordering::Release);
     }
 
     /// Snapshot the retained window without blocking writers. Slots
@@ -513,7 +561,8 @@ impl EventLog {
         for seqno in first..head {
             let slot = &self.slots[(seqno % cap) as usize];
             // Seqlock read: `end` (acquire), payload, fence, `begin`;
-            // accept only when both stamps match this seqno.
+            // accept only when both stamps match this seqno and no write
+            // is in flight.
             let end = slot.end.load(Ordering::Acquire);
             if end != seqno + 1 {
                 continue;
@@ -523,7 +572,7 @@ impl EventLog {
                 *v = w.load(Ordering::Relaxed);
             }
             fence(Ordering::Acquire);
-            if slot.begin.load(Ordering::Relaxed) != seqno + 1 {
+            if slot.begin.load(Ordering::Relaxed) != (seqno + 1) << 1 {
                 continue;
             }
             if let Some(event) = Event::decode(&words) {
@@ -1088,6 +1137,59 @@ mod tests {
         assert_eq!(snap.events.len(), 1);
         assert_eq!(snap.dropped, 4);
         assert_eq!(snap.events[0].seqno, 4);
+    }
+
+    fn flush_entries(snap: &EventSnapshot) -> Vec<(u64, u64)> {
+        snap.events
+            .iter()
+            .map(|s| match s.event {
+                Event::FlushStart { entries } => (s.seqno, entries),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn writer_a_lap_behind_drops_its_event() {
+        let log = EventLog::new(2);
+        // Seqno 0's writer stalls between its `fetch_add` and its write
+        // while seqnos 1 and 2 are logged; 2 claims the shared slot.
+        log.next.fetch_add(1, Ordering::AcqRel);
+        log.log(Event::FlushStart { entries: 1 });
+        log.log(Event::FlushStart { entries: 2 });
+        log.write(0, Event::FlushStart { entries: 0 });
+        let snap = log.snapshot();
+        assert_eq!(flush_entries(&snap), vec![(1, 1), (2, 2)]);
+        assert_eq!((snap.emitted, snap.dropped), (3, 1));
+    }
+
+    #[test]
+    fn slot_in_flight_is_skipped_by_readers_and_waited_on_by_writers() {
+        use std::sync::Arc;
+        let log = Arc::new(EventLog::new(2));
+        log.log(Event::FlushStart { entries: 0 });
+        // Pretend seqno 0's write is still in flight.
+        log.slots[0].begin.fetch_or(WRITING, Ordering::AcqRel);
+        assert!(
+            log.snapshot().events.is_empty(),
+            "a slot being written is skipped"
+        );
+        let writer = {
+            let log = Arc::clone(&log);
+            std::thread::spawn(move || {
+                log.log(Event::FlushStart { entries: 1 });
+                log.log(Event::FlushStart { entries: 2 });
+            })
+        };
+        // Seqno 2 shares slot 0 and must wait for the write in flight.
+        while log.emitted() < 3 {
+            std::thread::yield_now();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert_eq!(log.slots[0].end.load(Ordering::Acquire), 1, "seqno 2 waits");
+        log.slots[0].begin.fetch_and(!WRITING, Ordering::AcqRel);
+        writer.join().unwrap();
+        assert_eq!(flush_entries(&log.snapshot()), vec![(1, 1), (2, 2)]);
     }
 
     #[test]
