@@ -381,6 +381,9 @@ impl Drop for Snapshot {
             *count -= 1;
             if *count == 0 {
                 snaps.remove(&self.seqno);
+                // Under the lock: a futile rewrite it pinned is noted
+                // either before this or not at all.
+                self.core.picker.snapshot_released(self.seqno);
             }
         }
     }
@@ -486,7 +489,11 @@ pub struct RangeIter {
     hi: Vec<u8>,
     snapshot: SeqNo,
     rts: Vec<RangeTombstone>,
+    /// The version's sort-key range-tombstone index, then the index of
+    /// each buffer that holds any. Probed one by one, as a get probes
+    /// them.
     krts: Arc<acheron_types::FragmentedRangeTombstones>,
+    buffered_krts: Vec<Arc<acheron_types::FragmentedRangeTombstones>>,
     /// The user key whose newest visible version has been judged (its
     /// older versions are skipped); `None` before the first key.
     decided_key: Option<Vec<u8>>,
@@ -519,14 +526,16 @@ impl RangeIter {
             // Newest visible version decides the key: a put that is not
             // range-erased (by either tombstone flavor) yields the
             // value; anything else hides the key. The sort-key check is
-            // one binary search over the pre-fragmented index.
+            // one binary search per source that holds range tombstones.
             let (seqno, dkey) = (key.seqno(), self.merge.dkey());
+            let covered = |idx: &acheron_types::FragmentedRangeTombstones| {
+                idx.max_seqno_covering(key.user_key(), self.snapshot)
+                    .is_some_and(|cover| seqno < cover)
+            };
             let live = kind.is_put_like()
                 && !self.rts.iter().any(|rt| rt.shadows(seqno, dkey))
-                && self
-                    .krts
-                    .max_seqno_covering(key.user_key(), self.snapshot)
-                    .is_none_or(|cover| seqno >= cover);
+                && !covered(&self.krts)
+                && !self.buffered_krts.iter().any(|idx| covered(idx));
             let row = live.then(|| self.merge.entry()).transpose()?;
             self.merge.advance()?;
             if let Some(e) = row {
@@ -1152,22 +1161,15 @@ impl Db {
             .filter(|rt| rt.seqno <= snapshot)
             .copied()
             .collect();
-        // Sort-key range tombstones from every source. When only the
-        // tree holds any, the version's prebuilt index is shared as-is;
-        // buffered ones (rare) force a combined rebuild. Visibility is
-        // filtered per-probe via the snapshot argument.
-        let buffered_krts: Vec<acheron_types::KeyRangeTombstone> = std::iter::once(&view.mem)
+        // Sort-key range tombstones: each source's own index, shared
+        // as-is (a buffer builds its index on the first read after a
+        // change). Visibility is filtered per-probe via the snapshot
+        // argument. With nothing buffered, nothing is allocated here.
+        let buffered_krts: Vec<_> = std::iter::once(&view.mem)
             .chain(view.imms.iter())
             .filter(|m| m.range_tombstone_count() > 0)
-            .flat_map(|m| m.range_tombstone_list())
+            .map(|m| m.range_tombstones())
             .collect();
-        let krts = if buffered_krts.is_empty() {
-            Arc::clone(&view.version.key_range_tombstones)
-        } else {
-            let mut all = view.version.collect_key_range_tombstones();
-            all.extend(buffered_krts);
-            Arc::new(acheron_types::FragmentedRangeTombstones::build(&all))
-        };
 
         let seek_key = acheron_types::SeekKey::new(lo, MAX_SEQNO);
         let mut sources: Vec<Box<dyn KvSource>> = Vec::new();
@@ -1211,7 +1213,8 @@ impl Db {
             hi: hi.to_vec(),
             snapshot,
             rts: visible_rts,
-            krts,
+            krts: Arc::clone(&view.version.key_range_tombstones),
+            buffered_krts,
             decided_key: None,
             core: Arc::clone(&self.inner.core),
             pinned: None,

@@ -352,6 +352,7 @@ impl DbCore {
                 task,
                 outcome,
                 now,
+                snapshots.last().copied(),
                 started.elapsed().as_micros() as u64,
             )?;
         }
@@ -371,18 +372,23 @@ impl DbCore {
         task: &CompactionTask,
         outcome: crate::compaction::CompactionOutcome,
         now: Tick,
+        newest_snapshot: Option<SeqNo>,
         micros: u64,
     ) -> Result<()> {
         // A TTL rewrite within one level that came out as it went in
         // would be picked again, unchanged, for as long as the clock
-        // stands still: have the picker pass over its outputs.
+        // stands still or the snapshot that pinned it lives: have the
+        // picker pass over its outputs. Checked and noted under the
+        // snapshot lock, so a pin released mid-compaction is not noted.
         if task.reason == CompactionReason::TtlExpired
             && task.level == task.output_level
             && outcome.entries_dropped() == 0
             && outcome.key_range_tombstones_dropped.is_empty()
         {
+            let snapshots = self.snapshots.lock();
+            let pin = newest_snapshot.filter(|s| snapshots.contains_key(s));
             self.picker
-                .note_futile_rewrite(now, outcome.added.iter().map(|f| f.id));
+                .note_futile_rewrite(now, pin, outcome.added.iter().map(|f| f.id));
         }
         // Apply to the version first so range-tombstone retirement sees
         // the post-compaction file set. A tombstone is retirable only if

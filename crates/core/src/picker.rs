@@ -11,7 +11,7 @@
 
 use std::sync::Arc;
 
-use acheron_types::Tick;
+use acheron_types::{SeqNo, Tick};
 use bytes::Bytes;
 use parking_lot::Mutex;
 
@@ -102,9 +102,30 @@ pub struct Picker {
     /// `(next claim id, marks of running compactions)`.
     in_flight: Mutex<(u64, Vec<InFlightMark>)>,
     /// Output files of the within-bottom TTL rewrites that purged and
-    /// dropped nothing, and the tick they ran at (see
-    /// [`Picker::note_futile_rewrite`]).
-    futile: Mutex<(Tick, Vec<u64>)>,
+    /// dropped nothing (see [`Picker::note_futile_rewrite`]).
+    futile: Mutex<FutileRewrites>,
+}
+
+/// The memo of futile within-bottom TTL rewrites: their output files,
+/// which the TTL trigger passes over while rewriting them again would
+/// change nothing.
+#[derive(Debug, Default)]
+struct FutileRewrites {
+    /// The tick of the rewrites in `unpinned`.
+    tick: Tick,
+    /// Outputs of futile rewrites at `tick` that no snapshot pinned.
+    unpinned: Vec<u64>,
+    /// Outputs of futile rewrites that a snapshot pinned, each with the
+    /// newest snapshot live at the rewrite.
+    pinned: Vec<(u64, SeqNo)>,
+}
+
+impl FutileRewrites {
+    /// True if rewriting file `id` at tick `now` would change nothing.
+    fn skips(&self, id: u64, now: Tick) -> bool {
+        (self.tick == now && self.unpinned.contains(&id))
+            || self.pinned.iter().any(|&(file, _)| file == id)
+    }
 }
 
 impl Picker {
@@ -116,24 +137,54 @@ impl Picker {
             ttl,
             cursors: Mutex::new(vec![None; opts.max_levels]),
             in_flight: Mutex::new((0, Vec::new())),
-            futile: Mutex::new((0, Vec::new())),
+            futile: Mutex::default(),
         }
     }
 
     /// Record that a TTL rewrite within the bottom level at tick `now`
-    /// changed nothing — whatever keeps its tombstones from purging (a
-    /// snapshot, say) is still there — and produced `outputs`. Until the
-    /// clock moves, the TTL trigger passes over those files, and over
-    /// those of every other futile rewrite at the same tick: rewriting
-    /// them again would produce the same bytes, and an inline
-    /// maintenance pass, inside which the logical clock stands still,
-    /// would never end.
-    pub fn note_futile_rewrite(&self, now: Tick, outputs: impl IntoIterator<Item = u64>) {
+    /// changed nothing and produced `outputs`. The TTL trigger then
+    /// passes over those files for as long as what kept the rewrite from
+    /// purging is still there:
+    ///
+    /// - `pin`, the newest snapshot live at the rewrite, if any: until
+    ///   it is released ([`Picker::snapshot_released`]). A bottom entry
+    ///   is kept for a snapshot iff some snapshot reads it or an older
+    ///   version of its key, so while the newest one lives no tombstone
+    ///   the rewrite kept can purge (releasing an older one can at most
+    ///   free shadowed versions, which the TTL trigger is not for).
+    /// - otherwise, until the clock moves. The outputs of every other
+    ///   unpinned futile rewrite at the same tick are passed over too:
+    ///   rewriting them again would produce the same bytes, and an
+    ///   inline maintenance pass, inside which the logical clock stands
+    ///   still, would never end.
+    ///
+    /// The caller must hold whatever orders this against the release of
+    /// `pin`, so that a pin is never recorded after its release.
+    pub fn note_futile_rewrite(
+        &self,
+        now: Tick,
+        pin: Option<SeqNo>,
+        outputs: impl IntoIterator<Item = u64>,
+    ) {
         let mut futile = self.futile.lock();
-        if futile.0 != now {
-            *futile = (now, Vec::new());
+        match pin {
+            Some(pin) => futile
+                .pinned
+                .extend(outputs.into_iter().map(|id| (id, pin))),
+            None => {
+                if futile.tick != now {
+                    futile.tick = now;
+                    futile.unpinned.clear();
+                }
+                futile.unpinned.extend(outputs);
+            }
         }
-        futile.1.extend(outputs);
+    }
+
+    /// The last registration of snapshot `seqno` is gone: the files its
+    /// futile rewrites left behind may purge now.
+    pub fn snapshot_released(&self, seqno: SeqNo) {
+        self.futile.lock().pinned.retain(|&(_, pin)| pin != seqno);
     }
 
     /// The TTL schedule, if FADE is enabled.
@@ -245,9 +296,7 @@ impl Picker {
             let (file, _) = version
                 .all_files()
                 .filter_map(|f| Some((f, ttl.file_deadline(f)?)))
-                .filter(|&(f, deadline)| {
-                    now > deadline && !(futile.0 == now && futile.1.contains(&f.id))
-                })
+                .filter(|&(f, deadline)| now > deadline && !futile.skips(f.id, now))
                 // Of equally overdue files, the last one wins.
                 .max_by_key(|&(_, deadline)| now - deadline)?;
             Arc::clone(file)
@@ -858,7 +907,7 @@ mod tests {
                 .pick(&v, now)
                 .expect("an expired file not yet rewritten");
             assert_eq!(ids(&task.inputs), vec![expected]);
-            picker.note_futile_rewrite(now, [expected]);
+            picker.note_futile_rewrite(now, None, [expected]);
         }
         assert!(
             picker.pick(&v, now).is_none(),

@@ -104,8 +104,9 @@ pub struct Version {
     /// Live secondary range tombstones, oldest first.
     pub range_tombstones: Vec<RangeTombstone>,
     /// Fragmented index over every sort-key range tombstone carried by a
-    /// live file, rebuilt by [`Version::apply`] from the files' stats.
-    /// Lookups binary-search it instead of consulting per-file lists.
+    /// live file, rebuilt by [`Version::apply`] from the files' stats
+    /// when an added or deleted file carries any. Lookups binary-search
+    /// it instead of consulting per-file lists.
     pub key_range_tombstones: Arc<FragmentedRangeTombstones>,
 }
 
@@ -198,6 +199,12 @@ impl Version {
         add_rts: &[RangeTombstone],
         drop_rt_seqnos: &[SeqNo],
     ) -> Version {
+        // The fragment index changes only with the set of files that
+        // carry sort-key range tombstones; otherwise the parent's is kept.
+        let krts_moved = add.iter().any(|f| f.has_key_range_tombstones())
+            || self
+                .all_files()
+                .any(|f| f.has_key_range_tombstones() && delete_ids.contains(&f.id));
         let mut next = self.clone();
         for level in next.levels.iter_mut() {
             level.retain(|f| !delete_ids.contains(&f.id));
@@ -220,12 +227,14 @@ impl Version {
         next.range_tombstones.extend_from_slice(add_rts);
         next.range_tombstones
             .retain(|rt| !drop_rt_seqnos.contains(&rt.seqno));
-        let krts = next.collect_key_range_tombstones();
-        next.key_range_tombstones = if krts.is_empty() {
-            Arc::default()
-        } else {
-            Arc::new(FragmentedRangeTombstones::build(&krts))
-        };
+        if krts_moved {
+            let krts = next.collect_key_range_tombstones();
+            next.key_range_tombstones = if krts.is_empty() {
+                Arc::default()
+            } else {
+                Arc::new(FragmentedRangeTombstones::build(&krts))
+            };
+        }
         next
     }
 
@@ -478,6 +487,35 @@ mod tests {
             None
         );
         v.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn an_install_rebuilds_the_index_only_when_a_carrier_comes_or_goes() {
+        let fs = MemFs::new();
+        let carrier = make_krt_file(&fs, 1, 1, 0..5, 100, vec![krt("a", "b", 200, 7)]);
+        let v = Version::empty(4).apply(vec![carrier], &[], &[], &[]);
+        let plain = |id| make_file(&fs, id, 2, 10..20, 1);
+        // Files without range tombstones come and go: the index is shared.
+        let v2 = v.apply(vec![plain(2), plain(3)], &[], &[], &[]);
+        let v3 = v2.apply(vec![], &[2], &[], &[]);
+        assert!(Arc::ptr_eq(
+            &v.key_range_tombstones,
+            &v3.key_range_tombstones
+        ));
+        // A carrier comes: rebuilt with its tombstones.
+        let another = make_krt_file(&fs, 4, 1, 6..8, 100, vec![krt("x", "y", 300, 8)]);
+        let v4 = v3.apply(vec![another], &[], &[], &[]);
+        assert_eq!(
+            v4.key_range_tombstones.max_seqno_covering(b"x", 1000),
+            Some(300)
+        );
+        // A carrier goes: rebuilt without its tombstones.
+        let v5 = v4.apply(vec![], &[1], &[], &[]);
+        assert_eq!(v5.key_range_tombstones.max_seqno_covering(b"a", 1000), None);
+        assert_eq!(
+            v5.key_range_tombstones.max_seqno_covering(b"x", 1000),
+            Some(300)
+        );
     }
 
     #[test]

@@ -56,14 +56,15 @@ pub struct MemtableStats {
     pub oldest_range_tombstone_tick: Option<Tick>,
 }
 
-/// Sort-key range tombstones buffered alongside the skiplist, plus the
-/// fragmented index rebuilt after each mutation. Readers clone the `Arc`
-/// under a brief read lock; the single writer rebuilds under the write
-/// lock. Range deletes are rare, so rebuild cost is irrelevant.
+/// Sort-key range tombstones buffered alongside the skiplist, plus their
+/// fragmented index. The writer appends and marks the index stale; the
+/// first reader after a change builds it (under the write lock, so once)
+/// and every later reader clones the `Arc` under a brief read lock.
 #[derive(Default)]
 struct RangeTombstoneBuffer {
     list: Vec<KeyRangeTombstone>,
-    index: Arc<FragmentedRangeTombstones>,
+    /// `None` while stale: some tombstone in `list` is not indexed yet.
+    index: Option<Arc<FragmentedRangeTombstones>>,
 }
 
 /// An in-memory write buffer ordered by internal key.
@@ -141,12 +142,12 @@ impl Memtable {
         self.list.insert(entry);
     }
 
-    /// Buffer a sort-key range tombstone and rebuild the fragment index.
+    /// Buffer a sort-key range tombstone; the fragment index is rebuilt
+    /// on the next read (see [`Memtable::range_tombstones`]).
     ///
-    /// Same single-writer contract as [`Memtable::insert`]; readers pick
-    /// up the new index on their next [`Memtable::range_tombstones`]
-    /// call. The tombstone's seqno participates in the memtable's seqno
-    /// span so WAL truncation and sealing account for it.
+    /// Same single-writer contract as [`Memtable::insert`]. The
+    /// tombstone's seqno participates in the memtable's seqno span so WAL
+    /// truncation and sealing account for it.
     pub fn add_range_tombstone(&self, krt: KeyRangeTombstone) {
         self.min_seqno.fetch_min(krt.seqno, Ordering::Relaxed);
         self.max_seqno.fetch_max(krt.seqno, Ordering::Relaxed);
@@ -156,19 +157,27 @@ impl Memtable {
             .fetch_add(krt.start.len() + krt.end.len() + 64, Ordering::Relaxed);
         let mut buf = self.range_tombstones.write().expect("krt lock poisoned");
         buf.list.push(krt);
-        buf.index = Arc::new(FragmentedRangeTombstones::build(&buf.list));
+        buf.index = None;
         drop(buf);
-        // Count last: a reader that observes the count sees the index.
+        // Count last: a reader that observes the count finds the
+        // tombstone in the list, and so in the index it reads.
         self.range_tombstone_count.fetch_add(1, Ordering::Release);
     }
 
-    /// The fragmented index over buffered sort-key range tombstones.
+    /// The fragmented index over buffered sort-key range tombstones,
+    /// built here if a tombstone was added since the last read.
     pub fn range_tombstones(&self) -> Arc<FragmentedRangeTombstones> {
-        self.range_tombstones
+        if let Some(index) = &self
+            .range_tombstones
             .read()
             .expect("krt lock poisoned")
             .index
-            .clone()
+        {
+            return Arc::clone(index);
+        }
+        let mut buf = self.range_tombstones.write().expect("krt lock poisoned");
+        let RangeTombstoneBuffer { list, index } = &mut *buf;
+        Arc::clone(index.get_or_insert_with(|| Arc::new(FragmentedRangeTombstones::build(list))))
     }
 
     /// The raw buffered sort-key range tombstones (used by flush).
@@ -517,6 +526,45 @@ mod tests {
         assert_eq!(m.range_cover(b"c", 6), Some(5), "older still covers");
         assert_eq!(m.range_tombstone_count(), 2);
         assert_eq!(m.range_tombstone_list().len(), 2);
+    }
+
+    #[test]
+    fn a_cover_probe_after_an_add_returns_sees_the_new_tombstone() {
+        // Round i adds a tombstone over ["a", key i] with seqno i, then a
+        // reader thread probes "a", which every tombstone covers: only
+        // tombstone i answers i. The reader builds the index in each
+        // round, so each add must invalidate an index already built. The
+        // barriers order every probe after the add it checks and before
+        // the next add, so a stale index cannot pass for a fresh one.
+        // The reader records what it saw and the checks run after the
+        // join, so a wrong answer fails the test instead of leaving the
+        // writer waiting at a barrier.
+        use std::sync::Barrier;
+        const ROUNDS: u64 = 200;
+        let m = Memtable::new();
+        let (added, probed) = (Barrier::new(2), Barrier::new(2));
+        let seen = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                (1..=ROUNDS)
+                    .map(|i| {
+                        added.wait();
+                        let seen = (m.range_cover(b"a", u64::MAX), m.range_cover(b"a", i - 1));
+                        probed.wait();
+                        seen
+                    })
+                    .collect::<Vec<_>>()
+            });
+            for i in 1..=ROUNDS {
+                m.add_range_tombstone(krt("a", &format!("k{i:04}"), i, i));
+                added.wait();
+                probed.wait();
+            }
+            reader.join().expect("reader")
+        });
+        for (i, seen) in (1..=ROUNDS).zip(seen) {
+            assert_eq!(seen, (Some(i), (i > 1).then_some(i - 1)), "round {i}");
+        }
+        assert_eq!(m.range_tombstones().fragments().len(), ROUNDS as usize);
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //! fragment start keys. This is the fragment-based design from
 //! "Don't Forget Range Delete!": correctness without O(range) scans.
 
+use std::collections::BTreeMap;
+
 use bytes::Bytes;
 
 use crate::clock::Tick;
@@ -81,6 +83,15 @@ impl KeyRangeTombstone {
     }
 }
 
+/// One end of a tombstone's span in the sweep of
+/// [`FragmentedRangeTombstones::build`]: the span opens at its start and
+/// closes at the successor of its end.
+#[derive(Clone, Copy)]
+enum Bound {
+    Open(SeqNo),
+    Close(SeqNo),
+}
+
 /// Smallest user key strictly greater than `k` in byte order: `k ++ 0x00`.
 /// Converts an inclusive upper bound into an exclusive one.
 fn key_successor(k: &[u8]) -> Bytes {
@@ -105,9 +116,8 @@ pub struct RangeFragment {
 
 /// A search index over a set of [`KeyRangeTombstone`]s: the input ranges
 /// are split at every boundary into disjoint, sorted fragments so that a
-/// point query is a single binary search. Rebuilt wholesale on mutation;
-/// range deletes are rare relative to reads, so build cost (quadratic in
-/// the number of live tombstones) is irrelevant while query cost is not.
+/// point query is a single binary search. Built by one sweep over the
+/// sorted range boundaries, in O(B log B + output) for B tombstones.
 #[derive(Debug, Clone, Default)]
 pub struct FragmentedRangeTombstones {
     fragments: Vec<RangeFragment>,
@@ -115,40 +125,45 @@ pub struct FragmentedRangeTombstones {
 
 impl FragmentedRangeTombstones {
     /// Build the fragment index from a set of tombstones.
+    ///
+    /// Each tombstone opens at its start and closes at the successor of
+    /// its inclusive end. The boundaries are sorted once and swept in
+    /// order, keeping a counted set of the seqnos open: between two
+    /// consecutive boundaries the covering set is constant, and it is
+    /// the open set. (A tombstone with `start > end` covers nothing.)
     pub fn build(tombstones: &[KeyRangeTombstone]) -> FragmentedRangeTombstones {
-        if tombstones.is_empty() {
-            return FragmentedRangeTombstones::default();
+        let mut bounds: Vec<(Bytes, Bound)> = Vec::with_capacity(tombstones.len() * 2);
+        for t in tombstones.iter().filter(|t| t.start <= t.end) {
+            bounds.push((t.start.clone(), Bound::Open(t.seqno)));
+            bounds.push((key_successor(&t.end), Bound::Close(t.seqno)));
         }
-        // Collect every interval boundary: starts, plus successors of the
-        // inclusive ends. Between consecutive boundaries the covering set
-        // is constant.
-        let mut bounds: Vec<Bytes> = Vec::with_capacity(tombstones.len() * 2);
-        for t in tombstones {
-            bounds.push(t.start.clone());
-            bounds.push(key_successor(&t.end));
-        }
-        bounds.sort();
-        bounds.dedup();
+        bounds.sort_unstable_by(|a, b| a.0.cmp(&b.0));
 
+        let mut open: BTreeMap<SeqNo, usize> = BTreeMap::new();
         let mut fragments = Vec::new();
-        for w in bounds.windows(2) {
-            let (lo, hi) = (&w[0], &w[1]);
-            let mut seqnos: Vec<SeqNo> = tombstones
-                .iter()
-                .filter(|t| t.start.as_ref() <= lo.as_ref() && key_successor(&t.end) >= *hi)
-                .map(|t| t.seqno)
-                .collect();
-            if seqnos.is_empty() {
-                continue;
+        let mut at_key = bounds.chunk_by(|a, b| a.0 == b.0).peekable();
+        while let Some(group) = at_key.next() {
+            for (_, bound) in group {
+                match *bound {
+                    Bound::Open(seqno) => *open.entry(seqno).or_insert(0) += 1,
+                    Bound::Close(seqno) => {
+                        let count = open.get_mut(&seqno).expect("closed before opened");
+                        *count -= 1;
+                        if *count == 0 {
+                            open.remove(&seqno);
+                        }
+                    }
+                }
             }
-            seqnos.sort_unstable_by(|a, b| b.cmp(a));
-            seqnos.dedup();
-            fragments.push(RangeFragment {
-                start: lo.clone(),
-                end_ex: hi.clone(),
-                seqnos,
-            });
+            if let (Some(next), false) = (at_key.peek(), open.is_empty()) {
+                fragments.push(RangeFragment {
+                    start: group[0].0.clone(),
+                    end_ex: next[0].0.clone(),
+                    seqnos: open.keys().rev().copied().collect(),
+                });
+            }
         }
+        debug_assert!(open.is_empty(), "every opened range closes");
         FragmentedRangeTombstones { fragments }
     }
 
@@ -187,6 +202,124 @@ impl FragmentedRangeTombstones {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The reference builder the sweep replaced: every tombstone is
+    /// filtered at every boundary (quadratic). Kept to check the sweep
+    /// against.
+    fn build_by_filter(tombstones: &[KeyRangeTombstone]) -> FragmentedRangeTombstones {
+        let mut bounds: Vec<Bytes> = Vec::with_capacity(tombstones.len() * 2);
+        for t in tombstones {
+            bounds.push(t.start.clone());
+            bounds.push(key_successor(&t.end));
+        }
+        bounds.sort();
+        bounds.dedup();
+        let mut fragments = Vec::new();
+        for w in bounds.windows(2) {
+            let (lo, hi) = (&w[0], &w[1]);
+            let mut seqnos: Vec<SeqNo> = tombstones
+                .iter()
+                .filter(|t| t.start.as_ref() <= lo.as_ref() && key_successor(&t.end) >= *hi)
+                .map(|t| t.seqno)
+                .collect();
+            if seqnos.is_empty() {
+                continue;
+            }
+            seqnos.sort_unstable_by(|a, b| b.cmp(a));
+            seqnos.dedup();
+            fragments.push(RangeFragment {
+                start: lo.clone(),
+                end_ex: hi.clone(),
+                seqnos,
+            });
+        }
+        FragmentedRangeTombstones { fragments }
+    }
+
+    /// Keys of up to three bytes over `{0x00, 0x01, b'a', 0xff}`: short
+    /// enough that keys are often prefixes of one another, equal, or end
+    /// in `0x00` (so one key is another's successor).
+    fn short_key() -> impl Strategy<Value = Bytes> {
+        prop::collection::vec(prop::sample::select(vec![0x00u8, 0x01, b'a', 0xff]), 0..=3)
+            .prop_map(Bytes::from)
+    }
+
+    /// Up to 12 tombstones, spans ordered so most are non-empty; seqnos
+    /// from a small range, so duplicates are common. Identical, nested
+    /// and single-key spans come from the small key space.
+    fn tombstone_set() -> impl Strategy<Value = Vec<KeyRangeTombstone>> {
+        let one =
+            (short_key(), short_key(), 1u64..6, any::<bool>()).prop_map(|(a, b, seqno, single)| {
+                let (start, end) = if single {
+                    (a.clone(), a)
+                } else {
+                    (a.clone().min(b.clone()), a.max(b))
+                };
+                KeyRangeTombstone {
+                    start,
+                    end,
+                    seqno,
+                    dkey: 0,
+                }
+            });
+        prop::collection::vec(one, 0..12)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3_000))]
+        #[test]
+        fn sweep_build_matches_the_filter_reference(
+            tombstones in tombstone_set(),
+            probes in prop::collection::vec(short_key(), 8),
+            snapshot in 0u64..7,
+        ) {
+            let sweep = FragmentedRangeTombstones::build(&tombstones);
+            let reference = build_by_filter(&tombstones);
+            prop_assert_eq!(sweep.fragments(), reference.fragments(), "{:?}", tombstones);
+            for key in &probes {
+                prop_assert_eq!(
+                    sweep.max_seqno_covering(key, snapshot),
+                    tombstones
+                        .iter()
+                        .filter(|t| t.seqno <= snapshot && t.contains(key))
+                        .map(|t| t.seqno)
+                        .max()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_build_matches_the_filter_reference_on_edge_cases() {
+        let t = |start: &[u8], end: &[u8], seqno| KeyRangeTombstone {
+            start: Bytes::copy_from_slice(start),
+            end: Bytes::copy_from_slice(end),
+            seqno,
+            dkey: 0,
+        };
+        let cases: Vec<Vec<KeyRangeTombstone>> = vec![
+            vec![],
+            // Duplicate seqnos over different spans.
+            vec![t(b"a", b"c", 4), t(b"b", b"d", 4)],
+            // Identical spans, nested spans.
+            vec![t(b"b", b"e", 2), t(b"b", b"e", 7), t(b"c", b"d", 5)],
+            // Single-key spans, one the other's prefix.
+            vec![t(b"k", b"k", 3), t(b"k\x00", b"k\x00", 4)],
+            // An end that is a prefix of the next start, and an end in 0x00
+            // (its successor is `a\x00\x00`).
+            vec![t(b"", b"a", 1), t(b"a\x00", b"a\x00", 2), t(b"a", b"b", 3)],
+            // An inverted span covers nothing.
+            vec![t(b"z", b"a", 9), t(b"m", b"n", 1)],
+        ];
+        for case in cases {
+            assert_eq!(
+                FragmentedRangeTombstones::build(&case).fragments(),
+                build_by_filter(&case).fragments(),
+                "{case:?}"
+            );
+        }
+    }
 
     fn krt(start: &str, end: &str, seqno: SeqNo, dkey: Tick) -> KeyRangeTombstone {
         KeyRangeTombstone {

@@ -377,24 +377,50 @@ fn snapshot_pinned_bottom_does_not_spin() {
     // The picker must pass over the outputs of *all* such rewrites at
     // the same tick, not only of the last one: otherwise two files take
     // turns until the per-pass bound fails the pass and every later
-    // write with it.
+    // write with it. And it must keep passing over them at later ticks
+    // while the snapshot lives (each put is a tick, and rewriting every
+    // pinned file again on each one is work that changes nothing), but
+    // not once it is released: the tombstones then purge within `D_th`.
+    use std::sync::atomic::Ordering::Relaxed;
+    let d_th = 1_000;
     let o = DbOptions {
         max_levels: 3,
         ..DbOptions::small()
     }
-    .with_fade(1_000);
+    .with_fade(d_th);
     let db = Db::open(Arc::new(MemFs::new()), "db", o).unwrap();
     let key = |i: u32| format!("key{i:05}").into_bytes();
     for i in 0..3_000 {
         db.put(&key(i), &[b'v'; 24]).unwrap();
     }
     db.compact_all().unwrap();
-    let _snapshot = db.snapshot();
+    let snapshot = db.snapshot();
     for i in (0..3_000).step_by(50) {
         db.delete(&key(i)).unwrap();
     }
     db.compact_all().unwrap();
     db.advance_clock(5_000);
     db.maintain().unwrap();
-    db.put(&key(0), &[b'w'; 24]).unwrap();
+    let pinned = db.live_tombstones();
+    assert!(pinned > 0, "the snapshot pins the tombstones at the bottom");
+    let compactions = db.stats().compactions.load(Relaxed);
+    for i in 0..20 {
+        db.put(&key(i), &[b'w'; 24]).unwrap();
+    }
+    assert_eq!(
+        db.stats().compactions.load(Relaxed),
+        compactions,
+        "a put while the snapshot lives rewrites no pinned file"
+    );
+    assert_eq!(db.live_tombstones(), pinned);
+    drop(snapshot);
+    let released = db.now();
+    while db.live_tombstones() > 0 {
+        assert!(
+            db.now() - released <= d_th,
+            "the pinned tombstones purge within D_th of the release"
+        );
+        db.advance_clock(d_th / 32);
+        db.maintain().unwrap();
+    }
 }
