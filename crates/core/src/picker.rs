@@ -160,7 +160,7 @@ impl Picker {
     ///
     /// The caller must hold whatever orders this against the release of
     /// `pin`, so that a pin is never recorded after its release.
-    pub fn note_futile_rewrite(
+    pub(crate) fn note_futile_rewrite(
         &self,
         now: Tick,
         pin: Option<SeqNo>,
@@ -183,7 +183,7 @@ impl Picker {
 
     /// The last registration of snapshot `seqno` is gone: the files its
     /// futile rewrites left behind may purge now.
-    pub fn snapshot_released(&self, seqno: SeqNo) {
+    pub(crate) fn snapshot_released(&self, seqno: SeqNo) {
         self.futile.lock().pinned.retain(|&(_, pin)| pin != seqno);
     }
 
