@@ -306,6 +306,10 @@ struct DbCore {
     /// Single-flusher ticket: flushes must install in queue order, so
     /// only one worker owns the front of the sealed queue at a time.
     flush_claimed: AtomicBool,
+    /// Single-rewriter ticket for value-log GC: two passes over one
+    /// segment would race on its file (one deletes what the other is
+    /// about to read or delete).
+    vlog_gc_claimed: AtomicBool,
     /// Flight recorder: lock-free ring of typed maintenance events.
     /// Emission is one atomic seqno plus one slot write, so the hooks
     /// stay on unconditionally.
@@ -701,6 +705,7 @@ impl Db {
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
             flush_claimed: AtomicBool::new(false),
+            vlog_gc_claimed: AtomicBool::new(false),
         });
         // Replay the recovery milestones into the ring now that it
         // exists, before any live traffic can interleave with them.

@@ -777,9 +777,10 @@ impl DbCore {
     /// value-log segment.
     ///
     /// With `claim` the task is accepted for execution: a flush takes
-    /// the single-flusher ticket, a compaction registers its claim marks
+    /// the single-flusher ticket, a value-log rewrite the
+    /// single-rewriter ticket, a compaction registers its claim marks
     /// and moves the picker's cursor, and the caller must pass the task
-    /// to [`DbCore::run_task`], which gives both back. Without it this
+    /// to [`DbCore::run_task`], which gives them back. Without it this
     /// is a pure query — no ticket, no claim, no cursor — and the task
     /// must not be run.
     fn next_task(&self, scope: &Scope, claim: bool) -> Option<MaintTask> {
@@ -820,7 +821,15 @@ impl DbCore {
             }
         }
         if scope.contains(&Kind::VlogGc) {
-            return self.vlog_gc_candidate(now).map(MaintTask::VlogGc);
+            // One rewriter at a time, like the flusher.
+            if claim && self.vlog_gc_claimed.swap(true, Ordering::SeqCst) {
+                return None;
+            }
+            let picked = self.vlog_gc_candidate(now);
+            if claim && picked.is_none() {
+                self.vlog_gc_claimed.store(false, Ordering::SeqCst);
+            }
+            return picked.map(MaintTask::VlogGc);
         }
         None
     }
@@ -865,7 +874,9 @@ impl DbCore {
             }
             MaintTask::VlogGc(segment) => {
                 debug_assert!(witness.is_none(), "a rewrite enters the exclusion itself");
-                self.run_vlog_gc(segment)
+                let rewritten = self.run_vlog_gc(segment);
+                self.vlog_gc_claimed.store(false, Ordering::SeqCst);
+                rewritten
             }
         }
     }

@@ -23,7 +23,8 @@
 //!
 //! * `WritableFile::append` lands in the page cache: readable
 //!   immediately, durable only after the next successful
-//!   `WritableFile::sync`.
+//!   `WritableFile::sync`. A sync that a power cut on another thread
+//!   overtakes fails: the cut took the bytes it was making durable.
 //! * `Vfs::write_all` and `Vfs::rename` are treated as atomic and
 //!   durable (the engine uses them only in write-temp-then-rename
 //!   sequences: the CURRENT pointer and WAL tear healing).
@@ -393,8 +394,15 @@ impl FaultVfs {
         }
     }
 
-    fn mark_synced(&self, path: &str, len: u64) {
+    /// Record a completed sync of `path` at `len` bytes. A power cut on
+    /// another thread between the sync's gate and this record has
+    /// already discarded the bytes the sync was making durable, so the
+    /// sync did not complete before the power failed: it fails.
+    fn mark_synced(&self, path: &str, len: u64) -> Result<()> {
         let mut st = self.state.lock();
+        if st.crashed {
+            return Err(powered_off("sync", path));
+        }
         if let Some(f) = st.files.get_mut(path) {
             f.synced_len = f.synced_len.max(len);
         } else {
@@ -406,6 +414,7 @@ impl FaultVfs {
                 },
             );
         }
+        Ok(())
     }
 }
 
@@ -435,8 +444,7 @@ impl WritableFile for FaultWritable {
             return Err(injected("sync", &self.path));
         }
         self.inner.sync()?;
-        self.vfs.mark_synced(&self.path, self.inner.len());
-        Ok(())
+        self.vfs.mark_synced(&self.path, self.inner.len())
     }
 
     fn len(&self) -> u64 {
@@ -615,6 +623,20 @@ mod tests {
         let mem = Arc::new(MemFs::new());
         let fv = FaultVfs::with_seed(mem.clone() as Arc<dyn Vfs>, 42);
         (mem, fv)
+    }
+
+    #[test]
+    fn a_sync_overtaken_by_a_power_cut_fails() {
+        // Another thread's cut can land between a sync's gate and its
+        // record. The cut has then dropped the bytes being synced, so
+        // the sync must not report them durable.
+        let (mem, fs) = fault_fs();
+        let mut f = fs.create("wal").unwrap();
+        f.append(b"acked?").unwrap();
+        fs.power_cut();
+        assert!(fs.mark_synced("wal", 6).is_err());
+        fs.reboot();
+        assert!(!mem.exists("wal"), "the cut took the never-synced file");
     }
 
     #[test]
