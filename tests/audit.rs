@@ -9,12 +9,15 @@
 //! * a four-shard fleet's audit is the union of the per-shard ledgers
 //!   judged against the shared clock;
 //! * the audit round-trips the wire (`acheron audit <host:port>`)
-//!   carrying the violation verdict out-of-band of the text.
+//!   carrying the violation verdict out-of-band of the text;
+//! * the tombstone gauges and the audit text after a seeded load are
+//!   pinned by digest, on one engine and on a four-shard fleet.
 
 use std::sync::Arc;
 
 use acheron::{Db, DbOptions, DeleteAudit, DeleteLedger, ShardedDb};
 use acheron_server::{Client, Server, ServerOptions};
+use acheron_types::checksum::crc32c;
 use acheron_vfs::MemFs;
 
 fn small() -> DbOptions {
@@ -238,4 +241,139 @@ fn audit_round_trips_the_wire() {
     assert!(text.contains("status: OK"));
     assert!(text.contains(&format!("D_th = {d_th}")));
     server.shutdown();
+}
+
+// ---------------------------------------------------------------------
+// Pinned gauges and audit over a seeded load
+// ---------------------------------------------------------------------
+
+/// The write surface the seeded load drives, on an engine or a fleet.
+trait Load {
+    fn put(&self, key: &[u8], value: &[u8]);
+    fn delete(&self, key: &[u8]);
+    fn range_delete_keys(&self, start: &[u8], end: &[u8]);
+    fn range_delete_secondary(&self, lo: u64, hi: u64);
+    fn advance_clock(&self, n: u64);
+    fn now(&self) -> u64;
+    fn maintain(&self);
+}
+
+impl Load for Db {
+    fn put(&self, key: &[u8], value: &[u8]) {
+        Db::put(self, key, value).unwrap();
+    }
+    fn delete(&self, key: &[u8]) {
+        Db::delete(self, key).unwrap();
+    }
+    fn range_delete_keys(&self, start: &[u8], end: &[u8]) {
+        Db::range_delete_keys(self, start, end).unwrap();
+    }
+    fn range_delete_secondary(&self, lo: u64, hi: u64) {
+        Db::range_delete_secondary(self, lo, hi).unwrap();
+    }
+    fn advance_clock(&self, n: u64) {
+        Db::advance_clock(self, n);
+    }
+    fn now(&self) -> u64 {
+        Db::now(self)
+    }
+    fn maintain(&self) {
+        Db::maintain(self).unwrap();
+    }
+}
+
+impl Load for ShardedDb {
+    fn put(&self, key: &[u8], value: &[u8]) {
+        ShardedDb::put(self, key, value).unwrap();
+    }
+    fn delete(&self, key: &[u8]) {
+        ShardedDb::delete(self, key).unwrap();
+    }
+    fn range_delete_keys(&self, start: &[u8], end: &[u8]) {
+        ShardedDb::range_delete_keys(self, start, end).unwrap();
+    }
+    fn range_delete_secondary(&self, lo: u64, hi: u64) {
+        ShardedDb::range_delete_secondary(self, lo, hi).unwrap();
+    }
+    fn advance_clock(&self, n: u64) {
+        ShardedDb::advance_clock(self, n);
+    }
+    fn now(&self) -> u64 {
+        ShardedDb::now(self)
+    }
+    fn maintain(&self) {
+        ShardedDb::maintain(self).unwrap();
+    }
+}
+
+/// A seeded, delete-heavy load: puts (one in eight large enough to be
+/// separated into the value log), point deletes, sort-key and
+/// secondary range deletes, and clock advances, with one maintenance
+/// pass halfway through, so the end state has tombstones of both point
+/// and sort-key kinds both on disk and in the write buffer.
+fn seeded_load(db: &dyn Load, seed: u64) {
+    let mut x = seed;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    for op in 0..3000u32 {
+        if op == 1500 {
+            db.maintain();
+        }
+        let r = next();
+        let key = format!("key{:05}", r % 2000);
+        match r % 100 {
+            0..=59 => {
+                let len = if (r >> 8) % 8 == 0 { 700 } else { 40 };
+                db.put(key.as_bytes(), &vec![b'v'; len]);
+            }
+            60..=84 => db.delete(key.as_bytes()),
+            85..=87 => {
+                let end = format!("key{:05}", r % 2000 + 5);
+                db.range_delete_keys(key.as_bytes(), end.as_bytes());
+            }
+            88 => {
+                let now = db.now();
+                db.range_delete_secondary(now.saturating_sub(60), now.saturating_sub(40));
+            }
+            _ => db.advance_clock(r % 20),
+        }
+    }
+    db.range_delete_keys(b"key01000", b"key01010");
+}
+
+/// The delete-persistence gauges and the audit text after a seeded
+/// load, on one engine and on a four-shard fleet, in the deterministic
+/// (synchronous, logical-clock) mode. Where the gauges are computed
+/// from — and how often — may change; what they report may not, so a
+/// refactor of the read view leaves these digests where they are.
+#[test]
+fn gauges_and_audit_are_pinned() {
+    const DB_GAUGES: u32 = 0xae6b_e8fb;
+    const DB_AUDIT: u32 = 0x53bf_d066;
+    const FLEET_GAUGES: u32 = 0xb653_5bd8;
+    const FLEET_AUDIT: u32 = 0xb2d6_c33f;
+
+    let opts = || small().with_fade(50_000).with_value_separation(512);
+    let db = Db::open(Arc::new(MemFs::new()), "db", opts()).unwrap();
+    seeded_load(&db, 0x9e37_79b9_7f4a_7c15);
+    let fleet = ShardedDb::open(Arc::new(MemFs::new()), "fleet", opts(), 4).unwrap();
+    seeded_load(&fleet, 0x9e37_79b9_7f4a_7c15);
+
+    let texts = [
+        format!("{:?}", db.tombstone_gauges()),
+        db.delete_audit().render(),
+        format!("{:?}", fleet.tombstone_gauges()),
+        fleet.delete_audit().render(),
+    ];
+    let digests = texts.each_ref().map(|t| crc32c(t.as_bytes()));
+    assert_eq!(
+        digests,
+        [DB_GAUGES, DB_AUDIT, FLEET_GAUGES, FLEET_AUDIT],
+        "{}",
+        texts.join("\n----\n")
+    );
 }

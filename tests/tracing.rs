@@ -7,13 +7,18 @@
 //!   silent (zero counters, zero retained traces) when disabled;
 //! * a sharded fleet draws trace ids from one shared allocator, so ids
 //!   are fleet-unique and the sampled-trace counter reflects ops, not
-//!   ops multiplied by shard count.
+//!   ops multiplied by shard count;
+//! * the stage sequence of every traced op path (put, delete, memtable
+//!   and table get, separated put and get, sampled batch) is pinned by
+//!   digest, on one engine and on a two-shard fleet.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use acheron::{Db, DbOptions, ShardedDb, TraceOp};
+use acheron::db::WriteBatch;
+use acheron::{Db, DbOptions, OpTrace, ShardedDb, TraceOp};
 use acheron_server::{Client, Server, ServerOptions};
+use acheron_types::checksum::crc32c;
 use acheron_vfs::MemFs;
 
 fn open(o: DbOptions) -> Db {
@@ -269,4 +274,122 @@ fn sharded_traced_ops_propagate_ids() {
     // exactly one shard retained each.
     let traces = db.recent_traces();
     assert_eq!(traces.len(), 3);
+}
+
+// ---------------------------------------------------------------------
+// Trace shape: the stages every traced op path emits, pinned
+// ---------------------------------------------------------------------
+
+/// Stages whose value is a count, not a duration: their values are as
+/// deterministic as the tree, so the pin covers them too.
+const COUNT_STAGES: [&str; 5] = [
+    "imm_probes",
+    "table_probes",
+    "seqno_skips",
+    "bloom_prescreen_skips",
+    "vlog_frames_appended",
+];
+
+/// One trace's shape as a line of text: the op, its stage names in
+/// recording order, and the values of its count-valued stages.
+/// `inline_maintenance_micros` is left out: it is recorded only when
+/// the maintenance a commit ran took a nonzero number of microseconds,
+/// so its presence depends on the host's speed.
+fn shape(trace: &OpTrace) -> String {
+    let mut line = format!("{:?}:", trace.op);
+    for (name, value) in trace.named_spans() {
+        if name == "inline_maintenance_micros" {
+            continue;
+        }
+        line.push(' ');
+        line.push_str(&name);
+        if COUNT_STAGES.contains(&name.as_str()) {
+            line.push_str(&format!("={value}"));
+        }
+    }
+    line.push('\n');
+    line
+}
+
+/// The traced ops a write or read path can take, on an engine whose
+/// keys were seeded into a tree with several levels: a put, a delete,
+/// a memtable get, a table get, a separated put and its get, and a
+/// sampled batch.
+fn trace_shapes(
+    put: &dyn Fn(&[u8], &[u8]) -> OpTrace,
+    delete: &dyn Fn(&[u8]) -> OpTrace,
+    get: &dyn Fn(&[u8]) -> OpTrace,
+    batch: &dyn Fn() -> OpTrace,
+) -> String {
+    let mut text = String::new();
+    text += &shape(&put(b"fresh-key", b"small"));
+    text += &shape(&delete(b"key00007"));
+    text += &shape(&get(b"fresh-key"));
+    text += &shape(&get(b"key00123"));
+    text += &shape(&get(b"key99999"));
+    text += &shape(&put(b"big-key", &[b'b'; 2048]));
+    text += &shape(&get(b"big-key"));
+    text += &shape(&batch());
+    text
+}
+
+fn shape_opts() -> DbOptions {
+    DbOptions {
+        block_cache_bytes: 256 << 10,
+        ..DbOptions::small()
+            .with_value_separation(1024)
+            .with_trace_sampling(1)
+    }
+}
+
+fn seed_keys(put: &dyn Fn(&[u8], &[u8])) {
+    for i in 0..1500u32 {
+        put(format!("key{i:05}").as_bytes(), &[b'v'; 48]);
+    }
+}
+
+fn sampled_batch(db: &Db) -> OpTrace {
+    let mut batch = WriteBatch::new();
+    batch.put(b"batch-a", b"1");
+    batch.put(b"batch-b", &[b'c'; 2048]);
+    batch.delete(b"key00042");
+    db.write_batch(batch).unwrap();
+    let traces = db.recent_traces();
+    traces.last().cloned().expect("the batch was sampled")
+}
+
+/// The stage sequence of every traced op path, on one engine and on a
+/// two-shard fleet, in the deterministic (synchronous, logical-clock)
+/// mode. The benchmark's trace sink sums these stages by name, so a
+/// refactor of the commit or read path must leave this digest where it
+/// is; a change that adds, drops or reorders a stage moves it on
+/// purpose.
+#[test]
+fn trace_shapes_are_pinned() {
+    const DB_SHAPES: u32 = 0x789d_fae3;
+    const FLEET_SHAPES: u32 = 0x463d_a869;
+
+    let db = open(shape_opts());
+    seed_keys(&|k, v| db.put(k, v).unwrap());
+    let db_text = trace_shapes(
+        &|k, v| db.put_traced(k, v, None).unwrap(),
+        &|k| db.delete_traced(k, None).unwrap(),
+        &|k| db.get_traced(k, None).unwrap().1,
+        &|| sampled_batch(&db),
+    );
+
+    let fleet = ShardedDb::open(Arc::new(MemFs::new()), "fleet", shape_opts(), 2).unwrap();
+    seed_keys(&|k, v| fleet.put(k, v).unwrap());
+    let fleet_text = trace_shapes(
+        &|k, v| fleet.put_traced(k, v, None).unwrap(),
+        &|k| fleet.delete_traced(k, None).unwrap(),
+        &|k| fleet.get_traced(k, None).unwrap().1,
+        &|| sampled_batch(fleet.shard(1)),
+    );
+
+    assert_eq!(
+        (crc32c(db_text.as_bytes()), crc32c(fleet_text.as_bytes())),
+        (DB_SHAPES, FLEET_SHAPES),
+        "engine shapes:\n{db_text}\nfleet shapes:\n{fleet_text}"
+    );
 }
