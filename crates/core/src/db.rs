@@ -52,16 +52,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use acheron_memtable::Memtable;
-use acheron_types::{
-    DeleteKeyRange, Entry, Error, RangeTombstone, Result, SeqNo, Tick, ValuePointer, MAX_SEQNO,
-};
+use acheron_types::{Entry, Error, RangeTombstone, Result, SeqNo, Tick, ValuePointer, MAX_SEQNO};
 use acheron_vfs::Vfs;
 use acheron_vlog::{VlogReader, VlogWriter};
 use acheron_wal::{LogWriter, WalOp};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock};
 
-use crate::manifest::{EditBatch, ManifestWriter, VersionEdit};
+use crate::manifest::ManifestWriter;
 use crate::memory::{MemoryBudget, TunerSample};
 use crate::obs::trace::{
     DeleteAudit, DeleteLedger, OpTrace, TraceBuf, TraceOp, TraceStage, Tracer,
@@ -72,8 +70,10 @@ use crate::picker::Picker;
 use crate::stats::DbStats;
 use crate::version::Version;
 
+mod commit;
 mod maintenance;
 mod recovery;
+use commit::{CommitExclusion, CommitQueue};
 use maintenance::{MaintTask, FLUSH, TREE, VLOG_GC};
 use recovery::Bootstrap;
 
@@ -179,52 +179,6 @@ struct ReadView {
     /// All live range tombstones; readers filter by seqno in place
     /// rather than allocating a filtered copy per lookup.
     rts: Arc<[RangeTombstone]>,
-}
-
-/// One committer's entry in the group-commit queue. The enqueuer parks
-/// on [`DbCore::commit_cv`] until a leader fills `result`.
-#[derive(Default)]
-struct CommitRequest {
-    /// Set (under no lock but before the leader's wakeup notify) once
-    /// the group's fate is decided. Errors are distributed as strings
-    /// (one failure fails the whole group) because [`Error`] is not
-    /// `Clone`.
-    result: Mutex<Option<std::result::Result<(), String>>>,
-}
-
-/// A queued (request, ops) pair the next leader will commit.
-struct PendingCommit {
-    req: Arc<CommitRequest>,
-    ops: Vec<WalOp>,
-}
-
-/// Group-commit coordination state. Guarded by [`DbCore::commit`].
-#[derive(Default)]
-struct CommitQueue {
-    queue: Vec<PendingCommit>,
-    /// True while a commit leader (or an exclusive section: memtable
-    /// seal, range delete) owns the WAL writer + seqno allocator.
-    exclusive: bool,
-    /// Threads parked on [`DbCore::commit_cv`]. Releasing the exclusion
-    /// notifies only when this is non-zero: a condvar notify is a futex
-    /// syscall even with nobody to wake, and an uncontended writer would
-    /// otherwise pay it on every commit.
-    waiters: usize,
-}
-
-/// RAII token for the commit-exclusion domain: while held, no commit
-/// leader runs and no other exclusive section is active, so the holder
-/// may seal the memtable (swap the WAL writer) or allocate seqnos.
-/// Acquired *before* the state lock (see the lock hierarchy in
-/// ARCHITECTURE.md).
-struct CommitExclusion<'a> {
-    core: &'a DbCore,
-}
-
-impl Drop for CommitExclusion<'_> {
-    fn drop(&mut self) {
-        self.core.release_commit_exclusion();
-    }
 }
 
 /// Executor control state. Guarded by `DbCore::maint`, which is never
@@ -745,188 +699,8 @@ impl Db {
     }
 
     // ------------------------------------------------------------------
-    // Write path
+    // Maintenance
     // ------------------------------------------------------------------
-
-    /// Insert or update `key`, tagging it with the current tick as its
-    /// secondary delete key.
-    pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        let dkey = self.core().opts.clock.now();
-        self.put_with_dkey(key, value, dkey)
-    }
-
-    /// Insert or update `key` with an explicit secondary delete key.
-    pub fn put_with_dkey(&self, key: &[u8], value: &[u8], dkey: u64) -> Result<()> {
-        self.write(WalOp::Put {
-            key: Bytes::copy_from_slice(key),
-            value: Bytes::copy_from_slice(value),
-            dkey,
-        })
-    }
-
-    /// Point-delete `key` (inserts a tombstone; physical erasure follows
-    /// within the persistence threshold when FADE is enabled).
-    pub fn delete(&self, key: &[u8]) -> Result<()> {
-        let tick = self.core().opts.clock.now();
-        self.write(WalOp::Delete {
-            key: Bytes::copy_from_slice(key),
-            tick,
-        })
-    }
-
-    /// Range-delete every sort key in `[start, end]` (inclusive) with a
-    /// single WAL-logged range tombstone — O(1) writes regardless of how
-    /// many keys the range covers. The tombstone shadows older versions
-    /// immediately, travels through flush into SSTable metadata, and is
-    /// purged by bottommost compactions within the FADE persistence
-    /// threshold, exactly like a point tombstone.
-    pub fn range_delete_keys(&self, start: &[u8], end: &[u8]) -> Result<()> {
-        if start > end {
-            return Err(Error::invalid_argument("range_delete_keys: start > end"));
-        }
-        let tick = self.core().opts.clock.now();
-        self.write(WalOp::RangeDeleteKeys {
-            start: Bytes::copy_from_slice(start),
-            end: Bytes::copy_from_slice(end),
-            tick,
-        })
-    }
-
-    /// Apply a [`WriteBatch`] atomically: all of its operations become
-    /// durable and visible together (one WAL record, consecutive
-    /// sequence numbers), or none do.
-    pub fn write_batch(&self, batch: WriteBatch) -> Result<()> {
-        if batch.ops.is_empty() {
-            return Ok(());
-        }
-        // Stamp queued deletes with the commit tick (their FADE age
-        // starts now, not when they were queued).
-        let now = self.core().opts.clock.now();
-        let ops = batch
-            .ops
-            .into_iter()
-            .map(|op| match op {
-                WalOp::Delete { key, tick } if tick == u64::MAX => WalOp::Delete { key, tick: now },
-                other => other,
-            })
-            .collect();
-        self.write_ops::<Vec<WalOp>>(ops)
-    }
-
-    fn write(&self, op: WalOp) -> Result<()> {
-        self.write_ops([op])
-    }
-
-    /// Group commit. The calling thread enqueues its ops and either
-    /// becomes the leader (drains the whole queue, appends + fsyncs the
-    /// WAL once outside the state lock, publishes the group) or parks
-    /// until a leader hands it the group's result.
-    ///
-    /// `ops` is an array for a lone put or delete — the common case, which
-    /// then never allocates a list to hold its one op — or a batch's `Vec`.
-    fn write_ops<O: AsMut<[WalOp]> + Into<Vec<WalOp>>>(&self, mut ops: O) -> Result<()> {
-        let trace = self.core().tracer.sample(trace_op_for(ops.as_mut()));
-        self.write_ops_traced(ops, trace).map(|_| ())
-    }
-
-    /// [`Db::write_ops`] with an optional in-flight trace; returns the
-    /// finished trace when one was supplied. A rider (a thread whose
-    /// batch a leader committed for it) attributes only its queue wait
-    /// — the leader's trace owns the WAL/vlog/memtable spans.
-    fn write_ops_traced<O: AsMut<[WalOp]> + Into<Vec<WalOp>>>(
-        &self,
-        mut ops: O,
-        mut trace: Option<TraceBuf>,
-    ) -> Result<Option<OpTrace>> {
-        let core = self.core();
-        // Backpressure first, before any lock: stalled writers hold
-        // nothing, so workers, readers, and commit leaders proceed
-        // freely.
-        if let Some(t) = trace.as_mut() {
-            let started = Instant::now();
-            core.throttle_writes()?;
-            t.add(
-                TraceStage::ThrottleWait,
-                started.elapsed().as_micros() as u64,
-            );
-        } else {
-            core.throttle_writes()?;
-        }
-        let mut q = core.commit.lock();
-        if !q.exclusive && q.queue.is_empty() {
-            // Uncontended fast path: commit alone as a group of one,
-            // borrowing the ops — no request, no list, no result
-            // round-trip, and (nobody waiting) no wakeup.
-            let excl = core.enter_exclusion(q);
-            core.commit_group_inner(&excl, &mut [ops.as_mut()], trace.as_mut())?;
-            drop(excl);
-            return Ok(trace.map(|t| core.finish_trace(t)));
-        }
-        let req = Arc::new(CommitRequest::default());
-        q.queue.push(PendingCommit {
-            req: Arc::clone(&req),
-            ops: ops.into(),
-        });
-        let queued_at = trace.as_ref().map(|_| Instant::now());
-        loop {
-            // A previous leader may have committed us while we waited
-            // for the queue lock or the condvar.
-            if let Some(res) = req.result.lock().take() {
-                if let (Some(t), Some(at)) = (trace.as_mut(), queued_at) {
-                    t.add(TraceStage::CommitQueueWait, at.elapsed().as_micros() as u64);
-                }
-                res.map_err(Error::Internal)?;
-                return Ok(trace.map(|t| core.finish_trace(t)));
-            }
-            if !q.exclusive {
-                // Become the leader for everything queued so far.
-                if let (Some(t), Some(at)) = (trace.as_mut(), queued_at) {
-                    t.add(TraceStage::CommitQueueWait, at.elapsed().as_micros() as u64);
-                }
-                let group = std::mem::take(&mut q.queue);
-                let excl = core.enter_exclusion(q);
-                core.commit_group(&excl, group, trace.as_mut());
-                drop(excl);
-                let res = req.result.lock().take().expect("leader result is set");
-                res.map_err(Error::Internal)?;
-                return Ok(trace.map(|t| core.finish_trace(t)));
-            }
-            core.wait_for_commit_turn(&mut q);
-        }
-    }
-
-    /// Secondary range delete: physically erase every entry whose delete
-    /// key falls in `[lo, hi]` (inclusive). Takes effect immediately for
-    /// reads; storage is reclaimed by compactions (which drop fully
-    /// covered KiWi pages without reading them).
-    pub fn range_delete_secondary(&self, lo: u64, hi: u64) -> Result<()> {
-        let range = DeleteKeyRange::new(lo, hi);
-        if range.is_empty() {
-            return Err(Error::invalid_argument("range_delete_secondary: lo > hi"));
-        }
-        let core = self.core();
-        // Seqno allocation requires the commit-exclusion domain (no
-        // leader may interleave an allocation with ours).
-        let _excl = core.commit_exclusive();
-        let mut st = core.state.write();
-        let seqno = core.seq_alloc.load(Ordering::Relaxed) + 1;
-        if seqno > MAX_SEQNO {
-            return Err(Error::Internal("sequence number space exhausted".into()));
-        }
-        core.seq_alloc.store(seqno, Ordering::Relaxed);
-        let rt = RangeTombstone { seqno, range };
-        st.manifest.append(&EditBatch {
-            edits: vec![VersionEdit::AddRangeTombstone { seqno, range }],
-        })?;
-        st.version = Arc::new(st.version.apply(vec![], &[], &[rt], &[]));
-        core.visible_seqno.store(seqno, Ordering::Release);
-        core.stats.range_deletes.fetch_add(1, Ordering::Relaxed);
-        if core.opts.auto_advance_clock {
-            core.opts.clock_advance(1);
-        }
-        core.publish_view_locked(&st);
-        Ok(())
-    }
 
     /// Force-flush the memtable (and any queued sealed memtables) to L0;
     /// a no-op when everything is empty. Quiesces background workers for
@@ -1417,45 +1191,6 @@ impl Db {
         self.core().obs.snapshot()
     }
 
-    /// Put with an unconditional trace (bypasses the sampler; used by
-    /// the wire `traced` command). `trace_id` overrides the allocated
-    /// id so a client-chosen id survives the round trip.
-    pub fn put_traced(&self, key: &[u8], value: &[u8], trace_id: Option<u64>) -> Result<OpTrace> {
-        let core = self.core();
-        let dkey = core.opts.clock.now();
-        let mut buf = core.tracer.begin(TraceOp::Put);
-        if let Some(id) = trace_id {
-            buf.trace_id = id;
-        }
-        let trace = self.write_ops_traced(
-            [WalOp::Put {
-                key: Bytes::copy_from_slice(key),
-                value: Bytes::copy_from_slice(value),
-                dkey,
-            }],
-            Some(buf),
-        )?;
-        Ok(trace.expect("trace supplied"))
-    }
-
-    /// Point delete with an unconditional trace.
-    pub fn delete_traced(&self, key: &[u8], trace_id: Option<u64>) -> Result<OpTrace> {
-        let core = self.core();
-        let tick = core.opts.clock.now();
-        let mut buf = core.tracer.begin(TraceOp::Delete);
-        if let Some(id) = trace_id {
-            buf.trace_id = id;
-        }
-        let trace = self.write_ops_traced(
-            [WalOp::Delete {
-                key: Bytes::copy_from_slice(key),
-                tick,
-            }],
-            Some(buf),
-        )?;
-        Ok(trace.expect("trace supplied"))
-    }
-
     /// Point lookup with an unconditional trace.
     pub fn get_traced(
         &self,
@@ -1838,334 +1573,6 @@ impl DbCore {
         self.stats.traces_sampled.fetch_add(1, Ordering::Relaxed);
         self.tracer.record(trace.clone());
         trace
-    }
-
-    /// Enter the commit-exclusion domain: wait out any commit leader or
-    /// other exclusive section, then own the WAL writer + seqno
-    /// allocator until the token drops. Must be acquired *before* the
-    /// state lock.
-    fn commit_exclusive(&self) -> CommitExclusion<'_> {
-        let mut q = self.commit.lock();
-        while q.exclusive {
-            self.wait_for_commit_turn(&mut q);
-        }
-        self.enter_exclusion(q)
-    }
-
-    /// Take the exclusion, which `q` shows to be free. How a commit
-    /// leader enters the domain: it already holds the queue lock and
-    /// has just seen that nobody else is in.
-    fn enter_exclusion<'a>(
-        &'a self,
-        mut q: parking_lot::MutexGuard<'_, CommitQueue>,
-    ) -> CommitExclusion<'a> {
-        debug_assert!(!q.exclusive, "the exclusion has one holder");
-        q.exclusive = true;
-        CommitExclusion { core: self }
-    }
-
-    /// Park on `commit_cv`, registered as a waiter so whoever releases
-    /// the exclusion knows a wakeup is owed.
-    fn wait_for_commit_turn(&self, q: &mut parking_lot::MutexGuard<'_, CommitQueue>) {
-        q.waiters += 1;
-        self.commit_cv.wait(q);
-        q.waiters -= 1;
-    }
-
-    /// Leave the commit-exclusion domain, waking the parked threads if
-    /// there are any. Waiters register under the `commit` mutex before
-    /// they park, so a zero count here means nobody can miss this
-    /// release: a thread not yet counted has not yet looked at
-    /// `exclusive`, and will find it clear.
-    fn release_commit_exclusion(&self) {
-        let mut q = self.commit.lock();
-        q.exclusive = false;
-        if q.waiters > 0 {
-            self.commit_wakeups.fetch_add(1, Ordering::Relaxed);
-            self.commit_cv.notify_all();
-        }
-    }
-
-    /// Commit a drained group as its leader: one WAL record per request
-    /// (so per-batch atomicity and recovery framing are unchanged), one
-    /// fsync for the whole group — both outside the state lock — then
-    /// publish the memtable inserts, seqnos, and a fresh read view under
-    /// a short state critical section. Distributes the result to every
-    /// request.
-    fn commit_group(
-        &self,
-        excl: &CommitExclusion<'_>,
-        mut group: Vec<PendingCommit>,
-        trace: Option<&mut TraceBuf>,
-    ) {
-        let mut op_lists: Vec<&mut [WalOp]> = group.iter_mut().map(|p| &mut p.ops[..]).collect();
-        let outcome = self.commit_group_inner(excl, &mut op_lists, trace);
-        let failure = outcome.err().map(|e| e.to_string());
-        for p in &group {
-            *p.req.result.lock() = Some(failure.clone().map_or(Ok(()), Err));
-        }
-    }
-
-    /// The commit itself. `excl` — the caller's hold on the exclusion,
-    /// which makes it the only WAL appender and seqno allocator — is
-    /// what lets it seal a full memtable and hand the work that (or a
-    /// crossed TTL deadline) leaves behind to [`DbCore::announce_work`].
-    fn commit_group_inner(
-        &self,
-        excl: &CommitExclusion<'_>,
-        group: &mut [&mut [WalOp]],
-        mut trace: Option<&mut TraceBuf>,
-    ) -> Result<()> {
-        // Phase 1: durability. WAL append + one group fsync under the
-        // WAL mutex only — readers and background installs proceed.
-        // The group's seqnos are consecutive (only the leader allocates),
-        // so its first one is all phase 2 needs to re-derive the rest.
-        let first_seqno = self.seq_alloc.load(Ordering::Relaxed) + 1;
-        let separation = self.opts.value_separation_threshold;
-        // (segment, frame bytes) per value separated in this group,
-        // folded into the live accounting once the WAL section ends.
-        let mut separated: Vec<(u64, u64)> = Vec::new();
-        let wal_started = trace.as_ref().map(|_| Instant::now());
-        let mut vlog_micros = 0u64;
-        {
-            let mut wal = self.wal.lock();
-            let mut vlog = self.vlog.lock();
-            for ops in group.iter_mut() {
-                // Key-value separation: a large put moves its value into
-                // the vlog *before* the WAL record referencing it is
-                // appended (and the vlog head is synced before the WAL
-                // sync below), so a durable pointer always has durable
-                // bytes behind it. Recovery relies on this ordering.
-                if separation > 0 {
-                    let sep_started = trace.as_ref().map(|_| Instant::now());
-                    for op in ops.iter_mut() {
-                        let WalOp::Put { key, value, dkey } = op else {
-                            continue;
-                        };
-                        if value.len() < separation {
-                            continue;
-                        }
-                        if vlog.is_none() {
-                            let seg = self.vlog_next_segment.load(Ordering::Relaxed);
-                            *vlog = Some(VlogWriter::create(
-                                Arc::clone(&self.fs),
-                                &self.dir,
-                                seg,
-                                self.opts.vlog_segment_bytes,
-                            )?);
-                        }
-                        let writer = vlog.as_mut().expect("writer just created");
-                        let ptr = writer.append(key, value)?;
-                        separated.push((ptr.segment, u64::from(ptr.len)));
-                        self.stats.vlog_appends.fetch_add(1, Ordering::Relaxed);
-                        self.stats
-                            .vlog_bytes_written
-                            .fetch_add(u64::from(ptr.len), Ordering::Relaxed);
-                        *op = WalOp::PutPtr {
-                            key: std::mem::take(key),
-                            ptr,
-                            dkey: *dkey,
-                        };
-                    }
-                    if let Some(s) = sep_started {
-                        vlog_micros += s.elapsed().as_micros() as u64;
-                    }
-                }
-                debug_assert!(!ops.is_empty(), "a commit carries at least one op");
-                let base = self.seq_alloc.load(Ordering::Relaxed) + 1;
-                if base > MAX_SEQNO {
-                    return Err(Error::Internal("sequence number space exhausted".into()));
-                }
-                // Advance the allocator before the append: on an append
-                // error the consumed seqnos are never reused, so a
-                // durably written record from earlier in the group can
-                // never collide with a later retry's seqnos.
-                self.seq_alloc
-                    .store(base + ops.len() as u64 - 1, Ordering::Relaxed);
-                wal.add_batch(base, ops)?;
-            }
-            if let Some(w) = vlog.as_mut() {
-                self.vlog_next_segment
-                    .store(w.segment() + 1, Ordering::Relaxed);
-            }
-            if self.opts.wal_sync {
-                // Vlog before WAL: a synced WAL record must never
-                // reference unsynced frames.
-                if let Some(w) = vlog.as_mut() {
-                    w.sync()?;
-                }
-                wal.sync()?;
-                self.stats.wal_syncs.fetch_add(1, Ordering::Relaxed);
-                self.stats
-                    .wal_syncs_saved
-                    .fetch_add(group.len() as u64 - 1, Ordering::Relaxed);
-            }
-        }
-        if let Some(t) = trace.as_deref_mut() {
-            // The vlog appends happen inside the WAL critical section;
-            // report them as their own stage and the remainder as the
-            // WAL append + fsync.
-            let section = wal_started
-                .expect("timed when traced")
-                .elapsed()
-                .as_micros() as u64;
-            t.add(
-                TraceStage::WalAppendFsync,
-                section.saturating_sub(vlog_micros),
-            );
-            if !separated.is_empty() {
-                t.add(TraceStage::VlogAppend, vlog_micros);
-                t.add(TraceStage::VlogFramesAppended, separated.len() as u64);
-            }
-        }
-        if !separated.is_empty() {
-            let mut vs = self.vlog_state.lock();
-            for (segment, bytes) in &separated {
-                vs.add_live(*segment, *bytes);
-            }
-        }
-        self.stats.commit_groups.fetch_add(1, Ordering::Relaxed);
-        let total_ops: u64 = group.iter().map(|ops| ops.len() as u64).sum();
-        self.stats.commit_group_ops.record(total_ops);
-        self.obs.log(Event::WalGroupCommit {
-            ops: total_ops,
-            commits: group.len() as u64,
-            synced: self.opts.wal_sync,
-        });
-
-        // Phase 2: visibility. Publish the whole group's inserts and the
-        // new visible seqno, then swap the read view.
-        let mem_started = trace.as_ref().map(|_| Instant::now());
-        let mut st = self.state.write();
-        // Delete-lifecycle ledger inputs, gathered while the entries
-        // stream by so the ledger lock is taken at most once per group.
-        let mut point_deletes = 0u64;
-        let mut krt_deletes = 0u64;
-        let mut first_delete_tick: Option<Tick> = None;
-        let mut seqno = first_seqno;
-        for ops in group.iter() {
-            for op in ops.iter() {
-                // The entry shares the op's key and value allocations:
-                // the copy made when the write entered the engine is the
-                // one the memtable keeps.
-                let user_bytes = match op {
-                    WalOp::Put { key, value, .. } => {
-                        self.stats.puts.fetch_add(1, Ordering::Relaxed);
-                        key.len() + value.len()
-                    }
-                    WalOp::PutPtr { key, ptr, .. } => {
-                        // Separated put: account the user's original value
-                        // length, not the 20-byte pointer the tree stores.
-                        self.stats.puts.fetch_add(1, Ordering::Relaxed);
-                        key.len()
-                            + (ptr.len as usize)
-                                .saturating_sub(acheron_vlog::FRAME_HEADER + 4 + key.len())
-                    }
-                    WalOp::Delete { key, tick } => {
-                        self.stats.deletes.fetch_add(1, Ordering::Relaxed);
-                        point_deletes += 1;
-                        first_delete_tick = Some(first_delete_tick.map_or(*tick, |t| t.min(*tick)));
-                        key.len()
-                    }
-                    WalOp::RangeDeleteKeys { start, end, tick } => {
-                        self.stats
-                            .sort_range_deletes
-                            .fetch_add(1, Ordering::Relaxed);
-                        krt_deletes += 1;
-                        first_delete_tick = Some(first_delete_tick.map_or(*tick, |t| t.min(*tick)));
-                        st.mem
-                            .add_range_tombstone(acheron_types::KeyRangeTombstone {
-                                start: start.clone(),
-                                end: end.clone(),
-                                seqno,
-                                dkey: *tick,
-                            });
-                        start.len() + end.len()
-                    }
-                };
-                self.stats
-                    .user_bytes
-                    .fetch_add(user_bytes as u64, Ordering::Relaxed);
-                if let Some(entry) = op.entry(seqno) {
-                    st.mem.insert(entry);
-                }
-                seqno += 1;
-            }
-            if self.opts.auto_advance_clock {
-                self.opts.clock_advance(ops.len() as u64);
-            }
-        }
-        if point_deletes > 0 || krt_deletes > 0 {
-            // Fold this group's deletes into the open cohort; the tick
-            // is each delete's own stamp (its FADE age already runs).
-            self.ledger.lock().note_deletes(
-                point_deletes,
-                krt_deletes,
-                first_delete_tick.expect("deletes carry ticks"),
-            );
-        }
-        let last = seqno - 1;
-        // This store is the entire visibility publish for a plain
-        // commit: the inserts above went into the memtable every current
-        // and future view shares, so advancing the ceiling (Release,
-        // paired with the readers' Acquire load) makes them readable
-        // without rebuilding the view.
-        self.visible_seqno.store(last, Ordering::Release);
-        if let Some(t) = trace.as_deref_mut() {
-            let started = mem_started.expect("timed when traced");
-            t.add(
-                TraceStage::MemtableInsert,
-                started.elapsed().as_micros() as u64,
-            );
-        }
-        let maint_started = trace.as_ref().map(|_| Instant::now());
-
-        // Tighten the cached TTL deadline when a tombstone — point or
-        // sort-key range — enters the buffer (the buffer's oldest
-        // tombstone only gets older, so the first one fixes the buffer
-        // deadline until the next flush).
-        if let Some(ttl) = self.picker.ttl_schedule() {
-            if let Some(mem_deadline) = ttl.buffer_deadline(&st.mem) {
-                st.ttl_deadline = Some(
-                    st.ttl_deadline
-                        .map_or(mem_deadline, |d| d.min(mem_deadline)),
-                );
-            }
-        }
-        let work = if st.mem.approximate_bytes() >= self.write_buffer_limit() {
-            self.seal_memtable_locked(excl, &mut st)?;
-            true
-        } else {
-            // Exact FADE trigger: something's residency budget ran out.
-            st.ttl_deadline
-                .is_some_and(|deadline| self.opts.clock.now() > deadline)
-        };
-        drop(st);
-        if work {
-            self.announce_work(excl)?;
-        }
-        if let Some(t) = trace {
-            // Nonzero only in synchronous mode, where the seal/flush/
-            // compaction this commit triggered ran inside the op.
-            let micros = maint_started
-                .expect("timed when traced")
-                .elapsed()
-                .as_micros() as u64;
-            if micros > 0 {
-                t.add(TraceStage::InlineMaintenance, micros);
-            }
-        }
-        Ok(())
-    }
-}
-
-/// The trace-op classification of a WAL op list: a lone put or delete
-/// keeps its identity, anything else is a batch write.
-fn trace_op_for(ops: &[WalOp]) -> TraceOp {
-    match ops {
-        [WalOp::Put { .. }] | [WalOp::PutPtr { .. }] => TraceOp::Put,
-        [WalOp::Delete { .. }] => TraceOp::Delete,
-        _ => TraceOp::Write,
     }
 }
 
