@@ -4,7 +4,9 @@
 //!
 //! Neither hot path holds the global state lock across I/O.
 //!
-//! **Writes** go through a group-commit queue: each committer enqueues
+//! **Writes** go through a group-commit queue (the `commit` submodule;
+//! traced or not, every write enters it through one function): each
+//! committer enqueues
 //! its op batch; the first to find no leader active drains the queue,
 //! appends one WAL record per batch, fsyncs once for the whole group
 //! (outside the state lock), publishes the group's memtable inserts and
@@ -15,9 +17,12 @@
 //!
 //! **Reads** never touch the state lock at all: every structural change
 //! publishes an immutable `ReadView` (active memtable handle, sealed
-//! queue, version pointer, visible seqno, range tombstones) behind an
-//! `Arc` swap; `get`/`scan`/`snapshot` clone the current view in O(1)
-//! and run entirely against it. Lookups early-exit: sources are probed
+//! queue, version pointer) behind an `Arc` swap; a read loads the
+//! visible seqno — a `DbCore` atomic a plain commit advances without
+//! republishing — then clones the current view in O(1) and runs
+//! entirely against it. Range tombstones of both kinds, and every
+//! tombstone gauge, are read from the view's version and buffers in
+//! place; no copy of either is kept beside the view. Lookups early-exit: sources are probed
 //! newest-first (memtable, sealed queue, L0 by max seqno, deeper
 //! levels) and a source whose seqno ceiling cannot beat the best
 //! version found so far is skipped without I/O.
@@ -49,6 +54,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use acheron_memtable::Memtable;
 use acheron_types::{Error, RangeTombstone, Result, SeqNo, Tick};
@@ -60,7 +66,9 @@ use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::manifest::ManifestWriter;
 use crate::memory::{MemoryBudget, TunerSample};
-use crate::obs::trace::{DeleteAudit, DeleteLedger, OpTrace, TraceBuf, Tracer};
+use crate::obs::trace::{
+    DeleteAudit, DeleteLedger, OpTrace, TraceBuf, TraceOp, TraceStage, Tracer,
+};
 use crate::obs::{min_tick, Event, EventLog, EventSnapshot, TombstoneGauges};
 use crate::options::DbOptions;
 use crate::picker::Picker;
@@ -241,11 +249,6 @@ struct DbCore {
     /// Emission is one atomic seqno plus one slot write, so the hooks
     /// stay on unconditionally.
     obs: EventLog,
-    /// Delete-persistence gauges for the installed tree, recomputed by
-    /// [`DbCore::publish_view_locked`] (the single version-install
-    /// point). A leaf mutex: only ever held for a pointer store/load,
-    /// never while any other lock is taken.
-    gauges: Mutex<Arc<TombstoneGauges>>,
     /// Value-log append head, created lazily on the first separated
     /// value so separation-off databases (and restarts that never write
     /// a large value) never churn empty segments. Touched only inside
@@ -373,32 +376,19 @@ impl WriteBatch {
     /// Queue an insert/update (delete key = 0; use
     /// [`WriteBatch::put_with_dkey`] to tag one).
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> &mut Self {
-        self.ops.push(WalOp::Put {
-            key: Bytes::copy_from_slice(key),
-            value: Bytes::copy_from_slice(value),
-            dkey: acheron_types::DELETE_KEY_NONE,
-        });
-        self
+        self.put_with_dkey(key, value, acheron_types::DELETE_KEY_NONE)
     }
 
     /// Queue an insert/update with an explicit secondary delete key.
     pub fn put_with_dkey(&mut self, key: &[u8], value: &[u8], dkey: u64) -> &mut Self {
-        self.ops.push(WalOp::Put {
-            key: Bytes::copy_from_slice(key),
-            value: Bytes::copy_from_slice(value),
-            dkey,
-        });
+        self.ops.push(put_op(key, value, dkey));
         self
     }
 
     /// Queue a point delete. The tombstone's age starts at the tick the
     /// batch commits.
     pub fn delete(&mut self, key: &[u8]) -> &mut Self {
-        // Tick 0 placeholder; stamped at commit time below.
-        self.ops.push(WalOp::Delete {
-            key: Bytes::copy_from_slice(key),
-            tick: u64::MAX,
-        });
+        self.ops.push(delete_op(key, UNSTAMPED));
         self
     }
 
@@ -410,6 +400,27 @@ impl WriteBatch {
     /// True if nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
+    }
+}
+
+/// The tick of a batched delete until [`Db::write_batch`] stamps it with
+/// the commit tick.
+const UNSTAMPED: Tick = u64::MAX;
+
+/// A put of `key`, its value copied once: the memtable keeps this copy.
+fn put_op(key: &[u8], value: &[u8], dkey: u64) -> WalOp {
+    WalOp::Put {
+        key: Bytes::copy_from_slice(key),
+        value: Bytes::copy_from_slice(value),
+        dkey,
+    }
+}
+
+/// A point delete of `key`, its tombstone born at `tick`.
+fn delete_op(key: &[u8], tick: Tick) -> WalOp {
+    WalOp::Delete {
+        key: Bytes::copy_from_slice(key),
+        tick,
     }
 }
 
@@ -527,13 +538,10 @@ impl Db {
             mem: Arc::clone(&state.mem),
             imms: Vec::new(),
             version: Arc::clone(&state.version),
-            rts: state.version.range_tombstones.clone().into(),
         });
-        let gauges = Arc::new(TombstoneGauges::from_version(&state.version));
         let core = Arc::new(DbCore {
             picker: Picker::new(&opts),
             obs: EventLog::new(opts.event_log_capacity),
-            gauges: Mutex::new(gauges),
             tracer: Tracer::new(opts.trace_sample_every, trace_ids),
             ledger: Mutex::new(DeleteLedger::new(shard)),
             vlog: Mutex::new(None),
@@ -820,12 +828,7 @@ impl Db {
 
     /// Point tombstones currently alive anywhere (memtables + tree).
     pub fn live_tombstones(&self) -> u64 {
-        let view = self.core().current_view();
-        let buffered: u64 = std::iter::once(&view.mem)
-            .chain(view.imms.iter())
-            .map(|m| m.stats().tombstones as u64)
-            .sum();
-        view.version.live_tombstones() + buffered
+        self.tombstone_gauges().live_tombstones()
     }
 
     /// Total table bytes on storage.
@@ -835,61 +838,29 @@ impl Db {
 
     /// Live secondary range tombstones.
     pub fn live_range_tombstones(&self) -> Vec<RangeTombstone> {
-        self.core().current_view().rts.to_vec()
+        self.core().current_view().version.range_tombstones.clone()
     }
 
-    /// Live sort-key range tombstones (buffered + on disk). Buffered
-    /// tombstones are read from the active and sealed memtables; disk
-    /// tombstones from the installed version's per-file metadata.
+    /// Live sort-key range tombstones (buffered + on disk).
     pub fn live_key_range_tombstones(&self) -> u64 {
-        let view = self.core().current_view();
-        let buffered: u64 = std::iter::once(&view.mem)
-            .chain(view.imms.iter())
-            .map(|m| m.range_tombstone_count() as u64)
-            .sum();
-        view.version.live_key_range_tombstones() + buffered
+        self.tombstone_gauges().live_key_range_tombstones()
     }
 
     /// Age (at `now`) of the oldest live sort-key range tombstone, if
     /// any — FADE bounds it by the same `D_th` as point deletes.
     pub fn oldest_live_key_range_tombstone_age(&self) -> Option<Tick> {
-        let view = self.core().current_view();
-        let now = self.core().opts.clock.now();
-        let file_oldest = view
-            .version
-            .all_files()
-            .filter_map(|f| f.stats.oldest_range_tombstone_tick())
-            .min();
-        let buffered_oldest = std::iter::once(&view.mem)
-            .chain(view.imms.iter())
-            .filter_map(|m| m.stats().oldest_range_tombstone_tick)
-            .min();
-        file_oldest
-            .into_iter()
-            .chain(buffered_oldest)
-            .min()
-            .map(|t| now.saturating_sub(t))
+        self.age_of(self.tombstone_gauges().oldest_live_key_range_tick())
     }
 
     /// Age (at `now`) of the oldest live point tombstone, if any — the
     /// quantity FADE bounds by `D_th`.
     pub fn oldest_live_tombstone_age(&self) -> Option<Tick> {
-        let view = self.core().current_view();
-        let now = self.core().opts.clock.now();
-        let file_oldest = view
-            .version
-            .all_files()
-            .filter_map(|f| f.stats.oldest_tombstone_tick)
-            .min();
-        let buffered_oldest = std::iter::once(&view.mem)
-            .chain(view.imms.iter())
-            .filter_map(|m| m.stats().oldest_tombstone_tick)
-            .min();
-        file_oldest
-            .into_iter()
-            .chain(buffered_oldest)
-            .min()
-            .map(|t| now.saturating_sub(t))
+        self.age_of(self.tombstone_gauges().oldest_point_tick())
+    }
+
+    /// The age at the current tick of whatever was born at `birth`.
+    fn age_of(&self, birth: Option<Tick>) -> Option<Tick> {
+        birth.map(|t| self.now().saturating_sub(t))
     }
 
     /// Drain the flight recorder: a consistent snapshot of the newest
@@ -911,69 +882,45 @@ impl Db {
     /// configured `D_th`.
     pub fn delete_audit(&self) -> DeleteAudit {
         let core = self.core();
-        let now = core.opts.clock.now();
-        let d_th = core
-            .opts
-            .fade
-            .as_ref()
-            .map(|f| f.delete_persistence_threshold);
-        // Fold point + sort-key-range families into one oldest birth
-        // tick (ages come from the same clock, so the max age is the
-        // min tick).
-        let oldest_live = self
-            .oldest_live_tombstone_age()
-            .into_iter()
-            .chain(self.oldest_live_key_range_tombstone_age())
-            .max()
-            .map(|age| now.saturating_sub(age));
-        let oldest_vlog = {
-            let vs = core.vlog_state.lock();
-            vs.segments
-                .values()
-                .filter_map(|a| a.oldest_dead_tick)
-                .min()
-        };
+        let gauges = self.tombstone_gauges();
         DeleteAudit {
-            now,
-            d_th,
+            now: self.now(),
+            d_th: core
+                .opts
+                .fade
+                .as_ref()
+                .map(|f| f.delete_persistence_threshold),
             cohorts: core.ledger.lock().snapshot(),
-            oldest_live_tombstone_tick: oldest_live,
-            oldest_vlog_dead_tick: oldest_vlog,
+            oldest_live_tombstone_tick: gauges.oldest_live_tick(),
+            oldest_vlog_dead_tick: gauges.vlog_oldest_dead_tick,
         }
     }
 
-    /// Live delete-persistence gauges. Disk-level state is the copy
-    /// recomputed at the last version install; the write-buffer and
-    /// range-tombstone fields are filled here from the current read
-    /// view, because buffer contents change without a version install.
+    /// Live delete-persistence gauges, every family read from one read
+    /// view — the tree's files, the write buffers it holds and the
+    /// secondary range tombstones of its version — plus the value-log
+    /// accounting. `O(files)` over metadata; nothing is cached between
+    /// calls, so no copy can lag the view.
     pub fn tombstone_gauges(&self) -> TombstoneGauges {
         let core = self.core();
-        let mut gauges = (**core.gauges.lock()).clone();
         let view = core.current_view();
-        let mut buffered = 0u64;
-        let mut oldest: Option<Tick> = None;
-        let mut buffered_krts = 0u64;
-        let mut oldest_krt: Option<Tick> = None;
-        for m in std::iter::once(&view.mem).chain(view.imms.iter()) {
+        let mut gauges = TombstoneGauges::from_version(&view.version);
+        for m in std::iter::once(&view.mem).chain(&view.imms) {
             let s = m.stats();
-            buffered += s.tombstones as u64;
-            oldest = min_tick(oldest, s.oldest_tombstone_tick);
-            buffered_krts += s.range_tombstones as u64;
-            oldest_krt = min_tick(oldest_krt, s.oldest_range_tombstone_tick);
+            gauges.buffer_tombstones += s.tombstones as u64;
+            gauges.buffer_oldest_tick =
+                min_tick(gauges.buffer_oldest_tick, s.oldest_tombstone_tick);
+            gauges.buffer_key_range_tombstones += s.range_tombstones as u64;
+            gauges.buffer_oldest_key_range_tick = min_tick(
+                gauges.buffer_oldest_key_range_tick,
+                s.oldest_range_tombstone_tick,
+            );
         }
-        gauges.buffer_tombstones = buffered;
-        gauges.buffer_oldest_tick = oldest;
-        gauges.buffer_key_range_tombstones = buffered_krts;
-        gauges.buffer_oldest_key_range_tick = oldest_krt;
-        gauges.range_tombstones = view.rts.len() as u64;
-        {
-            let vs = core.vlog_state.lock();
-            for acct in vs.segments.values() {
-                gauges.vlog_live_bytes += acct.live_bytes;
-                gauges.vlog_dead_bytes += acct.dead_bytes;
-                gauges.vlog_oldest_dead_tick =
-                    min_tick(gauges.vlog_oldest_dead_tick, acct.oldest_dead_tick);
-            }
+        for acct in core.vlog_state.lock().segments.values() {
+            gauges.vlog_live_bytes += acct.live_bytes;
+            gauges.vlog_dead_bytes += acct.dead_bytes;
+            gauges.vlog_oldest_dead_tick =
+                min_tick(gauges.vlog_oldest_dead_tick, acct.oldest_dead_tick);
         }
         gauges
     }
@@ -1019,8 +966,8 @@ impl DbCore {
             .unwrap_or(self.opts.write_buffer_bytes)
     }
 
-    /// Recompute this engine's pinned filter/tile-metadata bytes (same
-    /// install points as the gauges: the file set only changes here).
+    /// Recompute this engine's pinned filter/tile-metadata bytes (at
+    /// each view publish: the file set only changes there).
     /// The gauge is maintained whether or not a budget is configured —
     /// it is exported as `db_memory_pinned_bytes` either way. Under a
     /// budget, pinned growth additionally squeezes the arbitrated
@@ -1073,6 +1020,39 @@ impl DbCore {
         self.stats.traces_sampled.fetch_add(1, Ordering::Relaxed);
         self.tracer.record(trace.clone());
         trace
+    }
+
+    /// Begin a trace that bypasses the sampler (the wire `traced`
+    /// command), under the caller's id when it chose one.
+    fn forced_trace(&self, op: TraceOp, trace_id: Option<u64>) -> TraceBuf {
+        let mut buf = self.tracer.begin(op);
+        if let Some(id) = trace_id {
+            buf.trace_id = id;
+        }
+        buf
+    }
+}
+
+/// The clock of one span of a traced op. It is read only when the op is
+/// traced: an untraced op pays one branch per span and no clock read.
+#[derive(Clone, Copy)]
+struct Span(Option<Instant>);
+
+impl Span {
+    fn start(trace: Option<&TraceBuf>) -> Span {
+        Span(trace.map(|_| Instant::now()))
+    }
+
+    /// Microseconds since the start; zero for an untraced op.
+    fn micros(self) -> u64 {
+        self.0.map_or(0, |s| s.elapsed().as_micros() as u64)
+    }
+
+    /// Add the span's time to `stage` of the op's trace, if it has one.
+    fn end(self, trace: Option<&mut TraceBuf>, stage: TraceStage) {
+        if let Some(t) = trace {
+            t.add(stage, self.micros());
+        }
     }
 }
 

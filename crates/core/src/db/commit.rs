@@ -2,31 +2,34 @@
 //! election, the commit itself, and the write entry points that feed
 //! it.
 //!
-//! Every write enters through [`Db::write_ops`]. The committer
-//! enqueues its ops; the first to find no leader active takes the
-//! commit exclusion and commits everything queued as one group (one
-//! WAL record per batch, one fsync for the group), then hands each
-//! follower its result through `DbCore::commit_cv`.
+//! Every write, traced or not, enters through `Db::write_ops`. The
+//! committer enqueues its ops; the first to find no leader active
+//! takes the commit exclusion and commits everything queued as one
+//! group (one WAL record per batch, one fsync for the group), then
+//! hands each follower its result through `DbCore::commit_cv`.
 //!
 //! Lock order: the `commit` queue mutex is held only to enqueue, elect
-//! a leader or park; the exclusion it grants is taken *before* the
-//! state lock, and within a commit the `wal` mutex is taken before
-//! `vlog`, both released before the state write lock that publishes
-//! the group. Publication is seqno-then-view: inserts land in the
-//! memtable the current view already shares, and the `visible_seqno`
-//! store is the whole visibility publish (see `read.rs`).
+//! a leader or park, and the exclusion it grants is always taken
+//! *before* the state lock. Within a commit `wal` is taken before
+//! `vlog`, and both are released before the state write lock under
+//! which the group is published.
+//!
+//! Publication is inserts, then seqno: a plain commit inserts into the
+//! memtable the current view already shares and then stores
+//! `visible_seqno`, with no view rebuilt. That store is the whole
+//! visibility publish, and it is why a reader loads the seqno before
+//! the view (the rule on `ReadView` in the `read` module).
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
-use acheron_types::{DeleteKeyRange, Error, RangeTombstone, Result, Tick, MAX_SEQNO};
+use acheron_types::{DeleteKeyRange, Error, RangeTombstone, Result, SeqNo, Tick, MAX_SEQNO};
 use acheron_vlog::VlogWriter;
 use acheron_wal::WalOp;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use super::{Db, DbCore, WriteBatch};
+use super::{delete_op, put_op, Db, DbCore, Span, WriteBatch, UNSTAMPED};
 use crate::manifest::{EditBatch, VersionEdit};
 use crate::obs::trace::{OpTrace, TraceBuf, TraceOp, TraceStage};
 use crate::obs::Event;
@@ -81,27 +84,18 @@ impl Db {
     /// Insert or update `key`, tagging it with the current tick as its
     /// secondary delete key.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        let dkey = self.core().opts.clock.now();
-        self.put_with_dkey(key, value, dkey)
+        self.put_with_dkey(key, value, self.now())
     }
 
     /// Insert or update `key` with an explicit secondary delete key.
     pub fn put_with_dkey(&self, key: &[u8], value: &[u8], dkey: u64) -> Result<()> {
-        self.write(WalOp::Put {
-            key: Bytes::copy_from_slice(key),
-            value: Bytes::copy_from_slice(value),
-            dkey,
-        })
+        self.write_ops([put_op(key, value, dkey)], None).map(drop)
     }
 
     /// Point-delete `key` (inserts a tombstone; physical erasure follows
     /// within the persistence threshold when FADE is enabled).
     pub fn delete(&self, key: &[u8]) -> Result<()> {
-        let tick = self.core().opts.clock.now();
-        self.write(WalOp::Delete {
-            key: Bytes::copy_from_slice(key),
-            tick,
-        })
+        self.write_ops([delete_op(key, self.now())], None).map(drop)
     }
 
     /// Range-delete every sort key in `[start, end]` (inclusive) with a
@@ -114,12 +108,12 @@ impl Db {
         if start > end {
             return Err(Error::invalid_argument("range_delete_keys: start > end"));
         }
-        let tick = self.core().opts.clock.now();
-        self.write(WalOp::RangeDeleteKeys {
+        let op = WalOp::RangeDeleteKeys {
             start: Bytes::copy_from_slice(start),
             end: Bytes::copy_from_slice(end),
-            tick,
-        })
+            tick: self.now(),
+        };
+        self.write_ops([op], None).map(drop)
     }
 
     /// Apply a [`WriteBatch`] atomically: all of its operations become
@@ -131,57 +125,67 @@ impl Db {
         }
         // Stamp queued deletes with the commit tick (their FADE age
         // starts now, not when they were queued).
-        let now = self.core().opts.clock.now();
-        let ops = batch
+        let now = self.now();
+        let ops: Vec<WalOp> = batch
             .ops
             .into_iter()
             .map(|op| match op {
-                WalOp::Delete { key, tick } if tick == u64::MAX => WalOp::Delete { key, tick: now },
+                WalOp::Delete { key, tick } if tick == UNSTAMPED => {
+                    WalOp::Delete { key, tick: now }
+                }
                 other => other,
             })
             .collect();
-        self.write_ops::<Vec<WalOp>>(ops)
+        self.write_ops(ops, None).map(drop)
     }
 
-    fn write(&self, op: WalOp) -> Result<()> {
-        self.write_ops([op])
+    /// Put with an unconditional trace (bypasses the sampler; used by
+    /// the wire `traced` command). `trace_id` overrides the allocated
+    /// id so a client-chosen id survives the round trip.
+    pub fn put_traced(&self, key: &[u8], value: &[u8], trace_id: Option<u64>) -> Result<OpTrace> {
+        self.write_traced(put_op(key, value, self.now()), trace_id)
     }
 
-    /// Group commit. The calling thread enqueues its ops and either
-    /// becomes the leader (drains the whole queue, appends + fsyncs the
-    /// WAL once outside the state lock, publishes the group) or parks
-    /// until a leader hands it the group's result.
+    /// Point delete with an unconditional trace.
+    pub fn delete_traced(&self, key: &[u8], trace_id: Option<u64>) -> Result<OpTrace> {
+        self.write_traced(delete_op(key, self.now()), trace_id)
+    }
+
+    /// Commit `op` under a trace that bypasses the sampler.
+    fn write_traced(&self, op: WalOp, trace_id: Option<u64>) -> Result<OpTrace> {
+        let forced = self
+            .core()
+            .forced_trace(trace_op_for(std::slice::from_ref(&op)), trace_id);
+        let trace = self.write_ops([op], Some(forced))?;
+        Ok(trace.expect("a traced write returns its trace"))
+    }
+
+    /// Group commit: every write, traced or not, enters here. The
+    /// calling thread enqueues its ops and either becomes the leader
+    /// (drains the whole queue, appends + fsyncs the WAL once outside
+    /// the state lock, publishes the group) or parks until a leader
+    /// hands it the group's result.
     ///
     /// `ops` is an array for a lone put or delete — the common case, which
     /// then never allocates a list to hold its one op — or a batch's `Vec`.
-    fn write_ops<O: AsMut<[WalOp]> + Into<Vec<WalOp>>>(&self, mut ops: O) -> Result<()> {
-        let trace = self.core().tracer.sample(trace_op_for(ops.as_mut()));
-        self.write_ops_traced(ops, trace).map(|_| ())
-    }
-
-    /// [`Db::write_ops`] with an optional in-flight trace; returns the
-    /// finished trace when one was supplied. A rider (a thread whose
-    /// batch a leader committed for it) attributes only its queue wait
-    /// — the leader's trace owns the WAL/vlog/memtable spans.
-    fn write_ops_traced<O: AsMut<[WalOp]> + Into<Vec<WalOp>>>(
+    /// `forced` is a trace the caller began itself; without one the
+    /// sampler decides. Returns the finished trace of a traced write. A
+    /// rider (a thread whose batch a leader committed for it)
+    /// attributes only its queue wait — the leader's trace owns the
+    /// WAL/vlog/memtable spans.
+    fn write_ops<O: AsMut<[WalOp]> + Into<Vec<WalOp>>>(
         &self,
         mut ops: O,
-        mut trace: Option<TraceBuf>,
+        forced: Option<TraceBuf>,
     ) -> Result<Option<OpTrace>> {
         let core = self.core();
+        let mut trace = forced.or_else(|| core.tracer.sample(trace_op_for(ops.as_mut())));
         // Backpressure first, before any lock: stalled writers hold
         // nothing, so workers, readers, and commit leaders proceed
         // freely.
-        if let Some(t) = trace.as_mut() {
-            let started = Instant::now();
-            core.throttle_writes()?;
-            t.add(
-                TraceStage::ThrottleWait,
-                started.elapsed().as_micros() as u64,
-            );
-        } else {
-            core.throttle_writes()?;
-        }
+        let throttle = Span::start(trace.as_ref());
+        core.throttle_writes()?;
+        throttle.end(trace.as_mut(), TraceStage::ThrottleWait);
         let mut q = core.commit.lock();
         if !q.exclusive && q.queue.is_empty() {
             // Uncontended fast path: commit alone as a group of one,
@@ -189,40 +193,29 @@ impl Db {
             // round-trip, and (nobody waiting) no wakeup.
             let excl = core.enter_exclusion(q);
             core.commit_group_inner(&excl, &mut [ops.as_mut()], trace.as_mut())?;
-            drop(excl);
-            return Ok(trace.map(|t| core.finish_trace(t)));
-        }
-        let req = Arc::new(CommitRequest::default());
-        q.queue.push(PendingCommit {
-            req: Arc::clone(&req),
-            ops: ops.into(),
-        });
-        let queued_at = trace.as_ref().map(|_| Instant::now());
-        loop {
-            // A previous leader may have committed us while we waited
-            // for the queue lock or the condvar.
-            if let Some(res) = req.result.lock().take() {
-                if let (Some(t), Some(at)) = (trace.as_mut(), queued_at) {
-                    t.add(TraceStage::CommitQueueWait, at.elapsed().as_micros() as u64);
-                }
-                res.map_err(Error::Internal)?;
-                return Ok(trace.map(|t| core.finish_trace(t)));
+        } else {
+            let req = Arc::new(CommitRequest::default());
+            q.queue.push(PendingCommit {
+                req: Arc::clone(&req),
+                ops: ops.into(),
+            });
+            // Wait until a leader has committed us (possibly while we
+            // waited for the queue lock) or leadership is free.
+            let queued = Span::start(trace.as_ref());
+            while q.exclusive && req.result.lock().is_none() {
+                core.wait_for_commit_turn(&mut q);
             }
-            if !q.exclusive {
+            queued.end(trace.as_mut(), TraceStage::CommitQueueWait);
+            if req.result.lock().is_none() {
                 // Become the leader for everything queued so far.
-                if let (Some(t), Some(at)) = (trace.as_mut(), queued_at) {
-                    t.add(TraceStage::CommitQueueWait, at.elapsed().as_micros() as u64);
-                }
                 let group = std::mem::take(&mut q.queue);
                 let excl = core.enter_exclusion(q);
                 core.commit_group(&excl, group, trace.as_mut());
-                drop(excl);
-                let res = req.result.lock().take().expect("leader result is set");
-                res.map_err(Error::Internal)?;
-                return Ok(trace.map(|t| core.finish_trace(t)));
             }
-            core.wait_for_commit_turn(&mut q);
+            let res = req.result.lock().take().expect("leader result is set");
+            res.map_err(Error::Internal)?;
         }
+        Ok(trace.map(|t| core.finish_trace(t)))
     }
 
     /// Secondary range delete: physically erase every entry whose delete
@@ -235,15 +228,9 @@ impl Db {
             return Err(Error::invalid_argument("range_delete_secondary: lo > hi"));
         }
         let core = self.core();
-        // Seqno allocation requires the commit-exclusion domain (no
-        // leader may interleave an allocation with ours).
-        let _excl = core.commit_exclusive();
+        let excl = core.commit_exclusive();
         let mut st = core.state.write();
-        let seqno = core.seq_alloc.load(Ordering::Relaxed) + 1;
-        if seqno > MAX_SEQNO {
-            return Err(Error::Internal("sequence number space exhausted".into()));
-        }
-        core.seq_alloc.store(seqno, Ordering::Relaxed);
+        let seqno = core.alloc_seqnos(&excl, 1)?;
         let rt = RangeTombstone { seqno, range };
         st.manifest.append(&EditBatch {
             edits: vec![VersionEdit::AddRangeTombstone { seqno, range }],
@@ -256,45 +243,6 @@ impl Db {
         }
         core.publish_view_locked(&st);
         Ok(())
-    }
-
-    /// Put with an unconditional trace (bypasses the sampler; used by
-    /// the wire `traced` command). `trace_id` overrides the allocated
-    /// id so a client-chosen id survives the round trip.
-    pub fn put_traced(&self, key: &[u8], value: &[u8], trace_id: Option<u64>) -> Result<OpTrace> {
-        let core = self.core();
-        let dkey = core.opts.clock.now();
-        let mut buf = core.tracer.begin(TraceOp::Put);
-        if let Some(id) = trace_id {
-            buf.trace_id = id;
-        }
-        let trace = self.write_ops_traced(
-            [WalOp::Put {
-                key: Bytes::copy_from_slice(key),
-                value: Bytes::copy_from_slice(value),
-                dkey,
-            }],
-            Some(buf),
-        )?;
-        Ok(trace.expect("trace supplied"))
-    }
-
-    /// Point delete with an unconditional trace.
-    pub fn delete_traced(&self, key: &[u8], trace_id: Option<u64>) -> Result<OpTrace> {
-        let core = self.core();
-        let tick = core.opts.clock.now();
-        let mut buf = core.tracer.begin(TraceOp::Delete);
-        if let Some(id) = trace_id {
-            buf.trace_id = id;
-        }
-        let trace = self.write_ops_traced(
-            [WalOp::Delete {
-                key: Bytes::copy_from_slice(key),
-                tick,
-            }],
-            Some(buf),
-        )?;
-        Ok(trace.expect("trace supplied"))
     }
 }
 
@@ -384,7 +332,7 @@ impl DbCore {
         // (segment, frame bytes) per value separated in this group,
         // folded into the live accounting once the WAL section ends.
         let mut separated: Vec<(u64, u64)> = Vec::new();
-        let wal_started = trace.as_ref().map(|_| Instant::now());
+        let wal_section = Span::start(trace.as_deref());
         let mut vlog_micros = 0u64;
         {
             let mut wal = self.wal.lock();
@@ -396,7 +344,7 @@ impl DbCore {
                 // sync below), so a durable pointer always has durable
                 // bytes behind it. Recovery relies on this ordering.
                 if separation > 0 {
-                    let sep_started = trace.as_ref().map(|_| Instant::now());
+                    let separating = Span::start(trace.as_deref());
                     for op in ops.iter_mut() {
                         let WalOp::Put { key, value, dkey } = op else {
                             continue;
@@ -426,21 +374,14 @@ impl DbCore {
                             dkey: *dkey,
                         };
                     }
-                    if let Some(s) = sep_started {
-                        vlog_micros += s.elapsed().as_micros() as u64;
-                    }
+                    vlog_micros += separating.micros();
                 }
                 debug_assert!(!ops.is_empty(), "a commit carries at least one op");
-                let base = self.seq_alloc.load(Ordering::Relaxed) + 1;
-                if base > MAX_SEQNO {
-                    return Err(Error::Internal("sequence number space exhausted".into()));
-                }
-                // Advance the allocator before the append: on an append
-                // error the consumed seqnos are never reused, so a
-                // durably written record from earlier in the group can
-                // never collide with a later retry's seqnos.
-                self.seq_alloc
-                    .store(base + ops.len() as u64 - 1, Ordering::Relaxed);
+                // Allocate before the append: on an append error the
+                // consumed seqnos are never reused, so a durably written
+                // record from earlier in the group can never collide
+                // with a later retry's seqnos.
+                let base = self.alloc_seqnos(excl, ops.len() as u64)?;
                 wal.add_batch(base, ops)?;
             }
             if let Some(w) = vlog.as_mut() {
@@ -464,10 +405,7 @@ impl DbCore {
             // The vlog appends happen inside the WAL critical section;
             // report them as their own stage and the remainder as the
             // WAL append + fsync.
-            let section = wal_started
-                .expect("timed when traced")
-                .elapsed()
-                .as_micros() as u64;
+            let section = wal_section.micros();
             t.add(
                 TraceStage::WalAppendFsync,
                 section.saturating_sub(vlog_micros),
@@ -494,7 +432,7 @@ impl DbCore {
 
         // Phase 2: visibility. Publish the whole group's inserts and the
         // new visible seqno, then swap the read view.
-        let mem_started = trace.as_ref().map(|_| Instant::now());
+        let inserting = Span::start(trace.as_deref());
         let mut st = self.state.write();
         // Delete-lifecycle ledger inputs, gathered while the entries
         // stream by so the ledger lock is taken at most once per group.
@@ -570,14 +508,8 @@ impl DbCore {
         // paired with the readers' Acquire load) makes them readable
         // without rebuilding the view.
         self.visible_seqno.store(last, Ordering::Release);
-        if let Some(t) = trace.as_deref_mut() {
-            let started = mem_started.expect("timed when traced");
-            t.add(
-                TraceStage::MemtableInsert,
-                started.elapsed().as_micros() as u64,
-            );
-        }
-        let maint_started = trace.as_ref().map(|_| Instant::now());
+        inserting.end(trace.as_deref_mut(), TraceStage::MemtableInsert);
+        let maintaining = Span::start(trace.as_deref());
 
         // Tighten the cached TTL deadline when a tombstone — point or
         // sort-key range — enters the buffer (the buffer's oldest
@@ -603,18 +535,24 @@ impl DbCore {
         if work {
             self.announce_work(excl)?;
         }
-        if let Some(t) = trace {
-            // Nonzero only in synchronous mode, where the seal/flush/
-            // compaction this commit triggered ran inside the op.
-            let micros = maint_started
-                .expect("timed when traced")
-                .elapsed()
-                .as_micros() as u64;
-            if micros > 0 {
-                t.add(TraceStage::InlineMaintenance, micros);
-            }
+        // Nonzero only in synchronous mode, where the seal/flush/
+        // compaction this commit triggered ran inside the op.
+        let micros = maintaining.micros();
+        if let Some(t) = trace.filter(|_| micros > 0) {
+            t.add(TraceStage::InlineMaintenance, micros);
         }
         Ok(())
+    }
+
+    /// Allocate `n` consecutive sequence numbers and return the first.
+    /// The exclusion makes the caller the only allocator.
+    fn alloc_seqnos(&self, _excl: &CommitExclusion<'_>, n: u64) -> Result<SeqNo> {
+        let first = self.seq_alloc.load(Ordering::Relaxed) + 1;
+        if first > MAX_SEQNO {
+            return Err(Error::Internal("sequence number space exhausted".into()));
+        }
+        self.seq_alloc.store(first + n - 1, Ordering::Relaxed);
+        Ok(first)
     }
 }
 

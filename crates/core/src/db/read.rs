@@ -14,15 +14,13 @@
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 use acheron_memtable::Memtable;
-use acheron_types::{Entry, Error, RangeTombstone, Result, SeqNo, ValuePointer, MAX_SEQNO};
+use acheron_types::{Entry, Error, Result, SeqNo, ValuePointer, MAX_SEQNO};
 use bytes::Bytes;
 
-use super::{Db, DbCore, Snapshot, State};
+use super::{Db, DbCore, Snapshot, Span, State};
 use crate::obs::trace::{OpTrace, TraceBuf, TraceOp, TraceStage};
-use crate::obs::TombstoneGauges;
 use crate::version::Version;
 
 /// Everything the read paths need, captured immutably. Structural
@@ -46,10 +44,10 @@ pub(super) struct ReadView {
     pub(super) mem: Arc<Memtable>,
     /// Sealed memtables, newest first (the probe order for lookups).
     pub(super) imms: Vec<Arc<Memtable>>,
+    /// The installed tree. Its secondary range tombstones and its
+    /// sort-key range-tombstone index are read in place, filtered by
+    /// the reader's seqno.
     pub(super) version: Arc<Version>,
-    /// All live range tombstones; readers filter by seqno in place
-    /// rather than allocating a filtered copy per lookup.
-    pub(super) rts: Arc<[RangeTombstone]>,
 }
 
 /// A streaming range scan (see [`Db::range_iter`]): yields live
@@ -58,11 +56,12 @@ pub struct RangeIter {
     merge: crate::merge::MergeIterator,
     hi: Vec<u8>,
     snapshot: SeqNo,
-    rts: Vec<RangeTombstone>,
-    /// The version's sort-key range-tombstone index, then the index of
-    /// each buffer that holds any. Probed one by one, as a get probes
+    /// The version read from: its range tombstones of both kinds are
+    /// probed in place.
+    version: Arc<Version>,
+    /// The sort-key range-tombstone index of each buffer that holds
+    /// any. Probed one by one after the version's, as a get probes
     /// them.
-    krts: Arc<acheron_types::FragmentedRangeTombstones>,
     buffered_krts: Vec<Arc<acheron_types::FragmentedRangeTombstones>>,
     /// The user key whose newest visible version has been judged (its
     /// older versions are skipped); `None` before the first key.
@@ -103,8 +102,8 @@ impl RangeIter {
                     .is_some_and(|cover| seqno < cover)
             };
             let live = kind.is_put_like()
-                && !self.rts.iter().any(|rt| rt.shadows(seqno, dkey))
-                && !covered(&self.krts)
+                && !shadowed(&self.version, self.snapshot, seqno, dkey)
+                && !covered(&self.version.key_range_tombstones)
                 && !self.buffered_krts.iter().any(|idx| covered(idx));
             let row = live.then(|| self.merge.entry()).transpose()?;
             self.merge.advance()?;
@@ -120,6 +119,24 @@ impl RangeIter {
         }
         Ok(None)
     }
+
+    /// Every remaining pair, in order.
+    fn into_rows(mut self) -> Result<Vec<(Bytes, Bytes)>> {
+        let mut out = Vec::new();
+        while let Some(kv) = self.next_entry()? {
+            out.push(kv);
+        }
+        Ok(out)
+    }
+}
+
+/// Whether a secondary range tombstone of `version` visible at
+/// `snapshot` erases the version `(seqno, dkey)`.
+fn shadowed(version: &Version, snapshot: SeqNo, seqno: SeqNo, dkey: u64) -> bool {
+    version
+        .range_tombstones
+        .iter()
+        .any(|rt| rt.seqno <= snapshot && rt.shadows(seqno, dkey))
 }
 
 impl Db {
@@ -129,7 +146,7 @@ impl Db {
     pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
         let core = self.core();
         let mut trace = core.tracer.sample(TraceOp::Get);
-        let res = self.get_latest(key, trace.as_mut());
+        let res = self.lookup(key, None, trace.as_mut());
         if let Some(t) = trace {
             core.finish_trace(t);
         }
@@ -138,44 +155,55 @@ impl Db {
 
     /// Point lookup at a snapshot.
     pub fn get_at(&self, snap: &Snapshot, key: &[u8]) -> Result<Option<Bytes>> {
-        let core = self.core();
-        core.stats.gets.fetch_add(1, Ordering::Relaxed);
-        let view = core.current_view();
-        match core.newest_live_in_view(&view, key, snap.seqno, None)? {
-            Some(newest) => core.resolve_value(newest, None),
-            None => Ok(None),
-        }
+        self.lookup(key, Some(snap.seqno), None)
     }
 
-    /// Lookup from a fresh read point. The seqno MUST be loaded before
-    /// the view — see the ordering rule on `ReadView`.
+    /// Point lookup with an unconditional trace.
+    pub fn get_traced(
+        &self,
+        key: &[u8],
+        trace_id: Option<u64>,
+    ) -> Result<(Option<Bytes>, OpTrace)> {
+        let core = self.core();
+        let mut buf = core.forced_trace(TraceOp::Get, trace_id);
+        let value = self.lookup(key, None, Some(&mut buf))?;
+        Ok((value, core.finish_trace(buf)))
+    }
+
+    /// Lookup at a snapshot's read point, or — `None` — at a fresh one,
+    /// whose seqno MUST be loaded before the view (the ordering rule on
+    /// `ReadView`).
     ///
-    /// No registered snapshot pins the pointers this read point sees, so
-    /// value-log GC may rewrite a value and delete the segment its old
-    /// pointer names between the view clone and the dereference. GC
+    /// No registered snapshot pins the pointers a fresh read point sees,
+    /// so value-log GC may rewrite a value and delete the segment its
+    /// old pointer names between the view clone and the dereference. GC
     /// commits the rewrite (the visible seqno advances) before it
     /// deletes, so a dereference that fails at a read point that is no
     /// longer current is retried once from a fresh one; at the current
     /// read point the failure is real and is surfaced.
-    fn get_latest(&self, key: &[u8], mut trace: Option<&mut TraceBuf>) -> Result<Option<Bytes>> {
+    fn lookup(
+        &self,
+        key: &[u8],
+        snap: Option<SeqNo>,
+        mut trace: Option<&mut TraceBuf>,
+    ) -> Result<Option<Bytes>> {
         let core = self.core();
         core.stats.gets.fetch_add(1, Ordering::Relaxed);
         let mut retried = false;
         loop {
-            let started = trace.as_ref().map(|_| Instant::now());
-            let snapshot = core.visible_seqno.load(Ordering::Acquire);
+            let cloning = Span::start(trace.as_deref());
+            let snapshot = snap.unwrap_or_else(|| core.visible_seqno.load(Ordering::Acquire));
             let view = core.current_view();
-            if let (Some(t), Some(s)) = (trace.as_deref_mut(), started) {
-                t.add(TraceStage::ViewClone, s.elapsed().as_micros() as u64);
-            }
+            cloning.end(trace.as_deref_mut(), TraceStage::ViewClone);
             let Some(newest) =
                 core.newest_live_in_view(&view, key, snapshot, trace.as_deref_mut())?
             else {
                 return Ok(None);
             };
             let moved = || {
-                core.visible_seqno.load(Ordering::Acquire) != snapshot
-                    || !Arc::ptr_eq(&view, &core.current_view())
+                snap.is_none()
+                    && (core.visible_seqno.load(Ordering::Acquire) != snapshot
+                        || !Arc::ptr_eq(&view, &core.current_view()))
             };
             match core.resolve_value(newest, trace.as_deref_mut()) {
                 Err(_) if !retried && moved() => retried = true,
@@ -205,22 +233,12 @@ impl Db {
     /// Range scan over user keys `[lo, hi]` (inclusive) at the latest
     /// state. Returns key/value pairs in order.
     pub fn scan(&self, lo: &[u8], hi: &[u8]) -> Result<Vec<(Bytes, Bytes)>> {
-        let mut it = self.range_iter(lo, hi)?;
-        let mut out = Vec::new();
-        while let Some(kv) = it.next_entry()? {
-            out.push(kv);
-        }
-        Ok(out)
+        self.range_iter(lo, hi)?.into_rows()
     }
 
     /// Range scan at a snapshot.
     pub fn scan_at(&self, snap: &Snapshot, lo: &[u8], hi: &[u8]) -> Result<Vec<(Bytes, Bytes)>> {
-        let mut it = self.range_iter_at(snap, lo, hi)?;
-        let mut out = Vec::new();
-        while let Some(kv) = it.next_entry()? {
-            out.push(kv);
-        }
-        Ok(out)
+        self.range_iter_at(snap, lo, hi)?.into_rows()
     }
 
     /// A streaming iterator over user keys `[lo, hi]` (inclusive) at the
@@ -248,12 +266,6 @@ impl Db {
         // `ReadView`.
         let (snapshot, view) = (snap.seqno, core.current_view());
         core.stats.scans.fetch_add(1, Ordering::Relaxed);
-        let visible_rts: Vec<RangeTombstone> = view
-            .rts
-            .iter()
-            .filter(|rt| rt.seqno <= snapshot)
-            .copied()
-            .collect();
         // Sort-key range tombstones: each source's own index, shared
         // as-is (a buffer builds its index on the first read after a
         // change). Visibility is filtered per-probe via the snapshot
@@ -305,28 +317,12 @@ impl Db {
             merge: MergeIterator::new(sources),
             hi: hi.to_vec(),
             snapshot,
-            rts: visible_rts,
-            krts: Arc::clone(&view.version.key_range_tombstones),
+            version: Arc::clone(&view.version),
             buffered_krts,
             decided_key: None,
             core: Arc::clone(&self.inner.core),
             pinned: None,
         })
-    }
-
-    /// Point lookup with an unconditional trace.
-    pub fn get_traced(
-        &self,
-        key: &[u8],
-        trace_id: Option<u64>,
-    ) -> Result<(Option<Bytes>, OpTrace)> {
-        let core = self.core();
-        let mut buf = core.tracer.begin(TraceOp::Get);
-        if let Some(id) = trace_id {
-            buf.trace_id = id;
-        }
-        let value = self.get_latest(key, Some(&mut buf))?;
-        Ok((value, core.finish_trace(buf)))
     }
 }
 
@@ -353,11 +349,9 @@ impl DbCore {
         snapshot: SeqNo,
         mut trace: Option<&mut TraceBuf>,
     ) -> Result<Option<Entry>> {
-        let mem_started = trace.as_ref().map(|_| Instant::now());
+        let probing = Span::start(trace.as_deref());
         let mut best: Option<Entry> = view.mem.newest_visible(key, snapshot);
-        if let (Some(t), Some(s)) = (trace.as_deref_mut(), mem_started) {
-            t.add(TraceStage::MemtableProbe, s.elapsed().as_micros() as u64);
-        }
+        probing.end(trace.as_deref_mut(), TraceStage::MemtableProbe);
 
         // Sealed memtables, newest first: their ceilings are strictly
         // decreasing, so once the best beats one it beats the rest.
@@ -427,15 +421,11 @@ impl DbCore {
 
         // Newest-version-decides: the single newest visible version
         // determines the outcome. The range-tombstone shadow check runs
-        // in place over the view's shared slice — no per-get allocation.
+        // in place over the version's list — no per-get allocation.
         let Some(newest) = best else {
             return Ok(None);
         };
-        if view
-            .rts
-            .iter()
-            .any(|rt| rt.seqno <= snapshot && rt.shadows(newest.seqno, newest.dkey))
-        {
+        if shadowed(&view.version, snapshot, newest.seqno, newest.dkey) {
             return Ok(None); // range-erased
         }
         // Sort-key range tombstones: the newest visible cover across the
@@ -463,11 +453,9 @@ impl DbCore {
         Ok(match newest.kind {
             acheron_types::ValueKind::Put => Some(newest.value),
             acheron_types::ValueKind::ValuePointer => {
-                let started = trace.as_ref().map(|_| Instant::now());
+                let dereferencing = Span::start(trace.as_deref());
                 let value = self.deref_value_pointer(&newest)?;
-                if let (Some(t), Some(s)) = (trace, started) {
-                    t.add(TraceStage::VlogDeref, s.elapsed().as_micros() as u64);
-                }
+                dereferencing.end(trace, TraceStage::VlogDeref);
                 Some(value)
             }
             _ => None,
@@ -508,15 +496,9 @@ impl DbCore {
             mem: Arc::clone(&st.mem),
             imms: st.imms.iter().rev().map(|i| Arc::clone(&i.mem)).collect(),
             version: Arc::clone(&st.version),
-            rts: st.version.range_tombstones.clone().into(),
         });
         *self.view.write() = view;
         self.stats.read_view_swaps.fetch_add(1, Ordering::Relaxed);
-        // Structural mutations are the only moment the installed file
-        // set changes, so recomputing the delete-persistence gauges
-        // here (O(files) over metadata only) keeps reads free and the
-        // gauges incapable of drifting from the tree.
-        *self.gauges.lock() = Arc::new(TombstoneGauges::from_version(&st.version));
         self.refresh_pinned(st);
     }
 }

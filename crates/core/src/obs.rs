@@ -13,9 +13,9 @@
 //!   lock — so the hooks stay on in production builds.
 //! * [`TombstoneGauges`] aggregates per-level file/byte/tombstone
 //!   counts and the per-file oldest-tombstone ticks from per-sstable
-//!   metadata. It is recomputed at version-install time (the only
-//!   moment the file set changes), so reading it is free and it can
-//!   never drift from the installed tree.
+//!   metadata, plus the write buffers and value log. It is built from
+//!   one read view when it is read (`O(files)` over metadata), so no
+//!   family can drift from the others or from the tree.
 //! * [`render_prometheus`] / [`render_events`] turn counters, gauges,
 //!   and the ring into the text forms served by the `metrics` and
 //!   `events` wire commands.
@@ -615,10 +615,10 @@ pub struct LevelGauge {
 }
 
 /// Live delete-persistence gauges: the paper's headline metric made
-/// observable *before* purge. Disk-level state is recomputed from
-/// per-sstable metadata whenever a version installs; the write-buffer
-/// fields are filled from live memtable stats when the gauge is read
-/// (buffer contents change without a version install).
+/// observable *before* purge. Every family is read from one read view
+/// when the gauge is read: disk-level state from the version's
+/// per-sstable metadata, the write-buffer fields from the view's
+/// memtables.
 #[derive(Debug, Clone, Default)]
 pub struct TombstoneGauges {
     /// One gauge per occupied level (empty levels omitted).
@@ -638,9 +638,8 @@ pub struct TombstoneGauges {
     /// *oldest* tombstone age (per-sstable metadata has no finer
     /// resolution), a conservative over-estimate of ages.
     pub file_populations: Vec<(u64, Tick)>,
-    /// Value-log bytes still referenced by the tree. Filled from the
-    /// vlog accounting when the gauge is read (the vlog changes without
-    /// a version install).
+    /// Value-log bytes still referenced by the tree, from the vlog
+    /// accounting.
     pub vlog_live_bytes: u64,
     /// Value-log bytes whose covering put/delete has been purged and
     /// that now await GC.
@@ -653,7 +652,7 @@ pub struct TombstoneGauges {
 
 impl TombstoneGauges {
     /// Aggregate the disk-level gauges from a version's file metadata.
-    /// `O(files)`; called at version-install time.
+    /// `O(files)`.
     pub fn from_version(version: &Version) -> TombstoneGauges {
         let mut levels = Vec::new();
         let mut file_populations = Vec::new();
@@ -719,6 +718,15 @@ impl TombstoneGauges {
             .flatten()
             .chain(self.buffer_oldest_tick)
             .chain(self.buffer_oldest_key_range_tick)
+            .min()
+    }
+
+    /// Birth tick of the oldest live point tombstone anywhere.
+    pub(crate) fn oldest_point_tick(&self) -> Option<Tick> {
+        self.levels
+            .iter()
+            .filter_map(|g| g.oldest_tombstone_tick)
+            .chain(self.buffer_oldest_tick)
             .min()
     }
 

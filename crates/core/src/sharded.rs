@@ -589,11 +589,7 @@ impl ShardedDb {
     /// shards, oldest ticks taken as minima — so the fleet gauge's age
     /// histogram and max age cover every shard's tombstones.
     pub fn tombstone_gauges(&self) -> TombstoneGauges {
-        self.shards
-            .iter()
-            .map(Db::tombstone_gauges)
-            .reduce(|acc, g| acc.merge(&g))
-            .expect("a fleet has at least one shard")
+        fleet_gauges(&self.shard_gauges())
     }
 
     /// Per-shard tombstone gauges, in shard order.
@@ -624,18 +620,16 @@ impl ShardedDb {
 
     /// Total live point tombstones across the fleet.
     pub fn live_tombstones(&self) -> u64 {
-        self.shards.iter().map(Db::live_tombstones).sum()
+        self.tombstone_gauges().live_tombstones()
     }
 
-    /// Age of the oldest live tombstone anywhere in the fleet — the
-    /// number the fleet's FADE promise is judged by: it must stay at or
-    /// under `D_th` on *every* shard, so the max is what `metrics` and
-    /// the doctor report.
+    /// Age of the oldest live tombstone anywhere in the fleet, point or
+    /// sort-key range — the number the fleet's FADE promise is judged
+    /// by: it must stay at or under `D_th` on *every* shard, so the max
+    /// is what `metrics` and the doctor report.
     pub fn fleet_max_tombstone_age(&self) -> Option<Tick> {
-        self.shards
-            .iter()
-            .filter_map(Db::oldest_live_tombstone_age)
-            .max()
+        let oldest = self.tombstone_gauges().oldest_live_tick();
+        oldest.map(|t0| self.now().saturating_sub(t0))
     }
 
     /// Fleet-wide delete-lifecycle audit: the union of every shard's
@@ -677,10 +671,13 @@ impl ShardedDb {
             .fade
             .as_ref()
             .map(|f| f.delete_persistence_threshold);
-        let mut text =
-            crate::obs::render_prometheus(&pairs, &self.tombstone_gauges(), self.now(), d_th);
+        // Each shard's gauges are read once per scrape; the fleet's are
+        // their merge, so the fleet and per-shard series agree.
+        let gauges = self.shard_gauges();
+        let fleet = fleet_gauges(&gauges);
+        let mut text = crate::obs::render_prometheus(&pairs, &fleet, self.now(), d_th);
         if self.shard_map {
-            text.push_str(&self.shard_metrics_lines());
+            text.push_str(&self.shard_metrics_lines(&gauges, &fleet));
         }
         text
     }
@@ -688,9 +685,9 @@ impl ShardedDb {
     /// Shard count, per-shard tombstone / pressure / memory series and
     /// the fleet-wide maximum tombstone age (0 when no tombstone is live
     /// — always emitted so dashboards can alert on it unconditionally).
-    fn shard_metrics_lines(&self) -> String {
+    fn shard_metrics_lines(&self, gauges: &[TombstoneGauges], fleet: &TombstoneGauges) -> String {
         let now = self.now();
-        let gauges = self.shard_gauges();
+        let age = |oldest: Option<Tick>| oldest.map_or(0, |t0| now.saturating_sub(t0));
         let pressure = self.shard_pressure();
         // Per-shard memory split: each shard's write-buffer allowance
         // under the shared arbiter and its pinned filter/metadata
@@ -703,9 +700,7 @@ impl ShardedDb {
         let per_shard: [(&str, &dyn Fn(usize) -> u64); 7] = [
             ("db_shard_live_tombstones", &|i| gauges[i].live_tombstones()),
             ("db_shard_oldest_tombstone_age_ticks", &|i| {
-                gauges[i]
-                    .oldest_live_tick()
-                    .map_or(0, |t0| now.saturating_sub(t0))
+                age(gauges[i].oldest_live_tick())
             }),
             ("db_shard_l0_files", &|i| pressure[i].l0_files as u64),
             ("db_shard_slowdown", &|i| u64::from(pressure[i].slowdown)),
@@ -723,7 +718,7 @@ impl ShardedDb {
         x.gauge(
             "db_fleet_max_tombstone_age_ticks",
             None,
-            self.fleet_max_tombstone_age().unwrap_or(0),
+            age(fleet.oldest_live_tick()),
         );
         x.finish()
     }
@@ -752,6 +747,16 @@ impl ShardedDb {
         }
         Ok(())
     }
+}
+
+/// The fleet's gauges from its shards': per-level populations summed,
+/// oldest ticks taken as minima. The fold starts from the first shard,
+/// so a fleet of one reports its engine's gauges.
+fn fleet_gauges(shards: &[TombstoneGauges]) -> TombstoneGauges {
+    let (first, rest) = shards
+        .split_first()
+        .expect("a fleet has at least one shard");
+    rest.iter().fold(first.clone(), |acc, g| acc.merge(g))
 }
 
 /// Offline integrity check of a sharded root: verify the shard map,

@@ -9,11 +9,14 @@
 //!   deterministic (`background_threads = 0`) run;
 //! * the tombstone-age gauge drains to zero once a full compaction
 //!   purges every delete;
+//! * the live-tombstone gauge never falls while flushes race a reader
+//!   and nothing purges;
 //! * malformed `metrics`/`events` frames neither panic nor wedge the
 //!   server.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -226,6 +229,59 @@ fn tombstone_age_gauge_drains_to_zero_after_purge() {
     assert_eq!(hist.total, 0);
     assert_eq!(hist.oldest_age, None);
     assert!(hist.counts.iter().all(|&c| c == 0));
+}
+
+/// The live-tombstone gauge never runs backwards while nothing purges.
+/// Two workers flush a 2 KiB buffer over and over, compactions are held
+/// off by L0 limits no run reaches, and a writer deletes distinct keys,
+/// so the true count only grows; a reader polling the gauge must never
+/// see it fall. A gauge pieced together from two reads — the tree at
+/// one install, the buffers at a later one — drops a whole memtable's
+/// tombstones whenever a flush lands between the two.
+#[test]
+fn live_tombstone_gauge_never_falls_under_concurrent_flushes() {
+    let deletes: u64 = if cfg!(debug_assertions) {
+        20_000
+    } else {
+        200_000
+    };
+    let db = open(DbOptions {
+        write_buffer_bytes: 2 << 10,
+        level0_file_limit: 1 << 20,
+        l0_slowdown_files: 1 << 20,
+        l0_stall_files: 1 << 20,
+        background_threads: 2,
+        ..DbOptions::default()
+    });
+    let done = AtomicBool::new(false);
+    let (mut polls, mut falls) = (0u64, Vec::new());
+    crossbeam::scope(|s| {
+        s.spawn(|_| {
+            for k in 0..deletes {
+                db.delete(format!("key{k:07}").as_bytes()).unwrap();
+            }
+            done.store(true, Ordering::Release);
+        });
+        let mut last = 0;
+        while !done.load(Ordering::Acquire) {
+            let live = db.tombstone_gauges().live_tombstones();
+            if live < last {
+                falls.push((last, live));
+            }
+            last = live;
+            polls += 1;
+        }
+    })
+    .unwrap();
+    assert!(
+        falls.is_empty(),
+        "{} of {polls} polls saw the gauge fall; first (before, after): {:?}",
+        falls.len(),
+        falls[0]
+    );
+    db.wait_idle().unwrap();
+    assert_eq!(db.stats().snapshot().compactions, 0);
+    assert_eq!(db.tombstone_gauges().live_tombstones(), deletes);
 }
 
 /// Read whatever the server sends until it closes the connection or

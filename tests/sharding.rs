@@ -11,7 +11,9 @@
 //!   `Busy` at the wire while control-plane requests stay exempt;
 //! * a sharded server's metrics aggregate per-shard series plus the
 //!   fleet-wide maximum tombstone age, and its event ring is rendered
-//!   per shard.
+//!   per shard;
+//! * the fleet-wide maximum tombstone age counts sort-key range deletes
+//!   as well as point deletes.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -533,6 +535,44 @@ fn sharded_server_exposes_fleet_and_per_shard_metrics() {
 
     server.shutdown();
     db.verify_integrity().unwrap();
+}
+
+/// The fleet's maximum tombstone age counts both tombstone kinds. The
+/// oldest live delete here is a sort-key range delete, with fresher
+/// point deletes beside it: the fleet maximum must be its age, the
+/// largest per-shard oldest age, and the age histogram's maximum.
+#[test]
+fn fleet_max_tombstone_age_counts_range_deletes() {
+    let db = ShardedDb::open(Arc::new(MemFs::new()), "db", DbOptions::small(), 2).unwrap();
+    for i in 0..100u32 {
+        db.put(format!("key{i:06}").as_bytes(), b"value").unwrap();
+    }
+    let born = db.now();
+    db.range_delete_keys(b"key000010", b"key000020").unwrap();
+    db.advance_clock(500);
+    for i in 50..60u32 {
+        db.delete(format!("key{i:06}").as_bytes()).unwrap();
+    }
+    let age = db.now() - born;
+    assert_eq!(db.fleet_max_tombstone_age(), Some(age));
+
+    let metrics = db.render_metrics(&[]);
+    let samples = |family: &str| -> Vec<u64> {
+        metrics
+            .lines()
+            .filter(|l| l.starts_with(family))
+            .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
+            .collect()
+    };
+    let shard_ages = samples("db_shard_oldest_tombstone_age_ticks{");
+    assert_eq!(shard_ages.len(), 2, "{metrics}");
+    assert_eq!(
+        samples("db_fleet_max_tombstone_age_ticks "),
+        [age],
+        "{metrics}"
+    );
+    assert_eq!(shard_ages.iter().max(), Some(&age), "{metrics}");
+    assert_eq!(samples("db_tombstone_age_ticks_max "), [age], "{metrics}");
 }
 
 /// Value separation composes with sharding: each shard runs its own
