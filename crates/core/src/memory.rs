@@ -198,7 +198,7 @@ impl MemoryBudget {
     }
 
     /// Total write-buffer share (all writers combined).
-    pub fn memtable_share_bytes(&self) -> usize {
+    fn memtable_share_bytes(&self) -> usize {
         self.arbitrated() / 1024 * self.memtable_permille.load(Ordering::Relaxed)
     }
 

@@ -58,8 +58,9 @@ impl LatencyHistogram {
         self.max.load(Ordering::Relaxed)
     }
 
-    /// Approximate quantile from the bucket boundaries (upper bound of
-    /// the bucket containing the q-th sample).
+    /// Approximate quantile from the bucket boundaries: the upper bound
+    /// of the bucket containing the q-th sample, clamped to the recorded
+    /// maximum, so `quantile(q) <= max()` for every `q`.
     pub fn quantile(&self, q: f64) -> u64 {
         let n = self.count();
         if n == 0 {
@@ -73,11 +74,12 @@ impl LatencyHistogram {
                 // Bucket i holds values in [2^(i-1), 2^i); the last one
                 // also takes everything above, so only the recorded
                 // maximum bounds it.
-                return if i == HISTOGRAM_BUCKETS - 1 {
-                    self.max()
+                let upper = if i == HISTOGRAM_BUCKETS - 1 {
+                    u64::MAX
                 } else {
                     (1u64 << i) - 1
                 };
+                return upper.min(self.max());
             }
         }
         self.max()
@@ -528,6 +530,21 @@ mod tests {
         // upper bound.
         h.record(1 << 50);
         assert_eq!(h.quantile(1.0), 1 << 50);
+    }
+
+    #[test]
+    fn quantiles_never_exceed_the_recorded_maximum() {
+        // 76,500 sits in the bucket whose upper bound is 131,071: a
+        // reported p99 above every sample would read as a broken bound.
+        let h = LatencyHistogram::default();
+        for v in [100u64, 40_000, 76_500] {
+            h.record(v);
+        }
+        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+            assert!(h.quantile(q) <= h.max(), "q = {q}: {}", h.quantile(q));
+        }
+        assert_eq!(h.quantile(0.99), 76_500);
+        assert_eq!(h.summary().p99, 76_500);
     }
 
     #[test]

@@ -1,6 +1,9 @@
-//! Workload generation for the Acheron experiments: key distributions
-//! (uniform / Zipfian / sequential), operation mixes, delete models, and
-//! a deterministic runner that drives a database and reports throughput.
+//! Seeded workloads for the Acheron engine: key distributions (uniform /
+//! Zipfian / sequential), operation mixes, delete models, and a runner
+//! that drives any [`OpSink`] — the embedded engine, a fleet, or a wire
+//! client — and digests what its reads returned. The CLI's `workload`
+//! command, the equivalence suites and `tests/paper_claims.rs` drive
+//! the engine through it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -8,12 +11,10 @@
 pub mod dist;
 pub mod ops;
 pub mod runner;
-pub mod sortedness;
 
 pub use dist::{KeyDistribution, Zipfian};
 pub use ops::{Op, OpMix, WorkloadGen, WorkloadSpec};
 pub use runner::{run_ops, OpSink, RunReport};
-pub use sortedness::{measure_sortedness, near_sorted_stream};
 
 /// Render a numeric key id as a fixed-width, order-preserving byte key.
 pub fn key_bytes(id: u64) -> Vec<u8> {

@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use acheron::{Db, LatencyHistogram, ShardedDb};
+use acheron::{Db, ShardedDb};
 use acheron_types::{checksum, Result};
 
 use crate::ops::Op;
@@ -117,10 +117,6 @@ pub struct RunReport {
     pub get_misses: u64,
     /// Total entries returned by scans.
     pub scan_rows: u64,
-    /// Median per-op latency in microseconds (histogram bucket bound).
-    pub op_p50_us: u64,
-    /// p99 per-op latency in microseconds (histogram bucket bound).
-    pub op_p99_us: u64,
     /// CRC32C over every read result (get outcomes and scan rows, in
     /// stream order). Two sinks given the same op stream are
     /// result-identical iff their digests match.
@@ -142,11 +138,9 @@ impl RunReport {
 /// embedded call is simply `run_ops(&db, &ops)`.
 pub fn run_ops<S: OpSink>(mut sink: S, ops: &[Op]) -> Result<RunReport> {
     let mut report = RunReport::default();
-    let latency = LatencyHistogram::default();
     let mut digest = 0u32;
     let start = Instant::now();
     for op in ops {
-        let op_start = Instant::now();
         match op {
             Op::Put { key, value, dkey } => sink.put(key, value, *dkey)?,
             Op::Delete { key } => sink.delete(key)?,
@@ -171,12 +165,9 @@ pub fn run_ops<S: OpSink>(mut sink: S, ops: &[Op]) -> Result<RunReport> {
             }
             Op::RangeDeleteSecondary { lo, hi } => sink.range_delete_secondary(*lo, *hi)?,
         }
-        latency.record(op_start.elapsed().as_micros() as u64);
         report.ops += 1;
     }
     report.elapsed_secs = start.elapsed().as_secs_f64();
-    report.op_p50_us = latency.percentile(50.0);
-    report.op_p99_us = latency.percentile(99.0);
     report.check_digest = digest;
     Ok(report)
 }
@@ -200,7 +191,6 @@ mod tests {
         assert_eq!(report.ops, 3_000);
         assert!(report.get_hits + report.get_misses > 0);
         assert!(report.ops_per_sec() > 0.0);
-        assert!(report.op_p99_us >= report.op_p50_us);
         db.verify_integrity().unwrap();
     }
 
