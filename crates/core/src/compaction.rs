@@ -6,20 +6,18 @@ use std::sync::atomic::Ordering as AtomicOrdering;
 use std::sync::Arc;
 
 use acheron_sstable::{BlockCache, Table, TableBuilder, TableOptions};
-use acheron_types::{
-    Entry, KeyRangeTombstone, RangeTombstone, Result, SeqNo, Tick, ValueKind, ValuePointer,
-};
+use acheron_types::{RangeTombstone, Result, SeqNo, Tick, ValueKind, ValuePointer};
 use acheron_vfs::Vfs;
 
 use crate::filenames::sst_path;
 use crate::merge::{CompactionStream, KvSource, MergeIterator};
 use crate::options::DbOptions;
-use crate::picker::CompactionTask;
+use crate::picker::{CompactionReason, CompactionTask};
 use crate::version::{FileMeta, Version};
 
 /// Everything a compaction changed, to be applied to the version and
 /// recorded in the manifest by the caller.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CompactionOutcome {
     /// New files (already open).
     pub added: Vec<Arc<FileMeta>>,
@@ -27,6 +25,11 @@ pub struct CompactionOutcome {
     pub deleted_ids: Vec<u64>,
     /// Whether this was a metadata-only trivial move.
     pub trivial_move: bool,
+    /// Whether every range tombstone of the version merged against was
+    /// applied to the outputs: a bottommost merge no snapshot pinned.
+    /// Such outputs hold nothing those tombstones erase, so they do not
+    /// keep them live (see [`Version::retire`]).
+    pub applied_range_deletes: bool,
     /// Entries dropped because a newer version shadowed them.
     pub shadowed: u64,
     /// Entries purged by secondary range tombstones.
@@ -35,9 +38,6 @@ pub struct CompactionOutcome {
     pub key_range_purged: u64,
     /// `(delete tick, seqno)` of each point tombstone physically purged.
     pub tombstones_dropped: Vec<(Tick, SeqNo)>,
-    /// `(delete tick, seqno)` of each sort-key range tombstone purged
-    /// (resolved at the last level, exactly like point tombstones).
-    pub key_range_tombstones_dropped: Vec<(Tick, SeqNo)>,
     /// Seqnos of tombstones that exited the tree without a bottommost
     /// purge: shadowed by a newer same-key version, swallowed by a
     /// secondary range tombstone, or dropped under a sort-key range
@@ -110,12 +110,17 @@ pub fn run_compaction(
     // opportunity moves by metadata only. Purges only happen at the
     // bottommost level (newest-version-decides semantics), so above it a
     // move is always safe; into the bottom it must not skip a tombstone
-    // drop or range purge. (L0 is excluded: its files must be merged to
-    // re-establish disjointness.)
+    // drop or secondary range purge. (L0 is excluded: its files must be
+    // merged to re-establish disjointness.) A file under a live sort-key
+    // range tombstone may still move: the tombstone's station deepens.
+    // But a TTL task exists to resolve an overdue tombstone, so into the
+    // bottom it rewrites: a sort-key range tombstone it moves files for
+    // is applied on arrival, as a point tombstone is purged, instead of
+    // needing one more compaction past its deadline.
     let purge_opportunity = bottommost
         && !task.inputs.is_empty()
-        && (task.inputs[0].stats.tombstone_count > 0
-            || !task.inputs[0].stats.range_tombstones.is_empty()
+        && (task.reason == CompactionReason::TtlExpired
+            || task.inputs[0].stats.tombstone_count > 0
             || version
                 .range_tombstones
                 .iter()
@@ -140,57 +145,23 @@ pub fn run_compaction(
             added: vec![moved],
             deleted_ids: vec![src.id],
             trivial_move: true,
-            shadowed: 0,
-            range_purged: 0,
-            key_range_purged: 0,
-            tombstones_dropped: Vec::new(),
-            key_range_tombstones_dropped: Vec::new(),
-            tombstones_superseded: Vec::new(),
-            pages_dropped: 0,
-            bytes_in: 0,
-            bytes_out: 0,
-            vlog_dead: Vec::new(),
+            ..CompactionOutcome::default()
         });
     }
 
-    // Sort-key range tombstones carried by the inputs. One is purged
-    // here iff the merge is bottommost, no snapshot can still read an
-    // entry it shadows, and no live file *outside* the compaction holds
-    // an entry old enough to be shadowed (dropping it then would let
-    // that older version resurface once the shadow is gone). Survivors
-    // ride along into the first output's stats block.
-    let mut surviving_krts: Vec<KeyRangeTombstone> = Vec::new();
-    let mut key_range_tombstones_dropped: Vec<(Tick, SeqNo)> = Vec::new();
-    for k in task
-        .all_inputs()
-        .flat_map(|f| f.stats.range_tombstones.iter())
-    {
-        let purgeable = bottommost
-            && snapshots.is_empty()
-            && !version
-                .all_files()
-                .any(|f| !deleted_ids.contains(&f.id) && f.under_key_range_tombstone(k));
-        if purgeable {
-            key_range_tombstones_dropped.push((k.dkey, k.seqno));
-        } else {
-            surviving_krts.push(k.clone());
-        }
-    }
-
-    // Entries shadowed by any live sort-key range tombstone (the
-    // version-wide fragment index, so tombstones held by non-input
-    // files erase here too) are dropped under the same conditions that
-    // allow point-tombstone drops: bottommost, no snapshots.
-    let krt_drop_index =
-        (bottommost && snapshots.is_empty() && !version.key_range_tombstones.is_empty())
-            .then(|| version.key_range_tombstones.as_ref());
+    // Entries shadowed by a live sort-key range tombstone are dropped
+    // under the same conditions that allow point-tombstone drops:
+    // bottommost, no snapshots.
+    let applied_range_deletes = bottommost && snapshots.is_empty();
+    let krt_drop_index = (applied_range_deletes && !version.key_range_index.is_empty())
+        .then(|| version.key_range_index.as_ref());
     let mut key_range_purged: u64 = 0;
 
     // Page drops are only safe (a) at the bottommost level — higher up,
     // dropping a covered chain head would let an older, deeper version
     // resurface under newest-version-decides semantics — and (b) with no
     // live snapshots (a snapshot might still read a covered page).
-    let page_drop_rts: Vec<RangeTombstone> = if bottommost && snapshots.is_empty() {
+    let page_drop_rts: Vec<RangeTombstone> = if applied_range_deletes {
         version.range_tombstones.clone()
     } else {
         Vec::new()
@@ -210,10 +181,9 @@ pub fn run_compaction(
         .collect();
     let drop_eligible = |f: &FileMeta| -> bool {
         f.level == deepest_input_level
-            && f.stats.entry_count > 0
-            && !deepest_inputs.iter().any(|g| {
-                g.id != f.id && g.stats.entry_count > 0 && g.overlaps_keys(f.min_key(), f.max_key())
-            })
+            && !deepest_inputs
+                .iter()
+                .any(|g| g.id != f.id && g.overlaps_keys(f.min_key(), f.max_key()))
     };
     let mut dropped_before: u64 = 0;
     let mut sources: Vec<Box<dyn KvSource>> = Vec::with_capacity(deleted_ids.len());
@@ -242,52 +212,17 @@ pub fn run_compaction(
     // and pages are dropped only from `drop_eligible` inputs of a
     // bottommost compaction, i.e. from files with nothing beneath them.
     // Anywhere else the output is sort-ordered (one page per tile).
-    let table_opts = TableOptions {
-        page_size: opts.page_size,
-        pages_per_tile: if bottommost { opts.pages_per_tile } else { 1 },
-        bloom_bits_per_key: opts.bloom_bits_per_key,
-        ..TableOptions::default()
-    };
-
+    let h = if bottommost { opts.pages_per_tile } else { 1 };
     let mut added: Vec<Arc<FileMeta>> = Vec::new();
     let mut builder: Option<(u64, TableBuilder)> = None;
-    let mut bytes_out = 0u64;
-
-    let finish_builder = |builder: &mut Option<(u64, TableBuilder)>,
-                          added: &mut Vec<Arc<FileMeta>>,
-                          bytes_out: &mut u64|
-     -> Result<()> {
+    let mut finish = |builder: &mut Option<(u64, TableBuilder)>| -> Result<()> {
         if let Some((id, b)) = builder.take() {
-            let (stats, lease) = b.finish_leased()?;
-            let path = sst_path(dir, id);
-            if stats.entry_count == 0 && stats.range_tombstones.is_empty() {
-                fs.delete(&path)?;
-                return Ok(());
-            }
-            let size = fs.file_size(&path)?;
-            *bytes_out += size;
-            let table = Table::open_leased(fs.open(&path)?, lease)?;
-            added.push(Arc::new(FileMeta {
-                id,
-                level: task.output_level,
-                run: task.output_run,
-                size_bytes: size,
-                stats,
-                created_tick: now,
-                table,
-            }));
+            let (level, run) = (task.output_level, task.output_run);
+            added.push(finish_table(fs, dir, id, b, level, run, now)?);
         }
         Ok(())
     };
 
-    // Outputs are written through to the cache: a page a compaction
-    // just produced is the page the next read of its keys wants.
-    let start_output = |id: u64| -> Result<TableBuilder> {
-        let file = fs.create(&sst_path(dir, id))?;
-        TableBuilder::with_cache(file, table_opts.clone(), cache.cloned())
-    };
-
-    let mut pending_krts = (!surviving_krts.is_empty()).then_some(surviving_krts);
     let mut krt_vlog_dead: Vec<(u64, u64, Tick)> = Vec::new();
     let mut krt_superseded: Vec<SeqNo> = Vec::new();
     while let Some(survivor) = stream.next_survivor()? {
@@ -317,28 +252,17 @@ pub fn run_compaction(
             None => false,
         };
         if split {
-            finish_builder(&mut builder, &mut added, &mut bytes_out)?;
+            finish(&mut builder)?;
         }
         if builder.is_none() {
             let id = next_file_id();
-            let mut b = start_output(id)?;
-            if let Some(krts) = pending_krts.take() {
-                b.set_range_tombstones(krts);
-            }
-            builder = Some((id, b));
+            builder = Some((id, create_table(fs, dir, opts, cache, id, h)?));
         }
         let (_, b) = builder.as_mut().expect("builder just ensured");
         b.add_encoded(survivor.key.encoded(), survivor.dkey, survivor.value)?;
     }
-    if let Some(krts) = pending_krts.take() {
-        // No surviving entries to attach the tombstones to: write a
-        // carrier table whose stats block alone keeps them durable.
-        let id = next_file_id();
-        let mut b = start_output(id)?;
-        b.set_range_tombstones(krts);
-        builder = Some((id, b));
-    }
-    finish_builder(&mut builder, &mut added, &mut bytes_out)?;
+    finish(&mut builder)?;
+    let bytes_out = added.iter().map(|f| f.size_bytes).sum();
 
     let mut pages_dropped: u64 = 0;
     for f in task.all_inputs() {
@@ -355,11 +279,11 @@ pub fn run_compaction(
         added,
         deleted_ids,
         trivial_move: false,
+        applied_range_deletes,
         shadowed: stream.shadowed,
         range_purged: stream.range_purged,
         key_range_purged,
         tombstones_dropped: stream.tombstones_dropped,
-        key_range_tombstones_dropped,
         tombstones_superseded,
         pages_dropped,
         bytes_in,
@@ -368,71 +292,55 @@ pub fn run_compaction(
     })
 }
 
-/// Flush a memtable's entries into a fresh L0 table file.
-///
-/// Returns the new file's metadata. `entries` must be in internal-key
-/// order (the memtable guarantees this). `key_range_tombstones` are the
-/// buffer's sort-key range tombstones, carried into the table's stats
-/// block; a table holding only those (no entries) is still written — a
-/// *carrier* file whose sole job is to keep the tombstones durable
-/// until a bottommost compaction purges them.
-///
-/// L0 tables are always sort-ordered, whatever `pages_per_tile` says: L0
-/// files overlap each other, so a compaction can drop an L0 page only
-/// when the file sits alone over an otherwise empty key range, and the
-/// woven layout would make every read of it pay `h` pages for that.
-#[allow(clippy::too_many_arguments)]
-pub fn write_l0_table<'a>(
+/// Start table `id` under `dir`, `h` pages per tile, written through
+/// to `cache`: a page just written is the page the next read of its keys
+/// wants.
+pub(crate) fn create_table(
     fs: &Arc<dyn Vfs>,
     dir: &str,
     opts: &DbOptions,
     cache: Option<&Arc<BlockCache>>,
-    entries: impl Iterator<Item = &'a Entry>,
-    key_range_tombstones: Vec<KeyRangeTombstone>,
     id: u64,
-    run: u64,
-    now: Tick,
-) -> Result<Option<Arc<FileMeta>>> {
+    h: usize,
+) -> Result<TableBuilder> {
     let table_opts = TableOptions {
         page_size: opts.page_size,
-        pages_per_tile: 1,
+        pages_per_tile: h,
         bloom_bits_per_key: opts.bloom_bits_per_key,
         ..TableOptions::default()
     };
-    let path = sst_path(dir, id);
-    let file = fs.create(&path)?;
-    let mut b = TableBuilder::with_cache(file, table_opts, cache.cloned())?;
-    let mut any = false;
-    for e in entries {
-        b.add(e)?;
-        any = true;
-    }
-    let carries_krts = !key_range_tombstones.is_empty();
-    if carries_krts {
-        b.set_range_tombstones(key_range_tombstones);
-    }
+    TableBuilder::with_cache(fs.create(&sst_path(dir, id))?, table_opts, cache.cloned())
+}
+
+/// Finish table `id` and open it as a live file at `(level, run)`, born
+/// at `now`.
+pub(crate) fn finish_table(
+    fs: &Arc<dyn Vfs>,
+    dir: &str,
+    id: u64,
+    b: TableBuilder,
+    level: usize,
+    run: u64,
+    now: Tick,
+) -> Result<Arc<FileMeta>> {
     let (stats, lease) = b.finish_leased()?;
-    if !any && !carries_krts {
-        fs.delete(&path)?;
-        return Ok(None);
-    }
-    let size = fs.file_size(&path)?;
+    let path = sst_path(dir, id);
+    let size_bytes = fs.file_size(&path)?;
     let table = Table::open_leased(fs.open(&path)?, lease)?;
-    Ok(Some(Arc::new(FileMeta {
+    Ok(Arc::new(FileMeta {
         id,
-        level: 0,
+        level,
         run,
-        size_bytes: size,
+        size_bytes,
         stats,
         created_tick: now,
         table,
-    })))
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::picker::{CompactionReason, CompactionTask};
     use crate::testutil::{make_file, make_file_with};
     use acheron_types::DeleteKeyRange;
     use acheron_vfs::MemFs;

@@ -885,11 +885,7 @@ impl Db {
         let gauges = self.tombstone_gauges();
         DeleteAudit {
             now: self.now(),
-            d_th: core
-                .opts
-                .fade
-                .as_ref()
-                .map(|f| f.delete_persistence_threshold),
+            d_th: core.opts.d_th(),
             cohorts: core.ledger.lock().snapshot(),
             oldest_live_tombstone_tick: gauges.oldest_live_tick(),
             oldest_vlog_dead_tick: gauges.vlog_oldest_dead_tick,

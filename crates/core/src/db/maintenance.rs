@@ -12,13 +12,13 @@ use acheron_types::{Error, Result, SeqNo, Tick, ValuePointer};
 use acheron_wal::{LogWriter, WalOp};
 
 use super::{CommitExclusion, DbCore, ImmMemtable, PauseGuard, State};
-use crate::compaction::{run_compaction, write_l0_table};
+use crate::compaction::{create_table, finish_table, run_compaction};
 use crate::filenames::{sst_path, vlog_path, wal_path};
 use crate::manifest::{EditBatch, VersionEdit};
 use crate::obs::trace::CohortStage;
 use crate::obs::Event;
 use crate::picker::{CompactionClaim, CompactionReason, CompactionTask};
-use crate::version::{FileMeta, Version};
+use crate::version::{Applied, FileMeta, Retired, Version};
 
 /// Upper bound on back-to-back tasks per inline maintenance pass; a
 /// correctly converging picker never reaches it.
@@ -79,13 +79,63 @@ impl DbCore {
             st.ttl_deadline = None;
             return;
         };
-        let files = st.version.all_files().filter_map(|f| ttl.file_deadline(f));
+        let version = &st.version;
+        let files = version.all_files().filter_map(|f| ttl.file_deadline(f));
+        let key_ranges = (version.key_range_tombstones.iter())
+            .filter_map(|k| Some(ttl.key_range_deadline(version, k)?.1));
         // Sealed memtables are still "station 0": their tombstones keep
         // aging against the buffer TTL until their flush installs.
         let buffers = std::iter::once(&st.mem)
             .chain(st.imms.iter().map(|i| &i.mem))
             .filter_map(|m| ttl.buffer_deadline(m));
-        st.ttl_deadline = files.chain(buffers).min();
+        st.ttl_deadline = files.chain(key_ranges).chain(buffers).min();
+    }
+
+    /// Retire from `next`, the version an install is about to publish,
+    /// every range tombstone the install left erasing nothing (see
+    /// [`Version::retire`]), and append the drop records to `edits`.
+    fn retire_locked(
+        &self,
+        st: &State,
+        next: Version,
+        applied: Option<&Applied<'_>>,
+        edits: &mut Vec<VersionEdit>,
+    ) -> (Version, Retired) {
+        let buffers: Vec<&Memtable> = std::iter::once(&st.mem)
+            .chain(st.imms.iter().map(|i| &i.mem))
+            .map(|m| m.as_ref())
+            .collect();
+        let (next, retired) = next.retire(&buffers, applied);
+        for &seqno in &retired.secondary {
+            edits.push(VersionEdit::DropRangeTombstone { seqno });
+        }
+        for k in &retired.key_ranges {
+            edits.push(VersionEdit::DropKeyRangeTombstone { seqno: k.seqno });
+        }
+        (next, retired)
+    }
+
+    /// Account the sort-key range tombstones an install retired: each is
+    /// a delete resolved, its latency bounded by the same `D_th` as a
+    /// point tombstone's.
+    fn note_retired(&self, retired: &Retired, now: Tick, level: usize) {
+        let d_th = self.opts.d_th();
+        let mut ledger = self.ledger.lock();
+        for k in &retired.key_ranges {
+            self.stats
+                .key_range_tombstones_purged
+                .fetch_add(1, Ordering::Relaxed);
+            self.stats.record_tombstone_purge(k.dkey, now, d_th);
+            if let Some(epoch) = ledger.tombstone_resolved(k.seqno, now) {
+                self.obs.log(Event::CohortAdvanced {
+                    epoch,
+                    stage: CohortStage::Purged,
+                    level: level as u64,
+                    tombstones: 0,
+                    tick: now,
+                });
+            }
+        }
     }
 
     // ------------------------------------------------------------------
@@ -157,33 +207,38 @@ impl DbCore {
 
     /// Build an L0 table from a sealed memtable. Pure I/O, run without
     /// the state lock.
+    ///
+    /// L0 tables are always sort-ordered, whatever `pages_per_tile` says:
+    /// L0 files overlap each other, so a compaction can drop an L0 page
+    /// only when the file sits alone over an otherwise empty key range,
+    /// and the woven layout would make every read of it pay `h` pages
+    /// for that.
     fn build_l0_table(&self, mem: &Memtable) -> Result<Option<Arc<FileMeta>>> {
         self.obs.log(Event::FlushStart {
             entries: mem.stats().entries as u64,
         });
+        // A buffer of range deletes alone writes no table: its
+        // tombstones go to the manifest at the install.
+        if mem.stats().entries == 0 {
+            return Ok(None);
+        }
         let now = self.opts.clock.now();
         let id = self.alloc_file_id();
+        let (fs, dir) = (&self.fs, &self.dir);
+        let mut b = create_table(fs, dir, &self.opts, self.cache.as_ref(), id, 1)?;
         // Entries are flushed as-is; range-erased versions are purged at
         // bottommost compactions (purging here could let older, deeper
-        // versions decide reads). Buffered sort-key range tombstones
-        // ride into the table's stats block — a tombstone-only buffer
-        // still produces a (carrier) file.
-        write_l0_table(
-            &self.fs,
-            &self.dir,
-            &self.opts,
-            self.cache.as_ref(),
-            mem.entries(),
-            mem.range_tombstone_list(),
-            id,
-            id,
-            now,
-        )
+        // versions decide reads).
+        for e in mem.entries() {
+            b.add(e)?;
+        }
+        finish_table(fs, dir, id, b, 0, id, now).map(Some)
     }
 
-    /// Install a built L0 table for the *front* sealed memtable: manifest
-    /// record first, then WAL retirement, then version publish — the
-    /// crash-safety ordering the seed engine established.
+    /// Install a built L0 table for the *front* sealed memtable, with its
+    /// sort-key range tombstones moved into the manifest beside it:
+    /// manifest record first, then WAL retirement, then version publish
+    /// — the crash-safety ordering the seed engine established.
     fn install_flush_locked(
         &self,
         st: &mut State,
@@ -213,7 +268,22 @@ impl DbCore {
             .front()
             .map(|i| i.wal_number)
             .unwrap_or_else(|| *st.live_wals.last().expect("active wal present"));
-        let mut edits = vec![
+        let mut edits = Vec::new();
+        let next = match &file {
+            Some(f) => {
+                edits.push(VersionEdit::add_file(f));
+                (self.stats.compaction_bytes_out).fetch_add(f.size_bytes, Ordering::Relaxed);
+                st.version.apply(vec![Arc::clone(f)], &[], &[], &[])
+            }
+            None => (*st.version).clone(),
+        };
+        // A tombstone that erases nothing retires at its own flush: it is
+        // added and dropped in one batch.
+        let krts = imm.mem.range_tombstone_list();
+        edits.extend(krts.iter().cloned().map(VersionEdit::AddKeyRangeTombstone));
+        let next = next.apply_key_ranges(&krts, &[]);
+        let (next, retired) = self.retire_locked(st, next, None, &mut edits);
+        edits.extend([
             VersionEdit::PersistedSeqno {
                 seqno: imm.max_seqno,
             },
@@ -223,31 +293,16 @@ impl DbCore {
             VersionEdit::NextFileId {
                 id: self.next_file_id.load(Ordering::SeqCst),
             },
-        ];
-        if let Some(f) = &file {
-            edits.insert(
-                0,
-                VersionEdit::AddFile {
-                    level: 0,
-                    run: f.run,
-                    id: f.id,
-                    size: f.size_bytes,
-                    created_tick: f.created_tick,
-                },
-            );
-            self.stats
-                .compaction_bytes_out
-                .fetch_add(f.size_bytes, Ordering::Relaxed);
-        }
+        ]);
         st.manifest.append(&EditBatch { edits })?;
 
         // Retire WAL segments only after the manifest's LogNumber no
         // longer references them.
-        let (retired, kept): (Vec<u64>, Vec<u64>) = std::mem::take(&mut st.live_wals)
+        let (old_wals, kept): (Vec<u64>, Vec<u64>) = std::mem::take(&mut st.live_wals)
             .into_iter()
             .partition(|n| *n < next_live_wal);
         st.live_wals = kept;
-        for old in retired {
+        for old in old_wals {
             let path = wal_path(&self.dir, old);
             if self.fs.exists(&path) {
                 self.fs.delete(&path)?;
@@ -257,9 +312,8 @@ impl DbCore {
         let flushed = file
             .as_ref()
             .map(|f| (f.id, f.size_bytes, f.stats.entry_count));
-        if let Some(f) = file {
-            st.version = Arc::new(st.version.apply(vec![f], &[], &[], &[]));
-        }
+        st.version = Arc::new(next);
+        self.note_retired(&retired, self.opts.clock.now(), 0);
         st.persisted_seqno = st.persisted_seqno.max(imm.max_seqno);
         self.recompute_ttl_deadline(st);
         self.stats.flushes.fetch_add(1, Ordering::Relaxed);
@@ -349,6 +403,7 @@ impl DbCore {
             let mut st = self.state.write();
             self.install_compaction_locked(
                 &mut st,
+                version,
                 task,
                 outcome,
                 now,
@@ -362,19 +417,48 @@ impl DbCore {
         Ok(())
     }
 
-    /// Apply a compaction outcome: version delta, range-tombstone
-    /// retirement, manifest record, physical deletes, statistics. The
-    /// ordering invariant is manifest-append before version publish and
-    /// before any physical file deletion.
+    /// Apply a compaction outcome merged against `start`: version delta,
+    /// range-tombstone retirement, manifest record, physical deletes,
+    /// statistics. The ordering invariant is manifest-append before
+    /// version publish and before any physical file deletion.
+    #[allow(clippy::too_many_arguments)]
     fn install_compaction_locked(
         &self,
         st: &mut State,
+        start: &Version,
         task: &CompactionTask,
         outcome: crate::compaction::CompactionOutcome,
         now: Tick,
         newest_snapshot: Option<SeqNo>,
         micros: u64,
     ) -> Result<()> {
+        // Manifest record (deletes first so trivial moves replay
+        // correctly).
+        let mut edits: Vec<VersionEdit> = outcome
+            .deleted_ids
+            .iter()
+            .map(|id| VersionEdit::DeleteFile { id: *id })
+            .collect();
+        edits.extend(outcome.added.iter().map(|f| VersionEdit::add_file(f)));
+        // Retirement sees the post-compaction file set. The outputs of a
+        // merge that applied every range tombstone do not keep them live.
+        let outputs: Vec<u64> = outcome.added.iter().map(|f| f.id).collect();
+        let applied = Applied {
+            start,
+            outputs: &outputs,
+        };
+        let next = (st.version).apply(outcome.added.clone(), &outcome.deleted_ids, &[], &[]);
+        let (new_version, retired) = self.retire_locked(
+            st,
+            next,
+            outcome.applied_range_deletes.then_some(&applied),
+            &mut edits,
+        );
+        edits.push(VersionEdit::NextFileId {
+            id: self.next_file_id.load(Ordering::SeqCst),
+        });
+        st.manifest.append(&EditBatch { edits })?;
+
         // A TTL rewrite within one level that came out as it went in
         // would be picked again, unchanged, for as long as the clock
         // stands still or the snapshot that pinned it lives: have the
@@ -383,75 +467,17 @@ impl DbCore {
         if task.reason == CompactionReason::TtlExpired
             && task.level == task.output_level
             && outcome.entries_dropped() == 0
-            && outcome.key_range_tombstones_dropped.is_empty()
+            && retired.is_empty()
         {
             let snapshots = self.snapshots.lock();
             let pin = newest_snapshot.filter(|s| snapshots.contains_key(s));
             self.picker
-                .note_futile_rewrite(now, pin, outcome.added.iter().map(|f| f.id));
+                .note_futile_rewrite(now, pin, outputs.iter().copied());
         }
-        // Apply to the version first so range-tombstone retirement sees
-        // the post-compaction file set. A tombstone is retirable only if
-        // no *buffer* (active or sealed memtable) holds anything it
-        // could still shadow either — un-flushed covered entries must
-        // remain shadowed once they reach disk.
-        let mut new_version =
-            st.version
-                .apply(outcome.added.clone(), &outcome.deleted_ids, &[], &[]);
-        let mut retirable = new_version.retirable_range_tombstones();
-        if !retirable.is_empty() {
-            let mut buffers: Vec<(SeqNo, u64, u64)> = Vec::new();
-            for m in std::iter::once(st.mem.as_ref()).chain(st.imms.iter().map(|i| i.mem.as_ref()))
-            {
-                let stats = m.stats();
-                if let (Some(min_seq), Some(lo), Some(hi)) =
-                    (m.min_seqno(), stats.min_dkey, stats.max_dkey)
-                {
-                    buffers.push((min_seq, lo, hi));
-                }
-            }
-            let rts = st.version.range_tombstones.clone();
-            retirable.retain(|seqno| {
-                !rts.iter().any(|rt| {
-                    rt.seqno == *seqno
-                        && buffers
-                            .iter()
-                            .any(|(ms, lo, hi)| *ms < rt.seqno && rt.range.overlaps(*lo, *hi))
-                })
-            });
-        }
-        if !retirable.is_empty() {
-            new_version = new_version.apply(vec![], &[], &[], &retirable);
-        }
-
-        // Manifest record (deletes first so trivial moves replay
-        // correctly).
-        let mut edits: Vec<VersionEdit> = outcome
-            .deleted_ids
-            .iter()
-            .map(|id| VersionEdit::DeleteFile { id: *id })
-            .collect();
-        for f in &outcome.added {
-            edits.push(VersionEdit::AddFile {
-                level: f.level as u64,
-                run: f.run,
-                id: f.id,
-                size: f.size_bytes,
-                created_tick: f.created_tick,
-            });
-        }
-        for seqno in &retirable {
-            edits.push(VersionEdit::DropRangeTombstone { seqno: *seqno });
-        }
-        edits.push(VersionEdit::NextFileId {
-            id: self.next_file_id.load(Ordering::SeqCst),
-        });
-        st.manifest.append(&EditBatch { edits })?;
 
         // Physically remove replaced files (not those merely moved).
-        let kept: Vec<u64> = outcome.added.iter().map(|f| f.id).collect();
         for id in &outcome.deleted_ids {
-            if !kept.contains(id) {
+            if !outputs.contains(id) {
                 let path = sst_path(&self.dir, *id);
                 if self.fs.exists(&path) {
                     self.fs.delete(&path)?;
@@ -484,19 +510,8 @@ impl DbCore {
         self.stats
             .pages_dropped
             .fetch_add(outcome.pages_dropped, Relaxed);
-        let d_th = self
-            .opts
-            .fade
-            .as_ref()
-            .map(|f| f.delete_persistence_threshold);
+        let d_th = self.opts.d_th();
         for (delete_tick, _seqno) in &outcome.tombstones_dropped {
-            self.stats.record_tombstone_purge(*delete_tick, now, d_th);
-        }
-        // Purged sort-key range tombstones feed the same persistence
-        // histogram: FADE bounds their resolution latency by the same
-        // D_th as point tombstones.
-        for (delete_tick, _seqno) in &outcome.key_range_tombstones_dropped {
-            self.stats.key_range_tombstones_purged.fetch_add(1, Relaxed);
             self.stats.record_tombstone_purge(*delete_tick, now, d_th);
         }
         // Pointers dropped by this compaction (shadowed or purged) turn
@@ -509,9 +524,10 @@ impl DbCore {
             }
         }
         // Ledger: stamp cohort descent and member-tombstone resolution.
-        // Every tombstone leaves a compaction exactly one way — purged,
-        // superseded by a newer version, or krt-purged — and each way
-        // reports its seqno here, so cohorts can account members out.
+        // Every point tombstone leaves a compaction exactly one way —
+        // purged, superseded by a newer version, or krt-purged — and each
+        // way reports its seqno here, so cohorts can account members out;
+        // a retired sort-key range tombstone reports in `note_retired`.
         {
             let mut ledger = self.ledger.lock();
             let windows: Vec<(SeqNo, SeqNo)> = task
@@ -530,7 +546,6 @@ impl DbCore {
             let resolved = outcome
                 .tombstones_dropped
                 .iter()
-                .chain(outcome.key_range_tombstones_dropped.iter())
                 .map(|(_, seqno)| *seqno)
                 .chain(outcome.tombstones_superseded.iter().copied());
             for seqno in resolved {
@@ -548,14 +563,14 @@ impl DbCore {
                 ledger.vlog_dead(*segment, *stamp);
             }
         }
+        self.note_retired(&retired, now, task.output_level);
         self.obs.log(Event::CompactionEnd {
             level: task.level as u64,
             output_level: task.output_level as u64,
             bytes_in: outcome.bytes_in,
             bytes_out: outcome.bytes_out,
             entries_dropped: outcome.entries_dropped(),
-            tombstones_purged: (outcome.tombstones_dropped.len()
-                + outcome.key_range_tombstones_dropped.len()) as u64,
+            tombstones_purged: (outcome.tombstones_dropped.len() + retired.key_ranges.len()) as u64,
             micros,
         });
         self.recompute_ttl_deadline(st);
@@ -581,11 +596,7 @@ impl DbCore {
     /// snapshot drops.
     fn vlog_gc_candidate(&self, now: Tick) -> Option<u64> {
         let head = self.vlog.lock().as_ref().map(|w| w.segment());
-        let d_th = self
-            .opts
-            .fade
-            .as_ref()
-            .map(|f| f.delete_persistence_threshold);
+        let d_th = self.opts.d_th();
         let ratio = u64::from(self.opts.vlog_gc_dead_ratio_percent);
         let snapshots_empty = self.snapshots.lock().is_empty();
         let vs = self.vlog_state.lock();

@@ -103,7 +103,7 @@ impl RangeIter {
             };
             let live = kind.is_put_like()
                 && !shadowed(&self.version, self.snapshot, seqno, dkey)
-                && !covered(&self.version.key_range_tombstones)
+                && !covered(&self.version.key_range_index)
                 && !self.buffered_krts.iter().any(|idx| covered(idx));
             let row = live.then(|| self.merge.entry()).transpose()?;
             self.merge.advance()?;
@@ -389,7 +389,7 @@ impl DbCore {
                 seqno_skips += 1;
                 continue;
             }
-            if !f.contains_key(key) {
+            if !f.overlaps_keys(key, key) {
                 bloom_skips += 1;
                 continue;
             }
@@ -437,7 +437,7 @@ impl DbCore {
             .filter_map(|m| m.range_cover(key, snapshot))
             .chain(
                 view.version
-                    .key_range_tombstones
+                    .key_range_index
                     .max_seqno_covering(key, snapshot),
             )
             .max();

@@ -127,7 +127,9 @@ fn repair(
         RecoveryStepKind::ManifestLoaded,
         s.tables.len() as u64,
     )];
-    let version = Version::empty(opts.max_levels).apply(s.tables, &[], &s.range_tombstones, &[]);
+    let version = Version::empty(opts.max_levels)
+        .apply(s.tables, &[], &s.range_tombstones, &[])
+        .apply_key_ranges(&s.key_range_tombstones, &[]);
 
     let (replayed, dropped_wals): (Vec<_>, Vec<_>) = s
         .wals
@@ -201,19 +203,24 @@ fn repair(
             number: replayed.first().map_or(wal_number, |w| w.number),
         },
     ];
-    snapshot_edits.extend(version.all_files().map(|f| VersionEdit::AddFile {
-        level: f.level as u64,
-        run: f.run,
-        id: f.id,
-        size: f.size_bytes,
-        created_tick: f.created_tick,
-    }));
+    snapshot_edits.extend(version.all_files().map(|f| VersionEdit::add_file(f)));
     snapshot_edits.extend(version.range_tombstones.iter().map(|rt| {
         VersionEdit::AddRangeTombstone {
             seqno: rt.seqno,
             range: rt.range,
         }
     }));
+    snapshot_edits.extend(
+        (version.key_range_tombstones.iter()).map(|k| VersionEdit::AddKeyRangeTombstone(k.clone())),
+    );
+    // While a live table still lists range tombstones, the lift is
+    // recorded so that no later open lifts its stale list again.
+    if version
+        .all_files()
+        .any(|f| !f.stats.range_tombstones.is_empty())
+    {
+        snapshot_edits.push(VersionEdit::KeyRangeTombstonesLifted);
+    }
     snapshot_edits.extend(
         s.vlog_dropped
             .iter()
@@ -287,6 +294,7 @@ fn repair(
         .all_files()
         .map(|f| f.created_tick)
         .chain(mem.stats().max_dkey)
+        .chain(version.key_range_tombstones.iter().map(|krt| krt.dkey))
         .chain(mem.range_tombstone_list().iter().map(|krt| krt.dkey))
         .max()
         .unwrap_or(0);

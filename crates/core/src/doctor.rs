@@ -27,7 +27,6 @@
 //!   age is unknowable offline — are flagged as overdue, which is how
 //!   the open stamps them.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use acheron_sstable::Table;
@@ -36,7 +35,7 @@ use acheron_types::{Error, Result, Tick};
 use acheron_vfs::Vfs;
 
 use crate::filenames::wal_path;
-use crate::obs::{min_tick, GcKind};
+use crate::obs::{GcKind, TombstoneGauges};
 use crate::survey::{survey, WalEnd};
 use crate::version::Version;
 
@@ -56,7 +55,7 @@ pub struct LevelTombstoneSummary {
     pub oldest_tombstone_tick: Option<Tick>,
     /// Age of that tombstone at the newest-created-tick proxy.
     pub max_unresolved_age: Option<Tick>,
-    /// Live sort-key range tombstones carried by tables at the level.
+    /// Live sort-key range tombstones whose station is the level.
     pub key_range_tombstones: u64,
     /// Birth tick of the oldest live sort-key range tombstone.
     pub oldest_key_range_tick: Option<Tick>,
@@ -73,7 +72,7 @@ pub struct DoctorReport {
     pub entries: u64,
     /// Total point tombstones across live tables.
     pub tombstones: u64,
-    /// Total sort-key range tombstones across live tables.
+    /// Live sort-key range tombstones.
     pub key_range_tombstones: u64,
     /// Live secondary range tombstones.
     pub range_tombstones: usize,
@@ -140,48 +139,46 @@ pub fn check_db_with_threshold(
     };
 
     // Verify every live table.
-    let mut tomb_levels: BTreeMap<u64, LevelTombstoneSummary> = BTreeMap::new();
     for f in &surveyed.tables {
         verify_table(&f.table, f.id)?;
-        let (stats, level) = (&f.stats, f.level as u64);
         report.tables_checked += 1;
-        report.entries += stats.entry_count;
-        report.tombstones += stats.tombstone_count;
-        let krts = stats.range_tombstones.len() as u64;
-        report.key_range_tombstones += krts;
-        if stats.tombstone_count > 0 || krts > 0 {
-            let summary = tomb_levels.entry(level).or_insert(LevelTombstoneSummary {
-                level,
-                ..LevelTombstoneSummary::default()
-            });
-            summary.files_with_tombstones += usize::from(stats.tombstone_count > 0);
-            summary.tombstones += stats.tombstone_count;
-            summary.oldest_tombstone_tick =
-                min_tick(summary.oldest_tombstone_tick, stats.oldest_tombstone_tick);
-            summary.key_range_tombstones += krts;
-            summary.oldest_key_range_tick = min_tick(
-                summary.oldest_key_range_tick,
-                stats.oldest_range_tombstone_tick(),
-            );
-        }
+        report.entries += f.stats.entry_count;
+        report.tombstones += f.stats.tombstone_count;
     }
 
     // Runs have disjoint key ranges: the recovered layout's own
     // invariant, checked the way the engine checks it once open.
-    Version::empty(0)
+    let version = Version::empty(0)
         .apply(surveyed.tables.clone(), &[], &[], &[])
+        .apply_key_ranges(&surveyed.key_range_tombstones, &[]);
+    version
         .check_invariants()
         .map_err(|e| Error::corruption(format!("recovered layout: {e}")))?;
+    report.key_range_tombstones = version.key_range_tombstones.len() as u64;
 
-    // Tombstone populations: how far each level's oldest live delete
-    // has aged, against the manifest's newest created tick. When a
-    // threshold is given, an age past it means the engine's FADE
-    // promise is (or is about to be) violated for that tombstone.
+    // Tombstone populations, per level as the engine's gauges count
+    // them: how far each level's oldest live delete has aged, against
+    // the manifest's newest created tick. When a threshold is given, an
+    // age past it means the engine's FADE promise is (or is about to
+    // be) violated for that tombstone.
     let newest = report.newest_created_tick;
-    for summary in tomb_levels.values_mut() {
-        let age = |t0: Option<Tick>| t0.map(|t0| newest.saturating_sub(t0));
-        summary.max_unresolved_age = age(summary.oldest_tombstone_tick);
-        summary.max_unresolved_key_range_age = age(summary.oldest_key_range_tick);
+    let age = |t0: Option<Tick>| t0.map(|t0| newest.saturating_sub(t0));
+    for g in TombstoneGauges::from_version(&version).levels {
+        if g.tombstones == 0 && g.key_range_tombstones == 0 {
+            continue;
+        }
+        let summary = LevelTombstoneSummary {
+            level: g.level as u64,
+            files_with_tombstones: (version.levels[g.level].iter())
+                .filter(|f| f.stats.tombstone_count > 0)
+                .count(),
+            tombstones: g.tombstones,
+            oldest_tombstone_tick: g.oldest_tombstone_tick,
+            max_unresolved_age: age(g.oldest_tombstone_tick),
+            key_range_tombstones: g.key_range_tombstones,
+            oldest_key_range_tick: g.oldest_key_range_tick,
+            max_unresolved_key_range_age: age(g.oldest_key_range_tick),
+        };
         for (family, age) in [
             ("", summary.max_unresolved_age),
             ("range ", summary.max_unresolved_key_range_age),
@@ -195,8 +192,8 @@ pub fn check_db_with_threshold(
                 ));
             }
         }
+        report.level_tombstones.push(summary);
     }
-    report.level_tombstones = tomb_levels.into_values().collect();
 
     // WAL segments. A tear is only ordinary crash debris in the
     // *final* (highest-numbered) live segment — a crash can tear the
@@ -335,22 +332,6 @@ pub(crate) fn verify_table(table: &Arc<Table>, id: u64) -> Result<()> {
         )));
     }
 
-    // Range-tombstone sanity: spans must be ordered and their seqnos
-    // bracketed by the table's seqno window (the builder folds them in).
-    for krt in &stats.range_tombstones {
-        if krt.start > krt.end {
-            return Err(Error::corruption(format!(
-                "table {id}: inverted range tombstone span"
-            )));
-        }
-        if krt.seqno < stats.min_seqno || krt.seqno > stats.max_seqno {
-            return Err(Error::corruption(format!(
-                "table {id}: range tombstone seqno {} outside stats window [{}, {}]",
-                krt.seqno, stats.min_seqno, stats.max_seqno
-            )));
-        }
-    }
-
     // Tile invariants.
     let mut meta_entries = 0u64;
     for (t, tile) in table.tiles().iter().enumerate() {
@@ -424,8 +405,12 @@ mod tests {
         );
         let total: u64 = report.level_tombstones.iter().map(|l| l.tombstones).sum();
         assert_eq!(total, report.tombstones);
+        // A level is listed for point tombstones or as a sort-key range
+        // tombstone's station.
         for l in &report.level_tombstones {
-            assert!(l.tombstones > 0);
+            assert!(l.tombstones > 0 || l.key_range_tombstones > 0);
+        }
+        for l in report.level_tombstones.iter().filter(|l| l.tombstones > 0) {
             assert!(l.files_with_tombstones > 0);
             let t0 = l.oldest_tombstone_tick.expect("oldest tick recorded");
             assert_eq!(
@@ -439,14 +424,14 @@ mod tests {
     fn reports_unresolved_key_range_tombstone_age() {
         let fs = populated_fs();
         let report = check_db(fs.as_ref(), "db").unwrap();
-        let carrier = report
+        let station = report
             .level_tombstones
             .iter()
             .find(|l| l.key_range_tombstones > 0)
             .expect("the flushed range delete must surface at some level");
-        let t0 = carrier.oldest_key_range_tick.expect("oldest tick recorded");
+        let t0 = station.oldest_key_range_tick.expect("oldest tick recorded");
         assert_eq!(
-            carrier.max_unresolved_key_range_age,
+            station.max_unresolved_key_range_age,
             Some(report.newest_created_tick.saturating_sub(t0))
         );
         // Threshold 0: the live range tombstone is overdue and warned on.

@@ -21,10 +21,10 @@
 //!   compactions are allowed exponentially more slack.
 
 use acheron_memtable::Memtable;
-use acheron_types::Tick;
+use acheron_types::{KeyRangeTombstone, Tick};
 
 use crate::options::{DbOptions, TtlAllocation};
-use crate::version::FileMeta;
+use crate::version::{FileMeta, Version};
 
 /// The per-station TTL schedule. Station 0 is the write buffer; station
 /// `i + 1` is disk level `i`. The bottom disk level has no station —
@@ -94,12 +94,30 @@ impl TtlSchedule {
         oldest.map(|t0| t0.saturating_add(self.cumulative[0]))
     }
 
-    /// Absolute tick by which `file`'s oldest tombstone — point *or*
-    /// sort-key range — must leave the file's level (`None` when it
-    /// holds neither). The file is expired once `now` passes it.
+    /// Absolute tick by which `file`'s oldest point tombstone must leave
+    /// the file's level (`None` when it holds none). The file is expired
+    /// once `now` passes it.
     pub fn file_deadline(&self, file: &FileMeta) -> Option<Tick> {
-        let t0 = file.stats.oldest_any_tombstone_tick()?;
+        let t0 = file.stats.oldest_tombstone_tick?;
         Some(t0.saturating_add(self.deadline(file.level)))
+    }
+
+    /// The station of the sort-key range tombstone `k` in `version` (see
+    /// [`Version::station`]) and the absolute tick by which it must
+    /// leave it; `None` when no file is under it. The budget is that of
+    /// the level above the station (of L0 for a station at L0): the
+    /// tombstone entered the tree at L0, above the older entries it
+    /// erases, so the merge that moves the station's files on is the
+    /// one that applies it, and it must start while one level's budget
+    /// is left.
+    pub fn key_range_deadline(
+        &self,
+        version: &Version,
+        k: &KeyRangeTombstone,
+    ) -> Option<(usize, Tick)> {
+        let level = version.station(k)?;
+        let budget = self.deadline(level.saturating_sub(1));
+        Some((level, k.dkey.saturating_add(budget)))
     }
 }
 
@@ -208,6 +226,24 @@ mod tests {
         // Tombstones every 5th key, born at their key ids: 10, 15, ...
         let f = make_file_with(&fs, 2, 2, 0, 10..50, 1, 5, 0);
         assert_eq!(s.file_deadline(&f), Some(10 + s.deadline(2)));
+    }
+
+    #[test]
+    fn a_key_range_deadline_is_its_tick_plus_its_stations_budget() {
+        use crate::testutil::make_file;
+        use bytes::Bytes;
+        let fs = acheron_vfs::MemFs::new();
+        let s = TtlSchedule::new(&opts(TtlAllocation::Uniform, 1600, 5, 4));
+        let k = KeyRangeTombstone {
+            start: Bytes::from_static(b"key000010"),
+            end: Bytes::from_static(b"key000020"),
+            seqno: 1_000,
+            dkey: 40,
+        };
+        let v = Version::empty(5);
+        assert_eq!(s.key_range_deadline(&v, &k), None, "nothing under it");
+        let v = v.apply(vec![make_file(&fs, 1, 3, 0..50, 1)], &[], &[], &[]);
+        assert_eq!(s.key_range_deadline(&v, &k), Some((3, 40 + s.deadline(2))));
     }
 
     #[test]

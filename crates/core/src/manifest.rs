@@ -8,10 +8,12 @@
 use acheron_types::codec::{
     put_length_prefixed, put_varint64, require_length_prefixed, require_varint64,
 };
-use acheron_types::{DeleteKeyRange, Error, Result, SeqNo};
+use acheron_types::{DeleteKeyRange, Error, KeyRangeTombstone, Result, SeqNo};
 use acheron_vfs::Vfs;
 use acheron_wal::{LogReader, LogWriter, ReadOutcome};
 use bytes::Bytes;
+
+use crate::version::FileMeta;
 
 /// One metadata mutation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,6 +63,20 @@ pub enum VersionEdit {
         /// Next free file id.
         id: u64,
     },
+    /// A sort-key range delete left the write buffer: its flush moved it
+    /// here, in the same batch as the flush's table.
+    AddKeyRangeTombstone(KeyRangeTombstone),
+    /// A sort-key range tombstone is fully applied and retired.
+    DropKeyRangeTombstone {
+        /// Sequence number of the retired tombstone.
+        seqno: SeqNo,
+    },
+    /// The sort-key range tombstones that live tables still list in
+    /// their stats blocks (tables an older engine wrote) were lifted
+    /// into this manifest: opens ignore those lists. An open without it
+    /// lifts every live table's list into the manifest; the snapshot
+    /// manifest writes it while any live table still has one.
+    KeyRangeTombstonesLifted,
     /// A value-log segment was garbage-collected and its file deleted.
     ///
     /// Live tables may still carry (shadowed) pointers into the segment
@@ -81,6 +97,22 @@ const TAG_PERSISTED_SEQNO: u8 = 5;
 const TAG_LOG_NUMBER: u8 = 6;
 const TAG_NEXT_FILE_ID: u8 = 7;
 const TAG_DROP_VLOG: u8 = 8;
+const TAG_ADD_KRT: u8 = 9;
+const TAG_DROP_KRT: u8 = 10;
+const TAG_KRTS_LIFTED: u8 = 11;
+
+impl VersionEdit {
+    /// The record of the live file `f`.
+    pub fn add_file(f: &FileMeta) -> VersionEdit {
+        VersionEdit::AddFile {
+            level: f.level as u64,
+            run: f.run,
+            id: f.id,
+            size: f.size_bytes,
+            created_tick: f.created_tick,
+        }
+    }
+}
 
 /// An atomic group of edits (one manifest record).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -137,6 +169,15 @@ impl EditBatch {
                     out.push(TAG_DROP_VLOG);
                     put_varint64(&mut out, *segment);
                 }
+                VersionEdit::AddKeyRangeTombstone(krt) => {
+                    out.push(TAG_ADD_KRT);
+                    krt.encode(&mut out);
+                }
+                VersionEdit::DropKeyRangeTombstone { seqno } => {
+                    out.push(TAG_DROP_KRT);
+                    put_varint64(&mut out, *seqno);
+                }
+                VersionEdit::KeyRangeTombstonesLifted => out.push(TAG_KRTS_LIFTED),
             }
         }
         out
@@ -201,6 +242,15 @@ impl EditBatch {
                 TAG_DROP_VLOG => VersionEdit::DropVlogSegment {
                     segment: next("drop-vlog segment")?,
                 },
+                TAG_ADD_KRT => {
+                    let (krt, rest) = KeyRangeTombstone::decode(src, "add-krt")?;
+                    src = rest;
+                    VersionEdit::AddKeyRangeTombstone(krt)
+                }
+                TAG_DROP_KRT => VersionEdit::DropKeyRangeTombstone {
+                    seqno: next("drop-krt seqno")?,
+                },
+                TAG_KRTS_LIFTED => VersionEdit::KeyRangeTombstonesLifted,
                 other => {
                     return Err(Error::corruption(format!(
                         "edit batch: unknown tag {other}"
@@ -331,6 +381,14 @@ mod tests {
                 VersionEdit::LogNumber { number: 7 },
                 VersionEdit::NextFileId { id: 18 },
                 VersionEdit::DropVlogSegment { segment: 2 },
+                VersionEdit::AddKeyRangeTombstone(KeyRangeTombstone {
+                    start: Bytes::from_static(b"a"),
+                    end: Bytes::from_static(b"m"),
+                    seqno: 1001,
+                    dkey: 77,
+                }),
+                VersionEdit::DropKeyRangeTombstone { seqno: 901 },
+                VersionEdit::KeyRangeTombstonesLifted,
             ],
         }
     }

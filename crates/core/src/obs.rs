@@ -608,7 +608,8 @@ pub struct LevelGauge {
     pub tombstones: u64,
     /// Birth tick of the oldest still-live tombstone at the level.
     pub oldest_tombstone_tick: Option<Tick>,
-    /// Live sort-key range tombstones carried by files at the level.
+    /// Live sort-key range tombstones whose station is the level (the
+    /// shallowest level with a file under them).
     pub key_range_tombstones: u64,
     /// Birth tick of the oldest still-live sort-key range tombstone.
     pub oldest_key_range_tick: Option<Tick>,
@@ -633,10 +634,11 @@ pub struct TombstoneGauges {
     pub buffer_oldest_key_range_tick: Option<Tick>,
     /// Live secondary range tombstones.
     pub range_tombstones: u64,
-    /// Per-file `(tombstone_count, oldest tick)` pairs feeding the age
-    /// histogram — every tombstone in a file is binned at the file's
-    /// *oldest* tombstone age (per-sstable metadata has no finer
-    /// resolution), a conservative over-estimate of ages.
+    /// `(tombstone_count, oldest tick)` pairs feeding the age histogram:
+    /// one per file with point tombstones — every tombstone in a file is
+    /// binned at the file's *oldest* tombstone age (per-sstable metadata
+    /// has no finer resolution), a conservative over-estimate of ages —
+    /// and `(1, tick)` per sort-key range tombstone in the version.
     pub file_populations: Vec<(u64, Tick)>,
     /// Value-log bytes still referenced by the tree, from the vlog
     /// accounting.
@@ -651,41 +653,43 @@ pub struct TombstoneGauges {
 }
 
 impl TombstoneGauges {
-    /// Aggregate the disk-level gauges from a version's file metadata.
-    /// `O(files)`.
+    /// Aggregate the disk-level gauges from a version's file metadata
+    /// and its sort-key range tombstones, each counted at its station.
+    /// `O(files × range tombstones)`.
     pub fn from_version(version: &Version) -> TombstoneGauges {
-        let mut levels = Vec::new();
-        let mut file_populations = Vec::new();
-        for (level, files) in version.levels.iter().enumerate() {
-            if files.is_empty() {
-                continue;
-            }
-            let mut g = LevelGauge {
+        let mut levels: Vec<LevelGauge> = (version.levels.iter().enumerate())
+            .map(|(level, _)| LevelGauge {
                 level,
                 ..LevelGauge::default()
-            };
-            for f in files {
-                g.files += 1;
-                g.bytes += f.size_bytes;
-                g.entries += f.stats.entry_count;
-                g.tombstones += f.stats.tombstone_count;
-                if let Some(t0) = f.stats.oldest_tombstone_tick {
-                    g.oldest_tombstone_tick = min_tick(g.oldest_tombstone_tick, Some(t0));
-                    if f.stats.tombstone_count > 0 {
-                        file_populations.push((f.stats.tombstone_count, t0));
-                    }
-                }
-                let krts = f.stats.range_tombstones.len() as u64;
-                if krts > 0 {
-                    g.key_range_tombstones += krts;
-                    if let Some(t0) = f.stats.oldest_range_tombstone_tick() {
-                        g.oldest_key_range_tick = min_tick(g.oldest_key_range_tick, Some(t0));
-                        file_populations.push((krts, t0));
-                    }
+            })
+            .collect();
+        let mut file_populations = Vec::new();
+        for f in version.all_files() {
+            let g = &mut levels[f.level];
+            g.files += 1;
+            g.bytes += f.size_bytes;
+            g.entries += f.stats.entry_count;
+            g.tombstones += f.stats.tombstone_count;
+            if let Some(t0) = f.stats.oldest_tombstone_tick {
+                g.oldest_tombstone_tick = min_tick(g.oldest_tombstone_tick, Some(t0));
+                if f.stats.tombstone_count > 0 {
+                    file_populations.push((f.stats.tombstone_count, t0));
                 }
             }
-            levels.push(g);
         }
+        // Retirement leaves no live tombstone without a file under it;
+        // should one be found, it counts at the bottom.
+        let bottom = levels.len().checked_sub(1);
+        for k in &version.key_range_tombstones {
+            let Some(level) = version.station(k).or(bottom) else {
+                continue;
+            };
+            let g = &mut levels[level];
+            g.key_range_tombstones += 1;
+            g.oldest_key_range_tick = min_tick(g.oldest_key_range_tick, Some(k.dkey));
+            file_populations.push((1, k.dkey));
+        }
+        levels.retain(|g| g.files > 0 || g.key_range_tombstones > 0);
         TombstoneGauges {
             levels,
             range_tombstones: version.range_tombstones.len() as u64,

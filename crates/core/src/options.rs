@@ -248,6 +248,11 @@ impl DbOptions {
         }
     }
 
+    /// The delete persistence threshold `D_th`, when FADE is on.
+    pub fn d_th(&self) -> Option<Tick> {
+        self.fade.as_ref().map(|f| f.delete_persistence_threshold)
+    }
+
     /// Enable FADE with threshold `d_th` (keeping other FADE defaults).
     pub fn with_fade(mut self, d_th: Tick) -> DbOptions {
         self.fade = Some(FadeOptions {

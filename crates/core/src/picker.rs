@@ -27,7 +27,8 @@ coded_enum! {
         L0Saturation = 0 => "l0_saturation",
         /// A level exceeded its byte budget.
         LevelSaturation = 1 => "level_saturation",
-        /// FADE: a file's oldest tombstone outlived its level TTL.
+        /// FADE: a file's oldest tombstone, or a sort-key range
+        /// tombstone, outlived its level TTL.
         TtlExpired = 2 => "ttl_expired",
         /// Explicit request (tests, `Db::compact_all`).
         Manual = 3 => "manual",
@@ -58,8 +59,7 @@ impl CompactionTask {
         self.inputs.iter().chain(self.next_level_inputs.iter())
     }
 
-    /// The union user-key range of all inputs, `None` if inputs are all
-    /// empty tables.
+    /// The union user-key range of all inputs, `None` without inputs.
     pub fn key_range(&self) -> Option<(Bytes, Bytes)> {
         entry_hull(self.all_inputs())
     }
@@ -255,12 +255,11 @@ impl Picker {
     /// `None` once there is none. First the drain: the shallowest
     /// non-empty level above the bottom merges whole into the next one.
     /// Then the reclaim pass: the bottom files that may hold what a live
-    /// range tombstone (secondary *or* sort-key) erases, or that carry
-    /// sort-key range tombstones, are rewritten in place, so the erased
-    /// entries (and, under KiWi, whole covered pages) are physically
-    /// dropped and the tombstones can retire or purge. A snapshot may
-    /// pin covered entries and so leave a reclaim task in place for
-    /// good: the caller bounds how many it runs.
+    /// range tombstone (secondary *or* sort-key) erases are rewritten in
+    /// place, so the erased entries (and, under KiWi, whole covered
+    /// pages) are physically dropped and the tombstones retire. A
+    /// snapshot may pin covered entries and so leave a reclaim task in
+    /// place for good: the caller bounds how many it runs.
     pub fn pick_manual(&self, version: &Version) -> Option<CompactionTask> {
         let bottom = self.opts.max_levels - 1;
         let reason = CompactionReason::Manual;
@@ -269,14 +268,17 @@ impl Picker {
             let span = entry_hull(&inputs);
             return Some(push_down(version, level, inputs, span, reason));
         }
-        let rts = &version.range_tombstones;
-        let krts = version.collect_key_range_tombstones();
         let victims: Vec<_> = version.levels[bottom]
             .iter()
             .filter(|f| {
-                f.has_key_range_tombstones()
-                    || rts.iter().any(|rt| f.under_range_tombstone(rt))
-                    || krts.iter().any(|k| f.under_key_range_tombstone(k))
+                version
+                    .range_tombstones
+                    .iter()
+                    .any(|rt| f.under_range_tombstone(rt))
+                    || version
+                        .key_range_tombstones
+                        .iter()
+                        .any(|k| f.under_key_range_tombstone(k))
             })
             .cloned()
             .collect();
@@ -287,51 +289,51 @@ impl Picker {
         Some(self.close_over_bottom(version, victims, span, reason))
     }
 
-    /// FADE trigger: the most overdue expired file, if any.
+    /// FADE trigger: the most overdue subject, if any. A subject is a
+    /// file whose oldest point tombstone outlived its level's budget, or
+    /// a sort-key range tombstone that outlived its station's; for the
+    /// latter, the files at its station that are under it move down.
     fn pick_ttl_expired(&self, version: &Version, now: Tick) -> Option<CompactionTask> {
         let ttl = self.ttl.as_ref()?;
-        let bottom = self.opts.max_levels - 1;
-        let mut expired = {
-            let futile = self.futile.lock();
-            let (file, _) = version
-                .all_files()
-                .filter_map(|f| Some((f, ttl.file_deadline(f)?)))
-                .filter(|&(f, deadline)| now > deadline && !futile.skips(f.id, now))
-                // Of equally overdue files, the last one wins.
-                .max_by_key(|&(_, deadline)| now - deadline)?;
-            Arc::clone(file)
-        };
-        if expired.level == bottom {
-            // A sort-key range tombstone at the bottom purges only once
-            // no file outside the merge holds an older entry in its
-            // range. While one does, rewriting the tombstone's file
-            // achieves nothing: the blocker is what has to descend, so
-            // it takes the expired file's turn (deepest first — it is
-            // the closest to being merged with the tombstone).
-            let blocker = version.levels[..bottom]
+        let futile = self.futile.lock();
+        let overdue_by = |deadline: Tick| (now > deadline).then(|| now - deadline);
+        let files = version
+            .all_files()
+            .filter(|f| !futile.skips(f.id, now))
+            .filter_map(|f| {
+                let by = overdue_by(ttl.file_deadline(f)?)?;
+                Some((by, f.level, vec![Arc::clone(f)], None))
+            });
+        let key_ranges = version.key_range_tombstones.iter().filter_map(|k| {
+            let (level, deadline) = ttl.key_range_deadline(version, k)?;
+            let by = overdue_by(deadline)?;
+            let inputs: Vec<_> = version.levels[level]
                 .iter()
-                .flatten()
-                .filter(|f| {
-                    expired
-                        .stats
-                        .range_tombstones
-                        .iter()
-                        .any(|k| f.under_key_range_tombstone(k))
-                })
-                .max_by_key(|f| f.level);
-            if let Some(blocker) = blocker {
-                expired = Arc::clone(blocker);
-            }
-        }
-        let (level, reason) = (expired.level, CompactionReason::TtlExpired);
+                .filter(|f| f.under_key_range_tombstone(k))
+                .cloned()
+                .collect();
+            inputs
+                .iter()
+                .any(|f| !futile.skips(f.id, now))
+                .then_some((by, level, inputs, Some(k)))
+        });
+        // Of equally overdue subjects, the last one wins.
+        let (_, level, inputs, k) = files.chain(key_ranges).max_by_key(|&(by, ..)| by)?;
+        let reason = CompactionReason::TtlExpired;
         if level == 0 {
             return whole_l0(version, reason);
         }
-        let inputs = vec![expired];
-        let span = key_span(&inputs);
-        if level == bottom {
+        let span = entry_hull(&inputs);
+        if level == self.opts.max_levels - 1 {
             return Some(self.close_over_bottom(version, inputs, span, reason));
         }
+        // A range tombstone's own span joins the inputs': every file
+        // under it at the next level joins the merge too, so once the
+        // merge is bottommost it holds the tombstone nowhere else.
+        let span = span.map(|(lo, hi)| match k {
+            Some(k) => (lo.min(k.start.clone()), hi.max(k.end.clone())),
+            None => (lo, hi),
+        });
         Some(push_down(version, level, inputs, span, reason))
     }
 
@@ -484,7 +486,7 @@ impl Picker {
             let output_level = (level + 1).min(bottom);
             let merge_into_leveled_bottom = output_level == bottom && (lazy || level == bottom);
             let (next, output_run) = if merge_into_leveled_bottom {
-                let (lo, hi) = key_span(&inputs)?;
+                let (lo, hi) = entry_hull(&inputs)?;
                 let next = if level == bottom {
                     Vec::new() // already the inputs
                 } else {
@@ -544,37 +546,21 @@ fn push_down(
 /// taking them all keeps newer versions from sinking below older ones.
 fn whole_l0(version: &Version, reason: CompactionReason) -> Option<CompactionTask> {
     let inputs = version.levels[0].clone();
-    let span = key_span(&inputs)?;
+    let span = entry_hull(&inputs)?;
     Some(push_down(version, 0, inputs, Some(span), reason))
 }
 
-/// The smallest span covering every span in `spans`.
-fn hull(spans: impl Iterator<Item = (Bytes, Bytes)>) -> Option<(Bytes, Bytes)> {
-    spans.reduce(|(lo, hi), (flo, fhi)| (lo.min(flo), hi.max(fhi)))
-}
-
 /// The min/max user keys of the entries in `files` (their fence keys),
-/// `None` when no file holds an entry.
+/// `None` without files.
 fn entry_hull<'a>(files: impl IntoIterator<Item = &'a Arc<FileMeta>>) -> Option<(Bytes, Bytes)> {
-    hull(
-        files
-            .into_iter()
-            .filter(|f| f.stats.entry_count > 0)
-            .map(|f| (f.min_key().clone(), f.max_key().clone())),
-    )
+    files
+        .into_iter()
+        .map(|f| (f.min_key().clone(), f.max_key().clone()))
+        .reduce(|(lo, hi), (flo, fhi)| (lo.min(flo), hi.max(fhi)))
 }
 
-/// The min/max user keys across `files`: entry fences folded with
-/// sort-key range-tombstone spans, so a carrier file (tombstones, no
-/// entries) still contributes the keys its tombstones cover. `None`
-/// only for completely empty tables.
-fn key_span(files: &[Arc<FileMeta>]) -> Option<(Bytes, Bytes)> {
-    let tombstone_spans = files.iter().filter_map(|f| f.key_range_tombstone_span());
-    hull(entry_hull(files).into_iter().chain(tombstone_spans))
-}
-
-/// Whether two key spans intersect. A `None` span (task with only empty
-/// tables) is treated as conflicting with nothing — such tasks touch no
+/// Whether two key spans intersect. A `None` span (a task without
+/// inputs) is treated as conflicting with nothing — such tasks touch no
 /// user keys, so concurrent installs cannot produce overlapping runs.
 fn spans_overlap(a: &Option<(Bytes, Bytes)>, b: &Option<(Bytes, Bytes)>) -> bool {
     match (a, b) {
@@ -588,9 +574,8 @@ mod tests {
     use super::*;
     use crate::options::{CompactionLayout, FadeOptions, TtlAllocation};
     use crate::testutil::{make_file, make_file_with};
-    use acheron_sstable::{Table, TableBuilder, TableOptions};
     use acheron_types::{DeleteKeyRange, KeyRangeTombstone, RangeTombstone};
-    use acheron_vfs::{MemFs, Vfs};
+    use acheron_vfs::MemFs;
 
     fn opts(layout: CompactionLayout) -> DbOptions {
         DbOptions {
@@ -614,35 +599,15 @@ mod tests {
         }
     }
 
-    /// A carrier table at `level`: no entries, one sort-key range
-    /// tombstone over the keys `lo..=hi` with sequence number `seqno`,
-    /// born at tick `t0`.
-    fn carrier(
-        fs: &MemFs,
-        id: u64,
-        level: usize,
-        (lo, hi): (u32, u32),
-        seqno: u64,
-        t0: Tick,
-    ) -> Arc<FileMeta> {
-        let path = crate::filenames::sst_path("", id);
-        let mut b = TableBuilder::new(fs.create(&path).unwrap(), TableOptions::default()).unwrap();
-        b.set_range_tombstones(vec![KeyRangeTombstone {
+    /// A sort-key range tombstone over the keys `lo..=hi` with sequence
+    /// number `seqno`, born at tick `t0`.
+    fn krt((lo, hi): (u32, u32), seqno: u64, t0: Tick) -> KeyRangeTombstone {
+        KeyRangeTombstone {
             start: Bytes::from(format!("key{lo:06}")),
             end: Bytes::from(format!("key{hi:06}")),
             seqno,
             dkey: t0,
-        }]);
-        let stats = b.finish().unwrap();
-        Arc::new(FileMeta {
-            id,
-            level,
-            run: 0,
-            size_bytes: fs.file_size(&path).unwrap(),
-            stats,
-            created_tick: 0,
-            table: Table::open(fs.open(&path).unwrap()).unwrap(),
-        })
+        }
     }
 
     fn ids(files: &[Arc<FileMeta>]) -> Vec<u64> {
@@ -858,37 +823,51 @@ mod tests {
     }
 
     #[test]
-    fn a_blocker_above_a_bottom_carrier_takes_the_expired_files_turn() {
+    fn an_expired_range_tombstone_moves_its_station_down() {
         let fs = MemFs::new();
         let picker = Picker::new(&fade_opts(CompactionLayout::Leveling, 1_000));
         let files = vec![
-            // An overdue sort-key range tombstone over keys 0..=100.
-            carrier(&fs, 1, 3, (0, 100), 500, 0),
-            // Older entries in its range at L1 and L2 block its purge;
-            // the deeper one is the closer to the bottom.
-            make_file(&fs, 2, 1, 10..20, 1),
+            // Newer than the tombstone over keys 0..=100, so not under it.
+            make_file(&fs, 1, 1, 50..60, 600),
+            // Older entries in its range at L2 (its station) and L3.
+            make_file(&fs, 2, 2, 10..20, 1),
             make_file(&fs, 3, 2, 30..40, 1),
-            // Newer than the tombstone, so not a blocker.
-            make_file(&fs, 4, 2, 50..60, 600),
+            make_file(&fs, 4, 2, 200..210, 1),
+            make_file(&fs, 5, 3, 0..100, 1),
         ];
-        let v = Version::empty(4).apply(files, &[], &[], &[]);
-        let task = picker.pick(&v, 10_000).expect("expired carrier");
+        let v = Version::empty(4)
+            .apply(files, &[], &[], &[])
+            .apply_key_ranges(&[krt((0, 100), 500, 0)], &[]);
+        assert!(picker.pick(&v, 10).is_none(), "not yet due");
+        let task = picker.pick(&v, 10_000).expect("expired range tombstone");
         assert_eq!(task.reason, CompactionReason::TtlExpired);
-        assert_eq!(ids(&task.inputs), vec![3]);
-        assert_eq!(task.output_level, 3);
+        assert_eq!((task.level, task.output_level), (2, 3));
+        assert_eq!(ids(&task.inputs), vec![2, 3]);
+        assert_eq!(ids(&task.next_level_inputs), vec![5]);
+        // At the bottom: every bottom file under it, closed over.
+        let v = v.apply(vec![], &[1, 2, 3], &[], &[]);
+        let task = picker.pick(&v, 10_000).expect("expired at the bottom");
+        assert_eq!((task.level, task.output_level), (3, 3));
+        assert_eq!(ids(&task.inputs), vec![5]);
     }
 
     #[test]
-    fn of_equally_overdue_files_the_last_one_wins() {
+    fn of_equally_overdue_subjects_the_last_one_wins() {
         let fs = MemFs::new();
         let picker = Picker::new(&fade_opts(CompactionLayout::Leveling, 1_000));
+        // Two runs over the same keys, oldest tombstones both at tick 0.
         let files = vec![
-            carrier(&fs, 1, 1, (0, 10), 100, 7),
-            carrier(&fs, 2, 1, (20, 30), 101, 7),
+            make_file_with(&fs, 1, 1, 0, 0..10, 1, 5, 0),
+            make_file_with(&fs, 2, 1, 1, 0..10, 1, 5, 0),
         ];
         let v = Version::empty(4).apply(files, &[], &[], &[]);
-        let task = picker.pick(&v, 10_000).expect("expired carriers");
+        let task = picker.pick(&v, 10_000).expect("expired files");
         assert_eq!(ids(&task.inputs), vec![2]);
+        // A range tombstone born at the same tick with the same station
+        // comes after the files, and takes both.
+        let v = v.apply_key_ranges(&[krt((0, 5), 500, 0)], &[]);
+        let task = picker.pick(&v, 10_000).expect("expired subjects");
+        assert_eq!(ids(&task.inputs), vec![1, 2]);
     }
 
     #[test]

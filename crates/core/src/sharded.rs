@@ -666,11 +666,7 @@ impl ShardedDb {
     pub fn render_metrics(&self, extra: &[(String, u64)]) -> String {
         let mut pairs = self.stats_snapshot().to_pairs();
         pairs.extend_from_slice(extra);
-        let d_th = self
-            .opts
-            .fade
-            .as_ref()
-            .map(|f| f.delete_persistence_threshold);
+        let d_th = self.opts.d_th();
         // Each shard's gauges are read once per scrape; the fleet's are
         // their merge, so the fleet and per-shard series agree.
         let gauges = self.shard_gauges();

@@ -136,6 +136,13 @@ pub(crate) struct Survey {
     pub newest_created_tick: Tick,
     /// Live secondary range tombstones.
     pub range_tombstones: Vec<RangeTombstone>,
+    /// Live sort-key range tombstones that left the write buffers, with
+    /// those of an image written before the manifest held them lifted
+    /// from its tables.
+    pub key_range_tombstones: Vec<KeyRangeTombstone>,
+    /// Whether the lists live tables carry were lifted by an earlier
+    /// open ([`VersionEdit::KeyRangeTombstonesLifted`]).
+    key_ranges_lifted: bool,
     /// Live tables, opened, ascending by id.
     pub tables: Vec<Arc<FileMeta>>,
     /// Live WAL segments, ascending by number.
@@ -197,9 +204,30 @@ fn fold_manifest(manifest: String, batches: &[EditBatch]) -> Survey {
             VersionEdit::DropVlogSegment { segment } => {
                 s.vlog_dropped.insert(segment);
             }
+            VersionEdit::AddKeyRangeTombstone(ref krt) => s.key_range_tombstones.push(krt.clone()),
+            VersionEdit::DropKeyRangeTombstone { seqno } => {
+                s.key_range_tombstones.retain(|k| k.seqno != seqno);
+            }
+            VersionEdit::KeyRangeTombstonesLifted => s.key_ranges_lifted = true,
         }
     }
     s
+}
+
+/// Lift the sort-key range tombstones an image written before the
+/// manifest held them stores in its tables' stats blocks: each that a
+/// table is still under joins `s.key_range_tombstones`, and a table
+/// holding nothing but tombstones (an entry-less carrier) leaves the
+/// live set, so the open collects it.
+fn lift_table_key_ranges(s: &mut Survey) {
+    let lists: Vec<KeyRangeTombstone> = (s.tables.iter())
+        .flat_map(|f| f.stats.range_tombstones.iter().cloned())
+        .collect();
+    s.tables.retain(|f| f.stats.entry_count > 0);
+    s.files.retain(|id, _| s.tables.iter().any(|f| f.id == *id));
+    let under = |k: &KeyRangeTombstone| s.tables.iter().any(|f| f.under_key_range_tombstone(k));
+    let lifted: Vec<KeyRangeTombstone> = lists.into_iter().filter(under).collect();
+    s.key_range_tombstones.extend(lifted);
 }
 
 /// Survey the database under `dir`; `None` when it has no `CURRENT`
@@ -235,6 +263,10 @@ pub(crate) fn survey(
             created_tick: rec.created_tick,
             table,
         }));
+    }
+
+    if !s.key_ranges_lifted {
+        lift_table_key_ranges(&mut s);
     }
 
     // The one directory listing: which WAL segments to walk, which vlog
@@ -288,7 +320,10 @@ pub(crate) fn survey(
     let persisted_seqno = s.persisted_seqno;
     let replayable = |e: &&Entry| e.seqno > persisted_seqno;
     let rt_seqnos = s.range_tombstones.iter().map(|rt| rt.seqno);
-    s.last_seqno = rt_seqnos.fold(persisted_seqno, SeqNo::max);
+    let krt_seqnos = s.key_range_tombstones.iter().map(|k| k.seqno);
+    s.last_seqno = rt_seqnos
+        .chain(krt_seqnos)
+        .fold(persisted_seqno, SeqNo::max);
     let mut torn = false;
     for number in live_wals {
         let mut seg = WalSegment {

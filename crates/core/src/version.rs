@@ -8,6 +8,7 @@
 
 use std::sync::Arc;
 
+use acheron_memtable::Memtable;
 use acheron_sstable::{Table, TableStats};
 use acheron_types::{
     FragmentedRangeTombstones, KeyRangeTombstone, RangeTombstone, Result, SeqNo, Tick,
@@ -48,19 +49,13 @@ impl FileMeta {
     /// True if the file's key range overlaps `[lo, hi]` (user keys,
     /// inclusive).
     pub fn overlaps_keys(&self, lo: &[u8], hi: &[u8]) -> bool {
-        self.stats.entry_count > 0 && &self.min_key()[..] <= hi && lo <= &self.max_key()[..]
-    }
-
-    /// True if the file might contain `key`.
-    pub fn contains_key(&self, key: &[u8]) -> bool {
-        self.overlaps_keys(key, key)
+        &self.min_key()[..] <= hi && lo <= &self.max_key()[..]
     }
 
     /// True if the file may hold an entry the secondary range tombstone
     /// `rt` erases: one older than it, under a delete key in its range.
     pub fn under_range_tombstone(&self, rt: &RangeTombstone) -> bool {
-        self.stats.entry_count > 0
-            && self.stats.min_seqno < rt.seqno
+        self.stats.min_seqno < rt.seqno
             && rt.range.overlaps(self.stats.min_dkey, self.stats.max_dkey)
     }
 
@@ -69,27 +64,32 @@ impl FileMeta {
     pub fn under_key_range_tombstone(&self, k: &KeyRangeTombstone) -> bool {
         self.stats.min_seqno < k.seqno && self.overlaps_keys(&k.start, &k.end)
     }
+}
 
-    /// True if the file carries sort-key range tombstones. Such a file
-    /// may hold zero entries (a pure "carrier"); it still needs
-    /// compaction to push its tombstones down and eventually purge them.
-    pub fn has_key_range_tombstones(&self) -> bool {
-        !self.stats.range_tombstones.is_empty()
-    }
+/// The files a compaction wrote with every range tombstone of its
+/// starting version applied: the outputs of a bottommost merge that no
+/// snapshot pinned. They hold no entry a tombstone of `start` erases,
+/// whatever their fences say.
+pub struct Applied<'a> {
+    /// The version the compaction merged against.
+    pub start: &'a Version,
+    /// Its output file ids.
+    pub outputs: &'a [u64],
+}
 
-    /// The union span of the file's sort-key range tombstones, `None`
-    /// when it carries none. The compaction picker folds this into the
-    /// file's effective key span so carrier files (no entries, hence no
-    /// key fences) still pull in the overlapping files whose covered
-    /// entries must be dropped before the tombstones can purge.
-    pub fn key_range_tombstone_span(&self) -> Option<(Bytes, Bytes)> {
-        let mut lo: Option<Bytes> = None;
-        let mut hi: Option<Bytes> = None;
-        for k in &self.stats.range_tombstones {
-            lo = Some(lo.map_or(k.start.clone(), |c: Bytes| c.min(k.start.clone())));
-            hi = Some(hi.map_or(k.end.clone(), |c: Bytes| c.max(k.end.clone())));
-        }
-        lo.zip(hi)
+/// The range tombstones one install retired, of either kind.
+#[derive(Debug, Default)]
+pub struct Retired {
+    /// Seqnos of the retired secondary range tombstones.
+    pub secondary: Vec<SeqNo>,
+    /// The retired sort-key range tombstones.
+    pub key_ranges: Vec<KeyRangeTombstone>,
+}
+
+impl Retired {
+    /// True if nothing retired.
+    pub fn is_empty(&self) -> bool {
+        self.secondary.is_empty() && self.key_ranges.is_empty()
     }
 }
 
@@ -103,11 +103,13 @@ pub struct Version {
     pub levels: Vec<Vec<Arc<FileMeta>>>,
     /// Live secondary range tombstones, oldest first.
     pub range_tombstones: Vec<RangeTombstone>,
-    /// Fragmented index over every sort-key range tombstone carried by a
-    /// live file, rebuilt by [`Version::apply`] from the files' stats
-    /// when an added or deleted file carries any. Lookups binary-search
-    /// it instead of consulting per-file lists.
-    pub key_range_tombstones: Arc<FragmentedRangeTombstones>,
+    /// Live sort-key range tombstones that left the write buffers,
+    /// oldest first.
+    pub key_range_tombstones: Vec<KeyRangeTombstone>,
+    /// Fragmented index over `key_range_tombstones`, rebuilt by
+    /// [`Version::apply_key_ranges`] when the list changes. Lookups
+    /// binary-search it.
+    pub key_range_index: Arc<FragmentedRangeTombstones>,
 }
 
 impl Version {
@@ -116,7 +118,8 @@ impl Version {
         Version {
             levels: vec![Vec::new(); max_levels],
             range_tombstones: Vec::new(),
-            key_range_tombstones: Arc::default(),
+            key_range_tombstones: Vec::new(),
+            key_range_index: Arc::default(),
         }
     }
 
@@ -199,17 +202,12 @@ impl Version {
         add_rts: &[RangeTombstone],
         drop_rt_seqnos: &[SeqNo],
     ) -> Version {
-        // The fragment index changes only with the set of files that
-        // carry sort-key range tombstones; otherwise the parent's is kept.
-        let krts_moved = add.iter().any(|f| f.has_key_range_tombstones())
-            || self
-                .all_files()
-                .any(|f| f.has_key_range_tombstones() && delete_ids.contains(&f.id));
         let mut next = self.clone();
         for level in next.levels.iter_mut() {
             level.retain(|f| !delete_ids.contains(&f.id));
         }
         for f in add {
+            debug_assert!(f.stats.entry_count > 0, "table {} holds no entry", f.id);
             let level = f.level;
             if level >= next.levels.len() {
                 next.levels.resize(level + 1, Vec::new());
@@ -227,40 +225,82 @@ impl Version {
         next.range_tombstones.extend_from_slice(add_rts);
         next.range_tombstones
             .retain(|rt| !drop_rt_seqnos.contains(&rt.seqno));
-        if krts_moved {
-            let krts = next.collect_key_range_tombstones();
-            next.key_range_tombstones = if krts.is_empty() {
-                Arc::default()
-            } else {
-                Arc::new(FragmentedRangeTombstones::build(&krts))
-            };
-        }
         next
     }
 
-    /// Every sort-key range tombstone carried by a live file.
-    pub fn collect_key_range_tombstones(&self) -> Vec<KeyRangeTombstone> {
-        self.all_files()
-            .flat_map(|f| f.stats.range_tombstones.iter().cloned())
-            .collect()
+    /// Add and drop sort-key range tombstones; the fragment index is
+    /// rebuilt when the list changed.
+    pub fn apply_key_ranges(mut self, add: &[KeyRangeTombstone], drop: &[SeqNo]) -> Version {
+        let before = self.key_range_tombstones.len();
+        self.key_range_tombstones
+            .retain(|k| !drop.contains(&k.seqno));
+        if add.is_empty() && self.key_range_tombstones.len() == before {
+            return self;
+        }
+        self.key_range_tombstones.extend_from_slice(add);
+        self.key_range_index =
+            Arc::new(FragmentedRangeTombstones::build(&self.key_range_tombstones));
+        self
     }
 
-    /// Total live sort-key range tombstones across all files.
-    pub fn live_key_range_tombstones(&self) -> u64 {
-        self.all_files()
-            .map(|f| f.stats.range_tombstones.len() as u64)
-            .sum()
-    }
-
-    /// Range tombstones that can be retired: no live file still holds an
-    /// entry they could shadow (decided from the files' seqno and dkey
-    /// fences).
-    pub fn retirable_range_tombstones(&self) -> Vec<SeqNo> {
-        self.range_tombstones
+    /// The station of the sort-key range tombstone `k`: the shallowest
+    /// level holding a file under it, `None` when no file is.
+    pub fn station(&self, k: &KeyRangeTombstone) -> Option<usize> {
+        self.levels
             .iter()
-            .filter(|rt| !self.all_files().any(|f| f.under_range_tombstone(rt)))
-            .map(|rt| rt.seqno)
-            .collect()
+            .position(|files| files.iter().any(|f| f.under_key_range_tombstone(k)))
+    }
+
+    /// Retire every range tombstone, of either kind, that can erase
+    /// nothing more, and return the successor version with them gone.
+    /// A tombstone retires when no write buffer holds an older entry
+    /// under it and no live file is under it, apart from the files
+    /// `applied` wrote with it applied (when `applied.start` held it).
+    /// A buffer is under a sort-key tombstone whenever it holds an older
+    /// entry: it keeps no key fence.
+    pub fn retire(
+        self,
+        buffers: &[&Memtable],
+        applied: Option<&Applied<'_>>,
+    ) -> (Version, Retired) {
+        // The seqnos of the tombstones `applied` wrote its outputs with.
+        let held: std::collections::HashSet<SeqNo> = applied.map_or_else(Default::default, |a| {
+            let rts = a.start.range_tombstones.iter().map(|rt| rt.seqno);
+            rts.chain(a.start.key_range_tombstones.iter().map(|k| k.seqno))
+                .collect()
+        });
+        let retires = |seqno: SeqNo,
+                       in_buffer: &dyn Fn(&Memtable) -> bool,
+                       under: &dyn Fn(&FileMeta) -> bool| {
+            let exempt = |f: &FileMeta| {
+                held.contains(&seqno) && applied.is_some_and(|a| a.outputs.contains(&f.id))
+            };
+            !(buffers.iter()).any(|m| m.min_seqno().is_some_and(|s| s < seqno) && in_buffer(m))
+                && !self.all_files().any(|f| under(f) && !exempt(f))
+        };
+        let retired = Retired {
+            secondary: (self.range_tombstones.iter())
+                .filter(|rt| {
+                    let in_dkeys = |m: &Memtable| {
+                        let s = m.stats();
+                        (s.min_dkey.zip(s.max_dkey))
+                            .is_some_and(|(lo, hi)| rt.range.overlaps(lo, hi))
+                    };
+                    retires(rt.seqno, &in_dkeys, &|f| f.under_range_tombstone(rt))
+                })
+                .map(|rt| rt.seqno)
+                .collect(),
+            key_ranges: (self.key_range_tombstones.iter())
+                .filter(|k| retires(k.seqno, &|_| true, &|f| f.under_key_range_tombstone(k)))
+                .cloned()
+                .collect(),
+        };
+        if retired.is_empty() {
+            return (self, retired);
+        }
+        let gone: Vec<SeqNo> = retired.key_ranges.iter().map(|k| k.seqno).collect();
+        let next = (self.apply(vec![], &[], &[], &retired.secondary)).apply_key_ranges(&[], &gone);
+        (next, retired)
     }
 
     /// Internal consistency checks (invariant I6 at the version level):
@@ -272,11 +312,6 @@ impl Version {
             let mut by_run: std::collections::BTreeMap<u64, Vec<&Arc<FileMeta>>> =
                 std::collections::BTreeMap::new();
             for f in files {
-                // Entry-free carrier files (range tombstones only) have
-                // no key fences and cannot overlap anything.
-                if f.stats.entry_count == 0 {
-                    continue;
-                }
                 by_run.entry(f.run).or_default().push(f);
             }
             for (run, run_files) in by_run {
@@ -398,41 +433,6 @@ mod tests {
         assert_eq!(v.live_tombstones(), 0);
     }
 
-    /// Build a FileMeta whose table carries sort-key range tombstones
-    /// (and optionally no entries at all — a carrier file).
-    fn make_krt_file(
-        fs: &MemFs,
-        id: u64,
-        level: usize,
-        keys: std::ops::Range<u32>,
-        base_seq: u64,
-        krts: Vec<KeyRangeTombstone>,
-    ) -> Arc<FileMeta> {
-        let path = format!("{id:06}.sst");
-        let mut b = TableBuilder::new(fs.create(&path).unwrap(), TableOptions::default()).unwrap();
-        for (i, k) in keys.clone().enumerate() {
-            b.add(&Entry::put(
-                format!("key{k:06}").into_bytes(),
-                b"v".to_vec(),
-                base_seq + i as u64,
-                u64::from(k),
-            ))
-            .unwrap();
-        }
-        b.set_range_tombstones(krts);
-        let stats = b.finish().unwrap();
-        let table = Table::open(fs.open(&path).unwrap()).unwrap();
-        Arc::new(FileMeta {
-            id,
-            level,
-            run: 0,
-            size_bytes: fs.file_size(&path).unwrap(),
-            stats,
-            created_tick: 0,
-            table,
-        })
-    }
-
     fn krt(start: &str, end: &str, seqno: SeqNo, dkey: Tick) -> KeyRangeTombstone {
         KeyRangeTombstone {
             start: Bytes::copy_from_slice(start.as_bytes()),
@@ -443,93 +443,47 @@ mod tests {
     }
 
     #[test]
-    fn key_range_tombstones_aggregate_across_files() {
+    fn the_key_range_index_follows_the_list() {
+        let v = Version::empty(4).apply_key_ranges(
+            &[
+                krt("key000010", "key000020", 200, 7),
+                krt("key000040", "key000050", 90, 3),
+            ],
+            &[],
+        );
+        let covering = |v: &Version, key: &[u8]| v.key_range_index.max_seqno_covering(key, 1000);
+        assert_eq!(covering(&v, b"key000015"), Some(200));
+        assert_eq!(covering(&v, b"key000045"), Some(90));
+        assert_eq!(covering(&v, b"key000025"), None);
+        // An install that changes no tombstone shares the index.
         let fs = MemFs::new();
-        let f1 = make_krt_file(
-            &fs,
-            1,
-            1,
-            0..5,
-            100,
-            vec![krt("key000010", "key000020", 200, 7)],
-        );
-        let f2 = make_krt_file(
-            &fs,
-            2,
-            2,
-            30..35,
-            10,
-            vec![krt("key000040", "key000050", 90, 3)],
-        );
-        let v = Version::empty(4).apply(vec![f1, f2], &[], &[], &[]);
-        assert_eq!(v.live_key_range_tombstones(), 2);
-        assert_eq!(
-            v.key_range_tombstones
-                .max_seqno_covering(b"key000015", 1000),
-            Some(200)
-        );
-        assert_eq!(
-            v.key_range_tombstones
-                .max_seqno_covering(b"key000045", 1000),
-            Some(90)
-        );
-        assert_eq!(
-            v.key_range_tombstones
-                .max_seqno_covering(b"key000025", 1000),
-            None
-        );
-        // Dropping the carrier file drops its tombstones from the index.
-        let v2 = v.apply(vec![], &[1], &[], &[]);
-        assert_eq!(v2.live_key_range_tombstones(), 1);
-        assert_eq!(
-            v2.key_range_tombstones
-                .max_seqno_covering(b"key000015", 1000),
-            None
-        );
-        v.check_invariants().unwrap();
+        let v2 = v
+            .apply(vec![make_file(&fs, 1, 1, 0..5, 1)], &[], &[], &[])
+            .apply_key_ranges(&[], &[]);
+        assert!(Arc::ptr_eq(&v.key_range_index, &v2.key_range_index));
+        let v3 = v2.apply_key_ranges(&[], &[200]);
+        assert_eq!(v3.key_range_tombstones.len(), 1);
+        assert_eq!(covering(&v3, b"key000015"), None);
+        assert_eq!(covering(&v3, b"key000045"), Some(90));
     }
 
     #[test]
-    fn an_install_rebuilds_the_index_only_when_a_carrier_comes_or_goes() {
+    fn a_station_is_the_shallowest_level_under_the_tombstone() {
         let fs = MemFs::new();
-        let carrier = make_krt_file(&fs, 1, 1, 0..5, 100, vec![krt("a", "b", 200, 7)]);
-        let v = Version::empty(4).apply(vec![carrier], &[], &[], &[]);
-        let plain = |id| make_file(&fs, id, 2, 10..20, 1);
-        // Files without range tombstones come and go: the index is shared.
-        let v2 = v.apply(vec![plain(2), plain(3)], &[], &[], &[]);
-        let v3 = v2.apply(vec![], &[2], &[], &[]);
-        assert!(Arc::ptr_eq(
-            &v.key_range_tombstones,
-            &v3.key_range_tombstones
-        ));
-        // A carrier comes: rebuilt with its tombstones.
-        let another = make_krt_file(&fs, 4, 1, 6..8, 100, vec![krt("x", "y", 300, 8)]);
-        let v4 = v3.apply(vec![another], &[], &[], &[]);
-        assert_eq!(
-            v4.key_range_tombstones.max_seqno_covering(b"x", 1000),
-            Some(300)
+        let v = Version::empty(4).apply(
+            vec![
+                make_file(&fs, 1, 1, 0..10, 500),
+                make_file(&fs, 2, 2, 0..10, 100),
+                make_file(&fs, 3, 3, 0..10, 1),
+            ],
+            &[],
+            &[],
+            &[],
         );
-        // A carrier goes: rebuilt without its tombstones.
-        let v5 = v4.apply(vec![], &[1], &[], &[]);
-        assert_eq!(v5.key_range_tombstones.max_seqno_covering(b"a", 1000), None);
-        assert_eq!(
-            v5.key_range_tombstones.max_seqno_covering(b"x", 1000),
-            Some(300)
-        );
-    }
-
-    #[test]
-    fn carrier_files_pass_invariant_checks() {
-        let fs = MemFs::new();
-        // Two entry-free carriers in the same run: empty fences must not
-        // be treated as overlapping ranges.
-        let c1 = make_krt_file(&fs, 1, 1, 0..0, 0, vec![krt("a", "b", 10, 1)]);
-        let c2 = make_krt_file(&fs, 2, 1, 0..0, 0, vec![krt("x", "z", 11, 2)]);
-        let f = make_krt_file(&fs, 3, 1, 0..5, 100, vec![]);
-        let v = Version::empty(3).apply(vec![c1, c2, f], &[], &[], &[]);
-        v.check_invariants().unwrap();
-        assert_eq!(v.live_key_range_tombstones(), 2);
-        assert!(v.levels[1].iter().any(|f| f.has_key_range_tombstones()));
+        // The L1 file is newer than the tombstone, so not under it.
+        assert_eq!(v.station(&krt("key000002", "key000004", 300, 0)), Some(2));
+        assert_eq!(v.station(&krt("key000002", "key000004", 50, 0)), Some(3));
+        assert_eq!(v.station(&krt("key000020", "key000030", 300, 0)), None);
     }
 
     #[test]
@@ -551,24 +505,66 @@ mod tests {
             seqno: 50,
             range: DeleteKeyRange::new(0, 5),
         };
-        let v = Version::empty(2).apply(
-            vec![f],
-            &[],
-            &[rt_overlapping, rt_disjoint_dkey, rt_older],
-            &[],
-        );
-        let retirable = v.retirable_range_tombstones();
-        // Overlapping+newer cannot retire; dkey-disjoint can; older-than-
-        // every-entry can (it shadows nothing).
-        assert!(!retirable.contains(&500), "newer overlapping rt must stay");
-        assert!(retirable.contains(&501), "dkey-disjoint rt can retire");
-        assert!(retirable.contains(&50), "rt older than all data can retire");
+        let v = Version::empty(2)
+            .apply(
+                vec![f],
+                &[],
+                &[rt_overlapping, rt_disjoint_dkey, rt_older],
+                &[],
+            )
+            .apply_key_ranges(
+                &[
+                    krt("key000003", "key000004", 502, 9),
+                    krt("key000090", "key000099", 503, 9),
+                ],
+                &[],
+            );
+        let (v, retired) = v.retire(&[], None);
+        // Overlapping+newer cannot retire; dkey- or key-disjoint can;
+        // older-than-every-entry can (it shadows nothing).
+        assert_eq!(retired.secondary, vec![501, 50]);
+        assert_eq!(retired.key_ranges.len(), 1);
+        assert_eq!(retired.key_ranges[0].seqno, 503);
+        assert_eq!(v.range_tombstones.len(), 1);
+        assert_eq!(v.key_range_tombstones.len(), 1);
 
-        // Dropping a file retires its tombstones on the next apply.
+        // A buffer holding an older entry under a tombstone keeps it.
         let v2 = v.apply(vec![], &[1], &[], &[]);
-        assert_eq!(v2.retirable_range_tombstones().len(), 3);
-        let seqs: Vec<SeqNo> = v2.retirable_range_tombstones();
-        let v3 = v2.apply(vec![], &[], &[], &seqs);
-        assert!(v3.range_tombstones.is_empty());
+        let buffer = Memtable::new();
+        buffer.insert(Entry::put(&b"key000003"[..], &b"v"[..], 10, 3));
+        let (v2, retired) = v2.retire(&[&buffer], None);
+        assert!(retired.is_empty());
+        // Once the buffer is gone, so are they.
+        let (v3, retired) = v2.retire(&[], None);
+        assert_eq!((retired.secondary.len(), retired.key_ranges.len()), (1, 1));
+        assert!(v3.range_tombstones.is_empty() && v3.key_range_tombstones.is_empty());
+    }
+
+    #[test]
+    fn a_file_written_with_the_tombstones_applied_does_not_hold_them() {
+        let fs = MemFs::new();
+        let rt = RangeTombstone {
+            seqno: 500,
+            range: DeleteKeyRange::new(3, 3),
+        };
+        let start = Version::empty(2)
+            .apply(vec![make_file(&fs, 1, 1, 0..10, 100)], &[], &[rt], &[])
+            .apply_key_ranges(&[krt("key000004", "key000004", 501, 0)], &[]);
+        // A rewrite of file 1 under both tombstones: its fences still
+        // span them, but it was written with them applied.
+        let out = make_file(&fs, 2, 1, 0..10, 100);
+        let after = start.apply(vec![Arc::clone(&out)], &[1], &[], &[]);
+        let (_, retired) = after.clone().retire(&[], None);
+        assert!(retired.is_empty(), "by its fences the output is under both");
+        let applied = Applied {
+            start: &start,
+            outputs: &[2],
+        };
+        let (v, retired) = after.retire(&[], Some(&applied));
+        assert_eq!((retired.secondary.len(), retired.key_ranges.len()), (1, 1));
+        // A tombstone the starting version did not hold is not applied.
+        let late = v.apply(vec![], &[], &[RangeTombstone { seqno: 600, ..rt }], &[]);
+        let (_, retired) = late.retire(&[], Some(&applied));
+        assert!(retired.is_empty());
     }
 }

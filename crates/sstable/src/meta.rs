@@ -192,9 +192,9 @@ pub struct TableStats {
     pub page_count: u64,
     /// Number of tiles.
     pub tile_count: u64,
-    /// Sort-key range tombstones carried by this table. They shadow
-    /// entries in lower runs and are purged by bottommost compactions;
-    /// a table may hold range tombstones and zero entries (a "carrier").
+    /// Sort-key range tombstones an older engine stored with this table
+    /// (tables now write none: the tombstones live in the manifest). The
+    /// first open of such an image lifts them into its manifest.
     pub range_tombstones: Vec<KeyRangeTombstone>,
     /// Value-log segments referenced by this table's value pointers,
     /// sorted by segment id. Format v3+; always empty when decoding a
@@ -209,23 +209,6 @@ impl TableStats {
             0.0
         } else {
             self.tombstone_count as f64 / self.entry_count as f64
-        }
-    }
-
-    /// Tick of the oldest sort-key range tombstone, if any.
-    pub fn oldest_range_tombstone_tick(&self) -> Option<Tick> {
-        self.range_tombstones.iter().map(|t| t.dkey).min()
-    }
-
-    /// Oldest unresolved delete of either flavor: min of the point and
-    /// range tombstone ticks. This is the age seed FADE deadlines use.
-    pub fn oldest_any_tombstone_tick(&self) -> Option<Tick> {
-        match (
-            self.oldest_tombstone_tick,
-            self.oldest_range_tombstone_tick(),
-        ) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
         }
     }
 
@@ -588,24 +571,5 @@ mod tests {
             ..sample_stats()
         };
         assert_eq!(TableStats::decode(&s.encode()).unwrap(), s);
-        assert_eq!(s.oldest_range_tombstone_tick(), None);
-    }
-
-    #[test]
-    fn oldest_any_tombstone_tick_folds_both_flavors() {
-        let s = sample_stats();
-        assert_eq!(s.oldest_range_tombstone_tick(), Some(11_000));
-        assert_eq!(s.oldest_any_tombstone_tick(), Some(11_000));
-        let point_only = TableStats {
-            range_tombstones: Vec::new(),
-            ..sample_stats()
-        };
-        assert_eq!(point_only.oldest_any_tombstone_tick(), Some(12_345));
-        let range_only = TableStats {
-            oldest_tombstone_tick: None,
-            ..sample_stats()
-        };
-        assert_eq!(range_only.oldest_any_tombstone_tick(), Some(11_000));
-        assert_eq!(TableStats::default().oldest_any_tombstone_tick(), None);
     }
 }

@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use acheron_types::checksum;
 use acheron_types::key::{compare_internal, InternalKeyRef, TAG_LEN};
 use acheron_types::seq::pack_tag;
-use acheron_types::{Entry, Error, KeyRangeTombstone, Result, ValueKind, ValuePointer};
+use acheron_types::{Entry, Error, Result, ValueKind, ValuePointer};
 use acheron_vfs::WritableFile;
 use bytes::Bytes;
 
@@ -339,20 +339,6 @@ impl TableBuilder {
         Ok(())
     }
 
-    /// Attach the sort-key range tombstones this table carries; they are
-    /// persisted in the stats block by [`TableBuilder::finish`]. The
-    /// tombstone seqnos fold into the table's seqno span so recovery and
-    /// retirement logic account for them — a table may carry range
-    /// tombstones and zero entries.
-    pub fn set_range_tombstones(&mut self, krts: Vec<KeyRangeTombstone>) {
-        debug_assert!(!self.finished);
-        for krt in &krts {
-            self.stats.max_seqno = self.stats.max_seqno.max(krt.seqno);
-            self.stats.min_seqno = self.stats.min_seqno.min(krt.seqno);
-        }
-        self.stats.range_tombstones = krts;
-    }
-
     /// Flush the final tile, write filter/meta/stats/footer, and finish
     /// the file. Returns the table's statistics.
     pub fn finish(self) -> Result<TableStats> {
@@ -527,47 +513,6 @@ mod tests {
         assert_eq!(stats.entry_count, 0);
         assert_eq!(stats.tile_count, 0);
         assert!(fs.file_size("t.sst").unwrap() > 0, "footer still written");
-    }
-
-    #[test]
-    fn range_tombstones_persist_in_stats() {
-        let fs = MemFs::new();
-        let file = fs.create("t.sst").unwrap();
-        let mut b = TableBuilder::new(file, TableOptions::default()).unwrap();
-        b.add(&Entry::put(&b"a"[..], &b"v"[..], 5, 0)).unwrap();
-        b.set_range_tombstones(vec![KeyRangeTombstone {
-            start: Bytes::from_static(b"b"),
-            end: Bytes::from_static(b"f"),
-            seqno: 9,
-            dkey: 42,
-        }]);
-        let stats = b.finish().unwrap();
-        assert_eq!(stats.range_tombstones.len(), 1);
-        assert_eq!(stats.oldest_range_tombstone_tick(), Some(42));
-        assert_eq!(stats.max_seqno, 9, "krt seqno folds into the span");
-        assert_eq!(stats.min_seqno, 5);
-        let reopened = crate::reader::Table::open(fs.open("t.sst").unwrap()).unwrap();
-        assert_eq!(reopened.stats().range_tombstones, stats.range_tombstones);
-    }
-
-    #[test]
-    fn carrier_table_with_only_range_tombstones() {
-        let fs = MemFs::new();
-        let file = fs.create("t.sst").unwrap();
-        let mut b = TableBuilder::new(file, TableOptions::default()).unwrap();
-        b.set_range_tombstones(vec![KeyRangeTombstone {
-            start: Bytes::from_static(b"k1"),
-            end: Bytes::from_static(b"k9"),
-            seqno: 7,
-            dkey: 3,
-        }]);
-        let stats = b.finish().unwrap();
-        assert_eq!(stats.entry_count, 0);
-        assert_eq!(stats.max_seqno, 7);
-        assert_eq!(stats.min_seqno, 7);
-        let reopened = crate::reader::Table::open(fs.open("t.sst").unwrap()).unwrap();
-        assert_eq!(reopened.stats().range_tombstones.len(), 1);
-        assert_eq!(reopened.stats().entry_count, 0);
     }
 
     #[test]

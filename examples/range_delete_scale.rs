@@ -7,13 +7,14 @@
 //! - `put`: a put into the write buffer, for scale;
 //! - `range delete`: one range delete, all R buffered;
 //! - `scan (buffered)`: a 50-key scan while the R are buffered;
-//! - `install`: the flush that moves the R into the tree;
+//! - `install`: the flush that moves the R into the tree, which writes
+//!   them as R manifest edits in its one manifest record;
 //! - `scan (tree)`: the same scans once the R are in the tree.
 //!
-//! Every range tombstone index is a binary search, so none of these may
-//! grow with R. The example exits nonzero if, at R = 1,000, a range
-//! delete costs more than 20× a put or a buffered scan more than 20× a
-//! tree scan.
+//! Every range tombstone index is a binary search, so the scans and the
+//! delete may not grow with R; the install grows with R, once. The
+//! example exits nonzero if, at R = 1,000, a range delete costs more
+//! than 20× a put or a buffered scan more than 20× a tree scan.
 //!
 //! Run with: `cargo run --release --example range_delete_scale`
 

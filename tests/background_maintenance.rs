@@ -448,10 +448,10 @@ fn schedule_digest(db: &Db, fs: &MemFs) -> u32 {
 }
 
 /// The digest of [`run_schedule`] at `background_threads = 0`, recorded
-/// at the commit before the inline executor became a driver over the
-/// workers' step. It moves only if the sequence of seals, flushes,
-/// picks, file ids, manifest records or table bytes moves.
-const SCHEDULE_DIGEST: u32 = 0x50f5_f72e;
+/// when sort-key range tombstones moved from the tables into the
+/// manifest. It moves only if the sequence of seals, flushes, picks,
+/// file ids, manifest records or table bytes moves.
+const SCHEDULE_DIGEST: u32 = 0xee46_8f64;
 
 /// The schedule digest of every compaction policy the engine offers:
 /// `(layout, file pick, FADE on, digest)`. The first row is
@@ -466,17 +466,17 @@ const SCHEDULE_TABLE: [(CompactionLayout, FilePickPolicy, bool, u32); 12] = {
     use FilePickPolicy::{MinOverlap, OldestTombstone, RoundRobin, TombstoneDensity};
     [
         (Leveling, MinOverlap, true, SCHEDULE_DIGEST),
-        (Leveling, MinOverlap, false, 0xdeb4_6fa5),
-        (Leveling, TombstoneDensity, true, 0xa1e9_0ad1),
-        (Leveling, TombstoneDensity, false, 0x0546_3a68),
-        (Leveling, OldestTombstone, true, 0xf9fb_9be0),
-        (Leveling, OldestTombstone, false, 0xff9a_20b9),
-        (Leveling, RoundRobin, true, 0x50f5_f72e),
-        (Leveling, RoundRobin, false, 0xa259_9b70),
-        (Tiering, MinOverlap, true, 0x7298_5d8d),
-        (Tiering, MinOverlap, false, 0x6e79_7caf),
-        (LazyLeveling, MinOverlap, true, 0x2435_4206),
-        (LazyLeveling, MinOverlap, false, 0x6e79_7caf),
+        (Leveling, MinOverlap, false, 0x3854_7d16),
+        (Leveling, TombstoneDensity, true, 0xe0f0_ff01),
+        (Leveling, TombstoneDensity, false, 0x6252_42f1),
+        (Leveling, OldestTombstone, true, 0xee46_8f64),
+        (Leveling, OldestTombstone, false, 0x560a_74a2),
+        (Leveling, RoundRobin, true, 0xee46_8f64),
+        (Leveling, RoundRobin, false, 0xbd06_889f),
+        (Tiering, MinOverlap, true, 0x7b18_3b33),
+        (Tiering, MinOverlap, false, 0x3084_3d1b),
+        (LazyLeveling, MinOverlap, true, 0x73d9_2c83),
+        (LazyLeveling, MinOverlap, false, 0x3084_3d1b),
     ]
 };
 

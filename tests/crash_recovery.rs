@@ -19,14 +19,16 @@
 
 use std::sync::{Arc, Mutex};
 
-use acheron::manifest::{read_current, read_manifest, VersionEdit};
+use acheron::filenames::sst_path;
+use acheron::manifest::{read_current, read_manifest, EditBatch, ManifestWriter, VersionEdit};
 use acheron::testutil::{
     count_crash_points, demonstrate_delete_before_manifest, run_crash_suite,
     run_recovery_crash_point, CrashConfig, CrashWorkload,
 };
 use acheron::{Db, DbOptions, Event};
-use acheron_types::checksum::crc32c;
-use acheron_types::Result;
+use acheron_sstable::{BlockHandle, Footer, TableBuilder, TableOptions, TableStats, FOOTER_SIZE};
+use acheron_types::checksum::{crc32c, masked};
+use acheron_types::{KeyRangeTombstone, Result};
 use acheron_vfs::{CutDurability, FaultVfs, IoStats, MemFs, RandomAccessFile, Vfs, WritableFile};
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -222,6 +224,157 @@ fn a_reopen_replays_a_thousand_buffered_range_deletes() {
     );
     assert_eq!(db.live_key_range_tombstones(), 1_000);
     assert!(scan_all(&db) == before, "a scan changed across the reopen");
+}
+
+/// Rewrite the stats block of the table at `path` — the last block
+/// before its footer — to carry `krts`, with their seqnos folded into
+/// the table's seqno window: what an engine that kept sort-key range
+/// tombstones in its tables wrote. Returns the new file size.
+fn plant_table_list(fs: &MemFs, path: &str, krts: Vec<KeyRangeTombstone>) -> u64 {
+    let data = fs.read_all(path).unwrap();
+    let footer = Footer::decode(&data[data.len() - FOOTER_SIZE..]).unwrap();
+    let at = footer.stats.offset as usize;
+    let mut stats = TableStats::decode(&data[at..at + footer.stats.size as usize]).unwrap();
+    for k in &krts {
+        stats.min_seqno = stats.min_seqno.min(k.seqno);
+        stats.max_seqno = stats.max_seqno.max(k.seqno);
+    }
+    stats.range_tombstones = krts;
+    let block = stats.encode();
+    let mut out = data[..at].to_vec();
+    out.extend_from_slice(&block);
+    out.push(0); // block type: uncompressed
+    out.extend_from_slice(&masked(&[&block, &[0]]).to_le_bytes());
+    let stats = BlockHandle {
+        offset: at as u64,
+        size: block.len() as u64,
+    };
+    out.extend_from_slice(&Footer { stats, ..footer }.encode());
+    fs.write_all(path, &out).unwrap();
+    out.len() as u64
+}
+
+/// An image written before sort-key range tombstones lived in the
+/// manifest: one tombstone in the stats block of a table with entries,
+/// one in an entry-less carrier table, and one in an unflushed WAL
+/// record. Opening it lifts each into the engine exactly once and
+/// collects the carrier; reads are what the tombstones say; once they
+/// retire, a reopen does not lift the table's stale list again.
+#[test]
+fn an_image_with_table_held_range_tombstones_is_lifted_once() {
+    let fs = Arc::new(MemFs::new());
+    let opts = DbOptions {
+        target_file_bytes: 4 << 10,
+        ..DbOptions::small()
+    };
+    let key = |i: u32| format!("key{i:04}").into_bytes();
+    let db = Db::open(fs.clone(), "db", opts.clone()).unwrap();
+    for i in 0..600 {
+        db.put(&key(i), &[b'a'; 40]).unwrap();
+    }
+    db.compact_all().unwrap();
+    let (seqno, tick) = (1_000_000, db.now());
+    // The unflushed WAL record.
+    db.range_delete_keys(&key(400), &key(409)).unwrap();
+    drop(db);
+
+    // The live tables, by level, from the manifest; strip the marker
+    // that says tables hold no range tombstones.
+    let manifest = format!("db/{}", read_current(fs.as_ref(), "db").unwrap().unwrap());
+    let mut batches = read_manifest(fs.as_ref(), &manifest).unwrap();
+    let mut live = std::collections::BTreeMap::new();
+    for edit in batches.iter_mut().flat_map(|b| b.edits.iter_mut()) {
+        match *edit {
+            VersionEdit::AddFile { id, level, .. } => {
+                live.insert(id, level);
+            }
+            VersionEdit::DeleteFile { id } => {
+                live.remove(&id);
+            }
+            _ => {}
+        }
+    }
+    for b in &mut batches {
+        b.edits
+            .retain(|e| *e != VersionEdit::KeyRangeTombstonesLifted);
+    }
+    let bottom: Vec<u64> = live.keys().copied().collect();
+    assert!(bottom.len() >= 5, "{bottom:?}");
+    let krt = |lo: u32, hi: u32, seqno: u64| KeyRangeTombstone {
+        start: Bytes::from(key(lo)),
+        end: Bytes::from(key(hi)),
+        seqno,
+        dkey: tick,
+    };
+    // The newest table carries a tombstone over keys it does not hold.
+    let listed = *bottom.last().unwrap();
+    let listed_path = sst_path("db", listed);
+    let size = plant_table_list(&fs, &listed_path, vec![krt(10, 19, seqno)]);
+    for edit in batches.iter_mut().flat_map(|b| b.edits.iter_mut()) {
+        if let VersionEdit::AddFile { id, size: s, .. } = edit {
+            if *id == listed {
+                *s = size;
+            }
+        }
+    }
+    // The carrier, at L1.
+    let carrier = 900_000;
+    let carrier_path = sst_path("db", carrier);
+    TableBuilder::new(fs.create(&carrier_path).unwrap(), TableOptions::default())
+        .unwrap()
+        .finish()
+        .unwrap();
+    let size = plant_table_list(&fs, &carrier_path, vec![krt(100, 109, seqno + 1)]);
+    batches.push(EditBatch {
+        edits: vec![VersionEdit::AddFile {
+            level: 1,
+            run: 0,
+            id: carrier,
+            size,
+            created_tick: tick,
+        }],
+    });
+    let mut w = ManifestWriter::create(fs.as_ref(), &manifest).unwrap();
+    for b in &batches {
+        w.append(b).unwrap();
+    }
+    drop(w);
+
+    let erased = |i: &u32| {
+        [10..=19, 100..=109, 400..=409]
+            .iter()
+            .any(|r| r.contains(i))
+    };
+    let expected: Vec<(Bytes, Bytes)> = (0..600)
+        .filter(|i| !erased(i))
+        .map(|i| (Bytes::from(key(i)), Bytes::from(vec![b'a'; 40])))
+        .collect();
+    let scan_all = |db: &Db| db.scan(&key(0), &key(599)).unwrap();
+
+    let db = Db::open(fs.clone(), "db", opts.clone()).unwrap();
+    assert_eq!(db.live_key_range_tombstones(), 3);
+    assert_eq!(db.tombstone_gauges().buffer_key_range_tombstones, 1);
+    assert!(!fs.exists(&carrier_path), "the carrier is collected");
+    assert!(scan_all(&db) == expected, "reads differ after the lift");
+    db.verify_integrity().unwrap();
+
+    // A full compaction applies all three; they retire, and the table
+    // whose stats block still lists one stays live.
+    db.compact_all().unwrap();
+    assert_eq!(db.live_key_range_tombstones(), 0);
+    assert!(fs.exists(&listed_path));
+    assert!(
+        scan_all(&db) == expected,
+        "reads differ after the retirement"
+    );
+    drop(db);
+    let db = Db::open(fs.clone(), "db", opts).unwrap();
+    assert_eq!(
+        db.live_key_range_tombstones(),
+        0,
+        "a retired tombstone stays retired"
+    );
+    assert!(scan_all(&db) == expected, "reads differ after the reopen");
 }
 
 /// The whole sync-mode sweep again with the unified memory budget (and

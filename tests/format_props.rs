@@ -276,29 +276,29 @@ fn compaction_output_bytes_are_pinned() {
     assert_eq!(
         held,
         pinned(&[
+            ("000105.sst", 16_689, 2_146_786_413),
+            ("000106.sst", 16_653, 1_526_385_263),
+            ("000107.sst", 16_651, 2_924_593_338),
+            ("000108.sst", 16_688, 1_297_613_031),
+            ("000109.sst", 16_732, 279_662_004),
             ("000110.sst", 16_770, 1_060_689_509),
             ("000111.sst", 16_697, 4_099_658_372),
             ("000112.sst", 16_678, 440_117_068),
             ("000113.sst", 1_992, 3_633_739_589),
-            ("000132.sst", 16_816, 3_566_246_405),
-            ("000133.sst", 16_689, 2_146_786_413),
-            ("000134.sst", 16_653, 1_526_385_263),
-            ("000135.sst", 16_651, 2_924_593_338),
-            ("000136.sst", 16_688, 1_297_613_031),
-            ("000137.sst", 16_732, 279_662_004),
+            ("000117.sst", 16_768, 772_203_808),
         ]),
         "snapshot held: compaction output bytes changed"
     );
     assert_eq!(
         released,
         pinned(&[
-            ("000192.sst", 16_795, 360_907_497),
-            ("000193.sst", 16_806, 1_184_362_380),
-            ("000194.sst", 16_810, 1_972_214_305),
-            ("000195.sst", 16_818, 2_417_472_002),
-            ("000196.sst", 16_828, 1_407_073_330),
-            ("000197.sst", 16_817, 3_688_867_351),
-            ("000198.sst", 5_192, 313_426_581),
+            ("000144.sst", 16_795, 360_907_497),
+            ("000145.sst", 16_806, 1_184_362_380),
+            ("000146.sst", 16_810, 1_972_214_305),
+            ("000147.sst", 16_818, 2_417_472_002),
+            ("000148.sst", 16_828, 1_407_073_330),
+            ("000149.sst", 16_817, 3_688_867_351),
+            ("000150.sst", 5_192, 313_426_581),
         ]),
         "snapshot released: compaction output bytes changed"
     );

@@ -321,16 +321,12 @@ fn baseline_without_fade_does_violate() {
     );
 }
 
-#[test]
-fn range_tombstone_blocked_at_the_bottom_does_not_spin() {
-    // A sort-key range tombstone rides the *first* output of each
-    // compaction that carries it. When FADE sinks that file to the bottom
-    // ahead of its sibling outputs, the siblings still hold older
-    // entries in the tombstone's range, so the bottom-level TTL rewrite
-    // cannot purge it. With inline maintenance the clock stands still
-    // inside the pass: the picker used to rewrite the same file again
-    // until the per-pass bound failed the write. The blocker must be
-    // sent down instead, after which the tombstone purges — in time.
+/// Age a sort-key range tombstone over `lo..=hi`, laid over `keys` keys
+/// whose older versions rest at the bottom under newer ones above it,
+/// in sub-margin steps of inline maintenance. Returns the compactions
+/// the aging took and the tick, counted from the delete, at which the
+/// tombstone retired (`None` if it never did).
+fn age_range_tombstone_over_the_bottom(keys: u32, lo: u32, hi: u32) -> (u64, Option<u64>) {
     use std::sync::atomic::Ordering::Relaxed;
     let d_th = 12_000;
     let mut o = opts(d_th, TtlAllocation::Exponential);
@@ -338,36 +334,96 @@ fn range_tombstone_blocked_at_the_bottom_does_not_spin() {
     let db = Db::open(Arc::new(MemFs::new()), "db", o).unwrap();
     let key = |i: u32| format!("key{i:04}").into_bytes();
     // Base data at the bottom, so later merges above it are not
-    // bottommost and a range tombstone cannot purge on the way down.
-    for i in 0..400 {
+    // bottommost and a range tombstone cannot retire on the way down.
+    for i in 0..keys {
         db.put(&key(i), &[b'a'; 24]).unwrap();
     }
     db.compact_all().unwrap();
     // Newer versions above the bottom, then the range delete over them.
-    for i in 0..400 {
+    for i in 0..keys {
         db.put(&key(i), &[b'b'; 24]).unwrap();
     }
-    db.range_delete_keys(&key(0), &key(399)).unwrap();
+    db.range_delete_keys(&key(lo), &key(hi)).unwrap();
     assert_eq!(db.live_key_range_tombstones(), 1);
     // Age it in sub-margin steps; every pass must return.
     let compactions_before = db.stats().compactions.load(Relaxed);
+    let mut retired_at = None;
     let mut advanced = 0;
     while advanced < 2 * d_th {
         db.advance_clock(d_th / 32);
         advanced += d_th / 32;
         db.maintain().unwrap();
+        if retired_at.is_none() && db.live_key_range_tombstones() == 0 {
+            retired_at = Some(advanced);
+        }
     }
+    assert_eq!(db.stats().persistence_violations.load(Relaxed), 0);
+    assert_eq!(db.scan(&key(lo), &key(hi)).unwrap(), vec![]);
+    let outside = (0..keys).filter(|i| !(lo..=hi).contains(i));
+    for i in outside.step_by(97) {
+        assert_eq!(db.get(&key(i)).unwrap().as_deref(), Some(&[b'b'; 24][..]));
+    }
+    (
+        db.stats().compactions.load(Relaxed) - compactions_before,
+        retired_at,
+    )
+}
+
+#[test]
+fn range_tombstone_blocked_at_the_bottom_does_not_spin() {
+    // A sort-key range tombstone can retire only once no file holds an
+    // older entry in its range. When FADE used to sink part of the
+    // covered data to the bottom ahead of the rest, the bottom-level TTL
+    // rewrite could not purge it while the rest sat above. With inline
+    // maintenance the clock stands still inside the pass: the picker
+    // used to rewrite the same file again until the per-pass bound
+    // failed the write. The tombstone's station — the shallowest level
+    // under it — must descend instead, after which it retires, in time.
+    let d_th = 12_000;
+    // The tombstone covers all of the data ...
+    let (compactions, retired_at) = age_range_tombstone_over_the_bottom(400, 0, 399);
     assert!(
-        db.stats().compactions.load(Relaxed) - compactions_before < 200,
+        compactions < 200,
         "maintenance must converge, not rewrite in place"
     );
+    assert!(retired_at.is_some_and(|t| t <= d_th), "{retired_at:?}");
+    // ... or straddles the middle of it.
+    let (compactions, retired_at) = age_range_tombstone_over_the_bottom(4_000, 1_500, 2_500);
+    assert!(compactions <= 8, "{compactions} compactions");
+    assert!(retired_at.is_some_and(|t| t <= d_th), "{retired_at:?}");
+}
+
+/// The secondary kind retires by the same rule: once a bottommost merge
+/// has applied them, mid-domain secondary range deletes hold no file,
+/// even though every surviving file's delete-key fences still span
+/// them, and they all retire.
+#[test]
+fn mid_domain_secondary_range_deletes_retire_after_a_full_compaction() {
+    use std::sync::atomic::Ordering::Relaxed;
+    let db = Db::open(
+        Arc::new(MemFs::new()),
+        "db",
+        DbOptions::small().with_fade(50_000),
+    )
+    .unwrap();
+    let keys = 20_000u64;
+    for i in 0..keys {
+        db.put_with_dkey(format!("key{i:05}").as_bytes(), b"value", i)
+            .unwrap();
+    }
+    let deletes = 100;
+    for j in 0..deletes {
+        let dkey = keys / 4 + j * (keys / 2) / deletes;
+        db.range_delete_secondary(dkey, dkey).unwrap();
+    }
+    db.compact_all().unwrap();
+    assert_eq!(db.stats().entries_range_purged.load(Relaxed), deletes);
+    assert_eq!(db.live_range_tombstones().len(), 0);
     assert_eq!(
-        db.live_key_range_tombstones(),
-        0,
-        "the tombstone purges once its blockers have descended"
+        db.get(format!("key{:05}", keys / 4).as_bytes()).unwrap(),
+        None
     );
-    assert_eq!(db.stats().persistence_violations.load(Relaxed), 0);
-    assert_eq!(db.scan(&key(0), &key(399)).unwrap(), vec![]);
+    assert!(db.get(b"key00000").unwrap().is_some());
 }
 
 #[test]
