@@ -225,11 +225,14 @@ pub fn run_compaction(
 
     let mut krt_vlog_dead: Vec<(u64, u64, Tick)> = Vec::new();
     let mut krt_superseded: Vec<SeqNo> = Vec::new();
+    // Survivors leave the merge in key order, so each probe of the
+    // sort-key index starts where the last one landed.
+    let mut krt_cursor = 0;
     while let Some(survivor) = stream.next_survivor()? {
         let (user_key, seqno) = (survivor.key.user_key(), survivor.key.seqno());
         if let Some(idx) = krt_drop_index {
             if idx
-                .max_seqno_covering(user_key, u64::MAX)
+                .max_seqno_covering_from(user_key, u64::MAX, &mut krt_cursor)
                 .is_some_and(|cover| seqno < cover)
             {
                 key_range_purged += 1;

@@ -59,10 +59,13 @@ pub struct RangeIter {
     /// The version read from: its range tombstones of both kinds are
     /// probed in place.
     version: Arc<Version>,
+    /// Where the last probe of the version's sort-key index landed: keys
+    /// ascend, so the next probe starts there.
+    version_krt_cursor: usize,
     /// The sort-key range-tombstone index of each buffer that holds
-    /// any. Probed one by one after the version's, as a get probes
-    /// them.
-    buffered_krts: Vec<Arc<acheron_types::FragmentedRangeTombstones>>,
+    /// any, with its probe cursor. Probed one by one after the
+    /// version's, as a get probes them.
+    buffered_krts: Vec<(Arc<acheron_types::FragmentedRangeTombstones>, usize)>,
     /// The user key whose newest visible version has been judged (its
     /// older versions are skipped); `None` before the first key.
     decided_key: Option<Vec<u8>>,
@@ -95,16 +98,16 @@ impl RangeIter {
             // Newest visible version decides the key: a put that is not
             // range-erased (by either tombstone flavor) yields the
             // value; anything else hides the key. The sort-key check is
-            // one binary search per source that holds range tombstones.
-            let (seqno, dkey) = (key.seqno(), self.merge.dkey());
-            let covered = |idx: &acheron_types::FragmentedRangeTombstones| {
-                idx.max_seqno_covering(key.user_key(), self.snapshot)
+            // one cursor step per source that holds range tombstones.
+            let (seqno, dkey, snapshot) = (key.seqno(), self.merge.dkey(), self.snapshot);
+            let covered = |idx: &acheron_types::FragmentedRangeTombstones, cursor: &mut usize| {
+                idx.max_seqno_covering_from(key.user_key(), snapshot, cursor)
                     .is_some_and(|cover| seqno < cover)
             };
             let live = kind.is_put_like()
-                && !shadowed(&self.version, self.snapshot, seqno, dkey)
-                && !covered(&self.version.key_range_index)
-                && !self.buffered_krts.iter().any(|idx| covered(idx));
+                && !shadowed(&self.version, snapshot, seqno, dkey)
+                && !covered(&self.version.key_range_index, &mut self.version_krt_cursor)
+                && !(self.buffered_krts.iter_mut()).any(|(idx, cursor)| covered(idx, cursor));
             let row = live.then(|| self.merge.entry()).transpose()?;
             self.merge.advance()?;
             if let Some(e) = row {
@@ -273,7 +276,7 @@ impl Db {
         let buffered_krts: Vec<_> = std::iter::once(&view.mem)
             .chain(view.imms.iter())
             .filter(|m| m.range_tombstone_count() > 0)
-            .map(|m| m.range_tombstones())
+            .map(|m| (m.range_tombstones(), 0))
             .collect();
 
         let seek_key = acheron_types::SeekKey::new(lo, MAX_SEQNO);
@@ -298,11 +301,13 @@ impl Db {
                 sources.push(Box::new(VecSource::new(buf)));
             }
         }
-        for f in view.version.all_files() {
-            if f.overlaps_keys(lo, hi) {
+        // Each level's files in `[lo, hi]`, chosen from its flat bounds
+        // index (two binary searches on a sorted level).
+        for (level, files) in view.version.levels.iter().enumerate() {
+            for i in view.version.level_bounds(level).overlapping(lo, hi) {
                 // No page skipping on reads: chain heads must be seen
                 // (newest-version-decides).
-                let mut it = f.table.iter(Vec::new());
+                let mut it = files[i].table.iter(Vec::new());
                 it.seek(seek_key.encoded())?;
                 if acheron_sstable::TableIterator::valid(&it) {
                     sources.push(Box::new(it));
@@ -318,6 +323,7 @@ impl Db {
             hi: hi.to_vec(),
             snapshot,
             version: Arc::clone(&view.version),
+            version_krt_cursor: 0,
             buffered_krts,
             decided_key: None,
             core: Arc::clone(&self.inner.core),
@@ -342,6 +348,13 @@ impl DbCore {
     /// stays sound when FADE's TTL descents sink newer versions below
     /// older runs. Table probes consult the per-page bloom filters
     /// internally before any block read.
+    ///
+    /// Each level's candidates come from its flat bounds index: on a
+    /// sorted level a binary search leaves at most one file, elsewhere
+    /// (L0, overlapping runs) the bounds are compared file by file. A
+    /// file is touched only to probe its table. Every file is counted
+    /// once: outside the key (a key-fence skip), beaten on seqno (a
+    /// seqno skip), or probed.
     pub(super) fn newest_live_in_view(
         &self,
         view: &ReadView,
@@ -380,25 +393,39 @@ impl DbCore {
         let mut seqno_skips = 0u64;
         let mut bloom_skips = 0u64;
         let mut table_probes = 0u64;
-        let l0 = view.version.levels[0].iter().rev();
-        let deeper = view.version.levels[1..].iter().flatten();
-        for f in l0.chain(deeper) {
-            if f.stats.min_seqno > snapshot
-                || best.as_ref().is_some_and(|b| b.seqno >= f.stats.max_seqno)
-            {
-                seqno_skips += 1;
+        for (level, files) in view.version.levels.iter().enumerate() {
+            let bounds = view.version.level_bounds(level);
+            // When the best beats every file of the level, only a trace
+            // needs the level searched, for its counts.
+            if trace.is_none() && best.as_ref().is_some_and(|b| b.seqno >= bounds.ceiling()) {
                 continue;
             }
-            if !f.overlaps_keys(key, key) {
-                bloom_skips += 1;
-                continue;
-            }
-            table_probes += 1;
-            if let Some(e) = f.table.get(key, snapshot, &[])? {
-                if best.as_ref().is_none_or(|b| e.seqno > b.seqno) {
-                    best = Some(e);
+            let mut examined = 0;
+            let mut probe = |i: usize| -> Result<()> {
+                examined += 1;
+                if bounds.min_seqno(i) > snapshot
+                    || best
+                        .as_ref()
+                        .is_some_and(|b| b.seqno >= bounds.max_seqno(i))
+                {
+                    seqno_skips += 1;
+                    return Ok(());
                 }
+                table_probes += 1;
+                if let Some(e) = files[i].table.get(key, snapshot, &[])? {
+                    if best.as_ref().is_none_or(|b| e.seqno > b.seqno) {
+                        best = Some(e);
+                    }
+                }
+                Ok(())
+            };
+            let mut overlapping = bounds.overlapping(key, key);
+            if level == 0 {
+                overlapping.rev().try_for_each(&mut probe)?;
+            } else {
+                overlapping.try_for_each(&mut probe)?;
             }
+            bloom_skips += (files.len() - examined) as u64;
         }
         if let Some(t) = trace {
             if imm_probes > 0 {

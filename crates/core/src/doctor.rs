@@ -334,8 +334,8 @@ pub(crate) fn verify_table(table: &Arc<Table>, id: u64) -> Result<()> {
 
     // Tile invariants.
     let mut meta_entries = 0u64;
-    for (t, tile) in table.tiles().iter().enumerate() {
-        for p in &tile.pages {
+    for (t, tile) in table.tile_index().iter().enumerate() {
+        for p in tile.pages {
             meta_entries += p.entry_count;
             if p.dkey_min > p.dkey_max {
                 return Err(Error::corruption(format!(

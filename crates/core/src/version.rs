@@ -11,7 +11,7 @@ use std::sync::Arc;
 use acheron_memtable::Memtable;
 use acheron_sstable::{Table, TableStats};
 use acheron_types::{
-    FragmentedRangeTombstones, KeyRangeTombstone, RangeTombstone, Result, SeqNo, Tick,
+    FlatKeys, FragmentedRangeTombstones, KeyRangeTombstone, RangeTombstone, Result, SeqNo, Tick,
 };
 use bytes::Bytes;
 
@@ -66,6 +66,101 @@ impl FileMeta {
     }
 }
 
+/// One level's file bounds in flat arrays, in the level's file order:
+/// smallest and largest user keys back to back, and the seqno span. A
+/// get or a scan chooses its files from these without touching a
+/// [`FileMeta`], and on a sorted level with two binary searches.
+#[derive(Debug)]
+pub struct LevelBounds {
+    min_keys: FlatKeys,
+    max_keys: FlatKeys,
+    min_seqnos: Vec<SeqNo>,
+    max_seqnos: Vec<SeqNo>,
+    /// The largest of `max_seqnos` (0 for an empty level).
+    ceiling: SeqNo,
+    /// True if the files' key ranges are disjoint and ascending in level
+    /// order (a leveled level, or a tiered one whose runs happen not to
+    /// overlap). L0 and overlapping runs are not.
+    sorted: bool,
+}
+
+impl LevelBounds {
+    fn build(files: &[Arc<FileMeta>]) -> LevelBounds {
+        let key_bytes = |key: fn(&FileMeta) -> &Bytes| files.iter().map(|f| key(f).len()).sum();
+        let mut bounds = LevelBounds {
+            min_keys: FlatKeys::with_capacity(files.len(), key_bytes(FileMeta::min_key)),
+            max_keys: FlatKeys::with_capacity(files.len(), key_bytes(FileMeta::max_key)),
+            min_seqnos: files.iter().map(|f| f.stats.min_seqno).collect(),
+            max_seqnos: files.iter().map(|f| f.stats.max_seqno).collect(),
+            ceiling: files.iter().map(|f| f.stats.max_seqno).max().unwrap_or(0),
+            sorted: true,
+        };
+        for (i, f) in files.iter().enumerate() {
+            bounds.sorted &=
+                f.min_key() <= f.max_key() && (i == 0 || files[i - 1].max_key() < f.min_key());
+            bounds.min_keys.push(f.min_key());
+            bounds.max_keys.push(f.max_key());
+        }
+        bounds
+    }
+
+    /// Number of files.
+    pub fn len(&self) -> usize {
+        self.min_seqnos.len()
+    }
+
+    /// True if the level holds no file.
+    pub fn is_empty(&self) -> bool {
+        self.min_seqnos.is_empty()
+    }
+
+    /// True if the files' key ranges are disjoint and ascending, so
+    /// [`LevelBounds::overlapping`] binary-searches.
+    pub fn is_sorted(&self) -> bool {
+        self.sorted
+    }
+
+    /// Smallest seqno in file `i`.
+    pub fn min_seqno(&self, i: usize) -> SeqNo {
+        self.min_seqnos[i]
+    }
+
+    /// Largest seqno in file `i`.
+    pub fn max_seqno(&self, i: usize) -> SeqNo {
+        self.max_seqnos[i]
+    }
+
+    /// Largest seqno in the level.
+    pub fn ceiling(&self) -> SeqNo {
+        self.ceiling
+    }
+
+    /// Indexes of the files whose key range overlaps `[lo, hi]` (as
+    /// [`FileMeta::overlaps_keys`]), ascending. On a sorted level the
+    /// files that end at or after `lo` are a suffix, found by a binary
+    /// search, and the answer is its run of files that start at or
+    /// before `hi`; elsewhere each file's bounds are compared in turn.
+    pub fn overlapping<'a>(
+        &'a self,
+        lo: &'a [u8],
+        hi: &'a [u8],
+    ) -> impl DoubleEndedIterator<Item = usize> + 'a {
+        let (from, to) = if self.sorted {
+            let from = self.max_keys.partition_point(|max| max < lo);
+            let mut to = from;
+            while to < self.len() && self.min_keys.get(to) <= hi {
+                to += 1;
+            }
+            (from, to)
+        } else {
+            (0, self.len())
+        };
+        (from..to).filter(move |&i| {
+            self.sorted || (self.min_keys.get(i) <= hi && lo <= self.max_keys.get(i))
+        })
+    }
+}
+
 /// The files a compaction wrote with every range tombstone of its
 /// starting version applied: the outputs of a bottommost merge that no
 /// snapshot pinned. They hold no entry a tombstone of `start` erases,
@@ -99,8 +194,12 @@ pub struct Version {
     /// `levels[i]` = files at level i. Within a level, files are sorted
     /// by (run, min_key); leveling levels (single run) are therefore
     /// sorted by min_key with disjoint ranges (except L0, where runs are
-    /// per-file and ranges overlap).
+    /// per-file and ranges overlap). Changed only by [`Version::apply`],
+    /// which rebuilds `bounds` from it.
     pub levels: Vec<Vec<Arc<FileMeta>>>,
+    /// `bounds[i]`: the flat bounds index of `levels[i]`, once a file
+    /// has been added.
+    bounds: Arc<[LevelBounds]>,
     /// Live secondary range tombstones, oldest first.
     pub range_tombstones: Vec<RangeTombstone>,
     /// Live sort-key range tombstones that left the write buffers,
@@ -117,6 +216,7 @@ impl Version {
     pub fn empty(max_levels: usize) -> Version {
         Version {
             levels: vec![Vec::new(); max_levels],
+            bounds: Arc::default(),
             range_tombstones: Vec::new(),
             key_range_tombstones: Vec::new(),
             key_range_index: Arc::default(),
@@ -173,17 +273,25 @@ impl Version {
             .find(|&l| !self.levels[l].is_empty())
     }
 
+    /// The flat bounds index of `level` (empty past the last level).
+    pub fn level_bounds(&self, level: usize) -> &LevelBounds {
+        static EMPTY: LevelBounds = LevelBounds {
+            min_keys: FlatKeys::new(),
+            max_keys: FlatKeys::new(),
+            min_seqnos: Vec::new(),
+            max_seqnos: Vec::new(),
+            ceiling: 0,
+            sorted: true,
+        };
+        self.bounds.get(level).map_or(&EMPTY, |b| b)
+    }
+
     /// Files at `level` overlapping the user-key range `[lo, hi]`.
     pub fn overlapping_files(&self, level: usize, lo: &[u8], hi: &[u8]) -> Vec<Arc<FileMeta>> {
-        self.levels
-            .get(level)
-            .map(|fs| {
-                fs.iter()
-                    .filter(|f| f.overlaps_keys(lo, hi))
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default()
+        let files = self.levels.get(level).map_or(&[][..], |fs| fs);
+        (self.level_bounds(level).overlapping(lo, hi))
+            .map(|i| Arc::clone(&files[i]))
+            .collect()
     }
 
     /// True if any file *below* `level` overlaps `[lo, hi]` — if not,
@@ -191,7 +299,18 @@ impl Version {
     /// range and may drop tombstones.
     pub fn overlaps_below(&self, level: usize, lo: &[u8], hi: &[u8]) -> bool {
         ((level + 1)..self.levels.len())
-            .any(|l| self.levels[l].iter().any(|f| f.overlaps_keys(lo, hi)))
+            .any(|l| self.level_bounds(l).overlapping(lo, hi).next().is_some())
+    }
+
+    /// Indexes at `level` of the files under the sort-key range
+    /// tombstone `k` (as [`FileMeta::under_key_range_tombstone`]).
+    fn under_key_range_at<'a>(
+        &'a self,
+        level: usize,
+        k: &'a KeyRangeTombstone,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let bounds = self.level_bounds(level);
+        (bounds.overlapping(&k.start, &k.end)).filter(move |&i| bounds.min_seqno(i) < k.seqno)
     }
 
     /// Apply a set of edits, producing the successor version.
@@ -222,6 +341,11 @@ impl Version {
                     .then_with(|| a.id.cmp(&b.id))
             });
         }
+        next.bounds = next
+            .levels
+            .iter()
+            .map(|files| LevelBounds::build(files))
+            .collect();
         next.range_tombstones.extend_from_slice(add_rts);
         next.range_tombstones
             .retain(|rt| !drop_rt_seqnos.contains(&rt.seqno));
@@ -246,9 +370,7 @@ impl Version {
     /// The station of the sort-key range tombstone `k`: the shallowest
     /// level holding a file under it, `None` when no file is.
     pub fn station(&self, k: &KeyRangeTombstone) -> Option<usize> {
-        self.levels
-            .iter()
-            .position(|files| files.iter().any(|f| f.under_key_range_tombstone(k)))
+        (0..self.levels.len()).find(|&l| self.under_key_range_at(l, k).next().is_some())
     }
 
     /// Retire every range tombstone, of either kind, that can erase
@@ -269,14 +391,11 @@ impl Version {
             rts.chain(a.start.key_range_tombstones.iter().map(|k| k.seqno))
                 .collect()
         });
-        let retires = |seqno: SeqNo,
-                       in_buffer: &dyn Fn(&Memtable) -> bool,
-                       under: &dyn Fn(&FileMeta) -> bool| {
-            let exempt = |f: &FileMeta| {
-                held.contains(&seqno) && applied.is_some_and(|a| a.outputs.contains(&f.id))
-            };
-            !(buffers.iter()).any(|m| m.min_seqno().is_some_and(|s| s < seqno) && in_buffer(m))
-                && !self.all_files().any(|f| under(f) && !exempt(f))
+        let exempt = |seqno: SeqNo, f: &FileMeta| {
+            held.contains(&seqno) && applied.is_some_and(|a| a.outputs.contains(&f.id))
+        };
+        let buffered = |seqno: SeqNo, in_buffer: &dyn Fn(&Memtable) -> bool| {
+            (buffers.iter()).any(|m| m.min_seqno().is_some_and(|s| s < seqno) && in_buffer(m))
         };
         let retired = Retired {
             secondary: (self.range_tombstones.iter())
@@ -286,12 +405,20 @@ impl Version {
                         (s.min_dkey.zip(s.max_dkey))
                             .is_some_and(|(lo, hi)| rt.range.overlaps(lo, hi))
                     };
-                    retires(rt.seqno, &in_dkeys, &|f| f.under_range_tombstone(rt))
+                    !buffered(rt.seqno, &in_dkeys)
+                        && !(self.all_files())
+                            .any(|f| f.under_range_tombstone(rt) && !exempt(rt.seqno, f))
                 })
                 .map(|rt| rt.seqno)
                 .collect(),
             key_ranges: (self.key_range_tombstones.iter())
-                .filter(|k| retires(k.seqno, &|_| true, &|f| f.under_key_range_tombstone(k)))
+                .filter(|k| {
+                    !buffered(k.seqno, &|_| true)
+                        && !(0..self.levels.len()).any(|l| {
+                            (self.under_key_range_at(l, k))
+                                .any(|i| !exempt(k.seqno, &self.levels[l][i]))
+                        })
+                })
                 .cloned()
                 .collect(),
         };

@@ -564,7 +564,7 @@ mod tests {
         for (i, seen) in (1..=ROUNDS).zip(seen) {
             assert_eq!(seen, (Some(i), (i > 1).then_some(i - 1)), "round {i}");
         }
-        assert_eq!(m.range_tombstones().fragments().len(), ROUNDS as usize);
+        assert_eq!(m.range_tombstones().len(), ROUNDS as usize);
     }
 
     #[test]

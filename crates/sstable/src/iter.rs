@@ -60,11 +60,11 @@ impl TableIterator {
 
     /// Position at the first entry with internal key `>= target`.
     pub fn seek(&mut self, target: &[u8]) -> Result<()> {
-        match self.table.find_tile(target) {
+        match self.table.tile_index().find(target) {
             None => {
                 self.active.clear();
                 self.current = None;
-                self.tile_idx = self.table.tiles().len();
+                self.tile_idx = self.table.tile_index().len();
                 Ok(())
             }
             Some(idx) => {
@@ -123,7 +123,7 @@ impl TableIterator {
     /// entry (tiles can come up empty when all pages are dropped).
     fn load_tile_from_start(&mut self) -> Result<()> {
         loop {
-            if self.tile_idx >= self.table.tiles().len() {
+            if self.tile_idx >= self.table.tile_index().len() {
                 self.active.clear();
                 self.current = None;
                 return Ok(());
@@ -154,7 +154,7 @@ impl TableIterator {
     fn open_tile(&mut self, idx: usize, target: Option<&[u8]>) -> Result<()> {
         self.active.clear();
         self.current = None;
-        let tile = &self.table.tiles()[idx];
+        let tile = self.table.tile_index().tile(idx);
         if !self.rts.is_empty()
             && tile.multi_version
             && tile
@@ -168,7 +168,7 @@ impl TableIterator {
                 .fetch_add(tile.pages.len() as u64, AtomicOrdering::Relaxed);
             return Ok(());
         }
-        for page in &tile.pages {
+        for page in tile.pages {
             if !tile.multi_version && Table::page_droppable(page, &self.rts) {
                 self.table
                     .counters
@@ -377,7 +377,7 @@ mod tests {
             ..Default::default()
         };
         let table = build(&entries, opts);
-        assert!(table.tiles().iter().any(|t| t.multi_version));
+        assert!(table.tile_index().iter().any(|t| t.multi_version));
         // Covers the newer versions' dkey band only.
         let rt = RangeTombstone {
             seqno: u64::MAX >> 8,

@@ -48,6 +48,6 @@ pub use bloom::{BloomFilter, BloomFilterRef};
 pub use cache::{BlockCache, CacheLease, PageKey};
 pub use format::{BlockHandle, Footer, TableOptions, FOOTER_SIZE, TABLE_MAGIC};
 pub use iter::TableIterator;
-pub use meta::{PageMeta, TableStats, TileMeta};
+pub use meta::{PageMeta, TableStats, Tile, TileIndex, TileMeta};
 pub use reader::Table;
 pub use writer::TableBuilder;

@@ -4,7 +4,10 @@
 use acheron_types::codec::{
     put_length_prefixed, put_varint64, require_length_prefixed, require_varint64,
 };
-use acheron_types::{Error, KeyRangeTombstone, Result, SeqNo, Tick};
+use std::cmp::Ordering;
+
+use acheron_types::key::compare_internal;
+use acheron_types::{Error, FlatKeys, KeyRangeTombstone, Result, SeqNo, Tick};
 use bytes::Bytes;
 
 use crate::format::{BlockHandle, FORMAT_VERSION};
@@ -32,7 +35,8 @@ pub struct PageMeta {
 }
 
 /// Descriptor of one delete tile: a fence key plus its pages, which are
-/// ordered by `dkey_min` (the key-weaving order).
+/// ordered by `dkey_min` (the key-weaving order). The writer's form; a
+/// reader holds the same data as a [`TileIndex`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TileMeta {
     /// The largest internal key in the tile (the fence pointer).
@@ -45,22 +49,6 @@ pub struct TileMeta {
     /// page could remove a key's newest version while an older one
     /// survives in a sibling page).
     pub multi_version: bool,
-}
-
-impl TileMeta {
-    /// Smallest delete key across the tile's pages.
-    pub fn dkey_min(&self) -> u64 {
-        self.pages
-            .iter()
-            .map(|p| p.dkey_min)
-            .min()
-            .unwrap_or(u64::MAX)
-    }
-
-    /// Largest delete key across the tile's pages.
-    pub fn dkey_max(&self) -> u64 {
-        self.pages.iter().map(|p| p.dkey_max).max().unwrap_or(0)
-    }
 }
 
 /// Encode the tile-meta block.
@@ -85,64 +73,173 @@ pub fn encode_tiles(tiles: &[TileMeta]) -> Vec<u8> {
     out
 }
 
-/// Decode the tile-meta block.
-pub fn decode_tiles(mut src: &[u8]) -> Result<Vec<TileMeta>> {
-    let (n_tiles, rest) = require_varint64(src, "tile meta: tile count")?;
-    src = rest;
-    let mut tiles = Vec::with_capacity(n_tiles.min(1 << 20) as usize);
-    for t in 0..n_tiles {
-        let (last_ikey, rest) = require_length_prefixed(src, "tile meta: fence key")?;
-        src = rest;
-        let (&mv_byte, rest) = src
-            .split_first()
-            .ok_or_else(|| Error::corruption("tile meta: truncated multi-version flag"))?;
-        src = rest;
-        let multi_version = match mv_byte {
-            0 => false,
-            1 => true,
-            other => {
-                return Err(Error::corruption(format!(
-                    "tile meta: bad multi-version flag {other}"
-                )))
-            }
-        };
-        let (n_pages, rest) = require_varint64(src, "tile meta: page count")?;
-        src = rest;
-        if n_pages == 0 {
-            return Err(Error::corruption(format!("tile {t} has zero pages")));
+/// One tile of a [`TileIndex`], borrowed from its flat arrays.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tile<'a> {
+    /// The largest internal key in the tile (the fence pointer).
+    pub fence: &'a [u8],
+    /// The tile's pages in delete-key order.
+    pub pages: &'a [PageMeta],
+    /// True if any user key in the tile has more than one version (see
+    /// [`TileMeta::multi_version`]).
+    pub multi_version: bool,
+}
+
+/// Where one tile's pages end in [`TileIndex::pages`], and its flag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct TileSlot {
+    pages_end: u32,
+    multi_version: bool,
+}
+
+/// A table's decoded tile-meta block in flat arrays: every fence key
+/// back to back, every page descriptor of the table in one vector, and
+/// per tile only where its pages end and its multi-version flag. A fence
+/// search touches two contiguous arrays; the table's metadata is four
+/// heap blocks whatever its tile count.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TileIndex {
+    fences: FlatKeys,
+    slots: Vec<TileSlot>,
+    pages: Vec<PageMeta>,
+}
+
+impl TileIndex {
+    /// Decode the tile-meta block.
+    ///
+    /// The arrays are reserved once from the block itself and trimmed at
+    /// the end, so an open's allocations do not grow with its tile
+    /// count: the block holds the tile count, and no more fence bytes
+    /// than its own length. The page array starts at one page per tile
+    /// and grows only for a woven table.
+    pub fn decode(mut src: &[u8]) -> Result<TileIndex> {
+        if u32::try_from(src.len()).is_err() {
+            return Err(Error::corruption("tile meta: block exceeds 4 GiB"));
         }
-        let mut pages = Vec::with_capacity(n_pages.min(1 << 16) as usize);
-        for _ in 0..n_pages {
-            let (handle, rest) = BlockHandle::decode_from(src)
-                .ok_or_else(|| Error::corruption("tile meta: bad page handle"))?;
+        let (n_tiles, rest) = require_varint64(src, "tile meta: tile count")?;
+        src = rest;
+        // A tile takes at least twelve bytes (fence length, flag, page
+        // count, one page's nine varints): a corrupt count reserves no
+        // more than the block could hold.
+        let tiles = usize::try_from(n_tiles).map_or(0, |n| n.min(src.len() / 12));
+        let mut index = TileIndex {
+            fences: FlatKeys::with_capacity(tiles, src.len()),
+            slots: Vec::with_capacity(tiles),
+            pages: Vec::with_capacity(tiles),
+        };
+        for t in 0..n_tiles {
+            let (fence, rest) = require_length_prefixed(src, "tile meta: fence key")?;
             src = rest;
-            let mut fields = [0u64; 7];
-            for f in fields.iter_mut() {
-                let (v, rest) = require_varint64(src, "tile meta: page field")?;
-                *f = v;
-                src = rest;
+            let (&mv_byte, rest) = src
+                .split_first()
+                .ok_or_else(|| Error::corruption("tile meta: truncated multi-version flag"))?;
+            src = rest;
+            let multi_version = match mv_byte {
+                0 => false,
+                1 => true,
+                other => {
+                    return Err(Error::corruption(format!(
+                        "tile meta: bad multi-version flag {other}"
+                    )))
+                }
+            };
+            let (n_pages, rest) = require_varint64(src, "tile meta: page count")?;
+            src = rest;
+            if n_pages == 0 {
+                return Err(Error::corruption(format!("tile {t} has zero pages")));
             }
-            pages.push(PageMeta {
-                handle,
-                dkey_min: fields[0],
-                dkey_max: fields[1],
-                max_seqno: fields[2],
-                entry_count: fields[3],
-                tombstone_count: fields[4],
-                filter_offset: fields[5],
-                filter_len: fields[6],
+            for _ in 0..n_pages {
+                let (handle, rest) = BlockHandle::decode_from(src)
+                    .ok_or_else(|| Error::corruption("tile meta: bad page handle"))?;
+                src = rest;
+                let mut fields = [0u64; 7];
+                for f in fields.iter_mut() {
+                    let (v, rest) = require_varint64(src, "tile meta: page field")?;
+                    *f = v;
+                    src = rest;
+                }
+                index.pages.push(PageMeta {
+                    handle,
+                    dkey_min: fields[0],
+                    dkey_max: fields[1],
+                    max_seqno: fields[2],
+                    entry_count: fields[3],
+                    tombstone_count: fields[4],
+                    filter_offset: fields[5],
+                    filter_len: fields[6],
+                });
+            }
+            index.fences.push(fence);
+            index.slots.push(TileSlot {
+                // Below 2^32: every page took bytes of a block that is.
+                pages_end: index.pages.len() as u32,
+                multi_version,
             });
         }
-        tiles.push(TileMeta {
-            last_ikey: Bytes::copy_from_slice(last_ikey),
-            pages,
-            multi_version,
-        });
+        if !src.is_empty() {
+            return Err(Error::corruption("tile meta: trailing bytes"));
+        }
+        index.fences.shrink_to_fit();
+        index.pages.shrink_to_fit();
+        Ok(index)
     }
-    if !src.is_empty() {
-        return Err(Error::corruption("tile meta: trailing bytes"));
+
+    /// Number of tiles.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.slots.len()
     }
-    Ok(tiles)
+
+    /// True if the table has no tile.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Tile `i`.
+    ///
+    /// # Panics
+    /// If `i >= self.len()`.
+    #[inline]
+    pub fn tile(&self, i: usize) -> Tile<'_> {
+        let from = if i == 0 {
+            0
+        } else {
+            self.slots[i - 1].pages_end as usize
+        };
+        let slot = self.slots[i];
+        Tile {
+            fence: self.fences.get(i),
+            pages: &self.pages[from..slot.pages_end as usize],
+            multi_version: slot.multi_version,
+        }
+    }
+
+    /// Every tile, in fence order.
+    pub fn iter(&self) -> impl Iterator<Item = Tile<'_>> + '_ {
+        (0..self.len()).map(|i| self.tile(i))
+    }
+
+    /// Every page of the table, tile by tile.
+    pub fn pages(&self) -> &[PageMeta] {
+        &self.pages
+    }
+
+    /// Index of the first tile whose fence is `>= target` (an internal
+    /// key), or `None` if the target is past the last tile.
+    pub fn find(&self, target: &[u8]) -> Option<usize> {
+        let idx = self
+            .fences
+            .partition_point(|fence| compare_internal(fence, target) == Ordering::Less);
+        (idx < self.len()).then_some(idx)
+    }
+
+    /// Heap bytes the index holds.
+    pub fn heap_bytes(&self) -> usize {
+        self.fences.heap_bytes()
+            + self.slots.capacity() * std::mem::size_of::<TileSlot>()
+            + self.pages.capacity() * std::mem::size_of::<PageMeta>()
+    }
 }
 
 /// Per-segment summary of the value-log pointers a table holds — the
@@ -407,26 +504,38 @@ mod tests {
         ]
     }
 
+    /// The index's tiles in the writer's form.
+    fn tile_metas(index: &TileIndex) -> Vec<TileMeta> {
+        index
+            .iter()
+            .map(|t| TileMeta {
+                last_ikey: Bytes::copy_from_slice(t.fence),
+                pages: t.pages.to_vec(),
+                multi_version: t.multi_version,
+            })
+            .collect()
+    }
+
     #[test]
     fn tiles_round_trip() {
         let tiles = sample_tiles();
-        let decoded = decode_tiles(&encode_tiles(&tiles)).unwrap();
-        assert_eq!(decoded, tiles);
+        let index = TileIndex::decode(&encode_tiles(&tiles)).unwrap();
+        assert_eq!(tile_metas(&index), tiles);
+        assert_eq!(index.pages().len(), 3);
     }
 
     #[test]
     fn empty_tile_list_round_trips() {
-        assert_eq!(
-            decode_tiles(&encode_tiles(&[])).unwrap(),
-            Vec::<TileMeta>::new()
-        );
+        let index = TileIndex::decode(&encode_tiles(&[])).unwrap();
+        assert!(index.is_empty());
+        assert_eq!(index.find(b"any\0\0\0\0\0\0\0\0"), None);
     }
 
     #[test]
     fn tiles_reject_truncation() {
         let enc = encode_tiles(&sample_tiles());
         for cut in 0..enc.len() {
-            assert!(decode_tiles(&enc[..cut]).is_err(), "cut={cut}");
+            assert!(TileIndex::decode(&enc[..cut]).is_err(), "cut={cut}");
         }
     }
 
@@ -434,14 +543,20 @@ mod tests {
     fn tiles_reject_trailing_bytes() {
         let mut enc = encode_tiles(&sample_tiles());
         enc.push(0);
-        assert!(decode_tiles(&enc).is_err());
+        assert!(TileIndex::decode(&enc).is_err());
     }
 
     #[test]
-    fn tile_dkey_bounds() {
-        let tiles = sample_tiles();
-        assert_eq!(tiles[0].dkey_min(), 5);
-        assert_eq!(tiles[0].dkey_max(), 90);
+    fn the_index_is_allocated_at_its_final_size() {
+        let index = TileIndex::decode(&encode_tiles(&sample_tiles())).unwrap();
+        let fences = b"fence-one".len() + b"fence-two".len() + 2 * 8;
+        assert_eq!(
+            index.heap_bytes(),
+            fences
+                + 2 * std::mem::size_of::<u32>()
+                + 2 * std::mem::size_of::<TileSlot>()
+                + 3 * std::mem::size_of::<PageMeta>()
+        );
     }
 
     fn sample_stats() -> TableStats {

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 use acheron_types::checksum;
-use acheron_types::key::{compare_internal, InternalKeyRef};
+use acheron_types::key::InternalKeyRef;
 use acheron_types::{Entry, Error, RangeTombstone, Result, SeekKey, SeqNo, ValueKind};
 use acheron_vfs::RandomAccessFile;
 use bytes::Bytes;
@@ -15,7 +15,7 @@ use crate::bloom::BloomFilterRef;
 use crate::cache::{BlockCache, CacheLease};
 use crate::format::{BlockHandle, Footer, BLOCK_TRAILER_SIZE, FOOTER_SIZE};
 use crate::iter::TableIterator;
-use crate::meta::{decode_tiles, PageMeta, TableStats, TileMeta};
+use crate::meta::{PageMeta, TableStats, TileIndex};
 
 /// Read-side counters for one table (used by the experiments to show
 /// where KiWi saves or spends I/O).
@@ -47,7 +47,8 @@ pub(crate) enum CacheUse {
 /// contents).
 pub struct Table {
     file: Arc<dyn RandomAccessFile>,
-    tiles: Vec<TileMeta>,
+    /// The tile-meta block, decoded once into flat arrays.
+    index: TileIndex,
     stats: TableStats,
     filter_data: Bytes,
     /// This table's claim on the shared page cache, if the database
@@ -61,7 +62,7 @@ pub struct Table {
 impl std::fmt::Debug for Table {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Table")
-            .field("tiles", &self.tiles.len())
+            .field("tiles", &self.index.len())
             .field("entries", &self.stats.entry_count)
             .field("tombstones", &self.stats.tombstone_count)
             .finish_non_exhaustive()
@@ -99,13 +100,13 @@ impl Table {
         let footer_bytes = file.read_at(size - FOOTER_SIZE as u64, FOOTER_SIZE)?;
         let footer = Footer::decode(&footer_bytes)?;
         let tile_meta_raw = read_block_raw(file.as_ref(), footer.tile_meta)?;
-        let tiles = decode_tiles(&tile_meta_raw)?;
+        let index = TileIndex::decode(&tile_meta_raw)?;
         let stats_raw = read_block_raw(file.as_ref(), footer.stats)?;
         let stats = TableStats::decode_versioned(&stats_raw, footer.version)?;
         let filter_data = read_block_raw(file.as_ref(), footer.filter)?;
         Ok(Arc::new(Table {
             file,
-            tiles,
+            index,
             stats,
             filter_data,
             lease,
@@ -119,22 +120,17 @@ impl Table {
     }
 
     /// Bytes this open table pins in memory for its lifetime: the
-    /// filter block plus the decoded tile and page metadata. These
-    /// bytes exist whether or not a page cache is configured, so the
-    /// engine's memory arbiter charges them against the shared budget
-    /// rather than pretending table opens are free.
+    /// filter block plus the decoded tile index. These bytes exist
+    /// whether or not a page cache is configured, so the engine's memory
+    /// arbiter charges them against the shared budget rather than
+    /// pretending table opens are free.
     pub fn pinned_bytes(&self) -> usize {
-        let tile_meta: usize = self
-            .tiles
-            .iter()
-            .map(|t| t.last_ikey.len() + t.pages.len() * std::mem::size_of::<PageMeta>())
-            .sum();
-        self.filter_data.len() + tile_meta + self.tiles.len() * std::mem::size_of::<TileMeta>()
+        self.filter_data.len() + self.index.heap_bytes()
     }
 
-    /// The tile descriptors.
-    pub fn tiles(&self) -> &[TileMeta] {
-        &self.tiles
+    /// The table's tiles: fences, page descriptors and flags.
+    pub fn tile_index(&self) -> &TileIndex {
+        &self.index
     }
 
     /// Read and verify a data page (through the cache, if configured).
@@ -195,15 +191,6 @@ impl Table {
             .any(|rt| rt.covers_region(page.dkey_min, page.dkey_max, page.max_seqno))
     }
 
-    /// Index of the first tile whose fence is `>= target`, or `None` if
-    /// the target is past the last tile.
-    pub(crate) fn find_tile(&self, target: &[u8]) -> Option<usize> {
-        let idx = self.tiles.partition_point(|t| {
-            compare_internal(&t.last_ikey, target) == std::cmp::Ordering::Less
-        });
-        (idx < self.tiles.len()).then_some(idx)
-    }
-
     /// Point lookup: the newest entry for `user_key` visible at
     /// `snapshot`, ignoring entries shadowed page-wise by `rts`
     /// (entry-level range-tombstone shadowing is the engine's job).
@@ -214,13 +201,13 @@ impl Table {
         rts: &[RangeTombstone],
     ) -> Result<Option<Entry>> {
         let seek_key = SeekKey::new(user_key, snapshot);
-        let Some(mut tile_idx) = self.find_tile(seek_key.encoded()) else {
+        let Some(mut tile_idx) = self.index.find(seek_key.encoded()) else {
             return Ok(None);
         };
-        while tile_idx < self.tiles.len() {
-            let tile = &self.tiles[tile_idx];
+        while tile_idx < self.index.len() {
+            let tile = self.index.tile(tile_idx);
             let mut best: Option<Entry> = None;
-            for page in &tile.pages {
+            for page in tile.pages {
                 if Self::page_droppable(page, rts) {
                     self.counters
                         .pages_dropped
@@ -264,7 +251,7 @@ impl Table {
             }
             // No visible version in this tile. If the tile's fence user
             // key is beyond ours, no later tile can contain the key.
-            let fence = InternalKeyRef::decode(&tile.last_ikey)
+            let fence = InternalKeyRef::decode(tile.fence)
                 .ok_or_else(|| Error::corruption("short tile fence key"))?;
             if fence.user_key() > user_key {
                 return Ok(None);
@@ -285,13 +272,12 @@ impl Table {
         rts: &[RangeTombstone],
     ) -> Result<Vec<Entry>> {
         let seek_key = SeekKey::new(user_key, snapshot);
-        let Some(first_tile) = self.find_tile(seek_key.encoded()) else {
+        let Some(first_tile) = self.index.find(seek_key.encoded()) else {
             return Ok(Vec::new());
         };
         let mut out = Vec::new();
-        for tile in &self.tiles[first_tile..] {
-            let mut any_possible = false;
-            for page in &tile.pages {
+        for tile in (first_tile..self.index.len()).map(|i| self.index.tile(i)) {
+            for page in tile.pages {
                 if Self::page_droppable(page, rts) {
                     self.counters
                         .pages_dropped
@@ -306,7 +292,6 @@ impl Table {
                         continue;
                     }
                 }
-                any_possible = true;
                 let block = self.read_page(page.handle)?;
                 let mut it = block.iter();
                 it.seek(seek_key.encoded())?;
@@ -320,14 +305,13 @@ impl Table {
                     it.next()?;
                 }
             }
-            let fence = InternalKeyRef::decode(&tile.last_ikey)
+            let fence = InternalKeyRef::decode(tile.fence)
                 .ok_or_else(|| Error::corruption("short tile fence key"))?;
             // Stop once the tile extends beyond our user key; later tiles
             // cannot contain it.
             if fence.user_key() > user_key {
                 break;
             }
-            let _ = any_possible;
         }
         // Pages within a tile overlap in key space, so merge-order the
         // collected versions newest-first.
@@ -540,7 +524,8 @@ mod tests {
     /// every page of its tile whose filter rejects the key.
     fn full_loop_skips(table: &Table, key: &[u8]) -> u64 {
         let seek_key = SeekKey::new(key, u64::MAX >> 8);
-        let tile = &table.tiles()[table.find_tile(seek_key.encoded()).unwrap()];
+        let index = table.tile_index();
+        let tile = index.tile(index.find(seek_key.encoded()).unwrap());
         tile.pages
             .iter()
             .filter(|p| table.page_filter(p).is_some_and(|f| !f.may_contain(key)))
@@ -567,11 +552,9 @@ mod tests {
             .collect();
         for (entries, multi_version) in [(single, false), (multi, true)] {
             let (_fs, table) = build(&entries, opts.clone());
-            assert!(table
-                .tiles()
-                .iter()
-                .all(|t| t.multi_version == multi_version));
-            assert!(table.tiles().iter().any(|t| t.pages.len() > 1));
+            let tiles = table.tile_index();
+            assert!(tiles.iter().all(|t| t.multi_version == multi_version));
+            assert!(tiles.iter().any(|t| t.pages.len() > 1));
             let mut full_loop = 0;
             for e in entries.iter().filter(|e| e.seqno >= 1000) {
                 for snapshot in [u64::MAX >> 8, e.seqno - 1] {
@@ -638,7 +621,10 @@ mod tests {
             ..Default::default()
         };
         let (_fs, table) = build(&entries, opts);
-        assert!(table.tiles().len() >= 2, "distinct keys still split tiles");
+        assert!(
+            table.tile_index().len() >= 2,
+            "distinct keys still split tiles"
+        );
         // Both versions of "k" are found, at every snapshot.
         let got = table.get(b"k", 7, &[]).unwrap().unwrap();
         assert_eq!(got.seqno, 5);
@@ -689,9 +675,9 @@ mod tests {
     fn page_keys(table: &Table) -> Vec<crate::cache::PageKey> {
         let lease = table.lease.as_ref().unwrap();
         table
-            .tiles()
+            .tile_index()
+            .pages()
             .iter()
-            .flat_map(|t| t.pages.iter())
             .map(|p| lease.key(p.handle.offset))
             .collect()
     }
@@ -824,6 +810,28 @@ mod tests {
         fs.write_all("t.sst", &[0u8; 200]).unwrap();
         let err = Table::open(fs.open("t.sst").unwrap()).expect_err("must fail");
         assert!(err.is_corruption());
+    }
+
+    #[test]
+    fn pinned_bytes_are_the_filters_and_the_flat_index() {
+        for h in [1usize, 4] {
+            let opts = TableOptions {
+                pages_per_tile: h,
+                page_size: 512,
+                ..Default::default()
+            };
+            let (_fs, table) = build(&dataset(2000), opts);
+            let index = table.tile_index();
+            let fence_bytes: usize = index.iter().map(|t| t.fence.len()).sum();
+            // Each array is sized exactly: fences and their offsets, one
+            // slot per tile, one descriptor per page.
+            let arrays = fence_bytes
+                + index.len() * (std::mem::size_of::<u32>() + 8)
+                + std::mem::size_of_val(index.pages());
+            assert_eq!(index.heap_bytes(), arrays, "h={h}");
+            assert_eq!(table.pinned_bytes(), table.filter_data.len() + arrays);
+            assert_eq!(index.pages().len() as u64, table.stats().page_count);
+        }
     }
 
     #[test]

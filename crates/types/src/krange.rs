@@ -21,6 +21,7 @@ use bytes::Bytes;
 use crate::clock::Tick;
 use crate::codec::{put_length_prefixed, put_varint64, require_length_prefixed, require_varint64};
 use crate::error::Result;
+use crate::flat::FlatKeys;
 use crate::key::UserKey;
 use crate::seq::SeqNo;
 
@@ -103,24 +104,32 @@ fn key_successor(k: &[u8]) -> Bytes {
 
 /// One fragment of the flattened tombstone index: a half-open key
 /// interval `[start, end_ex)` and the seqnos of every tombstone covering
-/// it, sorted descending.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RangeFragment {
+/// it, sorted descending. Borrowed from the index's flat arrays.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RangeFragment<'a> {
     /// Inclusive fragment start.
-    pub start: Bytes,
+    pub start: &'a [u8],
     /// Exclusive fragment end.
-    pub end_ex: Bytes,
+    pub end_ex: &'a [u8],
     /// Covering tombstone seqnos, descending (newest first).
-    pub seqnos: Vec<SeqNo>,
+    pub seqnos: &'a [SeqNo],
 }
 
 /// A search index over a set of [`KeyRangeTombstone`]s: the input ranges
 /// are split at every boundary into disjoint, sorted fragments so that a
 /// point query is a single binary search. Built by one sweep over the
 /// sorted range boundaries, in O(B log B + output) for B tombstones.
+///
+/// Fragment bounds and seqnos live in flat arrays (keys back to back,
+/// found by offset), so a probe touches contiguous memory only.
 #[derive(Debug, Clone, Default)]
 pub struct FragmentedRangeTombstones {
-    fragments: Vec<RangeFragment>,
+    starts: FlatKeys,
+    ends: FlatKeys,
+    /// Every fragment's seqnos, back to back.
+    seqnos: Vec<SeqNo>,
+    /// `seqno_ends[i]`: where fragment `i`'s seqnos end in `seqnos`.
+    seqno_ends: Vec<u32>,
 }
 
 impl FragmentedRangeTombstones {
@@ -140,7 +149,7 @@ impl FragmentedRangeTombstones {
         bounds.sort_unstable_by(|a, b| a.0.cmp(&b.0));
 
         let mut open: BTreeMap<SeqNo, usize> = BTreeMap::new();
-        let mut fragments = Vec::new();
+        let mut index = FragmentedRangeTombstones::default();
         let mut at_key = bounds.chunk_by(|a, b| a.0 == b.0).peekable();
         while let Some(group) = at_key.next() {
             for (_, bound) in group {
@@ -156,27 +165,70 @@ impl FragmentedRangeTombstones {
                 }
             }
             if let (Some(next), false) = (at_key.peek(), open.is_empty()) {
-                fragments.push(RangeFragment {
-                    start: group[0].0.clone(),
-                    end_ex: next[0].0.clone(),
-                    seqnos: open.keys().rev().copied().collect(),
-                });
+                index.push(&group[0].0, &next[0].0, open.keys().rev().copied());
             }
         }
         debug_assert!(open.is_empty(), "every opened range closes");
-        FragmentedRangeTombstones { fragments }
+        index
+    }
+
+    /// Append the fragment `[start, end_ex)` covered by `seqnos`
+    /// (descending).
+    fn push(&mut self, start: &[u8], end_ex: &[u8], seqnos: impl Iterator<Item = SeqNo>) {
+        self.starts.push(start);
+        self.ends.push(end_ex);
+        self.seqnos.extend(seqnos);
+        let end = u32::try_from(self.seqnos.len()).expect("fragment seqnos exceed u32");
+        self.seqno_ends.push(end);
     }
 
     /// True if no tombstone covers any key.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.fragments.is_empty()
+        self.starts.is_empty()
+    }
+
+    /// Number of fragments.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// Fragment `i` (fragments are disjoint and sorted by start key).
+    ///
+    /// # Panics
+    /// If `i >= self.len()`.
+    pub fn fragment(&self, i: usize) -> RangeFragment<'_> {
+        let from = if i == 0 {
+            0
+        } else {
+            self.seqno_ends[i - 1] as usize
+        };
+        RangeFragment {
+            start: self.starts.get(i),
+            end_ex: self.ends.get(i),
+            seqnos: &self.seqnos[from..self.seqno_ends[i] as usize],
+        }
     }
 
     /// The disjoint fragments, sorted by start key.
-    #[inline]
-    pub fn fragments(&self) -> &[RangeFragment] {
-        &self.fragments
+    pub fn fragments(&self) -> impl Iterator<Item = RangeFragment<'_>> + '_ {
+        (0..self.len()).map(|i| self.fragment(i))
+    }
+
+    /// The newest seqno of fragment `i` visible at `snapshot`, if
+    /// fragment `i` exists and starts at or before `user_key` (the
+    /// caller has checked that it ends after it).
+    fn visible_cover(&self, i: usize, user_key: &[u8], snapshot: SeqNo) -> Option<SeqNo> {
+        if i >= self.len() || self.starts.get(i) > user_key {
+            return None;
+        }
+        // Seqnos are descending; take the first visible one.
+        self.fragment(i)
+            .seqnos
+            .iter()
+            .copied()
+            .find(|&s| s <= snapshot)
     }
 
     /// The newest tombstone seqno covering `user_key` that is visible at
@@ -184,18 +236,42 @@ impl FragmentedRangeTombstones {
     /// A binary search over fragment starts — never walks the range.
     pub fn max_seqno_covering(&self, user_key: &[u8], snapshot: SeqNo) -> Option<SeqNo> {
         // Find the last fragment with start <= user_key.
-        let idx = self
-            .fragments
-            .partition_point(|f| f.start.as_ref() <= user_key);
-        if idx == 0 {
+        let idx = self.starts.partition_point(|start| start <= user_key);
+        if idx == 0 || user_key >= self.ends.get(idx - 1) {
             return None;
         }
-        let frag = &self.fragments[idx - 1];
-        if user_key >= frag.end_ex.as_ref() {
-            return None;
-        }
-        // Seqnos are descending; take the first visible one.
-        frag.seqnos.iter().copied().find(|&s| s <= snapshot)
+        self.visible_cover(idx - 1, user_key, snapshot)
+    }
+
+    /// [`FragmentedRangeTombstones::max_seqno_covering`] for a caller
+    /// that probes keys in ascending order (a scan, a compaction's
+    /// survivors): `cursor`, 0 before the first probe, carries where the
+    /// last probe landed. A probe at or just past the fragment the last
+    /// one stopped at costs one or two key compares; one further ahead
+    /// searches only the fragments past the cursor. A probe behind the
+    /// cursor (a new scan reusing it, say) searches them all, so any
+    /// probe order gets the same answers, only more slowly.
+    pub fn max_seqno_covering_from(
+        &self,
+        user_key: &[u8],
+        snapshot: SeqNo,
+        cursor: &mut usize,
+    ) -> Option<SeqNo> {
+        // The cursor is the number of fragments that end at or before
+        // the last key probed: the next one is the only one that can
+        // hold that key.
+        let n = self.len();
+        let at = *cursor;
+        let ended = |end_ex: &[u8]| end_ex <= user_key;
+        let i = if at > n || (at > 0 && !ended(self.ends.get(at - 1))) {
+            self.ends.partition_point(ended)
+        } else if at == n || !ended(self.ends.get(at)) {
+            at
+        } else {
+            self.ends.partition_point_from(at + 1, ended)
+        };
+        *cursor = i;
+        self.visible_cover(i, user_key, snapshot)
     }
 }
 
@@ -215,7 +291,7 @@ mod tests {
         }
         bounds.sort();
         bounds.dedup();
-        let mut fragments = Vec::new();
+        let mut index = FragmentedRangeTombstones::default();
         for w in bounds.windows(2) {
             let (lo, hi) = (&w[0], &w[1]);
             let mut seqnos: Vec<SeqNo> = tombstones
@@ -228,13 +304,13 @@ mod tests {
             }
             seqnos.sort_unstable_by(|a, b| b.cmp(a));
             seqnos.dedup();
-            fragments.push(RangeFragment {
-                start: lo.clone(),
-                end_ex: hi.clone(),
-                seqnos,
-            });
+            index.push(lo, hi, seqnos.into_iter());
         }
-        FragmentedRangeTombstones { fragments }
+        index
+    }
+
+    fn fragments(index: &FragmentedRangeTombstones) -> Vec<RangeFragment<'_>> {
+        index.fragments().collect()
     }
 
     /// Keys of up to three bytes over `{0x00, 0x01, b'a', 0xff}`: short
@@ -276,7 +352,7 @@ mod tests {
         ) {
             let sweep = FragmentedRangeTombstones::build(&tombstones);
             let reference = build_by_filter(&tombstones);
-            prop_assert_eq!(sweep.fragments(), reference.fragments(), "{:?}", tombstones);
+            prop_assert_eq!(fragments(&sweep), fragments(&reference), "{:?}", tombstones);
             for key in &probes {
                 prop_assert_eq!(
                     sweep.max_seqno_covering(key, snapshot),
@@ -314,8 +390,8 @@ mod tests {
         ];
         for case in cases {
             assert_eq!(
-                FragmentedRangeTombstones::build(&case).fragments(),
-                build_by_filter(&case).fragments(),
+                fragments(&FragmentedRangeTombstones::build(&case)),
+                fragments(&build_by_filter(&case)),
                 "{case:?}"
             );
         }
@@ -423,8 +499,8 @@ mod tests {
             krt("a", "c", 9, 0),
             krt("a", "c", 9, 0),
         ]);
-        assert_eq!(idx.fragments().len(), 1);
-        assert_eq!(idx.fragments()[0].seqnos, vec![9, 5]);
+        assert_eq!(idx.len(), 1);
+        assert_eq!(idx.fragment(0).seqnos, [9, 5]);
     }
 
     #[test]
@@ -442,11 +518,11 @@ mod tests {
             krt("b", "f", 10, 0),
             krt("p", "q", 7, 0),
         ]);
-        let frags = idx.fragments();
+        let frags = fragments(&idx);
         for w in frags.windows(2) {
             assert!(w[0].end_ex <= w[1].start, "fragments overlap or unsorted");
         }
-        for f in frags {
+        for f in &frags {
             assert!(f.start < f.end_ex, "empty fragment");
             assert!(!f.seqnos.is_empty());
         }

@@ -19,6 +19,7 @@ pub mod clock;
 pub mod codec;
 pub mod entry;
 pub mod error;
+pub mod flat;
 pub mod key;
 pub mod krange;
 pub mod seq;
@@ -27,6 +28,7 @@ pub mod vptr;
 pub use clock::{Clock, LogicalClock, SystemClock, Tick};
 pub use entry::{DeleteKeyRange, Entry, RangeTombstone, DELETE_KEY_NONE};
 pub use error::{Error, Result};
+pub use flat::FlatKeys;
 pub use key::{InternalKey, InternalKeyRef, SeekKey, UserKey};
 pub use krange::{FragmentedRangeTombstones, KeyRangeTombstone, RangeFragment};
 pub use seq::{SeqNo, ValueKind, MAX_SEQNO};

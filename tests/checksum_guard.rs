@@ -75,8 +75,15 @@ fn sstable_page_bit_flips_are_corruption() {
 
     // One page: contents, the type byte and the stored checksum.
     let table = Table::open(fs.open("t.sst").unwrap()).unwrap();
-    assert!(table.tiles().iter().map(|t| t.pages.len()).sum::<usize>() > 2);
-    let page = table.tiles()[0].pages[1].handle;
+    assert!(
+        table
+            .tile_index()
+            .iter()
+            .map(|t| t.pages.len())
+            .sum::<usize>()
+            > 2
+    );
+    let page = table.tile_index().tile(0).pages[1].handle;
     let region = page.offset as usize..(page.offset + page.size) as usize + 5;
     for_each_flipped_bit(&image, region, |bit, damaged| {
         fs.write_all("t.sst", damaged).unwrap();

@@ -321,7 +321,7 @@ proptest! {
         prop_assert_eq!(&scanned, &entries);
         // Pages hold what the reference weave puts in them.
         let layout: Vec<Vec<PageShape>> = table
-            .tiles()
+            .tile_index()
             .iter()
             .map(|t| {
                 t.pages
