@@ -6,23 +6,75 @@
 //! demo as a deterministic, scriptable interpreter (the binary wraps it
 //! around stdin); being a plain function of `&str -> String` it is fully
 //! unit-testable.
+//!
+//! One [`Session`] runs on either [`Backend`]: an engine in this
+//! process, answered by [`acheron_server::answer`] — the function a
+//! server answers its connections with — or a running server over the
+//! wire. The shared commands parse into a wire [`Request`] and each
+//! [`Response`] kind renders one way, so a command reads the same
+//! embedded and remote.
 
 #![forbid(unsafe_code)]
 
+use std::path::Path;
+use std::str::FromStr;
 use std::sync::Arc;
 
-use acheron::{CompactionLayout, Db, DbOptions};
-use acheron_server::Client;
-use acheron_vfs::MemFs;
+use acheron::{CompactionLayout, Db, DbOptions, ShardedDb};
+use acheron_server::{answer, Client, Request, Response};
+use acheron_vfs::{MemFs, StdFs};
 use acheron_workload::{run_ops, KeyDistribution, OpMix, WorkloadGen, WorkloadSpec};
 
-/// Interpreter state: one open database plus its configuration.
+/// Where a session's commands run.
+pub enum Backend {
+    /// An engine in this process: a fleet of one in the REPL, whichever
+    /// shape a database directory holds for a one-shot subcommand.
+    Local(ShardedDb),
+    /// A running `acheron serve`, over the wire.
+    Remote(Client),
+}
+
+impl Backend {
+    /// Resolve a one-shot subcommand's target. An existing directory
+    /// opens offline (recovery events included) and is tried first, so
+    /// a directory whose path holds a `:` is still a directory; any
+    /// other target with a `:` is a server address.
+    pub fn resolve(target: &str) -> Result<Backend, String> {
+        if Path::new(target).is_dir() {
+            ShardedDb::open_root(Arc::new(StdFs::new(false)), target, DbOptions::default())
+                .map(Backend::Local)
+                .map_err(|e| format!("open {target}: {e}"))
+        } else if target.contains(':') {
+            Client::connect(target)
+                .map(Backend::Remote)
+                .map_err(|e| format!("query {target}: {e}"))
+        } else {
+            Err(format!(
+                "{target} is neither a host:port address nor a database directory"
+            ))
+        }
+    }
+
+    /// Answer one request: in process through [`answer`] (with no
+    /// server pairs), or over the wire, where a request the server sheds
+    /// as busy is retried with backoff.
+    pub fn call(&mut self, req: &Request) -> Result<Response, String> {
+        match self {
+            Backend::Local(engine) => Ok(answer(engine, req, &[])),
+            Backend::Remote(client) => client.request_retrying_busy(req).map_err(|e| e.to_string()),
+        }
+    }
+}
+
+/// Interpreter state: a backend plus the session's trace switch.
 pub struct Session {
-    db: Db,
-    opts: DbOptions,
+    backend: Backend,
     /// When on, every `put`/`get`/`del` runs force-traced and prints
     /// its span breakdown after the ordinary output.
     tracing: bool,
+    /// The id of the next forced trace, so the printed spans can be
+    /// matched against the `traces` listing.
+    next_trace_id: u64,
 }
 
 /// What the interpreter did with a line.
@@ -34,44 +86,181 @@ pub enum Outcome {
     Quit,
 }
 
+/// Every command's usage and what it does; the help text and the usage
+/// errors both read it.
+const COMMANDS: &[(&str, &str)] = &[
+    (
+        "put <key> <value> [dkey]",
+        "insert/update (dkey = secondary delete key)",
+    ),
+    ("get <key>", "point lookup"),
+    ("del <key>", "point delete (inserts a tombstone)"),
+    ("rdel <lo> <hi>", "secondary range delete over delete keys"),
+    (
+        "delrange <start> <end>",
+        "sort-key range delete (inclusive bounds)",
+    ),
+    ("scan <lo> <hi>", "range scan over sort keys (inclusive)"),
+    ("stats", "engine counters (+ server counters when remote)"),
+    ("metrics", "Prometheus-style metrics exposition"),
+    ("events", "recent engine events (flight recorder)"),
+    ("trace on|off", "trace every data op and print its spans"),
+    ("traces", "recently sampled per-op traces"),
+    ("audit", "delete-lifecycle audit (D_th compliance)"),
+    (
+        "workload <n> <put%> <del%> <get%> <scan%>",
+        "run n generated ops (embedded)",
+    ),
+    ("tick <n>", "advance the logical clock n ticks (embedded)"),
+    (
+        "maintain",
+        "run pending compactions, FADE enforcement (embedded)",
+    ),
+    ("compact", "full manual compaction (embedded)"),
+    ("flush", "flush the memtable (embedded)"),
+    ("tree", "level occupancy and write amplification (embedded)"),
+    ("tombstones", "tombstone population and ages (embedded)"),
+    (
+        "reopen [fade <D_th>] [tile <h>] [tiering|leveling|lazy]",
+        "restart with fresh options, data kept (embedded)",
+    ),
+    ("ping", "liveness probe (remote)"),
+    ("help", "this text"),
+    ("quit", "exit"),
+];
+
+/// The commands that act on the in-process engine itself.
+const EMBEDDED_ONLY: [&str; 8] = [
+    "workload",
+    "tick",
+    "maintain",
+    "compact",
+    "flush",
+    "tree",
+    "tombstones",
+    "reopen",
+];
+
 fn help_text() -> String {
-    "\
-commands:
-  put <key> <value> [dkey]     insert/update (dkey = secondary delete key)
-  get <key>                    point lookup
-  del <key>                    point delete (inserts a tombstone)
-  rdel <lo> <hi>               secondary range delete over delete keys
-  delrange <start> <end>       sort-key range delete (inclusive bounds)
-  scan <lo> <hi>               range scan over sort keys (inclusive)
-  workload <n> <put%> <del%> <get%> <scan%>   run n generated ops
-  tick <n>                     advance the logical clock n ticks
-  maintain                     run pending compactions (FADE enforcement)
-  compact                      full manual compaction
-  flush                        flush the memtable
-  tree                         show level occupancy
-  tombstones                   show tombstone population and ages
-  stats                        show engine counters
-  metrics                      Prometheus-style metrics exposition
-  events                       recent engine events (flight recorder)
-  trace on|off                 trace every data op and print its spans
-  traces                       recently sampled per-op traces
-  audit                        delete-lifecycle audit (D_th compliance)
-  reopen [fade <D_th>] [tile <h>] [tiering|leveling|lazy]
-                               restart with fresh options (data is kept)
-  help                         this text
-  quit                         exit"
-        .to_string()
+    let mut out = String::from("commands:");
+    for (usage, what) in COMMANDS {
+        // A usage too long for the column puts its text on the next line.
+        let gap = if usage.len() > 28 {
+            format!("\n{:31}", "")
+        } else {
+            " ".into()
+        };
+        out.push_str(&format!("\n  {usage:<28}{gap}{what}"));
+    }
+    out
+}
+
+fn usage(cmd: &str) -> String {
+    let line = COMMANDS
+        .iter()
+        .map(|(usage, _)| *usage)
+        .find(|usage| usage.split(' ').next() == Some(cmd))
+        .unwrap_or(cmd);
+    format!("usage: {line}")
+}
+
+fn number<T: FromStr>(s: &str, what: &str) -> Result<T, String> {
+    s.parse().map_err(|_| format!("{what} must be a number"))
+}
+
+/// Parse a shared command into its wire request; `Ok(None)` when `cmd`
+/// is not one.
+fn parse_request(cmd: &str, args: &[&str]) -> Result<Option<Request>, String> {
+    let bytes = |s: &str| s.as_bytes().to_vec();
+    let req = match (cmd, args) {
+        ("put", [key, value]) => Request::Put {
+            key: bytes(key),
+            value: bytes(value),
+            dkey: None,
+        },
+        ("put", [key, value, dkey]) => Request::Put {
+            key: bytes(key),
+            value: bytes(value),
+            dkey: Some(number(dkey, "dkey")?),
+        },
+        ("get", [key]) => Request::Get { key: bytes(key) },
+        ("del", [key]) => Request::Delete { key: bytes(key) },
+        ("rdel", [lo, hi]) => Request::RangeDeleteSecondary {
+            lo: number(lo, "lo")?,
+            hi: number(hi, "hi")?,
+        },
+        ("delrange", [start, end]) => Request::RangeDeleteKeys {
+            lo: bytes(start),
+            hi: bytes(end),
+        },
+        ("scan", [lo, hi]) => Request::Scan {
+            lo: bytes(lo),
+            hi: bytes(hi),
+        },
+        ("put" | "get" | "del" | "rdel" | "delrange" | "scan", _) => return Err(usage(cmd)),
+        ("stats", _) => Request::Stats,
+        ("metrics", _) => Request::Metrics,
+        ("events", _) => Request::Events,
+        ("traces", _) => Request::Traces,
+        ("audit", _) => Request::Audit,
+        _ => return Ok(None),
+    };
+    Ok(Some(req))
+}
+
+/// Render a response, each kind one way whichever backend answered it.
+/// `Busy` and `Err` become the error text.
+pub fn render(resp: Response) -> Result<String, String> {
+    let lossy = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+    Ok(match resp {
+        Response::Unit => "ok".into(),
+        Response::Value(Some(v)) => lossy(&v),
+        Response::Value(None) => "(not found)".into(),
+        Response::Rows(rows) => {
+            let mut out = String::new();
+            for (k, v) in &rows {
+                out.push_str(&format!("{} = {}\n", lossy(k), lossy(v)));
+            }
+            out.push_str(&format!("({} rows)", rows.len()));
+            out
+        }
+        Response::Stats(pairs) => pairs
+            .iter()
+            .map(|(name, value)| format!("{name:<32} {value}"))
+            .collect::<Vec<_>>()
+            .join("\n"),
+        Response::Text(text) => text.trim_end().to_string(),
+        Response::Audit { violation, text } => {
+            let text = text.trim_end();
+            if violation {
+                format!("{text}\nAUDIT VIOLATION")
+            } else {
+                text.to_string()
+            }
+        }
+        Response::Trace {
+            trace_id,
+            op,
+            spans,
+            inner,
+        } => {
+            let mut out = format!("{}\ntrace {trace_id} {op}", render(*inner)?);
+            for (name, value) in &spans {
+                out.push_str(&format!("\n  {name:<28} {value}"));
+            }
+            out
+        }
+        Response::Busy => return Err("server busy; try again".into()),
+        Response::Err(message) => return Err(message),
+    })
 }
 
 impl Session {
-    /// A fresh in-memory session with the given options.
+    /// A fresh in-memory session with the given options: the engine is
+    /// served to the session as a fleet of one.
     pub fn new(opts: DbOptions) -> Session {
-        let db = Db::open(Arc::new(MemFs::new()), "demo", opts.clone()).expect("open demo db");
-        Session {
-            db,
-            opts,
-            tracing: false,
-        }
+        let db = Db::open(Arc::new(MemFs::new()), "demo", opts).expect("open demo db");
+        Session::on(Backend::Local(ShardedDb::from(db)))
     }
 
     /// A session with demo-friendly defaults (small buffers, FADE on).
@@ -79,9 +268,19 @@ impl Session {
         Session::new(DbOptions::small().with_fade(50_000))
     }
 
-    /// Access the underlying database (tests).
-    pub fn db(&self) -> &Db {
-        &self.db
+    /// A session on a running `acheron serve` instance.
+    pub fn connect(addr: &str) -> Result<Session, String> {
+        Client::connect(addr)
+            .map(|client| Session::on(Backend::Remote(client)))
+            .map_err(|e| e.to_string())
+    }
+
+    fn on(backend: Backend) -> Session {
+        Session {
+            backend,
+            tracing: false,
+            next_trace_id: 1,
+        }
     }
 
     /// Execute one command line.
@@ -90,50 +289,54 @@ impl Session {
         let Some(cmd) = parts.next() else {
             return Outcome::Text(String::new());
         };
+        if matches!(cmd, "quit" | "exit") {
+            return Outcome::Quit;
+        }
         let args: Vec<&str> = parts.collect();
-        let result = match cmd {
-            "help" => Ok(help_text()),
-            "quit" | "exit" => return Outcome::Quit,
-            "put" => self.cmd_put(&args),
-            "get" => self.cmd_get(&args),
-            "del" => self.cmd_del(&args),
-            "rdel" => self.cmd_rdel(&args),
-            "delrange" => self.cmd_delrange(&args),
-            "scan" => self.cmd_scan(&args),
-            "workload" => self.cmd_workload(&args),
-            "tick" => self.cmd_tick(&args),
-            "maintain" => self
-                .db
-                .maintain()
-                .map(|_| "ok".to_string())
-                .map_err(|e| e.to_string()),
-            "compact" => self
-                .db
-                .compact_all()
-                .map(|_| "ok".to_string())
-                .map_err(|e| e.to_string()),
-            "flush" => self
-                .db
-                .flush()
-                .map(|_| "ok".to_string())
-                .map_err(|e| e.to_string()),
-            "tree" => Ok(self.render_tree()),
-            "tombstones" => Ok(self.render_tombstones()),
-            "stats" => Ok(self.render_stats()),
-            "metrics" => Ok(self.render_metrics()),
-            "events" => Ok(self.render_events()),
-            "trace" => self.cmd_trace(&args),
-            "traces" => Ok(acheron::render_traces(&self.db.recent_traces())
-                .trim_end()
-                .to_string()),
-            "audit" => Ok(self.db.delete_audit().render().trim_end().to_string()),
-            "reopen" => self.cmd_reopen(&args),
-            other => Err(format!("unknown command {other:?}; try `help`")),
-        };
-        Outcome::Text(match result {
-            Ok(s) => s,
-            Err(e) => format!("error: {e}"),
-        })
+        Outcome::Text(
+            self.run(cmd, &args)
+                .unwrap_or_else(|e| format!("error: {e}")),
+        )
+    }
+
+    fn run(&mut self, cmd: &str, args: &[&str]) -> Result<String, String> {
+        if let Some(mut req) = parse_request(cmd, args)? {
+            if self.tracing
+                && matches!(
+                    req,
+                    Request::Put { .. } | Request::Get { .. } | Request::Delete { .. }
+                )
+            {
+                req = Request::Traced {
+                    trace_id: self.next_trace_id,
+                    inner: Box::new(req),
+                };
+                self.next_trace_id += 1;
+            }
+            return render(self.backend.call(&req)?);
+        }
+        match (cmd, &self.backend) {
+            ("help", _) => Ok(help_text()),
+            ("trace", _) => self.cmd_trace(args),
+            ("ping", Backend::Remote(_)) => {
+                render(self.backend.call(&Request::Ping)?)?;
+                Ok("pong".into())
+            }
+            ("ping", Backend::Local(_)) => Err("`ping` needs a server (acheron connect)".into()),
+            ("reopen", Backend::Local(fleet)) => {
+                let fleet = reopen(fleet, args)?;
+                let shown = format!("reopened with {:?}", fleet.options());
+                self.backend = Backend::Local(fleet);
+                Ok(shown)
+            }
+            (cmd, Backend::Local(fleet)) if EMBEDDED_ONLY.contains(&cmd) => {
+                embedded(fleet, cmd, args)
+            }
+            (cmd, Backend::Remote(_)) if EMBEDDED_ONLY.contains(&cmd) => {
+                Err(format!("`{cmd}` acts on the embedded engine only"))
+            }
+            (other, _) => Err(format!("unknown command {other:?}; try `help`")),
+        }
     }
 
     fn cmd_trace(&mut self, args: &[&str]) -> Result<String, String> {
@@ -146,584 +349,176 @@ impl Session {
                 self.tracing = false;
                 Ok("tracing off".into())
             }
-            _ => Err("usage: trace on|off".into()),
+            _ => Err(usage("trace")),
         }
     }
+}
 
-    fn cmd_put(&mut self, args: &[&str]) -> Result<String, String> {
-        match args {
-            [key, value] if self.tracing => {
-                let trace = self
-                    .db
-                    .put_traced(key.as_bytes(), value.as_bytes(), None)
-                    .map_err(|e| e.to_string())?;
-                Ok(format!("ok\n{}", trace.render().trim_end()))
+/// Restart the session's engine over the same filesystem, so the data
+/// is kept, with the given options in place of its own.
+fn reopen(fleet: &ShardedDb, args: &[&str]) -> Result<ShardedDb, String> {
+    let mut opts = fleet.options().clone();
+    opts.fade = None;
+    let mut i = 0;
+    while i < args.len() {
+        match args[i] {
+            "fade" => {
+                let d = args
+                    .get(i + 1)
+                    .and_then(|s| s.parse::<u64>().ok())
+                    .ok_or("fade needs a numeric D_th")?;
+                opts = opts.with_fade(d);
+                i += 2;
             }
-            [key, value] => {
-                self.db
-                    .put(key.as_bytes(), value.as_bytes())
-                    .map_err(|e| e.to_string())?;
-                Ok("ok".into())
+            "tile" => {
+                let h = args
+                    .get(i + 1)
+                    .and_then(|s| s.parse::<usize>().ok())
+                    .ok_or("tile needs a numeric h")?;
+                opts = opts.with_tile(h);
+                i += 2;
             }
-            [key, value, dkey] => {
-                let d: u64 = dkey
-                    .parse()
-                    .map_err(|_| "dkey must be a number".to_string())?;
-                self.db
-                    .put_with_dkey(key.as_bytes(), value.as_bytes(), d)
-                    .map_err(|e| e.to_string())?;
-                Ok("ok".into())
+            "tiering" => {
+                opts.layout = CompactionLayout::Tiering;
+                i += 1;
             }
-            _ => Err("usage: put <key> <value> [dkey]".into()),
+            "leveling" => {
+                opts.layout = CompactionLayout::Leveling;
+                i += 1;
+            }
+            "lazy" => {
+                opts.layout = CompactionLayout::LazyLeveling;
+                i += 1;
+            }
+            other => return Err(format!("unknown reopen option {other:?}")),
         }
     }
+    let db = Db::open(fleet.shard(0).vfs(), "demo", opts).map_err(|e| e.to_string())?;
+    Ok(ShardedDb::from(db))
+}
 
-    fn cmd_get(&mut self, args: &[&str]) -> Result<String, String> {
-        let [key] = args else {
-            return Err("usage: get <key>".into());
-        };
-        if self.tracing {
-            let (value, trace) = self
-                .db
-                .get_traced(key.as_bytes(), None)
-                .map_err(|e| e.to_string())?;
-            let shown = match value {
-                Some(v) => String::from_utf8_lossy(&v).into_owned(),
-                None => "(not found)".into(),
+/// The commands that act on the in-process engine itself rather than
+/// through a request.
+fn embedded(fleet: &ShardedDb, cmd: &str, args: &[&str]) -> Result<String, String> {
+    let db = fleet.shard(0);
+    let done =
+        |r: acheron_types::Result<()>| r.map(|()| "ok".to_string()).map_err(|e| e.to_string());
+    match (cmd, args) {
+        ("workload", [n, put, del, get, scan]) => {
+            let n: usize = number(n, "n")?;
+            let (p, d, g, sc) = (
+                number(put, "percentages")?,
+                number(del, "percentages")?,
+                number(get, "percentages")?,
+                number(scan, "percentages")?,
+            );
+            if p + d + g + sc != 100 {
+                return Err("percentages must sum to 100".into());
+            }
+            let mix = OpMix {
+                put_pct: p,
+                delete_pct: d,
+                get_pct: g,
+                scan_pct: sc,
             };
-            return Ok(format!("{shown}\n{}", trace.render().trim_end()));
+            let spec = WorkloadSpec::new(mix, KeyDistribution::uniform(50_000));
+            let ops = WorkloadGen::new(spec).take(n);
+            let report = run_ops(fleet, &ops).map_err(|e| e.to_string())?;
+            Ok(format!(
+                "ran {} ops in {:.2}ms ({:.0} ops/s); {} hits, {} misses, {} scan rows",
+                report.ops,
+                report.elapsed_secs * 1e3,
+                report.ops_per_sec(),
+                report.get_hits,
+                report.get_misses,
+                report.scan_rows
+            ))
         }
-        match self.db.get(key.as_bytes()).map_err(|e| e.to_string())? {
-            Some(v) => Ok(String::from_utf8_lossy(&v).into_owned()),
-            None => Ok("(not found)".into()),
+        ("tick", [n]) => {
+            fleet.advance_clock(number(n, "n")?);
+            Ok(format!("clock now at {}", fleet.now()))
         }
-    }
-
-    fn cmd_del(&mut self, args: &[&str]) -> Result<String, String> {
-        let [key] = args else {
-            return Err("usage: del <key>".into());
-        };
-        if self.tracing {
-            let trace = self
-                .db
-                .delete_traced(key.as_bytes(), None)
-                .map_err(|e| e.to_string())?;
-            return Ok(format!(
-                "tombstone inserted at tick {}\n{}",
-                self.db.now(),
-                trace.render().trim_end()
-            ));
-        }
-        self.db.delete(key.as_bytes()).map_err(|e| e.to_string())?;
-        Ok(format!("tombstone inserted at tick {}", self.db.now()))
-    }
-
-    fn cmd_rdel(&mut self, args: &[&str]) -> Result<String, String> {
-        let [lo, hi] = args else {
-            return Err("usage: rdel <lo> <hi>".into());
-        };
-        let lo: u64 = lo.parse().map_err(|_| "lo must be a number".to_string())?;
-        let hi: u64 = hi.parse().map_err(|_| "hi must be a number".to_string())?;
-        self.db
-            .range_delete_secondary(lo, hi)
-            .map_err(|e| e.to_string())?;
-        Ok(format!(
-            "range tombstone registered; {} live",
-            self.db.live_range_tombstones().len()
-        ))
-    }
-
-    fn cmd_delrange(&mut self, args: &[&str]) -> Result<String, String> {
-        let [start, end] = args else {
-            return Err("usage: delrange <start> <end>".into());
-        };
-        self.db
-            .range_delete_keys(start.as_bytes(), end.as_bytes())
-            .map_err(|e| e.to_string())?;
-        Ok(format!(
-            "range tombstone inserted at tick {}; {} live",
-            self.db.now(),
-            self.db.live_key_range_tombstones()
-        ))
-    }
-
-    fn cmd_scan(&mut self, args: &[&str]) -> Result<String, String> {
-        let [lo, hi] = args else {
-            return Err("usage: scan <lo> <hi>".into());
-        };
-        let rows = self
-            .db
-            .scan(lo.as_bytes(), hi.as_bytes())
-            .map_err(|e| e.to_string())?;
-        let mut out = String::new();
-        for (k, v) in &rows {
-            out.push_str(&format!(
-                "{} = {}\n",
-                String::from_utf8_lossy(k),
-                String::from_utf8_lossy(v)
-            ));
-        }
-        out.push_str(&format!("({} rows)", rows.len()));
-        Ok(out)
-    }
-
-    fn cmd_workload(&mut self, args: &[&str]) -> Result<String, String> {
-        let [n, put, del, get, scan] = args else {
-            return Err("usage: workload <n> <put%> <del%> <get%> <scan%>".into());
-        };
-        let n: usize = n.parse().map_err(|_| "n must be a number".to_string())?;
-        let pct = |s: &str| {
-            s.parse::<u32>()
-                .map_err(|_| "percentages must be numbers".to_string())
-        };
-        let (p, d, g, sc) = (pct(put)?, pct(del)?, pct(get)?, pct(scan)?);
-        if p + d + g + sc != 100 {
-            return Err("percentages must sum to 100".into());
-        }
-        let mix = OpMix {
-            put_pct: p,
-            delete_pct: d,
-            get_pct: g,
-            scan_pct: sc,
-        };
-        let spec = WorkloadSpec::new(mix, KeyDistribution::uniform(50_000));
-        let ops = WorkloadGen::new(spec).take(n);
-        let report = run_ops(&self.db, &ops).map_err(|e| e.to_string())?;
-        Ok(format!(
-            "ran {} ops in {:.2}ms ({:.0} ops/s); {} hits, {} misses, {} scan rows",
-            report.ops,
-            report.elapsed_secs * 1e3,
-            report.ops_per_sec(),
-            report.get_hits,
-            report.get_misses,
-            report.scan_rows
-        ))
-    }
-
-    fn cmd_tick(&mut self, args: &[&str]) -> Result<String, String> {
-        let [n] = args else {
-            return Err("usage: tick <n>".into());
-        };
-        let n: u64 = n.parse().map_err(|_| "n must be a number".to_string())?;
-        self.db.advance_clock(n);
-        Ok(format!("clock now at {}", self.db.now()))
-    }
-
-    fn cmd_reopen(&mut self, args: &[&str]) -> Result<String, String> {
-        let mut opts = self.opts.clone();
-        opts.fade = None;
-        let mut i = 0;
-        while i < args.len() {
-            match args[i] {
-                "fade" => {
-                    let d = args
-                        .get(i + 1)
-                        .and_then(|s| s.parse::<u64>().ok())
-                        .ok_or("fade needs a numeric D_th")?;
-                    opts = opts.with_fade(d);
-                    i += 2;
-                }
-                "tile" => {
-                    let h = args
-                        .get(i + 1)
-                        .and_then(|s| s.parse::<usize>().ok())
-                        .ok_or("tile needs a numeric h")?;
-                    opts = opts.with_tile(h);
-                    i += 2;
-                }
-                "tiering" => {
-                    opts.layout = CompactionLayout::Tiering;
-                    i += 1;
-                }
-                "leveling" => {
-                    opts.layout = CompactionLayout::Leveling;
-                    i += 1;
-                }
-                "lazy" => {
-                    opts.layout = CompactionLayout::LazyLeveling;
-                    i += 1;
-                }
-                other => return Err(format!("unknown reopen option {other:?}")),
-            }
-        }
-        // Reopen over the same filesystem keeps the data.
-        let fs = self.db.vfs();
-        let db = Db::open(fs, "demo", opts.clone()).map_err(|e| e.to_string())?;
-        self.db = db;
-        self.opts = opts;
-        Ok(format!("reopened with {:?}", self.opts))
-    }
-
-    fn render_tree(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("clock tick: {}\n", self.db.now()));
-        for level in self.db.level_summary() {
-            if level.files == 0 {
-                continue;
-            }
-            let bar = "#".repeat(((level.bytes / 4096) as usize).clamp(1, 50));
-            out.push_str(&format!(
-                "L{} {:<50} {:>4} files {:>2} runs {:>9} B {:>7} entries {:>6} tombstones {:>4} woven\n",
-                level.level,
-                bar,
-                level.files,
-                level.runs,
-                level.bytes,
-                level.entries,
-                level.tombstones,
-                level.woven_files
-            ));
-        }
-        if out.lines().count() <= 1 {
-            out.push_str("(tree is empty)\n");
-        }
-        out.pop();
-        out
-    }
-
-    fn render_tombstones(&self) -> String {
-        use std::sync::atomic::Ordering::Relaxed;
-        let s = self.db.stats();
-        let mut out = String::new();
-        out.push_str(&format!(
-            "live point tombstones: {}\n",
-            self.db.live_tombstones()
-        ));
-        match self.db.oldest_live_tombstone_age() {
-            Some(age) => out.push_str(&format!("oldest live tombstone age: {age} ticks\n")),
-            None => out.push_str("oldest live tombstone age: -\n"),
-        }
-        if let Some(f) = &self.db.options().fade {
-            out.push_str(&format!(
-                "FADE threshold D_th: {} ticks\n",
-                f.delete_persistence_threshold
-            ));
-        } else {
-            out.push_str("FADE: off (tombstones live until saturation reaches them)\n");
-        }
-        out.push_str(&format!(
-            "purged: {} (max latency {}, p99 {}, mean {:.1})\n",
-            s.tombstones_purged.load(Relaxed),
-            s.persistence_latency.max(),
-            s.persistence_latency.quantile(0.99),
-            s.persistence_latency.mean(),
-        ));
-        out.push_str(&format!(
-            "live range tombstones: {}\n",
-            self.db.live_range_tombstones().len()
-        ));
-        out.push_str(&format!(
-            "live sort-key range tombstones: {}",
-            self.db.live_key_range_tombstones()
-        ));
-        if let Some(age) = self.db.oldest_live_key_range_tombstone_age() {
-            out.push_str(&format!(
-                "\noldest sort-key range tombstone age: {age} ticks"
-            ));
-        }
-        out
-    }
-
-    fn render_metrics(&self) -> String {
-        acheron::obs::render_prometheus(
-            &self.db.stats().snapshot().to_pairs(),
-            &self.db.tombstone_gauges(),
-            self.db.now(),
-            self.opts
-                .fade
-                .as_ref()
-                .map(|f| f.delete_persistence_threshold),
-        )
-        .trim_end()
-        .to_string()
-    }
-
-    fn render_events(&self) -> String {
-        acheron::obs::render_events(&self.db.events())
-            .trim_end()
-            .to_string()
-    }
-
-    fn render_stats(&self) -> String {
-        use std::sync::atomic::Ordering::Relaxed;
-        let s = self.db.stats();
-        format!(
-            "puts {} | deletes {} | range-deletes {} | gets {} | scans {}\n\
-             flushes {} | compactions {} (ttl {}) | write-amp {:.2}\n\
-             shadowed {} | range-purged {} | pages dropped {} | table bytes {}",
-            s.puts.load(Relaxed),
-            s.deletes.load(Relaxed),
-            s.range_deletes.load(Relaxed),
-            s.gets.load(Relaxed),
-            s.scans.load(Relaxed),
-            s.flushes.load(Relaxed),
-            s.compactions.load(Relaxed),
-            s.ttl_compactions.load(Relaxed),
-            s.write_amplification(),
-            s.entries_shadowed.load(Relaxed),
-            s.entries_range_purged.load(Relaxed),
-            s.pages_dropped.load(Relaxed),
-            self.db.table_bytes(),
-        )
+        ("maintain", _) => done(fleet.maintain()),
+        ("compact", _) => done(db.compact_all()),
+        ("flush", _) => done(fleet.flush()),
+        ("tree", _) => Ok(render_tree(db)),
+        ("tombstones", _) => Ok(render_tombstones(db)),
+        _ => Err(usage(cmd)),
     }
 }
 
-fn remote_help_text() -> String {
-    "\
-remote commands:
-  put <key> <value> [dkey]     insert/update (dkey = secondary delete key)
-  get <key>                    point lookup
-  del <key>                    point delete
-  rdel <lo> <hi>               secondary range delete over delete keys
-  delrange <start> <end>       sort-key range delete (inclusive bounds)
-  scan <lo> <hi>               range scan over sort keys (inclusive)
-  stats                        engine + server counters
-  metrics                      Prometheus-style metrics exposition
-  events                       recent engine events (flight recorder)
-  trace on|off                 force-trace data ops and print their spans
-  traces                       server's recently sampled per-op traces
-  audit                        delete-lifecycle audit (D_th compliance)
-  ping                         liveness probe
-  help                         this text
-  quit                         close the connection and exit"
-        .to_string()
+fn render_tree(db: &Db) -> String {
+    let mut out = format!(
+        "clock tick: {} | write-amp {:.2} | table bytes {}\n",
+        db.now(),
+        db.stats().write_amplification(),
+        db.table_bytes()
+    );
+    for level in db.level_summary() {
+        if level.files == 0 {
+            continue;
+        }
+        let bar = "#".repeat(((level.bytes / 4096) as usize).clamp(1, 50));
+        out.push_str(&format!(
+            "L{} {:<50} {:>4} files {:>2} runs {:>9} B {:>7} entries {:>6} tombstones {:>4} woven\n",
+            level.level,
+            bar,
+            level.files,
+            level.runs,
+            level.bytes,
+            level.entries,
+            level.tombstones,
+            level.woven_files
+        ));
+    }
+    if out.lines().count() <= 1 {
+        out.push_str("(tree is empty)\n");
+    }
+    out.pop();
+    out
 }
 
-/// Interpreter over a *remote* database: the same command surface as
-/// [`Session`] (minus the embedded-only introspection commands),
-/// executed through the wire protocol via [`acheron_server::Client`].
-pub struct RemoteSession {
-    client: Client,
-    /// When on, `put`/`get`/`del` ride the wire force-traced and print
-    /// the server-side span breakdown.
-    tracing: bool,
-    /// Client-chosen trace ids for forced traces, so the printed spans
-    /// can be matched against the server's `traces` listing.
-    next_trace_id: u64,
-}
-
-impl RemoteSession {
-    /// Connect to a running `acheron serve` instance.
-    pub fn connect(addr: &str) -> Result<RemoteSession, String> {
-        let client = Client::connect(addr).map_err(|e| e.to_string())?;
-        Ok(RemoteSession::from_client(client))
+fn render_tombstones(db: &Db) -> String {
+    use std::sync::atomic::Ordering::Relaxed;
+    let s = db.stats();
+    let mut out = String::new();
+    out.push_str(&format!(
+        "live point tombstones: {}\n",
+        db.live_tombstones()
+    ));
+    match db.oldest_live_tombstone_age() {
+        Some(age) => out.push_str(&format!("oldest live tombstone age: {age} ticks\n")),
+        None => out.push_str("oldest live tombstone age: -\n"),
     }
-
-    /// Wrap an already-connected client (tests).
-    pub fn from_client(client: Client) -> RemoteSession {
-        RemoteSession {
-            client,
-            tracing: false,
-            next_trace_id: 1,
-        }
+    if let Some(f) = &db.options().fade {
+        out.push_str(&format!(
+            "FADE threshold D_th: {} ticks\n",
+            f.delete_persistence_threshold
+        ));
+    } else {
+        out.push_str("FADE: off (tombstones live until saturation reaches them)\n");
     }
-
-    fn take_trace_id(&mut self) -> u64 {
-        let id = self.next_trace_id;
-        self.next_trace_id += 1;
-        id
+    out.push_str(&format!(
+        "purged: {} (max latency {}, p99 {}, mean {:.1})\n",
+        s.tombstones_purged.load(Relaxed),
+        s.persistence_latency.max(),
+        s.persistence_latency.quantile(0.99),
+        s.persistence_latency.mean(),
+    ));
+    out.push_str(&format!(
+        "live range tombstones: {}\n",
+        db.live_range_tombstones().len()
+    ));
+    out.push_str(&format!(
+        "live sort-key range tombstones: {}",
+        db.live_key_range_tombstones()
+    ));
+    if let Some(age) = db.oldest_live_key_range_tombstone_age() {
+        out.push_str(&format!(
+            "\noldest sort-key range tombstone age: {age} ticks"
+        ));
     }
-
-    fn render_wire_trace(result: &acheron_server::TracedResult) -> String {
-        let mut out = format!("trace {} {}", result.trace_id, result.op);
-        for (name, value) in &result.spans {
-            out.push_str(&format!("\n  {name:<28} {value}"));
-        }
-        out
-    }
-
-    /// Execute one command line against the server.
-    pub fn execute(&mut self, line: &str) -> Outcome {
-        let mut parts = line.split_whitespace();
-        let Some(cmd) = parts.next() else {
-            return Outcome::Text(String::new());
-        };
-        let args: Vec<&str> = parts.collect();
-        let result = match cmd {
-            "help" => Ok(remote_help_text()),
-            "quit" | "exit" => return Outcome::Quit,
-            "ping" => self
-                .client
-                .ping()
-                .map(|()| "pong".to_string())
-                .map_err(|e| e.to_string()),
-            "put" => self.cmd_put(&args),
-            "get" => self.cmd_get(&args),
-            "del" => self.cmd_del(&args),
-            "rdel" => self.cmd_rdel(&args),
-            "delrange" => self.cmd_delrange(&args),
-            "scan" => self.cmd_scan(&args),
-            "stats" => self.cmd_stats(),
-            "metrics" => self
-                .client
-                .metrics()
-                .map(|t| t.trim_end().to_string())
-                .map_err(|e| e.to_string()),
-            "events" => self
-                .client
-                .events()
-                .map(|t| t.trim_end().to_string())
-                .map_err(|e| e.to_string()),
-            "trace" => self.cmd_trace(&args),
-            "traces" => self
-                .client
-                .traces()
-                .map(|t| t.trim_end().to_string())
-                .map_err(|e| e.to_string()),
-            "audit" => self
-                .client
-                .audit()
-                .map(|(violation, text)| {
-                    let text = text.trim_end().to_string();
-                    if violation {
-                        format!("{text}\nAUDIT VIOLATION")
-                    } else {
-                        text
-                    }
-                })
-                .map_err(|e| e.to_string()),
-            other => Err(format!("unknown command {other:?}; try `help`")),
-        };
-        Outcome::Text(match result {
-            Ok(s) => s,
-            Err(e) => format!("error: {e}"),
-        })
-    }
-
-    fn cmd_trace(&mut self, args: &[&str]) -> Result<String, String> {
-        match args {
-            ["on"] => {
-                self.tracing = true;
-                Ok("tracing on: data ops print the server-side span breakdown".into())
-            }
-            ["off"] => {
-                self.tracing = false;
-                Ok("tracing off".into())
-            }
-            _ => Err("usage: trace on|off".into()),
-        }
-    }
-
-    fn cmd_put(&mut self, args: &[&str]) -> Result<String, String> {
-        match args {
-            [key, value] if self.tracing => {
-                let id = self.take_trace_id();
-                let traced = self
-                    .client
-                    .put_traced(key.as_bytes(), value.as_bytes(), id)
-                    .map_err(|e| e.to_string())?;
-                Ok(format!("ok\n{}", Self::render_wire_trace(&traced)))
-            }
-            [key, value] => {
-                self.client
-                    .put(key.as_bytes(), value.as_bytes())
-                    .map_err(|e| e.to_string())?;
-                Ok("ok".into())
-            }
-            [key, value, dkey] => {
-                let d: u64 = dkey
-                    .parse()
-                    .map_err(|_| "dkey must be a number".to_string())?;
-                self.client
-                    .put_with_dkey(key.as_bytes(), value.as_bytes(), d)
-                    .map_err(|e| e.to_string())?;
-                Ok("ok".into())
-            }
-            _ => Err("usage: put <key> <value> [dkey]".into()),
-        }
-    }
-
-    fn cmd_get(&mut self, args: &[&str]) -> Result<String, String> {
-        let [key] = args else {
-            return Err("usage: get <key>".into());
-        };
-        if self.tracing {
-            let id = self.take_trace_id();
-            let traced = self
-                .client
-                .get_traced(key.as_bytes(), id)
-                .map_err(|e| e.to_string())?;
-            let shown = match &traced.value {
-                Some(v) => String::from_utf8_lossy(v).into_owned(),
-                None => "(not found)".into(),
-            };
-            return Ok(format!("{shown}\n{}", Self::render_wire_trace(&traced)));
-        }
-        match self.client.get(key.as_bytes()).map_err(|e| e.to_string())? {
-            Some(v) => Ok(String::from_utf8_lossy(&v).into_owned()),
-            None => Ok("(not found)".into()),
-        }
-    }
-
-    fn cmd_del(&mut self, args: &[&str]) -> Result<String, String> {
-        let [key] = args else {
-            return Err("usage: del <key>".into());
-        };
-        if self.tracing {
-            let id = self.take_trace_id();
-            let traced = self
-                .client
-                .delete_traced(key.as_bytes(), id)
-                .map_err(|e| e.to_string())?;
-            return Ok(format!("ok\n{}", Self::render_wire_trace(&traced)));
-        }
-        self.client
-            .delete(key.as_bytes())
-            .map_err(|e| e.to_string())?;
-        Ok("ok".into())
-    }
-
-    fn cmd_rdel(&mut self, args: &[&str]) -> Result<String, String> {
-        let [lo, hi] = args else {
-            return Err("usage: rdel <lo> <hi>".into());
-        };
-        let lo: u64 = lo.parse().map_err(|_| "lo must be a number".to_string())?;
-        let hi: u64 = hi.parse().map_err(|_| "hi must be a number".to_string())?;
-        self.client
-            .range_delete_secondary(lo, hi)
-            .map_err(|e| e.to_string())?;
-        Ok("ok".into())
-    }
-
-    fn cmd_delrange(&mut self, args: &[&str]) -> Result<String, String> {
-        let [start, end] = args else {
-            return Err("usage: delrange <start> <end>".into());
-        };
-        self.client
-            .range_delete_keys(start.as_bytes(), end.as_bytes())
-            .map_err(|e| e.to_string())?;
-        Ok("ok".into())
-    }
-
-    fn cmd_scan(&mut self, args: &[&str]) -> Result<String, String> {
-        let [lo, hi] = args else {
-            return Err("usage: scan <lo> <hi>".into());
-        };
-        let rows = self
-            .client
-            .scan(lo.as_bytes(), hi.as_bytes())
-            .map_err(|e| e.to_string())?;
-        let mut out = String::new();
-        for (k, v) in &rows {
-            out.push_str(&format!(
-                "{} = {}\n",
-                String::from_utf8_lossy(k),
-                String::from_utf8_lossy(v)
-            ));
-        }
-        out.push_str(&format!("({} rows)", rows.len()));
-        Ok(out)
-    }
-
-    fn cmd_stats(&mut self) -> Result<String, String> {
-        let pairs = self.client.stats().map_err(|e| e.to_string())?;
-        let mut out = String::new();
-        for (name, value) in &pairs {
-            out.push_str(&format!("{name:<32} {value}\n"));
-        }
-        out.pop();
-        Ok(out)
-    }
+    out
 }
 
 #[cfg(test)]
@@ -742,8 +537,11 @@ mod tests {
         let mut s = Session::demo();
         assert_eq!(text(s.execute("put k hello")), "ok");
         assert_eq!(text(s.execute("get k")), "hello");
-        assert!(text(s.execute("del k")).contains("tombstone inserted"));
+        assert_eq!(text(s.execute("del k")), "ok");
         assert_eq!(text(s.execute("get k")), "(not found)");
+        s.execute("flush");
+        let ts = text(s.execute("tombstones"));
+        assert!(ts.contains("live point tombstones: 1"), "{ts}");
     }
 
     #[test]
@@ -764,9 +562,11 @@ mod tests {
         let mut s = Session::demo();
         s.execute("put a v1 10");
         s.execute("put b v2 20");
-        assert!(text(s.execute("rdel 15 25")).contains("1 live"));
+        assert_eq!(text(s.execute("rdel 15 25")), "ok");
         assert_eq!(text(s.execute("get a")), "v1");
         assert_eq!(text(s.execute("get b")), "(not found)");
+        let ts = text(s.execute("tombstones"));
+        assert!(ts.contains("live range tombstones: 1"), "{ts}");
     }
 
     #[test]
@@ -775,8 +575,7 @@ mod tests {
         s.execute("put user:1 a");
         s.execute("put user:2 b");
         s.execute("put zebra c");
-        let out = text(s.execute("delrange user:1 user:9"));
-        assert!(out.contains("1 live"), "{out}");
+        assert_eq!(text(s.execute("delrange user:1 user:9")), "ok");
         assert_eq!(text(s.execute("get user:1")), "(not found)");
         assert_eq!(text(s.execute("get user:2")), "(not found)");
         assert_eq!(text(s.execute("get zebra")), "c");
@@ -793,10 +592,12 @@ mod tests {
         assert!(out.contains("ran 2000 ops"), "{out}");
         let tree = text(s.execute("tree"));
         assert!(tree.contains("files"), "{tree}");
+        assert!(tree.contains("write-amp"), "{tree}");
         let ts = text(s.execute("tombstones"));
         assert!(ts.contains("live point tombstones"), "{ts}");
         let st = text(s.execute("stats"));
-        assert!(st.contains("write-amp"), "{st}");
+        assert!(st.contains("compaction_bytes_out"), "{st}");
+        assert!(!st.contains("server_requests"), "{st}");
         let m = text(s.execute("metrics"));
         assert!(m.contains("puts "), "{m}");
         assert!(m.contains("db_live_tombstones"), "{m}");
@@ -815,7 +616,8 @@ mod tests {
             s.execute("tick 2000");
             s.execute("maintain");
         }
-        assert_eq!(s.db().live_tombstones(), 0);
+        let ts = text(s.execute("tombstones"));
+        assert!(ts.contains("live point tombstones: 0"), "{ts}");
     }
 
     #[test]
@@ -835,6 +637,7 @@ mod tests {
         assert!(text(s.execute("rdel 5 x")).contains("number"));
         assert!(text(s.execute("workload 10 50 50 50 50")).contains("sum to 100"));
         assert!(text(s.execute("tick abc")).contains("number"));
+        assert!(text(s.execute("ping")).contains("needs a server"));
         // Still usable afterwards.
         assert_eq!(text(s.execute("put k v")), "ok");
     }
@@ -858,7 +661,9 @@ mod tests {
             .unwrap(),
         );
         let mut server = Server::start(db, "127.0.0.1:0", ServerOptions::default()).unwrap();
-        let mut s = RemoteSession::connect(&server.local_addr().to_string()).unwrap();
+        let addr = server.local_addr().to_string();
+        assert!(matches!(Backend::resolve(&addr), Ok(Backend::Remote(_))));
+        let mut s = Session::connect(&addr).unwrap();
         assert_eq!(text(s.execute("ping")), "pong");
         assert_eq!(text(s.execute("put k hello")), "ok");
         assert_eq!(text(s.execute("get k")), "hello");
@@ -895,8 +700,64 @@ mod tests {
         assert!(audit.contains("D_th"), "{audit}");
         assert!(!audit.contains("AUDIT VIOLATION"), "{audit}");
         assert!(text(s.execute("bogus")).contains("unknown command"));
+        assert!(text(s.execute("tree")).contains("embedded engine only"));
         assert_eq!(s.execute("quit"), Outcome::Quit);
         server.shutdown();
+    }
+
+    /// One script through an embedded session and through a remote one
+    /// against a server over an equal engine: the data commands print
+    /// the same bytes, and the audits reach the same verdict.
+    #[test]
+    fn embedded_and_remote_sessions_answer_alike() {
+        use acheron_server::{Server, ServerOptions};
+        // Each engine gets its own options, and so its own clock.
+        let opts = || DbOptions::small().with_fade(10);
+        let served = Db::open(Arc::new(MemFs::new()), "demo", opts()).unwrap();
+        let mut server =
+            Server::start(Arc::new(served), "127.0.0.1:0", ServerOptions::default()).unwrap();
+        let mut local = Session::new(opts());
+        let mut remote = Session::connect(&server.local_addr().to_string()).unwrap();
+        let script = [
+            "put a 1",
+            "put b 2 10",
+            "put user:1 x",
+            "put user:2 y",
+            "get a",
+            "get nothing",
+            "del a",
+            "get a",
+            "rdel 5 15",
+            "get b",
+            "delrange user:1 user:1",
+            "get user:1",
+            "get user:2",
+            "scan a z",
+            "scan",
+            "rdel 1 x",
+        ];
+        let run = |s: &mut Session| -> Vec<String> {
+            script.iter().map(|line| text(s.execute(line))).collect()
+        };
+        let embedded = run(&mut local);
+        assert_eq!(embedded, run(&mut remote));
+        assert_eq!(embedded[13], "user:2 = y\n(1 rows)");
+        let verdict = |s: &mut Session| text(s.execute("audit")).contains("AUDIT VIOLATION");
+        assert_eq!(verdict(&mut local), verdict(&mut remote));
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_directory_target_resolves_before_an_address() {
+        let dir = acheron_vfs::temp::TempDir::new("db:1");
+        assert!(matches!(
+            Backend::resolve(dir.path_str()),
+            Ok(Backend::Local(_))
+        ));
+        match Backend::resolve("no-such-target") {
+            Err(e) => assert!(e.contains("neither"), "{e}"),
+            Ok(_) => panic!("resolved a target that is neither"),
+        }
     }
 
     #[test]
@@ -936,7 +797,7 @@ mod tests {
         assert!(get.starts_with("hello\n"), "{get}");
         assert!(get.contains("memtable_probe_micros"), "{get}");
         let del = text(s.execute("del k"));
-        assert!(del.contains("tombstone inserted"), "{del}");
+        assert!(del.starts_with("ok\ntrace 3 delete"), "{del}");
         assert!(del.contains("total_micros"), "{del}");
         // Forced traces land in the recent ring.
         let traces = text(s.execute("traces"));

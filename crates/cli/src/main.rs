@@ -19,8 +19,10 @@
 //! > get user:1
 //! ```
 //!
-//! One-shot observability (`host:port` hits a running server over the
-//! wire; a directory opens the database offline):
+//! One-shot observability: a directory opens the database offline, any
+//! other `host:port` target asks a running server over the wire. Each
+//! runs the REPL's command on that backend (`stats` prints `metrics`,
+//! `trace` prints `traces`):
 //!
 //! ```text
 //! $ cargo run -p acheron-cli -- stats 127.0.0.1:7878     # metrics text
@@ -30,7 +32,9 @@
 //! ```
 //!
 //! `audit` exits 0 when every delete family is within `D_th` and 1 on
-//! a violation, so it can gate a deployment pipeline directly.
+//! a violation, so it can gate a deployment pipeline directly. `--d-th
+//! TICKS` sets the threshold for a directory (a server judges by its
+//! own), and `trace` refuses a directory: traces are runtime state.
 //!
 //! Also scriptable: `echo "put a 1\nget a" | cargo run -p acheron-cli`.
 
@@ -40,9 +44,9 @@ use std::io::{BufRead, Write};
 use std::sync::Arc;
 
 use acheron::{DbOptions, ShardedDb};
-use acheron_cli::{Outcome, RemoteSession, Session};
-use acheron_server::{Client, RateLimitConfig, Server, ServerOptions};
-use acheron_vfs::{MemFs, StdFs};
+use acheron_cli::{render, Backend, Outcome, Session};
+use acheron_server::{RateLimitConfig, Request, Response, Server, ServerOptions};
+use acheron_vfs::MemFs;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -60,7 +64,7 @@ fn main() {
         },
         Some("connect") => {
             let addr = args.get(2).map(String::as_str).unwrap_or("127.0.0.1:7878");
-            match RemoteSession::connect(addr) {
+            match Session::connect(addr) {
                 Ok(session) => repl(
                     session,
                     &format!("connected to {addr}. `help` for commands."),
@@ -71,28 +75,22 @@ fn main() {
                 }
             }
         }
-        Some(cmd @ ("stats" | "events")) => {
-            let Some(target) = args.get(2) else {
-                eprintln!("usage: acheron {cmd} <host:port | db-directory>");
-                std::process::exit(2);
-            };
-            expose(cmd, target);
-        }
-        Some("trace") => {
-            let Some(target) = args.get(2) else {
-                eprintln!("usage: acheron trace <host:port>");
-                std::process::exit(2);
-            };
-            trace_listing(target);
-        }
-        Some("audit") => match AuditArgs::parse(&args[2..]) {
-            Ok(audit_args) => audit(&audit_args),
-            Err(e) => {
-                eprintln!("{e}");
-                eprintln!("usage: acheron audit <host:port | db-directory> [--d-th TICKS]");
-                std::process::exit(2);
+        Some(cmd @ ("stats" | "events" | "trace" | "audit")) => {
+            match OneShotArgs::parse(cmd, &args[2..]) {
+                Ok(one_shot_args) => one_shot(cmd, &one_shot_args),
+                Err(e) => {
+                    eprintln!("{e}");
+                    match cmd {
+                        "audit" => eprintln!(
+                            "usage: acheron audit <host:port | db-directory> [--d-th TICKS]"
+                        ),
+                        "trace" => eprintln!("usage: acheron trace <host:port>"),
+                        _ => eprintln!("usage: acheron {cmd} <host:port | db-directory>"),
+                    }
+                    std::process::exit(2);
+                }
             }
-        },
+        }
         _ => repl(
             Session::demo(),
             "acheron demo (FADE D_th=50000, in-memory). `help` for commands.",
@@ -100,77 +98,21 @@ fn main() {
     }
 }
 
-/// One-shot exposition: print the metrics text (`stats`) or the event
-/// ring (`events`) and exit. A `host:port` target queries a running
-/// server over the wire; anything else is treated as a database
-/// directory and opened offline (recovery events included).
-fn expose(cmd: &str, target: &str) {
-    let result = if target.contains(':') {
-        Client::connect(target)
-            .and_then(|mut client| match cmd {
-                "stats" => client.metrics(),
-                _ => client.events(),
-            })
-            .map_err(|e| format!("query {target}: {e}"))
-    } else if std::path::Path::new(target).is_dir() {
-        // The same text a server over this root would send, less the
-        // server's own pairs.
-        open_dir(target).map(|db| match cmd {
-            "stats" => db.render_metrics(&[]),
-            _ => db.events_text(),
-        })
-    } else {
-        Err(format!(
-            "{target} is neither a host:port address nor a database directory"
-        ))
-    };
-    match result {
-        Ok(text) => print!("{text}"),
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Open the database directory `dir` offline, whichever shape it holds
-/// (recovery events included).
-fn open_dir(dir: &str) -> Result<ShardedDb, String> {
-    ShardedDb::open_root(Arc::new(StdFs::new(false)), dir, DbOptions::default())
-        .map_err(|e| format!("open {dir}: {e}"))
-}
-
-/// One-shot trace listing: print the server's recently sampled per-op
-/// traces. Traces are runtime state held in the engine's retention
-/// ring, so only a live server can answer — a directory has none.
-fn trace_listing(target: &str) {
-    if !target.contains(':') {
-        eprintln!("traces are runtime state; `acheron trace` needs a running server (host:port)");
-        std::process::exit(2);
-    }
-    match Client::connect(target).and_then(|mut client| client.traces()) {
-        Ok(text) => print!("{text}"),
-        Err(e) => {
-            eprintln!("query {target}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Parsed `audit` subcommand arguments.
-struct AuditArgs {
+/// Parsed one-shot arguments: `<target> [--d-th TICKS]`, the flag for
+/// `audit` only.
+struct OneShotArgs {
     target: String,
     d_th: Option<u64>,
 }
 
-impl AuditArgs {
-    fn parse(args: &[String]) -> Result<AuditArgs, String> {
+impl OneShotArgs {
+    fn parse(cmd: &str, args: &[String]) -> Result<OneShotArgs, String> {
         let mut target = None;
         let mut d_th = None;
         let mut it = args.iter();
         while let Some(arg) = it.next() {
             match arg.as_str() {
-                "--d-th" => {
+                "--d-th" if cmd == "audit" => {
                     let v = it.next().ok_or("--d-th requires a value")?;
                     d_th = Some(
                         v.parse()
@@ -185,55 +127,66 @@ impl AuditArgs {
                 }
             }
         }
-        Ok(AuditArgs {
-            target: target.ok_or("audit needs a target")?,
+        Ok(OneShotArgs {
+            target: target.ok_or(format!("{cmd} needs a target"))?,
             d_th,
         })
     }
 }
 
-/// One-shot delete-lifecycle audit. Prints the per-cohort report and
-/// exits 0 when every delete family is within `D_th`, 1 on a
-/// violation. A `host:port` target asks a running server (which judges
-/// by its own configured threshold); a directory is opened offline —
-/// the cohort ledger is runtime state, so an offline audit judges by
-/// the persistent gauges alone. `--d-th` overrides the threshold for
-/// directory targets.
-fn audit(args: &AuditArgs) {
+/// Run one REPL command on the target's backend, print its answer and
+/// exit: 1 when the target cannot be reached or an `audit` finds a
+/// violation, 2 on a misuse.
+fn one_shot(cmd: &str, args: &OneShotArgs) {
     let target = args.target.as_str();
-    if target.contains(':') {
-        if args.d_th.is_some() {
+    // Refused before opening: opening a directory recovers it.
+    if cmd == "trace" && std::path::Path::new(target).is_dir() {
+        eprintln!("traces are runtime state; `acheron trace` needs a running server (host:port)");
+        std::process::exit(2);
+    }
+    let mut backend = Backend::resolve(target).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1);
+    });
+    let request = match cmd {
+        "stats" => Request::Metrics,
+        "events" => Request::Events,
+        "trace" => Request::Traces,
+        _ => Request::Audit,
+    };
+    let response = match (&mut backend, args.d_th) {
+        (Backend::Remote(_), Some(_)) => {
             eprintln!("--d-th applies to directory targets; a server judges by its own threshold");
             std::process::exit(2);
         }
-        match Client::connect(target).and_then(|mut client| client.audit()) {
-            Ok((violation, text)) => {
-                print!("{text}");
-                std::process::exit(i32::from(violation));
-            }
-            Err(e) => {
-                eprintln!("query {target}: {e}");
-                std::process::exit(1);
-            }
+        // The ledger judged at the given threshold. A directory opens
+        // without FADE: opening it with FADE on would run FADE's
+        // compactions before the audit could see the tree.
+        (Backend::Local(fleet), Some(d_th)) => {
+            let mut report = fleet.delete_audit();
+            report.d_th = Some(d_th);
+            Ok(Response::Audit {
+                violation: !report.ok(),
+                text: report.render(),
+            })
         }
-    }
-    if !std::path::Path::new(target).is_dir() {
-        eprintln!("{target} is neither a host:port address nor a database directory");
-        std::process::exit(2);
-    }
-    match open_dir(target).map(|db| db.delete_audit()) {
-        Ok(mut report) => {
-            if args.d_th.is_some() {
-                report.d_th = args.d_th;
-            }
-            print!("{}", report.render());
-            std::process::exit(i32::from(!report.ok()));
-        }
+        (backend, None) => backend.call(&request),
+    };
+    let violation = matches!(
+        response,
+        Ok(Response::Audit {
+            violation: true,
+            ..
+        })
+    );
+    match response.and_then(render) {
+        Ok(text) => print_text(&text),
         Err(e) => {
-            eprintln!("{e}");
+            eprintln!("{target}: {e}");
             std::process::exit(1);
         }
     }
+    std::process::exit(i32::from(violation));
 }
 
 /// Parsed `serve` subcommand arguments.
@@ -378,24 +331,14 @@ fn serve(args: &ServeArgs) {
     println!("stopped: {}", server.status_line());
 }
 
-/// The REPL loop, generic over embedded and remote sessions.
-trait Exec {
-    fn exec(&mut self, line: &str) -> Outcome;
-}
-
-impl Exec for Session {
-    fn exec(&mut self, line: &str) -> Outcome {
-        self.execute(line)
+fn print_text(text: &str) {
+    if !text.is_empty() {
+        println!("{text}");
     }
 }
 
-impl Exec for RemoteSession {
-    fn exec(&mut self, line: &str) -> Outcome {
-        self.execute(line)
-    }
-}
-
-fn repl(mut session: impl Exec, banner: &str) {
+/// The REPL loop over stdin, embedded or remote alike.
+fn repl(mut session: Session, banner: &str) {
     let interactive = std::env::args().all(|a| a != "--quiet");
     if interactive {
         println!("{banner}");
@@ -416,13 +359,9 @@ fn repl(mut session: impl Exec, banner: &str) {
                 break;
             }
         }
-        match session.exec(line.trim()) {
+        match session.execute(line.trim()) {
             Outcome::Quit => break,
-            Outcome::Text(t) => {
-                if !t.is_empty() {
-                    println!("{t}");
-                }
-            }
+            Outcome::Text(t) => print_text(&t),
         }
     }
 }

@@ -11,7 +11,6 @@ use acheron_types::codec::{
 use acheron_types::{DeleteKeyRange, Error, KeyRangeTombstone, Result, SeqNo};
 use acheron_vfs::Vfs;
 use acheron_wal::{LogReader, LogWriter, ReadOutcome};
-use bytes::Bytes;
 
 use crate::version::FileMeta;
 
@@ -346,20 +345,11 @@ pub fn write_current(fs: &dyn Vfs, dir: &str, manifest_name: &str) -> Result<()>
     fs.rename(&tmp, &dst)
 }
 
-/// Bytes wrapper used in tests to simulate partially written manifests.
-pub fn decode_all(data: Bytes) -> Result<Vec<EditBatch>> {
-    let mut reader = LogReader::new(data);
-    let mut batches = Vec::new();
-    while let ReadOutcome::Record(rec) = reader.next_record() {
-        batches.push(EditBatch::decode(&rec)?);
-    }
-    Ok(batches)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use acheron_vfs::MemFs;
+    use bytes::Bytes;
 
     fn sample_batch() -> EditBatch {
         EditBatch {

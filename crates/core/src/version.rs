@@ -256,21 +256,9 @@ impl Version {
         self.all_files().map(|f| f.stats.tombstone_count).sum()
     }
 
-    /// Total live entries across all files.
-    pub fn live_entries(&self) -> u64 {
-        self.all_files().map(|f| f.stats.entry_count).sum()
-    }
-
     /// Total bytes across all files.
     pub fn total_bytes(&self) -> u64 {
         self.all_files().map(|f| f.size_bytes).sum()
-    }
-
-    /// Deepest level that holds any file.
-    pub fn deepest_nonempty_level(&self) -> Option<usize> {
-        (0..self.levels.len())
-            .rev()
-            .find(|&l| !self.levels[l].is_empty())
     }
 
     /// The flat bounds index of `level` (empty past the last level).
@@ -549,14 +537,12 @@ mod tests {
         assert_eq!(v.overlapping_files(1, b"key000050", b"key000060").len(), 0);
         assert!(v.overlaps_below(1, b"key000007", b"key000008"));
         assert!(!v.overlaps_below(2, b"key000007", b"key000008"));
-        assert_eq!(v.deepest_nonempty_level(), Some(2));
     }
 
     #[test]
-    fn tombstone_and_entry_totals() {
+    fn tombstone_totals() {
         let fs = MemFs::new();
         let v = Version::empty(2).apply(vec![make_file(&fs, 1, 1, 0..50, 1)], &[], &[], &[]);
-        assert_eq!(v.live_entries(), 50);
         assert_eq!(v.live_tombstones(), 0);
     }
 

@@ -155,9 +155,11 @@ impl Client {
         }
     }
 
-    /// [`Client::request`] plus busy backoff (for write operations the
-    /// server may shed under stall pressure).
-    fn request_retrying_busy(&mut self, request: &Request) -> Result<Response> {
+    /// [`Client::request`] plus busy backoff: a request the server
+    /// sheds as `Busy` (a write under stall pressure, any data op over
+    /// the rate limit) is retried up to [`ClientOptions::busy_retries`]
+    /// times.
+    pub fn request_retrying_busy(&mut self, request: &Request) -> Result<Response> {
         let mut backoff = self.opts.busy_backoff;
         for _ in 0..self.opts.busy_retries {
             match self.request(request)? {

@@ -14,9 +14,10 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use acheron::{shard_of, ShardedDb, WritePressure};
+use acheron::{shard_of, WritePressure};
 use acheron_types::{Error, Result};
 
+use crate::answer::answer;
 use crate::rate_limit::TokenBucket;
 use crate::server::Shared;
 use crate::wire::{encode_frame, FrameDecoder, Request, Response};
@@ -120,7 +121,7 @@ fn serve(mut stream: &TcpStream, shared: &Arc<Shared>) -> Result<()> {
 /// connections share one WAL fsync through the engine's commit group.
 ///
 /// Admission order per request: token bucket (data ops only), then the
-/// stall check (writes only), then the engine. Pressure is captured once
+/// stall check (writes only), then [`answer`]. Pressure is captured once
 /// per group, per shard: a keyed write is shed when its owning shard
 /// was stalled, a broadcast write when any shard was — for a fleet of
 /// one, both are the engine's own flag.
@@ -171,99 +172,29 @@ fn handle_group(
             responses.push(Response::Busy);
             continue;
         }
-        let resp = match req {
-            Request::Ping => Response::Unit,
-            Request::Put { key, value, dkey } => {
-                // An unstamped put takes the engine's current tick as its
-                // delete key, matching the embedded `Db::put` path.
-                let dkey = dkey.unwrap_or_else(|| engine.now());
-                committed_writes = true;
-                let started = Instant::now();
-                let resp = to_response(engine.put_with_dkey(key, value, dkey), metrics);
-                metrics
-                    .write_latency
-                    .record(started.elapsed().as_micros() as u64);
-                resp
-            }
-            Request::Delete { key } => {
-                committed_writes = true;
-                let started = Instant::now();
-                let resp = to_response(engine.delete(key), metrics);
-                metrics
-                    .write_latency
-                    .record(started.elapsed().as_micros() as u64);
-                resp
-            }
-            Request::RangeDeleteSecondary { lo, hi } => {
-                committed_writes = true;
-                let started = Instant::now();
-                let resp = to_response(engine.range_delete_secondary(*lo, *hi), metrics);
-                metrics
-                    .write_latency
-                    .record(started.elapsed().as_micros() as u64);
-                resp
-            }
-            Request::RangeDeleteKeys { lo, hi } => {
-                committed_writes = true;
-                let started = Instant::now();
-                let resp = to_response(engine.range_delete_keys(lo, hi), metrics);
-                metrics
-                    .write_latency
-                    .record(started.elapsed().as_micros() as u64);
-                resp
-            }
-            Request::Get { key } => {
-                let started = Instant::now();
-                let resp = match engine.get(key) {
-                    Ok(v) => Response::Value(v),
-                    Err(e) => err_response(e, metrics),
-                };
-                metrics
-                    .read_latency
-                    .record(started.elapsed().as_micros() as u64);
-                resp
-            }
-            Request::Scan { lo, hi } => {
-                let started = Instant::now();
-                let resp = match engine.scan(lo, hi) {
-                    Ok(rows) => Response::Rows(rows),
-                    Err(e) => err_response(e, metrics),
-                };
-                metrics
-                    .read_latency
-                    .record(started.elapsed().as_micros() as u64);
-                resp
-            }
-            Request::Stats => {
-                let mut pairs = engine.stats_snapshot().to_pairs();
-                pairs.extend(server_pairs(&pressure, metrics));
-                Response::Stats(pairs)
-            }
-            Request::Metrics => {
-                Response::Text(engine.render_metrics(&server_pairs(&pressure, metrics)))
-            }
-            Request::Events => Response::Text(engine.events_text()),
-            Request::Traces => Response::Text(acheron::render_traces(&engine.recent_traces())),
-            Request::Audit => {
-                let audit = engine.delete_audit();
-                Response::Audit {
-                    violation: !audit.ok(),
-                    text: audit.render(),
-                }
-            }
-            Request::Traced { trace_id, inner } => {
-                committed_writes |= inner.is_write();
-                let latency = if inner.is_write() {
-                    &metrics.write_latency
-                } else {
-                    &metrics.read_latency
-                };
-                let started = Instant::now();
-                let resp = handle_traced(engine, *trace_id, inner, metrics);
-                latency.record(started.elapsed().as_micros() as u64);
-                resp
-            }
+        let resp = if is_data_op {
+            committed_writes |= req.is_write();
+            let latency = if req.is_write() {
+                &metrics.write_latency
+            } else {
+                &metrics.read_latency
+            };
+            let started = Instant::now();
+            let resp = answer(engine, req, &[]);
+            latency.record(started.elapsed().as_micros() as u64);
+            resp
+        } else {
+            let pairs = match req {
+                Request::Stats | Request::Metrics => server_pairs(&pressure, metrics),
+                _ => Vec::new(),
+            };
+            answer(engine, req, &pairs)
         };
+        if matches!(resp, Response::Busy) {
+            metrics.busy_responses.fetch_add(1, Ordering::Relaxed);
+        } else if matches!(resp, Response::Err(_)) {
+            metrics.error_responses.fetch_add(1, Ordering::Relaxed);
+        }
         responses.push(resp);
     }
 
@@ -274,65 +205,6 @@ fn handle_group(
     }
 
     responses
-}
-
-/// Execute a force-traced data op: run `inner` with tracing on and
-/// wrap its ordinary result in [`Response::Trace`]. Failures drop the
-/// trace wrapper and surface the plain `Busy`/`Err` — the caller's
-/// retry logic should see exactly what an untraced op would produce.
-fn handle_traced(
-    engine: &ShardedDb,
-    trace_id: u64,
-    inner: &Request,
-    metrics: &crate::metrics::ServerMetrics,
-) -> Response {
-    let wrap = |trace: acheron::OpTrace, inner: Response| Response::Trace {
-        trace_id: trace.trace_id,
-        op: trace.op.name().to_string(),
-        spans: trace.named_spans(),
-        inner: Box::new(inner),
-    };
-    match inner {
-        Request::Put { key, value, dkey } => {
-            // The traced path always stamps the engine tick; an explicit
-            // dkey falls back to the untraced put so the stamp is honored.
-            if let Some(d) = dkey {
-                return to_response(engine.put_with_dkey(key, value, *d), metrics);
-            }
-            match engine.put_traced(key, value, Some(trace_id)) {
-                Ok(trace) => wrap(trace, Response::Unit),
-                Err(e) => err_response(e, metrics),
-            }
-        }
-        Request::Delete { key } => match engine.delete_traced(key, Some(trace_id)) {
-            Ok(trace) => wrap(trace, Response::Unit),
-            Err(e) => err_response(e, metrics),
-        },
-        Request::Get { key } => match engine.get_traced(key, Some(trace_id)) {
-            Ok((value, trace)) => wrap(trace, Response::Value(value)),
-            Err(e) => err_response(e, metrics),
-        },
-        // The decoder rejects every other inner tag; keep the handler
-        // total anyway.
-        other => Response::Err(format!("cannot trace a {} request", other.op_name())),
-    }
-}
-
-fn to_response(result: Result<()>, metrics: &crate::metrics::ServerMetrics) -> Response {
-    match result {
-        Ok(()) => Response::Unit,
-        Err(e) => err_response(e, metrics),
-    }
-}
-
-fn err_response(e: Error, metrics: &crate::metrics::ServerMetrics) -> Response {
-    if e.is_busy() {
-        metrics.busy_responses.fetch_add(1, Ordering::Relaxed);
-        Response::Busy
-    } else {
-        metrics.error_responses.fetch_add(1, Ordering::Relaxed);
-        Response::Err(e.to_string())
-    }
 }
 
 /// What the server adds to the engine's pairs in the `stats` and

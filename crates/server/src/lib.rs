@@ -7,6 +7,9 @@
 //!
 //! * [`wire`] — the length-prefixed, CRC32C-framed binary protocol
 //!   (requests, responses, and an incremental [`wire::FrameDecoder`]).
+//! * [`answer`] — the one map from a [`Request`] to the engine. A
+//!   server connection answers through it, and so do the embedded REPL
+//!   and the offline one-shot subcommands of `acheron-cli`.
 //! * [`Server`] — a bounded thread-per-connection TCP server with
 //!   server-side write batching, end-to-end backpressure (engine stall
 //!   → wire [`wire::Response::Busy`]; slowdown → per-connection
@@ -45,6 +48,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod answer;
 pub mod client;
 mod conn;
 pub mod metrics;
@@ -52,6 +56,7 @@ pub mod rate_limit;
 pub mod server;
 pub mod wire;
 
+pub use answer::answer;
 pub use client::{Client, ClientOptions, TracedResult};
 pub use metrics::ServerMetrics;
 pub use rate_limit::{RateLimitConfig, TokenBucket};

@@ -73,11 +73,6 @@ impl BlockBuilder {
         self.n_entries += 1;
     }
 
-    /// Bytes the finished block will occupy (excluding trailer CRC).
-    pub fn size_estimate(&self) -> usize {
-        self.buf.len() + self.restarts.len() * 4 + 4
-    }
-
     /// Number of entries added.
     pub fn len(&self) -> usize {
         self.n_entries
@@ -469,16 +464,6 @@ mod tests {
         b.add(&ik("a", 1), 0, b"1");
         let second = b.finish();
         assert_eq!(first, second);
-    }
-
-    #[test]
-    fn size_estimate_matches_finish() {
-        let mut b = BlockBuilder::new(3);
-        for (k, d, v) in sample(37) {
-            b.add(&k, d, &v);
-        }
-        let est = b.size_estimate();
-        assert_eq!(est, b.finish().len());
     }
 
     #[test]

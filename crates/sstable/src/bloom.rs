@@ -136,11 +136,6 @@ impl BloomFilter {
             k: view.k,
         })
     }
-
-    /// Size of the encoded filter in bytes.
-    pub fn encoded_len(&self) -> usize {
-        self.bits.len() + 1
-    }
 }
 
 #[cfg(test)]

@@ -84,12 +84,6 @@ impl InternalKey {
         &self.encoded[..self.encoded.len() - TAG_LEN]
     }
 
-    /// The user-key prefix as a cheap `Bytes` slice of this key.
-    #[inline]
-    pub fn user_key_bytes(&self) -> Bytes {
-        self.encoded.slice(..self.encoded.len() - TAG_LEN)
-    }
-
     /// The sequence number in the trailer.
     #[inline]
     pub fn seqno(&self) -> SeqNo {
@@ -278,13 +272,6 @@ pub fn compare_parts(ua: &[u8], ta: u64, ub: &[u8], tb: u64) -> Ordering {
     ua.cmp(ub).then_with(|| tb.cmp(&ta))
 }
 
-/// Compare user keys (plain byte order); named for symmetry and to keep
-/// call sites explicit about which domain they compare in.
-#[inline]
-pub fn compare_user(a: &[u8], b: &[u8]) -> Ordering {
-    a.cmp(b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,7 +286,6 @@ mod tests {
         assert_eq!(key.user_key(), b"apple");
         assert_eq!(key.seqno(), 42);
         assert_eq!(key.kind(), Some(ValueKind::Put));
-        assert_eq!(key.user_key_bytes(), Bytes::from_static(b"apple"));
     }
 
     #[test]

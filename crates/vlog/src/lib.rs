@@ -185,11 +185,6 @@ impl VlogWriter {
     pub fn offset(&self) -> u64 {
         self.offset
     }
-
-    /// True if frames were appended since the last sync.
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
-    }
 }
 
 /// Shared dereference path: positioned reads with a per-segment fd
