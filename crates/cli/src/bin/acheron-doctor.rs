@@ -1,21 +1,23 @@
 //! `acheron-doctor` — offline integrity check of a database directory.
 //!
 //! ```text
-//! $ acheron-doctor /path/to/db [--d-th <ticks>]
-//! checked 12 tables (48,201 entries, 301 tombstones), 1 WAL (17 records)
-//! tombstones: level 1: 204 live across 3 files, oldest age 812 ticks
+//! $ acheron-doctor /path/to/db --d-th 20000
+//! checked 12 tables (48201 entries, 301 tombstones, 0 key-range tombstones, 0 range tombstones), 1 WAL segments (17 records)
+//! level 1: 3 files, 204 tombstones (oldest age 812 ticks), 0 key-range tombstones
 //! warnings: none
+//! worst unresolved delete age: 812 ticks (point + key-range) — within D_th 20000
 //! ```
 //!
-//! With `--d-th` the report warns when the oldest live tombstone has
-//! outlived the delete persistence threshold — the offline form of the
-//! engine's FADE promise.
+//! The last line is the `D_th` verdict, reached by the engine's own rule
+//! (`DeleteAudit::ok`, which `acheron audit` also prints): the oldest
+//! live tombstone, point or sort-key range, aged at the newest file's
+//! creation tick — the offline form of the engine's FADE promise. Dead
+//! value-log bytes carry no birth tick on disk; they are listed as
+//! pending rather than aged.
 //!
-//! A directory containing a `SHARDMAP` manifest is checked as a sharded
-//! fleet: every shard is verified (a missing shard fails the check —
-//! never silently skipped), each shard's report is printed, and the
-//! fleet-wide maximum unresolved tombstone age is summarized at the end
-//! — the per-shard `D_th` invariant judged across the whole fleet.
+//! A sharded root is checked shard by shard (a missing shard fails the
+//! check — never silently skipped): each shard's report is printed under
+//! its own heading, and the verdict judges the whole fleet.
 //!
 //! Read-only: unlike opening the database, the doctor never rewrites the
 //! manifest or collects files, so it is safe to run against a directory
@@ -23,7 +25,7 @@
 
 #![forbid(unsafe_code)]
 
-use acheron::{check_db_with_threshold, check_sharded_db, read_shard_map, DoctorReport};
+use acheron::{check_root, DeleteAudit, DoctorReport};
 use acheron_vfs::StdFs;
 
 fn main() {
@@ -46,50 +48,26 @@ fn main() {
         eprintln!("usage: acheron-doctor <db-directory> [--d-th <ticks>]");
         std::process::exit(2);
     };
-    let fs = StdFs::new(false);
-    let sharded = match read_shard_map(&fs, &dir) {
-        Ok(map) => map.is_some(),
+    let reports = match check_root(&StdFs::new(false), &dir, d_th) {
+        Ok(reports) => reports,
         Err(e) => {
             eprintln!("FAILED: {e}");
             std::process::exit(1);
         }
     };
-    if sharded {
-        match check_sharded_db(&fs, &dir, d_th) {
-            Ok(reports) => {
-                let mut fleet_max_age: Option<u64> = None;
-                for (i, report) in reports.iter().enumerate() {
-                    println!("== shard {i} ==");
-                    print_report(report, d_th);
-                    fleet_max_age = fleet_max_age.max(report.worst_unresolved_delete_age());
-                }
-                println!(
-                    "fleet: {} shards, max unresolved tombstone age {} ticks{}",
-                    reports.len(),
-                    fleet_max_age.unwrap_or(0),
-                    match d_th {
-                        Some(d) => format!(" (threshold {d})"),
-                        None => String::new(),
-                    }
-                );
-            }
-            Err(e) => {
-                eprintln!("FAILED: {e}");
-                std::process::exit(1);
-            }
+    let sharded = reports.len() > 1;
+    for (i, report) in reports.iter().enumerate() {
+        if sharded {
+            println!("== shard {i} ==");
         }
-    } else {
-        match check_db_with_threshold(&fs, &dir, d_th) {
-            Ok(report) => print_report(&report, d_th),
-            Err(e) => {
-                eprintln!("FAILED: {e}");
-                std::process::exit(1);
-            }
-        }
+        print_report(report);
     }
+    let audit = DeleteAudit::fleet(reports.iter().map(|r| r.audit.clone()));
+    let dead_vlog_bytes: u64 = reports.iter().map(|r| r.vlog_dead_bytes).sum();
+    print_verdict(&audit, dead_vlog_bytes);
 }
 
-fn print_report(report: &DoctorReport, d_th: Option<u64>) {
+fn print_report(report: &DoctorReport) {
     println!(
         "checked {} tables ({} entries, {} tombstones, {} key-range tombstones, \
          {} range tombstones), {} WAL segments ({} records)",
@@ -101,57 +79,44 @@ fn print_report(report: &DoctorReport, d_th: Option<u64>) {
         report.wals_checked,
         report.wal_records
     );
-    for l in &report.level_tombstones {
-        println!(
-            "tombstones: level {}: {} live across {} files, oldest age {} ticks{}",
-            l.level,
-            l.tombstones,
-            l.files_with_tombstones,
-            l.max_unresolved_age.unwrap_or(0),
-            match d_th {
-                Some(d) => format!(" (threshold {d})"),
-                None => String::new(),
-            }
-        );
-        if l.key_range_tombstones > 0 {
-            println!(
-                "key-range tombstones: level {}: {} live, oldest unresolved age {} ticks{}",
-                l.level,
-                l.key_range_tombstones,
-                l.max_unresolved_key_range_age.unwrap_or(0),
-                match d_th {
-                    Some(d) => format!(" (threshold {d})"),
-                    None => String::new(),
-                }
-            );
+    let age = |t0: Option<u64>| t0.map_or(0, |t0| report.audit.now.saturating_sub(t0));
+    for l in &report.levels {
+        if l.tombstones == 0 && l.key_range_tombstones == 0 {
+            continue;
         }
+        println!(
+            "level {}: {} files, {} tombstones (oldest age {} ticks), \
+             {} key-range tombstones (oldest age {} ticks)",
+            l.level,
+            l.files,
+            l.tombstones,
+            age(l.oldest_tombstone_tick),
+            l.key_range_tombstones,
+            age(l.oldest_key_range_tick)
+        );
     }
-    // The one-line `D_th` judgment: every delete family folded into a
-    // single worst age. Point and key-range tombstones carry birth
-    // ticks on disk; dead vlog extents do not, so they are listed as
-    // pending rather than aged.
-    let mut fold = format!(
-        "worst unresolved delete age: {} ticks (point + key-range",
-        report.worst_unresolved_delete_age().unwrap_or(0)
-    );
-    if report.vlog_dead_bytes > 0 {
-        fold.push_str(&format!(
-            "; {} dead vlog bytes awaiting GC",
-            report.vlog_dead_bytes
-        ));
-    }
-    fold.push(')');
-    match (d_th, report.worst_unresolved_delete_age()) {
-        (Some(d), Some(age)) if age > d => fold.push_str(&format!(" — EXCEEDS D_th {d}")),
-        (Some(d), _) => fold.push_str(&format!(" — within D_th {d}")),
-        (None, _) => {}
-    }
-    println!("{fold}");
     if report.warnings.is_empty() {
         println!("warnings: none");
-    } else {
-        for w in &report.warnings {
-            println!("warning: {w}");
-        }
     }
+    for w in &report.warnings {
+        println!("warning: {w}");
+    }
+}
+
+/// The one-line `D_th` verdict: every delete family folded into one
+/// worst age. Dead vlog extents have no birth tick on disk, so they are
+/// listed as pending rather than aged.
+fn print_verdict(audit: &DeleteAudit, dead_vlog_bytes: u64) {
+    let age = (audit.oldest_live_tombstone_tick).map_or(0, |t0| audit.now.saturating_sub(t0));
+    let mut line = format!("worst unresolved delete age: {age} ticks (point + key-range");
+    if dead_vlog_bytes > 0 {
+        line.push_str(&format!("; {dead_vlog_bytes} dead vlog bytes awaiting GC"));
+    }
+    line.push(')');
+    match audit.d_th {
+        Some(d) if audit.ok() => line.push_str(&format!(" — within D_th {d}")),
+        Some(d) => line.push_str(&format!(" — EXCEEDS D_th {d}")),
+        None => {}
+    }
+    println!("{line}");
 }

@@ -454,10 +454,7 @@ fn render_tree(db: &Db) -> String {
         db.stats().write_amplification(),
         db.table_bytes()
     );
-    for level in db.level_summary() {
-        if level.files == 0 {
-            continue;
-        }
+    for level in db.tombstone_gauges().levels {
         let bar = "#".repeat(((level.bytes / 4096) as usize).clamp(1, 50));
         out.push_str(&format!(
             "L{} {:<50} {:>4} files {:>2} runs {:>9} B {:>7} entries {:>6} tombstones {:>4} woven\n",

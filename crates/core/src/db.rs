@@ -458,26 +458,6 @@ impl WritePressure {
     }
 }
 
-/// Summary of one level for stats displays.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LevelInfo {
-    /// Level index.
-    pub level: usize,
-    /// Live files.
-    pub files: usize,
-    /// Distinct runs.
-    pub runs: usize,
-    /// Total bytes.
-    pub bytes: u64,
-    /// Live entries.
-    pub entries: u64,
-    /// Live point tombstones.
-    pub tombstones: u64,
-    /// Files whose pages are KiWi-woven (`pages_per_tile > 1` in their
-    /// stats): only bottommost compactions write them.
-    pub woven_files: usize,
-}
-
 impl Db {
     /// Open (creating or recovering) a database under `dir`.
     pub fn open(fs: Arc<dyn Vfs>, dir: &str, opts: DbOptions) -> Result<Db> {
@@ -488,12 +468,9 @@ impl Db {
     /// memory budget (how [`crate::ShardedDb`] gives every shard one
     /// cache instance and one arbiter instead of N private copies).
     ///
-    /// Resolution order for the cache/budget pair:
-    /// 1. injected shared instances (the caller owns their sizing);
-    /// 2. `opts.memory_budget_bytes > 0`: a private budget plus a cache
-    ///    sized to its cache share (even if `block_cache_bytes` is 0);
-    /// 3. legacy: a private cache of `block_cache_bytes` if non-zero,
-    ///    no budget.
+    /// An injected shared cache comes with the caller's budget (the
+    /// caller owns their sizing); without one the engine makes its own
+    /// pair, as [`crate::memory::cache_and_budget`] resolves `opts`.
     pub(crate) fn open_with_shared(
         fs: Arc<dyn Vfs>,
         dir: &str,
@@ -509,18 +486,9 @@ impl Db {
         let (shard, trace_ids) = shard_identity.unwrap_or_else(|| (0, Arc::new(AtomicU64::new(1))));
         fs.mkdir_all(dir)?;
         let cache_is_shared = shared_cache.is_some();
-        let (cache, memory) = match (shared_cache, shared_budget) {
-            (Some(c), budget) => (Some(c), budget),
-            (None, _) if opts.memory_budget_bytes > 0 => {
-                let budget = Arc::new(MemoryBudget::new(opts.memory_budget_bytes));
-                let cache = Arc::new(acheron_sstable::BlockCache::new(budget.cache_share_bytes()));
-                (Some(cache), Some(budget))
-            }
-            (None, _) => (
-                (opts.block_cache_bytes > 0)
-                    .then(|| Arc::new(acheron_sstable::BlockCache::new(opts.block_cache_bytes))),
-                None,
-            ),
+        let (cache, memory) = match shared_cache {
+            Some(c) => (Some(c), shared_budget),
+            None => crate::memory::cache_and_budget(&opts),
         };
         if let Some(m) = &memory {
             m.register_writer();
@@ -799,31 +767,6 @@ impl Db {
     /// fleet-shared), when caching is enabled.
     pub(crate) fn block_cache(&self) -> Option<Arc<acheron_sstable::BlockCache>> {
         self.core().cache.clone()
-    }
-
-    /// Per-level summary of the current tree.
-    pub fn level_summary(&self) -> Vec<LevelInfo> {
-        let view = self.core().current_view();
-        (0..view.version.levels.len())
-            .map(|level| LevelInfo {
-                level,
-                files: view.version.level_files(level),
-                runs: view.version.level_runs(level),
-                bytes: view.version.level_bytes(level),
-                entries: view.version.levels[level]
-                    .iter()
-                    .map(|f| f.stats.entry_count)
-                    .sum(),
-                tombstones: view.version.levels[level]
-                    .iter()
-                    .map(|f| f.stats.tombstone_count)
-                    .sum(),
-                woven_files: view.version.levels[level]
-                    .iter()
-                    .filter(|f| f.stats.pages_per_tile > 1)
-                    .count(),
-            })
-            .collect()
     }
 
     /// Point tombstones currently alive anywhere (memtables + tree).
@@ -1449,23 +1392,26 @@ mod tests {
     }
 
     #[test]
-    fn level_summary_shape() {
+    fn level_gauges_shape() {
         let (_fs, db) = open_mem(small());
         for i in 0..2000u32 {
             db.put(format!("key{i:05}").as_bytes(), &[b'v'; 64])
                 .unwrap();
         }
         db.compact_all().unwrap();
-        let summary = db.level_summary();
-        assert_eq!(summary.len(), db.options().max_levels);
-        let total: u64 = summary.iter().map(|l| l.entries).sum();
+        let levels = db.tombstone_gauges().levels;
+        assert!(
+            levels.iter().all(|l| l.files > 0),
+            "empty levels are omitted"
+        );
+        let total: u64 = levels.iter().map(|l| l.entries).sum();
         assert!(total > 0);
         assert!(
-            summary.iter().any(|l| l.level > 0 && l.files > 0),
+            levels.iter().any(|l| l.level > 0 && l.runs > 0),
             "data should reach L1+"
         );
         assert!(
-            summary.iter().all(|l| l.woven_files == 0),
+            levels.iter().all(|l| l.woven_files == 0),
             "h = 1 weaves nothing"
         );
     }

@@ -29,6 +29,7 @@ use acheron_wal::WalOp;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
+use super::maintenance::Stage;
 use super::{delete_op, put_op, Db, DbCore, Span, WriteBatch, UNSTAMPED};
 use crate::manifest::{EditBatch, VersionEdit};
 use crate::obs::trace::{OpTrace, TraceBuf, TraceOp, TraceStage};
@@ -101,9 +102,10 @@ impl Db {
     /// Range-delete every sort key in `[start, end]` (inclusive) with a
     /// single WAL-logged range tombstone — O(1) writes regardless of how
     /// many keys the range covers. The tombstone shadows older versions
-    /// immediately, travels through flush into SSTable metadata, and is
-    /// purged by bottommost compactions within the FADE persistence
-    /// threshold, exactly like a point tombstone.
+    /// immediately; its flush records it in the manifest, and it retires
+    /// (`Version::retire`) once no file under it holds a version it
+    /// erases — within the FADE persistence threshold, exactly like a
+    /// point tombstone.
     pub fn range_delete_keys(&self, start: &[u8], end: &[u8]) -> Result<()> {
         if start > end {
             return Err(Error::invalid_argument("range_delete_keys: start > end"));
@@ -495,11 +497,11 @@ impl DbCore {
         if point_deletes > 0 || krt_deletes > 0 {
             // Fold this group's deletes into the open cohort; the tick
             // is each delete's own stamp (its FADE age already runs).
-            self.ledger.lock().note_deletes(
-                point_deletes,
-                krt_deletes,
-                first_delete_tick.expect("deletes carry ticks"),
-            );
+            let stage = Stage::Committed {
+                point: point_deletes,
+                key_range: krt_deletes,
+            };
+            self.advance_ledger(stage, first_delete_tick.expect("deletes carry ticks"));
         }
         let last = seqno - 1;
         // This store is the entire visibility publish for a plain

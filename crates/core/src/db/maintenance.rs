@@ -12,7 +12,7 @@ use acheron_types::{Error, Result, SeqNo, Tick, ValuePointer};
 use acheron_wal::{LogWriter, WalOp};
 
 use super::{CommitExclusion, DbCore, ImmMemtable, PauseGuard, State};
-use crate::compaction::{create_table, finish_table, run_compaction};
+use crate::compaction::{create_table, finish_table, run_compaction, CompactionOutcome};
 use crate::filenames::{sst_path, vlog_path, wal_path};
 use crate::manifest::{EditBatch, VersionEdit};
 use crate::obs::trace::CohortStage;
@@ -71,6 +71,22 @@ const PRESSURE: Scope = Kind::Flush..=Kind::Compact;
 pub(super) const VLOG_GC: Scope = Kind::VlogGc..=Kind::VlogGc;
 pub(super) const ALL: Scope = Kind::SealExpired..=Kind::VlogGc;
 
+/// A stage of the delete lifecycle, as [`DbCore::advance_ledger`] is
+/// told of it.
+pub(super) enum Stage<'a> {
+    /// Deletes committed into the active memtable.
+    Committed { point: u64, key_range: u64 },
+    /// This memtable was sealed onto the flush queue.
+    Sealed(&'a Memtable),
+    /// The flush of this sealed memtable installed, retiring these
+    /// range tombstones.
+    Flushed(&'a Memtable, &'a Retired),
+    /// This compaction installed, retiring these range tombstones.
+    Compacted(&'a CompactionTask, &'a CompactionOutcome, &'a Retired),
+    /// This value-log segment's file was deleted.
+    VlogReclaimed(u64),
+}
+
 impl DbCore {
     /// Recompute the cached earliest-TTL-expiry tick from the current
     /// tree and all buffers (active + sealed).
@@ -115,25 +131,75 @@ impl DbCore {
         (next, retired)
     }
 
-    /// Account the sort-key range tombstones an install retired: each is
-    /// a delete resolved, its latency bounded by the same `D_th` as a
-    /// point tombstone's.
-    fn note_retired(&self, retired: &Retired, now: Tick, level: usize) {
-        let d_th = self.opts.d_th();
+    /// Record that deletes reached `stage` at `now`: the one call that
+    /// feeds the delete ledger, logs its `CohortAdvanced` events and
+    /// accounts every resolved delete against `D_th`. A purged point
+    /// tombstone and a retired sort-key range tombstone each count as a
+    /// purge; a superseded tombstone only leaves its cohort.
+    pub(super) fn advance_ledger(&self, stage: Stage<'_>, now: Tick) {
         let mut ledger = self.ledger.lock();
-        for k in &retired.key_ranges {
-            self.stats
-                .key_range_tombstones_purged
-                .fetch_add(1, Ordering::Relaxed);
-            self.stats.record_tombstone_purge(k.dkey, now, d_th);
-            if let Some(epoch) = ledger.tombstone_resolved(k.seqno, now) {
-                self.obs.log(Event::CohortAdvanced {
-                    epoch,
-                    stage: CohortStage::Purged,
-                    level: level as u64,
-                    tombstones: 0,
-                    tick: now,
-                });
+        let log = |epoch, stage, level: usize, tombstones: usize| {
+            self.obs.log(Event::CohortAdvanced {
+                epoch,
+                stage,
+                level: level as u64,
+                tombstones: tombstones as u64,
+                tick: now,
+            })
+        };
+        let (level, purged, superseded, retired) = match stage {
+            Stage::Committed { point, key_range } => {
+                return ledger.note_deletes(point, key_range, now);
+            }
+            // Delete-free seals still advance the epoch so flush
+            // completions (FIFO over the sealed queue) stay aligned.
+            Stage::Sealed(mem) => {
+                let (lo, hi) = (mem.min_seqno(), mem.max_seqno());
+                if let Some(epoch) = ledger.seal(lo.unwrap_or(0), hi.unwrap_or(0), now) {
+                    log(epoch, CohortStage::Sealed, 0, mem.stats().tombstones);
+                }
+                return;
+            }
+            Stage::VlogReclaimed(segment) => {
+                for epoch in ledger.vlog_reclaimed(segment, now) {
+                    log(epoch, CohortStage::VlogReclaimed, 0, 0);
+                }
+                return;
+            }
+            Stage::Flushed(mem, retired) => {
+                if let Some(epoch) = ledger.flushed(now) {
+                    log(epoch, CohortStage::Flushed, 0, mem.stats().tombstones);
+                }
+                (0, &[][..], &[][..], retired)
+            }
+            Stage::Compacted(task, outcome, retired) => {
+                let windows: Vec<(SeqNo, SeqNo)> = (task.all_inputs())
+                    .map(|f| (f.stats.min_seqno, f.stats.max_seqno))
+                    .collect();
+                for epoch in ledger.entered_level(&windows, task.output_level as u64, now) {
+                    log(epoch, CohortStage::EnteredLevel, task.output_level, 0);
+                }
+                for (segment, _bytes, stamp) in &outcome.vlog_dead {
+                    ledger.vlog_dead(*segment, *stamp);
+                }
+                let (purged, superseded) =
+                    (&outcome.tombstones_dropped, &outcome.tombstones_superseded);
+                (task.output_level, &purged[..], &superseded[..], retired)
+            }
+        };
+        let d_th = self.opts.d_th();
+        (self.stats.key_range_tombstones_purged)
+            .fetch_add(retired.key_ranges.len() as u64, Ordering::Relaxed);
+        let key_ranges = retired.key_ranges.iter().map(|k| (k.dkey, k.seqno));
+        for (delete_tick, _) in purged.iter().copied().chain(key_ranges.clone()) {
+            self.stats.record_tombstone_purge(delete_tick, now, d_th);
+        }
+        let seqnos = (purged.iter().map(|p| p.1))
+            .chain(superseded.iter().copied())
+            .chain(key_ranges.map(|k| k.1));
+        for seqno in seqnos {
+            if let Some(epoch) = ledger.tombstone_resolved(seqno, now) {
+                log(epoch, CohortStage::Purged, level, 0);
             }
         }
     }
@@ -180,24 +246,8 @@ impl DbCore {
             bytes: sealed_bytes,
             sealed_behind: st.imms.len() as u64,
         });
-        // Ledger: the open cohort's generation just sealed. Delete-free
-        // seals still advance the epoch so flush completions (FIFO over
-        // the sealed queue) stay aligned with their epochs.
-        {
-            let sealed_ref = &st.imms.back().expect("just pushed").mem;
-            let min_seqno = sealed_ref.min_seqno().unwrap_or(0);
-            let tombstones = sealed_ref.stats().tombstones as u64;
-            let now = self.opts.clock.now();
-            if let Some(epoch) = self.ledger.lock().seal(min_seqno, max_seqno, now) {
-                self.obs.log(Event::CohortAdvanced {
-                    epoch,
-                    stage: CohortStage::Sealed,
-                    level: 0,
-                    tombstones,
-                    tick: now,
-                });
-            }
-        }
+        let sealed = &st.imms.back().expect("just pushed").mem;
+        self.advance_ledger(Stage::Sealed(sealed), self.opts.clock.now());
         self.recompute_ttl_deadline(st);
         // Readers (and the write throttle's gauges) must see the sealed
         // queue grow promptly.
@@ -246,20 +296,6 @@ impl DbCore {
         micros: u64,
     ) -> Result<()> {
         let imm = st.imms.pop_front().expect("a sealed memtable is queued");
-        // Ledger: the oldest sealed epoch finished flushing (flushes
-        // pop the queue FIFO, matching the ledger's pending order).
-        {
-            let now = self.opts.clock.now();
-            if let Some(epoch) = self.ledger.lock().flushed(now) {
-                self.obs.log(Event::CohortAdvanced {
-                    epoch,
-                    stage: CohortStage::Flushed,
-                    level: 0,
-                    tombstones: imm.mem.stats().tombstones as u64,
-                    tick: now,
-                });
-            }
-        }
         // WAL segments strictly older than the next live one (the next
         // queued memtable's segment, or the active segment) are covered
         // by this install's PersistedSeqno and can be retired.
@@ -313,7 +349,9 @@ impl DbCore {
             .as_ref()
             .map(|f| (f.id, f.size_bytes, f.stats.entry_count));
         st.version = Arc::new(next);
-        self.note_retired(&retired, self.opts.clock.now(), 0);
+        // Flushes pop the sealed queue FIFO, the ledger's pending order.
+        let stage = Stage::Flushed(&imm.mem, &retired);
+        self.advance_ledger(stage, self.opts.clock.now());
         st.persisted_seqno = st.persisted_seqno.max(imm.max_seqno);
         self.recompute_ttl_deadline(st);
         self.stats.flushes.fetch_add(1, Ordering::Relaxed);
@@ -427,7 +465,7 @@ impl DbCore {
         st: &mut State,
         start: &Version,
         task: &CompactionTask,
-        outcome: crate::compaction::CompactionOutcome,
+        outcome: CompactionOutcome,
         now: Tick,
         newest_snapshot: Option<SeqNo>,
         micros: u64,
@@ -510,10 +548,6 @@ impl DbCore {
         self.stats
             .pages_dropped
             .fetch_add(outcome.pages_dropped, Relaxed);
-        let d_th = self.opts.d_th();
-        for (delete_tick, _seqno) in &outcome.tombstones_dropped {
-            self.stats.record_tombstone_purge(*delete_tick, now, d_th);
-        }
         // Pointers dropped by this compaction (shadowed or purged) turn
         // their vlog frames dead; the stamp is the tombstone's dkey (or
         // `now` for overwrites), which is what the GC deadline rule ages.
@@ -523,47 +557,7 @@ impl DbCore {
                 vs.mark_dead(*segment, *bytes, *stamp);
             }
         }
-        // Ledger: stamp cohort descent and member-tombstone resolution.
-        // Every point tombstone leaves a compaction exactly one way —
-        // purged, superseded by a newer version, or krt-purged — and each
-        // way reports its seqno here, so cohorts can account members out;
-        // a retired sort-key range tombstone reports in `note_retired`.
-        {
-            let mut ledger = self.ledger.lock();
-            let windows: Vec<(SeqNo, SeqNo)> = task
-                .all_inputs()
-                .map(|f| (f.stats.min_seqno, f.stats.max_seqno))
-                .collect();
-            for epoch in ledger.entered_level(&windows, task.output_level as u64, now) {
-                self.obs.log(Event::CohortAdvanced {
-                    epoch,
-                    stage: CohortStage::EnteredLevel,
-                    level: task.output_level as u64,
-                    tombstones: 0,
-                    tick: now,
-                });
-            }
-            let resolved = outcome
-                .tombstones_dropped
-                .iter()
-                .map(|(_, seqno)| *seqno)
-                .chain(outcome.tombstones_superseded.iter().copied());
-            for seqno in resolved {
-                if let Some(epoch) = ledger.tombstone_resolved(seqno, now) {
-                    self.obs.log(Event::CohortAdvanced {
-                        epoch,
-                        stage: CohortStage::Purged,
-                        level: task.output_level as u64,
-                        tombstones: 0,
-                        tick: now,
-                    });
-                }
-            }
-            for (segment, _bytes, stamp) in &outcome.vlog_dead {
-                ledger.vlog_dead(*segment, *stamp);
-            }
-        }
-        self.note_retired(&retired, now, task.output_level);
+        self.advance_ledger(Stage::Compacted(task, &outcome, &retired), now);
         self.obs.log(Event::CompactionEnd {
             level: task.level as u64,
             output_level: task.output_level as u64,
@@ -730,20 +724,9 @@ impl DbCore {
             vs.segments.remove(&segment);
             vs.dropped.insert(segment);
             drop(vs);
-            // Ledger: cohorts waiting on this segment's dead extents
-            // are released — their deletes are now physically gone.
-            {
-                let now = self.opts.clock.now();
-                for epoch in self.ledger.lock().vlog_reclaimed(segment, now) {
-                    self.obs.log(Event::CohortAdvanced {
-                        epoch,
-                        stage: CohortStage::VlogReclaimed,
-                        level: 0,
-                        tombstones: 0,
-                        tick: now,
-                    });
-                }
-            }
+            // Cohorts waiting on this segment's dead extents are
+            // released: their deletes are now physically gone.
+            self.advance_ledger(Stage::VlogReclaimed(segment), self.opts.clock.now());
             reclaimed = data.len() as u64;
             self.stats
                 .vlog_segments_deleted

@@ -187,6 +187,10 @@ fn repair(
     // state (keeps manifests from growing without bound and lets the
     // old one be collected).
     let manifest_number = s.next_file_id;
+    let mut live_wals: Vec<u64> = (replayed.iter())
+        .filter(|w| w.records > 0)
+        .map(|w| w.number)
+        .collect();
     let wal_number = manifest_number + 1;
     let next_file_id = wal_number + 1;
     let name = manifest_name(manifest_number);
@@ -198,9 +202,9 @@ fn repair(
         },
         // Old WALs must still replay next time if we crash before the
         // next flush, so the log number keeps pointing at the oldest
-        // live segment.
+        // segment holding records (the survey collects empty ones).
         VersionEdit::LogNumber {
-            number: replayed.first().map_or(wal_number, |w| w.number),
+            number: live_wals.first().copied().unwrap_or(wal_number),
         },
     ];
     snapshot_edits.extend(version.all_files().map(|f| VersionEdit::add_file(f)));
@@ -285,7 +289,6 @@ fn repair(
     }
 
     let wal = LogWriter::new(fs.create(&wal_path(dir, wal_number))?);
-    let mut live_wals: Vec<u64> = replayed.iter().map(|w| w.number).collect();
     live_wals.push(wal_number);
 
     // Keep the clock ahead of every recovered tombstone tick so ages
@@ -327,7 +330,9 @@ fn repair(
 mod tests {
     use super::super::tests::{big_value, small, vlog_opts};
     use super::super::Db;
+    use crate::obs::GcKind;
     use crate::options::DbOptions;
+    use crate::survey::survey;
     use crate::testutil::OpenForecast;
     use acheron_vfs::{MemFs, Vfs};
     use acheron_wal::{LogWriter, WalBatch, WalOp};
@@ -361,6 +366,32 @@ mod tests {
             );
         }
         db.verify_integrity().unwrap();
+    }
+
+    #[test]
+    fn reopening_leaves_no_empty_wal_segment_behind() {
+        for unflushed in [false, true] {
+            let fs = Arc::new(MemFs::new());
+            let open = || Db::open(fs.clone() as Arc<dyn Vfs>, "db", small()).unwrap();
+            let db = open();
+            if unflushed {
+                db.put(b"k", b"v").unwrap();
+            }
+            drop(db);
+            drop(open());
+            let files = fs.list("db").unwrap().len();
+            for _ in 0..5 {
+                // The survey (which the doctor reports from) forecasts
+                // the collection the open makes.
+                let s = survey(fs.as_ref(), "db", None, &mut |_| {})
+                    .unwrap()
+                    .unwrap();
+                assert!(s.collect.iter().any(|d| matches!(d.kind, GcKind::DeadWal)));
+                drop(open());
+                assert_eq!(fs.list("db").unwrap().len(), files, "{:?}", fs.list("db"));
+            }
+            assert_eq!(open().get(b"k").unwrap().is_some(), unflushed);
+        }
     }
 
     #[test]

@@ -25,7 +25,9 @@
 //!   and is frame-intact through the highest referenced offset (the
 //!   dangling-pointer scan); with `--d-th`, dead extents — whose on-disk
 //!   age is unknowable offline — are flagged as overdue, which is how
-//!   the open stamps them.
+//!   the open stamps them;
+//! * the `D_th` verdict is the engine's own: a [`DeleteAudit`] built
+//!   from the surveyed tree's gauges, judged by [`DeleteAudit::ok`].
 
 use std::sync::Arc;
 
@@ -35,33 +37,10 @@ use acheron_types::{Error, Result, Tick};
 use acheron_vfs::Vfs;
 
 use crate::filenames::wal_path;
-use crate::obs::{GcKind, TombstoneGauges};
+use crate::obs::trace::DeleteAudit;
+use crate::obs::{GcKind, LevelGauge, TombstoneGauges};
 use crate::survey::{survey, WalEnd};
 use crate::version::Version;
-
-/// Per-level live-tombstone summary from an offline check. Ages are
-/// measured against the newest file `created_tick` in the manifest — a
-/// conservative proxy for "now", since the doctor cannot consult the
-/// engine's clock without opening (and mutating) the database.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LevelTombstoneSummary {
-    /// LSM level.
-    pub level: u64,
-    /// Live tables at the level that hold point tombstones.
-    pub files_with_tombstones: usize,
-    /// Live point tombstones at the level.
-    pub tombstones: u64,
-    /// Birth tick of the oldest live tombstone at the level.
-    pub oldest_tombstone_tick: Option<Tick>,
-    /// Age of that tombstone at the newest-created-tick proxy.
-    pub max_unresolved_age: Option<Tick>,
-    /// Live sort-key range tombstones whose station is the level.
-    pub key_range_tombstones: u64,
-    /// Birth tick of the oldest live sort-key range tombstone.
-    pub oldest_key_range_tick: Option<Tick>,
-    /// Age of that range tombstone at the newest-created-tick proxy.
-    pub max_unresolved_key_range_age: Option<Tick>,
-}
 
 /// Outcome of an offline check.
 #[derive(Debug, Default)]
@@ -92,49 +71,39 @@ pub struct DoctorReport {
     /// segment, plus the whole of every segment nothing references
     /// (which the next open deletes).
     pub vlog_dead_bytes: u64,
-    /// Per-level live-tombstone populations (levels holding none are
-    /// omitted).
-    pub level_tombstones: Vec<LevelTombstoneSummary>,
-    /// The newest file `created_tick` in the manifest — the "now" proxy
-    /// unresolved tombstone ages are measured against.
-    pub newest_created_tick: Tick,
+    /// Per-level occupancy and tombstone populations, counted as the
+    /// engine's gauges count them (empty levels omitted).
+    pub levels: Vec<LevelGauge>,
+    /// The `D_th` judgment of the surveyed tree, by the engine's own
+    /// rule ([`DeleteAudit::ok`]). It has no cohorts (the ledger lives
+    /// in memory), and its `now` is the newest file `created_tick` in
+    /// the manifest — a conservative proxy, since the doctor cannot
+    /// consult the engine's clock without opening (and mutating) the
+    /// database. Dead vlog extents carry no birth tick on disk, so they
+    /// cannot age it: `vlog_dead_bytes` lists them as pending.
+    pub audit: DeleteAudit,
+    /// Files the next open deletes, as `(why, file number)`: segments
+    /// past a WAL tear (deleted unreplayed without synced-WAL
+    /// durability), then the debris in listing order — routine ones (the
+    /// live manifest, a live WAL segment without a record) included,
+    /// which `warnings` leaves out.
+    pub collect: Vec<(GcKind, u64)>,
     /// Non-fatal observations (torn WAL tails, orphan files).
     pub warnings: Vec<String>,
 }
 
-impl DoctorReport {
-    /// The single number an offline `--d-th` judgment folds down to:
-    /// the maximum unresolved delete age across the point and
-    /// sort-key-range tombstone families of every level. Dead vlog
-    /// extents carry no persistent birth tick, so they cannot extend
-    /// this age — `vlog_dead_bytes` reports them separately.
-    pub fn worst_unresolved_delete_age(&self) -> Option<Tick> {
-        self.level_tombstones
-            .iter()
-            .flat_map(|l| [l.max_unresolved_age, l.max_unresolved_key_range_age])
-            .flatten()
-            .max()
-    }
-}
-
 /// Check the database under `dir` read-only.
 pub fn check_db(fs: &dyn Vfs, dir: &str) -> Result<DoctorReport> {
-    check_db_with_threshold(fs, dir, None)
+    check_dir(fs, dir, None)
 }
 
-/// [`check_db`], additionally warning when the oldest live tombstone's
-/// unresolved age exceeds the delete persistence threshold `d_th` —
-/// the offline form of the engine's FADE promise.
-pub fn check_db_with_threshold(
-    fs: &dyn Vfs,
-    dir: &str,
-    d_th: Option<Tick>,
-) -> Result<DoctorReport> {
+/// [`check_db`], with the audit judged against the delete persistence
+/// threshold `d_th` and dead vlog extents flagged as overdue under it.
+pub(crate) fn check_dir(fs: &dyn Vfs, dir: &str, d_th: Option<Tick>) -> Result<DoctorReport> {
     let surveyed = survey(fs, dir, None, &mut |_| {})?
         .ok_or_else(|| Error::corruption("no CURRENT file: not a database directory"))?;
     let mut report = DoctorReport {
         range_tombstones: surveyed.range_tombstones.len(),
-        newest_created_tick: surveyed.newest_created_tick,
         ..DoctorReport::default()
     };
 
@@ -156,44 +125,15 @@ pub fn check_db_with_threshold(
         .map_err(|e| Error::corruption(format!("recovered layout: {e}")))?;
     report.key_range_tombstones = version.key_range_tombstones.len() as u64;
 
-    // Tombstone populations, per level as the engine's gauges count
-    // them: how far each level's oldest live delete has aged, against
-    // the manifest's newest created tick. When a threshold is given, an
-    // age past it means the engine's FADE promise is (or is about to
-    // be) violated for that tombstone.
-    let newest = report.newest_created_tick;
-    let age = |t0: Option<Tick>| t0.map(|t0| newest.saturating_sub(t0));
-    for g in TombstoneGauges::from_version(&version).levels {
-        if g.tombstones == 0 && g.key_range_tombstones == 0 {
-            continue;
-        }
-        let summary = LevelTombstoneSummary {
-            level: g.level as u64,
-            files_with_tombstones: (version.levels[g.level].iter())
-                .filter(|f| f.stats.tombstone_count > 0)
-                .count(),
-            tombstones: g.tombstones,
-            oldest_tombstone_tick: g.oldest_tombstone_tick,
-            max_unresolved_age: age(g.oldest_tombstone_tick),
-            key_range_tombstones: g.key_range_tombstones,
-            oldest_key_range_tick: g.oldest_key_range_tick,
-            max_unresolved_key_range_age: age(g.oldest_key_range_tick),
-        };
-        for (family, age) in [
-            ("", summary.max_unresolved_age),
-            ("range ", summary.max_unresolved_key_range_age),
-        ] {
-            if let Some((d, age)) = d_th.zip(age).filter(|(d, age)| age > d) {
-                report.warnings.push(format!(
-                    "level {}: oldest live {family}tombstone is {age} ticks old, past the \
-                     delete persistence threshold {d} — {family}deletes at this level are \
-                     overdue for purge",
-                    summary.level
-                ));
-            }
-        }
-        report.level_tombstones.push(summary);
-    }
+    let gauges = TombstoneGauges::from_version(&version);
+    report.audit = DeleteAudit {
+        now: surveyed.newest_created_tick,
+        d_th,
+        cohorts: Vec::new(),
+        oldest_live_tombstone_tick: gauges.oldest_live_tick(),
+        oldest_vlog_dead_tick: None,
+    };
+    report.levels = gauges.levels;
 
     // WAL segments. A tear is only ordinary crash debris in the
     // *final* (highest-numbered) live segment — a crash can tear the
@@ -205,6 +145,9 @@ pub fn check_db_with_threshold(
     let final_wal = surveyed.wals.last().map(|w| w.number);
     for w in &surveyed.wals {
         let name = wal_path("", w.number);
+        if matches!(w.end, WalEnd::Unreplayed) {
+            report.collect.push((GcKind::DeadWal, w.number));
+        }
         report.warnings.extend(match &w.end {
             WalEnd::Clean => None,
             WalEnd::Unreplayed => Some(format!(
@@ -274,8 +217,12 @@ pub fn check_db_with_threshold(
     // Files nothing references. (The live manifest is on the list too —
     // every open replaces it — but that is routine, not a finding.)
     for debris in &surveyed.collect {
+        report.collect.push((debris.kind, debris.id));
         let (what, why) = match debris.kind {
             GcKind::OrphanTable => ("orphan table file", "not in manifest"),
+            // So is a live segment without a record: a close leaves the
+            // active one empty, and the next open collects it.
+            GcKind::DeadWal if surveyed.wals.iter().any(|w| w.number == debris.id) => continue,
             GcKind::DeadWal => ("obsolete WAL segment", "below the manifest's log number"),
             GcKind::StaleManifest if debris.name == surveyed.manifest => continue,
             GcKind::StaleManifest => ("superseded manifest", "CURRENT points elsewhere"),
@@ -399,76 +346,71 @@ mod tests {
     fn reports_per_level_tombstone_populations() {
         let fs = populated_fs();
         let report = check_db(fs.as_ref(), "db").unwrap();
+        let total: u64 = report.levels.iter().map(|l| l.tombstones).sum();
         assert!(
-            !report.level_tombstones.is_empty(),
-            "deletes were flushed, so some level must hold tombstones"
+            total > 0,
+            "deletes were flushed, so some level holds tombstones"
         );
-        let total: u64 = report.level_tombstones.iter().map(|l| l.tombstones).sum();
         assert_eq!(total, report.tombstones);
-        // A level is listed for point tombstones or as a sort-key range
+        // A level is listed for its files or as a sort-key range
         // tombstone's station.
-        for l in &report.level_tombstones {
-            assert!(l.tombstones > 0 || l.key_range_tombstones > 0);
+        for l in &report.levels {
+            assert!(l.files > 0 || l.key_range_tombstones > 0);
         }
-        for l in report.level_tombstones.iter().filter(|l| l.tombstones > 0) {
-            assert!(l.files_with_tombstones > 0);
-            let t0 = l.oldest_tombstone_tick.expect("oldest tick recorded");
-            assert_eq!(
-                l.max_unresolved_age,
-                Some(report.newest_created_tick.saturating_sub(t0))
-            );
+        for l in report.levels.iter().filter(|l| l.tombstones > 0) {
+            assert!(l.oldest_tombstone_tick.is_some(), "oldest tick recorded");
         }
+        // The audit ages the oldest of them at the newest created tick.
+        let oldest = (report.levels.iter())
+            .flat_map(|l| [l.oldest_tombstone_tick, l.oldest_key_range_tick])
+            .flatten()
+            .min();
+        assert_eq!(report.audit.oldest_live_tombstone_tick, oldest);
+        assert!(report.audit.now >= oldest.unwrap());
+        assert!(report.audit.cohorts.is_empty() && report.audit.oldest_vlog_dead_tick.is_none());
     }
 
     #[test]
-    fn reports_unresolved_key_range_tombstone_age() {
-        let fs = populated_fs();
+    fn judges_unresolved_key_range_tombstone_age() {
+        // A sort-key range delete is the only delete: the verdict turns
+        // on its age alone.
+        let fs = Arc::new(MemFs::new());
+        let db = Db::open(fs.clone(), "db", DbOptions::small()).unwrap();
+        for i in 0..500u32 {
+            db.put(format!("key{i:05}").as_bytes(), b"v").unwrap();
+        }
+        db.range_delete_keys(b"key00100", b"key00200").unwrap();
+        db.flush().unwrap();
+        db.advance_clock(1_000);
+        db.put(b"later", b"v").unwrap();
+        db.flush().unwrap();
+        drop(db);
         let report = check_db(fs.as_ref(), "db").unwrap();
-        let station = report
-            .level_tombstones
-            .iter()
+        let station = (report.levels.iter())
             .find(|l| l.key_range_tombstones > 0)
             .expect("the flushed range delete must surface at some level");
         let t0 = station.oldest_key_range_tick.expect("oldest tick recorded");
-        assert_eq!(
-            station.max_unresolved_key_range_age,
-            Some(report.newest_created_tick.saturating_sub(t0))
-        );
-        // Threshold 0: the live range tombstone is overdue and warned on.
-        let report = check_db_with_threshold(fs.as_ref(), "db", Some(0)).unwrap();
-        assert!(
-            report
-                .warnings
-                .iter()
-                .any(|w| w.contains("oldest live range tombstone")),
-            "{:?}",
-            report.warnings
-        );
+        assert_eq!(report.audit.oldest_live_tombstone_tick, Some(t0));
+        let age = report.audit.now - t0;
+        assert!(age >= 1_000, "{age}");
+        assert!(check_dir(fs.as_ref(), "db", Some(age)).unwrap().audit.ok());
+        assert!(!check_dir(fs.as_ref(), "db", Some(age - 1))
+            .unwrap()
+            .audit
+            .ok());
     }
 
     #[test]
-    fn threshold_flags_overdue_tombstones() {
+    fn threshold_judges_overdue_tombstones() {
         let fs = populated_fs();
+        // Without a threshold the audit is a report, never a verdict.
+        assert!(check_db(fs.as_ref(), "db").unwrap().audit.ok());
         // Threshold 0: any aged live tombstone is overdue.
-        let report = check_db_with_threshold(fs.as_ref(), "db", Some(0)).unwrap();
-        assert!(
-            report
-                .warnings
-                .iter()
-                .any(|w| w.contains("past the delete persistence threshold")),
-            "{:?}",
-            report.warnings
-        );
+        let report = check_dir(fs.as_ref(), "db", Some(0)).unwrap();
+        assert!(!report.audit.ok(), "{}", report.audit.render());
         // A huge threshold: nothing is overdue.
-        let report = check_db_with_threshold(fs.as_ref(), "db", Some(u64::MAX)).unwrap();
-        assert!(
-            !report
-                .warnings
-                .iter()
-                .any(|w| w.contains("past the delete persistence threshold")),
-            "{:?}",
-            report.warnings
-        );
+        let report = check_dir(fs.as_ref(), "db", Some(u64::MAX)).unwrap();
+        assert!(report.audit.ok(), "{}", report.audit.render());
     }
 
     #[test]
@@ -668,7 +610,7 @@ mod tests {
     #[test]
     fn healthy_vlog_db_is_warning_free() {
         let fs = vlog_populated_fs(false);
-        let report = check_db_with_threshold(fs.as_ref(), "db", Some(1)).unwrap();
+        let report = check_dir(fs.as_ref(), "db", Some(1)).unwrap();
         assert!(report.vlog_segments_checked > 0);
         assert!(report.vlog_live_bytes > 0);
         assert_eq!(report.vlog_dead_bytes, 0);
@@ -784,7 +726,7 @@ mod tests {
             report.warnings
         );
         // With one: the same extents are conservatively overdue.
-        let report = check_db_with_threshold(fs.as_ref(), "db", Some(1_000)).unwrap();
+        let report = check_dir(fs.as_ref(), "db", Some(1_000)).unwrap();
         assert!(
             report
                 .warnings

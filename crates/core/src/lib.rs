@@ -65,8 +65,8 @@ mod survey;
 pub mod testutil;
 pub mod version;
 
-pub use db::{Db, LevelInfo, MaintenancePause, RangeIter, Snapshot, WriteBatch, WritePressure};
-pub use doctor::{check_db, check_db_with_threshold, DoctorReport, LevelTombstoneSummary};
+pub use db::{Db, MaintenancePause, RangeIter, Snapshot, WriteBatch, WritePressure};
+pub use doctor::{check_db, DoctorReport};
 pub use memory::{MemoryBudget, TunerSample};
 pub use obs::trace::{
     render_traces, CohortRecord, CohortStage, DeleteAudit, DeleteLedger, OpTrace, TraceOp,
@@ -78,7 +78,7 @@ pub use obs::{
 };
 pub use options::{CompactionLayout, DbOptions, FadeOptions, FilePickPolicy, TtlAllocation};
 pub use picker::CompactionReason;
-pub use sharded::{check_sharded_db, read_shard_map, shard_of, ShardedDb, ShardedSnapshot};
+pub use sharded::{check_root, read_shard_map, shard_of, ShardedDb, ShardedSnapshot};
 pub use stats::{DbStats, HistogramSummary, LatencyHistogram, StatsSnapshot};
 
 // Re-export the commonly needed foundation types so downstream users

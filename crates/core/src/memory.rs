@@ -58,9 +58,12 @@
 //! own table set.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use acheron_sstable::BlockCache;
 use parking_lot::Mutex;
+
+use crate::options::DbOptions;
 
 /// Tuner step size, in permille of the arbitrated pool (1/16).
 pub const STEP_PERMILLE: usize = 64;
@@ -292,6 +295,21 @@ impl MemoryBudget {
             cache.resize(target);
         }
     }
+}
+
+/// The block cache and memory budget `opts` asks for: with
+/// `memory_budget_bytes` a budget plus a cache at its cache share, else
+/// a cache of `block_cache_bytes` (none at 0) and no budget.
+pub(crate) fn cache_and_budget(
+    opts: &DbOptions,
+) -> (Option<Arc<BlockCache>>, Option<Arc<MemoryBudget>>) {
+    if opts.memory_budget_bytes == 0 {
+        let cache = (opts.block_cache_bytes > 0).then(|| BlockCache::new(opts.block_cache_bytes));
+        return (cache.map(Arc::new), None);
+    }
+    let budget = MemoryBudget::new(opts.memory_budget_bytes);
+    let cache = BlockCache::new(budget.cache_share_bytes());
+    (Some(Arc::new(cache)), Some(Arc::new(budget)))
 }
 
 #[cfg(test)]

@@ -600,6 +600,11 @@ pub struct LevelGauge {
     pub level: usize,
     /// Live files at the level.
     pub files: u64,
+    /// Distinct runs at the level.
+    pub runs: u64,
+    /// Files whose pages are KiWi-woven (`pages_per_tile > 1`): only
+    /// bottommost compactions write them.
+    pub woven_files: u64,
     /// Total bytes at the level.
     pub bytes: u64,
     /// Total entries at the level.
@@ -658,8 +663,10 @@ impl TombstoneGauges {
     /// `O(files × range tombstones)`.
     pub fn from_version(version: &Version) -> TombstoneGauges {
         let mut levels: Vec<LevelGauge> = (version.levels.iter().enumerate())
-            .map(|(level, _)| LevelGauge {
+            .map(|(level, files)| LevelGauge {
                 level,
+                runs: version.level_runs(level) as u64,
+                woven_files: files.iter().filter(|f| f.stats.pages_per_tile > 1).count() as u64,
                 ..LevelGauge::default()
             })
             .collect();
@@ -757,6 +764,8 @@ impl TombstoneGauges {
                 ..LevelGauge::default()
             });
             m.files += g.files;
+            m.runs += g.runs;
+            m.woven_files += g.woven_files;
             m.bytes += g.bytes;
             m.entries += g.entries;
             m.tombstones += g.tombstones;
@@ -1281,6 +1290,8 @@ mod tests {
                 LevelGauge {
                     level: 0,
                     files: 1,
+                    runs: 1,
+                    woven_files: 0,
                     bytes: 100,
                     entries: 10,
                     tombstones: 2,
@@ -1291,6 +1302,8 @@ mod tests {
                 LevelGauge {
                     level: 2,
                     files: 2,
+                    runs: 2,
+                    woven_files: 0,
                     bytes: 200,
                     entries: 20,
                     tombstones: 3,
@@ -1313,6 +1326,8 @@ mod tests {
             levels: vec![LevelGauge {
                 level: 0,
                 files: 1,
+                runs: 1,
+                woven_files: 0,
                 bytes: 50,
                 entries: 5,
                 tombstones: 4,
@@ -1334,8 +1349,8 @@ mod tests {
         assert_eq!(m.levels.len(), 2);
         let l0 = &m.levels[0];
         assert_eq!(
-            (l0.level, l0.files, l0.bytes, l0.tombstones),
-            (0, 2, 150, 6)
+            (l0.level, l0.files, l0.runs, l0.bytes, l0.tombstones),
+            (0, 2, 2, 150, 6)
         );
         assert_eq!(l0.oldest_tombstone_tick, Some(10), "min of the shards");
         assert_eq!(l0.key_range_tombstones, 4);
@@ -1380,6 +1395,8 @@ mod tests {
             levels: vec![LevelGauge {
                 level: 2,
                 files: 3,
+                runs: 3,
+                woven_files: 0,
                 bytes: 4096,
                 entries: 100,
                 tombstones: 7,

@@ -21,11 +21,12 @@
 //!   O(memtable generations) instead of O(deletes): FADE's bound is
 //!   per-tombstone, but every tombstone in a generation shares the
 //!   flush epoch and level schedule, so the cohort's *first* delete
-//!   tick bounds every member's slack conservatively. The ledger is
-//!   maintained at the existing single version-install point and the
-//!   compaction/GC completion sites, all already serialized by the
-//!   state lock, so it needs no extra synchronization beyond its own
-//!   mutex.
+//!   tick bounds every member's slack conservatively. The engine feeds
+//!   it through one call (`DbCore::advance_ledger`), made once by each
+//!   site a stage completes at — commit, seal, flush install,
+//!   compaction install, value-log reclaim — which also logs the
+//!   stage's `CohortAdvanced` events and accounts each resolved delete
+//!   against `D_th`.
 //!
 //! [`DeleteAudit`] folds the ledger and the live gauges into the
 //! compliance report served by `acheron audit`: per-cohort slack
@@ -657,6 +658,27 @@ pub struct DeleteAudit {
 }
 
 impl DeleteAudit {
+    /// The audit of a fleet from its shards' audits: cohorts in (shard,
+    /// epoch) order, each delete family's oldest tick, judged at the
+    /// latest `now` (shards share one clock). Panics on no audits.
+    pub fn fleet(shards: impl IntoIterator<Item = DeleteAudit>) -> DeleteAudit {
+        let mut fleet = (shards.into_iter())
+            .reduce(|mut fleet, a| {
+                fleet.now = fleet.now.max(a.now);
+                fleet.cohorts.extend(a.cohorts);
+                fleet.oldest_live_tombstone_tick = min_tick(
+                    fleet.oldest_live_tombstone_tick,
+                    a.oldest_live_tombstone_tick,
+                );
+                fleet.oldest_vlog_dead_tick =
+                    min_tick(fleet.oldest_vlog_dead_tick, a.oldest_vlog_dead_tick);
+                fleet
+            })
+            .expect("a fleet has at least one shard");
+        fleet.cohorts.sort_by_key(|c| (c.shard, c.epoch));
+        fleet
+    }
+
     /// Cohorts whose oldest delete outlived `D_th`.
     pub fn violating_cohorts(&self) -> Vec<&CohortRecord> {
         match self.d_th {

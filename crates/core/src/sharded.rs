@@ -86,7 +86,7 @@ use crate::db::{Db, Snapshot, WritePressure};
 use crate::doctor::{self, DoctorReport};
 use crate::memory::MemoryBudget;
 use crate::obs::trace::{DeleteAudit, OpTrace};
-use crate::obs::{min_tick, EventSnapshot, Exposition, TombstoneGauges};
+use crate::obs::{EventSnapshot, Exposition, TombstoneGauges};
 use crate::options::DbOptions;
 use crate::stats::StatsSnapshot;
 
@@ -289,15 +289,7 @@ impl ShardedDb {
         // bytes are a *total*, so N shards must share a single instance
         // rather than each allocating a private copy (which would
         // multiply the footprint by the shard count).
-        let memory = (opts.memory_budget_bytes > 0)
-            .then(|| Arc::new(MemoryBudget::new(opts.memory_budget_bytes)));
-        let cache = match &memory {
-            Some(m) => Some(Arc::new(acheron_sstable::BlockCache::new(
-                m.cache_share_bytes(),
-            ))),
-            None => (opts.block_cache_bytes > 0)
-                .then(|| Arc::new(acheron_sstable::BlockCache::new(opts.block_cache_bytes))),
-        };
+        let (cache, memory) = crate::memory::cache_and_budget(&opts);
         // One trace-id allocator for the fleet: trace ids must stay
         // unique across shards so a wire-propagated id names exactly
         // one operation.
@@ -626,7 +618,7 @@ impl ShardedDb {
     /// Age of the oldest live tombstone anywhere in the fleet, point or
     /// sort-key range — the number the fleet's FADE promise is judged
     /// by: it must stay at or under `D_th` on *every* shard, so the max
-    /// is what `metrics` and the doctor report.
+    /// is what `metrics` reports.
     pub fn fleet_max_tombstone_age(&self) -> Option<Tick> {
         let oldest = self.tombstone_gauges().oldest_live_tick();
         oldest.map(|t0| self.now().saturating_sub(t0))
@@ -638,24 +630,7 @@ impl ShardedDb {
     /// a plain concatenation — no cross-shard merging is needed, and a
     /// violation names the exact (shard, epoch) cohort responsible.
     pub fn delete_audit(&self) -> DeleteAudit {
-        let mut fleet = self
-            .shards
-            .iter()
-            .map(Db::delete_audit)
-            .reduce(|mut fleet, a| {
-                fleet.cohorts.extend(a.cohorts);
-                fleet.oldest_live_tombstone_tick = min_tick(
-                    fleet.oldest_live_tombstone_tick,
-                    a.oldest_live_tombstone_tick,
-                );
-                fleet.oldest_vlog_dead_tick =
-                    min_tick(fleet.oldest_vlog_dead_tick, a.oldest_vlog_dead_tick);
-                fleet
-            })
-            .expect("a fleet has at least one shard");
-        fleet.now = self.clock.now();
-        fleet.cohorts.sort_by_key(|c| (c.shard, c.epoch));
-        fleet
+        DeleteAudit::fleet(self.shards.iter().map(Db::delete_audit))
     }
 
     /// The Prometheus exposition: the merged engine view over the
@@ -755,18 +730,19 @@ fn fleet_gauges(shards: &[TombstoneGauges]) -> TombstoneGauges {
     rest.iter().fold(first.clone(), |acc, g| acc.merge(g))
 }
 
-/// Offline integrity check of a sharded root: verify the shard map,
-/// then run the single-engine doctor over every shard. Returns one
-/// report per shard, in shard order. Like [`doctor::check_db`], this
-/// never mutates the directory.
-pub fn check_sharded_db(fs: &dyn Vfs, dir: &str, d_th: Option<Tick>) -> Result<Vec<DoctorReport>> {
-    let Some(n) = read_shard_map(fs, dir)? else {
-        return Err(Error::corruption(
-            "no SHARDMAP file: not a sharded database root",
-        ));
+/// Offline integrity check of a root, with each report's audit judged
+/// against `d_th`: one report for a plain directory, or — when the root
+/// has a shard map — one per shard, in shard order (a missing shard
+/// fails the check). Like [`doctor::check_db`], this never mutates the
+/// directory; [`DeleteAudit::fleet`] of the reports' audits is the
+/// root's `D_th` verdict.
+pub fn check_root(fs: &dyn Vfs, dir: &str, d_th: Option<Tick>) -> Result<Vec<DoctorReport>> {
+    let dirs: Vec<String> = match read_shard_map(fs, dir)? {
+        Some(n) => (0..n as usize).map(|i| shard_dir(dir, i)).collect(),
+        None => vec![dir.to_string()],
     };
-    (0..n as usize)
-        .map(|i| doctor::check_db_with_threshold(fs, &shard_dir(dir, i), d_th))
+    (dirs.iter())
+        .map(|d| doctor::check_dir(fs, d, d_th))
         .collect()
 }
 
@@ -1129,12 +1105,16 @@ mod tests {
             }
             db.flush().unwrap();
         }
-        let reports = check_sharded_db(fs.as_ref(), "db", None).unwrap();
+        let reports = check_root(fs.as_ref(), "db", None).unwrap();
         assert_eq!(reports.len(), 3);
         assert!(reports.iter().all(|r| r.tables_checked > 0));
-        // A plain directory is not a sharded root.
-        let plain = MemFs::new();
-        plain.mkdir_all("x").unwrap();
-        assert!(check_sharded_db(&plain, "x", None).is_err());
+        // A plain directory is checked as one.
+        assert_eq!(
+            check_root(fs.as_ref(), "db/shard-000", None).unwrap().len(),
+            1
+        );
+        // A mapped shard that is gone fails the check.
+        fs.delete("db/shard-002/CURRENT").unwrap();
+        assert!(check_root(fs.as_ref(), "db", None).is_err());
     }
 }

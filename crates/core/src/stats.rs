@@ -357,9 +357,12 @@ metric_table! {
         entries_range_purged: counter, "entries_range_purged", sum;
         /// Entries dropped because a sort-key range tombstone shadowed them.
         entries_key_range_purged: counter, "entries_key_range_purged", sum;
-        /// Point tombstones physically dropped at the bottom level.
+        /// Deletes resolved against `D_th`: point tombstones physically
+        /// dropped at the bottom level, plus retired sort-key range
+        /// tombstones.
         tombstones_purged: counter, "tombstones_purged", sum;
-        /// Sort-key range tombstones physically purged at the bottom level.
+        /// Sort-key range tombstones retired: dropped from the manifest
+        /// once no file under them holds a version they erase.
         key_range_tombstones_purged: counter, "key_range_tombstones_purged", sum;
         /// KiWi pages dropped wholesale (never read) during compactions.
         pages_dropped: counter, "pages_dropped", sum;

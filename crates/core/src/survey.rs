@@ -145,7 +145,9 @@ pub(crate) struct Survey {
     key_ranges_lifted: bool,
     /// Live tables, opened, ascending by id.
     pub tables: Vec<Arc<FileMeta>>,
-    /// Live WAL segments, ascending by number.
+    /// Live WAL segments, ascending by number. One replayed without a
+    /// record is on the collect list: only segments holding records stay
+    /// live past the open.
     pub wals: Vec<WalSegment>,
     /// Highest seqno in the manifest or a replayed record.
     pub last_seqno: SeqNo,
@@ -395,14 +397,19 @@ pub(crate) fn survey(
 
     // Whatever the recovered state does not reference: tables orphaned
     // by a crash between a manifest append and its physical deletes (or
-    // mid-build), WAL segments below the log number, every manifest (the
-    // open writes a fresh one), temp-file debris from an interrupted
+    // mid-build), WAL segments below the log number or replayed without
+    // a record (the open's new manifest names neither), every manifest
+    // (the open writes a fresh one), temp-file debris from an interrupted
     // heal or CURRENT update, and vlog segments no surviving pointer
     // names. (Segments past a tear are not debris: see `Unreplayed`.)
+    let empty = |n: u64| {
+        (s.wals.iter())
+            .any(|w| w.number == n && w.records == 0 && !matches!(w.end, WalEnd::Unreplayed))
+    };
     for name in listing {
         let (kind, id) = match parse_file_name(&name) {
             FileKind::Table(id) if !s.files.contains_key(&id) => (GcKind::OrphanTable, id),
-            FileKind::Wal(n) if n < s.log_number => (GcKind::DeadWal, n),
+            FileKind::Wal(n) if n < s.log_number || empty(n) => (GcKind::DeadWal, n),
             FileKind::Manifest(n) => (GcKind::StaleManifest, n),
             FileKind::Vlog(seg) if !s.vlog.contains_key(&seg) => (GcKind::VlogSegment, seg),
             FileKind::Temp => (GcKind::TempFile, 0),

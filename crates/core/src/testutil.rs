@@ -42,8 +42,7 @@ use acheron_vfs::{CutDurability, FaultVfs, MemFs, Vfs};
 
 use crate::db::Db;
 use crate::doctor;
-use crate::filenames::{parse_file_name, FileKind};
-use crate::obs::{Event, GcKind, RecoveryStepKind};
+use crate::obs::{Event, RecoveryStepKind};
 use crate::options::DbOptions;
 use crate::version::FileMeta;
 
@@ -419,27 +418,8 @@ impl OpenForecast {
     /// The forecast `doctor` makes for the image under `dir`.
     pub(crate) fn by_doctor(fs: &dyn Vfs, dir: &str) -> Result<OpenForecast> {
         let report = doctor::check_db(fs, dir)?;
-        // Every open replaces the live manifest; doctor does not warn
-        // about that one, the open still logs it.
-        let live_manifest = crate::manifest::read_current(fs, dir)?.unwrap_or_default();
-        let named = |w: &str| {
-            w.split_whitespace()
-                .map(|word| parse_file_name(word.trim_end_matches(':')))
-                .find(|kind| *kind != FileKind::Unknown)
-        };
-        let mut collected: Vec<(&'static str, u64)> = report
-            .warnings
-            .iter()
-            .filter(|w| w.contains("will be collected"))
-            .map(|w| named(w).unwrap_or_else(|| panic!("no file named in {w:?}")))
-            .chain([parse_file_name(&live_manifest)])
-            .map(|kind| match kind {
-                FileKind::Table(id) => (GcKind::OrphanTable.name(), id),
-                FileKind::Wal(n) => (GcKind::DeadWal.name(), n),
-                FileKind::Manifest(n) => (GcKind::StaleManifest.name(), n),
-                FileKind::Vlog(seg) => (GcKind::VlogSegment.name(), seg),
-                _ => (GcKind::TempFile.name(), 0),
-            })
+        let mut collected: Vec<(&'static str, u64)> = (report.collect.iter())
+            .map(|(kind, id)| (kind.name(), *id))
             .collect();
         collected.sort_unstable();
         Ok(OpenForecast {

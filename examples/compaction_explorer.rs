@@ -15,10 +15,7 @@ use acheron_vfs::MemFs;
 
 fn render(db: &Db, label: &str) {
     println!("  [{label}]");
-    for level in db.level_summary() {
-        if level.files == 0 {
-            continue;
-        }
+    for level in db.tombstone_gauges().levels {
         let bar = "#".repeat(((level.bytes / 8_192) as usize).clamp(1, 60));
         println!(
             "    L{} {:<60} {:>4} files {:>3} runs {:>8} B {:>6} entries {:>5} tombstones {:>4} woven",

@@ -65,13 +65,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Engine introspection.
     db.compact_all()?;
     println!("\nlevel summary after compaction:");
-    for level in db.level_summary() {
-        if level.files > 0 {
-            println!(
-                "  L{}: {} files, {} bytes, {} entries",
-                level.level, level.files, level.bytes, level.entries
-            );
-        }
+    for level in db.tombstone_gauges().levels {
+        println!(
+            "  L{}: {} files, {} bytes, {} entries",
+            level.level, level.files, level.bytes, level.entries
+        );
     }
     println!(
         "\nwrite amplification so far: {:.2}",

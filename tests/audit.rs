@@ -11,11 +11,13 @@
 //! * the audit round-trips the wire (`acheron audit <host:port>`)
 //!   carrying the violation verdict out-of-band of the text;
 //! * the tombstone gauges and the audit text after a seeded load are
-//!   pinned by digest, on one engine and on a four-shard fleet.
+//!   pinned by digest, on one engine and on a four-shard fleet;
+//! * the offline doctor and the online audit reach the same `D_th`
+//!   verdict on one image, as a plain directory and as a fleet.
 
 use std::sync::Arc;
 
-use acheron::{Db, DbOptions, DeleteAudit, DeleteLedger, ShardedDb};
+use acheron::{check_root, Db, DbOptions, DeleteAudit, DeleteLedger, ShardedDb};
 use acheron_server::{Client, Server, ServerOptions};
 use acheron_types::checksum::crc32c;
 use acheron_vfs::MemFs;
@@ -353,12 +355,15 @@ fn seeded_load(db: &dyn Load, seed: u64) {
 /// Recorded when sort-key range tombstones moved into the manifest:
 /// both range-delete kinds retire by one rule since, tables stopped
 /// carrying tombstone lists, a sort-key tombstone counts at its station,
-/// and FADE moves it on by its station's deadline.
+/// and FADE moves it on by its station's deadline. The gauge digests
+/// were re-recorded once when each level's gauge gained its run and
+/// woven-file counts; with those two fields left out, the text hashes
+/// to the digests recorded before (0x3e9f_5d65, 0xd46d_f636).
 #[test]
 fn gauges_and_audit_are_pinned() {
-    const DB_GAUGES: u32 = 0x3e9f_5d65;
+    const DB_GAUGES: u32 = 0x7965_00a6;
     const DB_AUDIT: u32 = 0x53bf_d066;
-    const FLEET_GAUGES: u32 = 0xd46d_f636;
+    const FLEET_GAUGES: u32 = 0x03e1_e8d9;
     const FLEET_AUDIT: u32 = 0x3b1c_e17a;
 
     let opts = || small().with_fade(50_000).with_value_separation(512);
@@ -380,4 +385,56 @@ fn gauges_and_audit_are_pinned() {
         "{}",
         texts.join("\n----\n")
     );
+}
+
+/// One verdict, two paths: an image aged without FADE (its deletes stay
+/// live) is judged offline by the doctor, then opened — still without
+/// FADE — and judged by `delete_audit` at the same thresholds. At the
+/// oldest delete's age both pass, one tick under it both fail; as a
+/// plain directory and as a three-shard root. (L0 never fills, so the
+/// open finds nothing to compact and judges the image the doctor read.)
+#[test]
+fn offline_and_online_verdicts_agree() {
+    for shards in [None, Some(3)] {
+        let fs = Arc::new(MemFs::new());
+        let opts = || DbOptions {
+            level0_file_limit: 1_000,
+            ..small()
+        };
+        let open = || match shards {
+            None => ShardedDb::from(Db::open(fs.clone(), "db", opts()).unwrap()),
+            Some(n) => ShardedDb::open(fs.clone(), "db", opts(), n).unwrap(),
+        };
+        let db = open();
+        seeded_load(&db, 0x2545_f491_4f6c_dd1d);
+        db.flush().unwrap();
+        drop(db);
+
+        let offline = |d_th| {
+            let reports = check_root(fs.as_ref(), "db", Some(d_th)).unwrap();
+            assert_eq!(reports.len(), shards.unwrap_or(1));
+            DeleteAudit::fleet(reports.into_iter().map(|r| r.audit))
+        };
+        let audit = offline(0);
+        let oldest = audit.oldest_live_tombstone_tick.expect("deletes stay live");
+        let age = audit.now - oldest;
+        assert!(age > 0, "{shards:?}");
+        let verdicts = [age, age - 1].map(|d_th| offline(d_th).ok());
+        assert_eq!(verdicts, [true, false], "{shards:?}");
+
+        let online = open().delete_audit();
+        assert!(online.cohorts.is_empty(), "a fresh ledger has no cohorts");
+        assert_eq!(online.now, audit.now, "{shards:?}");
+        let judged = [age, age - 1].map(|d_th| {
+            let audit = DeleteAudit {
+                d_th: Some(d_th),
+                ..online.clone()
+            };
+            audit.ok()
+        });
+        assert_eq!(
+            judged, verdicts,
+            "{shards:?}: offline {audit:?}\nonline {online:?}"
+        );
+    }
 }

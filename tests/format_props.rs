@@ -266,7 +266,11 @@ fn compaction_output_bytes_are_pinned() {
     let st = db.stats_snapshot();
     assert!(st.tombstones_purged > 0 && st.key_range_tombstones_purged > 0);
     assert!(st.entries_range_purged > 0 && st.entries_key_range_purged > 0);
-    assert!(db.level_summary().iter().any(|l| l.woven_files > 0));
+    assert!(db
+        .tombstone_gauges()
+        .levels
+        .iter()
+        .any(|l| l.woven_files > 0));
     let pinned = |files: &[(&str, usize, u32)]| -> Vec<(String, usize, u32)> {
         files
             .iter()

@@ -101,6 +101,8 @@ fn fixed_gauges() -> TombstoneGauges {
             LevelGauge {
                 level: 0,
                 files: 2,
+                runs: 2,
+                woven_files: 0,
                 bytes: 8192,
                 entries: 300,
                 tombstones: 0,
@@ -111,6 +113,8 @@ fn fixed_gauges() -> TombstoneGauges {
             LevelGauge {
                 level: 2,
                 files: 3,
+                runs: 1,
+                woven_files: 0,
                 bytes: 4096,
                 entries: 100,
                 tombstones: 7,

@@ -7,7 +7,7 @@
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 
-use acheron::{Db, DbOptions, LevelInfo};
+use acheron::{Db, DbOptions, LevelGauge};
 use acheron_vfs::MemFs;
 use acheron_workload::{run_ops, KeyDistribution, OpMix, WorkloadGen, WorkloadSpec};
 
@@ -36,9 +36,9 @@ fn stream(seed: u64) -> WorkloadGen {
     WorkloadGen::new(spec)
 }
 
-/// Deepest level holding any file.
-fn depth(summary: &[LevelInfo]) -> usize {
-    summary.iter().rposition(|l| l.files > 0).unwrap_or(0)
+/// Deepest level holding any file (the gauges list occupied levels).
+fn depth(levels: &[LevelGauge]) -> usize {
+    levels.last().map_or(0, |l| l.level)
 }
 
 /// Load `seed`'s stream in batches until the tree reaches L2, then run
@@ -47,7 +47,7 @@ fn load(h: usize, seed: u64) -> (Db, usize) {
     let db = Db::open(Arc::new(MemFs::new()), "db", opts(h)).unwrap();
     let mut gen = stream(seed);
     let mut batches = 0;
-    while depth(&db.level_summary()) < 2 {
+    while depth(&db.tombstone_gauges().levels) < 2 {
         assert!(batches < 100, "the tree never reached three levels");
         run_ops(&db, &gen.take(BATCH)).unwrap();
         batches += 1;
@@ -60,21 +60,16 @@ fn load(h: usize, seed: u64) -> (Db, usize) {
 fn only_bottommost_outputs_are_woven() {
     for seed in [1u64, 2, 3] {
         let (db, _) = load(4, seed);
-        let summary = db.level_summary();
-        let deepest = depth(&summary);
-        assert!(deepest >= 2, "seed {seed}: {summary:?}");
-        assert_eq!(
-            summary[0].woven_files, 0,
-            "seed {seed}: flushes never weave"
-        );
-        for l in &summary[1..deepest] {
-            assert_eq!(
-                l.woven_files, 0,
-                "seed {seed}: L{} has data beneath",
-                l.level
-            );
+        let levels = db.tombstone_gauges().levels;
+        assert!(depth(&levels) >= 2, "seed {seed}: {levels:?}");
+        let (bottom, above) = levels.split_last().expect("the tree is not empty");
+        for l in above {
+            let why = match l.level {
+                0 => "flushes never weave",
+                _ => "has data beneath",
+            };
+            assert_eq!(l.woven_files, 0, "seed {seed}: L{} {why}", l.level);
         }
-        let bottom = &summary[deepest];
         assert_eq!(
             bottom.woven_files, bottom.files,
             "seed {seed}: the bottom is woven"

@@ -92,7 +92,7 @@ fn dropping_snapshots_releases_pinned_versions() {
     }
     db.compact_all().unwrap();
     let pinned_bytes = db.table_bytes();
-    let pinned_entries: u64 = db.level_summary().iter().map(|l| l.entries).sum();
+    let pinned_entries: u64 = db.tombstone_gauges().levels.iter().map(|l| l.entries).sum();
     assert_eq!(pinned_entries, 1000, "snapshot pins both strata");
 
     drop(snap);
@@ -104,7 +104,7 @@ fn dropping_snapshots_releases_pinned_versions() {
     }
     db.compact_all().unwrap();
     let released_bytes = db.table_bytes();
-    let released_entries: u64 = db.level_summary().iter().map(|l| l.entries).sum();
+    let released_entries: u64 = db.tombstone_gauges().levels.iter().map(|l| l.entries).sum();
     assert_eq!(
         released_entries, 500,
         "without the snapshot only the newest stratum survives"
