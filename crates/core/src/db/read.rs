@@ -16,6 +16,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use acheron_memtable::Memtable;
+use acheron_sstable::KeyHash;
 use acheron_types::{Entry, Error, Result, SeqNo, ValuePointer, MAX_SEQNO};
 use bytes::Bytes;
 
@@ -346,8 +347,9 @@ impl DbCore {
     /// found so far. Correctness does not depend on the probe order:
     /// the per-file `max_seqno` bound is what allows a skip, which also
     /// stays sound when FADE's TTL descents sink newer versions below
-    /// older runs. Table probes consult the per-page bloom filters
-    /// internally before any block read.
+    /// older runs. The key is hashed once, at the first table probe;
+    /// each probe tests the table's whole-table filter with that hash
+    /// before its fence search, and a woven table its page filters too.
     ///
     /// Each level's candidates come from its flat bounds index: on a
     /// sorted level a binary search leaves at most one file, elsewhere
@@ -393,6 +395,9 @@ impl DbCore {
         let mut seqno_skips = 0u64;
         let mut bloom_skips = 0u64;
         let mut table_probes = 0u64;
+        // The key's filter hash, taken at the first table probe and
+        // handed to every table filter and page filter after it.
+        let mut hash: Option<KeyHash> = None;
         for (level, files) in view.version.levels.iter().enumerate() {
             let bounds = view.version.level_bounds(level);
             // When the best beats every file of the level, only a trace
@@ -412,7 +417,8 @@ impl DbCore {
                     return Ok(());
                 }
                 table_probes += 1;
-                if let Some(e) = files[i].table.get(key, snapshot, &[])? {
+                let hash = *hash.get_or_insert_with(|| KeyHash::of(key));
+                if let Some(e) = files[i].table.get_hashed(key, hash, snapshot, &[])? {
                     if best.as_ref().is_none_or(|b| e.seqno > b.seqno) {
                         best = Some(e);
                     }

@@ -31,7 +31,7 @@
 
 use std::sync::Arc;
 
-use acheron_sstable::Table;
+use acheron_sstable::{KeyHash, Table};
 use acheron_types::key::compare_internal;
 use acheron_types::{Error, Result, Tick};
 use acheron_vfs::Vfs;
@@ -246,10 +246,12 @@ pub(crate) fn check_dir(fs: &dyn Vfs, dir: &str, d_th: Option<Tick>) -> Result<D
     Ok(report)
 }
 
-/// Deep-verify one table: ordering, stats consistency, tile invariants.
+/// Deep-verify one table: its metadata blocks as the file holds them
+/// now, ordering, stats consistency, the table filter, tile invariants.
 pub(crate) fn verify_table(table: &Arc<Table>, id: u64) -> Result<()> {
+    table.verify_meta()?;
     // Full iteration, always from the file: checksums verified on every
-    // page read; ordering and stats checked as we go.
+    // page read; ordering, stats and the table filter checked as we go.
     let mut it = table.iter_bypass(vec![]);
     it.seek_to_first()?;
     let mut entries = 0u64;
@@ -265,6 +267,11 @@ pub(crate) fn verify_table(table: &Arc<Table>, id: u64) -> Result<()> {
         }
         last = Some(it.key().to_vec());
         let e = it.entry()?;
+        if !table.may_contain(KeyHash::of(&e.key)) {
+            return Err(Error::corruption(format!(
+                "table {id}: the table filter rejects a key the table holds"
+            )));
+        }
         entries += 1;
         if e.is_tombstone() {
             tombstones += 1;

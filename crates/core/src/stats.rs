@@ -5,10 +5,42 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use acheron_types::Tick;
 
-/// Number of power-of-two latency buckets.
-const HISTOGRAM_BUCKETS: usize = 40;
+/// Sub-buckets per power of two (as a shift): a quantile reads within an
+/// eighth of its value, not at the power of two above it.
+const SUB_BITS: u32 = 3;
 
-/// A histogram over `u64` samples with power-of-two buckets.
+/// Sub-buckets per power of two.
+const SUB: usize = 1 << SUB_BITS;
+
+/// Values below `2 * SUB` get a bucket each; each power of two above
+/// them is split into `SUB` equal sub-buckets, up to `u64::MAX`.
+const HISTOGRAM_BUCKETS: usize = 2 * SUB + (63 - SUB_BITS as usize) * SUB;
+
+/// The bucket holding `v`.
+fn bucket_of(v: u64) -> usize {
+    if v < 2 * SUB as u64 {
+        return v as usize;
+    }
+    let top = 63 - v.leading_zeros(); // > SUB_BITS
+    let sub = (v >> (top - SUB_BITS)) as usize & (SUB - 1);
+    2 * SUB + (top - SUB_BITS - 1) as usize * SUB + sub
+}
+
+/// The largest value bucket `i` holds.
+fn bucket_upper(i: usize) -> u64 {
+    if i < 2 * SUB {
+        return i as u64;
+    }
+    let (top, sub) = (
+        (i - 2 * SUB) / SUB + SUB_BITS as usize + 1,
+        (i - 2 * SUB) % SUB,
+    );
+    let end = ((SUB + sub + 1) as u128) << (top - SUB_BITS as usize);
+    u64::try_from(end - 1).unwrap_or(u64::MAX)
+}
+
+/// A histogram over `u64` samples with log-linear buckets: eight per
+/// power of two.
 #[derive(Debug)]
 pub struct LatencyHistogram {
     buckets: [AtomicU64; HISTOGRAM_BUCKETS],
@@ -31,8 +63,7 @@ impl Default for LatencyHistogram {
 impl LatencyHistogram {
     /// Record one sample.
     pub fn record(&self, v: u64) {
-        let bucket = (64 - v.leading_zeros() as usize).min(HISTOGRAM_BUCKETS - 1);
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        self.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
         self.max.fetch_max(v, Ordering::Relaxed);
@@ -59,8 +90,9 @@ impl LatencyHistogram {
     }
 
     /// Approximate quantile from the bucket boundaries: the upper bound
-    /// of the bucket containing the q-th sample, clamped to the recorded
-    /// maximum, so `quantile(q) <= max()` for every `q`.
+    /// of the bucket containing the q-th sample (within an eighth of the
+    /// sample), clamped to the recorded maximum, so `quantile(q) <=
+    /// max()` for every `q`.
     pub fn quantile(&self, q: f64) -> u64 {
         let n = self.count();
         if n == 0 {
@@ -71,23 +103,14 @@ impl LatencyHistogram {
         for (i, b) in self.buckets.iter().enumerate() {
             seen += b.load(Ordering::Relaxed);
             if seen >= rank {
-                // Bucket i holds values in [2^(i-1), 2^i); the last one
-                // also takes everything above, so only the recorded
-                // maximum bounds it.
-                let upper = if i == HISTOGRAM_BUCKETS - 1 {
-                    u64::MAX
-                } else {
-                    (1u64 << i) - 1
-                };
-                return upper.min(self.max());
+                return bucket_upper(i).min(self.max());
             }
         }
         self.max()
     }
 
     /// [`LatencyHistogram::quantile`] with the argument in percent:
-    /// `percentile(99.0)` is the p99 upper bound from the power-of-two
-    /// buckets.
+    /// `percentile(99.0)` is the p99 upper bound from the buckets.
     pub fn percentile(&self, p: f64) -> u64 {
         self.quantile(p / 100.0)
     }
@@ -548,6 +571,21 @@ mod tests {
         }
         assert_eq!(h.quantile(0.99), 76_500);
         assert_eq!(h.summary().p99, 76_500);
+    }
+
+    #[test]
+    fn buckets_tile_the_u64_range_at_an_eighth() {
+        assert_eq!(bucket_of(u64::MAX), HISTOGRAM_BUCKETS - 1);
+        assert_eq!(bucket_upper(HISTOGRAM_BUCKETS - 1), u64::MAX);
+        let mut samples: Vec<u64> = (0..5_000).collect();
+        samples.extend((4..64).flat_map(|b| [(1u64 << b) - 1, 1 << b, (1 << b) + 1]));
+        for v in samples {
+            let i = bucket_of(v);
+            assert!(bucket_upper(i) >= v, "v = {v}");
+            assert!(i == 0 || bucket_upper(i - 1) < v, "v = {v}");
+            // A bucket is no wider than an eighth of its lower bound.
+            assert!(v < 16 || bucket_upper(i) - v <= v / 8, "v = {v}");
+        }
     }
 
     #[test]

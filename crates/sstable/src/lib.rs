@@ -23,14 +23,36 @@
 //! which is how the engine builds its baseline tables, so baseline and
 //! KiWi share one code path and differ only in the knob.
 //!
-//! Every page carries its own Bloom filter, its dkey band, and its max
-//! sequence number, so
+//! Every page carries its dkey band and its max sequence number. A page
+//! of a woven table (`h > 1`) also carries its own Bloom filter; a table
+//! with `h = 1`, whose tiles are single pages, carries one whole-table
+//! key filter instead. So
 //!
-//! * a point lookup touches only tile pages whose Bloom matches, and
+//! * a point lookup hashes its key once ([`KeyHash`]), and an unwoven
+//!   table whose filter rejects it costs one cache line — no fence
+//!   search;
+//! * inside a woven tile, it touches only the pages whose Bloom
+//!   matches; and
 //! * a secondary range delete can *drop* a page — skip it wholesale on
 //!   reads and discard it without reading during compaction — when the
 //!   page's dkey band is fully covered by a newer range tombstone
 //!   ([`acheron_types::RangeTombstone::covers_region`]).
+//!
+//! # Format versions
+//!
+//! The footer records the version a table was written at; a reader
+//! opens versions 2 to 4 ([`format::FORMAT_VERSION`] is the one written).
+//!
+//! * **4** — an unwoven table's filter block is its table filter, a
+//!   cache-line-blocked Bloom filter over its distinct user keys
+//!   (`ceil(n * bits_per_key / 512)` 64-byte blocks, then `k`), and
+//!   it has no page filters; a woven table's filter block holds its
+//!   page filters, as before. The stats block ends with the table
+//!   filter's offset and length inside the filter block (varints; a
+//!   zero length means none).
+//! * **3** — value-pointer entries and the stats block's per-segment
+//!   value-log references. No table filter: every page has a filter.
+//! * **2** — the stats block ends at its range-tombstone list.
 
 #![forbid(unsafe_code)]
 
@@ -44,7 +66,7 @@ pub mod reader;
 pub mod writer;
 
 pub use block::{Block, BlockBuilder, BlockIter};
-pub use bloom::{BloomFilter, BloomFilterRef};
+pub use bloom::{build_table_filter_into, BloomFilter, BloomFilterRef, KeyHash, TableFilterRef};
 pub use cache::{BlockCache, CacheLease, PageKey};
 pub use format::{BlockHandle, Footer, TableOptions, FOOTER_SIZE, TABLE_MAGIC};
 pub use iter::TableIterator;

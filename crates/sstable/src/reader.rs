@@ -1,6 +1,8 @@
-//! Table reader: point lookups through tile fences and per-page Bloom
-//! filters, with range-tombstone page skipping.
+//! Table reader: point lookups through the key filter (whole-table, or
+//! per page in a woven table) and tile fences, with range-tombstone page
+//! skipping.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
@@ -11,7 +13,7 @@ use acheron_vfs::RandomAccessFile;
 use bytes::Bytes;
 
 use crate::block::Block;
-use crate::bloom::BloomFilterRef;
+use crate::bloom::{BloomFilterRef, KeyHash, TableFilterRef};
 use crate::cache::{BlockCache, CacheLease};
 use crate::format::{BlockHandle, Footer, BLOCK_TRAILER_SIZE, FOOTER_SIZE};
 use crate::iter::TableIterator;
@@ -25,7 +27,8 @@ pub struct ReadCounters {
     pub pages_read: AtomicU64,
     /// Pages skipped because a range tombstone covers their dkey band.
     pub pages_dropped: AtomicU64,
-    /// Pages skipped by a Bloom-filter miss.
+    /// Lookups answered by a Bloom-filter miss: a table-filter miss
+    /// (the whole table skipped) or a page-filter miss (one page).
     pub bloom_skips: AtomicU64,
 }
 
@@ -51,9 +54,13 @@ pub struct Table {
     index: TileIndex,
     stats: TableStats,
     filter_data: Bytes,
+    /// Where the whole-table key filter lies in `filter_data`; empty
+    /// when the table has none (a woven table, format 3 and older, or
+    /// filters off).
+    table_filter: Range<usize>,
     /// This table's claim on the shared page cache, if the database
-    /// configured one. Dropped with the table's last handle, which
-    /// erases its pages.
+    /// configured one. The table's last handle erases its pages under
+    /// it, by the offsets of its index.
     lease: Option<CacheLease>,
     /// Read counters (shared by all iterators over this table).
     pub counters: ReadCounters,
@@ -91,27 +98,26 @@ impl Table {
         file: Arc<dyn RandomAccessFile>,
         lease: Option<CacheLease>,
     ) -> Result<Arc<Table>> {
-        let size = file.size();
-        if size < FOOTER_SIZE as u64 {
-            return Err(Error::corruption(format!(
-                "table file of {size} bytes is smaller than the footer"
-            )));
-        }
-        let footer_bytes = file.read_at(size - FOOTER_SIZE as u64, FOOTER_SIZE)?;
-        let footer = Footer::decode(&footer_bytes)?;
-        let tile_meta_raw = read_block_raw(file.as_ref(), footer.tile_meta)?;
-        let index = TileIndex::decode(&tile_meta_raw)?;
-        let stats_raw = read_block_raw(file.as_ref(), footer.stats)?;
-        let stats = TableStats::decode_versioned(&stats_raw, footer.version)?;
-        let filter_data = read_block_raw(file.as_ref(), footer.filter)?;
+        let (index, stats, filter_data, table_filter) = read_meta(file.as_ref())?;
+        // From here on the table erases its pages by its own index.
+        let lease = lease.map(CacheLease::into_table_owned);
         Ok(Arc::new(Table {
             file,
             index,
             stats,
             filter_data,
+            table_filter,
             lease,
             counters: ReadCounters::default(),
         }))
+    }
+
+    /// Read the footer and metadata blocks from the file again, checking
+    /// every checksum and decoding each block as an open does: for
+    /// integrity scans, which must notice damage to bytes an open read
+    /// once and holds in memory since.
+    pub fn verify_meta(&self) -> Result<()> {
+        read_meta(self.file.as_ref()).map(|_| ())
     }
 
     /// Table-wide statistics from the stats block.
@@ -174,6 +180,15 @@ impl Table {
         Block::new(raw)
     }
 
+    /// True if the key hashed to `hash` *may* be in the table: the
+    /// whole-table filter's answer, or `true` for a table without one.
+    #[inline]
+    pub fn may_contain(&self, hash: KeyHash) -> bool {
+        // An empty range decodes to no filter: open checked the rest.
+        TableFilterRef::decode(&self.filter_data[self.table_filter.clone()])
+            .is_none_or(|f| f.may_contain_hash(hash))
+    }
+
     /// A page's Bloom filter, if it has one, viewed in place inside the
     /// table's filter block.
     pub(crate) fn page_filter(&self, page: &PageMeta) -> Option<BloomFilterRef<'_>> {
@@ -191,6 +206,18 @@ impl Table {
             .any(|rt| rt.covers_region(page.dkey_min, page.dkey_max, page.max_seqno))
     }
 
+    /// Count one lookup the table filter answered, and say whether it
+    /// did.
+    fn filtered_out(&self, hash: KeyHash) -> bool {
+        if self.may_contain(hash) {
+            return false;
+        }
+        self.counters
+            .bloom_skips
+            .fetch_add(1, AtomicOrdering::Relaxed);
+        true
+    }
+
     /// Point lookup: the newest entry for `user_key` visible at
     /// `snapshot`, ignoring entries shadowed page-wise by `rts`
     /// (entry-level range-tombstone shadowing is the engine's job).
@@ -200,6 +227,22 @@ impl Table {
         snapshot: SeqNo,
         rts: &[RangeTombstone],
     ) -> Result<Option<Entry>> {
+        self.get_hashed(user_key, KeyHash::of(user_key), snapshot, rts)
+    }
+
+    /// [`Table::get`] for a key hashed already, so a lookup that probes
+    /// many tables hashes its key once. The table filter answers first;
+    /// the fence search and any page filter run only on a "maybe".
+    pub fn get_hashed(
+        &self,
+        user_key: &[u8],
+        hash: KeyHash,
+        snapshot: SeqNo,
+        rts: &[RangeTombstone],
+    ) -> Result<Option<Entry>> {
+        if self.filtered_out(hash) {
+            return Ok(None);
+        }
         let seek_key = SeekKey::new(user_key, snapshot);
         let Some(mut tile_idx) = self.index.find(seek_key.encoded()) else {
             return Ok(None);
@@ -215,7 +258,7 @@ impl Table {
                     continue;
                 }
                 if let Some(filter) = self.page_filter(page) {
-                    if !filter.may_contain(user_key) {
+                    if !filter.may_contain_hash(hash) {
                         self.counters
                             .bloom_skips
                             .fetch_add(1, AtomicOrdering::Relaxed);
@@ -271,6 +314,10 @@ impl Table {
         snapshot: SeqNo,
         rts: &[RangeTombstone],
     ) -> Result<Vec<Entry>> {
+        let hash = KeyHash::of(user_key);
+        if self.filtered_out(hash) {
+            return Ok(Vec::new());
+        }
         let seek_key = SeekKey::new(user_key, snapshot);
         let Some(first_tile) = self.index.find(seek_key.encoded()) else {
             return Ok(Vec::new());
@@ -285,7 +332,7 @@ impl Table {
                     continue;
                 }
                 if let Some(filter) = self.page_filter(page) {
-                    if !filter.may_contain(user_key) {
+                    if !filter.may_contain_hash(hash) {
                         self.counters
                             .bloom_skips
                             .fetch_add(1, AtomicOrdering::Relaxed);
@@ -340,6 +387,54 @@ impl Table {
     pub fn iter_bypass(self: &Arc<Self>, rts: Vec<RangeTombstone>) -> TableIterator {
         TableIterator::new(Arc::clone(self), rts, CacheUse::Bypass)
     }
+}
+
+impl Drop for Table {
+    fn drop(&mut self) {
+        // The last handle is gone: take this table's pages out of the
+        // cache, one per page of its index (a miss re-fill lands on one
+        // of these offsets too).
+        if let Some(lease) = &self.lease {
+            lease.erase(self.index.pages().iter().map(|p| p.handle.offset));
+        }
+    }
+}
+
+/// Read and decode a table's footer, tile index, stats and filter block,
+/// checking each block's checksum, and locate the table filter inside
+/// the filter block.
+fn read_meta(file: &dyn RandomAccessFile) -> Result<(TileIndex, TableStats, Bytes, Range<usize>)> {
+    let size = file.size();
+    if size < FOOTER_SIZE as u64 {
+        return Err(Error::corruption(format!(
+            "table file of {size} bytes is smaller than the footer"
+        )));
+    }
+    let footer_bytes = file.read_at(size - FOOTER_SIZE as u64, FOOTER_SIZE)?;
+    let footer = Footer::decode(&footer_bytes)?;
+    let tile_meta_raw = read_block_raw(file, footer.tile_meta)?;
+    let index = TileIndex::decode(&tile_meta_raw)?;
+    let stats_raw = read_block_raw(file, footer.stats)?;
+    let stats = TableStats::decode_versioned(&stats_raw, footer.version)?;
+    let filter_data = read_block_raw(file, footer.filter)?;
+    let table_filter = if stats.table_filter_len == 0 {
+        0..0
+    } else {
+        let start = usize::try_from(stats.table_filter_offset).unwrap_or(usize::MAX);
+        let end = start.saturating_add(usize::try_from(stats.table_filter_len).unwrap_or(0));
+        if filter_data
+            .get(start..end)
+            .and_then(TableFilterRef::decode)
+            .is_none()
+        {
+            return Err(Error::corruption(format!(
+                "table filter at {start}..{end} is not a filter inside the {}-byte filter block",
+                filter_data.len()
+            )));
+        }
+        start..end
+    };
+    Ok((index, stats, filter_data, table_filter))
 }
 
 /// Reconstruct an [`Entry`] from block-iterator parts.
@@ -489,6 +584,58 @@ mod tests {
             skips > 150,
             "most negative lookups should be answered by Bloom filters: {skips} skips, {reads} reads"
         );
+    }
+
+    #[test]
+    fn one_kind_of_filter_per_table() {
+        for h in [1usize, 4] {
+            let opts = TableOptions {
+                pages_per_tile: h,
+                page_size: 512,
+                ..Default::default()
+            };
+            let entries = dataset(800);
+            let (_fs, table) = build(&entries, opts);
+            let filtered_pages = table
+                .tile_index()
+                .pages()
+                .iter()
+                .filter(|p| table.page_filter(p).is_some())
+                .count();
+            let stats = table.stats();
+            if h > 1 {
+                assert_eq!(filtered_pages, table.tile_index().pages().len());
+                assert_eq!(
+                    stats.table_filter_len, 0,
+                    "a woven table has no table filter"
+                );
+                continue;
+            }
+            // An unwoven table: its filter block is the table filter, and
+            // it holds every key.
+            assert_eq!(filtered_pages, 0);
+            assert_eq!(stats.table_filter_offset, 0);
+            assert_eq!(stats.table_filter_len, table.filter_data.len() as u64);
+            assert!(entries
+                .iter()
+                .all(|e| table.may_contain(KeyHash::of(&e.key))));
+            // A table-filter miss is one skip and reads nothing.
+            let absent = (0..1000)
+                .map(|i| format!("key{i:05}a").into_bytes())
+                .find(|k| !table.may_contain(KeyHash::of(k)))
+                .unwrap();
+            let skips = table.counters.bloom_skips.load(AtomicOrdering::Relaxed);
+            assert_eq!(table.get(&absent, u64::MAX >> 8, &[]).unwrap(), None);
+            assert!(table
+                .get_versions(&absent, u64::MAX >> 8, &[])
+                .unwrap()
+                .is_empty());
+            assert_eq!(
+                table.counters.bloom_skips.load(AtomicOrdering::Relaxed),
+                skips + 2
+            );
+            assert_eq!(table.counters.pages_read.load(AtomicOrdering::Relaxed), 0);
+        }
     }
 
     #[test]
@@ -743,6 +890,55 @@ mod tests {
         drop(it);
         assert_eq!(cache.used_bytes(), 0);
         assert!(keys.iter().all(|k| cache.peek(k).is_none()));
+    }
+
+    #[test]
+    fn dropping_a_table_erases_its_pages_and_no_others() {
+        let fs = MemFs::new();
+        let cache = Arc::new(BlockCache::new(4 << 20));
+        let tables: Vec<Arc<Table>> = (0..3)
+            .map(|t| {
+                let name = format!("t{t}.sst");
+                let mut b = TableBuilder::with_cache(
+                    fs.create(&name).unwrap(),
+                    CACHED_OPTS,
+                    Some(Arc::clone(&cache)),
+                )
+                .unwrap();
+                for e in dataset(400 + 100 * t) {
+                    b.add(&e).unwrap();
+                }
+                let lease = b.finish_leased().unwrap().1;
+                Table::open_leased(fs.open(&name).unwrap(), lease).unwrap()
+            })
+            .collect();
+        // Evict everything, then read every table back in: resident
+        // pages are now miss fills, not written-through ones.
+        cache.resize(0);
+        cache.resize(4 << 20);
+        for table in &tables {
+            for e in dataset(400) {
+                assert!(table.get(&e.key, u64::MAX >> 8, &[]).unwrap().is_some());
+            }
+        }
+        assert!(cache.inserted_bytes() > 0);
+        let resident = |t: &Table| {
+            page_keys(t)
+                .iter()
+                .filter(|k| cache.peek(k).is_some())
+                .count()
+        };
+        let before: Vec<usize> = tables.iter().map(|t| resident(t)).collect();
+        assert!(before.iter().all(|&n| n > 0), "{before:?}");
+        let gone = page_keys(&tables[1]);
+        let mut tables = tables;
+        let dropped = tables.remove(1);
+        drop(dropped);
+        assert!(gone.iter().all(|k| cache.peek(k).is_none()));
+        let after: Vec<usize> = tables.iter().map(|t| resident(t)).collect();
+        assert_eq!(after, [before[0], before[2]]);
+        drop(tables);
+        assert_eq!(cache.used_bytes(), 0);
     }
 
     #[test]

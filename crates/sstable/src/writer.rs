@@ -9,6 +9,12 @@
 //! and restores sort-key order *inside* each page. With
 //! `pages_per_tile == 1` the weave is the identity and the output is a
 //! classic SSTable.
+//!
+//! A table has one kind of key filter. A woven table
+//! (`pages_per_tile > 1`) has one per page, which a lookup uses to pick
+//! pages inside a tile; an unwoven table, whose tiles are single pages,
+//! has one whole-table filter over its distinct user keys instead,
+//! appended to the filter block at finish.
 
 use std::collections::BTreeMap;
 
@@ -22,7 +28,7 @@ use bytes::Bytes;
 use std::sync::Arc;
 
 use crate::block::{Block, BlockBuilder};
-use crate::bloom::BloomFilter;
+use crate::bloom::{build_table_filter_into, BloomFilter, KeyHash};
 use crate::cache::{BlockCache, CacheLease};
 use crate::format::{BlockHandle, Footer, TableOptions, FORMAT_VERSION};
 use crate::meta::{encode_tiles, PageMeta, TableStats, TileMeta, VlogRef};
@@ -61,6 +67,9 @@ pub struct TableBuilder {
     block: BlockBuilder,
     tiles: Vec<TileMeta>,
     filter_buf: Vec<u8>,
+    /// One filter hash per distinct user key, for the table filter of
+    /// an unwoven table (empty otherwise, or when filters are off).
+    key_hashes: Vec<KeyHash>,
     stats: TableStats,
     /// Per-segment (bytes, max frame end) accumulated from value
     /// pointers; folded into `stats.vlog_refs` at finish.
@@ -109,6 +118,7 @@ impl TableBuilder {
             order: Vec::new(),
             tiles: Vec::new(),
             filter_buf: Vec::new(),
+            key_hashes: Vec::new(),
             stats,
             vlog_refs: BTreeMap::new(),
             entry_key: Vec::new(),
@@ -195,6 +205,9 @@ impl TableBuilder {
             self.flush_tile()?;
         }
         self.tile_multi_version |= !user_key_boundary;
+        if user_key_boundary && self.writes_table_filter() {
+            self.key_hashes.push(KeyHash::of(key.user_key()));
+        }
 
         let key_start = self.tile_keys.len() as u32;
         self.tile_keys.extend_from_slice(ikey);
@@ -207,6 +220,12 @@ impl TableBuilder {
             is_tombstone: kind.is_tombstone(),
         });
         Ok(())
+    }
+
+    /// Whether the table gets a whole-table filter: filters are on and
+    /// its tiles are single pages, so it has no page filters.
+    fn writes_table_filter(&self) -> bool {
+        self.opts.bloom_bits_per_key > 0 && self.opts.pages_per_tile == 1
     }
 
     /// The last key added: the open tile's last entry, or else the fence
@@ -296,20 +315,18 @@ impl TableBuilder {
             }
             let contents = self.block.finish_in_place();
             meta.handle = write_block(self.file.as_mut(), &mut self.offset, contents)?;
-            if let Some(lease) = &self.lease {
+            if let Some(lease) = &mut self.lease {
                 let page = Block::new(Bytes::copy_from_slice(contents))?;
-                lease
-                    .cache()
-                    .prepopulate(lease.key(meta.handle.offset), page, contents.len());
+                lease.prepopulate(meta.handle.offset, page, contents.len());
             }
 
-            // Per-page Bloom filter over user keys, built straight into
-            // the filter block.
-            if self.opts.bloom_bits_per_key > 0 {
+            // A woven tile's per-page Bloom filters over user keys, built
+            // straight into the filter block.
+            if self.opts.bloom_bits_per_key > 0 && self.opts.pages_per_tile > 1 {
                 meta.filter_offset = self.filter_buf.len() as u64;
                 let user_keys = page.iter().map(|&i| {
                     let key = ikey(&entries[i as usize]);
-                    &key[..key.len() - TAG_LEN]
+                    KeyHash::of(&key[..key.len() - TAG_LEN])
                 });
                 BloomFilter::build_into(
                     user_keys,
@@ -365,6 +382,16 @@ impl TableBuilder {
             .collect();
         if let Some(last) = self.last_user_key() {
             self.stats.max_user_key = Bytes::copy_from_slice(last);
+        }
+        if self.writes_table_filter() && self.stats.entry_count > 0 {
+            self.stats.table_filter_offset = self.filter_buf.len() as u64;
+            build_table_filter_into(
+                &self.key_hashes,
+                self.opts.bloom_bits_per_key,
+                &mut self.filter_buf,
+            );
+            self.stats.table_filter_len =
+                self.filter_buf.len() as u64 - self.stats.table_filter_offset;
         }
         let (file, offset) = (self.file.as_mut(), &mut self.offset);
         let filter_handle = write_block(file, offset, &self.filter_buf)?;

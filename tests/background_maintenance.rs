@@ -448,10 +448,11 @@ fn schedule_digest(db: &Db, fs: &MemFs) -> u32 {
 }
 
 /// The digest of [`run_schedule`] at `background_threads = 0`, recorded
-/// when sort-key range tombstones moved from the tables into the
-/// manifest. It moves only if the sequence of seals, flushes, picks,
-/// file ids, manifest records or table bytes moves.
-const SCHEDULE_DIGEST: u32 = 0xee46_8f64;
+/// when tables gained their whole-table key filter (format 4): every
+/// table's bytes changed, and with its size the level sizes the picker
+/// reads. It moves only if the sequence of seals, flushes, picks, file
+/// ids, manifest records or table bytes moves.
+const SCHEDULE_DIGEST: u32 = 0x4a1f_babc;
 
 /// The schedule digest of every compaction policy the engine offers:
 /// `(layout, file pick, FADE on, digest)`. The first row is
@@ -466,17 +467,17 @@ const SCHEDULE_TABLE: [(CompactionLayout, FilePickPolicy, bool, u32); 12] = {
     use FilePickPolicy::{MinOverlap, OldestTombstone, RoundRobin, TombstoneDensity};
     [
         (Leveling, MinOverlap, true, SCHEDULE_DIGEST),
-        (Leveling, MinOverlap, false, 0x3854_7d16),
-        (Leveling, TombstoneDensity, true, 0xe0f0_ff01),
-        (Leveling, TombstoneDensity, false, 0x6252_42f1),
-        (Leveling, OldestTombstone, true, 0xee46_8f64),
-        (Leveling, OldestTombstone, false, 0x560a_74a2),
-        (Leveling, RoundRobin, true, 0xee46_8f64),
-        (Leveling, RoundRobin, false, 0xbd06_889f),
-        (Tiering, MinOverlap, true, 0x7b18_3b33),
-        (Tiering, MinOverlap, false, 0x3084_3d1b),
-        (LazyLeveling, MinOverlap, true, 0x73d9_2c83),
-        (LazyLeveling, MinOverlap, false, 0x3084_3d1b),
+        (Leveling, MinOverlap, false, 0x02e5_4791),
+        (Leveling, TombstoneDensity, true, 0x600e_16ec),
+        (Leveling, TombstoneDensity, false, 0x2ee3_a4ce),
+        (Leveling, OldestTombstone, true, 0x4a1f_babc),
+        (Leveling, OldestTombstone, false, 0x49de_a538),
+        (Leveling, RoundRobin, true, 0x4a1f_babc),
+        (Leveling, RoundRobin, false, 0x0fe7_f811),
+        (Tiering, MinOverlap, true, 0x6369_c602),
+        (Tiering, MinOverlap, false, 0xbfca_9179),
+        (LazyLeveling, MinOverlap, true, 0x547b_4792),
+        (LazyLeveling, MinOverlap, false, 0xbfca_9179),
     ]
 };
 

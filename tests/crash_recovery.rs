@@ -765,8 +765,10 @@ fn repair_digest(fs: &Arc<RecordingFs>) -> (u32, String) {
 /// the commit before recovery was split into a read-only survey and a
 /// repair. They move only if the repair issues a different mutation or
 /// durability point, in a different order, logs different milestones,
-/// or leaves different bytes behind.
-const REPAIR_DIGESTS: [u32; 3] = [0x5c72_03fa, 0xa68b_866c, 0x5036_89a6];
+/// or leaves different bytes behind. The first moved once, when tables
+/// gained their whole-table key filter (format 4): its image holds a
+/// table, whose bytes (and size in the manifest) changed.
+const REPAIR_DIGESTS: [u32; 3] = [0x5078_5d11, 0xa68b_866c, 0x5036_89a6];
 
 #[test]
 fn recovery_repair_sequence_is_pinned() {
