@@ -47,7 +47,6 @@ if [[ "${1:-}" == "--check" ]]; then
     bench "$root" all --quick > "$tmp/quick.txt"
     python3 - "$tmp/quick.txt" "BENCH_$newest.json" <<'EOF'
 import json, sys
-sys.path.insert(0, ".")
 quick_path, bench_path = sys.argv[1:]
 EXACT = ["write_amp", "space_amp", "dth_worst_age_frac"]
 got = {}

@@ -348,8 +348,8 @@ impl DbCore {
     /// the per-file `max_seqno` bound is what allows a skip, which also
     /// stays sound when FADE's TTL descents sink newer versions below
     /// older runs. The key is hashed once, at the first table probe;
-    /// each probe tests the table's whole-table filter with that hash
-    /// before its fence search, and a woven table its page filters too.
+    /// an unwoven table tests its whole-table filter with that hash
+    /// before its fence search, a woven one its page filters.
     ///
     /// Each level's candidates come from its flat bounds index: on a
     /// sorted level a binary search leaves at most one file, elsewhere

@@ -12,9 +12,9 @@
 //! `(1 - e^{-kn/m})^k` formula describes. Serialized form:
 //! `filter bits | k (1 byte)`.
 //!
-//! A table filter ([`TableFilterRef`]) is cache-line blocked: the high half of the hash
-//! picks one 64-byte block and all `k` probes land inside it, so a
-//! negative answer costs one cache line. The block count is
+//! A table filter ([`TableFilterRef`]) is cache-line blocked: the high
+//! half of the hash picks one 64-byte block and all `k` probes land
+//! inside it, so a negative answer costs one cache line. The block count is
 //! `ceil(n * bits_per_key / 512)` — sized exactly, with the block chosen
 //! by a multiply-shift rather than a power-of-two mask. Serialized form:
 //! `blocks (64 bytes each) | k (1 byte)`.
@@ -169,10 +169,10 @@ impl BloomFilter {
     }
 }
 
-/// Bytes in one block of a [`TableFilter`]: a cache line.
+/// Bytes in one block of a table filter: a cache line.
 const BLOCK_BYTES: usize = 64;
 
-/// Bits in one block of a [`TableFilter`].
+/// Bits in one block of a table filter.
 const BLOCK_BITS: u32 = (BLOCK_BYTES * 8) as u32;
 
 /// A probe's bit in its block is the top nine bits of the probe word.
