@@ -2,12 +2,10 @@
 //!
 //! Keyed by `(table cache-id, page offset)`. Tables get a process-unique
 //! cache id at open, so reusing file numbers across databases cannot
-//! alias. One cheap multiply-xorshift mix of the pair picks the shard
-//! (16 ways) and keys the shard's map, so a lookup hashes once and never
-//! runs SipHash. Sharding keeps lock contention off the read path;
-//! within a shard, recency is an intrusive doubly-linked list over a
-//! slab of nodes (indices, no unsafe) — O(1) per touch, insert, and
-//! eviction.
+//! alias. Sharding (16 ways by key hash) keeps lock contention off the
+//! read path; within a shard, recency is an intrusive doubly-linked
+//! list over a slab of nodes (indices, no unsafe) — O(1) per touch,
+//! insert, and eviction.
 //!
 //! # Scan resistance
 //!
@@ -29,10 +27,8 @@
 //! page, so a bulk flush or compaction cannot displace the protected
 //! set), the open table inherits it, and dropping it — with the table's
 //! last handle, or with a build that never became a table — erases the
-//! pages ([`BlockCache::erase_pages`]): a table by the page offsets of
-//! its own index, a build by the offsets it wrote, so a drop costs
-//! O(the table's pages), not a sweep of the cache. Compaction inputs
-//! read through [`BlockCache::peek`], which moves nothing.
+//! pages ([`BlockCache::erase`]). Compaction inputs read through
+//! [`BlockCache::peek`], which moves nothing.
 //!
 //! # Dynamic resize
 //!
@@ -43,7 +39,6 @@
 //! see only a per-shard lock, never a global pause.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -62,52 +57,12 @@ const PROTECTED_DEN: usize = 5;
 const NIL: u32 = u32::MAX;
 
 /// Key of one cached page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PageKey {
     /// The owning table's process-unique cache id.
     pub table: u64,
     /// Byte offset of the page within its file.
     pub offset: u64,
-}
-
-impl PageKey {
-    /// One multiply-xorshift mix of table and offset. Bits 32..36 pick
-    /// the shard; the shard's map takes the whole word, and the table
-    /// uses its low bits for buckets and its top seven for tags, so
-    /// neither is shared by every key of a shard.
-    #[inline]
-    fn mix(&self) -> u64 {
-        let h = (self.table.rotate_left(32) ^ self.offset).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        h ^ (h >> 29)
-    }
-}
-
-impl Hash for PageKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.mix());
-    }
-}
-
-/// The shard maps' hasher: a [`PageKey`] hashes to its mix, unchanged.
-#[derive(Default)]
-struct MixHasher(u64);
-
-impl Hasher for MixHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Only `write_u64` is reached from a `PageKey`; fold anything
-        // else in rather than lose it.
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
 }
 
 /// Which recency segment a node currently lives in.
@@ -154,7 +109,7 @@ struct Evicted {
 }
 
 struct Shard {
-    map: HashMap<PageKey, u32, BuildHasherDefault<MixHasher>>,
+    map: HashMap<PageKey, u32>,
     nodes: Vec<Node>,
     free: Vec<u32>,
     probation: List,
@@ -165,7 +120,7 @@ struct Shard {
 impl Shard {
     fn new(capacity: usize) -> Shard {
         Shard {
-            map: HashMap::default(),
+            map: HashMap::new(),
             nodes: Vec::new(),
             free: Vec::new(),
             probation: List::new(),
@@ -295,9 +250,17 @@ impl Shard {
         self.nodes[idx as usize].block.clone()
     }
 
-    /// Drop the page under `key`, if resident.
-    fn erase(&mut self, key: &PageKey) {
-        if let Some(&idx) = self.map.get(key) {
+    /// Drop every page of `table`. A full pass over the shard's map:
+    /// table deaths are orders of magnitude rarer than page touches, so
+    /// the hot paths carry no per-table index for this.
+    fn erase(&mut self, table: u64) {
+        let doomed: Vec<u32> = self
+            .map
+            .iter()
+            .filter(|(key, _)| key.table == table)
+            .map(|(_, &idx)| idx)
+            .collect();
+        for idx in doomed {
             self.remove(idx);
         }
     }
@@ -407,7 +370,13 @@ impl BlockCache {
     }
 
     fn shard_of(&self, key: &PageKey) -> &Mutex<Shard> {
-        &self.shards[(key.mix() >> 32) as usize % SHARDS]
+        // Cheap mix of table and offset; offsets are page-aligned-ish so
+        // fold the high bits in.
+        let h = key
+            .table
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(key.offset >> 6);
+        &self.shards[(h as usize) % SHARDS]
     }
 
     fn record_evicted(&self, ev: Evicted) {
@@ -454,13 +423,11 @@ impl BlockCache {
         self.record_evicted(ev);
     }
 
-    /// Drop `table`'s pages at `offsets` (its last handle is gone): one
-    /// map probe per page, whatever else is resident. Not an eviction:
-    /// nothing live was displaced, so no counter moves.
-    pub fn erase_pages(&self, table: u64, offsets: impl IntoIterator<Item = u64>) {
-        for offset in offsets {
-            let key = PageKey { table, offset };
-            self.shard_of(&key).lock().erase(&key);
+    /// Drop every page of `table` (its last handle is gone). Not an
+    /// eviction: nothing live was displaced, so no counter moves.
+    pub fn erase(&self, table: u64) {
+        for shard in &self.shards {
+            shard.lock().erase(table);
         }
     }
 
@@ -526,17 +493,12 @@ pub fn next_table_cache_id() -> u64 {
 
 /// One table's claim on a cache: the id its pages are keyed by, held
 /// by whoever currently owns the table — the builder writing it, then
-/// the open [`Table`](crate::reader::Table). While a builder holds it,
-/// the lease records each page written through it, and dropping it
-/// erases them, so an abandoned build and a failed open leave nothing
-/// resident; an open table erases its pages by its own index when its
-/// last handle goes.
+/// the open [`Table`](crate::reader::Table). Dropping the lease erases
+/// the pages, so an abandoned build, a failed open, and the last handle
+/// of a replaced table all leave nothing resident.
 pub struct CacheLease {
     cache: Arc<BlockCache>,
     table: u64,
-    /// Offsets of the pages written through this lease, until a table
-    /// takes it over.
-    written: Vec<u64>,
 }
 
 impl CacheLease {
@@ -545,27 +507,7 @@ impl CacheLease {
         CacheLease {
             cache,
             table: next_table_cache_id(),
-            written: Vec::new(),
         }
-    }
-
-    /// Insert a just-written page at `offset` (see
-    /// [`BlockCache::prepopulate`]), and remember it for the erase.
-    pub(crate) fn prepopulate(&mut self, offset: u64, block: Block, size: usize) {
-        self.written.push(offset);
-        self.cache.prepopulate(self.key(offset), block, size);
-    }
-
-    /// The lease as an open table holds it: the table knows its pages
-    /// from its index, so the lease forgets the ones it wrote.
-    pub(crate) fn into_table_owned(mut self) -> CacheLease {
-        self.written = Vec::new();
-        self
-    }
-
-    /// Erase this table's pages at `offsets`.
-    pub(crate) fn erase(&self, offsets: impl IntoIterator<Item = u64>) {
-        self.cache.erase_pages(self.table, offsets);
     }
 
     /// The cache the lease is on.
@@ -584,7 +526,7 @@ impl CacheLease {
 
 impl Drop for CacheLease {
     fn drop(&mut self) {
-        self.erase(self.written.iter().copied());
+        self.cache.erase(self.table);
     }
 }
 
@@ -604,15 +546,13 @@ mod tests {
         (Block::new(Bytes::from(raw)).unwrap(), size)
     }
 
-    /// The `i`-th key of `table`, counting only offsets whose key lands
-    /// in the shard of offset 0.
+    /// Keys guaranteed to land in one shard: same table, offsets strided
+    /// by `64 * SHARDS` so the shard index is identical.
     fn same_shard_key(table: u64, i: u64) -> PageKey {
-        let shard = |offset| (PageKey { table, offset }.mix() >> 32) as usize % SHARDS;
-        let offset = (0..)
-            .filter(|&offset| shard(offset) == shard(0))
-            .nth(i as usize)
-            .expect("some offset in every shard");
-        PageKey { table, offset }
+        PageKey {
+            table,
+            offset: i * 64 * (SHARDS as u64),
+        }
     }
 
     #[test]
@@ -829,8 +769,7 @@ mod tests {
                 }
             }
         }
-        let offsets = || (0..40u64).map(|i| i * 4096);
-        cache.erase_pages(1, offsets());
+        cache.erase(1);
         for i in 0..40u64 {
             let off = i * 4096;
             assert!(cache
@@ -859,8 +798,8 @@ mod tests {
             size,
         );
         assert_eq!(cache.used_bytes(), live_bytes + size);
-        cache.erase_pages(1, offsets()); // idempotent
-        cache.erase_pages(3, [0]);
+        cache.erase(1); // idempotent
+        cache.erase(3);
         assert_eq!(cache.used_bytes(), live_bytes);
     }
 
@@ -879,45 +818,18 @@ mod tests {
     }
 
     #[test]
-    fn dropping_a_lease_erases_the_pages_written_through_it() {
+    fn dropping_a_lease_erases_its_pages() {
         let cache = Arc::new(BlockCache::new(1 << 20));
-        let mut keep = CacheLease::new(Arc::clone(&cache));
-        let mut gone = CacheLease::new(Arc::clone(&cache));
-        for lease in [&mut keep, &mut gone] {
-            for offset in [0, 4101, 8202] {
-                let (b, size) = block(1);
-                lease.prepopulate(offset, b, size);
-            }
+        let keep = CacheLease::new(Arc::clone(&cache));
+        let gone = CacheLease::new(Arc::clone(&cache));
+        for lease in [&keep, &gone] {
+            let (b, size) = block(1);
+            cache.insert(lease.key(0), b, size);
         }
-        let gone_keys: Vec<PageKey> = [0, 4101, 8202].map(|o| gone.key(o)).to_vec();
+        let gone_key = gone.key(0);
         drop(gone);
-        assert!(gone_keys.iter().all(|k| cache.peek(k).is_none()));
-        assert!([0, 4101, 8202]
-            .iter()
-            .all(|&o| cache.peek(&keep.key(o)).is_some()));
-        // A table-owned lease leaves the erase to its table.
-        let owned = keep.into_table_owned();
-        let kept = owned.key(0);
-        drop(owned);
-        assert!(cache.peek(&kept).is_some());
-    }
-
-    #[test]
-    fn shards_and_maps_spread_one_tables_pages() {
-        // Pages of one table a page apart spread over every shard.
-        let cache = BlockCache::new(1 << 20);
-        let mut hit = [0usize; SHARDS];
-        for i in 0..256u64 {
-            let key = PageKey {
-                table: 7,
-                offset: i * 4101,
-            };
-            hit[(key.mix() >> 32) as usize % SHARDS] += 1;
-            let (b, size) = block(i as u8);
-            cache.insert(key, b, size);
-        }
-        assert!(hit.iter().all(|&n| n >= 4), "{hit:?}");
-        assert_eq!(cache.used_bytes(), 256 * block(0).1);
+        assert!(cache.peek(&gone_key).is_none());
+        assert!(cache.peek(&keep.key(0)).is_some());
     }
 
     #[test]

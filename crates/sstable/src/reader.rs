@@ -59,8 +59,8 @@ pub struct Table {
     /// filters off).
     table_filter: Range<usize>,
     /// This table's claim on the shared page cache, if the database
-    /// configured one. The table's last handle erases its pages under
-    /// it, by the offsets of its index.
+    /// configured one. Dropped with the table's last handle, which
+    /// erases its pages.
     lease: Option<CacheLease>,
     /// Read counters (shared by all iterators over this table).
     pub counters: ReadCounters,
@@ -99,8 +99,6 @@ impl Table {
         lease: Option<CacheLease>,
     ) -> Result<Arc<Table>> {
         let (index, stats, filter_data, table_filter) = read_meta(file.as_ref())?;
-        // From here on the table erases its pages by its own index.
-        let lease = lease.map(CacheLease::into_table_owned);
         Ok(Arc::new(Table {
             file,
             index,
@@ -386,17 +384,6 @@ impl Table {
     /// exist to notice that the bytes on disk changed.
     pub fn iter_bypass(self: &Arc<Self>, rts: Vec<RangeTombstone>) -> TableIterator {
         TableIterator::new(Arc::clone(self), rts, CacheUse::Bypass)
-    }
-}
-
-impl Drop for Table {
-    fn drop(&mut self) {
-        // The last handle is gone: take this table's pages out of the
-        // cache, one per page of its index (a miss re-fill lands on one
-        // of these offsets too).
-        if let Some(lease) = &self.lease {
-            lease.erase(self.index.pages().iter().map(|p| p.handle.offset));
-        }
     }
 }
 

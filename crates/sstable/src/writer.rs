@@ -315,9 +315,11 @@ impl TableBuilder {
             }
             let contents = self.block.finish_in_place();
             meta.handle = write_block(self.file.as_mut(), &mut self.offset, contents)?;
-            if let Some(lease) = &mut self.lease {
+            if let Some(lease) = &self.lease {
                 let page = Block::new(Bytes::copy_from_slice(contents))?;
-                lease.prepopulate(meta.handle.offset, page, contents.len());
+                lease
+                    .cache()
+                    .prepopulate(lease.key(meta.handle.offset), page, contents.len());
             }
 
             // A woven tile's per-page Bloom filters over user keys, built
