@@ -1,26 +1,19 @@
 //! Bloom filters over user keys: one per page of a woven table, or one
-//! whole-table filter for a table whose tiles are single pages.
+//! whole-table filter for a table whose tiles are single pages. Both
+//! are the same filter, over keys hashed once to a 64-bit [`KeyHash`]
+//! (FNV-1a with a splitmix64 finalizer), so a lookup that probes several
+//! tables and pages hashes its key one time.
 //!
-//! Both hash a key once, to a 64-bit [`KeyHash`] (FNV-1a with a
-//! splitmix64 finalizer), so a lookup that probes several tables and
-//! pages hashes its key one time.
-//!
-//! A page filter uses double hashing (Kirsch–Mitzenmacker) over the
-//! whole bit array, with the probe count derived from the configured
-//! bits-per-key (`k = bits_per_key * ln2`, clamped to `[1, 30]`),
-//! matching the construction whose false-positive rate the usual
-//! `(1 - e^{-kn/m})^k` formula describes. Serialized form:
+//! Double hashing (Kirsch–Mitzenmacker) over the whole bit array, with
+//! the probe count derived from the configured bits-per-key
+//! (`k = bits_per_key * ln2`, clamped to `[1, 30]`), matching the
+//! construction whose false-positive rate the usual `(1 - e^{-kn/m})^k`
+//! formula describes. A filter takes `n * bits_per_key` bits rounded up
+//! to a byte (at least 64), not a power of two. Serialized form:
 //! `filter bits | k (1 byte)`.
-//!
-//! A table filter ([`TableFilterRef`]) is cache-line blocked: the high
-//! half of the hash picks one 64-byte block and all `k` probes land
-//! inside it, so a negative answer costs one cache line. The block count is
-//! `ceil(n * bits_per_key / 512)` — sized exactly, with the block chosen
-//! by a multiply-shift rather than a power-of-two mask. Serialized form:
-//! `blocks (64 bytes each) | k (1 byte)`.
 
 /// A key's 64-bit filter hash: computed once per lookup and handed to
-/// every table filter and page filter the lookup probes.
+/// every filter the lookup probes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeyHash(u64);
 
@@ -39,17 +32,6 @@ impl KeyHash {
         h = h.wrapping_mul(0x94d0_49bb_1331_11eb);
         KeyHash(h ^ (h >> 31))
     }
-}
-
-/// Probe count for `bits_per_key`: `bits_per_key * ln2`, in `[1, 30]`.
-fn probes_for(bits_per_key: usize) -> u8 {
-    ((bits_per_key as f64 * std::f64::consts::LN_2) as u8).clamp(1, 30)
-}
-
-/// Split a serialized filter into its bits and a plausible probe count.
-fn split_k(data: &[u8]) -> Option<(&[u8], u8)> {
-    let (&k, bits) = data.split_last()?;
-    (1..=30).contains(&k).then_some((bits, k))
 }
 
 /// An immutable Bloom filter.
@@ -71,7 +53,10 @@ impl<'a> BloomFilterRef<'a> {
     /// View a serialized filter. Returns `None` on an empty slice or an
     /// implausible probe count.
     pub fn decode(data: &'a [u8]) -> Option<BloomFilterRef<'a>> {
-        let (bits, k) = split_k(data)?;
+        let (&k, bits) = data.split_last()?;
+        if k == 0 || k > 30 {
+            return None;
+        }
         Some(BloomFilterRef { bits, k })
     }
 
@@ -121,7 +106,7 @@ impl BloomFilter {
         out: &mut Vec<u8>,
     ) {
         let n = hashes.len();
-        let k = probes_for(bits_per_key);
+        let k = ((bits_per_key as f64 * std::f64::consts::LN_2) as u8).clamp(1, 30);
         // At least 64 bits to keep tiny filters from degenerating.
         let nbits = (n * bits_per_key).max(64);
         let nbytes = nbits.div_ceil(8);
@@ -166,85 +151,6 @@ impl BloomFilter {
             bits: view.bits.to_vec(),
             k: view.k,
         })
-    }
-}
-
-/// Bytes in one block of a table filter: a cache line.
-const BLOCK_BYTES: usize = 64;
-
-/// Bits in one block of a table filter.
-const BLOCK_BITS: u32 = (BLOCK_BYTES * 8) as u32;
-
-/// A probe's bit in its block is the top nine bits of the probe word.
-const BIT_SHIFT: u32 = 32 - BLOCK_BITS.trailing_zeros();
-
-/// The probe sequence's multiplier (the 32-bit golden ratio).
-const PROBE_MUL: u32 = 0x9e37_79b9;
-
-/// Build a whole-table key filter — a cache-line-blocked Bloom filter
-/// over `hashes`, one per distinct user key, at `bits_per_key` density —
-/// and append its serialized form to `out`. Read it back with
-/// [`TableFilterRef::decode`].
-pub fn build_table_filter_into(hashes: &[KeyHash], bits_per_key: usize, out: &mut Vec<u8>) {
-    let k = probes_for(bits_per_key);
-    let nblocks = (hashes.len() * bits_per_key)
-        .div_ceil(BLOCK_BITS as usize)
-        .max(1);
-    let start = out.len();
-    out.resize(start + nblocks * BLOCK_BYTES, 0);
-    let bits = &mut out[start..];
-    for &hash in hashes {
-        let (block, mut h2) = locate(hash, nblocks);
-        let block = &mut bits[block * BLOCK_BYTES..(block + 1) * BLOCK_BYTES];
-        for _ in 0..k {
-            let bit = (h2 >> BIT_SHIFT) as usize;
-            block[bit / 8] |= 1 << (bit % 8);
-            h2 = h2.wrapping_mul(PROBE_MUL);
-        }
-    }
-    out.push(k);
-}
-
-/// The block a hash probes (the high half, scaled onto `nblocks` by a
-/// multiply-shift) and the seed of its in-block probe sequence (the low
-/// half).
-#[inline]
-fn locate(KeyHash(h): KeyHash, nblocks: usize) -> (usize, u32) {
-    let block = ((h >> 32) * nblocks as u64) >> 32;
-    (block as usize, h as u32)
-}
-
-/// A whole-table key filter viewed in place inside a table's filter
-/// block (see [`build_table_filter_into`]).
-#[derive(Debug, Clone, Copy)]
-pub struct TableFilterRef<'a> {
-    blocks: &'a [u8],
-    k: u8,
-}
-
-impl<'a> TableFilterRef<'a> {
-    /// View a serialized table filter. Returns `None` unless it holds at
-    /// least one whole block and a plausible probe count.
-    pub fn decode(data: &'a [u8]) -> Option<TableFilterRef<'a>> {
-        let (blocks, k) = split_k(data)?;
-        (!blocks.is_empty() && blocks.len() % BLOCK_BYTES == 0)
-            .then_some(TableFilterRef { blocks, k })
-    }
-
-    /// True if the key hashed to `hash` *may* be in the table; false
-    /// means definitely absent.
-    #[inline]
-    pub fn may_contain_hash(&self, hash: KeyHash) -> bool {
-        let (block, mut h2) = locate(hash, self.blocks.len() / BLOCK_BYTES);
-        let block = &self.blocks[block * BLOCK_BYTES..(block + 1) * BLOCK_BYTES];
-        for _ in 0..self.k {
-            let bit = (h2 >> BIT_SHIFT) as usize;
-            if block[bit / 8] & (1 << (bit % 8)) == 0 {
-                return false;
-            }
-            h2 = h2.wrapping_mul(PROBE_MUL);
-        }
-        true
     }
 }
 
@@ -354,63 +260,30 @@ mod tests {
         );
     }
 
-    fn table_filter(keyset: &[Vec<u8>], bpk: usize) -> Vec<u8> {
-        let hashes: Vec<KeyHash> = keyset.iter().map(|k| KeyHash::of(k)).collect();
-        let mut out = vec![0xee];
-        build_table_filter_into(&hashes, bpk, &mut out);
-        out.remove(0);
-        out
-    }
-
     #[test]
-    fn table_filter_has_no_false_negatives() {
-        for n in [0usize, 1, 10, 51, 5000] {
-            let ks = keys(n, "present");
-            let bytes = table_filter(&ks, 10);
-            let f = TableFilterRef::decode(&bytes).unwrap();
-            assert!(
-                ks.iter().all(|k| f.may_contain_hash(KeyHash::of(k))),
-                "n={n}"
-            );
-        }
-    }
-
-    #[test]
-    fn table_filter_false_positive_rate_at_ten_bits_per_key() {
+    fn false_positive_rate_at_ten_bits_per_key_over_100k_absent_keys() {
+        // The table filter's density: one filter over a whole table's
+        // keys, probed by hash.
         let ks = keys(100_000, "member");
-        let bytes = table_filter(&ks, 10);
-        let f = TableFilterRef::decode(&bytes).unwrap();
+        let mut bytes = Vec::new();
+        BloomFilter::build_into(ks.iter().map(|k| KeyHash::of(k)), 10, &mut bytes);
+        let f = BloomFilterRef::decode(&bytes).unwrap();
+        assert!(ks.iter().all(|k| f.may_contain_hash(KeyHash::of(k))));
         let absent = keys(100_000, "absent");
         let fp = absent
             .iter()
             .filter(|k| f.may_contain_hash(KeyHash::of(k)))
             .count();
         let rate = fp as f64 / absent.len() as f64;
-        assert!(rate <= 0.015, "table filter false-positive rate {rate}");
+        assert!(rate <= 0.015, "false-positive rate {rate}");
     }
 
     #[test]
-    fn table_filter_is_sized_exactly() {
-        // 1,000 keys at 10 bits: 10,000 bits is 19.5 blocks, so 20 —
-        // not the 32 a power-of-two round-up would take.
-        let bytes = table_filter(&keys(1_000, "k"), 10);
-        assert_eq!(bytes.len(), 20 * BLOCK_BYTES + 1);
-        assert_eq!(table_filter(&[], 10).len(), BLOCK_BYTES + 1);
-    }
-
-    #[test]
-    fn table_filter_decode_rejects_garbage() {
-        let good = table_filter(&keys(10, "k"), 10);
-        assert!(TableFilterRef::decode(&good).is_some());
-        assert!(TableFilterRef::decode(&[]).is_none());
-        assert!(TableFilterRef::decode(&[6]).is_none(), "no block");
-        assert!(
-            TableFilterRef::decode(&good[1..]).is_none(),
-            "partial block"
-        );
-        let mut bad_k = good.clone();
-        *bad_k.last_mut().unwrap() = 31;
-        assert!(TableFilterRef::decode(&bad_k).is_none());
+    fn filters_are_sized_exactly() {
+        // 1,000 keys at 10 bits: 1,250 bytes and k — not the 2,048 a
+        // power-of-two round-up would take.
+        assert_eq!(build(&keys(1_000, "k"), 10).encode().len(), 1_251);
+        assert_eq!(build(&keys(3, "k"), 10).encode().len(), 9, "64-bit floor");
     }
 
     #[test]

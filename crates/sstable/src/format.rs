@@ -11,8 +11,7 @@ pub const TABLE_MAGIC: u64 = u64::from_le_bytes(*b"ACHERON1");
 /// sort-key range tombstones to the stats block; version 3 added the
 /// value-pointer entry kind and per-segment vlog references to the
 /// stats block; version 4 gives an unwoven table a whole-table key
-/// filter in place of its per-page filters, with its extent at the end
-/// of the stats block.
+/// filter, as its whole filter block, in place of its per-page filters.
 pub const FORMAT_VERSION: u32 = 4;
 
 /// Oldest format version this build still reads. Version-2 tables

@@ -43,13 +43,12 @@
 //! The footer records the version a table was written at; a reader
 //! opens versions 2 to 4 ([`format::FORMAT_VERSION`] is the one written).
 //!
-//! * **4** — an unwoven table's filter block is its table filter, a
-//!   cache-line-blocked Bloom filter over its distinct user keys
-//!   (`ceil(n * bits_per_key / 512)` 64-byte blocks, then `k`), and
-//!   it has no page filters; a woven table's filter block holds its
-//!   page filters, as before. The stats block ends with the table
-//!   filter's offset and length inside the filter block (varints; a
-//!   zero length means none).
+//! * **4** — an unwoven table (`pages_per_tile = 1` in its stats
+//!   block) has no page filters, and its filter block, if not empty,
+//!   is its table filter: one Bloom filter over its distinct user keys
+//!   (`n * bits_per_key` bits, then `k`). A woven table's filter block
+//!   holds its page filters, as before. The stats block is as in
+//!   version 3.
 //! * **3** — value-pointer entries and the stats block's per-segment
 //!   value-log references. No table filter: every page has a filter.
 //! * **2** — the stats block ends at its range-tombstone list.
@@ -66,7 +65,7 @@ pub mod reader;
 pub mod writer;
 
 pub use block::{Block, BlockBuilder, BlockIter};
-pub use bloom::{build_table_filter_into, BloomFilter, BloomFilterRef, KeyHash, TableFilterRef};
+pub use bloom::{BloomFilter, BloomFilterRef, KeyHash};
 pub use cache::{BlockCache, CacheLease, PageKey};
 pub use format::{BlockHandle, Footer, TableOptions, FOOTER_SIZE, TABLE_MAGIC};
 pub use iter::TableIterator;

@@ -297,13 +297,6 @@ pub struct TableStats {
     /// sorted by segment id. Format v3+; always empty when decoding a
     /// v2 table.
     pub vlog_refs: Vec<VlogRef>,
-    /// The whole-table key filter: its byte offset inside the filter
-    /// block. Format v4+.
-    pub table_filter_offset: u64,
-    /// Length of the table filter's bytes (0 = no table filter: a woven
-    /// table, an empty table, filters off, or a table older than format
-    /// v4).
-    pub table_filter_len: u64,
 }
 
 impl TableStats {
@@ -348,8 +341,6 @@ impl TableStats {
             put_varint64(&mut out, r.bytes);
             put_varint64(&mut out, r.max_end);
         }
-        put_varint64(&mut out, self.table_filter_offset);
-        put_varint64(&mut out, self.table_filter_len);
         out
     }
 
@@ -360,8 +351,8 @@ impl TableStats {
 
     /// Deserialize a stats block written at table format `version`.
     /// Version 2 blocks end at the range-tombstone section; version 3
-    /// blocks must carry the vlog-ref section (possibly with zero refs);
-    /// version 4 blocks end with the table filter's extent.
+    /// and 4 blocks must carry the vlog-ref section (possibly with zero
+    /// refs).
     pub fn decode_versioned(mut src: &[u8], version: u32) -> Result<TableStats> {
         let mut next = |what: &str| -> Result<u64> {
             let (v, rest) = require_varint64(src, what)?;
@@ -433,12 +424,6 @@ impl TableStats {
                 });
             }
         }
-        let (mut table_filter_offset, mut table_filter_len) = (0, 0);
-        if version >= 4 {
-            let (v, rest) = require_varint64(src, "stats: table filter offset")?;
-            let (len, rest) = require_varint64(rest, "stats: table filter length")?;
-            (table_filter_offset, table_filter_len, src) = (v, len, rest);
-        }
         if !src.is_empty() {
             return Err(Error::corruption("stats: trailing bytes"));
         }
@@ -458,8 +443,6 @@ impl TableStats {
             tile_count,
             range_tombstones,
             vlog_refs,
-            table_filter_offset,
-            table_filter_len,
         })
     }
 }
@@ -618,8 +601,6 @@ mod tests {
                     max_end: 4096,
                 },
             ],
-            table_filter_offset: 1_234,
-            table_filter_len: 641,
         }
     }
 
@@ -659,54 +640,31 @@ mod tests {
         assert_eq!(TableStats::decode(&s.encode()).unwrap(), s);
     }
 
-    /// Stats without a table filter: a v4 block whose last two bytes
-    /// are the zero extent, so older versions are its prefixes.
-    fn filterless_stats() -> TableStats {
-        TableStats {
-            table_filter_offset: 0,
-            table_filter_len: 0,
-            ..sample_stats()
-        }
-    }
-
-    #[test]
-    fn stats_v3_block_decodes_without_table_filter() {
-        // A version-3 block is the v4 encoding minus the table filter's
-        // extent; with no filter that extent is two 0x00 varints.
-        let expect = filterless_stats();
-        let enc = expect.encode();
-        let v3 = &enc[..enc.len() - 2];
-        assert_eq!(TableStats::decode_versioned(v3, 3).unwrap(), expect);
-        assert!(TableStats::decode_versioned(v3, 4).is_err(), "truncated v4");
-        assert!(TableStats::decode_versioned(&enc, 3).is_err(), "trailing");
-    }
-
     #[test]
     fn stats_v2_block_decodes_without_refs_section() {
         // A version-2 block is exactly the v3 encoding minus the vlog-ref
         // section; with zero refs that section is a single 0x00 count.
         let expect = TableStats {
             vlog_refs: Vec::new(),
-            ..filterless_stats()
+            ..sample_stats()
         };
         let enc = expect.encode();
-        let v3 = &enc[..enc.len() - 2];
-        let v2 = &v3[..v3.len() - 1];
+        let v2 = &enc[..enc.len() - 1];
         assert_eq!(TableStats::decode_versioned(v2, 2).unwrap(), expect);
         // The same bytes are a truncated v3 block...
         assert!(TableStats::decode_versioned(v2, 3).is_err());
         // ...and a v3 block read as v2 has trailing bytes.
-        assert!(TableStats::decode_versioned(v3, 2).is_err());
+        assert!(TableStats::decode_versioned(&enc, 2).is_err());
     }
 
     #[test]
     fn stats_v2_rejects_truncation_and_trailing() {
         let base = TableStats {
             vlog_refs: Vec::new(),
-            ..filterless_stats()
+            ..sample_stats()
         };
         let enc = base.encode();
-        let v2 = &enc[..enc.len() - 3];
+        let v2 = &enc[..enc.len() - 1];
         for cut in 0..v2.len() {
             assert!(
                 TableStats::decode_versioned(&v2[..cut], 2).is_err(),

@@ -2,7 +2,6 @@
 //! per page in a woven table) and tile fences, with range-tombstone page
 //! skipping.
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
@@ -13,7 +12,7 @@ use acheron_vfs::RandomAccessFile;
 use bytes::Bytes;
 
 use crate::block::Block;
-use crate::bloom::{BloomFilterRef, KeyHash, TableFilterRef};
+use crate::bloom::{BloomFilterRef, KeyHash};
 use crate::cache::{BlockCache, CacheLease};
 use crate::format::{BlockHandle, Footer, BLOCK_TRAILER_SIZE, FOOTER_SIZE};
 use crate::iter::TableIterator;
@@ -54,10 +53,10 @@ pub struct Table {
     index: TileIndex,
     stats: TableStats,
     filter_data: Bytes,
-    /// Where the whole-table key filter lies in `filter_data`; empty
-    /// when the table has none (a woven table, format 3 and older, or
-    /// filters off).
-    table_filter: Range<usize>,
+    /// True if `filter_data` is the whole-table key filter; otherwise
+    /// it holds the page filters (a woven table, or format 3 and older)
+    /// or nothing (filters off, or an empty table).
+    table_filter: bool,
     /// This table's claim on the shared page cache, if the database
     /// configured one. Dropped with the table's last handle, which
     /// erases its pages.
@@ -178,13 +177,18 @@ impl Table {
         Block::new(raw)
     }
 
+    /// True if the table has a whole-table key filter.
+    pub fn has_table_filter(&self) -> bool {
+        self.table_filter
+    }
+
     /// True if the key hashed to `hash` *may* be in the table: the
     /// whole-table filter's answer, or `true` for a table without one.
     #[inline]
     pub fn may_contain(&self, hash: KeyHash) -> bool {
-        // An empty range decodes to no filter: open checked the rest.
-        TableFilterRef::decode(&self.filter_data[self.table_filter.clone()])
-            .is_none_or(|f| f.may_contain_hash(hash))
+        // Open checked that a table filter decodes.
+        !self.table_filter
+            || BloomFilterRef::decode(&self.filter_data).is_none_or(|f| f.may_contain_hash(hash))
     }
 
     /// A page's Bloom filter, if it has one, viewed in place inside the
@@ -388,9 +392,9 @@ impl Table {
 }
 
 /// Read and decode a table's footer, tile index, stats and filter block,
-/// checking each block's checksum, and locate the table filter inside
-/// the filter block.
-fn read_meta(file: &dyn RandomAccessFile) -> Result<(TileIndex, TableStats, Bytes, Range<usize>)> {
+/// checking each block's checksum, and say whether the filter block is
+/// a table filter.
+fn read_meta(file: &dyn RandomAccessFile) -> Result<(TileIndex, TableStats, Bytes, bool)> {
     let size = file.size();
     if size < FOOTER_SIZE as u64 {
         return Err(Error::corruption(format!(
@@ -404,23 +408,15 @@ fn read_meta(file: &dyn RandomAccessFile) -> Result<(TileIndex, TableStats, Byte
     let stats_raw = read_block_raw(file, footer.stats)?;
     let stats = TableStats::decode_versioned(&stats_raw, footer.version)?;
     let filter_data = read_block_raw(file, footer.filter)?;
-    let table_filter = if stats.table_filter_len == 0 {
-        0..0
-    } else {
-        let start = usize::try_from(stats.table_filter_offset).unwrap_or(usize::MAX);
-        let end = start.saturating_add(usize::try_from(stats.table_filter_len).unwrap_or(0));
-        if filter_data
-            .get(start..end)
-            .and_then(TableFilterRef::decode)
-            .is_none()
-        {
-            return Err(Error::corruption(format!(
-                "table filter at {start}..{end} is not a filter inside the {}-byte filter block",
-                filter_data.len()
-            )));
-        }
-        start..end
-    };
+    // From format 4 on, an unwoven table's filter block, if it has one,
+    // is its table filter; its pages have none.
+    let table_filter = footer.version >= 4 && stats.pages_per_tile == 1 && !filter_data.is_empty();
+    if table_filter && BloomFilterRef::decode(&filter_data).is_none() {
+        return Err(Error::corruption(format!(
+            "table filter of {} bytes does not decode",
+            filter_data.len()
+        )));
+    }
     Ok((index, stats, filter_data, table_filter))
 }
 
@@ -589,20 +585,15 @@ mod tests {
                 .iter()
                 .filter(|p| table.page_filter(p).is_some())
                 .count();
-            let stats = table.stats();
             if h > 1 {
                 assert_eq!(filtered_pages, table.tile_index().pages().len());
-                assert_eq!(
-                    stats.table_filter_len, 0,
-                    "a woven table has no table filter"
-                );
+                assert!(!table.has_table_filter(), "a woven table has no table filter");
                 continue;
             }
             // An unwoven table: its filter block is the table filter, and
             // it holds every key.
             assert_eq!(filtered_pages, 0);
-            assert_eq!(stats.table_filter_offset, 0);
-            assert_eq!(stats.table_filter_len, table.filter_data.len() as u64);
+            assert!(table.has_table_filter());
             assert!(entries
                 .iter()
                 .all(|e| table.may_contain(KeyHash::of(&e.key))));

@@ -14,7 +14,7 @@
 //! (`pages_per_tile > 1`) has one per page, which a lookup uses to pick
 //! pages inside a tile; an unwoven table, whose tiles are single pages,
 //! has one whole-table filter over its distinct user keys instead,
-//! appended to the filter block at finish.
+//! built at finish as its whole filter block.
 
 use std::collections::BTreeMap;
 
@@ -28,7 +28,7 @@ use bytes::Bytes;
 use std::sync::Arc;
 
 use crate::block::{Block, BlockBuilder};
-use crate::bloom::{build_table_filter_into, BloomFilter, KeyHash};
+use crate::bloom::{BloomFilter, KeyHash};
 use crate::cache::{BlockCache, CacheLease};
 use crate::format::{BlockHandle, Footer, TableOptions, FORMAT_VERSION};
 use crate::meta::{encode_tiles, PageMeta, TableStats, TileMeta, VlogRef};
@@ -385,15 +385,14 @@ impl TableBuilder {
         if let Some(last) = self.last_user_key() {
             self.stats.max_user_key = Bytes::copy_from_slice(last);
         }
-        if self.writes_table_filter() && self.stats.entry_count > 0 {
-            self.stats.table_filter_offset = self.filter_buf.len() as u64;
-            build_table_filter_into(
-                &self.key_hashes,
+        if !self.key_hashes.is_empty() {
+            // The table filter is the whole filter block: an unwoven
+            // table has no page filters.
+            BloomFilter::build_into(
+                self.key_hashes.iter().copied(),
                 self.opts.bloom_bits_per_key,
                 &mut self.filter_buf,
             );
-            self.stats.table_filter_len =
-                self.filter_buf.len() as u64 - self.stats.table_filter_offset;
         }
         let (file, offset) = (self.file.as_mut(), &mut self.offset);
         let filter_handle = write_block(file, offset, &self.filter_buf)?;

@@ -88,8 +88,8 @@ proptest! {
         let filtered = build(&entries, h, 10);
         let reference = build(&entries, h, 0);
         // One kind of filter per table: a woven table has page filters.
-        prop_assert_eq!(filtered.stats().table_filter_len > 0, h == 1);
-        prop_assert_eq!(reference.stats().table_filter_len, 0);
+        prop_assert_eq!(filtered.has_table_filter(), h == 1);
+        prop_assert!(!reference.has_table_filter());
         // Every pool key, present or absent, at every snapshot that
         // separates two of its versions.
         for k in 0..129u8 {
@@ -179,7 +179,7 @@ fn a_format3_table_opens_and_answers_every_key() {
     let fs = MemFs::new();
     fs.write_all("t", FORMAT3_TABLE).unwrap();
     let table = Table::open(fs.open("t").unwrap()).unwrap();
-    assert_eq!(table.stats().table_filter_len, 0);
+    assert!(!table.has_table_filter());
     let entries = fixture_entries();
     assert_eq!(table.stats().entry_count, entries.len() as u64);
     for (i, chain) in entries.chunk_by(|a, b| a.key == b.key).enumerate() {
@@ -224,25 +224,23 @@ fn every_flipped_filter_byte_is_corruption_and_no_get_answers_wrong() {
     };
     db.flush().unwrap();
     let flushed = flip_every_filter_byte(&db, &fs, root, check_gets);
-    assert_eq!(
-        (flushed.pages_per_tile, flushed.table_filter_offset),
-        (1, 0)
-    );
-    assert!(flushed.table_filter_len > 0);
+    assert_eq!(flushed.stats().pages_per_tile, 1);
+    assert!(flushed.has_table_filter());
     db.compact_all().unwrap();
     let woven = flip_every_filter_byte(&db, &fs, root, check_gets);
-    assert_eq!((woven.pages_per_tile, woven.table_filter_len), (2, 0));
-    assert!(woven.page_count > 2);
+    assert_eq!(woven.stats().pages_per_tile, 2);
+    assert!(!woven.has_table_filter());
+    assert!(woven.stats().page_count > 2);
 }
 
 /// Flip each byte of the filter block of the one table under `root`,
-/// then put it back; returns the table's stats.
+/// then put it back; returns the table, opened again.
 fn flip_every_filter_byte(
     db: &Db,
     fs: &Arc<dyn Vfs>,
     root: &str,
     check_gets: impl Fn(usize),
-) -> acheron_sstable::TableStats {
+) -> Arc<Table> {
     let tables: Vec<String> = fs
         .list(root)
         .unwrap()
@@ -288,8 +286,5 @@ fn flip_every_filter_byte(
     }
     db.verify_integrity().unwrap();
     check_db(fs.as_ref(), root).unwrap();
-    Table::open(fs.open(&path).unwrap())
-        .unwrap()
-        .stats()
-        .clone()
+    Table::open(fs.open(&path).unwrap()).unwrap()
 }
