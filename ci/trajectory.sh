@@ -16,10 +16,13 @@
 #       and the values by seed; plus the seed-1 --quick write_amp,
 #       space_amp and dth_worst_age_frac.
 #
-#   ci/trajectory.sh --check
-#       Rerun `all --quick` at HEAD and compare its exact figures with
-#       the newest BENCH_*.json. Fails on any difference: a change that
-#       moves them must commit its own file recording the new figures.
+#   ci/trajectory.sh --check [<output>]
+#       Compare the exact figures of an `all --quick` run at HEAD with
+#       the newest BENCH_*.json: the run whose output was saved in
+#       <output> (traced or not; tracing leaves the exact figures as
+#       they are), or else a fresh untraced one. Fails on any
+#       difference: a change that moves them must commit its own file
+#       recording the new figures.
 #
 # SEEDS (default "1 2 3 4 5") and RUN_SECONDS (default 10) override the
 # seeds and the per-run length.
@@ -44,8 +47,11 @@ if [[ "${1:-}" == "--check" ]]; then
         echo "no BENCH_*.json to check against" >&2
         exit 1
     fi
-    bench "$root" all --quick > "$tmp/quick.txt"
-    python3 - "$tmp/quick.txt" "BENCH_$newest.json" <<'EOF'
+    quick=${2:-$tmp/quick.txt}
+    if [[ $# -lt 2 ]]; then
+        bench "$root" all --quick > "$quick"
+    fi
+    python3 - "$quick" "BENCH_$newest.json" <<'EOF'
 import json, sys
 quick_path, bench_path = sys.argv[1:]
 EXACT = ["write_amp", "space_amp", "dth_worst_age_frac"]
@@ -74,7 +80,7 @@ EOF
 fi
 
 if [[ $# -lt 1 || ! "$1" =~ ^[0-9]+$ ]]; then
-    echo "usage: ci/trajectory.sh <pr> [<pr>:<checkout> ...] | --check" >&2
+    echo "usage: ci/trajectory.sh <pr> [<pr>:<checkout> ...] | --check [<output>]" >&2
     exit 2
 fi
 heads=("$1:$root")

@@ -587,7 +587,10 @@ mod tests {
                 .count();
             if h > 1 {
                 assert_eq!(filtered_pages, table.tile_index().pages().len());
-                assert!(!table.has_table_filter(), "a woven table has no table filter");
+                assert!(
+                    !table.has_table_filter(),
+                    "a woven table has no table filter"
+                );
                 continue;
             }
             // An unwoven table: its filter block is the table filter, and

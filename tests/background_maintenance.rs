@@ -452,7 +452,7 @@ fn schedule_digest(db: &Db, fs: &MemFs) -> u32 {
 /// table's bytes changed, and with its size the level sizes the picker
 /// reads. It moves only if the sequence of seals, flushes, picks, file
 /// ids, manifest records or table bytes moves.
-const SCHEDULE_DIGEST: u32 = 0x4a1f_babc;
+const SCHEDULE_DIGEST: u32 = 0xb36f_77c7;
 
 /// The schedule digest of every compaction policy the engine offers:
 /// `(layout, file pick, FADE on, digest)`. The first row is
@@ -467,17 +467,17 @@ const SCHEDULE_TABLE: [(CompactionLayout, FilePickPolicy, bool, u32); 12] = {
     use FilePickPolicy::{MinOverlap, OldestTombstone, RoundRobin, TombstoneDensity};
     [
         (Leveling, MinOverlap, true, SCHEDULE_DIGEST),
-        (Leveling, MinOverlap, false, 0x02e5_4791),
-        (Leveling, TombstoneDensity, true, 0x600e_16ec),
-        (Leveling, TombstoneDensity, false, 0x2ee3_a4ce),
-        (Leveling, OldestTombstone, true, 0x4a1f_babc),
-        (Leveling, OldestTombstone, false, 0x49de_a538),
-        (Leveling, RoundRobin, true, 0x4a1f_babc),
-        (Leveling, RoundRobin, false, 0x0fe7_f811),
-        (Tiering, MinOverlap, true, 0x6369_c602),
-        (Tiering, MinOverlap, false, 0xbfca_9179),
-        (LazyLeveling, MinOverlap, true, 0x547b_4792),
-        (LazyLeveling, MinOverlap, false, 0xbfca_9179),
+        (Leveling, MinOverlap, false, 0xd7d5_a891),
+        (Leveling, TombstoneDensity, true, 0xc11e_13a1),
+        (Leveling, TombstoneDensity, false, 0x2062_e5ed),
+        (Leveling, OldestTombstone, true, 0xb36f_77c7),
+        (Leveling, OldestTombstone, false, 0x454b_a146),
+        (Leveling, RoundRobin, true, 0xb36f_77c7),
+        (Leveling, RoundRobin, false, 0xc1ad_f492),
+        (Tiering, MinOverlap, true, 0xf988_2107),
+        (Tiering, MinOverlap, false, 0x3575_85a8),
+        (LazyLeveling, MinOverlap, true, 0x8c1f_43a8),
+        (LazyLeveling, MinOverlap, false, 0x3575_85a8),
     ]
 };
 

@@ -767,8 +767,9 @@ fn repair_digest(fs: &Arc<RecordingFs>) -> (u32, String) {
 /// durability point, in a different order, logs different milestones,
 /// or leaves different bytes behind. The first moved once, when tables
 /// gained their whole-table key filter (format 4): its image holds a
-/// table, whose bytes (and size in the manifest) changed.
-const REPAIR_DIGESTS: [u32; 3] = [0x5078_5d11, 0xa68b_866c, 0x5036_89a6];
+/// table, and only that table's CRC and the manifest's (which records
+/// the table's size) changed.
+const REPAIR_DIGESTS: [u32; 3] = [0x0421_e11f, 0xa68b_866c, 0x5036_89a6];
 
 #[test]
 fn recovery_repair_sequence_is_pinned() {

@@ -157,13 +157,13 @@ fn pinned_dataset() -> Vec<Entry> {
 /// The builder's output is a compatibility surface and the yardstick
 /// for every data-path optimisation: same input, same file bytes.
 /// Recorded at format 4: an unwoven table's filter block is one
-/// whole-table key filter instead of a filter per page, and a woven
-/// table's stats block ends with a zero table-filter extent.
+/// whole-table key filter instead of a filter per page; a woven table
+/// differs from format 3 only in its footer's version.
 #[test]
 fn table_file_bytes_are_pinned() {
     for (h, expected_len, expected_crc) in [
-        (1usize, 283_816usize, 243_245_026u32),
-        (4, 285_014, 4_232_036_502),
+        (1usize, 283_809usize, 3_952_242_835u32),
+        (4, 285_012, 4_070_541_353),
     ] {
         let fs = MemFs::new();
         let opts = TableOptions {
@@ -283,29 +283,29 @@ fn compaction_output_bytes_are_pinned() {
     assert_eq!(
         held,
         pinned(&[
-            ("000105.sst", 16_691, 955_057_318),
-            ("000106.sst", 16_655, 2_905_766_710),
-            ("000107.sst", 16_653, 3_753_090_224),
-            ("000108.sst", 16_690, 1_137_566_971),
-            ("000109.sst", 16_734, 939_383_328),
-            ("000110.sst", 16_772, 915_349_637),
-            ("000111.sst", 16_699, 4_103_856_391),
-            ("000112.sst", 16_680, 3_092_911_303),
-            ("000113.sst", 1_994, 503_637_285),
-            ("000117.sst", 16_770, 1_247_085_904),
+            ("000105.sst", 16_689, 3_919_606_013),
+            ("000106.sst", 16_653, 3_434_079_999),
+            ("000107.sst", 16_651, 939_846_698),
+            ("000108.sst", 16_688, 3_675_073_655),
+            ("000109.sst", 16_732, 2_264_817_956),
+            ("000110.sst", 16_770, 2_842_557_173),
+            ("000111.sst", 16_697, 1_645_149_716),
+            ("000112.sst", 16_678, 2_356_055_004),
+            ("000113.sst", 1_992, 1_321_425_877),
+            ("000117.sst", 16_768, 3_092_498_864),
         ]),
         "snapshot held: compaction output bytes changed"
     );
     assert_eq!(
         released,
         pinned(&[
-            ("000144.sst", 16_797, 641_732_146),
-            ("000145.sst", 16_808, 3_623_589_637),
-            ("000146.sst", 16_812, 806_732_197),
-            ("000147.sst", 16_820, 2_099_639_091),
-            ("000148.sst", 16_830, 2_568_017_334),
-            ("000149.sst", 16_819, 1_869_313_555),
-            ("000150.sst", 5_194, 3_330_209_193),
+            ("000144.sst", 16_795, 2_211_851_897),
+            ("000145.sst", 16_806, 3_502_424_860),
+            ("000146.sst", 16_810, 3_822_630_577),
+            ("000147.sst", 16_818, 105_029_266),
+            ("000148.sst", 16_828, 3_314_225_314),
+            ("000149.sst", 16_817, 1_300_925_063),
+            ("000150.sst", 5_192, 2_231_086_597),
         ]),
         "snapshot released: compaction output bytes changed"
     );

@@ -301,12 +301,12 @@ fn e5_secondary_range_delete_drops_pages_unread() {
     );
     // The write side barely moves: covered pages are skipped on read,
     // but the rest of each file is still rewritten. Pinned so a change
-    // to that cost shows here. (Format 4 moved it from 254,229 and
-    // 239,314: an unwoven table carries one table filter in place of its
-    // page filters, and a woven one a zero table-filter extent.)
+    // to that cost shows here. (Format 4 moved h=1 from 254,229: an
+    // unwoven table carries one table filter in place of its page
+    // filters.)
     assert_eq!(
         (written1, written4),
-        (253_961, 239_344),
+        (253_570, 239_314),
         "bytes written at h=1, h=4"
     );
 }
