@@ -19,8 +19,8 @@
 #   ci/trajectory.sh --check [<output>]
 #       Compare the exact figures of an `all --quick` run at HEAD with
 #       the newest BENCH_*.json: the run whose output was saved in
-#       <output> (traced or not; tracing leaves the exact figures as
-#       they are), or else a fresh untraced one. Fails on any
+#       <output> (of an `all --quick --traced` run, the untraced half),
+#       or else a fresh untraced one. Fails on any
 #       difference: a change that moves them must commit its own file
 #       recording the new figures.
 #
@@ -62,7 +62,9 @@ for line in open(quick_path):
         workload = line.split()[1]
     elif line.startswith("{") and workload:
         metrics = json.loads(line)["metrics"]
-        got[workload] = {m: metrics[m]["value"] for m in EXACT}
+        # A traced run's result holds only per-layer figures.
+        if all(m in metrics for m in EXACT):
+            got[workload] = {m: metrics[m]["value"] for m in EXACT}
 want = json.load(open(bench_path))["quick_seed1"]
 bad = [
     f"{w} {m}: {bench_path} records {want.get(w, {}).get(m)}, HEAD gives {got.get(w, {}).get(m)}"

@@ -29,7 +29,7 @@
 //! key filter instead. So
 //!
 //! * a point lookup hashes its key once ([`KeyHash`]), and an unwoven
-//!   table whose filter rejects it costs one cache line — no fence
+//!   table whose filter rejects it costs one filter probe — no fence
 //!   search;
 //! * inside a woven tile, it touches only the pages whose Bloom
 //!   matches; and
