@@ -3,14 +3,15 @@
 # root, outside benchmark/.
 #
 #   ci/trajectory.sh <pr> [<pr>:<checkout> ...]
-#       Build the benchmark in this checkout (and in each other
-#       checkout), then run the four BENCHMARK.json workloads untraced
-#       at full scale on seeds 1-5. Within each seed the workloads run
+#       Build the benchmark once in this checkout (and in each other
+#       checkout), then run the four BENCHMARK.json workloads with that
+#       binary, untraced, at full scale on seeds 1-5. Within each seed the workloads run
 #       one after another, and for each workload the checkouts take
 #       turns, in an order that alternates from seed to seed, so every
 #       head sees the same host. Then run `all --quick` (seed 1) in each
 #       checkout for the exact figures. Writes BENCH_<pr>.json here for
-#       every head: its commit, the seeds, the median
+#       every head: its commit, whether tracked files differed from it
+#       before the build or after the last run, the seeds, the median
 #       driver.host_slowdown, and per workload and end-to-end metric the
 #       median, the quartiles (Python's statistics.quantiles, n=4), n
 #       and the values by seed; plus the seed-1 --quick write_amp,
@@ -35,10 +36,26 @@ run_seconds=${RUN_SECONDS:-10}
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
-bench() { # <checkout> <args...>
-    local dir=$1
-    shift
-    (cd "$dir" && cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- "$@")
+# Build the benchmark in <checkout> and copy the binary to <bin>, so
+# every run measures this build: `cargo run` would rebuild silently if
+# a source file changed mid-measurement. The binary is where cargo puts
+# it: under CARGO_TARGET_DIR when set (a relative one is taken from the
+# checkout, as cargo takes it), else under benchmark/target.
+build() { # <checkout> <bin>
+    (cd "$1" && cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml &&
+        cp "${CARGO_TARGET_DIR:-benchmark/target}/release/acheron-benchmark" "$2")
+}
+
+bench() { # <checkout> <bin> <args...>
+    local dir=$1 bin=$2
+    shift 2
+    (cd "$dir" && "$bin" "$@")
+}
+
+# Tracked files that differ from the checkout's commit, BENCH_*.json
+# aside.
+dirty() { # <checkout>
+    git -C "$1" status --porcelain --untracked-files=no -- . ':!BENCH_*.json' 2>/dev/null | wc -l
 }
 
 if [[ "${1:-}" == "--check" ]]; then
@@ -49,7 +66,8 @@ if [[ "${1:-}" == "--check" ]]; then
     fi
     quick=${2:-$tmp/quick.txt}
     if [[ $# -lt 2 ]]; then
-        bench "$root" all --quick > "$quick"
+        build "$root" "$tmp/acheron-benchmark"
+        bench "$root" "$tmp/acheron-benchmark" all --quick > "$quick"
     fi
     python3 - "$quick" "BENCH_$newest.json" <<'EOF'
 import json, sys
@@ -95,10 +113,8 @@ for head in "${heads[@]}"; do
     pr=${head%%:*}
     dir=${head#*:}
     mkdir -p "$tmp/$pr"
-    (cd "$dir" && cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
-    commit=$(git -C "$dir" rev-parse HEAD 2>/dev/null || echo unknown)
-    dirty=$(git -C "$dir" status --porcelain --untracked-files=no -- . ':!BENCH_*.json' 2>/dev/null | wc -l)
-    echo "$commit $dirty" > "$tmp/$pr/commit"
+    dirty "$dir" > "$tmp/$pr/dirty"
+    build "$dir" "$tmp/$pr/acheron-benchmark"
 done
 
 n=${#heads[@]}
@@ -111,15 +127,18 @@ for s in "${!seeds[@]}"; do
             pr=${head%%:*}
             dir=${head#*:}
             echo "seed $seed $w: $pr" >&2
-            bench "$dir" --workload "$w" --seed "$seed" --seconds "$run_seconds" --trace 0 \
-                > "$tmp/$pr/$w-$seed.txt"
+            bench "$dir" "$tmp/$pr/acheron-benchmark" --workload "$w" --seed "$seed" \
+                --seconds "$run_seconds" --trace 0 > "$tmp/$pr/$w-$seed.txt"
         done
     done
 done
 for head in "${heads[@]}"; do
     pr=${head%%:*}
     dir=${head#*:}
-    bench "$dir" all --quick > "$tmp/$pr/quick.txt"
+    bench "$dir" "$tmp/$pr/acheron-benchmark" all --quick > "$tmp/$pr/quick.txt"
+    # The tree counts as dirty if it was before the build or is now.
+    commit=$(git -C "$dir" rev-parse HEAD 2>/dev/null || echo unknown)
+    echo "$commit $(($(cat "$tmp/$pr/dirty") + $(dirty "$dir")))" > "$tmp/$pr/commit"
 done
 
 for head in "${heads[@]}"; do

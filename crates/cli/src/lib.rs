@@ -38,10 +38,16 @@ impl Backend {
     /// Resolve a one-shot subcommand's target. An existing directory
     /// opens offline (recovery events included) and is tried first, so
     /// a directory whose path holds a `:` is still a directory; any
-    /// other target with a `:` is a server address.
+    /// other target with a `:` is a server address. A directory opens
+    /// without background workers: nothing compacts the tree a one-shot
+    /// command reads.
     pub fn resolve(target: &str) -> Result<Backend, String> {
         if Path::new(target).is_dir() {
-            ShardedDb::open_root(Arc::new(StdFs::new(false)), target, DbOptions::default())
+            let opts = DbOptions {
+                background_threads: 0,
+                ..DbOptions::default()
+            };
+            ShardedDb::open_root(Arc::new(StdFs::new(false)), target, opts)
                 .map(Backend::Local)
                 .map_err(|e| format!("open {target}: {e}"))
         } else if target.contains(':') {
@@ -755,6 +761,72 @@ mod tests {
             Err(e) => assert!(e.contains("neither"), "{e}"),
             Ok(_) => panic!("resolved a target that is neither"),
         }
+    }
+
+    /// A one-shot `acheron audit <dir>` judges the tree the directory
+    /// holds and leaves it so, over a three-shard root whose shards'
+    /// L0s hold their file limit: the doctor reports the same tree
+    /// before and after, and the offline and online verdicts agree at
+    /// the oldest delete's age and one tick under it.
+    #[test]
+    fn one_shot_audit_judges_the_tree_on_disk_and_leaves_it() {
+        use acheron::{check_root, DeleteAudit};
+        let dir = acheron_vfs::temp::TempDir::new("audit-root");
+        let root = dir.path_str();
+        let fs = StdFs::new(false);
+        let opts = DbOptions::small();
+        let l0_limit = opts.level0_file_limit;
+        let fleet = ShardedDb::open(Arc::new(StdFs::new(false)), root, opts, 3).unwrap();
+        // Each flush of a buffer too small to seal adds one L0 file per
+        // shard; a flush compacts nothing.
+        for round in 0..l0_limit {
+            for k in 0..40 {
+                let key = format!("key{round}-{k:02}");
+                fleet.put(key.as_bytes(), b"v").unwrap();
+                if k % 4 == 0 {
+                    fleet.delete(key.as_bytes()).unwrap();
+                }
+            }
+            fleet.flush().unwrap();
+        }
+        drop(fleet);
+
+        let doctor = |d_th| check_root(&fs, root, Some(d_th)).unwrap();
+        let tree = |d_th| -> Vec<String> {
+            (doctor(d_th).iter())
+                .map(|r| format!("{} {:?} {:?}", r.entries, r.levels, r.audit))
+                .collect()
+        };
+        let before = doctor(0);
+        assert!(
+            (before.iter()).any(|r| r.levels.first().is_some_and(|l| l.files == l0_limit as u64)),
+            "{before:?}"
+        );
+        let offline = DeleteAudit::fleet(before.into_iter().map(|r| r.audit));
+        let oldest = offline
+            .oldest_live_tombstone_tick
+            .expect("deletes stay live");
+        let age = offline.now - oldest;
+        let verdicts = [age, age - 1]
+            .map(|d_th| DeleteAudit::fleet(doctor(d_th).into_iter().map(|r| r.audit)).ok());
+        assert_eq!(verdicts, [true, false]);
+        let tree_before = tree(age);
+
+        // What `acheron audit <dir> --d-th <ticks>` runs.
+        let Ok(Backend::Local(fleet)) = Backend::resolve(root) else {
+            panic!("{root} did not open as a directory");
+        };
+        let online = fleet.delete_audit();
+        drop(fleet);
+        let judged = [age, age - 1].map(|d_th| {
+            DeleteAudit {
+                d_th: Some(d_th),
+                ..online.clone()
+            }
+            .ok()
+        });
+        assert_eq!(judged, verdicts, "offline {offline:?}\nonline {online:?}");
+        assert_eq!(tree(age), tree_before, "the audit changed the tree");
     }
 
     #[test]

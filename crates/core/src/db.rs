@@ -245,9 +245,9 @@ struct DbCore {
     /// segment would race on its file (one deletes what the other is
     /// about to read or delete).
     vlog_gc_claimed: AtomicBool,
-    /// Flight recorder: lock-free ring of typed maintenance events.
-    /// Emission is one atomic seqno plus one slot write, so the hooks
-    /// stay on unconditionally.
+    /// Flight recorder: ring of typed maintenance events behind one
+    /// leaf lock. Emission copies one event into preallocated memory,
+    /// so the hooks stay on unconditionally.
     obs: EventLog,
     /// Value-log append head, created lazily on the first separated
     /// value so separation-off databases (and restarts that never write
@@ -545,6 +545,11 @@ impl Db {
         for ev in boot_events {
             core.obs.log(ev);
         }
+        // Recovery builds the state without the cached FADE deadline,
+        // and only an install recomputes it: without this, commits
+        // could not see a recovered table's deadline until the next
+        // seal.
+        core.recompute_ttl_deadline(&mut core.state.write());
         // Report the recovered table set's pinned bytes before any
         // traffic: a freshly opened tree already taxes the budget.
         core.refresh_pinned(&core.state.read());
@@ -565,12 +570,14 @@ impl Db {
                 }
             }
         }
-        let db = Db {
+        // The open runs no maintenance, so a one-shot open reads the
+        // tree the directory holds. Recovery may leave it over its
+        // triggers: the workers act on that now, an inline engine at
+        // the next commit that seals or passes the TTL deadline.
+        core.kick_workers();
+        Ok(Db {
             inner: Arc::new(DbInner { core, workers }),
-        };
-        // Recovery may leave the tree over its triggers.
-        db.maintain()?;
-        Ok(db)
+        })
     }
 
     fn core(&self) -> &DbCore {

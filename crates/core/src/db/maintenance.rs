@@ -90,7 +90,7 @@ pub(super) enum Stage<'a> {
 impl DbCore {
     /// Recompute the cached earliest-TTL-expiry tick from the current
     /// tree and all buffers (active + sealed).
-    fn recompute_ttl_deadline(&self, st: &mut State) {
+    pub(super) fn recompute_ttl_deadline(&self, st: &mut State) {
         let Some(ttl) = self.picker.ttl_schedule() else {
             st.ttl_deadline = None;
             return;

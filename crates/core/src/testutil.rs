@@ -431,9 +431,10 @@ impl OpenForecast {
 
     /// What an open of the image under `dir` is observed to do: its
     /// `WalSegmentReplayed` details, its rebuilt vlog accounting and its
-    /// `GcDropped` events. Taken from a copy of the image, opened with
-    /// `opts` minus everything that could start maintenance — the gauges
-    /// then still show what the repair rebuilt — so `fs` is untouched.
+    /// `GcDropped` events. Taken from a copy of the image, so `fs` is
+    /// untouched, opened with `opts` but no background workers: an open
+    /// runs no maintenance itself, so the gauges still show what the
+    /// repair rebuilt.
     pub(crate) fn by_open(fs: &dyn Vfs, dir: &str, opts: &DbOptions) -> Result<OpenForecast> {
         let copy = Arc::new(MemFs::new());
         copy.mkdir_all(dir)?;
@@ -442,12 +443,7 @@ impl OpenForecast {
             copy.write_all(&path, &fs.read_all(&path)?)?;
         }
         let quiet = DbOptions {
-            fade: None,
-            vlog_gc_dead_ratio_percent: 0,
             background_threads: 0,
-            level0_file_limit: usize::MAX,
-            level1_target_bytes: 1 << 50,
-            memory_budget_bytes: 0,
             ..opts.clone()
         };
         let db = Db::open(copy, dir, quiet)?;

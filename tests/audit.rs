@@ -394,16 +394,14 @@ fn gauges_and_audit_are_pinned() {
 /// live) is judged offline by the doctor, then opened — still without
 /// FADE — and judged by `delete_audit` at the same thresholds. At the
 /// oldest delete's age both pass, one tick under it both fail; as a
-/// plain directory and as a three-shard root. (L0 never fills, so the
-/// open finds nothing to compact and judges the image the doctor read.)
+/// plain directory and as a three-shard root, where one shard's L0
+/// holds its file limit: an open runs no maintenance, so the online
+/// audit judges the image the doctor read.
 #[test]
 fn offline_and_online_verdicts_agree() {
     for shards in [None, Some(3)] {
         let fs = Arc::new(MemFs::new());
-        let opts = || DbOptions {
-            level0_file_limit: 1_000,
-            ..small()
-        };
+        let opts = small;
         let open = || match shards {
             None => ShardedDb::from(Db::open(fs.clone(), "db", opts()).unwrap()),
             Some(n) => ShardedDb::open(fs.clone(), "db", opts(), n).unwrap(),

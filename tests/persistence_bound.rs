@@ -480,3 +480,64 @@ fn snapshot_pinned_bottom_does_not_spin() {
         db.maintain().unwrap();
     }
 }
+
+/// A reopened inline engine sees a recovered table's FADE deadline: an
+/// open computes the deadline from the tree it recovered, so the first
+/// commit past it compacts, though no write since the open has sealed
+/// a buffer or installed anything.
+#[test]
+fn reopened_engine_acts_on_a_recovered_tables_deadline() {
+    use acheron::{CompactionReason, Event};
+    let fs = Arc::new(MemFs::new());
+    // Each open gets its own options, and so its own clock. Uniform
+    // budgets of 187 ticks over three stations: the deletes stay in
+    // their table past the reopen, and a buffer of 64 KiB seals only
+    // long after the table's deadline.
+    let d_th = 600;
+    let o = || DbOptions {
+        max_levels: 3,
+        write_buffer_bytes: 64 << 10,
+        fade: Some(FadeOptions {
+            delete_persistence_threshold: d_th,
+            ttl_allocation: TtlAllocation::Uniform,
+        }),
+        ..DbOptions::small()
+    };
+    let db = Db::open(fs.clone(), "db", o()).unwrap();
+    for i in 0..20u32 {
+        db.put(format!("key{i:02}").as_bytes(), b"v").unwrap();
+    }
+    db.flush().unwrap();
+    for i in 0..20u32 {
+        db.delete(format!("key{i:02}").as_bytes()).unwrap();
+    }
+    db.flush().unwrap();
+    assert_eq!(db.live_tombstones(), 20, "the deletes rest in a table");
+    drop(db);
+
+    let db = Db::open(fs, "db", o()).unwrap();
+    let ttl_pick = |e: &Event| {
+        matches!(
+            e,
+            Event::CompactionPicked {
+                reason: CompactionReason::TtlExpired,
+                ..
+            }
+        )
+    };
+    let opened = db.now();
+    assert!(!db.events().events.iter().any(|e| ttl_pick(&e.event)));
+    let mut puts = 0u32;
+    while !db.events().events.iter().any(|e| ttl_pick(&e.event)) {
+        assert!(db.now() - opened <= d_th, "no TTL pick within D_th");
+        db.put(format!("other{puts:03}").as_bytes(), b"v").unwrap();
+        puts += 1;
+    }
+    let events: Vec<Event> = db.events().events.iter().map(|e| e.event).collect();
+    let pick = events.iter().position(ttl_pick).unwrap();
+    assert!(
+        !(events[..pick].iter()).any(|e| matches!(e, Event::MemtableSealed { .. })),
+        "the TTL pick came before any seal: {events:?}"
+    );
+    assert!(puts > 0, "the deadline was still ahead at the open");
+}
