@@ -401,10 +401,9 @@ fn gauges_and_audit_are_pinned() {
 fn offline_and_online_verdicts_agree() {
     for shards in [None, Some(3)] {
         let fs = Arc::new(MemFs::new());
-        let opts = small;
         let open = || match shards {
-            None => ShardedDb::from(Db::open(fs.clone(), "db", opts()).unwrap()),
-            Some(n) => ShardedDb::open(fs.clone(), "db", opts(), n).unwrap(),
+            None => ShardedDb::from(Db::open(fs.clone(), "db", small()).unwrap()),
+            Some(n) => ShardedDb::open(fs.clone(), "db", small(), n).unwrap(),
         };
         let db = open();
         seeded_load(&db, 0x2545_f491_4f6c_dd1d);
