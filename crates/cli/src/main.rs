@@ -228,9 +228,6 @@ impl ServeArgs {
                     memory_budget = flag_value("--memory-budget")?
                         .parse()
                         .map_err(|_| "--memory-budget must be an integer (bytes)".to_string())?;
-                    if memory_budget > 0 && memory_budget < 64 * 1024 {
-                        return Err("--memory-budget must be 0 or at least 65536 bytes".into());
-                    }
                 }
                 "--rate-limit" => {
                     rate =
@@ -277,7 +274,9 @@ impl ServeArgs {
 /// can watch connections, throughput, and backpressure state live.
 /// `--shards N` partitions the keyspace across N engines;
 /// `--memory-budget BYTES` puts memtables, the block cache, and pinned
-/// filters under one adaptively split budget; `--rate-limit` adds
+/// filters under one budget (¾ of what pinned bytes leave goes to the
+/// write buffers, the rest to the cache; `DbOptions::validate` rejects
+/// a budget under 64 KiB at open); `--rate-limit` adds
 /// per-connection token-bucket admission control.
 fn serve(args: &ServeArgs) {
     let mut opts = DbOptions::small().with_fade(50_000);

@@ -196,8 +196,8 @@ pub fn run_compaction(
         };
         // Compaction inputs are read once and rewritten: use what is
         // resident, but fill nothing and promote nothing, so the merge
-        // neither evicts the read path's working set nor inflates the
-        // memory arbiter's fill signal.
+        // neither evicts the read path's working set nor counts as
+        // read demand.
         let mut it = f.table.iter_nofill(rts_for_file);
         it.seek_to_first()?;
         sources.push(Box::new(it));

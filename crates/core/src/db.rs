@@ -57,7 +57,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use acheron_memtable::Memtable;
-use acheron_types::{Error, RangeTombstone, Result, SeqNo, Tick};
+use acheron_types::{Error, LogicalClock, RangeTombstone, Result, SeqNo, Tick};
 use acheron_vfs::Vfs;
 use acheron_vlog::{VlogReader, VlogWriter};
 use acheron_wal::{LogWriter, WalOp};
@@ -65,7 +65,7 @@ use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock};
 
 use crate::manifest::ManifestWriter;
-use crate::memory::{MemoryBudget, TunerSample};
+use crate::memory::MemoryBudget;
 use crate::obs::trace::{
     DeleteAudit, DeleteLedger, OpTrace, TraceBuf, TraceOp, TraceStage, Tracer,
 };
@@ -196,7 +196,7 @@ struct DbCore {
     /// Unified memory arbiter, present when
     /// [`DbOptions::memory_budget_bytes`] is non-zero or a sharded
     /// fleet injected a shared budget. Owns the memtable/cache split;
-    /// `cache` is resized to its cache share when the tuner moves.
+    /// `cache` is resized to its cache share when pinned bytes change.
     memory: Option<Arc<MemoryBudget>>,
     /// Whether `cache`/`memory` are shared with sibling engines (one
     /// fleet-wide instance). Shared-scope cache and budget stats are
@@ -460,7 +460,14 @@ impl WritePressure {
 
 impl Db {
     /// Open (creating or recovering) a database under `dir`.
-    pub fn open(fs: Arc<dyn Vfs>, dir: &str, opts: DbOptions) -> Result<Db> {
+    ///
+    /// A logical clock is replaced by the engine's own, started at its
+    /// tick: clones of one options value share one clock, and engines
+    /// opened from them must not tick each other.
+    pub fn open(fs: Arc<dyn Vfs>, dir: &str, mut opts: DbOptions) -> Result<Db> {
+        if opts.clock.as_logical().is_some() {
+            opts.clock = Arc::new(LogicalClock::starting_at(opts.clock.now()));
+        }
         Self::open_with_shared(fs, dir, opts, None, None, None)
     }
 
@@ -644,9 +651,6 @@ impl Db {
         let (_pause, excl) = core.quiesce()?;
         core.drive(&TREE, Some(&excl))?;
         drop(excl);
-        // One arbiter sample per quiescent pass: this is the inline
-        // analogue of the background workers' per-step tick.
-        core.memory_tick();
         // Vlog GC runs after the tree is quiescent — compaction installs
         // above are what turn frames dead — and outside the exclusion,
         // which each rewrite takes for itself.
@@ -929,25 +933,6 @@ impl DbCore {
             if let Some(c) = &self.cache {
                 m.apply_cache_share(c);
             }
-        }
-    }
-
-    /// Feed one cumulative sample to the memory arbiter and re-apply
-    /// the cache share if the split moved. Cheap when idle (the tuner
-    /// differences its inputs, so an unchanged window classifies as
-    /// hold); called from both the inline and background maintenance
-    /// paths.
-    fn memory_tick(&self) {
-        let (Some(m), Some(c)) = (&self.memory, &self.cache) else {
-            return;
-        };
-        let sample = TunerSample {
-            cache_fill_bytes: c.inserted_bytes(),
-            write_bytes: self.stats.user_bytes.load(Ordering::Relaxed),
-            write_stalls: self.stats.write_stalls.load(Ordering::Relaxed),
-        };
-        if m.tick(sample) {
-            m.apply_cache_share(c);
         }
     }
 

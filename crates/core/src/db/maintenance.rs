@@ -930,9 +930,6 @@ impl DbCore {
                 Some(task) => core.run_task(task, None).map(|()| true),
                 None => Ok(false),
             };
-            // Sample the arbiter once per worker step; differencing in
-            // the tuner makes redundant calls classify as hold.
-            core.memory_tick();
 
             let mut maint = core.maint.lock();
             maint.in_flight -= 1;

@@ -67,7 +67,7 @@ pub mod version;
 
 pub use db::{Db, MaintenancePause, RangeIter, Snapshot, WriteBatch, WritePressure};
 pub use doctor::{check_db, DoctorReport};
-pub use memory::{MemoryBudget, TunerSample};
+pub use memory::MemoryBudget;
 pub use obs::trace::{
     render_traces, CohortRecord, CohortStage, DeleteAudit, DeleteLedger, OpTrace, TraceOp,
     TraceStage,

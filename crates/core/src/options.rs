@@ -109,21 +109,22 @@ pub struct DbOptions {
     /// Experiments default to 0 so measured I/O reflects the layout, not
     /// cache luck.
     pub block_cache_bytes: usize,
-    /// Unified memory budget in bytes, arbitrated adaptively across the
-    /// write buffer, the block cache, and pinned table metadata by a
-    /// [`crate::memory::MemoryBudget`].
+    /// Unified memory budget in bytes, split across the write buffer,
+    /// the block cache, and pinned table metadata by a
+    /// [`crate::memory::MemoryBudget`]: pinned bytes come off the top,
+    /// the write buffers get ¾ of the rest and the cache the remainder.
     ///
     /// **Precedence rule:** when this is non-zero it *overrides* the
     /// static sizing knobs — the memtable seal threshold comes from the
-    /// budget's current write-buffer share (not `write_buffer_bytes`)
-    /// and the page cache is created at the budget's cache share and
-    /// resized by the tuner (`block_cache_bytes` is ignored, and a
+    /// budget's write-buffer share (not `write_buffer_bytes`) and the
+    /// page cache is created at the budget's cache share and resized
+    /// as pinned bytes change (`block_cache_bytes` is ignored, and a
     /// cache exists even when it is 0). When this is zero (the
     /// default), behavior is exactly legacy: `write_buffer_bytes` seals
-    /// memtables, `block_cache_bytes` sizes the optional cache, and no
-    /// tuner runs. On a sharded fleet one budget spans every shard:
-    /// each shard's memtable allowance is the write-buffer share
-    /// divided by the shard count, and all shards share one cache.
+    /// memtables and `block_cache_bytes` sizes the optional cache. On a
+    /// sharded fleet one budget spans every shard: each shard's
+    /// memtable allowance is the write-buffer share divided by the
+    /// shard count, and all shards share one cache.
     pub memory_budget_bytes: usize,
     /// Sync the WAL on every commit.
     pub wal_sync: bool,
@@ -168,7 +169,13 @@ pub struct DbOptions {
     /// segment even before any dead extent's FADE deadline is due.
     pub vlog_gc_dead_ratio_percent: u8,
     /// Clock used for tombstone aging; defaults to a logical clock that
-    /// the engine advances once per write operation.
+    /// the engine advances once per write operation. [`crate::Db::open`]
+    /// gives each engine its own [`LogicalClock`], started at this
+    /// clock's tick, so engines opened from clones of one options value
+    /// do not tick each other (read the engine's clock with
+    /// [`crate::Db::now`], advance it with [`crate::Db::advance_clock`]).
+    /// Any other clock is used as given. A sharded fleet's shards share
+    /// the router's clock.
     pub clock: Arc<dyn Clock>,
     /// Advance the logical clock by one tick per write operation.
     /// (No effect on externally driven clocks.)
@@ -277,7 +284,7 @@ impl DbOptions {
         self
     }
 
-    /// Enable the unified adaptive memory budget (see
+    /// Enable the unified memory budget (see
     /// [`DbOptions::memory_budget_bytes`] for the precedence rule).
     pub fn with_memory_budget(mut self, total_bytes: usize) -> DbOptions {
         self.memory_budget_bytes = total_bytes;

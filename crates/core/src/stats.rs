@@ -467,8 +467,6 @@ metric_table! {
         memtable_budget_bytes: "db_memory_memtable_budget_bytes", sum;
         /// This engine's pinned filter/metadata bytes (always filled).
         pinned_bytes: "db_memory_pinned_bytes", sum;
-        /// Rebalances the memory arbiter has applied.
-        memory_adjustments: "db_memory_budget_adjustments", shared_once;
     }
 }
 
@@ -517,7 +515,6 @@ impl StatsSnapshot {
         }
         if let Some(m) = memory {
             self.memory_budget_bytes = m.total_bytes() as u64;
-            self.memory_adjustments = m.adjustments();
         }
     }
 }

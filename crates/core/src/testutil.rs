@@ -306,7 +306,7 @@ pub struct CrashConfig {
     /// What a power cut does to unsynced file suffixes.
     pub cut: CutDurability,
     /// Unified memory budget (0 = disabled). Non-zero runs the whole
-    /// campaign with the block cache and adaptive arbiter live, so the
+    /// campaign with the block cache and memory budget live, so the
     /// sweep proves recovery is cache-oblivious: the cache is purely
     /// in-memory state and must not change any recovered answer.
     pub memory_budget_bytes: usize,

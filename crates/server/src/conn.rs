@@ -139,7 +139,6 @@ fn handle_group(
         None => pressure.stall,
     };
     let mut responses: Vec<Response> = Vec::with_capacity(requests.len());
-    let mut committed_writes = false;
 
     for req in requests {
         metrics.requests.fetch_add(1, Ordering::Relaxed);
@@ -173,7 +172,6 @@ fn handle_group(
             continue;
         }
         let resp = if is_data_op {
-            committed_writes |= req.is_write();
             let latency = if req.is_write() {
                 &metrics.write_latency
             } else {
@@ -196,12 +194,6 @@ fn handle_group(
             metrics.error_responses.fetch_add(1, Ordering::Relaxed);
         }
         responses.push(resp);
-    }
-
-    if committed_writes && pressure.slowdown {
-        // The gentle tier: pace the connection instead of shedding.
-        metrics.throttle_sleeps.fetch_add(1, Ordering::Relaxed);
-        std::thread::sleep(shared.opts.slowdown_sleep);
     }
 
     responses

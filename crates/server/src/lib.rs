@@ -12,8 +12,8 @@
 //!   and the offline one-shot subcommands of `acheron-cli`.
 //! * [`Server`] — a bounded thread-per-connection TCP server with
 //!   server-side write batching, end-to-end backpressure (engine stall
-//!   → wire [`wire::Response::Busy`]; slowdown → per-connection
-//!   pacing), and graceful shutdown. It serves one
+//!   → wire [`wire::Response::Busy`]; at slowdown the engine delays
+//!   each write itself), and graceful shutdown. It serves one
 //!   `Arc<acheron::ShardedDb>`: a hash-partitioned fleet, or a plain
 //!   `Arc<Db>` served as a fleet of one (see [`IntoFleet`]) — one code
 //!   path for both shapes, whose rendering differences live in

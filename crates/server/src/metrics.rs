@@ -30,8 +30,6 @@ acheron::metric_table! {
     bytes_in: counter, "server_bytes_in";
     /// Bytes sent on the wire (frame headers included).
     bytes_out: counter, "server_bytes_out";
-    /// Times a write batch was delayed by slowdown throttling.
-    throttle_sleeps: counter, "server_throttle_sleeps";
     /// Service latency (decode → response queued) for write ops, µs.
     write_latency: histogram, "server_write_us";
     /// Service latency for read ops (get/scan), µs.

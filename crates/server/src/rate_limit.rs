@@ -1,16 +1,16 @@
 //! Per-connection admission control: a token bucket that sheds excess
 //! load as wire `Busy` *before* the request reaches any engine.
 //!
-//! This is the outermost tier of the backpressure stack. The engine's
-//! own tiers react to internal state (slowdown pacing, stall → `Busy`);
-//! the token bucket caps what a single connection may *offer* in the
-//! first place, so one hot client cannot monopolize the commit path of
-//! a shard fleet. Composition order per request:
+//! This is the outermost tier of the backpressure stack. The inner
+//! tiers react to engine state (stall → `Busy`; at slowdown the engine
+//! delays each write itself); the token bucket caps what a single
+//! connection may *offer* in the first place, so one hot client cannot
+//! monopolize the commit path of a shard fleet. Composition order per
+//! request:
 //!
 //! 1. token bucket (this module) — over-rate data ops shed as `Busy`;
 //! 2. per-shard stall check — writes to a stalled shard shed as `Busy`;
-//! 3. slowdown pacing — the connection sleeps briefly after committing
-//!    a group while any shard reports slowdown.
+//! 3. the engine's own slowdown delay, inside the write.
 //!
 //! Each connection thread owns its bucket outright — refill is computed
 //! from elapsed wall time on each take, so there is no shared state, no

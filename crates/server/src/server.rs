@@ -52,10 +52,6 @@ pub struct ServerOptions {
     pub idle_timeout: Option<Duration>,
     /// Per-connection write timeout for response frames.
     pub write_timeout: Duration,
-    /// Sleep injected after committing a write batch while the engine
-    /// reports *slowdown* pressure (the gentle tier of backpressure; the
-    /// stall tier sheds writes with `Busy`).
-    pub slowdown_sleep: Duration,
     /// Per-connection admission control: data operations beyond the
     /// token bucket's allowance are shed as `Busy` before reaching any
     /// engine. `None` (the default) admits everything.
@@ -70,7 +66,6 @@ impl Default for ServerOptions {
             poll_interval: Duration::from_millis(5),
             idle_timeout: None,
             write_timeout: Duration::from_secs(30),
-            slowdown_sleep: Duration::from_millis(2),
             rate_limit: None,
         }
     }

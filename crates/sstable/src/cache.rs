@@ -33,10 +33,10 @@
 //! # Dynamic resize
 //!
 //! [`BlockCache::resize`] retargets the byte budget at runtime and
-//! evicts to fit immediately. The memory arbiter in `acheron-core`
-//! uses this to shift budget between the write buffer and the cache
-//! while the database is serving traffic; concurrent gets and inserts
-//! see only a per-shard lock, never a global pause.
+//! evicts to fit immediately. The memory budget in `acheron-core` uses
+//! this to shrink or grow the cache as pinned table metadata grows or
+//! shrinks while the database is serving traffic; concurrent gets and
+//! inserts see only a per-shard lock, never a global pause.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -412,7 +412,7 @@ impl BlockCache {
     /// Insert a page of `size` bytes that was just written (flush or
     /// compaction output). Same placement as a miss fill — probation —
     /// but counted apart: these bytes follow the write rate, not read
-    /// demand, and must stay out of the arbiter's miss-fill signal.
+    /// demand, so `inserted_bytes` stays a count of miss fills.
     pub fn prepopulate(&self, key: PageKey, block: Block, size: usize) {
         self.insert_counted(key, block, size, &self.prepopulated_bytes);
     }

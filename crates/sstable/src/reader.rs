@@ -142,9 +142,9 @@ impl Table {
     }
 
     /// Read a data page. Only [`CacheUse::Fill`] moves the cache's
-    /// recency, hit/miss counters and fill-traffic signal (which the
-    /// memory arbiter sizes the cache by): one-pass readers must neither
-    /// evict the working set nor look like demand.
+    /// recency, hit/miss counters and fill-traffic count: one-pass
+    /// readers must neither evict the working set nor look like
+    /// demand.
     pub(crate) fn read_page_opts(&self, handle: BlockHandle, cache_use: CacheUse) -> Result<Block> {
         let lease = match &self.lease {
             Some(lease) if cache_use != CacheUse::Bypass => lease,

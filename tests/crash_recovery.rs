@@ -385,8 +385,9 @@ fn an_image_with_table_held_range_tombstones_is_lifted_once() {
 #[test]
 fn crashes_with_memory_budget_and_cache_recover_identically() {
     let cfg = CrashConfig {
-        // Big enough that the cache share actually caches table pages;
-        // the memtable share (~half) still seals several times over the
+        // Big enough that the cache share (a quarter of what pinned
+        // bytes leave) actually caches table pages; the memtable share
+        // (the other three quarters) still seals several times over the
         // workload, so flush/compaction crash points stay covered.
         memory_budget_bytes: 256 << 10,
         workload: CrashWorkload {

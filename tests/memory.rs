@@ -1,5 +1,5 @@
-//! Unified memory budget: end-to-end tests of the adaptive arbiter,
-//! the fleet-shared block cache, and the cache's concurrent accounting
+//! Unified memory budget: end-to-end tests of the fixed split, the
+//! fleet-shared block cache, and the cache's concurrent accounting
 //! invariants.
 //!
 //! What is proven here, beyond the unit tests in `acheron::memory` and
@@ -13,8 +13,9 @@
 //!    and off;
 //! 3. the cache keeps its capacity and byte accounting exact while many
 //!    threads race gets, inserts, and resizes;
-//! 4. the adaptive split actually moves under one-sided read pressure
-//!    on a real engine, not just in tuner unit tests.
+//! 4. on a real engine whose compactions grow its pinned bytes, the
+//!    write buffer keeps ¾ of what pinned bytes leave and the three
+//!    consumers never add up to more than the budget.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -149,67 +150,66 @@ fn legacy_sizing_is_untouched_when_budget_is_disabled() {
 
 #[test]
 fn budget_derives_both_shares_and_creates_a_cache() {
-    const BUDGET: usize = 512 * KIB;
+    const BUDGET: u64 = 512 * KIB as u64;
     let db = Db::open(
         Arc::new(MemFs::new()) as Arc<dyn Vfs>,
         "db",
-        DbOptions::small().with_memory_budget(BUDGET),
+        DbOptions::small().with_memory_budget(BUDGET as usize),
     )
     .unwrap();
     let s = db.stats_snapshot();
-    assert_eq!(s.memory_budget_bytes, BUDGET as u64);
-    // The initial split is even, so each share is about half the pool.
-    assert!(s.memtable_budget_bytes > 0);
-    assert!(s.memtable_budget_bytes <= (BUDGET as u64) * 6 / 10);
-    assert!(
-        s.cache_capacity_bytes > 0,
+    assert_eq!(s.memory_budget_bytes, BUDGET);
+    assert_eq!(s.pinned_bytes, 0, "a fresh engine pins nothing");
+    // The write buffer gets three quarters, the cache the rest.
+    assert_eq!(s.memtable_budget_bytes, BUDGET / 4 * 3);
+    assert_eq!(
+        s.cache_capacity_bytes,
+        BUDGET / 4,
         "a budget creates a cache even with block_cache_bytes = 0"
     );
-    assert!(s.memtable_budget_bytes + s.cache_capacity_bytes <= BUDGET as u64);
     assert!(db.cache_stats().is_some());
 }
 
 #[test]
-fn adaptive_split_grows_the_cache_under_read_pressure() {
-    const BUDGET: usize = 256 * KIB;
+fn split_holds_while_compactions_grow_pinned_bytes() {
+    const BUDGET: u64 = 1024 * KIB as u64;
     let db = Db::open(
         Arc::new(MemFs::new()) as Arc<dyn Vfs>,
         "db",
-        DbOptions::small().with_memory_budget(BUDGET),
+        DbOptions::small().with_memory_budget(BUDGET as usize),
     )
     .unwrap();
-    // Build a table footprint larger than the cache share, then stop
-    // writing entirely.
-    for i in 0..3000u32 {
-        db.put(&key(i % 1500), &value(i)).unwrap();
-    }
-    db.flush().unwrap();
-    let budget = db.memory_budget().unwrap();
-    let cache_before = budget.cache_share_bytes();
-
-    // Read-only phase: every maintain() is one tuner window. Misses
-    // fill the cache (fill demand) while flush traffic is zero, so the
-    // tuner must lean toward the cache and, after the two-window
-    // hysteresis, move the split.
-    for round in 0..12u32 {
-        for i in 0..1500u32 {
-            db.get(&key((i * 31 + round * 7) % 1500)).unwrap();
+    // Pinned bytes once the first compactions have run: the tree then
+    // keeps growing, and its compactions with it.
+    let mut first_compacted_pinned = None;
+    for i in 0..40_000u32 {
+        db.put(&key(i % 16_000), &value(i)).unwrap();
+        if i % 500 == 499 {
+            db.maintain().unwrap();
+            let s = db.stats_snapshot();
+            assert_eq!(
+                s.memtable_budget_bytes,
+                (BUDGET - s.pinned_bytes) / 4 * 3,
+                "the write buffer gets 3/4 of the pool after pinned bytes"
+            );
+            assert!(
+                s.memtable_budget_bytes + s.cache_capacity_bytes + s.pinned_bytes <= BUDGET,
+                "allowance {} + cache {} + pinned {} exceed the budget",
+                s.memtable_budget_bytes,
+                s.cache_capacity_bytes,
+                s.pinned_bytes
+            );
+            if s.compactions > 0 {
+                first_compacted_pinned.get_or_insert(s.pinned_bytes);
+            }
         }
-        db.maintain().unwrap();
     }
+    let first = first_compacted_pinned.expect("the run compacted");
+    let last = db.stats_snapshot().pinned_bytes;
     assert!(
-        budget.adjustments() >= 1,
-        "read-only pressure never moved the split"
+        last > first,
+        "compactions grew pinned bytes: {first} -> {last}"
     );
-    assert!(
-        budget.cache_share_bytes() > cache_before,
-        "cache share should grow under read pressure: {} -> {}",
-        cache_before,
-        budget.cache_share_bytes()
-    );
-    // The live cache instance tracked the share.
-    let s = db.stats_snapshot();
-    assert_eq!(s.cache_capacity_bytes, budget.cache_share_bytes() as u64);
 }
 
 fn test_block(tag: u32) -> (Block, usize) {

@@ -541,3 +541,27 @@ fn reopened_engine_acts_on_a_recovered_tables_deadline() {
     );
     assert!(puts > 0, "the deadline was still ahead at the open");
 }
+
+/// Tombstone ages are counted on the engine's clock, so two engines
+/// opened from clones of one options value must not tick each other:
+/// each gets its own logical clock, started at the given one's tick.
+#[test]
+fn engines_opened_from_one_options_value_keep_their_own_clocks() {
+    let opts = DbOptions::small();
+    opts.clock.as_logical().unwrap().advance(100);
+    let a = Db::open(Arc::new(MemFs::new()), "a", opts.clone()).unwrap();
+    let b = Db::open(Arc::new(MemFs::new()), "b", opts.clone()).unwrap();
+    assert_eq!(
+        (a.now(), b.now()),
+        (100, 100),
+        "each starts at the given tick"
+    );
+    for i in 0..50u32 {
+        a.put(&i.to_be_bytes(), b"v").unwrap();
+    }
+    a.delete(b"k").unwrap();
+    a.advance_clock(1_000);
+    assert_eq!(a.now(), 1_151);
+    assert_eq!(b.now(), 100, "writes to one engine moved the other's clock");
+    assert_eq!(opts.clock.now(), 100, "an engine ticks its own clock");
+}
