@@ -19,7 +19,8 @@
 //! the budget subtracts them off the top and splits only the remainder.
 //! Engines re-price their pinned bytes at every view publish and
 //! re-apply the cache share then, so allowance + cache + pinned never
-//! rises above the total.
+//! rises above the total while pinned bytes leave the pool its 64 KiB
+//! floor.
 //!
 //! # Why a fixed split
 //!
