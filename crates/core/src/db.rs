@@ -920,8 +920,8 @@ impl DbCore {
     /// each view publish: the file set only changes there).
     /// The gauge is maintained whether or not a budget is configured —
     /// it is exported as `db_memory_pinned_bytes` either way. Under a
-    /// budget, pinned growth additionally squeezes the arbitrated
-    /// pool, so a material change re-applies the cache share too.
+    /// budget, pinned growth additionally squeezes the split pool, so
+    /// a change re-applies the cache share too.
     fn refresh_pinned(&self, st: &State) {
         let pinned: usize = st.version.all_files().map(|f| f.table.pinned_bytes()).sum();
         let old = self.pinned_contrib.swap(pinned, Ordering::Relaxed);

@@ -10,7 +10,7 @@
 //! (`DbOptions::memory_budget_bytes`):
 //!
 //! ```text
-//! total = pinned (filters + tile meta, tracked, not arbitrated)
+//! total = pinned (filters + tile meta, tracked, not split)
 //!       + memtable share (¾ of the rest: active + immutable write buffers)
 //!       + cache share    (the rest: the BlockCache's resize target)
 //! ```

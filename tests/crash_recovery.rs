@@ -378,7 +378,7 @@ fn an_image_with_table_held_range_tombstones_is_lifted_once() {
 }
 
 /// The whole sync-mode sweep again with the unified memory budget (and
-/// therefore the block cache and adaptive arbiter) live. The cache is
+/// therefore the block cache it sizes) live. The cache is
 /// purely in-memory state, so every recovery invariant must hold
 /// unchanged: a crash point whose answers differ from the cache-off
 /// sweep would mean cached blocks leaked into recovered state.
