@@ -64,6 +64,7 @@ use acheron_wal::{LogWriter, WalOp};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock};
 
+use crate::fade::DueIndex;
 use crate::manifest::ManifestWriter;
 use crate::memory::MemoryBudget;
 use crate::obs::trace::{
@@ -156,10 +157,9 @@ struct State {
     version: Arc<Version>,
     persisted_seqno: SeqNo,
     manifest: ManifestWriter,
-    /// Earliest tick at which a FADE TTL expires somewhere in the tree
-    /// (None = nothing expires / FADE off). Maintained incrementally so
-    /// the write path checks it in O(1).
-    ttl_deadline: Option<Tick>,
+    /// The delete obligations of `version` and when each is due, built
+    /// with every view publish.
+    due: DueIndex,
 }
 
 /// Executor control state. Guarded by `DbCore::maint`, which is never
@@ -552,14 +552,9 @@ impl Db {
         for ev in boot_events {
             core.obs.log(ev);
         }
-        // Recovery builds the state without the cached FADE deadline,
-        // and only an install recomputes it: without this, commits
-        // could not see a recovered table's deadline until the next
-        // seal.
-        core.recompute_ttl_deadline(&mut core.state.write());
-        // Report the recovered table set's pinned bytes before any
-        // traffic: a freshly opened tree already taxes the budget.
-        core.refresh_pinned(&core.state.read());
+        // Index the recovered obligations and report the recovered
+        // table set's pinned bytes before any traffic.
+        core.publish_view_locked(&mut core.state.write());
         let mut workers = Vec::with_capacity(core.opts.background_threads);
         for i in 0..core.opts.background_threads {
             let c = Arc::clone(&core);
@@ -1862,5 +1857,112 @@ mod tests {
             db.scan(b"key0000", b"key9999").unwrap()
         };
         assert_eq!(run(0), run(64), "separation must not change results");
+    }
+
+    /// The deadline index kept beside the version is, after every op,
+    /// what a fresh build from the current version gives; its earliest
+    /// tick is what the fold over the tree computed before the index,
+    /// and the TTL pick through it is the pick that recomputed every
+    /// deadline. The load mixes separated puts, point deletes, sort-key
+    /// range deletes (some straddling the middle of the key domain) and
+    /// secondary ones, a snapshot held across compactions, a reopen and
+    /// clock jumps past a `D_th` of a few hundred ticks, under all three
+    /// layouts.
+    #[test]
+    fn the_deadline_index_matches_a_fresh_build_after_every_op() {
+        use crate::fade::tests::reference_earliest;
+        use crate::fade::{DueIndex, Subject};
+        use crate::picker::tests::{reference_ttl_pick, shape};
+        let entries = |index: &DueIndex| -> Vec<(Tick, u64, usize, bool)> {
+            (index.entries.iter())
+                .map(|(due, subject)| match subject {
+                    Subject::File(f) => (*due, f.id, f.level, false),
+                    Subject::KeyRange(level, k) => (*due, k.seqno, *level, true),
+                })
+                .collect()
+        };
+        for layout in [
+            CompactionLayout::Leveling,
+            CompactionLayout::Tiering,
+            CompactionLayout::LazyLeveling,
+        ] {
+            let opts = DbOptions {
+                layout,
+                ..small().with_fade(300).with_value_separation(256)
+            };
+            let fs = Arc::new(MemFs::new());
+            let open = || Db::open(fs.clone() as Arc<dyn Vfs>, "db", opts.clone()).unwrap();
+            let mut db = open();
+            let mut snapshot = None;
+            let (mut picks, mut key_ranges) = (0, 0);
+            let mut x = 0x2545_f491_4f6c_dd1du64 + layout as u64;
+            for op in 0..3_000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let key = |k: u64| format!("key{k:05}").into_bytes();
+                match x % 100 {
+                    0..=54 => {
+                        let len = if (x >> 8).is_multiple_of(8) { 600 } else { 40 };
+                        db.put(&key(x % 2_000), &vec![b'v'; len]).unwrap();
+                    }
+                    55..=79 => db.delete(&key(x % 2_000)).unwrap(),
+                    80..=82 => {
+                        let lo = x % 2_000;
+                        db.range_delete_keys(&key(lo), &key(lo + 8)).unwrap();
+                    }
+                    83 => {
+                        let lo = 950 + x % 50;
+                        db.range_delete_keys(&key(lo), &key(lo + 100)).unwrap();
+                    }
+                    84 => {
+                        let now = db.now();
+                        (db.range_delete_secondary(now.saturating_sub(60), now.saturating_sub(40)))
+                            .unwrap();
+                    }
+                    85..=86 => {
+                        snapshot = match snapshot.take() {
+                            Some(_) => None,
+                            None => Some(db.snapshot()),
+                        }
+                    }
+                    _ => db.advance_clock(x % 120),
+                }
+                if op == 1_500 {
+                    snapshot = None;
+                    drop(db);
+                    db = open();
+                }
+                if op % 500 == 499 {
+                    db.maintain().unwrap();
+                }
+                let core = db.core();
+                let ttl = core.picker.ttl_schedule().expect("FADE is on");
+                let st = core.state.read();
+                let fresh = ttl.index(&st.version);
+                assert_eq!(entries(&st.due), entries(&fresh), "{layout:?} op {op}");
+                let earliest = reference_earliest(ttl, &st.version);
+                assert_eq!(st.due.earliest, earliest, "{layout:?} op {op}");
+                let now = db.now();
+                let picked = core.picker.pick_ttl_expired(&st.version, &st.due, now);
+                let reference = reference_ttl_pick(&core.picker, &st.version, now);
+                assert_eq!(
+                    picked.as_ref().map(shape),
+                    reference.as_ref().map(shape),
+                    "{layout:?} op {op}"
+                );
+                picks += usize::from(picked.is_some());
+                key_ranges += (fresh.entries.iter())
+                    .filter(|e| matches!(e.1, Subject::KeyRange(..)))
+                    .count();
+            }
+            eprintln!(
+                "{layout:?} picks {picks} krt {key_ranges} stats {:?}",
+                db.stats().compactions
+            );
+            assert!(picks > 0, "{layout:?}: no TTL pick was compared");
+            assert!(key_ranges > 0, "{layout:?}: no range tombstone was indexed");
+            drop(snapshot);
+        }
     }
 }

@@ -243,7 +243,7 @@ impl Db {
         if core.opts.auto_advance_clock {
             core.opts.clock_advance(1);
         }
-        core.publish_view_locked(&st);
+        core.publish_view_locked(&mut st);
         Ok(())
     }
 }
@@ -513,25 +513,17 @@ impl DbCore {
         inserting.end(trace.as_deref_mut(), TraceStage::MemtableInsert);
         let maintaining = Span::start(trace.as_deref());
 
-        // Tighten the cached TTL deadline when a tombstone — point or
-        // sort-key range — enters the buffer (the buffer's oldest
-        // tombstone only gets older, so the first one fixes the buffer
-        // deadline until the next flush).
-        if let Some(ttl) = self.picker.ttl_schedule() {
-            if let Some(mem_deadline) = ttl.buffer_deadline(&st.mem) {
-                st.ttl_deadline = Some(
-                    st.ttl_deadline
-                        .map_or(mem_deadline, |d| d.min(mem_deadline)),
-                );
-            }
-        }
         let work = if st.mem.approximate_bytes() >= self.write_buffer_limit() {
             self.seal_memtable_locked(excl, &mut st)?;
             true
         } else {
-            // Exact FADE trigger: something's residency budget ran out.
-            st.ttl_deadline
-                .is_some_and(|deadline| self.opts.clock.now() > deadline)
+            // Exact FADE trigger: something's residency budget ran out,
+            // in the tree or in the active buffer. (A sealed buffer is
+            // on its way: its seal already drove or woke the flush.)
+            let dues = [st.due.earliest, self.picker.buffer_due(&st.mem)];
+            dues.into_iter()
+                .flatten()
+                .any(|due| self.opts.clock.now() > due)
         };
         drop(st);
         if work {

@@ -13,6 +13,7 @@ use acheron_wal::{LogWriter, WalOp};
 
 use super::{CommitExclusion, DbCore, ImmMemtable, PauseGuard, State};
 use crate::compaction::{create_table, finish_table, run_compaction, CompactionOutcome};
+use crate::fade::Station;
 use crate::filenames::{sst_path, vlog_path, wal_path};
 use crate::manifest::{EditBatch, VersionEdit};
 use crate::obs::trace::CohortStage;
@@ -88,25 +89,6 @@ pub(super) enum Stage<'a> {
 }
 
 impl DbCore {
-    /// Recompute the cached earliest-TTL-expiry tick from the current
-    /// tree and all buffers (active + sealed).
-    pub(super) fn recompute_ttl_deadline(&self, st: &mut State) {
-        let Some(ttl) = self.picker.ttl_schedule() else {
-            st.ttl_deadline = None;
-            return;
-        };
-        let version = &st.version;
-        let files = version.all_files().filter_map(|f| ttl.file_deadline(f));
-        let key_ranges = (version.key_range_tombstones.iter())
-            .filter_map(|k| Some(ttl.key_range_deadline(version, k)?.1));
-        // Sealed memtables are still "station 0": their tombstones keep
-        // aging against the buffer TTL until their flush installs.
-        let buffers = std::iter::once(&st.mem)
-            .chain(st.imms.iter().map(|i| &i.mem))
-            .filter_map(|m| ttl.buffer_deadline(m));
-        st.ttl_deadline = files.chain(key_ranges).chain(buffers).min();
-    }
-
     /// Retire from `next`, the version an install is about to publish,
     /// every range tombstone the install left erasing nothing (see
     /// [`Version::retire`]), and append the drop records to `edits`.
@@ -248,7 +230,6 @@ impl DbCore {
         });
         let sealed = &st.imms.back().expect("just pushed").mem;
         self.advance_ledger(Stage::Sealed(sealed), self.opts.clock.now());
-        self.recompute_ttl_deadline(st);
         // Readers (and the write throttle's gauges) must see the sealed
         // queue grow promptly.
         self.publish_view_locked(st);
@@ -353,7 +334,6 @@ impl DbCore {
         let stage = Stage::Flushed(&imm.mem, &retired);
         self.advance_ledger(stage, self.opts.clock.now());
         st.persisted_seqno = st.persisted_seqno.max(imm.max_seqno);
-        self.recompute_ttl_deadline(st);
         self.stats.flushes.fetch_add(1, Ordering::Relaxed);
         let (file_id, bytes, entries) = flushed.unwrap_or((0, 0, 0));
         self.obs.log(Event::FlushEnd {
@@ -395,11 +375,11 @@ impl DbCore {
         let (overdue_by, deadline) = match self.picker.ttl_schedule() {
             Some(ttl) => (
                 task.all_inputs()
-                    .filter_map(|f| ttl.file_deadline(f))
-                    .map(|d| now.saturating_sub(d))
+                    .filter_map(|f| Some((f.stats.oldest_tombstone_tick?, f.level)))
+                    .map(|(t0, level)| now.saturating_sub(ttl.due(t0, Station::Level(level))))
                     .max()
                     .unwrap_or(0),
-                ttl.deadline(task.level),
+                ttl.due(0, Station::Level(task.level)),
             ),
             None => (0, 0),
         };
@@ -567,7 +547,6 @@ impl DbCore {
             tombstones_purged: (outcome.tombstones_dropped.len() + retired.key_ranges.len()) as u64,
             micros,
         });
-        self.recompute_ttl_deadline(st);
         self.publish_view_locked(st);
         Ok(())
     }
@@ -579,18 +558,20 @@ impl DbCore {
     /// Pick one vlog segment worth rewriting, or `None` when the value
     /// log is quiescent.
     ///
-    /// Two triggers, mirroring FADE's deadline semantics for the tree:
-    /// a segment whose oldest dead extent has aged past `D_th` MUST be
-    /// rewritten now (the deleted bytes are overdue for physical
-    /// reclamation), and a segment whose dead fraction passed the
-    /// configured ratio is rewritten opportunistically to bound space
-    /// amplification. The head segment (still being appended) is never
+    /// Two triggers: a segment that is overdue under FADE's one due
+    /// rule ([`crate::fade::Station::Log`]: its oldest dead extent is a
+    /// full `D_th` old) MUST be rewritten now (the deleted bytes are
+    /// overdue for physical reclamation), and a segment whose dead
+    /// fraction passed the configured ratio is rewritten
+    /// opportunistically to bound space amplification. Segments are not
+    /// in the tree's deadline index: GC deletes them outside any
+    /// install. The head segment (still being appended) is never
     /// picked, and a retired segment — already rewritten, kept only for
     /// snapshot readers — becomes eligible for deletion once the last
     /// snapshot drops.
     fn vlog_gc_candidate(&self, now: Tick) -> Option<u64> {
         let head = self.vlog.lock().as_ref().map(|w| w.segment());
-        let d_th = self.opts.d_th();
+        let ttl = self.picker.ttl_schedule();
         let ratio = u64::from(self.opts.vlog_gc_dead_ratio_percent);
         let snapshots_empty = self.snapshots.lock().is_empty();
         let vs = self.vlog_state.lock();
@@ -604,9 +585,8 @@ impl DbCore {
                 }
                 continue;
             }
-            let overdue = d_th
-                .zip(acct.oldest_dead_tick)
-                .is_some_and(|(d, t0)| now.saturating_sub(t0) >= d);
+            let overdue = (ttl.zip(acct.oldest_dead_tick))
+                .is_some_and(|(ttl, t0)| now > ttl.due(t0, Station::Log));
             if Some(*seg) == head {
                 // The segment still being appended is only rewritten
                 // when D_th forces it (run_vlog_gc rolls the writer
@@ -783,14 +763,9 @@ impl DbCore {
             // Claims are registered under the state lock, so no install
             // can slip between judging a version and marking its files.
             let st = self.state.read();
-            if scope.contains(&Kind::SealExpired) {
-                let deadline = self
-                    .picker
-                    .ttl_schedule()
-                    .and_then(|t| t.buffer_deadline(&st.mem));
-                if deadline.is_some_and(|d| now > d) {
-                    return Some(MaintTask::SealExpired(Arc::clone(&st.mem)));
-                }
+            let buffer_due = self.picker.buffer_due(&st.mem);
+            if scope.contains(&Kind::SealExpired) && buffer_due.is_some_and(|d| now > d) {
+                return Some(MaintTask::SealExpired(Arc::clone(&st.mem)));
             }
             if scope.contains(&Kind::Flush) {
                 if let Some(front) = st.imms.front() {
@@ -804,10 +779,10 @@ impl DbCore {
             if scope.contains(&Kind::Compact) {
                 let picked = if claim {
                     self.picker
-                        .pick_claimed(&st.version, now)
+                        .pick_claimed(&st.version, &st.due, now)
                         .map(|(task, claim)| (task, Some(claim)))
                 } else {
-                    self.picker.pick(&st.version, now).map(|task| (task, None))
+                    (self.picker.pick(&st.version, &st.due, now)).map(|task| (task, None))
                 };
                 if let Some((task, claim)) = picked {
                     return Some(MaintTask::Compact(task, claim, Arc::clone(&st.version)));

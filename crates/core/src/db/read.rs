@@ -518,13 +518,17 @@ impl DbCore {
         Arc::clone(&self.view.read())
     }
 
-    /// Build and swap in a fresh read view from `st`. Called (with the
-    /// state write lock held) by every *structural* mutation — memtable
-    /// seal, flush install, compaction install, range delete. Plain
-    /// commits do not republish: they insert into the `mem` the current
-    /// view already shares and advance `visible_seqno` (see the
+    /// Build and swap in a fresh read view from `st`, and rebuild
+    /// `st`'s deadline index from its version. Called (with the state
+    /// write lock held) at open and by every *structural* mutation —
+    /// memtable seal, flush install, compaction install, range delete.
+    /// Plain commits do not republish: they insert into the `mem` the
+    /// current view already shares and advance `visible_seqno` (see the
     /// ordering rule on [`ReadView`]).
-    pub(super) fn publish_view_locked(&self, st: &State) {
+    pub(super) fn publish_view_locked(&self, st: &mut State) {
+        if let Some(ttl) = self.picker.ttl_schedule() {
+            st.due = ttl.index(&st.version);
+        }
         let view = Arc::new(ReadView {
             mem: Arc::clone(&st.mem),
             imms: st.imms.iter().rev().map(|i| Arc::clone(&i.mem)).collect(),

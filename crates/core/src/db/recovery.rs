@@ -84,7 +84,7 @@ fn initialize(fs: &dyn Vfs, dir: &str, opts: &DbOptions, mem: Memtable) -> Resul
             version: Arc::new(Version::empty(opts.max_levels)),
             persisted_seqno: 0,
             manifest,
-            ttl_deadline: None,
+            due: Default::default(),
         },
         wal,
         last_seqno: 0,
@@ -312,7 +312,7 @@ fn repair(
             version: Arc::new(version),
             persisted_seqno: s.persisted_seqno,
             manifest,
-            ttl_deadline: None,
+            due: Default::default(),
         },
         wal,
         last_seqno: s.last_seqno,

@@ -11,11 +11,12 @@
 
 use std::sync::Arc;
 
+use acheron_memtable::Memtable;
 use acheron_types::{SeqNo, Tick};
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use crate::fade::TtlSchedule;
+use crate::fade::{DueIndex, Subject, TtlSchedule};
 use crate::obs::coded_enum;
 use crate::options::{CompactionLayout, DbOptions, FilePickPolicy};
 use crate::version::{FileMeta, Version};
@@ -192,6 +193,12 @@ impl Picker {
         self.ttl.as_ref()
     }
 
+    /// When the write buffer `mem` is due to be sealed, if FADE is
+    /// enabled (see [`TtlSchedule::buffer_due`]).
+    pub fn buffer_due(&self, mem: &Memtable) -> Option<Tick> {
+        self.ttl.as_ref()?.buffer_due(mem)
+    }
+
     /// Pick the most urgent compaction and register it as in flight, or
     /// `None` when there is nothing to do *or* the urgent task overlaps
     /// a compaction already running (the caller retries after the
@@ -201,9 +208,10 @@ impl Picker {
     pub fn pick_claimed(
         &self,
         version: &Version,
+        due: &DueIndex,
         now: Tick,
     ) -> Option<(CompactionTask, CompactionClaim)> {
-        let task = self.pick(version, now)?;
+        let task = self.pick(version, due, now)?;
         let file_ids: Vec<u64> = task.all_inputs().map(|f| f.id).collect();
         let key_range = task.key_range();
         let mut guard = self.in_flight.lock();
@@ -236,12 +244,13 @@ impl Picker {
         self.in_flight.lock().1.retain(|m| m.id != claim.id);
     }
 
-    /// Pick the most urgent compaction, if any. A pure query: the
-    /// round-robin cursor moves in [`Picker::pick_claimed`].
-    pub fn pick(&self, version: &Version, now: Tick) -> Option<CompactionTask> {
+    /// Pick the most urgent compaction from `version`, whose deadline
+    /// index is `due`, if any. A pure query: the round-robin cursor
+    /// moves in [`Picker::pick_claimed`].
+    pub fn pick(&self, version: &Version, due: &DueIndex, now: Tick) -> Option<CompactionTask> {
         // FADE's TTL trigger outranks saturation: persistence is a
         // correctness deadline, saturation only a performance one.
-        if let Some(task) = self.pick_ttl_expired(version, now) {
+        if let Some(task) = self.pick_ttl_expired(version, due, now) {
             return Some(task);
         }
         match self.opts.layout {
@@ -289,36 +298,32 @@ impl Picker {
         Some(self.close_over_bottom(version, victims, span, reason))
     }
 
-    /// FADE trigger: the most overdue subject, if any. A subject is a
-    /// file whose oldest point tombstone outlived its level's budget, or
-    /// a sort-key range tombstone that outlived its station's; for the
+    /// FADE trigger: the most overdue subject of `due`, if any: a file
+    /// whose oldest point tombstone outlived its level's budget, or a
+    /// sort-key range tombstone that outlived its station's; for the
     /// latter, the files at its station that are under it move down.
-    fn pick_ttl_expired(&self, version: &Version, now: Tick) -> Option<CompactionTask> {
-        let ttl = self.ttl.as_ref()?;
+    pub(crate) fn pick_ttl_expired(
+        &self,
+        version: &Version,
+        due: &DueIndex,
+        now: Tick,
+    ) -> Option<CompactionTask> {
         let futile = self.futile.lock();
-        let overdue_by = |deadline: Tick| (now > deadline).then(|| now - deadline);
-        let files = version
-            .all_files()
-            .filter(|f| !futile.skips(f.id, now))
-            .filter_map(|f| {
-                let by = overdue_by(ttl.file_deadline(f)?)?;
-                Some((by, f.level, vec![Arc::clone(f)], None))
-            });
-        let key_ranges = version.key_range_tombstones.iter().filter_map(|k| {
-            let (level, deadline) = ttl.key_range_deadline(version, k)?;
-            let by = overdue_by(deadline)?;
-            let inputs: Vec<_> = version.levels[level]
-                .iter()
-                .filter(|f| f.under_key_range_tombstone(k))
-                .cloned()
-                .collect();
-            inputs
-                .iter()
-                .any(|f| !futile.skips(f.id, now))
-                .then_some((by, level, inputs, Some(k)))
+        let overdue = due.entries.iter().filter(|(due, _)| now > *due);
+        let subjects = overdue.filter_map(|(due, subject)| {
+            let (level, inputs, k) = match subject {
+                Subject::File(f) => (f.level, vec![Arc::clone(f)], None),
+                Subject::KeyRange(level, k) => {
+                    let under = |f: &&Arc<FileMeta>| f.under_key_range_tombstone(k);
+                    let inputs = version.levels[*level].iter().filter(under);
+                    (*level, inputs.cloned().collect(), Some(k))
+                }
+            };
+            let live = inputs.iter().any(|f| !futile.skips(f.id, now));
+            live.then_some((now - due, level, inputs, k))
         });
         // Of equally overdue subjects, the last one wins.
-        let (_, level, inputs, k) = files.chain(key_ranges).max_by_key(|&(by, ..)| by)?;
+        let (_, level, inputs, k) = subjects.max_by_key(|&(by, ..)| by)?;
         let reason = CompactionReason::TtlExpired;
         if level == 0 {
             return whole_l0(version, reason);
@@ -570,8 +575,9 @@ fn spans_overlap(a: &Option<(Bytes, Bytes)>, b: &Option<(Bytes, Bytes)>) -> bool
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::fade::tests::{reference_file_deadline, reference_key_range_deadline};
     use crate::options::{CompactionLayout, FadeOptions, TtlAllocation};
     use crate::testutil::{make_file, make_file_with};
     use acheron_types::{DeleteKeyRange, KeyRangeTombstone, RangeTombstone};
@@ -610,6 +616,69 @@ mod tests {
         }
     }
 
+    /// `v`'s deadline index under `picker`'s schedule.
+    fn index(picker: &Picker, v: &Version) -> DueIndex {
+        (picker.ttl_schedule()).map_or_else(DueIndex::default, |t| t.index(v))
+    }
+
+    /// Pick from `v` through its deadline index, as the engine does.
+    fn pick(picker: &Picker, v: &Version, now: Tick) -> Option<CompactionTask> {
+        picker.pick(v, &index(picker, v), now)
+    }
+
+    /// The FADE trigger as it stood before the deadline index: every
+    /// deadline and station recomputed from `version` at each pick.
+    pub(crate) fn reference_ttl_pick(
+        picker: &Picker,
+        version: &Version,
+        now: Tick,
+    ) -> Option<CompactionTask> {
+        let ttl = picker.ttl.as_ref()?;
+        let futile = picker.futile.lock();
+        let overdue_by = |deadline: Tick| (now > deadline).then(|| now - deadline);
+        let files = version
+            .all_files()
+            .filter(|f| !futile.skips(f.id, now))
+            .filter_map(|f| {
+                let by = overdue_by(reference_file_deadline(ttl, f)?)?;
+                Some((by, f.level, vec![Arc::clone(f)], None))
+            });
+        let key_ranges = version.key_range_tombstones.iter().filter_map(|k| {
+            let (level, deadline) = reference_key_range_deadline(ttl, version, k)?;
+            let by = overdue_by(deadline)?;
+            let inputs: Vec<_> = version.levels[level]
+                .iter()
+                .filter(|f| f.under_key_range_tombstone(k))
+                .cloned()
+                .collect();
+            inputs
+                .iter()
+                .any(|f| !futile.skips(f.id, now))
+                .then_some((by, level, inputs, Some(k)))
+        });
+        let (_, level, inputs, k) = files.chain(key_ranges).max_by_key(|&(by, ..)| by)?;
+        let reason = CompactionReason::TtlExpired;
+        if level == 0 {
+            return whole_l0(version, reason);
+        }
+        let span = entry_hull(&inputs);
+        if level == picker.opts.max_levels - 1 {
+            return Some(picker.close_over_bottom(version, inputs, span, reason));
+        }
+        let span = span.map(|(lo, hi)| match k {
+            Some(k) => (lo.min(k.start.clone()), hi.max(k.end.clone())),
+            None => (lo, hi),
+        });
+        Some(push_down(version, level, inputs, span, reason))
+    }
+
+    /// What a task does, for comparing two picks: its trigger, levels
+    /// and input file ids.
+    pub(crate) fn shape(task: &CompactionTask) -> (CompactionReason, usize, usize, Vec<u64>) {
+        let inputs = task.all_inputs().map(|f| f.id).collect();
+        (task.reason, task.level, task.output_level, inputs)
+    }
+
     fn ids(files: &[Arc<FileMeta>]) -> Vec<u64> {
         files.iter().map(|f| f.id).collect()
     }
@@ -619,7 +688,7 @@ mod tests {
         let fs = MemFs::new();
         let picker = Picker::new(&opts(CompactionLayout::Leveling));
         let v = Version::empty(4).apply(vec![make_file(&fs, 1, 0, 0..10, 100)], &[], &[], &[]);
-        assert!(picker.pick(&v, 0).is_none());
+        assert!(pick(&picker, &v, 0).is_none());
     }
 
     #[test]
@@ -633,7 +702,7 @@ mod tests {
         let mut all = files.clone();
         all.push(l1);
         let v = Version::empty(4).apply(all, &[], &[], &[]);
-        let task = picker.pick(&v, 0).expect("L0 saturated");
+        let task = pick(&picker, &v, 0).expect("L0 saturated");
         assert_eq!(task.reason, CompactionReason::L0Saturation);
         assert_eq!(task.level, 0);
         assert_eq!(task.inputs.len(), 4, "all L0 files move together");
@@ -652,7 +721,7 @@ mod tests {
         let l2 = make_file(&fs, 3, 2, 0..200, 100);
         let v = Version::empty(4).apply(vec![costly, free, l2], &[], &[], &[]);
         assert!(v.level_bytes(1) > 3_000, "setup must saturate L1");
-        let task = picker.pick(&v, 0).expect("saturation");
+        let task = pick(&picker, &v, 0).expect("saturation");
         assert_eq!(task.reason, CompactionReason::LevelSaturation);
         assert_eq!(task.inputs.len(), 1);
         assert_eq!(task.inputs[0].id, 2, "zero-overlap file is cheapest");
@@ -671,7 +740,7 @@ mod tests {
         let clean = make_file_with(&fs, 1, 1, 0, 0..200, 1000, 0, 0);
         let dirty = make_file_with(&fs, 2, 1, 0, 300..500, 2000, 2, 0);
         let v = Version::empty(4).apply(vec![clean, dirty], &[], &[], &[]);
-        let task = picker.pick(&v, 10).expect("saturation");
+        let task = pick(&picker, &v, 10).expect("saturation");
         assert_eq!(task.inputs[0].id, 2, "delete-dense file first");
     }
 
@@ -683,9 +752,9 @@ mod tests {
         let expired = make_file_with(&fs, 1, 1, 0, 0..50, 1000, 5, 10);
         let v = Version::empty(4).apply(vec![expired], &[], &[], &[]);
         // Before the deadline: nothing to do (level not saturated).
-        assert!(picker.pick(&v, 11).is_none());
+        assert!(pick(&picker, &v, 11).is_none());
         // Long past it: the TTL trigger fires.
-        let task = picker.pick(&v, 5_000).expect("expired file");
+        let task = pick(&picker, &v, 5_000).expect("expired file");
         assert_eq!(task.reason, CompactionReason::TtlExpired);
         assert_eq!(task.inputs[0].id, 1);
         assert_eq!(task.output_level, 2);
@@ -698,7 +767,7 @@ mod tests {
         let old = make_file_with(&fs, 1, 0, 1, 0..20, 100, 2, 0);
         let newer = make_file(&fs, 2, 0, 10..30, 500);
         let v = Version::empty(4).apply(vec![old, newer], &[], &[], &[]);
-        let task = picker.pick(&v, 10_000).expect("expired");
+        let task = pick(&picker, &v, 10_000).expect("expired");
         assert_eq!(task.reason, CompactionReason::TtlExpired);
         assert_eq!(
             task.inputs.len(),
@@ -717,7 +786,7 @@ mod tests {
             .collect();
         let v = Version::empty(4).apply(files, &[], &[], &[]);
         assert_eq!(v.level_runs(1), 4);
-        let task = picker.pick(&v, 0).expect("run count reached T");
+        let task = pick(&picker, &v, 0).expect("run count reached T");
         assert_eq!(task.level, 1);
         assert_eq!(task.inputs.len(), 4);
         assert!(
@@ -735,7 +804,7 @@ mod tests {
             .map(|i| make_file_with(&fs, i + 1, 1, i, 0..20, 100 * (i + 1), 0, 0))
             .collect();
         let v = Version::empty(4).apply(files, &[], &[], &[]);
-        assert!(picker.pick(&v, 0).is_none());
+        assert!(pick(&picker, &v, 0).is_none());
     }
 
     #[test]
@@ -750,7 +819,7 @@ mod tests {
         let mut all = files;
         all.push(bottom);
         let v = Version::empty(4).apply(all, &[], &[], &[]);
-        let task = picker.pick(&v, 0).expect("runs at level 2");
+        let task = pick(&picker, &v, 0).expect("runs at level 2");
         assert_eq!(task.output_level, 3);
         assert_eq!(task.output_run, 0, "bottom stays a single leveled run");
         assert_eq!(
@@ -774,7 +843,7 @@ mod tests {
         files.push(make_file(&fs, 9, 2, 0..600, 100));
         let v = Version::empty(4).apply(files, &[], &[], &[]);
         assert!(v.level_bytes(1) > 3_000, "setup must saturate L1");
-        let queried = || picker.pick(&v, 0).expect("saturation").inputs[0].id;
+        let queried = || pick(&picker, &v, 0).expect("saturation").inputs[0].id;
 
         // A query does not rotate: the same file, however often asked.
         assert_eq!(queried(), 1);
@@ -782,22 +851,28 @@ mod tests {
 
         // Accepted picks rotate through the level and wrap around.
         for expected in [1, 2, 3] {
-            let (task, claim) = picker.pick_claimed(&v, 0).expect("nothing in flight");
+            let (task, claim) = picker
+                .pick_claimed(&v, &index(&picker, &v), 0)
+                .expect("nothing in flight");
             assert_eq!(task.inputs[0].id, expected);
             picker.release(claim);
         }
         assert_eq!(queried(), 1);
 
         // A pick that loses on a claim conflict leaves the cursor put.
-        let (_, claim) = picker.pick_claimed(&v, 0).expect("nothing in flight");
+        let (_, claim) = picker
+            .pick_claimed(&v, &index(&picker, &v), 0)
+            .expect("nothing in flight");
         assert_eq!(queried(), 2);
         assert!(
-            picker.pick_claimed(&v, 0).is_none(),
+            picker.pick_claimed(&v, &index(&picker, &v), 0).is_none(),
             "file 2 shares the L2 file with the task in flight"
         );
         assert_eq!(queried(), 2, "the refused pick must not rotate past file 2");
         picker.release(claim);
-        let (task, claim) = picker.pick_claimed(&v, 0).expect("conflict released");
+        let (task, claim) = picker
+            .pick_claimed(&v, &index(&picker, &v), 0)
+            .expect("conflict released");
         assert_eq!(task.inputs[0].id, 2);
         picker.release(claim);
     }
@@ -812,7 +887,7 @@ mod tests {
         let apart = make_file_with(&fs, 3, 3, 0, 500..600, 200, 0, 0);
         let newer = make_file_with(&fs, 2, 3, 1, 50..150, 1_000, 5, 0);
         let v = Version::empty(4).apply(vec![older, apart, newer], &[], &[], &[]);
-        let task = picker.pick(&v, 10_000).expect("expired file");
+        let task = pick(&picker, &v, 10_000).expect("expired file");
         assert_eq!(task.reason, CompactionReason::TtlExpired);
         assert_eq!((task.level, task.output_level), (3, 3));
         assert_eq!(
@@ -838,15 +913,15 @@ mod tests {
         let v = Version::empty(4)
             .apply(files, &[], &[], &[])
             .apply_key_ranges(&[krt((0, 100), 500, 0)], &[]);
-        assert!(picker.pick(&v, 10).is_none(), "not yet due");
-        let task = picker.pick(&v, 10_000).expect("expired range tombstone");
+        assert!(pick(&picker, &v, 10).is_none(), "not yet due");
+        let task = pick(&picker, &v, 10_000).expect("expired range tombstone");
         assert_eq!(task.reason, CompactionReason::TtlExpired);
         assert_eq!((task.level, task.output_level), (2, 3));
         assert_eq!(ids(&task.inputs), vec![2, 3]);
         assert_eq!(ids(&task.next_level_inputs), vec![5]);
         // At the bottom: every bottom file under it, closed over.
         let v = v.apply(vec![], &[1, 2, 3], &[], &[]);
-        let task = picker.pick(&v, 10_000).expect("expired at the bottom");
+        let task = pick(&picker, &v, 10_000).expect("expired at the bottom");
         assert_eq!((task.level, task.output_level), (3, 3));
         assert_eq!(ids(&task.inputs), vec![5]);
     }
@@ -861,12 +936,12 @@ mod tests {
             make_file_with(&fs, 2, 1, 1, 0..10, 1, 5, 0),
         ];
         let v = Version::empty(4).apply(files, &[], &[], &[]);
-        let task = picker.pick(&v, 10_000).expect("expired files");
+        let task = pick(&picker, &v, 10_000).expect("expired files");
         assert_eq!(ids(&task.inputs), vec![2]);
         // A range tombstone born at the same tick with the same station
         // comes after the files, and takes both.
         let v = v.apply_key_ranges(&[krt((0, 5), 500, 0)], &[]);
-        let task = picker.pick(&v, 10_000).expect("expired subjects");
+        let task = pick(&picker, &v, 10_000).expect("expired subjects");
         assert_eq!(ids(&task.inputs), vec![1, 2]);
     }
 
@@ -882,17 +957,15 @@ mod tests {
         let v = Version::empty(4).apply(files, &[], &[], &[]);
         let now = 10_000;
         for expected in [1, 2, 3] {
-            let task = picker
-                .pick(&v, now)
-                .expect("an expired file not yet rewritten");
+            let task = pick(&picker, &v, now).expect("an expired file not yet rewritten");
             assert_eq!(ids(&task.inputs), vec![expected]);
             picker.note_futile_rewrite(now, None, [expected]);
         }
         assert!(
-            picker.pick(&v, now).is_none(),
+            pick(&picker, &v, now).is_none(),
             "every file was rewritten in vain"
         );
-        let task = picker.pick(&v, now + 1).expect("the clock moved");
+        let task = pick(&picker, &v, now + 1).expect("the clock moved");
         assert_eq!(ids(&task.inputs), vec![1]);
     }
 
