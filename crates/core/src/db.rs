@@ -133,16 +133,18 @@ impl VlogState {
         self.segments.entry(segment).or_default().live_bytes += bytes;
     }
 
-    /// Move `bytes` of `segment` from live to dead, stamped `stamp`.
-    /// A segment GC already deleted is silently ignored — the drop that
-    /// reports it is an older shadowed version whose bytes were already
-    /// reclaimed wholesale.
-    fn mark_dead(&mut self, segment: u64, bytes: u64, stamp: Tick) {
-        if let Some(acct) = self.segments.get_mut(&segment) {
-            acct.live_bytes = acct.live_bytes.saturating_sub(bytes);
-            acct.dead_bytes += bytes;
-            acct.oldest_dead_tick = Some(acct.oldest_dead_tick.map_or(stamp, |t| t.min(stamp)));
-        }
+    /// Move `bytes` of `segment` from live to dead, stamped `stamp`,
+    /// and say whether the segment still exists. A segment GC already
+    /// deleted is left alone — the drop that reports it is an older
+    /// shadowed version whose bytes were already reclaimed wholesale.
+    fn mark_dead(&mut self, segment: u64, bytes: u64, stamp: Tick) -> bool {
+        let Some(acct) = self.segments.get_mut(&segment) else {
+            return false;
+        };
+        acct.live_bytes = acct.live_bytes.saturating_sub(bytes);
+        acct.dead_bytes += bytes;
+        acct.oldest_dead_tick = Some(acct.oldest_dead_tick.map_or(stamp, |t| t.min(stamp)));
+        true
     }
 }
 
@@ -1746,6 +1748,41 @@ mod tests {
         assert!(db.stats().vlog_segments_deleted.load(Relaxed) > 0);
         for i in 0..150u32 {
             assert_eq!(db.get(format!("big{i:04}").as_bytes()).unwrap(), None);
+        }
+    }
+
+    /// A compaction that drops a pointer into a segment GC has already
+    /// deleted (a version the rewrite shadowed) leaves no cohort
+    /// waiting on that segment: its bytes are gone, and no later
+    /// reclaim would release the wait.
+    #[test]
+    fn a_deleted_segment_leaves_no_cohort_waiting() {
+        let (fs, db) = open_mem(vlog_opts().with_fade(1_000_000));
+        let key = |i: u32| format!("big{i:04}");
+        for i in 0..150u32 {
+            db.put(key(i).as_bytes(), &big_value(i)).unwrap();
+        }
+        db.flush().unwrap();
+        for i in (0..150u32).filter(|i| i % 3 != 0) {
+            db.delete(key(i).as_bytes()).unwrap();
+        }
+        // The purge turns two thirds of every segment dead; GC rewrites
+        // the live third to the head and deletes the segments.
+        db.compact_all().unwrap();
+        db.maintain().unwrap();
+        assert!(db.stats().vlog_segments_deleted.load(Relaxed) > 0);
+        // The tree still holds the shadowed pointers into the deleted
+        // segments; this compaction drops them.
+        db.flush().unwrap();
+        db.compact_all().unwrap();
+        let gone = |segment: &u64| !fs.exists(&crate::filenames::vlog_path("db", *segment));
+        let waiting: Vec<_> = (db.delete_audit().cohorts.iter())
+            .flat_map(|c| c.vlog_pending.iter().copied().filter(gone))
+            .collect();
+        assert_eq!(waiting, vec![], "cohorts waiting on deleted segments");
+        for i in 0..150u32 {
+            let got = db.get(key(i).as_bytes()).unwrap();
+            assert_eq!(got, (i % 3 == 0).then(|| big_value(i).into()));
         }
     }
 

@@ -445,7 +445,7 @@ impl DbCore {
         st: &mut State,
         start: &Version,
         task: &CompactionTask,
-        outcome: CompactionOutcome,
+        mut outcome: CompactionOutcome,
         now: Tick,
         newest_snapshot: Option<SeqNo>,
         micros: u64,
@@ -531,11 +531,12 @@ impl DbCore {
         // Pointers dropped by this compaction (shadowed or purged) turn
         // their vlog frames dead; the stamp is the tombstone's dkey (or
         // `now` for overwrites), which is what the GC deadline rule ages.
+        // Only frames of segments that still exist are left for the
+        // ledger to wait on: GC already deleted the others.
         if !outcome.vlog_dead.is_empty() {
             let mut vs = self.vlog_state.lock();
-            for (segment, bytes, stamp) in &outcome.vlog_dead {
-                vs.mark_dead(*segment, *bytes, *stamp);
-            }
+            (outcome.vlog_dead)
+                .retain(|&(segment, bytes, stamp)| vs.mark_dead(segment, bytes, stamp));
         }
         self.advance_ledger(Stage::Compacted(task, &outcome, &retired), now);
         self.obs.log(Event::CompactionEnd {
