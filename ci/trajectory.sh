@@ -9,9 +9,11 @@
 #       one after another, and for each workload the checkouts take
 #       turns, in an order that alternates from seed to seed, so every
 #       head sees the same host. Then run `all --quick` (seed 1) in each
-#       checkout for the exact figures. Writes BENCH_<pr>.json here for
-#       every head: its commit, whether tracked files differed from it
-#       before the build or after the last run, the seeds, the median
+#       checkout for the exact figures. Writes BENCH_<pr>.json for each
+#       head into that head's own checkout, so only the first head's
+#       file lands here and no committed record here is overwritten:
+#       its commit, whether tracked files differed from it before the
+#       build or after the last run, the seeds, the median
 #       driver.host_slowdown, and per workload and end-to-end metric the
 #       median, the quartiles (Python's statistics.quantiles, n=4), n
 #       and the values by seed; plus the seed-1 --quick write_amp,
@@ -143,7 +145,8 @@ done
 
 for head in "${heads[@]}"; do
     pr=${head%%:*}
-    python3 - "$tmp/$pr" "$pr" "${seeds[*]}" "${workloads[*]}" > "BENCH_$pr.json" <<'EOF'
+    dir=${head#*:}
+    python3 - "$tmp/$pr" "$pr" "${seeds[*]}" "${workloads[*]}" > "$dir/BENCH_$pr.json" <<'EOF'
 import json, re, statistics, sys
 out_dir, pr, seeds, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3].split(), sys.argv[4].split()
 bench = json.load(open("BENCHMARK.json"))
@@ -197,5 +200,5 @@ json.dump({
 }, sys.stdout, indent=1)
 print()
 EOF
-    echo "wrote BENCH_$pr.json" >&2
+    echo "wrote $dir/BENCH_$pr.json" >&2
 done
