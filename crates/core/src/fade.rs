@@ -115,7 +115,7 @@ impl TtlSchedule {
             Station::Level(level) => self.cumulative[(level + 1).min(last)],
             Station::KeyRange(level) => self.cumulative[level.clamp(1, last)],
             // `now > stamp + D_th - 1`, i.e. `now - stamp >= D_th`.
-            Station::Log => self.d_th - 1,
+            Station::Log => self.d_th.saturating_sub(1),
         };
         oldest.saturating_add(budget)
     }
@@ -128,8 +128,7 @@ impl TtlSchedule {
         Some(self.due(oldest.min()?, Station::Buffer))
     }
 
-    /// Index `version`'s delete obligations: the one place their due
-    /// ticks are computed.
+    /// Index `version`'s delete obligations (see [`DueIndex`]).
     pub fn index(&self, version: &Version) -> DueIndex {
         let files = version.all_files().filter_map(|f| {
             let due = self.due(f.stats.oldest_tombstone_tick?, Station::Level(f.level));

@@ -309,8 +309,8 @@ impl Picker {
         now: Tick,
     ) -> Option<CompactionTask> {
         let futile = self.futile.lock();
-        let overdue = due.entries.iter().filter(|(due, _)| now > *due);
-        let subjects = overdue.filter_map(|(due, subject)| {
+        let overdue = due.entries.iter().filter(|(at, _)| now > *at);
+        let subjects = overdue.filter_map(|(at, subject)| {
             let (level, inputs, k) = match subject {
                 Subject::File(f) => (f.level, vec![Arc::clone(f)], None),
                 Subject::KeyRange(level, k) => {
@@ -320,7 +320,7 @@ impl Picker {
                 }
             };
             let live = inputs.iter().any(|f| !futile.skips(f.id, now));
-            live.then_some((now - due, level, inputs, k))
+            live.then_some((now - at, level, inputs, k))
         });
         // Of equally overdue subjects, the last one wins.
         let (_, level, inputs, k) = subjects.max_by_key(|&(by, ..)| by)?;
