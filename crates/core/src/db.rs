@@ -51,7 +51,7 @@
 //! which purge covered entries and — under KiWi — drop fully covered
 //! pages without reading them.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -115,17 +115,11 @@ struct VlogSegmentAcct {
     retired: bool,
 }
 
-/// Value-log accounting across segments. Guarded by a leaf mutex: taken
-/// after any other lock, never held across I/O.
+/// Value-log accounting across segments, part of [`State`]: it changes
+/// only under the state write lock.
 #[derive(Default)]
 struct VlogState {
     segments: BTreeMap<u64, VlogSegmentAcct>,
-    /// Segments GC deleted whose (shadowed) pointers may still sit in
-    /// live tables until compaction rewrites them. Mirrored into the
-    /// manifest as [`VersionEdit::DropVlogSegment`] so recovery and
-    /// `doctor` can tell expected-stale references from dangling ones;
-    /// pruned at recovery once no table or WAL names the segment.
-    dropped: BTreeSet<u64>,
 }
 
 impl VlogState {
@@ -162,6 +156,11 @@ struct State {
     /// The delete obligations of `version` and when each is due, built
     /// with every view publish.
     due: DueIndex,
+    /// Value-log live/dead accounting per segment.
+    vlog: VlogState,
+    /// Delete-lifecycle cohort ledger, fed at the same installs that
+    /// change the tree and the accounting.
+    ledger: DeleteLedger,
 }
 
 /// Executor control state. Guarded by `DbCore::maint`, which is never
@@ -262,15 +261,9 @@ struct DbCore {
     vlog_next_segment: AtomicU64,
     /// Shared pointer-dereference path with a per-segment fd cache.
     vlog_reader: Arc<VlogReader>,
-    /// Per-segment value-log live/dead accounting (leaf mutex).
-    vlog_state: Mutex<VlogState>,
     /// Per-op trace sampler + retention buffer. With sampling off its
     /// entire cost is one untaken branch per operation.
     tracer: Tracer,
-    /// Delete-lifecycle cohort ledger. Every mutation site already runs
-    /// serialized (commit leader, state-lock installs), so this leaf
-    /// mutex is uncontended; it is never held across another lock.
-    ledger: Mutex<DeleteLedger>,
 }
 
 struct DbInner {
@@ -508,9 +501,8 @@ impl Db {
             last_seqno,
             next_file_id,
             events: boot_events,
-            vlog_state,
             vlog_next_segment,
-        } = recovery::open_image(fs.as_ref(), dir, &opts, cache.as_ref())?;
+        } = recovery::open_image(fs.as_ref(), dir, &opts, cache.as_ref(), shard)?;
         let view = Arc::new(ReadView {
             mem: Arc::clone(&state.mem),
             imms: Vec::new(),
@@ -520,11 +512,9 @@ impl Db {
             picker: Picker::new(&opts),
             obs: EventLog::new(opts.event_log_capacity),
             tracer: Tracer::new(opts.trace_sample_every, trace_ids),
-            ledger: Mutex::new(DeleteLedger::new(shard)),
             vlog: Mutex::new(None),
             vlog_next_segment: AtomicU64::new(vlog_next_segment),
             vlog_reader: Arc::new(VlogReader::new(Arc::clone(&fs), dir)),
-            vlog_state: Mutex::new(vlog_state),
             fs,
             dir: dir.to_string(),
             opts,
@@ -833,11 +823,12 @@ impl Db {
     /// configured `D_th`.
     pub fn delete_audit(&self) -> DeleteAudit {
         let core = self.core();
-        let gauges = self.tombstone_gauges();
+        let st = core.state.read();
+        let gauges = core.gauges_locked(&st);
         DeleteAudit {
             now: self.now(),
             d_th: core.opts.d_th(),
-            cohorts: core.ledger.lock().snapshot(),
+            cohorts: st.ledger.snapshot(),
             oldest_live_tombstone_tick: gauges.oldest_live_tick(),
             oldest_vlog_dead_tick: gauges.vlog_oldest_dead_tick,
         }
@@ -850,26 +841,7 @@ impl Db {
     /// calls, so no copy can lag the view.
     pub fn tombstone_gauges(&self) -> TombstoneGauges {
         let core = self.core();
-        let view = core.current_view();
-        let mut gauges = TombstoneGauges::from_version(&view.version);
-        for m in std::iter::once(&view.mem).chain(&view.imms) {
-            let s = m.stats();
-            gauges.buffer_tombstones += s.tombstones as u64;
-            gauges.buffer_oldest_tick =
-                min_tick(gauges.buffer_oldest_tick, s.oldest_tombstone_tick);
-            gauges.buffer_key_range_tombstones += s.range_tombstones as u64;
-            gauges.buffer_oldest_key_range_tick = min_tick(
-                gauges.buffer_oldest_key_range_tick,
-                s.oldest_range_tombstone_tick,
-            );
-        }
-        for acct in core.vlog_state.lock().segments.values() {
-            gauges.vlog_live_bytes += acct.live_bytes;
-            gauges.vlog_dead_bytes += acct.dead_bytes;
-            gauges.vlog_oldest_dead_tick =
-                min_tick(gauges.vlog_oldest_dead_tick, acct.oldest_dead_tick);
-        }
-        gauges
+        core.gauges_locked(&core.state.read())
     }
 
     /// Check structural invariants of the current tree (I1/I6): level
@@ -888,6 +860,31 @@ impl Db {
 }
 
 impl DbCore {
+    /// The tombstone gauges of the current view plus `st`'s value-log
+    /// accounting (see [`Db::tombstone_gauges`]).
+    fn gauges_locked(&self, st: &State) -> TombstoneGauges {
+        let view = self.current_view();
+        let mut gauges = TombstoneGauges::from_version(&view.version);
+        for m in std::iter::once(&view.mem).chain(&view.imms) {
+            let s = m.stats();
+            gauges.buffer_tombstones += s.tombstones as u64;
+            gauges.buffer_oldest_tick =
+                min_tick(gauges.buffer_oldest_tick, s.oldest_tombstone_tick);
+            gauges.buffer_key_range_tombstones += s.range_tombstones as u64;
+            gauges.buffer_oldest_key_range_tick = min_tick(
+                gauges.buffer_oldest_key_range_tick,
+                s.oldest_range_tombstone_tick,
+            );
+        }
+        for acct in st.vlog.segments.values() {
+            gauges.vlog_live_bytes += acct.live_bytes;
+            gauges.vlog_dead_bytes += acct.dead_bytes;
+            gauges.vlog_oldest_dead_tick =
+                min_tick(gauges.vlog_oldest_dead_tick, acct.oldest_dead_tick);
+        }
+        gauges
+    }
+
     /// Whether maintenance runs on background workers (vs inline in the
     /// write path).
     fn background(&self) -> bool {

@@ -417,12 +417,6 @@ impl DbCore {
                 t.add(TraceStage::VlogFramesAppended, separated.len() as u64);
             }
         }
-        if !separated.is_empty() {
-            let mut vs = self.vlog_state.lock();
-            for (segment, bytes) in &separated {
-                vs.add_live(*segment, *bytes);
-            }
-        }
         self.stats.commit_groups.fetch_add(1, Ordering::Relaxed);
         let total_ops: u64 = group.iter().map(|ops| ops.len() as u64).sum();
         self.stats.commit_group_ops.record(total_ops);
@@ -436,8 +430,11 @@ impl DbCore {
         // new visible seqno, then swap the read view.
         let inserting = Span::start(trace.as_deref());
         let mut st = self.state.write();
+        for (segment, bytes) in &separated {
+            st.vlog.add_live(*segment, *bytes);
+        }
         // Delete-lifecycle ledger inputs, gathered while the entries
-        // stream by so the ledger lock is taken at most once per group.
+        // stream by so the ledger is fed at most once per group.
         let mut point_deletes = 0u64;
         let mut krt_deletes = 0u64;
         let mut first_delete_tick: Option<Tick> = None;
@@ -501,7 +498,8 @@ impl DbCore {
                 point: point_deletes,
                 key_range: krt_deletes,
             };
-            self.advance_ledger(stage, first_delete_tick.expect("deletes carry ticks"));
+            let tick = first_delete_tick.expect("deletes carry ticks");
+            self.advance_ledger(&mut st.ledger, stage, tick);
         }
         let last = seqno - 1;
         // This store is the entire visibility publish for a plain

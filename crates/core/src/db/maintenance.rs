@@ -16,7 +16,7 @@ use crate::compaction::{create_table, finish_table, run_compaction, CompactionOu
 use crate::fade::Station;
 use crate::filenames::{sst_path, vlog_path, wal_path};
 use crate::manifest::{EditBatch, VersionEdit};
-use crate::obs::trace::CohortStage;
+use crate::obs::trace::{CohortStage, DeleteLedger};
 use crate::obs::Event;
 use crate::picker::{CompactionClaim, CompactionReason, CompactionTask};
 use crate::version::{Applied, FileMeta, Retired, Version};
@@ -118,8 +118,7 @@ impl DbCore {
     /// accounts every resolved delete against `D_th`. A purged point
     /// tombstone and a retired sort-key range tombstone each count as a
     /// purge; a superseded tombstone only leaves its cohort.
-    pub(super) fn advance_ledger(&self, stage: Stage<'_>, now: Tick) {
-        let mut ledger = self.ledger.lock();
+    pub(super) fn advance_ledger(&self, ledger: &mut DeleteLedger, stage: Stage<'_>, now: Tick) {
         let log = |epoch, stage, level: usize, tombstones: usize| {
             self.obs.log(Event::CohortAdvanced {
                 epoch,
@@ -229,7 +228,7 @@ impl DbCore {
             sealed_behind: st.imms.len() as u64,
         });
         let sealed = &st.imms.back().expect("just pushed").mem;
-        self.advance_ledger(Stage::Sealed(sealed), self.opts.clock.now());
+        self.advance_ledger(&mut st.ledger, Stage::Sealed(sealed), self.opts.clock.now());
         // Readers (and the write throttle's gauges) must see the sealed
         // queue grow promptly.
         self.publish_view_locked(st);
@@ -332,7 +331,7 @@ impl DbCore {
         st.version = Arc::new(next);
         // Flushes pop the sealed queue FIFO, the ledger's pending order.
         let stage = Stage::Flushed(&imm.mem, &retired);
-        self.advance_ledger(stage, self.opts.clock.now());
+        self.advance_ledger(&mut st.ledger, stage, self.opts.clock.now());
         st.persisted_seqno = st.persisted_seqno.max(imm.max_seqno);
         self.stats.flushes.fetch_add(1, Ordering::Relaxed);
         let (file_id, bytes, entries) = flushed.unwrap_or((0, 0, 0));
@@ -533,12 +532,9 @@ impl DbCore {
         // `now` for overwrites), which is what the GC deadline rule ages.
         // Only frames of segments that still exist are left for the
         // ledger to wait on: GC already deleted the others.
-        if !outcome.vlog_dead.is_empty() {
-            let mut vs = self.vlog_state.lock();
-            (outcome.vlog_dead)
-                .retain(|&(segment, bytes, stamp)| vs.mark_dead(segment, bytes, stamp));
-        }
-        self.advance_ledger(Stage::Compacted(task, &outcome, &retired), now);
+        (outcome.vlog_dead)
+            .retain(|&(segment, bytes, stamp)| st.vlog.mark_dead(segment, bytes, stamp));
+        self.advance_ledger(&mut st.ledger, Stage::Compacted(task, &outcome, &retired), now);
         self.obs.log(Event::CompactionEnd {
             level: task.level as u64,
             output_level: task.output_level as u64,
@@ -569,14 +565,15 @@ impl DbCore {
     /// install. The head segment (still being appended) is never
     /// picked, and a retired segment — already rewritten, kept only for
     /// snapshot readers — becomes eligible for deletion once the last
-    /// snapshot drops.
+    /// snapshot drops. The head is read before the state lock is taken
+    /// (lock order `vlog` → `state`).
     fn vlog_gc_candidate(&self, now: Tick) -> Option<u64> {
         let head = self.vlog.lock().as_ref().map(|w| w.segment());
         let ttl = self.picker.ttl_schedule();
         let ratio = u64::from(self.opts.vlog_gc_dead_ratio_percent);
         let snapshots_empty = self.snapshots.lock().is_empty();
-        let vs = self.vlog_state.lock();
-        for (seg, acct) in vs.segments.iter() {
+        let st = self.state.read();
+        for (seg, acct) in st.vlog.segments.iter() {
             if acct.dead_bytes == 0 {
                 continue;
             }
@@ -701,13 +698,13 @@ impl DbCore {
                 self.fs.delete(&path)?;
                 self.fs.sync_dir(&self.dir)?;
             }
-            let mut vs = self.vlog_state.lock();
-            vs.segments.remove(&segment);
-            vs.dropped.insert(segment);
-            drop(vs);
-            // Cohorts waiting on this segment's dead extents are
-            // released: their deletes are now physically gone.
-            self.advance_ledger(Stage::VlogReclaimed(segment), self.opts.clock.now());
+            // The accounting forgets the segment, and the cohorts
+            // waiting on its dead extents are released (their deletes
+            // are now physically gone), in one section.
+            let st = &mut *self.state.write();
+            st.vlog.segments.remove(&segment);
+            let stage = Stage::VlogReclaimed(segment);
+            self.advance_ledger(&mut st.ledger, stage, self.opts.clock.now());
             reclaimed = data.len() as u64;
             self.stats
                 .vlog_segments_deleted
@@ -720,8 +717,8 @@ impl DbCore {
             // dereference into this file. Keep the bytes; the segment is
             // now all-dead and is deleted on a later pass once the
             // snapshot count drains to zero.
-            let mut vs = self.vlog_state.lock();
-            let acct = vs.segments.entry(segment).or_default();
+            let mut st = self.state.write();
+            let acct = st.vlog.segments.entry(segment).or_default();
             acct.live_bytes = 0;
             acct.dead_bytes = data.len() as u64;
             acct.retired = true;

@@ -16,6 +16,7 @@ use acheron_wal::LogWriter;
 use super::{State, VlogSegmentAcct, VlogState};
 use crate::filenames::{manifest_name, vlog_path, wal_path};
 use crate::manifest::{write_current, EditBatch, ManifestWriter, VersionEdit};
+use crate::obs::trace::DeleteLedger;
 use crate::obs::{Event, GcKind, RecoveryStepKind};
 use crate::options::DbOptions;
 use crate::survey::{survey, Replayed, Survey, WalEnd};
@@ -33,20 +34,19 @@ pub(super) struct Bootstrap {
     /// [`crate::obs::EventLog`] exists; `open` replays them into the
     /// ring.
     pub(super) events: Vec<Event>,
-    /// Per-segment value-log accounting rebuilt from table metadata and
-    /// WAL replay, and the GC-dropped segments still (stalely) named.
-    pub(super) vlog_state: VlogState,
     /// One past the highest vlog segment on disk (the id a lazily
     /// created writer starts at).
     pub(super) vlog_next_segment: u64,
 }
 
-/// Create the database under `dir`, or recover the one that is there.
+/// Create the database under `dir`, or recover the one that is there,
+/// as shard `shard` of its fleet (0 for a standalone engine).
 pub(super) fn open_image(
     fs: &dyn Vfs,
     dir: &str,
     opts: &DbOptions,
     cache: Option<&Arc<BlockCache>>,
+    shard: usize,
 ) -> Result<Bootstrap> {
     // Surviving WAL records replay into a fresh memtable.
     let mem = Memtable::new();
@@ -54,14 +54,21 @@ pub(super) fn open_image(
         Replayed::Entry(e) => mem.insert(e),
         Replayed::KeyRange(krt) => mem.add_range_tombstone(krt),
     })?;
+    let ledger = DeleteLedger::new(shard);
     match surveyed {
-        None => initialize(fs, dir, opts, mem),
-        Some(surveyed) => repair(fs, dir, opts, surveyed, mem),
+        None => initialize(fs, dir, opts, mem, ledger),
+        Some(surveyed) => repair(fs, dir, opts, surveyed, mem, ledger),
     }
 }
 
 /// Create a fresh database directory layout.
-fn initialize(fs: &dyn Vfs, dir: &str, opts: &DbOptions, mem: Memtable) -> Result<Bootstrap> {
+fn initialize(
+    fs: &dyn Vfs,
+    dir: &str,
+    opts: &DbOptions,
+    mem: Memtable,
+    ledger: DeleteLedger,
+) -> Result<Bootstrap> {
     let (manifest_number, wal_number, next_file_id) = (1, 2, 3);
     let name = manifest_name(manifest_number);
     let mut manifest = ManifestWriter::create(fs, &acheron_vfs::join(dir, &name))?;
@@ -85,12 +92,13 @@ fn initialize(fs: &dyn Vfs, dir: &str, opts: &DbOptions, mem: Memtable) -> Resul
             persisted_seqno: 0,
             manifest,
             due: Default::default(),
+            vlog: VlogState::default(),
+            ledger,
         },
         wal,
         last_seqno: 0,
         next_file_id,
         events: Vec::new(),
-        vlog_state: VlogState::default(),
         vlog_next_segment: 1,
     })
 }
@@ -120,6 +128,7 @@ fn repair(
     opts: &DbOptions,
     s: Survey,
     mem: Memtable,
+    ledger: DeleteLedger,
 ) -> Result<Bootstrap> {
     let step = |step, detail| Event::RecoveryStep { step, detail };
     let collected = |kind, id| Event::GcDropped { kind, id };
@@ -313,15 +322,13 @@ fn repair(
             persisted_seqno: s.persisted_seqno,
             manifest,
             due: Default::default(),
+            vlog: VlogState { segments },
+            ledger,
         },
         wal,
         last_seqno: s.last_seqno,
         next_file_id,
         events,
-        vlog_state: VlogState {
-            segments,
-            dropped: s.vlog_dropped,
-        },
         vlog_next_segment: s.vlog_next_segment,
     })
 }
