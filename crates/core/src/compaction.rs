@@ -10,7 +10,7 @@ use acheron_types::{RangeTombstone, Result, SeqNo, Tick, ValueKind, ValuePointer
 use acheron_vfs::Vfs;
 
 use crate::filenames::sst_path;
-use crate::merge::{CompactionStream, KvSource, MergeIterator};
+use crate::merge::{CompactionStream, DeadExtent, KvSource, MergeIterator};
 use crate::options::DbOptions;
 use crate::picker::{CompactionReason, CompactionTask};
 use crate::version::{FileMeta, Version};
@@ -50,12 +50,13 @@ pub struct CompactionOutcome {
     pub bytes_in: u64,
     /// Bytes written to output tables.
     pub bytes_out: u64,
-    /// `(segment, bytes, stamp tick)` per value-log extent whose last
-    /// tree reference this compaction dropped — the caller folds these
-    /// into the vlog's dead-byte accounting. Entries that vanish via
-    /// whole-page drops are not itemized here (the page is never read);
-    /// their bytes surface when GC rewrites the segment.
-    pub vlog_dead: Vec<(u64, u64, Tick)>,
+    /// Each value-log extent whose last tree reference this compaction
+    /// dropped, charged to the delete that killed it — the caller folds
+    /// these into the vlog's dead-byte accounting and the delete ledger.
+    /// Entries that vanish via whole-page drops are not itemized here
+    /// (the page is never read); their bytes surface when GC rewrites
+    /// the segment.
+    pub vlog_dead: Vec<DeadExtent>,
 }
 
 impl CompactionOutcome {
@@ -204,8 +205,7 @@ pub fn run_compaction(
     }
 
     let merge = MergeIterator::new(sources);
-    let mut stream =
-        CompactionStream::new(merge, &version.range_tombstones, snapshots, bottommost, now);
+    let mut stream = CompactionStream::new(merge, &version.range_tombstones, snapshots, bottommost);
 
     // Weave only where a later compaction can drop the pages (DESIGN.md
     // decision 14): a KiWi tile costs `h` page reads per sort-key seek,
@@ -223,29 +223,36 @@ pub fn run_compaction(
         Ok(())
     };
 
-    let mut krt_vlog_dead: Vec<(u64, u64, Tick)> = Vec::new();
+    let mut krt_vlog_dead: Vec<DeadExtent> = Vec::new();
     let mut krt_superseded: Vec<SeqNo> = Vec::new();
     // Survivors leave the merge in key order, so each probe of the
     // sort-key index starts where the last one landed.
     let mut krt_cursor = 0;
     while let Some(survivor) = stream.next_survivor()? {
         let (user_key, seqno) = (survivor.key.user_key(), survivor.key.seqno());
-        if let Some(idx) = krt_drop_index {
-            if idx
-                .max_seqno_covering_from(user_key, u64::MAX, &mut krt_cursor)
-                .is_some_and(|cover| seqno < cover)
-            {
-                key_range_purged += 1;
-                if survivor.kind.is_tombstone() {
-                    krt_superseded.push(seqno);
-                }
-                if survivor.kind == ValueKind::ValuePointer {
-                    if let Some(ptr) = ValuePointer::decode(&survivor.value) {
-                        krt_vlog_dead.push((ptr.segment, u64::from(ptr.len), now));
-                    }
-                }
-                continue;
+        let cover = krt_drop_index
+            .and_then(|idx| idx.max_seqno_covering_from(user_key, u64::MAX, &mut krt_cursor))
+            .filter(|&cover| seqno < cover);
+        if let Some(cover) = cover {
+            key_range_purged += 1;
+            if survivor.kind.is_tombstone() {
+                krt_superseded.push(seqno);
             }
+            if survivor.kind == ValueKind::ValuePointer {
+                if let Some(ptr) = ValuePointer::decode(&survivor.value) {
+                    // The value dies by the covering delete: charge it
+                    // that delete's seqno and tick.
+                    let tick = (version.key_range_tombstones.iter())
+                        .find(|k| k.seqno == cover)
+                        .map(|k| k.dkey);
+                    krt_vlog_dead.push(DeadExtent {
+                        segment: ptr.segment,
+                        bytes: u64::from(ptr.len),
+                        delete: tick.map(|tick| (cover, tick)),
+                    });
+                }
+            }
+            continue;
         }
         // A version chain never spans two output files.
         let split = match &builder {

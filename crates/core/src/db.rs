@@ -1783,6 +1783,55 @@ mod tests {
         }
     }
 
+    /// An overwrite kills its old value without a delete, so no cohort
+    /// waits on the extent: the compaction that purges a cohort's
+    /// tombstones and drops overwritten values leaves the cohort
+    /// resolved before any GC runs.
+    #[test]
+    fn an_overwrite_charges_no_cohort_with_its_dead_extent() {
+        let (_fs, db) = open_mem(vlog_opts().with_fade(1_000_000));
+        let key = |i: u32| format!("big{i:04}");
+        for i in 0..50u32 {
+            db.put(key(i).as_bytes(), &big_value(i)).unwrap();
+            db.put(format!("del{i:04}").as_bytes(), b"small").unwrap();
+        }
+        db.flush().unwrap();
+        for i in 0..50u32 {
+            db.put(key(i).as_bytes(), &big_value(i + 1_000)).unwrap();
+            db.delete(format!("del{i:04}").as_bytes()).unwrap();
+        }
+        db.flush().unwrap();
+        db.compact_all().unwrap();
+        assert!(db.tombstone_gauges().vlog_dead_bytes > 0, "the overwrites left dead extents");
+        assert_eq!(db.stats().vlog_gc_rewrites.load(Relaxed), 0, "no GC ran");
+        let audit = db.delete_audit();
+        assert!(!audit.cohorts.is_empty());
+        for c in &audit.cohorts {
+            assert!(c.is_resolved(), "{}", c.render(audit.now, None));
+        }
+    }
+
+    /// A separated value under a sort-key range delete dies by that
+    /// delete, so its dead extent is stamped with the delete's tick, not
+    /// the tick of the compaction that dropped it: GC's `D_th` clock
+    /// starts at the delete.
+    #[test]
+    fn a_range_deleted_value_is_stamped_with_its_delete_tick() {
+        let (_fs, db) = open_mem(vlog_opts());
+        for i in 0..50u32 {
+            db.put(format!("big{i:04}").as_bytes(), &big_value(i))
+                .unwrap();
+        }
+        db.flush().unwrap();
+        let t = db.now();
+        db.range_delete_keys(b"big0010", b"big0020").unwrap();
+        db.advance_clock(500);
+        db.compact_all().unwrap();
+        let gauges = db.tombstone_gauges();
+        assert!(gauges.vlog_dead_bytes > 0, "the range delete left dead extents");
+        assert_eq!(gauges.vlog_oldest_dead_tick, Some(t));
+    }
+
     #[test]
     fn vlog_gc_rewrites_live_values_and_preserves_reads() {
         let (_fs, db) = open_mem(vlog_opts());

@@ -160,8 +160,10 @@ impl DbCore {
                 for epoch in ledger.entered_level(&windows, task.output_level as u64, now) {
                     log(epoch, CohortStage::EnteredLevel, task.output_level, 0);
                 }
-                for (segment, _bytes, stamp) in &outcome.vlog_dead {
-                    ledger.vlog_dead(*segment, *stamp);
+                for extent in &outcome.vlog_dead {
+                    if let Some((seqno, _)) = extent.delete {
+                        ledger.vlog_dead(extent.segment, seqno);
+                    }
                 }
                 let (purged, superseded) =
                     (&outcome.tombstones_dropped, &outcome.tombstones_superseded);
@@ -528,12 +530,15 @@ impl DbCore {
             .pages_dropped
             .fetch_add(outcome.pages_dropped, Relaxed);
         // Pointers dropped by this compaction (shadowed or purged) turn
-        // their vlog frames dead; the stamp is the tombstone's dkey (or
-        // `now` for overwrites), which is what the GC deadline rule ages.
-        // Only frames of segments that still exist are left for the
-        // ledger to wait on: GC already deleted the others.
-        (outcome.vlog_dead)
-            .retain(|&(segment, bytes, stamp)| st.vlog.mark_dead(segment, bytes, stamp));
+        // their vlog frames dead, stamped with the tick of the delete
+        // that killed them (or `now` when none did), which is what the
+        // GC deadline rule ages. Only frames of segments that still
+        // exist are left for the ledger to wait on: GC already deleted
+        // the others.
+        (outcome.vlog_dead).retain(|e| {
+            let stamp = e.delete.map_or(now, |(_, tick)| tick);
+            st.vlog.mark_dead(e.segment, e.bytes, stamp)
+        });
         self.advance_ledger(&mut st.ledger, Stage::Compacted(task, &outcome, &retired), now);
         self.obs.log(Event::CompactionEnd {
             level: task.level as u64,

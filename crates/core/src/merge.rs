@@ -315,9 +315,6 @@ pub struct CompactionStream<'a> {
     rts: &'a [RangeTombstone],
     snapshots: &'a [SeqNo],
     bottommost: bool,
-    /// The compaction's clock reading, stamped onto dead vlog extents
-    /// whose covering mutation carries no delete tick of its own.
-    now: Tick,
     /// Survivors of the current user key's chain not yet handed out
     /// (non-empty only while snapshots force multiple versions).
     pending: VecDeque<Entry>,
@@ -328,9 +325,9 @@ pub struct CompactionStream<'a> {
     /// Whether the merge still sits on a chain head lent out by the last
     /// call, with the rest of its chain unread.
     head_lent: bool,
-    /// Stamp for the vlog extents of the entries the current head
-    /// shadows (see [`CompactionStream::next_survivor`]).
-    head_stamp: Tick,
+    /// The delete charged with the vlog extents of the entries the
+    /// current head shadows: the head itself when it is a tombstone.
+    head_delete: Option<(SeqNo, Tick)>,
     /// Entries dropped because a newer kept version shadowed them.
     pub shadowed: u64,
     /// Entries purged by a secondary range tombstone.
@@ -343,11 +340,24 @@ pub struct CompactionStream<'a> {
     /// ledger treats these as resolved too — the obligation passed to
     /// the newer mutation — so every tombstone has exactly one exit.
     pub tombstones_superseded: Vec<SeqNo>,
-    /// `(segment, bytes, stamp tick)` of each value-log extent whose
-    /// last tree reference this compaction dropped. When the covering
-    /// head is a tombstone the stamp is the tombstone's delete tick —
-    /// the FADE-correct age seed — otherwise the compaction's `now`.
-    pub vlog_dead: Vec<(u64, u64, Tick)>,
+    /// Each value-log extent whose last tree reference this compaction
+    /// dropped, charged to the chain head when that is a tombstone.
+    pub vlog_dead: Vec<DeadExtent>,
+}
+
+/// A value-log extent whose last tree reference a compaction dropped,
+/// charged to the delete that killed it: `(seqno, tick)` of the point
+/// tombstone heading its chain or of the covering sort-key range
+/// tombstone. An overwrite or a secondary range delete charges none: no
+/// delete cohort owns it, and its age starts at the compaction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeadExtent {
+    /// The value-log segment holding the extent.
+    pub segment: u64,
+    /// The extent's frame bytes.
+    pub bytes: u64,
+    /// The delete that killed the extent, if one did.
+    pub delete: Option<(SeqNo, Tick)>,
 }
 
 /// One surviving entry of a compaction, lent from where it lives: the
@@ -378,19 +388,17 @@ impl<'a> CompactionStream<'a> {
         rts: &'a [RangeTombstone],
         snapshots: &'a [SeqNo],
         bottommost: bool,
-        now: Tick,
     ) -> CompactionStream<'a> {
         CompactionStream {
             merge,
             rts,
             snapshots,
             bottommost,
-            now,
             pending: VecDeque::new(),
             pending_key: Vec::new(),
             head_key: Vec::new(),
             head_lent: false,
-            head_stamp: 0,
+            head_delete: None,
             shadowed: 0,
             range_purged: 0,
             tombstones_dropped: Vec::new(),
@@ -399,11 +407,15 @@ impl<'a> CompactionStream<'a> {
         }
     }
 
-    /// Record the vlog extent behind a dropped value-pointer entry.
-    fn note_dead_pointer(&mut self, dropped: Option<ValuePointer>, stamp: Tick) {
+    /// Record the vlog extent behind a dropped value-pointer entry,
+    /// killed by `delete`.
+    fn note_dead_pointer(&mut self, dropped: Option<ValuePointer>, delete: Option<(SeqNo, Tick)>) {
         if let Some(ptr) = dropped {
-            self.vlog_dead
-                .push((ptr.segment, u64::from(ptr.len), stamp));
+            self.vlog_dead.push(DeadExtent {
+                segment: ptr.segment,
+                bytes: u64::from(ptr.len),
+                delete,
+            });
         }
     }
 
@@ -414,13 +426,13 @@ impl<'a> CompactionStream<'a> {
         seqno: SeqNo,
         is_tombstone: bool,
         ptr: Option<ValuePointer>,
-        stamp: Tick,
+        delete: Option<(SeqNo, Tick)>,
     ) {
         self.shadowed += 1;
         if is_tombstone {
             self.tombstones_superseded.push(seqno);
         }
-        self.note_dead_pointer(ptr, stamp);
+        self.note_dead_pointer(ptr, delete);
     }
 
     /// Apply rules 2 and 3 of [`CompactionStream::next_survivor`] to the
@@ -443,7 +455,7 @@ impl<'a> CompactionStream<'a> {
             if is_tombstone {
                 self.tombstones_superseded.push(seqno);
             }
-            self.note_dead_pointer(ptr, self.now);
+            self.note_dead_pointer(ptr, None);
             return false;
         }
         if is_tombstone {
@@ -520,10 +532,10 @@ impl<'a> CompactionStream<'a> {
             self.head_key.clear();
             self.head_key.extend_from_slice(key.user_key());
             // A separated value shadowed by a tombstone dies *because of
-            // that delete*: seed its dead-extent age from the delete's
-            // own tick so the vlog GC deadline measures delete-to-reclaim
-            // end to end.
-            self.head_stamp = if kind.is_tombstone() { dkey } else { self.now };
+            // that delete*: charge its extent to the delete, whose tick
+            // starts the vlog GC deadline, so the deadline measures
+            // delete-to-reclaim end to end.
+            self.head_delete = kind.is_tombstone().then_some((seqno, dkey));
             let ptr = pointer_of(kind, || self.merge.value());
             if self.head_survives(seqno, kind.is_tombstone(), dkey, ptr, false) {
                 self.head_lent = true;
@@ -550,7 +562,7 @@ impl<'a> CompactionStream<'a> {
             }
             let seqno = key.seqno();
             let ptr = pointer_of(kind, || self.merge.value());
-            self.note_shadowed(seqno, kind.is_tombstone(), ptr, self.head_stamp);
+            self.note_shadowed(seqno, kind.is_tombstone(), ptr, self.head_delete);
             self.merge.advance()?;
         }
         Ok(())
@@ -572,20 +584,21 @@ impl<'a> CompactionStream<'a> {
 
         // `last_head` = the newest candidate that survived stratum
         // dedup (whether emitted, purged, or dropped): the version
-        // that *decides* reads in its stratum. `(seqno, is_tombstone,
-        // dkey)` — the extra fields stamp dead vlog extents.
-        let mut last_head: Option<(SeqNo, bool, u64)> = None;
+        // that *decides* reads in its stratum, with the delete it
+        // charges the dead vlog extents it shadows to.
+        let mut last_head: Option<(SeqNo, Option<(SeqNo, Tick)>)> = None;
         let mut rest = chain.drain(..);
         while let Some(candidate) = rest.next() {
             let ptr = pointer_of(candidate.kind, || candidate.value.clone());
-            if let Some((head_seqno, head_is_del, head_dkey)) = last_head {
+            if let Some((head_seqno, head_delete)) = last_head {
                 if self.same_stratum(head_seqno, candidate.seqno) {
-                    let stamp = if head_is_del { head_dkey } else { self.now };
-                    self.note_shadowed(candidate.seqno, candidate.is_tombstone(), ptr, stamp);
+                    let is_tombstone = candidate.is_tombstone();
+                    self.note_shadowed(candidate.seqno, is_tombstone, ptr, head_delete);
                     continue;
                 }
             }
-            last_head = Some((candidate.seqno, candidate.is_tombstone(), candidate.dkey));
+            let delete = (candidate.is_tombstone()).then_some((candidate.seqno, candidate.dkey));
+            last_head = Some((candidate.seqno, delete));
             // Does some snapshot pin an *older* version of this key?
             // Such a version survives dedup, so the candidate must stay
             // to keep shadowing it (`rest` is what is older).
@@ -707,7 +720,7 @@ mod tests {
             vec![put("k", 1, 0), put("k", 5, 0)],
             vec![put("k", 3, 0), put("other", 2, 0)],
         ]);
-        let s = CompactionStream::new(m, &[], &[], false, 0);
+        let s = CompactionStream::new(m, &[], &[], false);
         let (out, shadowed, _, _) = drain_stream(s);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].seqno, 5);
@@ -753,7 +766,7 @@ mod tests {
         };
         for bottommost in [false, true] {
             let run = |general: bool| {
-                let mut s = CompactionStream::new(make(), &rts, &[], bottommost, 77);
+                let mut s = CompactionStream::new(make(), &rts, &[], bottommost);
                 let mut out = Vec::new();
                 if general {
                     while s.merge.valid() {
@@ -783,12 +796,12 @@ mod tests {
         let make = || merge_of(vec![vec![del("k", 9, 42), put("k", 3, 0)]]);
         // Above the bottom the tombstone must survive (something below
         // may still hold an older version).
-        let s = CompactionStream::new(make(), &[], &[], false, 0);
+        let s = CompactionStream::new(make(), &[], &[], false);
         let (out, ..) = drain_stream(s);
         assert_eq!(out.len(), 1);
         assert!(out[0].is_tombstone());
         // At the bottom it is dropped and reported.
-        let s = CompactionStream::new(make(), &[], &[], true, 0);
+        let s = CompactionStream::new(make(), &[], &[], true);
         let (out, _, _, dropped) = drain_stream(s);
         assert!(out.is_empty());
         assert_eq!(dropped, 1);
@@ -798,7 +811,7 @@ mod tests {
     fn snapshot_preserves_older_version() {
         let m = merge_of(vec![vec![put("k", 2, 0), put("k", 8, 0)]]);
         let snaps = [5u64];
-        let s = CompactionStream::new(m, &[], &snaps, false, 0);
+        let s = CompactionStream::new(m, &[], &snaps, false);
         let (out, ..) = drain_stream(s);
         // Both versions survive: seqno 8 is newest, seqno 2 is what
         // snapshot 5 sees.
@@ -811,7 +824,7 @@ mod tests {
     fn snapshot_protects_tombstone_at_bottom() {
         let m = merge_of(vec![vec![del("k", 9, 0)]]);
         let snaps = [10u64];
-        let s = CompactionStream::new(m, &[], &snaps, true, 0);
+        let s = CompactionStream::new(m, &[], &snaps, true);
         let (out, _, _, dropped) = drain_stream(s);
         assert_eq!(out.len(), 1, "tombstone visible to snapshot must survive");
         assert_eq!(dropped, 0);
@@ -825,7 +838,7 @@ mod tests {
         // readers. Both must survive.
         let m = merge_of(vec![vec![del("k", 9, 42), put("k", 3, 0)]]);
         let snaps = [5u64];
-        let s = CompactionStream::new(m, &[], &snaps, true, 0);
+        let s = CompactionStream::new(m, &[], &snaps, true);
         let (out, _, _, dropped) = drain_stream(s);
         assert_eq!(dropped, 0);
         assert_eq!(out.len(), 2);
@@ -845,7 +858,7 @@ mod tests {
         }];
         let m = merge_of(vec![vec![put("k", 9, 15), put("k", 3, 30)]]);
         let snaps = [5u64];
-        let s = CompactionStream::new(m, &rts, &snaps, true, 0);
+        let s = CompactionStream::new(m, &rts, &snaps, true);
         let (out, _, range_purged, _) = drain_stream(s);
         assert_eq!(range_purged, 0);
         assert_eq!(out.len(), 2, "covered head and pinned older put survive");
@@ -865,14 +878,14 @@ mod tests {
             ]])
         };
         // At the bottom, the covered entry is purged.
-        let s = CompactionStream::new(make(), &rts, &[], true, 0);
+        let s = CompactionStream::new(make(), &rts, &[], true);
         let (out, _, purged, _) = drain_stream(s);
         let keys: Vec<Vec<u8>> = out.iter().map(|e| e.key.to_vec()).collect();
         assert_eq!(keys, vec![b"b".to_vec(), b"c".to_vec()]);
         assert_eq!(purged, 1);
         // Above the bottom it must survive (an older version of "a" may
         // exist deeper, and the covered head decides reads).
-        let s = CompactionStream::new(make(), &rts, &[], false, 0);
+        let s = CompactionStream::new(make(), &rts, &[], false);
         let (out, _, purged, _) = drain_stream(s);
         assert_eq!(out.len(), 3);
         assert_eq!(purged, 0);
@@ -887,7 +900,7 @@ mod tests {
             range: DeleteKeyRange::new(10, 20),
         }];
         let m = merge_of(vec![vec![put("k", 9, 15), put("k", 3, 99)]]);
-        let s = CompactionStream::new(m, &rts, &[], true, 0);
+        let s = CompactionStream::new(m, &rts, &[], true);
         let (out, shadowed, purged, _) = drain_stream(s);
         assert!(
             out.is_empty(),
@@ -904,7 +917,7 @@ mod tests {
             range: DeleteKeyRange::all(),
         }];
         let m = merge_of(vec![vec![put("k", 5, 1), put("k", 7, 2)]]);
-        let s = CompactionStream::new(m, &rts, &[], true, 0);
+        let s = CompactionStream::new(m, &rts, &[], true);
         let (out, ..) = drain_stream(s);
         assert!(out.is_empty());
     }

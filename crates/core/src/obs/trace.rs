@@ -302,8 +302,6 @@ pub struct CohortRecord {
     /// Tick of the cohort's earliest delete — the clock `D_th` slack
     /// is measured against (conservative for every member).
     pub first_delete_tick: Tick,
-    /// Tick of the cohort's latest delete.
-    pub last_delete_tick: Tick,
     /// When the generation was sealed (None while still accepting
     /// writes).
     pub sealed_tick: Option<Tick>,
@@ -416,7 +414,6 @@ struct OpenCohort {
     deletes: u64,
     key_range_deletes: u64,
     first_tick: Option<Tick>,
-    last_tick: Tick,
 }
 
 /// The per-shard delete-lifecycle ledger. See the module docs for the
@@ -460,7 +457,6 @@ impl DeleteLedger {
         self.open.deletes += point;
         self.open.key_range_deletes += key_range;
         self.open.first_tick = min_tick(self.open.first_tick, Some(tick));
-        self.open.last_tick = self.open.last_tick.max(tick);
     }
 
     /// The active generation was sealed covering `[min_seqno,
@@ -482,7 +478,6 @@ impl DeleteLedger {
                 deletes: open.deletes,
                 key_range_deletes: open.key_range_deletes,
                 first_delete_tick: first,
-                last_delete_tick: open.last_tick,
                 sealed_tick: Some(now),
                 flushed_tick: None,
                 deepest_level: None,
@@ -537,11 +532,7 @@ impl DeleteLedger {
     /// One member tombstone (seqno `seqno`) was purged or superseded.
     /// Returns the epoch of a cohort that just fully purged.
     pub fn tombstone_resolved(&mut self, seqno: SeqNo, now: Tick) -> Option<u64> {
-        let (_, epoch) = self.by_max_seqno.range(seqno..).next()?;
-        let c = self.cohorts.get_mut(epoch)?;
-        if seqno < c.min_seqno {
-            return None;
-        }
+        let c = self.cohort_of(seqno)?;
         c.resolved += 1;
         if c.resolved >= c.total_deletes() && c.purged_tick.is_none() {
             c.purged_tick = Some(now);
@@ -550,31 +541,19 @@ impl DeleteLedger {
         None
     }
 
-    /// A vlog extent stamped `stamp` (its delete's tick) went dead in
-    /// `segment`; the cohort whose delete window covers the stamp now
-    /// waits on the segment's reclaim.
-    pub fn vlog_dead(&mut self, segment: u64, stamp: Tick) {
-        // Attribute by delete tick: the covering cohort, else the
-        // newest cohort issued at or before the stamp, else the
-        // newest overall (conservative — never silently untracked).
-        let epoch = self
-            .cohorts
-            .values()
-            .find(|c| c.first_delete_tick <= stamp && stamp <= c.last_delete_tick)
-            .map(|c| c.epoch)
-            .or_else(|| {
-                self.cohorts
-                    .values()
-                    .rev()
-                    .find(|c| c.first_delete_tick <= stamp)
-                    .map(|c| c.epoch)
-            })
-            .or_else(|| self.cohorts.keys().next_back().copied());
-        if let Some(epoch) = epoch {
-            if let Some(c) = self.cohorts.get_mut(&epoch) {
-                c.vlog_pending.insert(segment);
-            }
+    /// A vlog extent killed by the delete with seqno `seqno` went dead
+    /// in `segment`: that delete's cohort now waits on the segment's
+    /// reclaim.
+    pub fn vlog_dead(&mut self, segment: u64, seqno: SeqNo) {
+        if let Some(c) = self.cohort_of(seqno) {
+            c.vlog_pending.insert(segment);
         }
+    }
+
+    /// The cohort whose seqno window holds `seqno`, if it is tracked.
+    fn cohort_of(&mut self, seqno: SeqNo) -> Option<&mut CohortRecord> {
+        let (_, epoch) = self.by_max_seqno.range(seqno..).next()?;
+        self.cohorts.get_mut(epoch).filter(|c| c.min_seqno <= seqno)
     }
 
     /// `segment`'s file was deleted: every cohort waiting on it is
@@ -606,7 +585,6 @@ impl DeleteLedger {
                 deletes: self.open.deletes,
                 key_range_deletes: self.open.key_range_deletes,
                 first_delete_tick: first,
-                last_delete_tick: self.open.last_tick,
                 sealed_tick: None,
                 flushed_tick: None,
                 deepest_level: None,
@@ -844,7 +822,7 @@ mod tests {
             l.entered_level(&[(10, 20)], 1, 210).is_empty(),
             "shallower outputs never regress the deepest level"
         );
-        l.vlog_dead(7, 110);
+        l.vlog_dead(7, 12);
         assert_eq!(l.tombstone_resolved(12, 300), None);
         assert_eq!(l.tombstone_resolved(15, 310), None);
         // Three of four members resolved: the cohort is not yet purged.
@@ -880,6 +858,8 @@ mod tests {
         assert!(c.violates(9_999, 299));
     }
 
+    /// A resolved tombstone and a dead vlog extent find the cohort of
+    /// their delete's seqno by one lookup.
     #[test]
     fn resolved_tombstones_find_their_cohort_by_seqno_range() {
         let mut l = DeleteLedger::new(0);
@@ -894,12 +874,15 @@ mod tests {
         for seqno in 0..60 {
             let before = l.snapshot();
             l.tombstone_resolved(seqno, 100);
+            l.vlog_dead(seqno, seqno);
             let holder = before
                 .iter()
                 .position(|c| c.min_seqno <= seqno && seqno <= c.max_seqno);
             for (i, (b, a)) in before.iter().zip(l.snapshot()).enumerate() {
                 let expect = b.resolved + u64::from(holder == Some(i));
                 assert_eq!(a.resolved, expect, "seqno {seqno} cohort {i}");
+                let waits = a.vlog_pending.contains(&seqno);
+                assert_eq!(waits, holder == Some(i), "seqno {seqno} cohort {i}");
             }
         }
         let resolved: Vec<u64> = l.snapshot().iter().map(|c| c.resolved).collect();

@@ -362,12 +362,18 @@ fn seeded_load(db: &dyn Load, seed: u64) {
 /// were re-recorded once more when tables gained their whole-table key
 /// filter (format 4): with each level's `bytes` masked, the text is the
 /// one the digests before it (0x7965_00a6, 0x03e1_e8d9) were taken of.
+/// The audit digests were re-recorded (from 0x53bf_d066, 0x3b1c_e17a)
+/// when a dead value-log extent was charged to the delete that killed
+/// it: cohorts the tick guess had charged with values none of their
+/// deletes killed now resolve; with each cohort's
+/// `vlog_pending=` field and its verdict masked, the texts are the ones
+/// the digests before were taken of.
 #[test]
 fn gauges_and_audit_are_pinned() {
     const DB_GAUGES: u32 = 0x00d1_a65a;
-    const DB_AUDIT: u32 = 0x53bf_d066;
+    const DB_AUDIT: u32 = 0x6001_5328;
     const FLEET_GAUGES: u32 = 0xcb2d_ea6e;
-    const FLEET_AUDIT: u32 = 0x3b1c_e17a;
+    const FLEET_AUDIT: u32 = 0xcf70_cdd3;
 
     let opts = || small().with_fade(50_000).with_value_separation(512);
     let db = Db::open(Arc::new(MemFs::new()), "db", opts()).unwrap();
