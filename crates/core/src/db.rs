@@ -140,6 +140,16 @@ impl VlogState {
         acct.oldest_dead_tick = Some(acct.oldest_dead_tick.map_or(stamp, |t| t.min(stamp)));
         true
     }
+
+    /// Add the value-log family to `gauges`.
+    fn add_to(&self, gauges: &mut TombstoneGauges) {
+        for acct in self.segments.values() {
+            gauges.vlog_live_bytes += acct.live_bytes;
+            gauges.vlog_dead_bytes += acct.dead_bytes;
+            gauges.vlog_oldest_dead_tick =
+                min_tick(gauges.vlog_oldest_dead_tick, acct.oldest_dead_tick);
+        }
+    }
 }
 
 struct State {
@@ -823,8 +833,10 @@ impl Db {
     /// configured `D_th`.
     pub fn delete_audit(&self) -> DeleteAudit {
         let core = self.core();
+        let mut gauges = core.view_gauges();
+        // The ledger and the value-log accounting, under one state read.
         let st = core.state.read();
-        let gauges = core.gauges_locked(&st);
+        st.vlog.add_to(&mut gauges);
         DeleteAudit {
             now: self.now(),
             d_th: core.opts.d_th(),
@@ -841,7 +853,9 @@ impl Db {
     /// calls, so no copy can lag the view.
     pub fn tombstone_gauges(&self) -> TombstoneGauges {
         let core = self.core();
-        core.gauges_locked(&core.state.read())
+        let mut gauges = core.view_gauges();
+        core.state.read().vlog.add_to(&mut gauges);
+        gauges
     }
 
     /// Check structural invariants of the current tree (I1/I6): level
@@ -860,9 +874,9 @@ impl Db {
 }
 
 impl DbCore {
-    /// The tombstone gauges of the current view plus `st`'s value-log
-    /// accounting (see [`Db::tombstone_gauges`]).
-    fn gauges_locked(&self, st: &State) -> TombstoneGauges {
+    /// The tombstone gauges of the current view, read without the state
+    /// lock: every family but the value log's.
+    fn view_gauges(&self) -> TombstoneGauges {
         let view = self.current_view();
         let mut gauges = TombstoneGauges::from_version(&view.version);
         for m in std::iter::once(&view.mem).chain(&view.imms) {
@@ -875,12 +889,6 @@ impl DbCore {
                 gauges.buffer_oldest_key_range_tick,
                 s.oldest_range_tombstone_tick,
             );
-        }
-        for acct in st.vlog.segments.values() {
-            gauges.vlog_live_bytes += acct.live_bytes;
-            gauges.vlog_dead_bytes += acct.dead_bytes;
-            gauges.vlog_oldest_dead_tick =
-                min_tick(gauges.vlog_oldest_dead_tick, acct.oldest_dead_tick);
         }
         gauges
     }
