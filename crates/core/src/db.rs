@@ -556,7 +556,7 @@ impl Db {
         }
         // Index the recovered obligations and report the recovered
         // table set's pinned bytes before any traffic.
-        core.publish_view_locked(&mut core.state.write());
+        core.index_version_locked(&mut core.state.write());
         let mut workers = Vec::with_capacity(core.opts.background_threads);
         for i in 0..core.opts.background_threads {
             let c = Arc::clone(&core);

@@ -518,16 +518,17 @@ impl DbCore {
         Arc::clone(&self.view.read())
     }
 
-    /// Build and swap in a fresh read view from `st`, and rebuild
-    /// `st`'s deadline index from its version. Called (with the state
-    /// write lock held) at open and by every *structural* mutation —
-    /// memtable seal, flush install, compaction install, range delete.
-    /// Plain commits do not republish: they insert into the `mem` the
-    /// current view already shares and advance `visible_seqno` (see the
-    /// ordering rule on [`ReadView`]).
+    /// Build and swap in a fresh read view from `st`, and, when its
+    /// version is not the one the current view holds, index that
+    /// version (see [`DbCore::index_version_locked`]). Called (with the
+    /// state write lock held) by every *structural* mutation — memtable
+    /// seal, flush install, compaction install, range delete; a seal
+    /// keeps the version. Plain commits do not republish: they insert
+    /// into the `mem` the current view already shares and advance
+    /// `visible_seqno` (see the ordering rule on [`ReadView`]).
     pub(super) fn publish_view_locked(&self, st: &mut State) {
-        if let Some(ttl) = self.picker.ttl_schedule() {
-            st.due = ttl.index(&st.version);
+        if !Arc::ptr_eq(&self.view.read().version, &st.version) {
+            self.index_version_locked(st);
         }
         let view = Arc::new(ReadView {
             mem: Arc::clone(&st.mem),
@@ -536,6 +537,16 @@ impl DbCore {
         });
         *self.view.write() = view;
         self.stats.read_view_swaps.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Rebuild `st`'s deadline index from its version and re-price the
+    /// version's pinned bytes: what a new version changes. The open
+    /// calls it for the version it recovered, which its first view
+    /// already holds.
+    pub(super) fn index_version_locked(&self, st: &mut State) {
+        if let Some(ttl) = self.picker.ttl_schedule() {
+            st.due = ttl.index(&st.version);
+        }
         self.refresh_pinned(st);
     }
 }
