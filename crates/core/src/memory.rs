@@ -17,10 +17,11 @@
 //!
 //! Pinned bytes are a *tax*: they exist as long as tables are open, so
 //! the budget subtracts them off the top and splits only the remainder.
-//! Engines re-price their pinned bytes at every view publish and
+//! Engines re-price their pinned bytes at every new version and
 //! re-apply the cache share then, so allowance + cache + pinned never
 //! rises above the total while pinned bytes leave the pool its 64 KiB
-//! floor.
+//! floor. Past that the pool stays at the floor, and the excess is
+//! reported as `db_memory_budget_overrun_bytes`.
 //!
 //! # Why a fixed split
 //!
@@ -126,6 +127,15 @@ impl MemoryBudget {
     /// the write-buffer share.
     pub fn cache_share_bytes(&self) -> usize {
         self.pool() - self.memtable_share_bytes()
+    }
+
+    /// How far allowance × writers + cache share + pinned exceeds the
+    /// total: nonzero only once pinned bytes leave the pool less than its
+    /// floor.
+    pub fn overrun_bytes(&self) -> usize {
+        let writers = self.writers.load(Ordering::Relaxed).max(1);
+        let drawn = self.memtable_bytes_per_writer() * writers + self.cache_share_bytes();
+        (drawn + self.pinned_bytes()).saturating_sub(self.total)
     }
 
     /// Push the current cache share into `cache` (evicting to fit if it

@@ -463,6 +463,9 @@ metric_table! {
         cache_capacity_bytes: "db_cache_capacity_bytes", shared_once;
         /// Total bytes the memory arbiter divides.
         memory_budget_bytes: "db_memory_budget_bytes", shared_once;
+        /// Bytes by which write-buffer allowances, the cache share and
+        /// pinned bytes together exceed the budget (0 while they fit).
+        memory_budget_overrun_bytes: "db_memory_budget_overrun_bytes", shared_once;
         /// This engine's write-buffer allowance (always filled).
         memtable_budget_bytes: "db_memory_memtable_budget_bytes", sum;
         /// This engine's pinned filter/metadata bytes (always filled).
@@ -515,6 +518,7 @@ impl StatsSnapshot {
         }
         if let Some(m) = memory {
             self.memory_budget_bytes = m.total_bytes() as u64;
+            self.memory_budget_overrun_bytes = m.overrun_bytes() as u64;
         }
     }
 }

@@ -212,6 +212,40 @@ fn split_holds_while_compactions_grow_pinned_bytes() {
     );
 }
 
+/// The budget's floor lets allowance + cache + pinned pass the total
+/// once pinned bytes leave the pool less than 64 KiB, and the overrun
+/// stat says by how much: 0 until then, the excess after.
+#[test]
+fn overrun_is_reported_once_pinned_bytes_squeeze_the_pool_to_its_floor() {
+    const BUDGET: u64 = 256 * KIB as u64;
+    const FLOOR: u64 = 64 * KIB as u64;
+    let db = Db::open(
+        Arc::new(MemFs::new()) as Arc<dyn Vfs>,
+        "db",
+        DbOptions::small().with_memory_budget(BUDGET as usize),
+    )
+    .unwrap();
+    let (mut under, mut over) = (0, 0);
+    for i in 0..20_000u32 {
+        db.put(&key(i % 8_000), &value(i)).unwrap();
+        if i % 500 == 499 {
+            db.maintain().unwrap();
+            let s = db.stats_snapshot();
+            let drawn = s.memtable_budget_bytes + s.cache_capacity_bytes + s.pinned_bytes;
+            assert_eq!(s.memory_budget_overrun_bytes, drawn.saturating_sub(BUDGET));
+            if s.pinned_bytes > BUDGET - FLOOR {
+                assert!(s.memory_budget_overrun_bytes > 0, "pinned {}", s.pinned_bytes);
+                over += 1;
+            } else {
+                assert_eq!(s.memory_budget_overrun_bytes, 0, "pinned {}", s.pinned_bytes);
+                assert_eq!(over, 0, "pinned bytes only grow in this load");
+                under += 1;
+            }
+        }
+    }
+    assert!(under > 0 && over > 0, "under {under}, over {over}");
+}
+
 fn test_block(tag: u32) -> (Block, usize) {
     let mut b = BlockBuilder::new(4);
     let ik = InternalKey::new(&tag.to_be_bytes(), 1, ValueKind::Put);
