@@ -1756,10 +1756,10 @@ mod tests {
         }
     }
 
-    /// A compaction that drops a pointer into a segment GC has already
-    /// deleted (a version the rewrite shadowed) leaves no cohort
-    /// waiting on that segment: its bytes are gone, and no later
-    /// reclaim would release the wait.
+    /// A compaction that drops a deleted value's pointer into a segment
+    /// GC has already deleted (the delete was still buffered when GC
+    /// judged the frame dead) leaves no cohort waiting on that segment:
+    /// its bytes are gone, and no later reclaim would release the wait.
     #[test]
     fn a_deleted_segment_leaves_no_cohort_waiting() {
         let (fs, db) = open_mem(vlog_opts().with_fade(1_000_000));
@@ -1768,16 +1768,20 @@ mod tests {
             db.put(key(i).as_bytes(), &big_value(i)).unwrap();
         }
         db.flush().unwrap();
+        // Overwrites turn two thirds of every segment dead; the deletes
+        // of the last third stay in the write buffer while GC rewrites
+        // nothing and deletes the segments.
         for i in (0..150u32).filter(|i| i % 3 != 0) {
+            db.put(key(i).as_bytes(), b"small").unwrap();
+        }
+        db.compact_all().unwrap();
+        for i in (0..150u32).filter(|i| i % 3 == 0) {
             db.delete(key(i).as_bytes()).unwrap();
         }
-        // The purge turns two thirds of every segment dead; GC rewrites
-        // the live third to the head and deletes the segments.
-        db.compact_all().unwrap();
         db.maintain().unwrap();
         assert!(db.stats().vlog_segments_deleted.load(Relaxed) > 0);
-        // The tree still holds the shadowed pointers into the deleted
-        // segments; this compaction drops them.
+        // The tree still holds the deleted values' pointers into the
+        // deleted segments; this compaction drops them.
         db.flush().unwrap();
         db.compact_all().unwrap();
         let gone = |segment: &u64| !fs.exists(&crate::filenames::vlog_path("db", *segment));
@@ -1787,7 +1791,7 @@ mod tests {
         assert_eq!(waiting, vec![], "cohorts waiting on deleted segments");
         for i in 0..150u32 {
             let got = db.get(key(i).as_bytes()).unwrap();
-            assert_eq!(got, (i % 3 == 0).then(|| big_value(i).into()));
+            assert_eq!(got, (i % 3 != 0).then(|| Bytes::from_static(b"small")));
         }
     }
 
@@ -1950,15 +1954,76 @@ mod tests {
         assert_eq!(run(0), run(64), "separation must not change results");
     }
 
+    /// A seeded load on a FADE + value-separation engine opened with
+    /// `opts`, with `check` run after every op: separated puts, point
+    /// deletes, sort-key range deletes (some straddling the middle of
+    /// the key domain) and secondary ones, a snapshot held across
+    /// compactions, a reopen, clock jumps and a maintenance pass every
+    /// `maintain_every` ops. Keys are drawn apart from the op choice, so
+    /// deletes hit keys the puts wrote.
+    fn mixed_delete_load(opts: DbOptions, maintain_every: u64, mut check: impl FnMut(&Db, u64)) {
+        let fs = Arc::new(MemFs::new());
+        let open = || Db::open(fs.clone() as Arc<dyn Vfs>, "db", opts.clone()).unwrap();
+        let mut db = open();
+        let mut snapshot = None;
+        let mut x = 0x2545_f491_4f6c_dd1du64 + opts.layout as u64;
+        for op in 0..3_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let key = |k: u64| format!("key{k:05}").into_bytes();
+            let k = (x >> 16) % 2_000;
+            match x % 100 {
+                0..=54 => {
+                    let len = if (x >> 8).is_multiple_of(8) { 600 } else { 40 };
+                    db.put(&key(k), &vec![b'v'; len]).unwrap();
+                }
+                55..=79 => db.delete(&key(k)).unwrap(),
+                80..=82 => {
+                    let lo = k;
+                    db.range_delete_keys(&key(lo), &key(lo + 8)).unwrap();
+                }
+                83 => {
+                    let lo = 950 + x % 50;
+                    db.range_delete_keys(&key(lo), &key(lo + 100)).unwrap();
+                }
+                84 => {
+                    let now = db.now();
+                    (db.range_delete_secondary(now.saturating_sub(60), now.saturating_sub(40)))
+                        .unwrap();
+                }
+                85..=86 => {
+                    snapshot = match snapshot.take() {
+                        Some(_) => None,
+                        None => Some(db.snapshot()),
+                    }
+                }
+                _ => db.advance_clock(x % 120),
+            }
+            if op == 1_500 {
+                snapshot = None;
+                drop(db);
+                db = open();
+            }
+            if op % maintain_every == maintain_every - 1 {
+                db.maintain().unwrap();
+            }
+            check(&db, op);
+        }
+    }
+
+    const LAYOUTS: [CompactionLayout; 3] = [
+        CompactionLayout::Leveling,
+        CompactionLayout::Tiering,
+        CompactionLayout::LazyLeveling,
+    ];
+
     /// The deadline index kept beside the version is, after every op,
     /// what a fresh build from the current version gives; its earliest
     /// tick is what the fold over the tree computed before the index,
     /// and the TTL pick through it is the pick that recomputed every
-    /// deadline. The load mixes separated puts, point deletes, sort-key
-    /// range deletes (some straddling the middle of the key domain) and
-    /// secondary ones, a snapshot held across compactions, a reopen and
-    /// clock jumps past a `D_th` of a few hundred ticks, under all three
-    /// layouts.
+    /// deadline, under [`mixed_delete_load`] in all three layouts with a
+    /// `D_th` of a few hundred ticks.
     #[test]
     fn the_deadline_index_matches_a_fresh_build_after_every_op() {
         use crate::fade::tests::reference_earliest;
@@ -1972,61 +2037,13 @@ mod tests {
                 })
                 .collect()
         };
-        for layout in [
-            CompactionLayout::Leveling,
-            CompactionLayout::Tiering,
-            CompactionLayout::LazyLeveling,
-        ] {
+        for layout in LAYOUTS {
+            let (mut picks, mut key_ranges) = (0, 0);
             let opts = DbOptions {
                 layout,
                 ..small().with_fade(300).with_value_separation(256)
             };
-            let fs = Arc::new(MemFs::new());
-            let open = || Db::open(fs.clone() as Arc<dyn Vfs>, "db", opts.clone()).unwrap();
-            let mut db = open();
-            let mut snapshot = None;
-            let (mut picks, mut key_ranges) = (0, 0);
-            let mut x = 0x2545_f491_4f6c_dd1du64 + layout as u64;
-            for op in 0..3_000u64 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let key = |k: u64| format!("key{k:05}").into_bytes();
-                match x % 100 {
-                    0..=54 => {
-                        let len = if (x >> 8).is_multiple_of(8) { 600 } else { 40 };
-                        db.put(&key(x % 2_000), &vec![b'v'; len]).unwrap();
-                    }
-                    55..=79 => db.delete(&key(x % 2_000)).unwrap(),
-                    80..=82 => {
-                        let lo = x % 2_000;
-                        db.range_delete_keys(&key(lo), &key(lo + 8)).unwrap();
-                    }
-                    83 => {
-                        let lo = 950 + x % 50;
-                        db.range_delete_keys(&key(lo), &key(lo + 100)).unwrap();
-                    }
-                    84 => {
-                        let now = db.now();
-                        (db.range_delete_secondary(now.saturating_sub(60), now.saturating_sub(40)))
-                            .unwrap();
-                    }
-                    85..=86 => {
-                        snapshot = match snapshot.take() {
-                            Some(_) => None,
-                            None => Some(db.snapshot()),
-                        }
-                    }
-                    _ => db.advance_clock(x % 120),
-                }
-                if op == 1_500 {
-                    snapshot = None;
-                    drop(db);
-                    db = open();
-                }
-                if op % 500 == 499 {
-                    db.maintain().unwrap();
-                }
+            mixed_delete_load(opts, 500, |db, op| {
                 let core = db.core();
                 let ttl = core.picker.ttl_schedule().expect("FADE is on");
                 let st = core.state.read();
@@ -2046,14 +2063,42 @@ mod tests {
                 key_ranges += (fresh.entries.iter())
                     .filter(|e| matches!(e.1, Subject::KeyRange(..)))
                     .count();
-            }
-            eprintln!(
-                "{layout:?} picks {picks} krt {key_ranges} stats {:?}",
-                db.stats().compactions
-            );
+            });
             assert!(picks > 0, "{layout:?}: no TTL pick was compared");
             assert!(key_ranges > 0, "{layout:?}: no range tombstone was indexed");
-            drop(snapshot);
+        }
+    }
+
+    /// After every op of [`mixed_delete_load`], in all three layouts and
+    /// under one state read, every value-log segment a cohort waits on
+    /// is in the accounting with dead bytes: a wait that GC's drop of
+    /// the segment can release. Small segments and frequent maintenance
+    /// let GC delete a segment before the compaction that drops a
+    /// deleted value's pointer into it.
+    #[test]
+    fn every_segment_a_cohort_waits_on_is_accounted_dead() {
+        for layout in LAYOUTS {
+            let mut waits = 0;
+            let opts = DbOptions {
+                layout,
+                vlog_segment_bytes: 2048,
+                ..small().with_fade(3_000).with_value_separation(256)
+            };
+            mixed_delete_load(opts, 50, |db, op| {
+                let st = db.core().state.read();
+                for c in st.ledger.snapshot() {
+                    for segment in &c.vlog_pending {
+                        let acct = st.vlog.segments.get(segment);
+                        assert!(
+                            acct.is_some_and(|a| a.dead_bytes > 0),
+                            "{layout:?} op {op}: epoch {} waits on segment {segment}",
+                            c.epoch
+                        );
+                        waits += 1;
+                    }
+                }
+            });
+            assert!(waits > 0, "{layout:?}: no cohort waited on the value log");
         }
     }
 }
