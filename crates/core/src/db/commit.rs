@@ -23,7 +23,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use acheron_types::{DeleteKeyRange, Error, RangeTombstone, Result, SeqNo, Tick, MAX_SEQNO};
+use acheron_types::{DeleteKeyRange, Error, RangeTombstone, Result, SeqNo, MAX_SEQNO};
 use acheron_vlog::VlogWriter;
 use acheron_wal::WalOp;
 use bytes::Bytes;
@@ -433,11 +433,6 @@ impl DbCore {
         for (segment, bytes) in &separated {
             st.vlog.add_live(*segment, *bytes);
         }
-        // Delete-lifecycle ledger inputs, gathered while the entries
-        // stream by so the ledger is fed at most once per group.
-        let mut point_deletes = 0u64;
-        let mut krt_deletes = 0u64;
-        let mut first_delete_tick: Option<Tick> = None;
         let mut seqno = first_seqno;
         for ops in group.iter() {
             for op in ops.iter() {
@@ -459,16 +454,17 @@ impl DbCore {
                     }
                     WalOp::Delete { key, tick } => {
                         self.stats.deletes.fetch_add(1, Ordering::Relaxed);
-                        point_deletes += 1;
-                        first_delete_tick = Some(first_delete_tick.map_or(*tick, |t| t.min(*tick)));
+                        // The delete joins the open cohort at its own tick.
+                        let stage = Stage::Committed { point: 1, key_range: 0 };
+                        self.advance_ledger(&mut st.ledger, stage, *tick);
                         key.len()
                     }
                     WalOp::RangeDeleteKeys { start, end, tick } => {
                         self.stats
                             .sort_range_deletes
                             .fetch_add(1, Ordering::Relaxed);
-                        krt_deletes += 1;
-                        first_delete_tick = Some(first_delete_tick.map_or(*tick, |t| t.min(*tick)));
+                        let stage = Stage::Committed { point: 0, key_range: 1 };
+                        self.advance_ledger(&mut st.ledger, stage, *tick);
                         st.mem
                             .add_range_tombstone(acheron_types::KeyRangeTombstone {
                                 start: start.clone(),
@@ -490,16 +486,6 @@ impl DbCore {
             if self.opts.auto_advance_clock {
                 self.opts.clock_advance(ops.len() as u64);
             }
-        }
-        if point_deletes > 0 || krt_deletes > 0 {
-            // Fold this group's deletes into the open cohort; the tick
-            // is each delete's own stamp (its FADE age already runs).
-            let stage = Stage::Committed {
-                point: point_deletes,
-                key_range: krt_deletes,
-            };
-            let tick = first_delete_tick.expect("deletes carry ticks");
-            self.advance_ledger(&mut st.ledger, stage, tick);
         }
         let last = seqno - 1;
         // This store is the entire visibility publish for a plain

@@ -416,9 +416,32 @@ struct OpenCohort {
     first_tick: Option<Tick>,
 }
 
+impl OpenCohort {
+    /// The generation's record as cohort `epoch` of `shard`, before its
+    /// seal: `None` while it carries no deletes.
+    fn unsealed(&self, shard: usize, epoch: u64) -> Option<CohortRecord> {
+        Some(CohortRecord {
+            shard,
+            epoch,
+            min_seqno: 0,
+            max_seqno: SeqNo::MAX,
+            deletes: self.deletes,
+            key_range_deletes: self.key_range_deletes,
+            first_delete_tick: self.first_tick?,
+            sealed_tick: None,
+            flushed_tick: None,
+            deepest_level: None,
+            resolved: 0,
+            purged_tick: None,
+            vlog_pending: BTreeSet::new(),
+            vlog_reclaimed_tick: None,
+        })
+    }
+}
+
 /// The per-shard delete-lifecycle ledger. See the module docs for the
-/// cohort model; callers hold the engine's state lock at every
-/// mutation site, so the interior mutex is uncontended.
+/// cohort model; the engine keeps it in its state, so every mutation
+/// happens under the state write lock.
 #[derive(Debug)]
 pub struct DeleteLedger {
     shard: usize,
@@ -465,28 +488,15 @@ impl DeleteLedger {
         let epoch = self.next_epoch;
         self.next_epoch += 1;
         self.pending_flush.push_back(epoch);
-        let open = std::mem::take(&mut self.open);
-        let first = open.first_tick?;
+        let open = std::mem::take(&mut self.open).unsealed(self.shard, epoch)?;
         self.by_max_seqno.insert(max_seqno, epoch);
-        self.cohorts.insert(
-            epoch,
-            CohortRecord {
-                shard: self.shard,
-                epoch,
-                min_seqno,
-                max_seqno,
-                deletes: open.deletes,
-                key_range_deletes: open.key_range_deletes,
-                first_delete_tick: first,
-                sealed_tick: Some(now),
-                flushed_tick: None,
-                deepest_level: None,
-                resolved: 0,
-                purged_tick: None,
-                vlog_pending: BTreeSet::new(),
-                vlog_reclaimed_tick: None,
-            },
-        );
+        let sealed = CohortRecord {
+            min_seqno,
+            max_seqno,
+            sealed_tick: Some(now),
+            ..open
+        };
+        self.cohorts.insert(epoch, sealed);
         self.evict_resolved();
         Some(epoch)
     }
@@ -576,24 +586,7 @@ impl DeleteLedger {
     /// generation if it already carries deletes.
     pub fn snapshot(&self) -> Vec<CohortRecord> {
         let mut out: Vec<CohortRecord> = self.cohorts.values().cloned().collect();
-        if let Some(first) = self.open.first_tick {
-            out.push(CohortRecord {
-                shard: self.shard,
-                epoch: self.next_epoch,
-                min_seqno: 0,
-                max_seqno: SeqNo::MAX,
-                deletes: self.open.deletes,
-                key_range_deletes: self.open.key_range_deletes,
-                first_delete_tick: first,
-                sealed_tick: None,
-                flushed_tick: None,
-                deepest_level: None,
-                resolved: 0,
-                purged_tick: None,
-                vlog_pending: BTreeSet::new(),
-                vlog_reclaimed_tick: None,
-            });
-        }
+        out.extend(self.open.unsealed(self.shard, self.next_epoch));
         out
     }
 
