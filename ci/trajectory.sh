@@ -27,6 +27,13 @@
 #       difference: a change that moves them must commit its own file
 #       recording the new figures.
 #
+#   ci/trajectory.sh --table
+#       Print the trajectory as a Markdown table, one row per
+#       BENCH_*.json in PR order: the PR, its commit (with a + when the
+#       tree was dirty), the median ops_per_s of each workload, and the
+#       seed-1 --quick write_amp, space_amp and dth_worst_age_frac, each
+#       cell listing the workloads in the order of the ops_per_s columns.
+#
 # SEEDS (default "1 2 3 4 5") and RUN_SECONDS (default 10) override the
 # seeds and the per-run length.
 set -euo pipefail
@@ -59,6 +66,25 @@ bench() { # <checkout> <bin> <args...>
 dirty() { # <checkout>
     git -C "$1" status --porcelain --untracked-files=no -- . ':!BENCH_*.json' 2>/dev/null | wc -l
 }
+
+if [[ "${1:-}" == "--table" ]]; then
+    python3 - "${workloads[@]}" <<'EOF'
+import glob, json, re, sys
+workloads = sys.argv[1:]
+EXACT = ["write_amp", "space_amp", "dth_worst_age_frac"]
+pr_of = lambda path: int(re.search(r"BENCH_(\d+)\.json", path).group(1))
+cells = ["PR", "commit"] + [f"{w} ops/s" for w in workloads] + [f"{m} (quick, seed 1)" for m in EXACT]
+print("| " + " | ".join(cells) + " |")
+print("|" + "---|" * len(cells))
+for path in sorted(glob.glob("BENCH_*.json"), key=pr_of):
+    b = json.load(open(path))
+    row = [str(b["pr"]), b["commit"][:7] + ("+" if b["uncommitted_changes"] else "")]
+    row += [f"{b['workloads'][w]['ops_per_s']['median']:,.0f}" for w in workloads]
+    row += [" / ".join(f"{b['quick_seed1'][w][m]:.4g}" for w in workloads) for m in EXACT]
+    print("| " + " | ".join(row) + " |")
+EOF
+    exit 0
+fi
 
 if [[ "${1:-}" == "--check" ]]; then
     newest=$(ls BENCH_*.json 2>/dev/null | sed 's/BENCH_\([0-9]*\)\.json/\1/' | sort -n | tail -1)
@@ -102,7 +128,7 @@ EOF
 fi
 
 if [[ $# -lt 1 || ! "$1" =~ ^[0-9]+$ ]]; then
-    echo "usage: ci/trajectory.sh <pr> [<pr>:<checkout> ...] | --check [<output>]" >&2
+    echo "usage: ci/trajectory.sh <pr> [<pr>:<checkout> ...] | --check [<output>] | --table" >&2
     exit 2
 fi
 heads=("$1:$root")
