@@ -1814,7 +1814,10 @@ mod tests {
         }
         db.flush().unwrap();
         db.compact_all().unwrap();
-        assert!(db.tombstone_gauges().vlog_dead_bytes > 0, "the overwrites left dead extents");
+        assert!(
+            db.tombstone_gauges().vlog_dead_bytes > 0,
+            "the overwrites left dead extents"
+        );
         assert_eq!(db.stats().vlog_gc_rewrites.load(Relaxed), 0, "no GC ran");
         let audit = db.delete_audit();
         assert!(!audit.cohorts.is_empty());
@@ -1840,7 +1843,10 @@ mod tests {
         db.advance_clock(500);
         db.compact_all().unwrap();
         let gauges = db.tombstone_gauges();
-        assert!(gauges.vlog_dead_bytes > 0, "the range delete left dead extents");
+        assert!(
+            gauges.vlog_dead_bytes > 0,
+            "the range delete left dead extents"
+        );
         assert_eq!(gauges.vlog_oldest_dead_tick, Some(t));
     }
 

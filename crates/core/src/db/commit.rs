@@ -455,7 +455,7 @@ impl DbCore {
                     WalOp::Delete { key, tick } => {
                         self.stats.deletes.fetch_add(1, Ordering::Relaxed);
                         // The delete joins the open cohort at its own tick.
-                        let stage = Stage::Committed { point: 1, key_range: 0 };
+                        let stage = Stage::Committed { key_range: false };
                         self.advance_ledger(&mut st.ledger, stage, *tick);
                         key.len()
                     }
@@ -463,7 +463,7 @@ impl DbCore {
                         self.stats
                             .sort_range_deletes
                             .fetch_add(1, Ordering::Relaxed);
-                        let stage = Stage::Committed { point: 0, key_range: 1 };
+                        let stage = Stage::Committed { key_range: true };
                         self.advance_ledger(&mut st.ledger, stage, *tick);
                         st.mem
                             .add_range_tombstone(acheron_types::KeyRangeTombstone {

@@ -75,8 +75,9 @@ pub(super) const ALL: Scope = Kind::SealExpired..=Kind::VlogGc;
 /// A stage of the delete lifecycle, as [`DbCore::advance_ledger`] is
 /// told of it.
 pub(super) enum Stage<'a> {
-    /// Deletes committed into the active memtable.
-    Committed { point: u64, key_range: u64 },
+    /// A point or sort-key range delete committed into the active
+    /// memtable.
+    Committed { key_range: bool },
     /// This memtable was sealed onto the flush queue.
     Sealed(&'a Memtable),
     /// The flush of this sealed memtable installed, retiring these
@@ -129,7 +130,8 @@ impl DbCore {
             })
         };
         let (level, purged, superseded, retired) = match stage {
-            Stage::Committed { point, key_range } => {
+            Stage::Committed { key_range } => {
+                let (point, key_range) = (u64::from(!key_range), u64::from(key_range));
                 return ledger.note_deletes(point, key_range, now);
             }
             // Delete-free seals still advance the epoch so flush
@@ -539,7 +541,8 @@ impl DbCore {
             let stamp = e.delete.map_or(now, |(_, tick)| tick);
             st.vlog.mark_dead(e.segment, e.bytes, stamp)
         });
-        self.advance_ledger(&mut st.ledger, Stage::Compacted(task, &outcome, &retired), now);
+        let stage = Stage::Compacted(task, &outcome, &retired);
+        self.advance_ledger(&mut st.ledger, stage, now);
         self.obs.log(Event::CompactionEnd {
             level: task.level as u64,
             output_level: task.output_level as u64,

@@ -21,9 +21,14 @@
 //!   O(memtable generations) instead of O(deletes): FADE's bound is
 //!   per-tombstone, but every tombstone in a generation shares the
 //!   flush epoch and level schedule, so the cohort's *first* delete
-//!   tick bounds every member's slack conservatively. The engine feeds
-//!   it through one call (`DbCore::advance_ledger`), made once by each
-//!   site a stage completes at — commit, seal, flush install,
+//!   tick bounds every member's slack conservatively. A cohort owns
+//!   the deletes whose seqnos its generation spans, so a resolved
+//!   tombstone and a dead value-log extent (charged by the compaction
+//!   to the delete that killed it) both find their cohort by seqno.
+//!   The ledger lives in the engine's state beside the value-log
+//!   accounting and changes only under the state write lock. The
+//!   engine feeds it through one call (`DbCore::advance_ledger`), made
+//!   by each site a stage completes at — commit, seal, flush install,
 //!   compaction install, value-log reclaim — which also logs the
 //!   stage's `CohortAdvanced` events and accounts each resolved delete
 //!   against `D_th`.

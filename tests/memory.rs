@@ -234,10 +234,18 @@ fn overrun_is_reported_once_pinned_bytes_squeeze_the_pool_to_its_floor() {
             let drawn = s.memtable_budget_bytes + s.cache_capacity_bytes + s.pinned_bytes;
             assert_eq!(s.memory_budget_overrun_bytes, drawn.saturating_sub(BUDGET));
             if s.pinned_bytes > BUDGET - FLOOR {
-                assert!(s.memory_budget_overrun_bytes > 0, "pinned {}", s.pinned_bytes);
+                assert!(
+                    s.memory_budget_overrun_bytes > 0,
+                    "pinned {}",
+                    s.pinned_bytes
+                );
                 over += 1;
             } else {
-                assert_eq!(s.memory_budget_overrun_bytes, 0, "pinned {}", s.pinned_bytes);
+                assert_eq!(
+                    s.memory_budget_overrun_bytes, 0,
+                    "pinned {}",
+                    s.pinned_bytes
+                );
                 assert_eq!(over, 0, "pinned bytes only grow in this load");
                 under += 1;
             }
