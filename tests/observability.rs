@@ -569,8 +569,9 @@ fn event_ring_is_pinned() {
     db.advance_clock(10_000);
     db.maintain().unwrap();
     // The loop's puts and deletes never share a key (both follow
-    // `x % 100`), so none of its deletes kills a value. These do, so a
-    // cohort waits on the value log until GC reclaims the segment.
+    // `x % 100`), so none of its point or sort-key range deletes kills
+    // a value. These do, so a cohort waits on the value log until GC
+    // reclaims the segment.
     for i in 0..10 {
         db.put(format!("tail{i}").as_bytes(), &[b'v'; 600]).unwrap();
     }
