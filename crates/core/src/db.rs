@@ -95,6 +95,8 @@ struct ImmMemtable {
     wal_number: u64,
     /// Highest sequence number in the memtable (it is non-empty).
     max_seqno: SeqNo,
+    /// The memtable's generation: its cohort's epoch in the ledger.
+    epoch: u64,
 }
 
 /// Per-segment byte accounting for the value log.
@@ -169,7 +171,7 @@ struct State {
     /// Value-log live/dead accounting per segment.
     vlog: VlogState,
     /// Delete-lifecycle cohort ledger, fed at the same installs that
-    /// change the tree and the accounting.
+    /// change the tree and the accounting; the open cohort is `mem`.
     ledger: DeleteLedger,
 }
 
@@ -840,7 +842,7 @@ impl Db {
         DeleteAudit {
             now: self.now(),
             d_th: core.opts.d_th(),
-            cohorts: st.ledger.snapshot(),
+            cohorts: st.ledger.snapshot(&st.mem),
             oldest_live_tombstone_tick: gauges.oldest_live_tick(),
             oldest_vlog_dead_tick: gauges.vlog_oldest_dead_tick,
         }
@@ -2092,7 +2094,7 @@ mod tests {
             };
             mixed_delete_load(opts, 50, |db, op| {
                 let st = db.core().state.read();
-                for c in st.ledger.snapshot() {
+                for c in st.ledger.snapshot(&st.mem) {
                     for segment in &c.vlog_pending {
                         let acct = st.vlog.segments.get(segment);
                         assert!(

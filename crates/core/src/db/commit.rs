@@ -29,7 +29,6 @@ use acheron_wal::WalOp;
 use bytes::Bytes;
 use parking_lot::Mutex;
 
-use super::maintenance::Stage;
 use super::{delete_op, put_op, Db, DbCore, Span, WriteBatch, UNSTAMPED};
 use crate::manifest::{EditBatch, VersionEdit};
 use crate::obs::trace::{OpTrace, TraceBuf, TraceOp, TraceStage};
@@ -452,19 +451,14 @@ impl DbCore {
                             + (ptr.len as usize)
                                 .saturating_sub(acheron_vlog::FRAME_HEADER + 4 + key.len())
                     }
-                    WalOp::Delete { key, tick } => {
+                    WalOp::Delete { key, .. } => {
                         self.stats.deletes.fetch_add(1, Ordering::Relaxed);
-                        // The delete joins the open cohort at its own tick.
-                        let stage = Stage::Committed { key_range: false };
-                        self.advance_ledger(&mut st.ledger, stage, *tick);
                         key.len()
                     }
                     WalOp::RangeDeleteKeys { start, end, tick } => {
                         self.stats
                             .sort_range_deletes
                             .fetch_add(1, Ordering::Relaxed);
-                        let stage = Stage::Committed { key_range: true };
-                        self.advance_ledger(&mut st.ledger, stage, *tick);
                         st.mem
                             .add_range_tombstone(acheron_types::KeyRangeTombstone {
                                 start: start.clone(),

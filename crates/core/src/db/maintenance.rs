@@ -75,14 +75,11 @@ pub(super) const ALL: Scope = Kind::SealExpired..=Kind::VlogGc;
 /// A stage of the delete lifecycle, as [`DbCore::advance_ledger`] is
 /// told of it.
 pub(super) enum Stage<'a> {
-    /// A point or sort-key range delete committed into the active
-    /// memtable.
-    Committed { key_range: bool },
     /// This memtable was sealed onto the flush queue.
-    Sealed(&'a Memtable),
+    Sealed(&'a ImmMemtable),
     /// The flush of this sealed memtable installed, retiring these
     /// range tombstones.
-    Flushed(&'a Memtable, &'a Retired),
+    Flushed(&'a ImmMemtable, &'a Retired),
     /// This compaction installed, retiring these range tombstones.
     Compacted(&'a CompactionTask, &'a CompactionOutcome, &'a Retired),
     /// This value-log segment's file was deleted.
@@ -130,16 +127,9 @@ impl DbCore {
             })
         };
         let (level, purged, superseded, retired) = match stage {
-            Stage::Committed { key_range } => {
-                let (point, key_range) = (u64::from(!key_range), u64::from(key_range));
-                return ledger.note_deletes(point, key_range, now);
-            }
-            // Delete-free seals still advance the epoch so flush
-            // completions (FIFO over the sealed queue) stay aligned.
-            Stage::Sealed(mem) => {
-                let (lo, hi) = (mem.min_seqno(), mem.max_seqno());
-                if let Some(epoch) = ledger.seal(lo.unwrap_or(0), hi.unwrap_or(0), now) {
-                    log(epoch, CohortStage::Sealed, 0, mem.stats().tombstones);
+            Stage::Sealed(ImmMemtable { mem, epoch, .. }) => {
+                if ledger.seal(*epoch, mem, now) {
+                    log(*epoch, CohortStage::Sealed, 0, mem.stats().tombstones);
                 }
                 return;
             }
@@ -149,9 +139,9 @@ impl DbCore {
                 }
                 return;
             }
-            Stage::Flushed(mem, retired) => {
-                if let Some(epoch) = ledger.flushed(now) {
-                    log(epoch, CohortStage::Flushed, 0, mem.stats().tombstones);
+            Stage::Flushed(ImmMemtable { mem, epoch, .. }, retired) => {
+                if ledger.flushed(*epoch, now) {
+                    log(*epoch, CohortStage::Flushed, 0, mem.stats().tombstones);
                 }
                 (0, &[][..], &[][..], retired)
             }
@@ -222,6 +212,7 @@ impl DbCore {
             mem: sealed,
             wal_number: sealed_wal,
             max_seqno,
+            epoch: st.ledger.open_epoch(),
         });
         self.stats
             .imm_queue_peak
@@ -231,7 +222,7 @@ impl DbCore {
             bytes: sealed_bytes,
             sealed_behind: st.imms.len() as u64,
         });
-        let sealed = &st.imms.back().expect("just pushed").mem;
+        let sealed = st.imms.back().expect("just pushed");
         self.advance_ledger(&mut st.ledger, Stage::Sealed(sealed), self.opts.clock.now());
         // Readers (and the write throttle's gauges) must see the sealed
         // queue grow promptly.
@@ -333,8 +324,7 @@ impl DbCore {
             .as_ref()
             .map(|f| (f.id, f.size_bytes, f.stats.entry_count));
         st.version = Arc::new(next);
-        // Flushes pop the sealed queue FIFO, the ledger's pending order.
-        let stage = Stage::Flushed(&imm.mem, &retired);
+        let stage = Stage::Flushed(&imm, &retired);
         self.advance_ledger(&mut st.ledger, stage, self.opts.clock.now());
         st.persisted_seqno = st.persisted_seqno.max(imm.max_seqno);
         self.stats.flushes.fetch_add(1, Ordering::Relaxed);

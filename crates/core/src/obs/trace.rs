@@ -26,12 +26,17 @@
 //!   tombstone and a dead value-log extent (charged by the compaction
 //!   to the delete that killed it) both find their cohort by seqno.
 //!   The ledger lives in the engine's state beside the value-log
-//!   accounting and changes only under the state write lock. The
-//!   engine feeds it through one call (`DbCore::advance_ledger`), made
-//!   by each site a stage completes at — commit, seal, flush install,
-//!   compaction install, value-log reclaim — which also logs the
-//!   stage's `CohortAdvanced` events and accounts each resolved delete
-//!   against `D_th`.
+//!   accounting and changes only under the state write lock. It keeps
+//!   no copy of the write buffers: a commit does not touch it, the open
+//!   cohort is read from the active memtable when a snapshot is taken
+//!   (so deletes replayed from the WAL count as committed ones do), a
+//!   seal builds the cohort from the sealed memtable's statistics, and
+//!   a flush names its generation by the epoch the sealed memtable
+//!   carries. The engine feeds it through one call
+//!   (`DbCore::advance_ledger`), made by each site a stage completes
+//!   at — seal, flush install, compaction install, value-log reclaim —
+//!   which also logs the stage's `CohortAdvanced` events and accounts
+//!   each resolved delete against `D_th`.
 //!
 //! [`DeleteAudit`] folds the ledger and the live gauges into the
 //! compliance report served by `acheron audit`: per-cohort slack
@@ -42,6 +47,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use acheron_memtable::Memtable;
 use acheron_types::{SeqNo, Tick};
 use parking_lot::Mutex;
 
@@ -412,51 +418,16 @@ impl CohortRecord {
     }
 }
 
-/// Deletes accumulated in the active memtable generation, not yet
-/// sealed into a cohort.
-#[derive(Debug, Clone, Default)]
-struct OpenCohort {
-    deletes: u64,
-    key_range_deletes: u64,
-    first_tick: Option<Tick>,
-}
-
-impl OpenCohort {
-    /// The generation's record as cohort `epoch` of `shard`, before its
-    /// seal: `None` while it carries no deletes.
-    fn unsealed(&self, shard: usize, epoch: u64) -> Option<CohortRecord> {
-        Some(CohortRecord {
-            shard,
-            epoch,
-            min_seqno: 0,
-            max_seqno: SeqNo::MAX,
-            deletes: self.deletes,
-            key_range_deletes: self.key_range_deletes,
-            first_delete_tick: self.first_tick?,
-            sealed_tick: None,
-            flushed_tick: None,
-            deepest_level: None,
-            resolved: 0,
-            purged_tick: None,
-            vlog_pending: BTreeSet::new(),
-            vlog_reclaimed_tick: None,
-        })
-    }
-}
-
 /// The per-shard delete-lifecycle ledger. See the module docs for the
 /// cohort model; the engine keeps it in its state, so every mutation
-/// happens under the state write lock.
+/// happens under the state write lock. It holds the history of sealed
+/// generations only: the open one is read from the active memtable
+/// when a snapshot is taken.
 #[derive(Debug)]
 pub struct DeleteLedger {
     shard: usize,
-    open: OpenCohort,
+    /// The epoch the active generation seals as.
     next_epoch: u64,
-    /// Epochs sealed but not yet flushed, in seal order. Every seal
-    /// pushes (even delete-free ones) because flushes pop sealed
-    /// memtables FIFO — the queue keeps epochs aligned with flush
-    /// completions.
-    pending_flush: VecDeque<u64>,
     cohorts: BTreeMap<u64, CohortRecord>,
     /// `max_seqno` → epoch of every cohort in `cohorts`. Generations
     /// partition the seqno space in epoch order, so the cohort holding
@@ -469,50 +440,64 @@ impl DeleteLedger {
     pub fn new(shard: usize) -> DeleteLedger {
         DeleteLedger {
             shard,
-            open: OpenCohort::default(),
             next_epoch: 0,
-            pending_flush: VecDeque::new(),
             cohorts: BTreeMap::new(),
             by_max_seqno: BTreeMap::new(),
         }
     }
 
-    /// Record deletes committed into the active generation at `tick`.
-    pub fn note_deletes(&mut self, point: u64, key_range: u64, tick: Tick) {
-        if point == 0 && key_range == 0 {
-            return;
-        }
-        self.open.deletes += point;
-        self.open.key_range_deletes += key_range;
-        self.open.first_tick = min_tick(self.open.first_tick, Some(tick));
+    /// The epoch the active generation seals as.
+    pub fn open_epoch(&self) -> u64 {
+        self.next_epoch
     }
 
-    /// The active generation was sealed covering `[min_seqno,
-    /// max_seqno]`. Returns the cohort's epoch if it carried deletes.
-    pub fn seal(&mut self, min_seqno: SeqNo, max_seqno: SeqNo, now: Tick) -> Option<u64> {
-        let epoch = self.next_epoch;
-        self.next_epoch += 1;
-        self.pending_flush.push_back(epoch);
-        let open = std::mem::take(&mut self.open).unsealed(self.shard, epoch)?;
-        self.by_max_seqno.insert(max_seqno, epoch);
+    /// The deletes buffered in `mem` as cohort `epoch`, before its seal:
+    /// `None` while it holds no delete.
+    fn buffered(&self, epoch: u64, mem: &Memtable) -> Option<CohortRecord> {
+        let s = mem.stats();
+        Some(CohortRecord {
+            shard: self.shard,
+            epoch,
+            min_seqno: mem.min_seqno()?,
+            max_seqno: mem.max_seqno()?,
+            deletes: s.tombstones as u64,
+            key_range_deletes: s.range_tombstones as u64,
+            first_delete_tick: min_tick(s.oldest_tombstone_tick, s.oldest_range_tombstone_tick)?,
+            sealed_tick: None,
+            flushed_tick: None,
+            deepest_level: None,
+            resolved: 0,
+            purged_tick: None,
+            vlog_pending: BTreeSet::new(),
+            vlog_reclaimed_tick: None,
+        })
+    }
+
+    /// Generation `epoch` (the open one) was sealed holding `mem`.
+    /// Returns whether it carried deletes, and so became a cohort.
+    pub fn seal(&mut self, epoch: u64, mem: &Memtable, now: Tick) -> bool {
+        self.next_epoch = epoch + 1;
+        let Some(open) = self.buffered(epoch, mem) else {
+            return false;
+        };
+        self.by_max_seqno.insert(open.max_seqno, epoch);
         let sealed = CohortRecord {
-            min_seqno,
-            max_seqno,
             sealed_tick: Some(now),
             ..open
         };
         self.cohorts.insert(epoch, sealed);
         self.evict_resolved();
-        Some(epoch)
+        true
     }
 
-    /// The oldest sealed generation finished flushing. Returns the
-    /// flushed cohort's epoch if tracked.
-    pub fn flushed(&mut self, now: Tick) -> Option<u64> {
-        let epoch = self.pending_flush.pop_front()?;
-        let c = self.cohorts.get_mut(&epoch)?;
+    /// Generation `epoch` finished flushing. Returns whether it is a
+    /// tracked cohort.
+    pub fn flushed(&mut self, epoch: u64, now: Tick) -> bool {
+        let Some(c) = self.cohorts.get_mut(&epoch) else {
+            return false;
+        };
         c.flushed_tick = Some(now);
-        Some(epoch)
+        true
     }
 
     /// A compaction moved entries from files spanning the given seqno
@@ -587,11 +572,11 @@ impl DeleteLedger {
         done
     }
 
-    /// Every cohort, sealed epochs first, plus the open (unsealed)
-    /// generation if it already carries deletes.
-    pub fn snapshot(&self) -> Vec<CohortRecord> {
+    /// Every cohort, sealed epochs first, plus the open generation,
+    /// buffered in the active memtable `open`, if it holds deletes.
+    pub fn snapshot(&self, open: &Memtable) -> Vec<CohortRecord> {
         let mut out: Vec<CohortRecord> = self.cohorts.values().cloned().collect();
-        out.extend(self.open.unsealed(self.shard, self.next_epoch));
+        out.extend(self.buffered(self.next_epoch, open));
         out
     }
 
@@ -808,13 +793,39 @@ mod tests {
         assert!(recent[0].trace_id < recent.last().unwrap().trace_id);
     }
 
+    /// A generation over seqnos `[lo, hi]`: puts at both ends, and
+    /// between them `point` point deletes and `key_range` sort-key range
+    /// deletes, issued from tick `tick` on.
+    fn generation(lo: SeqNo, hi: SeqNo, point: u64, key_range: u64, tick: Tick) -> Memtable {
+        use acheron_types::{Entry, KeyRangeTombstone};
+        assert!(lo + point + key_range < hi);
+        let mem = Memtable::new();
+        mem.insert(Entry::put(&b"lo"[..], &b"v"[..], lo, tick));
+        mem.insert(Entry::put(&b"hi"[..], &b"v"[..], hi, tick));
+        for i in 1..=point {
+            mem.insert(Entry::tombstone(
+                format!("p{i}").into_bytes(),
+                lo + i,
+                tick + i - 1,
+            ));
+        }
+        for i in 1..=key_range {
+            mem.add_range_tombstone(KeyRangeTombstone {
+                start: format!("r{i}").into_bytes().into(),
+                end: format!("s{i}").into_bytes().into(),
+                seqno: lo + point + i,
+                dkey: tick + point + i - 1,
+            });
+        }
+        mem
+    }
+
     fn full_lifecycle_ledger() -> DeleteLedger {
         let mut l = DeleteLedger::new(0);
-        l.note_deletes(2, 1, 100);
-        l.note_deletes(1, 0, 120);
-        let epoch = l.seal(10, 20, 130).unwrap();
-        assert_eq!(epoch, 0);
-        assert_eq!(l.flushed(140), Some(0));
+        assert_eq!(l.open_epoch(), 0);
+        assert!(l.seal(0, &generation(10, 20, 3, 1, 100), 130));
+        assert_eq!(l.open_epoch(), 1);
+        assert!(l.flushed(0, 140));
         assert_eq!(l.entered_level(&[(10, 20)], 2, 200), vec![0]);
         assert!(
             l.entered_level(&[(10, 20)], 1, 210).is_empty(),
@@ -831,10 +842,11 @@ mod tests {
     #[test]
     fn ledger_tracks_the_full_lifecycle() {
         let mut l = full_lifecycle_ledger();
-        let snap = l.snapshot();
+        let snap = l.snapshot(&Memtable::new());
         assert_eq!(snap.len(), 1);
         let c = &snap[0];
         assert_eq!((c.deletes, c.key_range_deletes), (3, 1));
+        assert_eq!((c.min_seqno, c.max_seqno), (10, 20));
         assert_eq!(c.first_delete_tick, 100);
         assert_eq!(c.sealed_tick, Some(130));
         assert_eq!(c.flushed_tick, Some(140));
@@ -844,11 +856,11 @@ mod tests {
         // Fourth member resolves via the krt-purge path.
         assert_eq!(l.tombstone_resolved(13, 330), Some(0));
         // Still unresolved: the vlog extent is pending.
-        let c = l.snapshot().pop().unwrap();
+        let c = l.snapshot(&Memtable::new()).pop().unwrap();
         assert_eq!(c.purged_tick, Some(330));
         assert!(!c.is_resolved());
         assert_eq!(l.vlog_reclaimed(7, 400), vec![0]);
-        let c = l.snapshot().pop().unwrap();
+        let c = l.snapshot(&Memtable::new()).pop().unwrap();
         assert!(c.is_resolved());
         assert_eq!(c.resolve_tick(), Some(400), "max of purge and reclaim");
         assert_eq!(c.age(9_999), 300, "resolved age is fixed");
@@ -861,53 +873,61 @@ mod tests {
     #[test]
     fn resolved_tombstones_find_their_cohort_by_seqno_range() {
         let mut l = DeleteLedger::new(0);
+        let open = Memtable::new();
         // Cohorts over [10, 19], [20, 29] (delete-free, untracked),
         // [30, 39], [40, 49]: two deletes each.
         for (epoch, lo) in [10u64, 20, 30, 40].into_iter().enumerate() {
-            if epoch != 1 {
-                l.note_deletes(2, 0, lo);
-            }
-            l.seal(lo, lo + 9, lo + 5);
+            let deletes = if epoch == 1 { 0 } else { 2 };
+            l.seal(
+                epoch as u64,
+                &generation(lo, lo + 9, deletes, 0, lo),
+                lo + 5,
+            );
         }
         for seqno in 0..60 {
-            let before = l.snapshot();
+            let before = l.snapshot(&open);
             l.tombstone_resolved(seqno, 100);
             l.vlog_dead(seqno, seqno);
             let holder = before
                 .iter()
                 .position(|c| c.min_seqno <= seqno && seqno <= c.max_seqno);
-            for (i, (b, a)) in before.iter().zip(l.snapshot()).enumerate() {
+            for (i, (b, a)) in before.iter().zip(l.snapshot(&open)).enumerate() {
                 let expect = b.resolved + u64::from(holder == Some(i));
                 assert_eq!(a.resolved, expect, "seqno {seqno} cohort {i}");
                 let waits = a.vlog_pending.contains(&seqno);
                 assert_eq!(waits, holder == Some(i), "seqno {seqno} cohort {i}");
             }
         }
-        let resolved: Vec<u64> = l.snapshot().iter().map(|c| c.resolved).collect();
+        let resolved: Vec<u64> = l.snapshot(&open).iter().map(|c| c.resolved).collect();
         assert_eq!(resolved, [10, 10, 10]);
     }
 
     #[test]
-    fn delete_free_seals_keep_flush_alignment() {
+    fn delete_free_seals_are_numbered_but_untracked() {
         let mut l = DeleteLedger::new(3);
+        let open = Memtable::new();
         // Generation 0: no deletes.
-        assert_eq!(l.seal(1, 5, 10), None);
+        assert!(!l.seal(0, &generation(1, 5, 0, 0, 10), 10));
         // Generation 1: deletes.
-        l.note_deletes(1, 0, 20);
-        assert_eq!(l.seal(6, 9, 30), Some(1));
-        // Flushes pop FIFO: first completes the delete-free epoch.
-        assert_eq!(l.flushed(40), None);
-        assert_eq!(l.flushed(50), Some(1));
-        assert_eq!(l.snapshot()[0].flushed_tick, Some(50));
-        assert_eq!(l.snapshot()[0].shard, 3);
+        assert!(l.seal(1, &generation(6, 9, 1, 0, 20), 30));
+        // A flush names its generation: the delete-free one is untracked.
+        assert!(!l.flushed(0, 40));
+        assert!(l.flushed(1, 50));
+        assert_eq!(l.snapshot(&open)[0].flushed_tick, Some(50));
+        assert_eq!(l.snapshot(&open)[0].epoch, 1);
+        assert_eq!(l.snapshot(&open)[0].shard, 3);
     }
 
     #[test]
-    fn open_generation_appears_in_snapshots() {
-        let mut l = DeleteLedger::new(0);
-        l.note_deletes(5, 0, 77);
-        let snap = l.snapshot();
+    fn open_generation_is_read_from_the_active_memtable() {
+        let l = DeleteLedger::new(0);
+        assert!(l.snapshot(&generation(1, 9, 0, 0, 70)).is_empty());
+        let snap = l.snapshot(&generation(1, 9, 5, 2, 77));
         assert_eq!(snap.len(), 1);
+        assert_eq!(
+            (snap[0].epoch, snap[0].deletes, snap[0].key_range_deletes),
+            (0, 5, 2)
+        );
         assert_eq!(snap[0].sealed_tick, None);
         assert_eq!(snap[0].first_delete_tick, 77);
         assert!(!snap[0].is_resolved());
@@ -921,7 +941,7 @@ mod tests {
         let audit = DeleteAudit {
             now: 1_000,
             d_th: Some(500),
-            cohorts: l.snapshot(),
+            cohorts: l.snapshot(&Memtable::new()),
             oldest_live_tombstone_tick: None,
             oldest_vlog_dead_tick: None,
         };
@@ -961,16 +981,15 @@ mod tests {
     fn eviction_drops_resolved_cohorts_only() {
         let mut l = DeleteLedger::new(0);
         for i in 0..(COHORT_RETENTION as u64 + 8) {
-            l.note_deletes(1, 0, i * 10);
             let lo = i * 100;
-            l.seal(lo, lo + 99, i * 10 + 1);
-            l.flushed(i * 10 + 2);
+            l.seal(i, &generation(lo, lo + 99, 1, 0, i * 10), i * 10 + 1);
+            l.flushed(i, i * 10 + 2);
             // Resolve all but the last few so eviction has victims.
             if i < COHORT_RETENTION as u64 {
                 l.tombstone_resolved(lo, i * 10 + 3);
             }
         }
-        let snap = l.snapshot();
+        let snap = l.snapshot(&Memtable::new());
         assert!(snap.len() <= COHORT_RETENTION);
         // The unresolved tail always survives.
         assert!(snap.iter().filter(|c| !c.is_resolved()).count() >= 8);

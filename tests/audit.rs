@@ -18,8 +18,10 @@
 use std::sync::Arc;
 
 use acheron::{check_root, Db, DbOptions, DeleteAudit, DeleteLedger, ShardedDb};
+use acheron_memtable::Memtable;
 use acheron_server::{Client, Server, ServerOptions};
 use acheron_types::checksum::crc32c;
+use acheron_types::{Entry, KeyRangeTombstone};
 use acheron_vfs::MemFs;
 
 fn small() -> DbOptions {
@@ -97,15 +99,32 @@ fn aged_workload_resolves_every_cohort_within_d_th() {
 /// nonzero.
 #[test]
 fn injected_overdue_cohort_fails_audit_naming_the_cohort() {
+    // A generation of 12 point and 2 sort-key range deletes issued at
+    // tick 100, sealed at 150 and flushed at 160.
+    let mem = Memtable::new();
+    for seqno in 1..=12 {
+        mem.insert(Entry::tombstone(
+            format!("key{seqno:02}").into_bytes(),
+            seqno,
+            100,
+        ));
+    }
+    for seqno in 13..=14 {
+        mem.add_range_tombstone(KeyRangeTombstone {
+            start: format!("lo{seqno}").into_bytes().into(),
+            end: format!("hi{seqno}").into_bytes().into(),
+            seqno,
+            dkey: 100,
+        });
+    }
     let mut ledger = DeleteLedger::new(3);
-    ledger.note_deletes(12, 2, 100);
-    ledger.seal(1, 99, 150);
-    ledger.flushed(160);
+    assert!(ledger.seal(ledger.open_epoch(), &mem, 150));
+    assert!(ledger.flushed(0, 160));
 
     let audit = DeleteAudit {
         now: 10_000,
         d_th: Some(500),
-        cohorts: ledger.snapshot(),
+        cohorts: ledger.snapshot(&Memtable::new()),
         oldest_live_tombstone_tick: Some(100),
         oldest_vlog_dead_tick: None,
     };
@@ -131,12 +150,12 @@ fn injected_overdue_cohort_fails_audit_naming_the_cohort() {
 /// judgment: the same overdue cohort passes.
 #[test]
 fn audit_without_threshold_always_passes() {
-    let mut ledger = DeleteLedger::new(0);
-    ledger.note_deletes(1, 0, 5);
+    let open = Memtable::new();
+    open.insert(Entry::tombstone(&b"key"[..], 1, 5));
     let audit = DeleteAudit {
         now: 1_000_000,
         d_th: None,
-        cohorts: ledger.snapshot(),
+        cohorts: DeleteLedger::new(0).snapshot(&open),
         oldest_live_tombstone_tick: Some(5),
         oldest_vlog_dead_tick: None,
     };
@@ -164,6 +183,46 @@ fn gauge_only_breach_fails_audit() {
         "{}",
         audit.render()
     );
+}
+
+/// An engine reopened over a WAL that holds deletes lists them as its
+/// open cohort, as it lists deletes committed since the open, and the
+/// cohort resolves once FADE has purged them.
+#[test]
+fn replayed_deletes_form_the_open_cohort_and_resolve() {
+    let d_th = 50_000u64;
+    let fs = Arc::new(MemFs::new());
+    let open = || Db::open(fs.clone(), "db", small().with_fade(d_th)).unwrap();
+    let db = open();
+    for i in 0..200u32 {
+        db.put(format!("key{i:04}").as_bytes(), &[b'v'; 32])
+            .unwrap();
+    }
+    db.flush().unwrap();
+    for i in 0..20u32 {
+        db.delete(format!("key{i:04}").as_bytes()).unwrap();
+    }
+    let buffered = db.delete_audit().cohorts;
+    drop(db);
+
+    let db = open();
+    let audit = db.delete_audit();
+    assert_eq!(audit.cohorts.len(), 1, "{}", audit.render());
+    let c = &audit.cohorts[0];
+    assert_eq!((c.epoch, c.deletes, c.sealed_tick), (0, 20, None));
+    assert_eq!(
+        c.first_delete_tick,
+        buffered.last().unwrap().first_delete_tick
+    );
+    assert_eq!(audit.oldest_live_tombstone_tick, Some(c.first_delete_tick));
+
+    db.advance_clock(d_th / 2);
+    db.maintain().unwrap();
+    let audit = db.delete_audit();
+    let c = &audit.cohorts[0];
+    assert_eq!((c.epoch, c.deletes), (0, 20), "{}", audit.render());
+    assert!(c.is_resolved(), "{}", audit.render());
+    assert!(audit.ok(), "{}", audit.render());
 }
 
 // ---------------------------------------------------------------------
