@@ -1035,6 +1035,34 @@ mod tests {
         assert_eq!(db.get(b"missing").unwrap(), None);
     }
 
+    /// A fresh read point whose version a compaction dropped after its
+    /// load gets no view: the lookup loads a new read point instead of
+    /// reading the old one in a tree that no longer holds its version.
+    #[test]
+    fn a_fresh_read_point_a_compaction_moved_past_gets_no_view() {
+        let (_fs, db) = open_mem(small());
+        let core = db.core();
+        db.put(b"k", b"old").unwrap();
+        db.flush().unwrap();
+        let read_point = core.visible_seqno.load(Ordering::Acquire);
+        assert!(core.read_view(read_point, true).is_some());
+        // A commit, a flush and a compaction land between the read
+        // point's load and the view's: no snapshot holds `old`, so the
+        // compaction drops it under `new`.
+        db.put(b"k", b"new").unwrap();
+        db.flush().unwrap();
+        db.compact_all().unwrap();
+        let view = core.current_view();
+        let seen = core.newest_live_in_view(&view, b"k", read_point, None);
+        assert_eq!(
+            seen.unwrap(),
+            None,
+            "the version the read point saw is gone"
+        );
+        assert!(core.read_view(read_point, true).is_none());
+        assert_eq!(db.get(b"k").unwrap().unwrap().as_ref(), b"new");
+    }
+
     #[test]
     fn reads_span_memtable_and_levels() {
         let (_fs, db) = open_mem(small());

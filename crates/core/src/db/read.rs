@@ -40,7 +40,9 @@ use crate::version::Version;
 /// carried into whichever view the subsequent load observes, so the
 /// ceiling can never name an entry the view lacks. (The reverse order
 /// could: a seal between the two loads would strand fresh writes in a
-/// memtable the stale view does not reference.)
+/// memtable the stale view does not reference.) A fresh read point is
+/// no registered snapshot, so the view is read at it only while the
+/// visible seqno has not moved past it (see [`DbCore::read_view`]).
 pub(super) struct ReadView {
     pub(super) mem: Arc<Memtable>,
     /// Sealed memtables, newest first (the probe order for lookups).
@@ -176,7 +178,8 @@ impl Db {
 
     /// Lookup at a snapshot's read point, or — `None` — at a fresh one,
     /// whose seqno MUST be loaded before the view (the ordering rule on
-    /// `ReadView`).
+    /// `ReadView`), and is loaded again when [`DbCore::read_view`] finds
+    /// that it moved.
     ///
     /// No registered snapshot pins the pointers a fresh read point sees,
     /// so value-log GC may rewrite a value and delete the segment its
@@ -197,7 +200,9 @@ impl Db {
         loop {
             let cloning = Span::start(trace.as_deref());
             let snapshot = snap.unwrap_or_else(|| core.visible_seqno.load(Ordering::Acquire));
-            let view = core.current_view();
+            let Some(view) = core.read_view(snapshot, snap.is_none()) else {
+                continue;
+            };
             cloning.end(trace.as_deref_mut(), TraceStage::ViewClone);
             let Some(newest) =
                 core.newest_live_in_view(&view, key, snapshot, trace.as_deref_mut())?
@@ -516,6 +521,20 @@ impl DbCore {
     /// write-held for a pointer store).
     pub(super) fn current_view(&self) -> Arc<ReadView> {
         Arc::clone(&self.view.read())
+    }
+
+    /// The view to read at `seqno`: a snapshot's, or — `fresh` — one
+    /// loaded from the visible seqno before this call. No snapshot
+    /// registers a fresh read point, so an install published after its
+    /// load may have compacted away a version only it could see (one
+    /// shadowed by a write committed since). Such an install follows a
+    /// commit past `seqno`, so while the visible seqno still reads
+    /// `seqno` after the clone, the view holds every version `seqno`
+    /// needs; once it has moved there is no view (`None`), and the
+    /// caller loads a new read point.
+    pub(super) fn read_view(&self, seqno: SeqNo, fresh: bool) -> Option<Arc<ReadView>> {
+        let view = self.current_view();
+        (!fresh || self.visible_seqno.load(Ordering::Acquire) == seqno).then_some(view)
     }
 
     /// Build and swap in a fresh read view from `st`, and, when its
