@@ -882,15 +882,7 @@ impl DbCore {
         let view = self.current_view();
         let mut gauges = TombstoneGauges::from_version(&view.version);
         for m in std::iter::once(&view.mem).chain(&view.imms) {
-            let s = m.stats();
-            gauges.buffer_tombstones += s.tombstones as u64;
-            gauges.buffer_oldest_tick =
-                min_tick(gauges.buffer_oldest_tick, s.oldest_tombstone_tick);
-            gauges.buffer_key_range_tombstones += s.range_tombstones as u64;
-            gauges.buffer_oldest_key_range_tick = min_tick(
-                gauges.buffer_oldest_key_range_tick,
-                s.oldest_range_tombstone_tick,
-            );
+            gauges.add_buffer(&m.stats());
         }
         gauges
     }

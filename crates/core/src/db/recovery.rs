@@ -136,6 +136,7 @@ fn repair(
         RecoveryStepKind::ManifestLoaded,
         s.tables.len() as u64,
     )];
+    let clock_start = s.clock_start(&mem);
     let version = Version::empty(opts.max_levels)
         .apply(s.tables, &[], &s.range_tombstones, &[])
         .apply_key_ranges(&s.key_range_tombstones, &[]);
@@ -300,17 +301,9 @@ fn repair(
     let wal = LogWriter::new(fs.create(&wal_path(dir, wal_number))?);
     live_wals.push(wal_number);
 
-    // Keep the clock ahead of every recovered tombstone tick so ages
-    // stay meaningful after restart.
-    let max_tick = version
-        .all_files()
-        .map(|f| f.created_tick)
-        .chain(mem.stats().max_dkey)
-        .chain(version.key_range_tombstones.iter().map(|krt| krt.dkey))
-        .chain(mem.range_tombstone_list().iter().map(|krt| krt.dkey))
-        .max()
-        .unwrap_or(0);
-    opts.clock_advance_to(max_tick);
+    // Keep the clock ahead of every recovered delete so ages stay
+    // meaningful after restart.
+    opts.clock_advance_to(clock_start);
 
     events.push(step(RecoveryStepKind::Finished, mem.stats().entries as u64));
     Ok(Bootstrap {
@@ -373,6 +366,25 @@ mod tests {
             );
         }
         db.verify_integrity().unwrap();
+    }
+
+    /// A reopened engine's clock starts at its newest delete, not at a
+    /// put's secondary delete key: that key is an attribute of the row,
+    /// and a large one would age every recovered delete by it.
+    #[test]
+    fn a_put_dkey_does_not_move_the_recovered_clock() {
+        let fs = Arc::new(MemFs::new());
+        let opts = || small().with_fade(1_000);
+        let db = Db::open(fs.clone() as Arc<dyn Vfs>, "db", opts()).unwrap();
+        db.put_with_dkey(b"row", b"v", 1_700_000_000_000).unwrap();
+        let tick = db.now();
+        db.delete(b"gone").unwrap();
+        drop(db);
+        let db = Db::open(fs as Arc<dyn Vfs>, "db", opts()).unwrap();
+        assert_eq!(db.now(), tick);
+        let audit = db.delete_audit();
+        assert_eq!(audit.oldest_live_tombstone_tick, Some(tick));
+        assert!(audit.ok(), "{}", audit.render());
     }
 
     #[test]

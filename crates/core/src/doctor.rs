@@ -31,6 +31,7 @@
 
 use std::sync::Arc;
 
+use acheron_memtable::Memtable;
 use acheron_sstable::{KeyHash, Table};
 use acheron_types::key::compare_internal;
 use acheron_types::{Error, Result, Tick};
@@ -39,7 +40,7 @@ use acheron_vfs::Vfs;
 use crate::filenames::wal_path;
 use crate::obs::trace::DeleteAudit;
 use crate::obs::{GcKind, LevelGauge, TombstoneGauges};
-use crate::survey::{survey, WalEnd};
+use crate::survey::{survey, Replayed, WalEnd};
 use crate::version::Version;
 
 /// Outcome of an offline check.
@@ -74,11 +75,12 @@ pub struct DoctorReport {
     /// Per-level occupancy and tombstone populations, counted as the
     /// engine's gauges count them (empty levels omitted).
     pub levels: Vec<LevelGauge>,
-    /// The `D_th` judgment of the surveyed tree, by the engine's own
-    /// rule ([`DeleteAudit::ok`]). It has no cohorts (the ledger lives
-    /// in memory), and its `now` is the newest file `created_tick` in
-    /// the manifest — a conservative proxy, since the doctor cannot
-    /// consult the engine's clock without opening (and mutating) the
+    /// The `D_th` judgment of the surveyed image, by the engine's own
+    /// rule ([`DeleteAudit::ok`]): its live tombstones are the tree's
+    /// and those the WAL replays. It has no cohorts (the ledger lives
+    /// in memory), and its `now` is the tick the next open starts the
+    /// engine's clock at (`Survey::clock_start`), since the doctor
+    /// cannot consult the clock without opening (and mutating) the
     /// database. Dead vlog extents carry no birth tick on disk, so they
     /// cannot age it: `vlog_dead_bytes` lists them as pending.
     pub audit: DeleteAudit,
@@ -100,8 +102,13 @@ pub fn check_db(fs: &dyn Vfs, dir: &str) -> Result<DoctorReport> {
 /// [`check_db`], with the audit judged against the delete persistence
 /// threshold `d_th` and dead vlog extents flagged as overdue under it.
 pub(crate) fn check_dir(fs: &dyn Vfs, dir: &str, d_th: Option<Tick>) -> Result<DoctorReport> {
-    let surveyed = survey(fs, dir, None, &mut |_| {})?
-        .ok_or_else(|| Error::corruption("no CURRENT file: not a database directory"))?;
+    // The WAL records replay into a memtable, as the next open's do.
+    let mem = Memtable::new();
+    let surveyed = survey(fs, dir, None, &mut |replayed| match replayed {
+        Replayed::Entry(e) => mem.insert(e),
+        Replayed::KeyRange(krt) => mem.add_range_tombstone(krt),
+    })?
+    .ok_or_else(|| Error::corruption("no CURRENT file: not a database directory"))?;
     let mut report = DoctorReport {
         range_tombstones: surveyed.range_tombstones.len(),
         ..DoctorReport::default()
@@ -125,9 +132,10 @@ pub(crate) fn check_dir(fs: &dyn Vfs, dir: &str, d_th: Option<Tick>) -> Result<D
         .map_err(|e| Error::corruption(format!("recovered layout: {e}")))?;
     report.key_range_tombstones = version.key_range_tombstones.len() as u64;
 
-    let gauges = TombstoneGauges::from_version(&version);
+    let mut gauges = TombstoneGauges::from_version(&version);
+    gauges.add_buffer(&mem.stats());
     report.audit = DeleteAudit {
-        now: surveyed.newest_created_tick,
+        now: surveyed.clock_start(&mem),
         d_th,
         cohorts: Vec::new(),
         oldest_live_tombstone_tick: gauges.oldest_live_tick(),
@@ -328,6 +336,29 @@ mod tests {
         db.range_delete_keys(b"key00300", b"key00400").unwrap();
         db.flush().unwrap();
         fs
+    }
+
+    /// The doctor judges the deletes the next open replays from the WAL,
+    /// at the tick that open starts the engine's clock at.
+    #[test]
+    fn deletes_in_the_wal_are_judged_at_the_open_clock() {
+        let fs = Arc::new(MemFs::new());
+        let open = || Db::open(fs.clone(), "db", DbOptions::small()).unwrap();
+        let db = open();
+        db.put(b"a", b"1").unwrap();
+        db.flush().unwrap();
+        db.advance_clock(40);
+        let tick = db.now();
+        db.delete(b"a").unwrap();
+        db.advance_clock(10);
+        drop(db);
+
+        let offline = check_dir(fs.as_ref(), "db", Some(5)).unwrap().audit;
+        assert_eq!(offline.oldest_live_tombstone_tick, Some(tick));
+        let online = open().delete_audit();
+        assert_eq!((offline.now, online.now), (tick, tick));
+        assert_eq!(online.oldest_live_tombstone_tick, Some(tick));
+        assert!(offline.ok());
     }
 
     #[test]

@@ -38,6 +38,7 @@
 use std::collections::VecDeque;
 use std::fmt::{Display, Write};
 
+use acheron_memtable::MemtableStats;
 use acheron_types::Tick;
 use parking_lot::Mutex;
 
@@ -572,6 +573,17 @@ impl TombstoneGauges {
             file_populations,
             ..TombstoneGauges::default()
         }
+    }
+
+    /// Count the deletes buffered in a memtable with statistics `s`.
+    pub(crate) fn add_buffer(&mut self, s: &MemtableStats) {
+        self.buffer_tombstones += s.tombstones as u64;
+        self.buffer_oldest_tick = min_tick(self.buffer_oldest_tick, s.oldest_tombstone_tick);
+        self.buffer_key_range_tombstones += s.range_tombstones as u64;
+        self.buffer_oldest_key_range_tick = min_tick(
+            self.buffer_oldest_key_range_tick,
+            s.oldest_range_tombstone_tick,
+        );
     }
 
     /// Total live point tombstones (disk + buffer).

@@ -16,6 +16,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
+use acheron_memtable::Memtable;
 use acheron_sstable::{BlockCache, Table};
 use acheron_types::{
     Entry, Error, KeyRangeTombstone, RangeTombstone, Result, SeqNo, Tick, ValueKind, ValuePointer,
@@ -132,8 +133,6 @@ pub(crate) struct Survey {
     pub persisted_seqno: SeqNo,
     /// Past the manifest's own mark and every numbered file listed.
     pub next_file_id: u64,
-    /// Newest `created_tick` any manifest record carries.
-    pub newest_created_tick: Tick,
     /// Live secondary range tombstones.
     pub range_tombstones: Vec<RangeTombstone>,
     /// Live sort-key range tombstones that left the write buffers, with
@@ -163,6 +162,25 @@ pub(crate) struct Survey {
     pub collect: Vec<Debris>,
 }
 
+impl Survey {
+    /// The tick the clock of an engine opened over this image starts
+    /// at: the newest live table's `created_tick`, or the newest tick of
+    /// a live delete, those `mem` holds from the WAL replay included,
+    /// so that every recovered delete has a nonnegative age. A put's
+    /// secondary delete key is an attribute of the row, not a tick, and
+    /// does not count.
+    pub fn clock_start(&self, mem: &Memtable) -> Tick {
+        let point = mem.entries().filter(|e| e.is_tombstone()).map(|e| e.dkey);
+        let buffered = mem.range_tombstone_list();
+        let key_ranges = self.key_range_tombstones.iter().chain(&buffered);
+        (self.tables.iter().map(|f| f.created_tick))
+            .chain(point)
+            .chain(key_ranges.map(|k| k.dkey))
+            .max()
+            .unwrap_or(0)
+    }
+}
+
 /// Fold a manifest's edit batches into the fields of [`Survey`] the
 /// manifest decides.
 fn fold_manifest(manifest: String, batches: &[EditBatch]) -> Survey {
@@ -180,7 +198,6 @@ fn fold_manifest(manifest: String, batches: &[EditBatch]) -> Survey {
                 size,
                 created_tick,
             } => {
-                s.newest_created_tick = s.newest_created_tick.max(created_tick);
                 let file = ManifestFile {
                     level,
                     run,

@@ -462,12 +462,13 @@ fn gauges_and_audit_are_pinned() {
 }
 
 /// One verdict, two paths: an image aged without FADE (its deletes stay
-/// live) is judged offline by the doctor, then opened — still without
-/// FADE — and judged by `delete_audit` at the same thresholds. At the
-/// oldest delete's age both pass, one tick under it both fail; as a
-/// plain directory and as a three-shard root, where one shard's L0
-/// holds its file limit: an open runs no maintenance, so the online
-/// audit judges the image the doctor read.
+/// live), with a tail of deletes left in the WAL, is judged offline by
+/// the doctor, then opened — still without FADE — and judged by
+/// `delete_audit` at the same thresholds. Both read the same clock and
+/// the same oldest live delete; at its age both pass, one tick under it
+/// both fail; as a plain directory and as a three-shard root, where one
+/// shard's L0 holds its file limit: an open runs no maintenance, so the
+/// online audit judges the image the doctor read.
 #[test]
 fn offline_and_online_verdicts_agree() {
     for shards in [None, Some(3)] {
@@ -479,6 +480,11 @@ fn offline_and_online_verdicts_agree() {
         let db = open();
         seeded_load(&db, 0x2545_f491_4f6c_dd1d);
         db.flush().unwrap();
+        let tail = 30;
+        for i in 0..tail {
+            db.advance_clock(7);
+            db.delete(format!("tail{i:03}").as_bytes()).unwrap();
+        }
         drop(db);
 
         let offline = |d_th| {
@@ -494,8 +500,15 @@ fn offline_and_online_verdicts_agree() {
         assert_eq!(verdicts, [true, false], "{shards:?}");
 
         let online = open().delete_audit();
-        assert!(online.cohorts.is_empty(), "a fresh ledger has no cohorts");
+        // The WAL's deletes are the open cohorts, and nothing else is.
+        assert!(online.cohorts.iter().all(|c| c.sealed_tick.is_none()));
+        let replayed: u64 = online.cohorts.iter().map(|c| c.deletes).sum();
+        assert_eq!(replayed, tail, "{shards:?}");
         assert_eq!(online.now, audit.now, "{shards:?}");
+        assert_eq!(
+            online.oldest_live_tombstone_tick, audit.oldest_live_tombstone_tick,
+            "{shards:?}"
+        );
         let judged = [age, age - 1].map(|d_th| {
             let audit = DeleteAudit {
                 d_th: Some(d_th),
