@@ -19,7 +19,7 @@ use crate::manifest::{write_current, EditBatch, ManifestWriter, VersionEdit};
 use crate::obs::trace::DeleteLedger;
 use crate::obs::{Event, GcKind, RecoveryStepKind};
 use crate::options::DbOptions;
-use crate::survey::{survey, Replayed, Survey, WalEnd};
+use crate::survey::{survey, Survey, WalEnd};
 use crate::version::Version;
 
 /// What [`open_image`] hands to `open`: the initial state plus the
@@ -50,10 +50,7 @@ pub(super) fn open_image(
 ) -> Result<Bootstrap> {
     // Surviving WAL records replay into a fresh memtable.
     let mem = Memtable::new();
-    let surveyed = survey(fs, dir, cache, &mut |replayed| match replayed {
-        Replayed::Entry(e) => mem.insert(e),
-        Replayed::KeyRange(krt) => mem.add_range_tombstone(krt),
-    })?;
+    let surveyed = survey(fs, dir, cache, &mem)?;
     let ledger = DeleteLedger::new(shard);
     match surveyed {
         None => initialize(fs, dir, opts, mem, ledger),
@@ -402,7 +399,7 @@ mod tests {
             for _ in 0..5 {
                 // The survey (which the doctor reports from) forecasts
                 // the collection the open makes.
-                let s = survey(fs.as_ref(), "db", None, &mut |_| {})
+                let s = survey(fs.as_ref(), "db", None, &acheron_memtable::Memtable::new())
                     .unwrap()
                     .unwrap();
                 assert!(s.collect.iter().any(|d| matches!(d.kind, GcKind::DeadWal)));

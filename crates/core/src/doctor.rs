@@ -40,7 +40,7 @@ use acheron_vfs::Vfs;
 use crate::filenames::wal_path;
 use crate::obs::trace::DeleteAudit;
 use crate::obs::{GcKind, LevelGauge, TombstoneGauges};
-use crate::survey::{survey, Replayed, WalEnd};
+use crate::survey::{survey, WalEnd};
 use crate::version::Version;
 
 /// Outcome of an offline check.
@@ -104,11 +104,8 @@ pub fn check_db(fs: &dyn Vfs, dir: &str) -> Result<DoctorReport> {
 pub(crate) fn check_dir(fs: &dyn Vfs, dir: &str, d_th: Option<Tick>) -> Result<DoctorReport> {
     // The WAL records replay into a memtable, as the next open's do.
     let mem = Memtable::new();
-    let surveyed = survey(fs, dir, None, &mut |replayed| match replayed {
-        Replayed::Entry(e) => mem.insert(e),
-        Replayed::KeyRange(krt) => mem.add_range_tombstone(krt),
-    })?
-    .ok_or_else(|| Error::corruption("no CURRENT file: not a database directory"))?;
+    let surveyed = survey(fs, dir, None, &mem)?
+        .ok_or_else(|| Error::corruption("no CURRENT file: not a database directory"))?;
     let mut report = DoctorReport {
         range_tombstones: surveyed.range_tombstones.len(),
         ..DoctorReport::default()

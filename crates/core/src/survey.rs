@@ -29,15 +29,6 @@ use crate::manifest::{read_current, read_manifest, EditBatch, VersionEdit};
 use crate::obs::GcKind;
 use crate::version::FileMeta;
 
-/// One mutation a replayed WAL record re-applies, handed to the sink of
-/// [`survey`] in commit order.
-pub(crate) enum Replayed {
-    /// A point entry (put, pointer put or tombstone).
-    Entry(Entry),
-    /// A sort-key range tombstone.
-    KeyRange(KeyRangeTombstone),
-}
-
 /// How the replay of one live WAL segment ended.
 pub(crate) enum WalEnd {
     /// Clean end of log.
@@ -251,13 +242,13 @@ fn lift_table_key_ranges(s: &mut Survey) {
 
 /// Survey the database under `dir`; `None` when it has no `CURRENT`
 /// (not a database yet). Live tables are opened against `cache`; every
-/// entry and sort-key range tombstone WAL replay re-applies goes to
-/// `sink`, in commit order.
+/// entry and sort-key range tombstone WAL replay re-applies is inserted
+/// into `mem`, in commit order.
 pub(crate) fn survey(
     fs: &dyn Vfs,
     dir: &str,
     cache: Option<&Arc<BlockCache>>,
-    sink: &mut dyn FnMut(Replayed),
+    mem: &Memtable,
 ) -> Result<Option<Survey>> {
     let Some(manifest) = read_current(fs, dir)? else {
         return Ok(None);
@@ -386,11 +377,11 @@ pub(crate) fn survey(
                         s.vlog.entry(ptr.segment).or_default().live_bytes += u64::from(ptr.len);
                     }
                 }
-                sink(Replayed::Entry(e));
+                mem.insert(e);
             }
             for krt in key_ranges.into_iter().filter(|k| k.seqno > persisted_seqno) {
                 s.last_seqno = s.last_seqno.max(krt.seqno);
-                sink(Replayed::KeyRange(krt));
+                mem.add_range_tombstone(krt);
             }
             seg.records += 1;
             seg.valid_len = reader.offset();
