@@ -75,8 +75,6 @@ pub(super) const ALL: Scope = Kind::SealExpired..=Kind::VlogGc;
 /// A stage of the delete lifecycle, as [`DbCore::advance_ledger`] is
 /// told of it.
 pub(super) enum Stage<'a> {
-    /// This memtable was sealed onto the flush queue.
-    Sealed(&'a ImmMemtable),
     /// The flush of this sealed memtable installed, retiring these
     /// range tombstones.
     Flushed(&'a ImmMemtable, &'a Retired),
@@ -111,11 +109,13 @@ impl DbCore {
         (next, retired)
     }
 
-    /// Record that deletes reached `stage` at `now`: the one call that
-    /// feeds the delete ledger, logs its `CohortAdvanced` events and
-    /// accounts every resolved delete against `D_th`. A purged point
-    /// tombstone and a retired sort-key range tombstone each count as a
-    /// purge; a superseded tombstone only leaves its cohort.
+    /// Record that sealed deletes reached `stage` at `now`: past the
+    /// seal (which [`DbCore::seal_memtable_locked`] records), the one
+    /// call that feeds the delete ledger, logs its `CohortAdvanced`
+    /// events and accounts every resolved delete against `D_th`. A
+    /// purged point tombstone and a retired sort-key range tombstone
+    /// each count as a purge; a superseded tombstone only leaves its
+    /// cohort.
     pub(super) fn advance_ledger(&self, ledger: &mut DeleteLedger, stage: Stage<'_>, now: Tick) {
         let log = |epoch, stage, level: usize, tombstones: usize| {
             self.obs.log(Event::CohortAdvanced {
@@ -127,12 +127,6 @@ impl DbCore {
             })
         };
         let (level, purged, superseded, retired) = match stage {
-            Stage::Sealed(ImmMemtable { mem, epoch, .. }) => {
-                if ledger.seal(*epoch, mem, now) {
-                    log(*epoch, CohortStage::Sealed, 0, mem.stats().tombstones);
-                }
-                return;
-            }
             Stage::VlogReclaimed(segment) => {
                 for epoch in ledger.vlog_reclaimed(segment, now) {
                     log(epoch, CohortStage::VlogReclaimed, 0, 0);
@@ -208,11 +202,14 @@ impl DbCore {
         let sealed = std::mem::replace(&mut st.mem, Arc::new(Memtable::new()));
         *self.wal.lock() = new_wal;
         st.live_wals.push(new_wal_number);
+        let now = self.opts.clock.now();
+        let (epoch, cohort) = st.ledger.seal(&sealed, now);
+        let tombstones = sealed.stats().tombstones as u64;
         st.imms.push_back(ImmMemtable {
             mem: sealed,
             wal_number: sealed_wal,
             max_seqno,
-            epoch: st.ledger.open_epoch(),
+            epoch,
         });
         self.stats
             .imm_queue_peak
@@ -222,8 +219,15 @@ impl DbCore {
             bytes: sealed_bytes,
             sealed_behind: st.imms.len() as u64,
         });
-        let sealed = st.imms.back().expect("just pushed");
-        self.advance_ledger(&mut st.ledger, Stage::Sealed(sealed), self.opts.clock.now());
+        if cohort {
+            self.obs.log(Event::CohortAdvanced {
+                epoch,
+                stage: CohortStage::Sealed,
+                level: 0,
+                tombstones,
+                tick: now,
+            });
+        }
         // Readers (and the write throttle's gauges) must see the sealed
         // queue grow promptly.
         self.publish_view_locked(st);

@@ -446,11 +446,6 @@ impl DeleteLedger {
         }
     }
 
-    /// The epoch the active generation seals as.
-    pub fn open_epoch(&self) -> u64 {
-        self.next_epoch
-    }
-
     /// The deletes buffered in `mem` as cohort `epoch`, before its seal:
     /// `None` while it holds no delete.
     fn buffered(&self, epoch: u64, mem: &Memtable) -> Option<CohortRecord> {
@@ -473,12 +468,13 @@ impl DeleteLedger {
         })
     }
 
-    /// Generation `epoch` (the open one) was sealed holding `mem`.
-    /// Returns whether it carried deletes, and so became a cohort.
-    pub fn seal(&mut self, epoch: u64, mem: &Memtable, now: Tick) -> bool {
-        self.next_epoch = epoch + 1;
+    /// The open generation was sealed holding `mem`. Returns its epoch,
+    /// and whether it carried deletes, and so became a cohort.
+    pub fn seal(&mut self, mem: &Memtable, now: Tick) -> (u64, bool) {
+        let epoch = self.next_epoch;
+        self.next_epoch += 1;
         let Some(open) = self.buffered(epoch, mem) else {
-            return false;
+            return (epoch, false);
         };
         self.by_max_seqno.insert(open.max_seqno, epoch);
         let sealed = CohortRecord {
@@ -487,7 +483,7 @@ impl DeleteLedger {
         };
         self.cohorts.insert(epoch, sealed);
         self.evict_resolved();
-        true
+        (epoch, true)
     }
 
     /// Generation `epoch` finished flushing. Returns whether it is a
@@ -822,9 +818,7 @@ mod tests {
 
     fn full_lifecycle_ledger() -> DeleteLedger {
         let mut l = DeleteLedger::new(0);
-        assert_eq!(l.open_epoch(), 0);
-        assert!(l.seal(0, &generation(10, 20, 3, 1, 100), 130));
-        assert_eq!(l.open_epoch(), 1);
+        assert_eq!(l.seal(&generation(10, 20, 3, 1, 100), 130), (0, true));
         assert!(l.flushed(0, 140));
         assert_eq!(l.entered_level(&[(10, 20)], 2, 200), vec![0]);
         assert!(
@@ -878,11 +872,8 @@ mod tests {
         // [30, 39], [40, 49]: two deletes each.
         for (epoch, lo) in [10u64, 20, 30, 40].into_iter().enumerate() {
             let deletes = if epoch == 1 { 0 } else { 2 };
-            l.seal(
-                epoch as u64,
-                &generation(lo, lo + 9, deletes, 0, lo),
-                lo + 5,
-            );
+            let sealed = l.seal(&generation(lo, lo + 9, deletes, 0, lo), lo + 5);
+            assert_eq!(sealed, (epoch as u64, deletes > 0));
         }
         for seqno in 0..60 {
             let before = l.snapshot(&open);
@@ -907,9 +898,9 @@ mod tests {
         let mut l = DeleteLedger::new(3);
         let open = Memtable::new();
         // Generation 0: no deletes.
-        assert!(!l.seal(0, &generation(1, 5, 0, 0, 10), 10));
+        assert_eq!(l.seal(&generation(1, 5, 0, 0, 10), 10), (0, false));
         // Generation 1: deletes.
-        assert!(l.seal(1, &generation(6, 9, 1, 0, 20), 30));
+        assert_eq!(l.seal(&generation(6, 9, 1, 0, 20), 30), (1, true));
         // A flush names its generation: the delete-free one is untracked.
         assert!(!l.flushed(0, 40));
         assert!(l.flushed(1, 50));
@@ -982,7 +973,7 @@ mod tests {
         let mut l = DeleteLedger::new(0);
         for i in 0..(COHORT_RETENTION as u64 + 8) {
             let lo = i * 100;
-            l.seal(i, &generation(lo, lo + 99, 1, 0, i * 10), i * 10 + 1);
+            l.seal(&generation(lo, lo + 99, 1, 0, i * 10), i * 10 + 1);
             l.flushed(i, i * 10 + 2);
             // Resolve all but the last few so eviction has victims.
             if i < COHORT_RETENTION as u64 {

@@ -118,7 +118,7 @@ fn injected_overdue_cohort_fails_audit_naming_the_cohort() {
         });
     }
     let mut ledger = DeleteLedger::new(3);
-    assert!(ledger.seal(ledger.open_epoch(), &mem, 150));
+    assert_eq!(ledger.seal(&mem, 150), (0, true));
     assert!(ledger.flushed(0, 160));
 
     let audit = DeleteAudit {
