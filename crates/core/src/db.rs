@@ -276,6 +276,11 @@ struct DbCore {
     /// Per-op trace sampler + retention buffer. With sampling off its
     /// entire cost is one untaken branch per operation.
     tracer: Tracer,
+    /// Run once by the next fresh-read-point lookup between its read
+    /// point's load and its view's clone, so a test can land writes
+    /// there.
+    #[cfg(test)]
+    between_loads: Mutex<Option<Box<dyn FnOnce(&Db) + Send>>>,
 }
 
 struct DbInner {
@@ -550,6 +555,8 @@ impl Db {
             done_cv: Condvar::new(),
             flush_claimed: AtomicBool::new(false),
             vlog_gc_claimed: AtomicBool::new(false),
+            #[cfg(test)]
+            between_loads: Mutex::new(None),
         });
         // Replay the recovery milestones into the ring now that it
         // exists, before any live traffic can interleave with them.
@@ -1027,32 +1034,33 @@ mod tests {
         assert_eq!(db.get(b"missing").unwrap(), None);
     }
 
-    /// A fresh read point whose version a compaction dropped after its
-    /// load gets no view: the lookup loads a new read point instead of
-    /// reading the old one in a tree that no longer holds its version.
+    /// A get whose read point a commit, a flush and a compaction move
+    /// past before it clones its view reads the new value: no snapshot
+    /// holds the version the read point saw, so the compaction dropped
+    /// it, and the lookup loads a new read point.
     #[test]
-    fn a_fresh_read_point_a_compaction_moved_past_gets_no_view() {
+    fn a_get_whose_read_point_a_compaction_moved_past_reads_the_new_value() {
         let (_fs, db) = open_mem(small());
-        let core = db.core();
         db.put(b"k", b"old").unwrap();
         db.flush().unwrap();
-        let read_point = core.visible_seqno.load(Ordering::Acquire);
-        assert!(core.read_view(read_point, true).is_some());
-        // A commit, a flush and a compaction land between the read
-        // point's load and the view's: no snapshot holds `old`, so the
-        // compaction drops it under `new`.
-        db.put(b"k", b"new").unwrap();
-        db.flush().unwrap();
-        db.compact_all().unwrap();
-        let view = core.current_view();
-        let seen = core.newest_live_in_view(&view, b"k", read_point, None);
-        assert_eq!(
-            seen.unwrap(),
-            None,
-            "the version the read point saw is gone"
-        );
-        assert!(core.read_view(read_point, true).is_none());
+        *db.core().between_loads.lock() = Some(Box::new(|db: &Db| {
+            let core = db.core();
+            let read_point = core.visible_seqno.load(Ordering::Acquire);
+            db.put(b"k", b"new").unwrap();
+            db.flush().unwrap();
+            db.compact_all().unwrap();
+            let seen = core.newest_live_in_view(&core.current_view(), b"k", read_point, None);
+            assert_eq!(
+                seen.unwrap(),
+                None,
+                "the version the read point saw is gone"
+            );
+        }));
         assert_eq!(db.get(b"k").unwrap().unwrap().as_ref(), b"new");
+        assert!(
+            db.core().between_loads.lock().is_none(),
+            "the get ran the hook"
+        );
     }
 
     #[test]

@@ -42,7 +42,7 @@ use crate::version::Version;
 /// could: a seal between the two loads would strand fresh writes in a
 /// memtable the stale view does not reference.) A fresh read point is
 /// no registered snapshot, so the view is read at it only while the
-/// visible seqno has not moved past it (see [`DbCore::read_view`]).
+/// visible seqno has not moved past it (see [`Db::lookup`]).
 pub(super) struct ReadView {
     pub(super) mem: Arc<Memtable>,
     /// Sealed memtables, newest first (the probe order for lookups).
@@ -178,8 +178,12 @@ impl Db {
 
     /// Lookup at a snapshot's read point, or — `None` — at a fresh one,
     /// whose seqno MUST be loaded before the view (the ordering rule on
-    /// `ReadView`), and is loaded again when [`DbCore::read_view`] finds
-    /// that it moved.
+    /// `ReadView`). No snapshot registers a fresh read point, so an
+    /// install published after its load may have compacted away a
+    /// version only it could see (one shadowed by a write committed
+    /// since). Such an install follows a commit past the read point, so
+    /// the view is read at it only while the visible seqno still names
+    /// it after the clone; otherwise a new one is loaded.
     ///
     /// No registered snapshot pins the pointers a fresh read point sees,
     /// so value-log GC may rewrite a value and delete the segment its
@@ -200,9 +204,14 @@ impl Db {
         loop {
             let cloning = Span::start(trace.as_deref());
             let snapshot = snap.unwrap_or_else(|| core.visible_seqno.load(Ordering::Acquire));
-            let Some(view) = core.read_view(snapshot, snap.is_none()) else {
+            #[cfg(test)]
+            if let Some(hook) = core.between_loads.lock().take() {
+                hook(self);
+            }
+            let view = core.current_view();
+            if snap.is_none() && core.visible_seqno.load(Ordering::Acquire) != snapshot {
                 continue;
-            };
+            }
             cloning.end(trace.as_deref_mut(), TraceStage::ViewClone);
             let Some(newest) =
                 core.newest_live_in_view(&view, key, snapshot, trace.as_deref_mut())?
@@ -521,20 +530,6 @@ impl DbCore {
     /// write-held for a pointer store).
     pub(super) fn current_view(&self) -> Arc<ReadView> {
         Arc::clone(&self.view.read())
-    }
-
-    /// The view to read at `seqno`: a snapshot's, or — `fresh` — one
-    /// loaded from the visible seqno before this call. No snapshot
-    /// registers a fresh read point, so an install published after its
-    /// load may have compacted away a version only it could see (one
-    /// shadowed by a write committed since). Such an install follows a
-    /// commit past `seqno`, so while the visible seqno still reads
-    /// `seqno` after the clone, the view holds every version `seqno`
-    /// needs; once it has moved there is no view (`None`), and the
-    /// caller loads a new read point.
-    pub(super) fn read_view(&self, seqno: SeqNo, fresh: bool) -> Option<Arc<ReadView>> {
-        let view = self.current_view();
-        (!fresh || self.visible_seqno.load(Ordering::Acquire) == seqno).then_some(view)
     }
 
     /// Build and swap in a fresh read view from `st`, and, when its
