@@ -329,6 +329,9 @@ impl DbCore {
         // The group's seqnos are consecutive (only the leader allocates),
         // so its first one is all phase 2 needs to re-derive the rest.
         let first_seqno = self.seq_alloc.load(Ordering::Relaxed) + 1;
+        // Every op's tick was stamped by now: the WAL marks the puts'
+        // dkeys that are ticks (see `acheron_wal::batch`).
+        let clock = self.opts.clock.now();
         let separation = self.opts.value_separation_threshold;
         // (segment, frame bytes) per value separated in this group,
         // folded into the live accounting once the WAL section ends.
@@ -383,7 +386,7 @@ impl DbCore {
                 // record from earlier in the group can never collide
                 // with a later retry's seqnos.
                 let base = self.alloc_seqnos(excl, ops.len() as u64)?;
-                wal.add_batch(base, ops)?;
+                wal.add_batch(base, ops, clock)?;
             }
             if let Some(w) = vlog.as_mut() {
                 self.vlog_next_segment

@@ -133,7 +133,7 @@ fn repair(
         RecoveryStepKind::ManifestLoaded,
         s.tables.len() as u64,
     )];
-    let clock_start = s.clock_start(&mem);
+    let clock_start = s.clock_start();
     let version = Version::empty(opts.max_levels)
         .apply(s.tables, &[], &s.range_tombstones, &[])
         .apply_key_ranges(&s.key_range_tombstones, &[]);
@@ -365,9 +365,9 @@ mod tests {
         db.verify_integrity().unwrap();
     }
 
-    /// A reopened engine's clock starts at its newest delete, not at a
-    /// put's secondary delete key: that key is an attribute of the row,
-    /// and a large one would age every recovered delete by it.
+    /// A put's secondary delete key set past the clock does not move a
+    /// reopened engine's clock: that key is an attribute of the row, and
+    /// a large one would age every recovered delete by it.
     #[test]
     fn a_put_dkey_does_not_move_the_recovered_clock() {
         let fs = Arc::new(MemFs::new());
@@ -382,6 +382,30 @@ mod tests {
         let audit = db.delete_audit();
         assert_eq!(audit.oldest_live_tombstone_tick, Some(tick));
         assert!(audit.ok(), "{}", audit.render());
+    }
+
+    /// The puts a WAL holds were stamped with the ticks they were
+    /// issued at, so a reopened clock starts no earlier than the last
+    /// of them, and a delete flushed before them keeps its age.
+    #[test]
+    fn a_reopened_clock_does_not_run_back_past_the_logged_puts() {
+        let fs = Arc::new(MemFs::new());
+        let open = || Db::open(fs.clone() as Arc<dyn Vfs>, "db", small()).unwrap();
+        let db = open();
+        let deleted = db.now();
+        db.delete(b"gone").unwrap();
+        db.flush().unwrap();
+        let mut last_put = deleted;
+        for i in 0..50 {
+            last_put = db.now();
+            db.put(format!("k{i}").as_bytes(), b"v").unwrap();
+        }
+        drop(db);
+        let db = open();
+        assert!(db.now() >= last_put, "{} < {last_put}", db.now());
+        let audit = db.delete_audit();
+        assert_eq!(audit.oldest_live_tombstone_tick, Some(deleted));
+        assert!(audit.now - deleted >= 50, "the delete's age is understated");
     }
 
     #[test]

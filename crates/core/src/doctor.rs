@@ -132,7 +132,7 @@ pub(crate) fn check_dir(fs: &dyn Vfs, dir: &str, d_th: Option<Tick>) -> Result<D
     let mut gauges = TombstoneGauges::from_version(&version);
     gauges.add_buffer(&mem.stats());
     report.audit = DeleteAudit {
-        now: surveyed.clock_start(&mem),
+        now: surveyed.clock_start(),
         d_th,
         cohorts: Vec::new(),
         oldest_live_tombstone_tick: gauges.oldest_live_tick(),

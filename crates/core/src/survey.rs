@@ -141,6 +141,8 @@ pub(crate) struct Survey {
     pub wals: Vec<WalSegment>,
     /// Highest seqno in the manifest or a replayed record.
     pub last_seqno: SeqNo,
+    /// The newest tick a WAL record keeps ([`WalBatch::tick`]).
+    wal_tick: Tick,
     /// Referenced value-log segments.
     pub vlog: BTreeMap<u64, VlogSegment>,
     /// GC-dropped segments a live table or replayed record still names;
@@ -155,20 +157,17 @@ pub(crate) struct Survey {
 
 impl Survey {
     /// The tick the clock of an engine opened over this image starts
-    /// at: the newest live table's `created_tick`, or the newest tick of
-    /// a live delete, those `mem` holds from the WAL replay included,
-    /// so that every recovered delete has a nonnegative age. A put's
-    /// secondary delete key is an attribute of the row, not a tick, and
-    /// does not count.
-    pub fn clock_start(&self, mem: &Memtable) -> Tick {
-        let point = mem.entries().filter(|e| e.is_tombstone()).map(|e| e.dkey);
-        let buffered = mem.range_tombstone_list();
-        let key_ranges = self.key_range_tombstones.iter().chain(&buffered);
+    /// at: the newest live table's `created_tick`, live sort-key range
+    /// delete's tick, or tick a WAL record keeps — its deletes' ticks
+    /// and the dkeys of its puts stamped no later than the clock they
+    /// were logged at ([`WalBatch::tick`]). So every recovered delete
+    /// has a nonnegative age, the clock does not run back past the
+    /// writes it logged, and a put's dkey set in the future does not
+    /// move it.
+    pub fn clock_start(&self) -> Tick {
         (self.tables.iter().map(|f| f.created_tick))
-            .chain(point)
-            .chain(key_ranges.map(|k| k.dkey))
-            .max()
-            .unwrap_or(0)
+            .chain(self.key_range_tombstones.iter().map(|k| k.dkey))
+            .fold(self.wal_tick, Tick::max)
     }
 }
 
@@ -353,7 +352,9 @@ pub(crate) fn survey(
                 ReadOutcome::Eof => break WalEnd::Clean,
                 ReadOutcome::Corrupt { offset, reason } => break WalEnd::Torn { offset, reason },
             };
-            let (entries, key_ranges) = WalBatch::decode(&rec)?.entries();
+            let batch = WalBatch::decode(&rec)?;
+            s.wal_tick = s.wal_tick.max(batch.tick);
+            let (entries, key_ranges) = batch.entries();
             // Every pointer of the record is checked before any of its
             // entries is replayed: one unreadable frame voids it whole.
             // A pointer into a GC-dropped segment is not a tear — the

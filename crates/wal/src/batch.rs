@@ -11,12 +11,21 @@
 //! sort-key range deletes the key is the start and the payload the end.
 //! Secondary range deletes are not logged here: they are manifest edits.
 //! Ops in a batch are stamped `base_seqno`, `base_seqno + 1`, … in order.
+//!
+//! A delete's dkey is its issue tick. A put's is whatever the caller
+//! chose, so a put's kind byte carries [`TICK_MARK`] when its dkey is a
+//! tick the engine's clock had reached when the batch was logged (the
+//! one `Db::put` stamps, say): a replay starts the clock no earlier than
+//! the newest of these ticks ([`WalBatch::tick`]), and a dkey the caller
+//! set in the future does not move it.
 
 use acheron_types::codec::{
     get_u64_le, put_length_prefixed, put_u64_le, put_varint32, put_varint64,
     require_length_prefixed, require_varint64,
 };
-use acheron_types::{Entry, Error, KeyRangeTombstone, Result, SeqNo, ValueKind, ValuePointer};
+use acheron_types::{
+    Entry, Error, KeyRangeTombstone, Result, SeqNo, Tick, ValueKind, ValuePointer,
+};
 use bytes::Bytes;
 
 /// One mutation inside a batch.
@@ -70,10 +79,14 @@ impl WalOp {
     }
 }
 
+/// Set in a put's kind byte when its dkey is no later than the clock the
+/// batch was logged at (see the module docs).
+pub const TICK_MARK: u8 = 0x80;
+
 /// Append the wire encoding of a batch of `ops` starting at `base_seqno`
-/// to `out` — [`WalBatch::encode`] for callers that borrow their ops and
-/// own a reusable buffer (the commit path).
-pub fn encode_ops(base_seqno: SeqNo, ops: &[WalOp], out: &mut Vec<u8>) {
+/// and logged at `clock` to `out` — [`WalBatch::encode`] for callers
+/// that borrow their ops and own a reusable buffer (the commit path).
+pub fn encode_ops(base_seqno: SeqNo, ops: &[WalOp], clock: Tick, out: &mut Vec<u8>) {
     put_u64_le(out, base_seqno);
     put_varint32(out, ops.len() as u32);
     for op in ops {
@@ -88,7 +101,8 @@ pub fn encode_ops(base_seqno: SeqNo, ops: &[WalOp], out: &mut Vec<u8>) {
             WalOp::Delete { key, tick } => (*tick, key, &[]),
             WalOp::RangeDeleteKeys { start, end, tick } => (*tick, start, end),
         };
-        out.push(op.kind() as u8);
+        let put = matches!(op, WalOp::Put { .. } | WalOp::PutPtr { .. });
+        out.push(op.kind() as u8 | if put && dkey <= clock { TICK_MARK } else { 0 });
         put_varint64(out, dkey);
         put_length_prefixed(out, key);
         put_length_prefixed(out, payload);
@@ -102,6 +116,11 @@ pub struct WalBatch {
     pub base_seqno: SeqNo,
     /// The operations, in application order.
     pub ops: Vec<WalOp>,
+    /// The clock the batch was logged at, as far as its record keeps it:
+    /// the newest of its deletes' ticks and of its puts' dkeys no later
+    /// than that clock (0 with neither). Encoding marks the puts whose
+    /// dkey is at most `tick`.
+    pub tick: Tick,
 }
 
 impl WalBatch {
@@ -110,13 +129,14 @@ impl WalBatch {
         WalBatch {
             base_seqno,
             ops: Vec::new(),
+            tick: 0,
         }
     }
 
     /// Encode to the wire format.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(16 + self.ops.len() * 32);
-        encode_ops(self.base_seqno, &self.ops, &mut out);
+        encode_ops(self.base_seqno, &self.ops, self.tick, &mut out);
         out
     }
 
@@ -126,13 +146,18 @@ impl WalBatch {
             get_u64_le(data).ok_or_else(|| Error::corruption("wal batch: truncated base seqno"))?;
         let (count, mut rest) = require_varint64(rest, "wal batch count")?;
         let mut ops = Vec::with_capacity(count.min(1024) as usize);
+        let mut tick = 0;
         for i in 0..count {
             let (&kind_byte, r) = rest
                 .split_first()
                 .ok_or_else(|| Error::corruption(format!("wal batch: truncated op {i}")))?;
             let unknown = || Error::corruption(format!("wal batch: unknown op kind {kind_byte}"));
-            let kind = ValueKind::from_u8(kind_byte).ok_or_else(unknown)?;
+            let kind = ValueKind::from_u8(kind_byte & !TICK_MARK).ok_or_else(unknown)?;
             let (dkey, r) = require_varint64(r, "wal op dkey")?;
+            let put = matches!(kind, ValueKind::Put | ValueKind::ValuePointer);
+            if !put || kind_byte & TICK_MARK != 0 {
+                tick = tick.max(dkey);
+            }
             let (key, r) = require_length_prefixed(r, "wal op key")?;
             let (payload, r) = require_length_prefixed(r, "wal op payload")?;
             rest = r;
@@ -183,7 +208,11 @@ impl WalBatch {
                 rest.len()
             )));
         }
-        Ok(WalBatch { base_seqno, ops })
+        Ok(WalBatch {
+            base_seqno,
+            ops,
+            tick,
+        })
     }
 
     /// Materialize the batch's point mutations as [`Entry`] values with
@@ -247,6 +276,7 @@ mod tests {
                     dkey: 9,
                 },
             ],
+            tick: 55,
         }
     }
 
@@ -350,6 +380,7 @@ mod tests {
                 key: Bytes::from_static(b"k"),
                 tick: 0,
             }],
+            tick: 0,
         };
         let mut data = b.encode();
         // kind byte is right after the 8-byte seqno + 1-byte count.
@@ -399,7 +430,41 @@ mod tests {
                 dkey: u64::from(i),
             });
         }
+        b.tick = 999;
         let decoded = WalBatch::decode(&b.encode()).unwrap();
         assert_eq!(decoded, b);
+    }
+
+    /// A put's dkey counts towards the batch's tick only when it is no
+    /// later than the clock the batch was logged at; a delete's always
+    /// does. The mark costs no byte.
+    #[test]
+    fn a_batch_keeps_the_newest_tick_its_clock_had_reached() {
+        let put = |dkey| WalOp::Put {
+            key: Bytes::from_static(b"k"),
+            value: Bytes::from_static(b"v"),
+            dkey,
+        };
+        let delete = |tick| WalOp::Delete {
+            key: Bytes::from_static(b"d"),
+            tick,
+        };
+        for (ops, clock, tick) in [
+            (vec![put(30), delete(20)], 40, 30),
+            (vec![put(1_700_000_000_000), delete(20)], 40, 20),
+            (vec![put(1_700_000_000_000)], 40, 0),
+            (vec![put(40)], 40, 40),
+        ] {
+            let batch = WalBatch {
+                base_seqno: 1,
+                ops,
+                tick: clock,
+            };
+            let mut unmarked = Vec::new();
+            encode_ops(1, &batch.ops, 0, &mut unmarked);
+            assert_eq!(batch.encode().len(), unmarked.len());
+            let decoded = WalBatch::decode(&batch.encode()).unwrap();
+            assert_eq!((decoded.ops, decoded.tick), (batch.ops, tick));
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Log writer: fragments records across 32 KiB blocks.
 
 use acheron_types::checksum;
-use acheron_types::{Result, SeqNo};
+use acheron_types::{Result, SeqNo, Tick};
 use acheron_vfs::WritableFile;
 
 use crate::batch::{encode_ops, WalOp};
@@ -29,12 +29,12 @@ impl LogWriter {
     }
 
     /// Append one record holding the batch of `ops` stamped from
-    /// `base_seqno` — `add_record(&WalBatch { .. }.encode())` without the
-    /// batch or the per-commit buffer.
-    pub fn add_batch(&mut self, base_seqno: SeqNo, ops: &[WalOp]) -> Result<()> {
+    /// `base_seqno` and logged at `clock` — `add_record(&WalBatch { ..
+    /// }.encode())` without the batch or the per-commit buffer.
+    pub fn add_batch(&mut self, base_seqno: SeqNo, ops: &[WalOp], clock: Tick) -> Result<()> {
         let mut record = std::mem::take(&mut self.scratch);
         record.clear();
-        encode_ops(base_seqno, ops, &mut record);
+        encode_ops(base_seqno, ops, clock, &mut record);
         let res = self.add_record(&record);
         self.scratch = record;
         res
@@ -159,13 +159,15 @@ mod tests {
                     tick: 9,
                 },
             ],
+            tick: 9,
         };
         let fs = MemFs::new();
         let mut a = LogWriter::new(fs.create("a").unwrap());
         let mut b = LogWriter::new(fs.create("b").unwrap());
         for _ in 0..3 {
             a.add_record(&batch.encode()).unwrap();
-            b.add_batch(batch.base_seqno, &batch.ops).unwrap();
+            b.add_batch(batch.base_seqno, &batch.ops, batch.tick)
+                .unwrap();
         }
         assert_eq!(fs.read_all("a").unwrap(), fs.read_all("b").unwrap());
     }
