@@ -280,7 +280,7 @@ struct DbCore {
     /// point's load and its view's clone, so a test can land writes
     /// there.
     #[cfg(test)]
-    between_loads: Mutex<Option<Box<dyn FnOnce(&Db) + Send>>>,
+    between_loads: Mutex<Option<tests::LookupHook>>,
 }
 
 struct DbInner {
@@ -1019,6 +1019,9 @@ mod tests {
     pub(super) fn small() -> DbOptions {
         DbOptions::small()
     }
+
+    /// What a test lands inside a lookup (see `DbCore::between_loads`).
+    pub(super) type LookupHook = Box<dyn FnOnce(&Db) + Send>;
 
     #[test]
     fn put_get_delete_round_trip() {
