@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! $ acheron-doctor /path/to/db --d-th 20000
-//! checked 12 tables (48201 entries, 301 tombstones, 0 key-range tombstones, 0 range tombstones), 1 WAL segments (17 records)
+//! checked 12 tables (48201 entries), 1 WAL segments (17 records); live: 301 tombstones, 0 key-range tombstones, 0 range tombstones
 //! level 1: 3 files, 204 tombstones (oldest age 812 ticks), 0 key-range tombstones
 //! warnings: none
 //! worst unresolved delete age: 812 ticks (point + key-range) — within D_th 20000
@@ -69,15 +69,15 @@ fn main() {
 
 fn print_report(report: &DoctorReport) {
     println!(
-        "checked {} tables ({} entries, {} tombstones, {} key-range tombstones, \
-         {} range tombstones), {} WAL segments ({} records)",
+        "checked {} tables ({} entries), {} WAL segments ({} records); \
+         live: {} tombstones, {} key-range tombstones, {} range tombstones",
         report.tables_checked,
         report.entries,
+        report.wals_checked,
+        report.wal_records,
         report.tombstones,
         report.key_range_tombstones,
-        report.range_tombstones,
-        report.wals_checked,
-        report.wal_records
+        report.range_tombstones
     );
     let age = |t0: Option<u64>| t0.map_or(0, |t0| report.audit.now.saturating_sub(t0));
     for l in &report.levels {

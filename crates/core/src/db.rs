@@ -93,10 +93,9 @@ struct ImmMemtable {
     /// The WAL segment holding exactly this memtable's records; it can
     /// be retired once the memtable's flush is installed.
     wal_number: u64,
-    /// Highest sequence number in the memtable (it is non-empty).
+    /// Highest sequence number in the memtable (it is non-empty): what
+    /// the ledger keys its cohort by.
     max_seqno: SeqNo,
-    /// The memtable's generation: its cohort's epoch in the ledger.
-    epoch: u64,
 }
 
 /// Per-segment byte accounting for the value log.
@@ -165,8 +164,8 @@ struct State {
     version: Arc<Version>,
     persisted_seqno: SeqNo,
     manifest: ManifestWriter,
-    /// The delete obligations of `version` and when each is due, built
-    /// with every view publish.
+    /// The delete obligations of `version` and when each is due, rebuilt
+    /// by each install that changes its file set.
     due: DueIndex,
     /// Value-log live/dead accounting per segment.
     vlog: VlogState,
@@ -216,8 +215,8 @@ struct DbCore {
     /// then reported once by the fleet router, not per shard.
     cache_is_shared: bool,
     /// This engine's last-reported pinned-bytes contribution (filters +
-    /// tile metadata of its open tables) to the memory budget. The view
-    /// publish path reports deltas against it.
+    /// tile metadata of its open tables) to the memory budget.
+    /// [`DbCore::index_version_locked`] reports deltas against it.
     pinned_contrib: AtomicUsize,
     snapshots: Mutex<BTreeMap<SeqNo, usize>>,
     state: RwLock<State>,
@@ -1227,6 +1226,28 @@ mod tests {
                 "key{i:03} after compact"
             );
         }
+    }
+
+    /// A secondary range delete keeps the file set, so it leaves the
+    /// deadline index as it was: the same entries, in the same
+    /// allocation, not a rebuild of them.
+    #[test]
+    fn a_secondary_range_delete_leaves_the_deadline_index_alone() {
+        let (_fs, db) = open_mem(small().with_fade(1_000));
+        for i in 0..50u32 {
+            db.put(format!("key{i:03}").as_bytes(), b"v").unwrap();
+        }
+        db.delete(b"key007").unwrap();
+        db.flush().unwrap();
+        let due = |db: &Db| {
+            let st = db.core().state.read();
+            (st.due.entries.as_ptr(), st.due.entries.len())
+        };
+        let before = due(&db);
+        assert!(before.1 > 0, "the flushed delete is indexed");
+        let now = db.now();
+        db.range_delete_secondary(now.saturating_sub(20), now).unwrap();
+        assert_eq!(due(&db), before);
     }
 
     #[test]

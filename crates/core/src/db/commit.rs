@@ -242,7 +242,7 @@ impl Db {
         if core.opts.auto_advance_clock {
             core.opts.clock_advance(1);
         }
-        core.publish_view_locked(&mut st);
+        core.publish_view_locked(&st);
         Ok(())
     }
 }

@@ -16,7 +16,7 @@ use crate::compaction::{create_table, finish_table, run_compaction, CompactionOu
 use crate::fade::Station;
 use crate::filenames::{sst_path, vlog_path, wal_path};
 use crate::manifest::{EditBatch, VersionEdit};
-use crate::obs::trace::{CohortStage, DeleteLedger};
+use crate::obs::trace::DeleteLedger;
 use crate::obs::Event;
 use crate::picker::{CompactionClaim, CompactionReason, CompactionTask};
 use crate::version::{Applied, FileMeta, Retired, Version};
@@ -72,18 +72,6 @@ const PRESSURE: Scope = Kind::Flush..=Kind::Compact;
 pub(super) const VLOG_GC: Scope = Kind::VlogGc..=Kind::VlogGc;
 pub(super) const ALL: Scope = Kind::SealExpired..=Kind::VlogGc;
 
-/// A stage of the delete lifecycle, as [`DbCore::advance_ledger`] is
-/// told of it.
-pub(super) enum Stage<'a> {
-    /// The flush of this sealed memtable installed, retiring these
-    /// range tombstones.
-    Flushed(&'a ImmMemtable, &'a Retired),
-    /// This compaction installed, retiring these range tombstones.
-    Compacted(&'a CompactionTask, &'a CompactionOutcome, &'a Retired),
-    /// This value-log segment's file was deleted.
-    VlogReclaimed(u64),
-}
-
 impl DbCore {
     /// Retire from `next`, the version an install is about to publish,
     /// every range tombstone the install left erasing nothing (see
@@ -109,67 +97,28 @@ impl DbCore {
         (next, retired)
     }
 
-    /// Record that sealed deletes reached `stage` at `now`: past the
-    /// seal (which [`DbCore::seal_memtable_locked`] records), the one
-    /// call that feeds the delete ledger, logs its `CohortAdvanced`
-    /// events and accounts every resolved delete against `D_th`. A
-    /// purged point tombstone and a retired sort-key range tombstone
-    /// each count as a purge; a superseded tombstone only leaves its
-    /// cohort.
-    pub(super) fn advance_ledger(&self, ledger: &mut DeleteLedger, stage: Stage<'_>, now: Tick) {
-        let log = |epoch, stage, level: usize, tombstones: usize| {
-            self.obs.log(Event::CohortAdvanced {
-                epoch,
-                stage,
-                level: level as u64,
-                tombstones: tombstones as u64,
-                tick: now,
-            })
-        };
-        let (level, purged, superseded, retired) = match stage {
-            Stage::VlogReclaimed(segment) => {
-                for epoch in ledger.vlog_reclaimed(segment, now) {
-                    log(epoch, CohortStage::VlogReclaimed, 0, 0);
-                }
-                return;
-            }
-            Stage::Flushed(ImmMemtable { mem, epoch, .. }, retired) => {
-                if ledger.flushed(*epoch, now) {
-                    log(*epoch, CohortStage::Flushed, 0, mem.stats().tombstones);
-                }
-                (0, &[][..], &[][..], retired)
-            }
-            Stage::Compacted(task, outcome, retired) => {
-                let windows: Vec<(SeqNo, SeqNo)> = (task.all_inputs())
-                    .map(|f| (f.stats.min_seqno, f.stats.max_seqno))
-                    .collect();
-                for epoch in ledger.entered_level(&windows, task.output_level as u64, now) {
-                    log(epoch, CohortStage::EnteredLevel, task.output_level, 0);
-                }
-                for extent in &outcome.vlog_dead {
-                    if let Some((seqno, _)) = extent.delete {
-                        ledger.vlog_dead(extent.segment, seqno);
-                    }
-                }
-                let (purged, superseded) =
-                    (&outcome.tombstones_dropped, &outcome.tombstones_superseded);
-                (task.output_level, &purged[..], &superseded[..], retired)
-            }
-        };
+    /// Account the deletes an install resolved at `now`: a purged point
+    /// tombstone and a retired sort-key range tombstone each count as a
+    /// purge against `D_th` and leave their cohort; a superseded
+    /// tombstone only leaves its cohort.
+    fn resolve_deletes(
+        &self,
+        ledger: &mut DeleteLedger,
+        purged: &[(Tick, SeqNo)],
+        superseded: &[SeqNo],
+        retired: &Retired,
+        now: Tick,
+    ) {
         let d_th = self.opts.d_th();
         (self.stats.key_range_tombstones_purged)
             .fetch_add(retired.key_ranges.len() as u64, Ordering::Relaxed);
         let key_ranges = retired.key_ranges.iter().map(|k| (k.dkey, k.seqno));
-        for (delete_tick, _) in purged.iter().copied().chain(key_ranges.clone()) {
+        for (delete_tick, seqno) in purged.iter().copied().chain(key_ranges) {
             self.stats.record_tombstone_purge(delete_tick, now, d_th);
+            ledger.tombstone_resolved(seqno, now);
         }
-        let seqnos = (purged.iter().map(|p| p.1))
-            .chain(superseded.iter().copied())
-            .chain(key_ranges.map(|k| k.1));
-        for seqno in seqnos {
-            if let Some(epoch) = ledger.tombstone_resolved(seqno, now) {
-                log(epoch, CohortStage::Purged, level, 0);
-            }
+        for &seqno in superseded {
+            ledger.tombstone_resolved(seqno, now);
         }
     }
 
@@ -202,14 +151,11 @@ impl DbCore {
         let sealed = std::mem::replace(&mut st.mem, Arc::new(Memtable::new()));
         *self.wal.lock() = new_wal;
         st.live_wals.push(new_wal_number);
-        let now = self.opts.clock.now();
-        let (epoch, cohort) = st.ledger.seal(&sealed, now);
-        let tombstones = sealed.stats().tombstones as u64;
+        st.ledger.seal(&sealed, self.opts.clock.now());
         st.imms.push_back(ImmMemtable {
             mem: sealed,
             wal_number: sealed_wal,
             max_seqno,
-            epoch,
         });
         self.stats
             .imm_queue_peak
@@ -219,15 +165,6 @@ impl DbCore {
             bytes: sealed_bytes,
             sealed_behind: st.imms.len() as u64,
         });
-        if cohort {
-            self.obs.log(Event::CohortAdvanced {
-                epoch,
-                stage: CohortStage::Sealed,
-                level: 0,
-                tombstones,
-                tick: now,
-            });
-        }
         // Readers (and the write throttle's gauges) must see the sealed
         // queue grow promptly.
         self.publish_view_locked(st);
@@ -328,8 +265,10 @@ impl DbCore {
             .as_ref()
             .map(|f| (f.id, f.size_bytes, f.stats.entry_count));
         st.version = Arc::new(next);
-        let stage = Stage::Flushed(&imm, &retired);
-        self.advance_ledger(&mut st.ledger, stage, self.opts.clock.now());
+        self.index_version_locked(st);
+        let now = self.opts.clock.now();
+        st.ledger.flushed(imm.max_seqno, now);
+        self.resolve_deletes(&mut st.ledger, &[], &[], &retired, now);
         st.persisted_seqno = st.persisted_seqno.max(imm.max_seqno);
         self.stats.flushes.fetch_add(1, Ordering::Relaxed);
         let (file_id, bytes, entries) = flushed.unwrap_or((0, 0, 0));
@@ -442,7 +381,7 @@ impl DbCore {
         st: &mut State,
         start: &Version,
         task: &CompactionTask,
-        mut outcome: CompactionOutcome,
+        outcome: CompactionOutcome,
         now: Tick,
         newest_snapshot: Option<SeqNo>,
         micros: u64,
@@ -500,6 +439,7 @@ impl DbCore {
             }
         }
         st.version = Arc::new(new_version);
+        self.index_version_locked(st);
 
         // Statistics.
         use std::sync::atomic::Ordering::Relaxed;
@@ -531,12 +471,20 @@ impl DbCore {
         // GC deadline rule ages. Only frames of segments that still
         // exist are left for the ledger to wait on: GC already deleted
         // the others.
-        (outcome.vlog_dead).retain(|e| {
+        for e in &outcome.vlog_dead {
             let stamp = e.delete.map_or(now, |(_, tick)| tick);
-            st.vlog.mark_dead(e.segment, e.bytes, stamp)
-        });
-        let stage = Stage::Compacted(task, &outcome, &retired);
-        self.advance_ledger(&mut st.ledger, stage, now);
+            if st.vlog.mark_dead(e.segment, e.bytes, stamp) {
+                if let Some((seqno, _)) = e.delete {
+                    st.ledger.vlog_dead(e.segment, seqno);
+                }
+            }
+        }
+        let windows: Vec<(SeqNo, SeqNo)> = (task.all_inputs())
+            .map(|f| (f.stats.min_seqno, f.stats.max_seqno))
+            .collect();
+        (st.ledger).entered_level(&windows, task.output_level as u64, now);
+        let (purged, superseded) = (&outcome.tombstones_dropped, &outcome.tombstones_superseded);
+        self.resolve_deletes(&mut st.ledger, purged, superseded, &retired, now);
         self.obs.log(Event::CompactionEnd {
             level: task.level as u64,
             output_level: task.output_level as u64,
@@ -705,8 +653,7 @@ impl DbCore {
             // are now physically gone), in one section.
             let st = &mut *self.state.write();
             st.vlog.segments.remove(&segment);
-            let stage = Stage::VlogReclaimed(segment);
-            self.advance_ledger(&mut st.ledger, stage, self.opts.clock.now());
+            st.ledger.vlog_reclaimed(segment, self.opts.clock.now());
             reclaimed = data.len() as u64;
             self.stats
                 .vlog_segments_deleted

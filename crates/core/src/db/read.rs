@@ -532,18 +532,13 @@ impl DbCore {
         Arc::clone(&self.view.read())
     }
 
-    /// Build and swap in a fresh read view from `st`, and, when its
-    /// version is not the one the current view holds, index that
-    /// version (see [`DbCore::index_version_locked`]). Called (with the
+    /// Build and swap in a fresh read view from `st`. Called (with the
     /// state write lock held) by every *structural* mutation — memtable
-    /// seal, flush install, compaction install, range delete; a seal
-    /// keeps the version. Plain commits do not republish: they insert
-    /// into the `mem` the current view already shares and advance
-    /// `visible_seqno` (see the ordering rule on [`ReadView`]).
-    pub(super) fn publish_view_locked(&self, st: &mut State) {
-        if !Arc::ptr_eq(&self.view.read().version, &st.version) {
-            self.index_version_locked(st);
-        }
+    /// seal, flush install, compaction install, range delete. Plain
+    /// commits do not republish: they insert into the `mem` the current
+    /// view already shares and advance `visible_seqno` (see the ordering
+    /// rule on [`ReadView`]).
+    pub(super) fn publish_view_locked(&self, st: &State) {
         let view = Arc::new(ReadView {
             mem: Arc::clone(&st.mem),
             imms: st.imms.iter().rev().map(|i| Arc::clone(&i.mem)).collect(),
@@ -554,9 +549,11 @@ impl DbCore {
     }
 
     /// Rebuild `st`'s deadline index from its version and re-price the
-    /// version's pinned bytes: what a new version changes. The open
-    /// calls it for the version it recovered, which its first view
-    /// already holds.
+    /// version's pinned bytes: what a new file set changes. The flush
+    /// and compaction installs call it for the version they install,
+    /// and the open for the version it recovered. A secondary range
+    /// delete does not: its version keeps the file set, and neither
+    /// reads secondary tombstones.
     pub(super) fn index_version_locked(&self, st: &mut State) {
         if let Some(ttl) = self.picker.ttl_schedule() {
             st.due = ttl.index(&st.version);

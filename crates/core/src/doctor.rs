@@ -50,9 +50,11 @@ pub struct DoctorReport {
     pub tables_checked: usize,
     /// Total entries across live tables.
     pub entries: u64,
-    /// Total point tombstones across live tables.
+    /// Live point tombstones: those in live tables and those the WAL
+    /// replays, counted as the engine's gauges count them.
     pub tombstones: u64,
-    /// Live sort-key range tombstones.
+    /// Live sort-key range tombstones: the manifest's and those the WAL
+    /// replays.
     pub key_range_tombstones: u64,
     /// Live secondary range tombstones.
     pub range_tombstones: usize,
@@ -116,7 +118,6 @@ pub(crate) fn check_dir(fs: &dyn Vfs, dir: &str, d_th: Option<Tick>) -> Result<D
         verify_table(&f.table, f.id)?;
         report.tables_checked += 1;
         report.entries += f.stats.entry_count;
-        report.tombstones += f.stats.tombstone_count;
     }
 
     // Runs have disjoint key ranges: the recovered layout's own
@@ -127,10 +128,11 @@ pub(crate) fn check_dir(fs: &dyn Vfs, dir: &str, d_th: Option<Tick>) -> Result<D
     version
         .check_invariants()
         .map_err(|e| Error::corruption(format!("recovered layout: {e}")))?;
-    report.key_range_tombstones = version.key_range_tombstones.len() as u64;
 
     let mut gauges = TombstoneGauges::from_version(&version);
     gauges.add_buffer(&mem.stats());
+    report.tombstones = gauges.live_tombstones();
+    report.key_range_tombstones = gauges.live_key_range_tombstones();
     report.audit = DeleteAudit {
         now: surveyed.clock_start(),
         d_th,
@@ -350,7 +352,9 @@ mod tests {
         db.advance_clock(10);
         drop(db);
 
-        let offline = check_dir(fs.as_ref(), "db", Some(5)).unwrap().audit;
+        let report = check_dir(fs.as_ref(), "db", Some(5)).unwrap();
+        assert_eq!(report.tombstones, 1, "the WAL's delete is live");
+        let offline = report.audit;
         assert_eq!(offline.oldest_live_tombstone_tick, Some(tick));
         let online = open().delete_audit();
         assert_eq!((offline.now, online.now), (tick, tick));

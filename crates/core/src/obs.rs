@@ -47,7 +47,7 @@ use crate::version::Version;
 
 pub mod trace;
 
-use trace::{CohortStage, TraceOp, TraceStage};
+use trace::{TraceOp, TraceStage};
 
 /// A value an [`Event`] field holds: plain numbers, flags, and the
 /// coded enums. `shown` is its form in `key=value` event text.
@@ -341,20 +341,6 @@ events! {
             stage: TraceStage,
             /// Stage value: wall micros for `_micros` stages, else a count.
             value: u64,
-        },
-        /// A tombstone cohort advanced a delete-lifecycle stage (see
-        /// [`trace::DeleteLedger`]).
-        CohortAdvanced => "cohort_advanced" {
-            /// The cohort's flush epoch (shard-local).
-            epoch: u64,
-            /// Which lifecycle stage.
-            stage: CohortStage,
-            /// Output level for `entered_level` advances, else 0.
-            level: u64,
-            /// Member deletes in the cohort.
-            tombstones: u64,
-            /// Clock tick of the advance.
-            tick: Tick,
         },
     }
 }
@@ -981,19 +967,15 @@ mod tests {
                 stage: TraceStage::ImmProbes,
                 value: 11,
             },
-            Event::CohortAdvanced {
-                epoch: 4,
-                stage: CohortStage::EnteredLevel,
-                level: 9,
-                tombstones: 11,
-                tick: 3,
-            },
         ]
     }
 
     /// Golden pin (len + CRC32C) of the `events` text over every
     /// variant, recorded before the event and code tables existed; see
-    /// `tests/golden.rs` for the method.
+    /// `tests/golden.rs` for the method. Re-recorded (from
+    /// `(1032, 0xd450_f2ce)`) when `cohort_advanced` left the ring: the
+    /// text lost exactly that variant's line, and its header counts 14
+    /// events, not 15.
     #[test]
     fn golden_event_text() {
         use acheron_types::checksum::crc32c;
@@ -1004,7 +986,7 @@ mod tests {
         let text = render_events(&log.snapshot());
         assert_eq!(
             (text.len(), crc32c(text.as_bytes())),
-            (1032, 0xd450_f2ce),
+            (948, 0x5b5a_59bc),
             "{text}"
         );
     }
@@ -1027,7 +1009,6 @@ mod tests {
     fn coded_enums_have_dense_codes_and_distinct_names() {
         codes_dense_and_names_distinct(TraceOp::ALL, TraceOp::code, TraceOp::name);
         codes_dense_and_names_distinct(TraceStage::ALL, TraceStage::code, TraceStage::name);
-        codes_dense_and_names_distinct(CohortStage::ALL, CohortStage::code, CohortStage::name);
         codes_dense_and_names_distinct(
             RecoveryStepKind::ALL,
             RecoveryStepKind::code,

@@ -14,29 +14,32 @@
 //!   events and retained as whole [`OpTrace`]s for the `traces` wire
 //!   command.
 //! * **The delete-lifecycle ledger** records tombstone *cohorts* —
-//!   all deletes committed into one memtable generation, keyed by
-//!   (shard, flush epoch) — and stamps each stage of their journey:
-//!   sealed → flushed → entered level *i* → purged → vlog extent
-//!   reclaimed. Cohorts, not per-tombstone records, keep the ledger
-//!   O(memtable generations) instead of O(deletes): FADE's bound is
-//!   per-tombstone, but every tombstone in a generation shares the
-//!   flush epoch and level schedule, so the cohort's *first* delete
-//!   tick bounds every member's slack conservatively. A cohort owns
-//!   the deletes whose seqnos its generation spans, so a resolved
-//!   tombstone and a dead value-log extent (charged by the compaction
-//!   to the delete that killed it) both find their cohort by seqno.
-//!   The ledger lives in the engine's state beside the value-log
-//!   accounting and changes only under the state write lock. It keeps
-//!   no copy of the write buffers: a commit does not touch it, the open
-//!   cohort is read from the active memtable when a snapshot is taken
-//!   (so deletes replayed from the WAL count as committed ones do), a
-//!   seal builds the cohort from the sealed memtable's statistics, and
-//!   a flush names its generation by the epoch the sealed memtable
-//!   carries. The engine feeds it through one call
-//!   (`DbCore::advance_ledger`), made by each site a stage completes
-//!   at — seal, flush install, compaction install, value-log reclaim —
-//!   which also logs the stage's `CohortAdvanced` events and accounts
-//!   each resolved delete against `D_th`.
+//!   all deletes committed into one memtable generation, numbered by a
+//!   per-shard flush epoch and keyed by the generation's largest seqno
+//!   — and stamps each stage of their journey: sealed → flushed →
+//!   entered level *i* → purged → vlog extent reclaimed. Cohorts, not
+//!   per-tombstone records, keep the ledger O(memtable generations)
+//!   instead of O(deletes): FADE's bound is per-tombstone, but every
+//!   tombstone in a generation shares the flush epoch and level
+//!   schedule, so the cohort's *first* delete tick bounds every
+//!   member's slack conservatively. A cohort owns the deletes whose
+//!   seqnos its generation spans, so a resolved tombstone and a dead
+//!   value-log extent (charged by the compaction to the delete that
+//!   killed it) both find their cohort by seqno. The ledger lives in
+//!   the engine's state beside the value-log accounting and changes
+//!   only under the state write lock. It keeps no copy of the write
+//!   buffers: a commit does not touch it, the open cohort is read from
+//!   the active memtable when a snapshot is taken (so deletes replayed
+//!   from the WAL count as committed ones do), a seal builds the cohort
+//!   from the sealed memtable's statistics, and a flush names its
+//!   generation by the largest seqno the sealed memtable carries. The
+//!   engine stamps it directly where a stage completes — seal, flush
+//!   install, compaction install, value-log reclaim — and accounts each
+//!   resolved delete against `D_th` in the same section. It is the only
+//!   record of a cohort's stages: the event ring logs the seals,
+//!   flushes, compactions and GC passes that move cohorts, and it
+//!   overwrites its oldest events, so it cannot be what an audit
+//!   judges.
 //!
 //! [`DeleteAudit`] folds the ledger and the live gauges into the
 //! compliance report served by `acheron audit`: per-cohort slack
@@ -115,24 +118,6 @@ coded_enum! {
         VlogDeref = 15 => "vlog_deref_micros",
         /// Whole-operation wall time.
         Total = 16 => "total_micros",
-    }
-}
-
-coded_enum! {
-    /// A lifecycle milestone carried by
-    /// [`Event::CohortAdvanced`](crate::obs::Event::CohortAdvanced).
-    pub enum CohortStage {
-        /// The cohort's memtable generation was sealed.
-        Sealed = 0 => "sealed",
-        /// The generation reached an L0 table.
-        Flushed = 1 => "flushed",
-        /// A compaction moved cohort members into a deeper level.
-        EnteredLevel = 2 => "entered_level",
-        /// Every member tombstone has been purged or superseded.
-        Purged = 3 => "purged",
-        /// The last dead vlog extent attributed to the cohort was
-        /// reclaimed.
-        VlogReclaimed = 4 => "vlog_reclaimed",
     }
 }
 
@@ -428,11 +413,10 @@ pub struct DeleteLedger {
     shard: usize,
     /// The epoch the active generation seals as.
     next_epoch: u64,
-    cohorts: BTreeMap<u64, CohortRecord>,
-    /// `max_seqno` → epoch of every cohort in `cohorts`. Generations
-    /// partition the seqno space in epoch order, so the cohort holding
-    /// a seqno is the first one whose `max_seqno` reaches it.
-    by_max_seqno: BTreeMap<SeqNo, u64>,
+    /// Every tracked cohort by its `max_seqno`. Generations partition
+    /// the seqno space in epoch order, so the cohort holding a seqno is
+    /// the first one whose `max_seqno` reaches it.
+    cohorts: BTreeMap<SeqNo, CohortRecord>,
 }
 
 impl DeleteLedger {
@@ -442,7 +426,6 @@ impl DeleteLedger {
             shard,
             next_epoch: 0,
             cohorts: BTreeMap::new(),
-            by_max_seqno: BTreeMap::new(),
         }
     }
 
@@ -468,73 +451,52 @@ impl DeleteLedger {
         })
     }
 
-    /// The open generation was sealed holding `mem`. Returns its epoch,
-    /// and whether it carried deletes, and so became a cohort.
-    pub fn seal(&mut self, mem: &Memtable, now: Tick) -> (u64, bool) {
+    /// The open generation was sealed holding `mem`. It takes the next
+    /// epoch, and becomes a cohort if it carried deletes.
+    pub fn seal(&mut self, mem: &Memtable, now: Tick) {
         let epoch = self.next_epoch;
         self.next_epoch += 1;
-        let Some(open) = self.buffered(epoch, mem) else {
-            return (epoch, false);
-        };
-        self.by_max_seqno.insert(open.max_seqno, epoch);
-        let sealed = CohortRecord {
-            sealed_tick: Some(now),
-            ..open
-        };
-        self.cohorts.insert(epoch, sealed);
-        self.evict_resolved();
-        (epoch, true)
+        if let Some(open) = self.buffered(epoch, mem) {
+            let sealed = CohortRecord {
+                sealed_tick: Some(now),
+                ..open
+            };
+            self.cohorts.insert(sealed.max_seqno, sealed);
+            self.evict_resolved();
+        }
     }
 
-    /// Generation `epoch` finished flushing. Returns whether it is a
-    /// tracked cohort.
-    pub fn flushed(&mut self, epoch: u64, now: Tick) -> bool {
-        let Some(c) = self.cohorts.get_mut(&epoch) else {
-            return false;
-        };
-        c.flushed_tick = Some(now);
-        true
+    /// The generation whose largest seqno is `max_seqno` finished
+    /// flushing (nothing changes if it is untracked).
+    pub fn flushed(&mut self, max_seqno: SeqNo, now: Tick) {
+        if let Some(c) = self.cohorts.get_mut(&max_seqno) {
+            c.flushed_tick = Some(now);
+        }
     }
 
     /// A compaction moved entries from files spanning the given seqno
     /// windows into `output_level`. Stamps every cohort whose seqno
     /// range intersects an input window and whose deepest level is
-    /// shallower than the output; returns the epochs that deepened.
-    pub fn entered_level(
-        &mut self,
-        input_windows: &[(SeqNo, SeqNo)],
-        output_level: u64,
-        now: Tick,
-    ) -> Vec<u64> {
-        let mut deepened = Vec::new();
+    /// shallower than the output.
+    pub fn entered_level(&mut self, input_windows: &[(SeqNo, SeqNo)], output_level: u64, now: Tick) {
         for c in self.cohorts.values_mut() {
             let touched = input_windows
                 .iter()
                 .any(|&(lo, hi)| lo <= c.max_seqno && c.min_seqno <= hi);
-            if !touched {
-                continue;
-            }
-            match c.deepest_level {
-                Some((level, _)) if level >= output_level => {}
-                _ => {
-                    c.deepest_level = Some((output_level, now));
-                    deepened.push(c.epoch);
-                }
+            if touched && c.deepest_level.is_none_or(|(level, _)| level < output_level) {
+                c.deepest_level = Some((output_level, now));
             }
         }
-        deepened
     }
 
     /// One member tombstone (seqno `seqno`) was purged or superseded.
-    /// Returns the epoch of a cohort that just fully purged.
-    pub fn tombstone_resolved(&mut self, seqno: SeqNo, now: Tick) -> Option<u64> {
-        let c = self.cohort_of(seqno)?;
-        c.resolved += 1;
-        if c.resolved >= c.total_deletes() && c.purged_tick.is_none() {
-            c.purged_tick = Some(now);
-            return Some(c.epoch);
+    pub fn tombstone_resolved(&mut self, seqno: SeqNo, now: Tick) {
+        if let Some(c) = self.cohort_of(seqno) {
+            c.resolved += 1;
+            if c.resolved >= c.total_deletes() {
+                c.purged_tick.get_or_insert(now);
+            }
         }
-        None
     }
 
     /// A vlog extent killed by the delete with seqno `seqno` went dead
@@ -548,24 +510,18 @@ impl DeleteLedger {
 
     /// The cohort whose seqno window holds `seqno`, if it is tracked.
     fn cohort_of(&mut self, seqno: SeqNo) -> Option<&mut CohortRecord> {
-        let (_, epoch) = self.by_max_seqno.range(seqno..).next()?;
-        self.cohorts.get_mut(epoch).filter(|c| c.min_seqno <= seqno)
+        let (_, c) = self.cohorts.range_mut(seqno..).next()?;
+        Some(c).filter(|c| c.min_seqno <= seqno)
     }
 
     /// `segment`'s file was deleted: every cohort waiting on it is
-    /// released. Returns epochs that just fully resolved their vlog
-    /// obligations.
-    pub fn vlog_reclaimed(&mut self, segment: u64, now: Tick) -> Vec<u64> {
-        let mut done = Vec::new();
+    /// released.
+    pub fn vlog_reclaimed(&mut self, segment: u64, now: Tick) {
         for c in self.cohorts.values_mut() {
             if c.vlog_pending.remove(&segment) {
                 c.vlog_reclaimed_tick = Some(c.vlog_reclaimed_tick.map_or(now, |t| t.max(now)));
-                if c.vlog_pending.is_empty() {
-                    done.push(c.epoch);
-                }
             }
         }
-        done
     }
 
     /// Every cohort, sealed epochs first, plus the open generation,
@@ -578,15 +534,10 @@ impl DeleteLedger {
 
     fn evict_resolved(&mut self) {
         while self.cohorts.len() > COHORT_RETENTION {
-            let victim = self
-                .cohorts
-                .iter()
-                .find(|(_, c)| c.is_resolved())
-                .map(|(&e, c)| (e, c.max_seqno));
-            match victim {
-                Some((e, max_seqno)) => {
-                    self.cohorts.remove(&e);
-                    self.by_max_seqno.remove(&max_seqno);
+            let victim = self.cohorts.iter().find(|(_, c)| c.is_resolved());
+            match victim.map(|(&max_seqno, _)| max_seqno) {
+                Some(max_seqno) => {
+                    self.cohorts.remove(&max_seqno);
                 }
                 // Nothing resolved to evict: keep everything — an
                 // unresolved cohort is exactly what an audit must see.
@@ -818,18 +769,15 @@ mod tests {
 
     fn full_lifecycle_ledger() -> DeleteLedger {
         let mut l = DeleteLedger::new(0);
-        assert_eq!(l.seal(&generation(10, 20, 3, 1, 100), 130), (0, true));
-        assert!(l.flushed(0, 140));
-        assert_eq!(l.entered_level(&[(10, 20)], 2, 200), vec![0]);
-        assert!(
-            l.entered_level(&[(10, 20)], 1, 210).is_empty(),
-            "shallower outputs never regress the deepest level"
-        );
+        l.seal(&generation(10, 20, 3, 1, 100), 130);
+        l.flushed(20, 140);
+        l.entered_level(&[(10, 20)], 2, 200);
+        l.entered_level(&[(10, 20)], 1, 210);
         l.vlog_dead(7, 12);
-        assert_eq!(l.tombstone_resolved(12, 300), None);
-        assert_eq!(l.tombstone_resolved(15, 310), None);
         // Three of four members resolved: the cohort is not yet purged.
-        assert_eq!(l.tombstone_resolved(11, 320), None);
+        for (seqno, tick) in [(12, 300), (15, 310), (11, 320)] {
+            l.tombstone_resolved(seqno, tick);
+        }
         l
     }
 
@@ -844,16 +792,20 @@ mod tests {
         assert_eq!(c.first_delete_tick, 100);
         assert_eq!(c.sealed_tick, Some(130));
         assert_eq!(c.flushed_tick, Some(140));
-        assert_eq!(c.deepest_level, Some((2, 200)));
+        assert_eq!(
+            c.deepest_level,
+            Some((2, 200)),
+            "a shallower output never lowers the deepest level"
+        );
         assert_eq!(c.purged_tick, None, "one krt member still live");
         assert!(!c.is_resolved());
         // Fourth member resolves via the krt-purge path.
-        assert_eq!(l.tombstone_resolved(13, 330), Some(0));
+        l.tombstone_resolved(13, 330);
         // Still unresolved: the vlog extent is pending.
         let c = l.snapshot(&Memtable::new()).pop().unwrap();
         assert_eq!(c.purged_tick, Some(330));
         assert!(!c.is_resolved());
-        assert_eq!(l.vlog_reclaimed(7, 400), vec![0]);
+        l.vlog_reclaimed(7, 400);
         let c = l.snapshot(&Memtable::new()).pop().unwrap();
         assert!(c.is_resolved());
         assert_eq!(c.resolve_tick(), Some(400), "max of purge and reclaim");
@@ -872,9 +824,10 @@ mod tests {
         // [30, 39], [40, 49]: two deletes each.
         for (epoch, lo) in [10u64, 20, 30, 40].into_iter().enumerate() {
             let deletes = if epoch == 1 { 0 } else { 2 };
-            let sealed = l.seal(&generation(lo, lo + 9, deletes, 0, lo), lo + 5);
-            assert_eq!(sealed, (epoch as u64, deletes > 0));
+            l.seal(&generation(lo, lo + 9, deletes, 0, lo), lo + 5);
         }
+        let epochs: Vec<u64> = l.snapshot(&open).iter().map(|c| c.epoch).collect();
+        assert_eq!(epochs, [0, 2, 3]);
         for seqno in 0..60 {
             let before = l.snapshot(&open);
             l.tombstone_resolved(seqno, 100);
@@ -897,16 +850,21 @@ mod tests {
     fn delete_free_seals_are_numbered_but_untracked() {
         let mut l = DeleteLedger::new(3);
         let open = Memtable::new();
-        // Generation 0: no deletes.
-        assert_eq!(l.seal(&generation(1, 5, 0, 0, 10), 10), (0, false));
-        // Generation 1: deletes.
-        assert_eq!(l.seal(&generation(6, 9, 1, 0, 20), 30), (1, true));
-        // A flush names its generation: the delete-free one is untracked.
-        assert!(!l.flushed(0, 40));
-        assert!(l.flushed(1, 50));
-        assert_eq!(l.snapshot(&open)[0].flushed_tick, Some(50));
-        assert_eq!(l.snapshot(&open)[0].epoch, 1);
-        assert_eq!(l.snapshot(&open)[0].shard, 3);
+        // Generation 0, seqnos [1, 5]: no deletes.
+        l.seal(&generation(1, 5, 0, 0, 10), 10);
+        assert!(l.snapshot(&open).is_empty());
+        // Generation 1, seqnos [6, 9]: deletes.
+        l.seal(&generation(6, 9, 1, 0, 20), 30);
+        // A flush names its generation by its largest seqno: the flush
+        // of the delete-free one changes nothing.
+        let before = l.snapshot(&open);
+        l.flushed(5, 40);
+        assert_eq!(l.snapshot(&open), before);
+        l.flushed(9, 50);
+        let snap = l.snapshot(&open);
+        assert_eq!(snap.len(), 1);
+        let c = &snap[0];
+        assert_eq!((c.shard, c.epoch, c.flushed_tick), (3, 1, Some(50)));
     }
 
     #[test]
@@ -974,7 +932,7 @@ mod tests {
         for i in 0..(COHORT_RETENTION as u64 + 8) {
             let lo = i * 100;
             l.seal(&generation(lo, lo + 99, 1, 0, i * 10), i * 10 + 1);
-            l.flushed(i, i * 10 + 2);
+            l.flushed(lo + 99, i * 10 + 2);
             // Resolve all but the last few so eviction has victims.
             if i < COHORT_RETENTION as u64 {
                 l.tombstone_resolved(lo, i * 10 + 3);

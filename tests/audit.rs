@@ -118,8 +118,8 @@ fn injected_overdue_cohort_fails_audit_naming_the_cohort() {
         });
     }
     let mut ledger = DeleteLedger::new(3);
-    assert_eq!(ledger.seal(&mem, 150), (0, true));
-    assert!(ledger.flushed(0, 160));
+    ledger.seal(&mem, 150);
+    ledger.flushed(14, 160);
 
     let audit = DeleteAudit {
         now: 10_000,
@@ -132,6 +132,8 @@ fn injected_overdue_cohort_fails_audit_naming_the_cohort() {
     let violators = audit.violating_cohorts();
     assert_eq!(violators.len(), 1);
     assert_eq!((violators[0].shard, violators[0].epoch), (3, 0));
+    let stamps = (violators[0].sealed_tick, violators[0].flushed_tick);
+    assert_eq!(stamps, (Some(150), Some(160)));
 
     let text = audit.render();
     assert!(
