@@ -1246,7 +1246,8 @@ mod tests {
         let before = due(&db);
         assert!(before.1 > 0, "the flushed delete is indexed");
         let now = db.now();
-        db.range_delete_secondary(now.saturating_sub(20), now).unwrap();
+        db.range_delete_secondary(now.saturating_sub(20), now)
+            .unwrap();
         assert_eq!(due(&db), before);
     }
 

@@ -69,8 +69,7 @@ pub use db::{Db, MaintenancePause, RangeIter, Snapshot, WriteBatch, WritePressur
 pub use doctor::{check_db, DoctorReport};
 pub use memory::MemoryBudget;
 pub use obs::trace::{
-    render_traces, CohortRecord, DeleteAudit, DeleteLedger, OpTrace, TraceOp,
-    TraceStage,
+    render_traces, CohortRecord, DeleteAudit, DeleteLedger, OpTrace, TraceOp, TraceStage,
 };
 pub use obs::{
     AgeHistogram, Event, EventLog, EventSnapshot, GcKind, LevelGauge, RecoveryStepKind,

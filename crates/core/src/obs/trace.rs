@@ -478,12 +478,20 @@ impl DeleteLedger {
     /// windows into `output_level`. Stamps every cohort whose seqno
     /// range intersects an input window and whose deepest level is
     /// shallower than the output.
-    pub fn entered_level(&mut self, input_windows: &[(SeqNo, SeqNo)], output_level: u64, now: Tick) {
+    pub fn entered_level(
+        &mut self,
+        input_windows: &[(SeqNo, SeqNo)],
+        output_level: u64,
+        now: Tick,
+    ) {
         for c in self.cohorts.values_mut() {
             let touched = input_windows
                 .iter()
                 .any(|&(lo, hi)| lo <= c.max_seqno && c.min_seqno <= hi);
-            if touched && c.deepest_level.is_none_or(|(level, _)| level < output_level) {
+            if touched
+                && c.deepest_level
+                    .is_none_or(|(level, _)| level < output_level)
+            {
                 c.deepest_level = Some((output_level, now));
             }
         }
