@@ -111,7 +111,7 @@ const COMMANDS: &[(&str, &str)] = &[
     ("metrics", "Prometheus-style metrics exposition"),
     ("events", "recent engine events (flight recorder)"),
     ("trace on|off", "trace every data op and print its spans"),
-    ("traces", "recently sampled per-op traces"),
+    ("traces", "recent traced ops' spans (from the event ring)"),
     ("audit", "delete-lifecycle audit (D_th compliance)"),
     (
         "workload <n> <put%> <del%> <get%> <scan%>",

@@ -27,7 +27,7 @@
 //! ```text
 //! $ cargo run -p acheron-cli -- stats 127.0.0.1:7878     # metrics text
 //! $ cargo run -p acheron-cli -- events /path/to/db      # event ring
-//! $ cargo run -p acheron-cli -- trace 127.0.0.1:7878    # sampled op traces
+//! $ cargo run -p acheron-cli -- trace 127.0.0.1:7878    # traced ops' spans
 //! $ cargo run -p acheron-cli -- audit /path/to/db       # D_th compliance
 //! ```
 //!

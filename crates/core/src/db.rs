@@ -67,9 +67,7 @@ use parking_lot::{Condvar, Mutex, RwLock};
 use crate::fade::DueIndex;
 use crate::manifest::ManifestWriter;
 use crate::memory::MemoryBudget;
-use crate::obs::trace::{
-    DeleteAudit, DeleteLedger, OpTrace, TraceBuf, TraceOp, TraceStage, Tracer,
-};
+use crate::obs::trace::{DeleteAudit, DeleteLedger, OpTrace, TraceBuf, TraceOp, TraceStage};
 use crate::obs::{min_tick, Event, EventLog, EventSnapshot, TombstoneGauges};
 use crate::options::DbOptions;
 use crate::picker::Picker;
@@ -272,9 +270,9 @@ struct DbCore {
     vlog_next_segment: AtomicU64,
     /// Shared pointer-dereference path with a per-segment fd cache.
     vlog_reader: Arc<VlogReader>,
-    /// Per-op trace sampler + retention buffer. With sampling off its
-    /// entire cost is one untaken branch per operation.
-    tracer: Tracer,
+    /// The trace-id allocator, shared across a sharded fleet so ids
+    /// are fleet-unique.
+    trace_ids: Arc<AtomicU64>,
     /// Run once by the next fresh-read-point lookup between its read
     /// point's load and its view's clone, so a test can land writes
     /// there.
@@ -527,7 +525,7 @@ impl Db {
         let core = Arc::new(DbCore {
             picker: Picker::new(&opts),
             obs: EventLog::new(opts.event_log_capacity),
-            tracer: Tracer::new(opts.trace_sample_every, trace_ids),
+            trace_ids,
             vlog: Mutex::new(None),
             vlog_next_segment: AtomicU64::new(vlog_next_segment),
             vlog_reader: Arc::new(VlogReader::new(Arc::clone(&fs), dir)),
@@ -829,10 +827,10 @@ impl Db {
         self.core().obs.snapshot()
     }
 
-    /// Traces retained by the sampler and by wire-traced ops, oldest
-    /// first (bounded buffer, newest win).
+    /// The whole traces of `*_traced` ops the event ring still holds,
+    /// oldest first.
     pub fn recent_traces(&self) -> Vec<OpTrace> {
-        self.core().tracer.recent()
+        self.events().traces()
     }
 
     /// The delete-lifecycle compliance report: the ledger's cohorts
@@ -923,7 +921,8 @@ impl DbCore {
     /// The gauge is maintained whether or not a budget is configured —
     /// it is exported as `db_memory_pinned_bytes` either way. Under a
     /// budget, pinned growth additionally squeezes the split pool, so
-    /// a change re-applies the cache share too.
+    /// a change re-applies the cache share too, and one that first
+    /// squeezes the pool past its floor logs the overrun.
     fn refresh_pinned(&self, st: &State) {
         let pinned: usize = st.version.all_files().map(|f| f.table.pinned_bytes()).sum();
         let old = self.pinned_contrib.swap(pinned, Ordering::Relaxed);
@@ -931,38 +930,40 @@ impl DbCore {
             return;
         }
         if let Some(m) = &self.memory {
+            let was_over = m.overrun_bytes() > 0;
             m.adjust_pinned(old, pinned);
+            let overrun = m.overrun_bytes();
+            if overrun > 0 && !was_over {
+                self.obs.log(Event::BudgetOverrun {
+                    overrun_bytes: overrun as u64,
+                    pinned_bytes: m.pinned_bytes() as u64,
+                });
+            }
             if let Some(c) = &self.cache {
                 m.apply_cache_share(c);
             }
         }
     }
 
-    /// Close a trace: emit each span into the event ring, count it, and
-    /// retain the whole trace for the `traces` command.
+    /// Close a trace: log its spans into the event ring back to back,
+    /// the one record the `traces` command reads, and count it.
     fn finish_trace(&self, buf: TraceBuf) -> OpTrace {
         let trace = buf.finish();
-        for (stage, value) in &trace.spans {
-            self.obs.log(Event::TraceSpan {
+        self.obs
+            .log_all(trace.spans.iter().map(|&(stage, value)| Event::TraceSpan {
                 trace_id: trace.trace_id,
                 op: trace.op,
-                stage: *stage,
-                value: *value,
-            });
-        }
+                stage,
+                value,
+            }));
         self.stats.traces_sampled.fetch_add(1, Ordering::Relaxed);
-        self.tracer.record(trace.clone());
         trace
     }
 
-    /// Begin a trace that bypasses the sampler (the wire `traced`
-    /// command), under the caller's id when it chose one.
-    fn forced_trace(&self, op: TraceOp, trace_id: Option<u64>) -> TraceBuf {
-        let mut buf = self.tracer.begin(op);
-        if let Some(id) = trace_id {
-            buf.trace_id = id;
-        }
-        buf
+    /// Begin a trace of `op`, under the caller's id when it chose one.
+    fn begin_trace(&self, op: TraceOp, trace_id: Option<u64>) -> TraceBuf {
+        let id = trace_id.unwrap_or_else(|| self.trace_ids.fetch_add(1, Ordering::Relaxed));
+        TraceBuf::new(id, op)
     }
 }
 
@@ -2161,5 +2162,87 @@ mod tests {
             });
             assert!(waits > 0, "{layout:?}: no cohort waited on the value log");
         }
+    }
+
+    /// Threads issuing traced ops race a writer whose commits run the
+    /// inline maintenance (seals, flushes, compactions) that logs into
+    /// the same ring, which wraps. Every span but a total is followed in
+    /// the ring by a span of its own trace, and every trace read back is
+    /// whole: it opens with its op's first stage, names each stage once,
+    /// ends in its total and is the op its id was issued for.
+    #[test]
+    fn concurrent_traced_ops_never_produce_torn_traces() {
+        let (_fs, db) = open_mem(DbOptions {
+            event_log_capacity: 256,
+            write_buffer_bytes: 4 << 10,
+            ..small()
+        });
+        let op_of = |id: u64| match ((id >> 32) + id) % 3 {
+            0 => TraceOp::Put,
+            1 => TraceOp::Get,
+            _ => TraceOp::Delete,
+        };
+        let check = |db: &Db| {
+            for pair in db.events().events.windows(2) {
+                if let Event::TraceSpan {
+                    trace_id, stage, ..
+                } = pair[0].event
+                {
+                    let next = match pair[1].event {
+                        Event::TraceSpan { trace_id, .. } => Some(trace_id),
+                        _ => None,
+                    };
+                    assert!(
+                        stage == TraceStage::Total || next == Some(trace_id),
+                        "{pair:?}"
+                    );
+                }
+            }
+            for t in db.recent_traces() {
+                let first = match t.op {
+                    TraceOp::Get => TraceStage::ViewClone,
+                    _ => TraceStage::ThrottleWait,
+                };
+                let stages: std::collections::BTreeSet<u64> =
+                    t.spans.iter().map(|(s, _)| s.code()).collect();
+                assert_eq!(t.op, op_of(t.trace_id), "{t:?}");
+                assert_eq!(t.spans[0].0, first, "{t:?}");
+                assert_eq!(t.spans.last().unwrap().0, TraceStage::Total, "{t:?}");
+                assert_eq!(stages.len(), t.spans.len(), "{t:?}");
+            }
+        };
+        let mut handles: Vec<_> = (0..3u64)
+            .map(|t| {
+                let db = db.clone();
+                std::thread::spawn(move || {
+                    for i in 0..1000u64 {
+                        let key = format!("key{:03}", (t * 37 + i) % 200);
+                        let id = Some(t << 32 | i);
+                        match op_of(t << 32 | i) {
+                            TraceOp::Put => db.put_traced(key.as_bytes(), b"v", id).map(drop),
+                            TraceOp::Get => db.get_traced(key.as_bytes(), id).map(drop),
+                            TraceOp::Delete => db.delete_traced(key.as_bytes(), id).map(drop),
+                        }
+                        .unwrap();
+                    }
+                })
+            })
+            .collect();
+        let writer = db.clone();
+        handles.push(std::thread::spawn(move || {
+            for i in 0..3000u32 {
+                let key = format!("key{:03}", i % 200);
+                writer.put(key.as_bytes(), &[b'w'; 100]).unwrap();
+            }
+        }));
+        while !handles.iter().all(|h| h.is_finished()) {
+            check(&db);
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        check(&db);
+        assert!(db.events().dropped > 0, "the ring wrapped");
+        assert!(db.stats().snapshot().flushes > 0, "maintenance ran inline");
     }
 }

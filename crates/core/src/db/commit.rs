@@ -140,24 +140,33 @@ impl Db {
         self.write_ops(ops, None).map(drop)
     }
 
-    /// Put with an unconditional trace (bypasses the sampler; used by
-    /// the wire `traced` command). `trace_id` overrides the allocated
-    /// id so a client-chosen id survives the round trip.
+    /// [`Db::put`] under a trace (the wire `traced` command). `trace_id`
+    /// overrides the allocated id so a client-chosen id survives the
+    /// round trip.
     pub fn put_traced(&self, key: &[u8], value: &[u8], trace_id: Option<u64>) -> Result<OpTrace> {
-        self.write_traced(put_op(key, value, self.now()), trace_id)
+        self.put_with_dkey_traced(key, value, self.now(), trace_id)
     }
 
-    /// Point delete with an unconditional trace.
+    /// [`Db::put_with_dkey`] under a trace.
+    pub fn put_with_dkey_traced(
+        &self,
+        key: &[u8],
+        value: &[u8],
+        dkey: u64,
+        trace_id: Option<u64>,
+    ) -> Result<OpTrace> {
+        self.write_traced(TraceOp::Put, put_op(key, value, dkey), trace_id)
+    }
+
+    /// [`Db::delete`] under a trace.
     pub fn delete_traced(&self, key: &[u8], trace_id: Option<u64>) -> Result<OpTrace> {
-        self.write_traced(delete_op(key, self.now()), trace_id)
+        self.write_traced(TraceOp::Delete, delete_op(key, self.now()), trace_id)
     }
 
-    /// Commit `op` under a trace that bypasses the sampler.
-    fn write_traced(&self, op: WalOp, trace_id: Option<u64>) -> Result<OpTrace> {
-        let forced = self
-            .core()
-            .forced_trace(trace_op_for(std::slice::from_ref(&op)), trace_id);
-        let trace = self.write_ops([op], Some(forced))?;
+    /// Commit `op` under a trace of `kind`.
+    fn write_traced(&self, kind: TraceOp, op: WalOp, trace_id: Option<u64>) -> Result<OpTrace> {
+        let trace = self.core().begin_trace(kind, trace_id);
+        let trace = self.write_ops([op], Some(trace))?;
         Ok(trace.expect("a traced write returns its trace"))
     }
 
@@ -169,18 +178,16 @@ impl Db {
     ///
     /// `ops` is an array for a lone put or delete — the common case, which
     /// then never allocates a list to hold its one op — or a batch's `Vec`.
-    /// `forced` is a trace the caller began itself; without one the
-    /// sampler decides. Returns the finished trace of a traced write. A
+    /// `trace` is the trace of a traced write, returned finished. A
     /// rider (a thread whose batch a leader committed for it)
     /// attributes only its queue wait — the leader's trace owns the
     /// WAL/vlog/memtable spans.
     fn write_ops<O: AsMut<[WalOp]> + Into<Vec<WalOp>>>(
         &self,
         mut ops: O,
-        forced: Option<TraceBuf>,
+        mut trace: Option<TraceBuf>,
     ) -> Result<Option<OpTrace>> {
         let core = self.core();
-        let mut trace = forced.or_else(|| core.tracer.sample(trace_op_for(ops.as_mut())));
         // Backpressure first, before any lock: stalled writers hold
         // nothing, so workers, readers, and commit leaders proceed
         // freely.
@@ -528,15 +535,5 @@ impl DbCore {
         }
         self.seq_alloc.store(first + n - 1, Ordering::Relaxed);
         Ok(first)
-    }
-}
-
-/// The trace-op classification of a WAL op list: a lone put or delete
-/// keeps its identity, anything else is a batch write.
-fn trace_op_for(ops: &[WalOp]) -> TraceOp {
-    match ops {
-        [WalOp::Put { .. }] | [WalOp::PutPtr { .. }] => TraceOp::Put,
-        [WalOp::Delete { .. }] => TraceOp::Delete,
-        _ => TraceOp::Write,
     }
 }

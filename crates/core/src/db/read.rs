@@ -150,13 +150,7 @@ impl Db {
     /// the read point, one `Arc` clone for the view, then the lookup
     /// runs entirely against the immutable view.
     pub fn get(&self, key: &[u8]) -> Result<Option<Bytes>> {
-        let core = self.core();
-        let mut trace = core.tracer.sample(TraceOp::Get);
-        let res = self.lookup(key, None, trace.as_mut());
-        if let Some(t) = trace {
-            core.finish_trace(t);
-        }
-        res
+        self.lookup(key, None, None)
     }
 
     /// Point lookup at a snapshot.
@@ -164,14 +158,14 @@ impl Db {
         self.lookup(key, Some(snap.seqno), None)
     }
 
-    /// Point lookup with an unconditional trace.
+    /// [`Db::get`] under a trace.
     pub fn get_traced(
         &self,
         key: &[u8],
         trace_id: Option<u64>,
     ) -> Result<(Option<Bytes>, OpTrace)> {
         let core = self.core();
-        let mut buf = core.forced_trace(TraceOp::Get, trace_id);
+        let mut buf = core.begin_trace(TraceOp::Get, trace_id);
         let value = self.lookup(key, None, Some(&mut buf))?;
         Ok((value, core.finish_trace(buf)))
     }

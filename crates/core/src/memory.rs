@@ -21,7 +21,8 @@
 //! re-apply the cache share then, so allowance + cache + pinned never
 //! rises above the total while pinned bytes leave the pool its 64 KiB
 //! floor. Past that the pool stays at the floor, and the excess is
-//! reported as `db_memory_budget_overrun_bytes`.
+//! reported as `db_memory_budget_overrun_bytes`; the engine whose
+//! install turns it nonzero logs a `BudgetOverrun` event.
 //!
 //! # Why a fixed split
 //!

@@ -8,9 +8,10 @@
 //!
 //! * [`EventLog`] is a fixed-capacity ring of typed [`Event`]s
 //!   (flushes, compaction picks with their trigger inputs, stalls, WAL
-//!   group commits, recovery steps). Emission takes one lock and copies
-//!   one event into memory allocated when the ring was made — no
-//!   allocation — so the hooks stay on in production builds.
+//!   group commits, recovery steps, budget overruns, and the spans of
+//!   traced ops: the only record of a trace). Emission takes one lock
+//!   and copies one event into memory allocated when the ring was made
+//!   — no allocation — so the hooks stay on in production builds.
 //! * [`TombstoneGauges`] aggregates per-level file/byte/tombstone
 //!   counts and the per-file oldest-tombstone ticks from per-sstable
 //!   metadata, plus the write buffers and value log. It is built from
@@ -24,11 +25,13 @@
 //!
 //! One mutex guards the retained events and the emission count. `log`
 //! takes it, drops the oldest event when the ring is full, appends the
-//! new one and numbers it; `snapshot` copies the window under it. So a
-//! seqno is an event's position in the order the lock was taken, every
-//! snapshot is a dense suffix of that order, and `dropped` counts only
-//! overwritten events. The lock is a leaf: nothing is called while it
-//! is held. One lock suffices because the ring has one steady emitter
+//! new one and numbers it; `log_all` does the same for several events
+//! under one taking, so a trace's spans stay adjacent; `snapshot`
+//! copies the window under it. So a seqno is an event's position in the
+//! order the lock was taken, every snapshot is a dense suffix of that
+//! order, and `dropped` counts only overwritten events. The lock is a
+//! leaf: nothing is called while it is held but the iterator `log_all`
+//! drains, which only builds events. One lock suffices because the ring has one steady emitter
 //! per engine: in a delete-heavy run 97% of events are `WalGroupCommit`,
 //! logged by the commit leader while it holds the commit exclusion, and
 //! the rest come from maintenance steps, about one event per write in
@@ -47,7 +50,7 @@ use crate::version::Version;
 
 pub mod trace;
 
-use trace::{TraceOp, TraceStage};
+use trace::{OpTrace, TraceOp, TraceStage};
 
 /// A value an [`Event`] field holds: plain numbers, flags, and the
 /// coded enums. `shown` is its form in `key=value` event text.
@@ -331,9 +334,10 @@ events! {
             /// Wall time of the pass.
             micros: u64,
         },
-        /// One stage of a sampled per-op trace (see [`trace`]).
+        /// One stage of a traced op (see [`trace`]). A trace's spans are
+        /// logged back to back, `total_micros` last.
         TraceSpan => "trace_span" {
-            /// Fleet-unique trace id.
+            /// The trace's id: the engine's, or one its caller chose.
             trace_id as "trace": u64,
             /// The traced operation.
             op: TraceOp,
@@ -341,6 +345,15 @@ events! {
             stage: TraceStage,
             /// Stage value: wall micros for `_micros` stages, else a count.
             value: u64,
+        },
+        /// Pinned bytes squeezed the memory budget's pool to its floor:
+        /// allowance + cache + pinned now pass the total. Logged when the
+        /// overrun turns nonzero.
+        BudgetOverrun => "budget_overrun" {
+            /// Bytes drawn past the budget's total.
+            overrun_bytes: u64,
+            /// Pinned filter/tile-metadata bytes across the budget.
+            pinned_bytes: u64,
         },
     }
 }
@@ -378,6 +391,43 @@ pub struct EventSnapshot {
     pub dropped: u64,
 }
 
+impl EventSnapshot {
+    /// The whole traces the window holds, oldest first. A trace's spans
+    /// are logged back to back and end in `total_micros`
+    /// ([`EventLog::log_all`]), so a trace is a run of adjacent spans
+    /// closed by its total; ids play no part, since a caller may reuse
+    /// one. Once the ring has overwritten anything, a run the window
+    /// begins inside of is left out: its first spans may be gone.
+    pub fn traces(&self) -> Vec<OpTrace> {
+        let (mut traces, mut spans) = (Vec::new(), Vec::new());
+        let mut torn = self.dropped > 0;
+        for s in &self.events {
+            let Event::TraceSpan {
+                trace_id,
+                op,
+                stage,
+                value,
+            } = s.event
+            else {
+                torn = false;
+                continue;
+            };
+            spans.push((stage, value));
+            if stage == TraceStage::Total {
+                let spans = std::mem::take(&mut spans);
+                if !std::mem::take(&mut torn) {
+                    traces.push(OpTrace {
+                        trace_id,
+                        op,
+                        spans,
+                    });
+                }
+            }
+        }
+        traces
+    }
+}
+
 /// Fixed-capacity event ring behind one lock. See the module docs for
 /// why a lock suffices.
 pub struct EventLog {
@@ -406,26 +456,23 @@ impl EventLog {
         }
     }
 
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
+    /// Record one event, overwriting the oldest when the ring is full.
+    /// Never allocates.
+    pub fn log(&self, event: Event) {
+        self.log_all([event]);
     }
 
-    /// Total events ever emitted.
-    pub fn emitted(&self) -> u64 {
-        self.ring.lock().emitted
-    }
-
-    /// Record one event, overwriting the oldest when the ring is full;
-    /// returns its seqno. Never allocates.
-    pub fn log(&self, event: Event) -> u64 {
+    /// Record `events` back to back under one lock, so no other
+    /// writer's event lands between them.
+    pub fn log_all(&self, events: impl IntoIterator<Item = Event>) {
         let mut ring = self.ring.lock();
-        if ring.events.len() == self.capacity {
-            ring.events.pop_front();
+        for event in events {
+            if ring.events.len() == self.capacity {
+                ring.events.pop_front();
+            }
+            ring.events.push_back(event);
+            ring.emitted += 1;
         }
-        ring.events.push_back(event);
-        ring.emitted += 1;
-        ring.emitted - 1
     }
 
     /// Copy the retained window; writers wait for the copy.
@@ -967,6 +1014,10 @@ mod tests {
                 stage: TraceStage::ImmProbes,
                 value: 11,
             },
+            Event::BudgetOverrun {
+                overrun_bytes: 4,
+                pinned_bytes: 2,
+            },
         ]
     }
 
@@ -975,7 +1026,10 @@ mod tests {
     /// `tests/golden.rs` for the method. Re-recorded (from
     /// `(1032, 0xd450_f2ce)`) when `cohort_advanced` left the ring: the
     /// text lost exactly that variant's line, and its header counts 14
-    /// events, not 15.
+    /// events, not 15. Re-recorded (from `(948, 0x5b5a_59bc)`) when the
+    /// budget overrun became an event: the text gained exactly its line,
+    /// `budget_overrun overrun_bytes=4 pinned_bytes=2` (58 bytes), and
+    /// its header counts 15 events again.
     #[test]
     fn golden_event_text() {
         use acheron_types::checksum::crc32c;
@@ -986,7 +1040,7 @@ mod tests {
         let text = render_events(&log.snapshot());
         assert_eq!(
             (text.len(), crc32c(text.as_bytes())),
-            (948, 0x5b5a_59bc),
+            (1006, 0x5514_abdc),
             "{text}"
         );
     }

@@ -3,16 +3,17 @@
 //! Two linked subsystems turn the flight recorder ([`crate::obs`])
 //! into an *attribution* layer:
 //!
-//! * **Trace spans** decompose one sampled operation's latency into
+//! * **Trace spans** decompose one traced operation's latency into
 //!   named stages (commit-queue wait, WAL fsync, memtable insert,
-//!   bloom prescreens, cache hits vs. misses, vlog deref, …). The
-//!   sampler is a power-of-two mask over a relaxed op counter, so
-//!   with sampling off the entire subsystem costs one predictable
-//!   branch per operation — the ≤3% overhead bound measured by E17
-//!   still holds with tracing compiled in. Sampled spans are emitted
-//!   as [`Event::TraceSpan`](crate::obs::Event::TraceSpan) ring
-//!   events and retained as whole [`OpTrace`]s for the `traces` wire
-//!   command.
+//!   bloom prescreens, cache hits vs. misses, vlog deref, …). Only the
+//!   `*_traced` ops make a trace; any other op pays one untaken branch
+//!   per span. A finished trace's spans are logged into the event ring
+//!   back to back under one lock, as
+//!   [`Event::TraceSpan`](crate::obs::Event::TraceSpan)s ending in
+//!   `total_micros`, and the `traces` wire command rebuilds whole
+//!   [`OpTrace`]s from the ring
+//!   ([`EventSnapshot::traces`](crate::obs::EventSnapshot::traces)):
+//!   the ring is the only place a trace is kept.
 //! * **The delete-lifecycle ledger** records tombstone *cohorts* —
 //!   all deletes committed into one memtable generation, numbered by a
 //!   per-shard flush epoch and keyed by the generation's largest seqno
@@ -45,19 +46,13 @@
 //! compliance report served by `acheron audit`: per-cohort slack
 //! against `D_th`, nonzero exit on violation.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 use acheron_memtable::Memtable;
 use acheron_types::{SeqNo, Tick};
-use parking_lot::Mutex;
 
 use super::{coded_enum, min_tick};
-
-/// Whole traces retained for the `traces` command (newest wins).
-const RECENT_TRACES: usize = 64;
 
 /// Resolved cohorts retained per shard before the oldest are evicted.
 const COHORT_RETENTION: usize = 1024;
@@ -71,8 +66,6 @@ coded_enum! {
         Delete = 1 => "delete",
         /// A point lookup.
         Get = 2 => "get",
-        /// A multi-op write batch.
-        Write = 3 => "write",
     }
 }
 
@@ -122,8 +115,8 @@ coded_enum! {
 }
 
 /// An in-flight trace: stages accumulate here while the operation
-/// runs, off any shared state, then [`Tracer::record`] publishes the
-/// finished [`OpTrace`].
+/// runs, off any shared state, then the engine logs the finished
+/// [`OpTrace`]'s spans into its event ring.
 #[derive(Debug)]
 pub struct TraceBuf {
     /// Fleet-unique trace id (propagated over the wire).
@@ -134,7 +127,7 @@ pub struct TraceBuf {
 }
 
 impl TraceBuf {
-    fn new(trace_id: u64, op: TraceOp) -> TraceBuf {
+    pub(crate) fn new(trace_id: u64, op: TraceOp) -> TraceBuf {
         TraceBuf {
             trace_id,
             op,
@@ -153,14 +146,9 @@ impl TraceBuf {
         self.spans.push((stage, value));
     }
 
-    /// Microseconds since the trace began (for call-site span timing).
-    pub fn elapsed_micros(&self) -> u64 {
-        self.started.elapsed().as_micros() as u64
-    }
-
     /// Close the trace: appends the `total_micros` stage.
     pub fn finish(mut self) -> OpTrace {
-        let total = self.elapsed_micros();
+        let total = self.started.elapsed().as_micros() as u64;
         self.spans.push((TraceStage::Total, total));
         OpTrace {
             trace_id: self.trace_id,
@@ -170,8 +158,8 @@ impl TraceBuf {
     }
 }
 
-/// A completed per-op trace: the stage breakdown of one sampled (or
-/// wire-requested) operation.
+/// A completed per-op trace: the stage breakdown of one traced
+/// operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpTrace {
     /// Fleet-unique trace id.
@@ -199,73 +187,6 @@ impl OpTrace {
             out.push_str(&format!("  {:<26} {}\n", stage.name(), value));
         }
         out
-    }
-}
-
-/// The per-engine trace sampler and retention buffer.
-///
-/// Sampling is a power-of-two mask over a relaxed op counter: with
-/// sampling disabled, `sample` is a single untaken branch; enabled, it
-/// costs one relaxed `fetch_add` per op and allocates a [`TraceBuf`]
-/// only for the one-in-`2^k` ops that match.
-pub struct Tracer {
-    enabled: bool,
-    mask: u64,
-    ops: AtomicU64,
-    ids: Arc<AtomicU64>,
-    recent: Mutex<VecDeque<OpTrace>>,
-}
-
-impl Tracer {
-    /// A tracer sampling one in `sample_every` ops (0 = off;
-    /// `sample_every` must be a power of two, enforced by
-    /// `DbOptions::validate`). `ids` is the trace-id allocator —
-    /// shared across a sharded fleet so ids are fleet-unique.
-    pub fn new(sample_every: u64, ids: Arc<AtomicU64>) -> Tracer {
-        Tracer {
-            enabled: sample_every > 0,
-            mask: sample_every.wrapping_sub(1),
-            ops: AtomicU64::new(0),
-            ids,
-            recent: Mutex::new(VecDeque::new()),
-        }
-    }
-
-    /// Whether sampling is enabled at all.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Count one op; returns a trace buffer iff this op is sampled.
-    pub fn sample(&self, op: TraceOp) -> Option<TraceBuf> {
-        if !self.enabled {
-            return None;
-        }
-        let n = self.ops.fetch_add(1, Ordering::Relaxed);
-        if n & self.mask != 0 {
-            return None;
-        }
-        Some(self.begin(op))
-    }
-
-    /// Start an unconditionally traced op (wire-requested traces
-    /// bypass the sampler).
-    pub fn begin(&self, op: TraceOp) -> TraceBuf {
-        TraceBuf::new(self.ids.fetch_add(1, Ordering::Relaxed), op)
-    }
-
-    /// Publish a finished trace into the retention buffer.
-    pub fn record(&self, trace: OpTrace) {
-        let mut recent = self.recent.lock();
-        if recent.len() >= RECENT_TRACES {
-            recent.pop_front();
-        }
-        recent.push_back(trace);
-    }
-
-    /// The retained traces, oldest first.
-    pub fn recent(&self) -> Vec<OpTrace> {
-        self.recent.lock().iter().cloned().collect()
     }
 }
 
@@ -687,42 +608,9 @@ impl DeleteAudit {
 mod tests {
     use super::*;
 
-    fn tracer(every: u64) -> Tracer {
-        Tracer::new(every, Arc::new(AtomicU64::new(0)))
-    }
-
-    #[test]
-    fn sampler_off_is_never_hit() {
-        let t = tracer(0);
-        assert!(!t.enabled());
-        for _ in 0..100 {
-            assert!(t.sample(TraceOp::Put).is_none());
-        }
-    }
-
-    #[test]
-    fn sampler_every_power_of_two() {
-        let t = tracer(4);
-        let hits = (0..32).filter(|_| t.sample(TraceOp::Get).is_some()).count();
-        assert_eq!(hits, 8, "one in four ops sampled");
-        let t1 = tracer(1);
-        assert!((0..10).all(|_| t1.sample(TraceOp::Get).is_some()));
-    }
-
-    #[test]
-    fn trace_ids_come_from_the_shared_allocator() {
-        let ids = Arc::new(AtomicU64::new(0));
-        let a = Tracer::new(1, Arc::clone(&ids));
-        let b = Tracer::new(1, Arc::clone(&ids));
-        let ta = a.sample(TraceOp::Put).unwrap();
-        let tb = b.sample(TraceOp::Get).unwrap();
-        assert_ne!(ta.trace_id, tb.trace_id, "fleet-unique ids");
-    }
-
     #[test]
     fn trace_buf_accumulates_and_finishes_with_total() {
-        let t = tracer(1);
-        let mut buf = t.sample(TraceOp::Get).unwrap();
+        let mut buf = TraceBuf::new(1, TraceOp::Get);
         buf.add(TraceStage::TableProbes, 1);
         buf.add(TraceStage::TableProbes, 2);
         buf.add(TraceStage::ViewClone, 5);
@@ -733,19 +621,6 @@ mod tests {
             "repeat stages accumulate"
         );
         assert_eq!(trace.spans.last().unwrap().0, TraceStage::Total);
-        t.record(trace.clone());
-        assert_eq!(t.recent(), vec![trace]);
-    }
-
-    #[test]
-    fn recent_buffer_keeps_newest() {
-        let t = tracer(1);
-        for _ in 0..(RECENT_TRACES + 10) {
-            t.record(t.sample(TraceOp::Put).unwrap().finish());
-        }
-        let recent = t.recent();
-        assert_eq!(recent.len(), RECENT_TRACES);
-        assert!(recent[0].trace_id < recent.last().unwrap().trace_id);
     }
 
     /// A generation over seqnos `[lo, hi]`: puts at both ends, and
@@ -954,11 +829,9 @@ mod tests {
 
     #[test]
     fn render_traces_lists_each_trace() {
-        let t = tracer(1);
-        let mut buf = t.sample(TraceOp::Put).unwrap();
+        let mut buf = TraceBuf::new(1, TraceOp::Put);
         buf.add(TraceStage::CommitQueueWait, 3);
-        t.record(buf.finish());
-        let text = render_traces(&t.recent());
+        let text = render_traces(&[buf.finish()]);
         assert!(text.contains("# 1 recent traces"), "{text}");
         assert!(text.contains("op=put"), "{text}");
         assert!(text.contains("commit_queue_wait_micros"), "{text}");

@@ -150,12 +150,6 @@ pub struct DbOptions {
     /// the `events` command. Must be >= 1; emission cost is
     /// capacity-independent.
     pub event_log_capacity: usize,
-    /// Per-op trace sampling: one in this many operations gets a full
-    /// stage breakdown ([`crate::obs::trace`]). `0` (the default)
-    /// disables sampling — the trace hooks then cost one untaken
-    /// branch per op. Must be a power of two so the sampler is a mask
-    /// over the op counter, not a division.
-    pub trace_sample_every: u64,
     /// Key-value separation threshold in bytes: a put whose value is at
     /// least this long has the value appended to the value log and only
     /// a fixed-size pointer stored in the tree. `0` disables separation
@@ -197,7 +191,6 @@ impl std::fmt::Debug for DbOptions {
                 "value_separation_threshold",
                 &self.value_separation_threshold,
             )
-            .field("trace_sample_every", &self.trace_sample_every)
             .finish_non_exhaustive()
     }
 }
@@ -229,7 +222,6 @@ impl Default for DbOptions {
             l0_stall_files: 16,
             max_imm_memtables: 2,
             event_log_capacity: 4096,
-            trace_sample_every: 0,
             value_separation_threshold: 0,
             vlog_segment_bytes: 8 << 20,
             vlog_gc_dead_ratio_percent: 50,
@@ -291,13 +283,6 @@ impl DbOptions {
         self
     }
 
-    /// Sample one in `every` operations for per-op tracing (`every`
-    /// must be a power of two; 0 disables).
-    pub fn with_trace_sampling(mut self, every: u64) -> DbOptions {
-        self.trace_sample_every = every;
-        self
-    }
-
     /// Validate option consistency.
     pub fn validate(&self) -> Result<()> {
         if self.size_ratio < 2 {
@@ -346,11 +331,6 @@ impl DbOptions {
         }
         if self.event_log_capacity == 0 {
             return Err(Error::invalid_argument("event_log_capacity must be >= 1"));
-        }
-        if self.trace_sample_every > 0 && !self.trace_sample_every.is_power_of_two() {
-            return Err(Error::invalid_argument(
-                "trace_sample_every must be 0 (off) or a power of two",
-            ));
         }
         if self.value_separation_threshold > 0 && self.vlog_segment_bytes == 0 {
             return Err(Error::invalid_argument("vlog_segment_bytes must be >= 1"));
@@ -461,22 +441,6 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(DbOptions::default()
-            .with_trace_sampling(3)
-            .validate()
-            .is_err());
-        assert!(DbOptions::default()
-            .with_trace_sampling(64)
-            .validate()
-            .is_ok());
-        assert!(DbOptions::default()
-            .with_trace_sampling(1)
-            .validate()
-            .is_ok());
-        assert!(DbOptions::default()
-            .with_trace_sampling(0)
-            .validate()
-            .is_ok());
         assert!(DbOptions {
             vlog_segment_bytes: 0,
             ..DbOptions::default().with_value_separation(256)

@@ -416,17 +416,25 @@ impl ShardedDb {
         Ok(self.shard_for(key).get(key)?.map(|v| v.to_vec()))
     }
 
-    /// [`ShardedDb::put`] with a forced trace: routed like a normal
+    /// [`ShardedDb::put_with_dkey`] under a trace: routed like a normal
     /// put (admission barrier, owning shard, one fleet tick), returning
     /// the owning shard's span breakdown.
-    pub fn put_traced(&self, key: &[u8], value: &[u8], trace_id: Option<u64>) -> Result<OpTrace> {
+    pub fn put_with_dkey_traced(
+        &self,
+        key: &[u8],
+        value: &[u8],
+        dkey: u64,
+        trace_id: Option<u64>,
+    ) -> Result<OpTrace> {
         let _admit = self.barrier.read();
-        let trace = self.shard_for(key).put_traced(key, value, trace_id)?;
+        let trace = self
+            .shard_for(key)
+            .put_with_dkey_traced(key, value, dkey, trace_id)?;
         self.tick(1);
         Ok(trace)
     }
 
-    /// [`ShardedDb::delete`] with a forced trace.
+    /// [`ShardedDb::delete`] under a trace.
     pub fn delete_traced(&self, key: &[u8], trace_id: Option<u64>) -> Result<OpTrace> {
         let _admit = self.barrier.read();
         let trace = self.shard_for(key).delete_traced(key, trace_id)?;
@@ -434,7 +442,7 @@ impl ShardedDb {
         Ok(trace)
     }
 
-    /// [`ShardedDb::get`] with a forced trace: the owning shard's read
+    /// [`ShardedDb::get`] under a trace: the owning shard's read
     /// path is timed and the span breakdown returned with the value.
     pub fn get_traced(
         &self,
@@ -704,9 +712,8 @@ impl ShardedDb {
         }
     }
 
-    /// Recently sampled op traces across the fleet, newest last within
-    /// each shard. Trace ids are fleet-unique (the shards share one
-    /// allocator), so the concatenation is unambiguous.
+    /// The whole traces each shard's event ring still holds, shard by
+    /// shard, oldest first within each ([`Db::recent_traces`]).
     pub fn recent_traces(&self) -> Vec<OpTrace> {
         self.shards.iter().flat_map(Db::recent_traces).collect()
     }
@@ -971,7 +978,6 @@ mod tests {
         let opts = DbOptions::small()
             .with_fade(5_000)
             .with_value_separation(64)
-            .with_trace_sampling(4)
             .with_memory_budget(1 << 20);
         let db = Db::open(Arc::new(MemFs::new()), "db", opts).unwrap();
         let fleet = ShardedDb::from(db.clone());
@@ -990,7 +996,12 @@ mod tests {
                 0 => step(&|| fleet.put(key, b"small")),
                 1 => step(&|| fleet.put_with_dkey(key, &big, u64::from(i))),
                 2 => step(&|| fleet.delete(format!("key{:05}", i / 2).as_bytes())),
-                3 => step(&|| fleet.put_traced(key, &big, Some(u64::from(i))).map(drop)),
+                3 => step(&|| {
+                    let id = Some(u64::from(i));
+                    fleet
+                        .put_with_dkey_traced(key, &big, fleet.now(), id)
+                        .map(drop)
+                }),
                 4 => step(&|| fleet.delete_traced(key, None).map(drop)),
                 _ => {
                     fleet.get_traced(key, Some(u64::from(i))).unwrap();

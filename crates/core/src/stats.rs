@@ -439,8 +439,8 @@ metric_table! {
         vlog_gc_reclaimed_bytes: counter, "vlog_gc_reclaimed_bytes", sum;
         /// Value-log segment files deleted (GC and recovery orphan sweep).
         vlog_segments_deleted: counter, "vlog_segments_deleted", sum;
-        /// Operations that received a full per-op trace (sampler hits plus
-        /// wire-requested traces).
+        /// Operations that received a full per-op trace (the `*_traced`
+        /// ops; the name predates their being the only source).
         traces_sampled: counter, "traces_sampled", sum;
     }
     // These live on the `BlockCache` / `MemoryBudget` / engine core, not

@@ -60,11 +60,8 @@ fn traced(engine: &ShardedDb, trace_id: u64, inner: &Request) -> Response {
     };
     let id = Some(trace_id);
     match inner {
-        // The traced path always stamps the engine tick; an explicit
-        // dkey falls back to the untraced put so the stamp is honored.
-        Request::Put { dkey: Some(_), .. } => answer(engine, inner, &[]),
-        Request::Put { key, value, .. } => engine
-            .put_traced(key, value, id)
+        Request::Put { key, value, dkey } => engine
+            .put_with_dkey_traced(key, value, dkey.unwrap_or_else(|| engine.now()), id)
             .map_or_else(error, |trace| wrap(trace, Response::Unit)),
         Request::Delete { key } => engine
             .delete_traced(key, id)

@@ -299,7 +299,8 @@ impl Client {
         }
     }
 
-    /// Recently sampled per-op traces, rendered one span per line.
+    /// The traced ops' traces the event rings still hold, rendered one
+    /// span per line.
     pub fn traces(&mut self) -> Result<String> {
         match self.request(&Request::Traces)? {
             Response::Text(text) => Ok(text),

@@ -93,14 +93,14 @@ pub enum Request {
     /// The engine's flight-recorder ring, rendered one event per line;
     /// answered with [`Response::Text`].
     Events,
-    /// Recently sampled per-op traces, rendered one span per line;
-    /// answered with [`Response::Text`].
+    /// The traced ops' traces the event rings still hold, rendered one
+    /// span per line; answered with [`Response::Text`].
     Traces,
     /// The delete-lifecycle audit: per-cohort `D_th` slack plus the
     /// live unresolved-delete ages; answered with [`Response::Audit`].
     Audit,
     /// Force-trace one data operation: the server executes `inner`
-    /// with tracing on (regardless of its sampling rate) and answers
+    /// under a trace and answers
     /// with [`Response::Trace`] carrying the span breakdown. Only
     /// `Put`, `Delete`, and `Get` may be wrapped — nesting is a
     /// protocol error.

@@ -15,12 +15,14 @@
 //!    threads race gets, inserts, and resizes;
 //! 4. on a real engine whose compactions grow its pinned bytes, the
 //!    write buffer keeps ¾ of what pinned bytes leave and the three
-//!    consumers never add up to more than the budget.
+//!    consumers never add up to more than the budget;
+//! 5. past the pool's floor the overrun is a stat, and its turning
+//!    nonzero is logged as an event.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use acheron::{Db, DbOptions, ShardedDb};
+use acheron::{Db, DbOptions, Event, ShardedDb};
 use acheron_sstable::{Block, BlockBuilder, BlockCache, PageKey};
 use acheron_types::{InternalKey, ValueKind};
 use acheron_vfs::{MemFs, Vfs};
@@ -252,6 +254,60 @@ fn overrun_is_reported_once_pinned_bytes_squeeze_the_pool_to_its_floor() {
         }
     }
     assert!(under > 0 && over > 0, "under {under}, over {over}");
+}
+
+/// The overrun's turning nonzero is logged as a `budget_overrun` event
+/// carrying the overrun and the pinned bytes it came from: at the
+/// pool's floor the three shares draw the floor, so the overrun is
+/// pinned + floor - budget. Compactions shrink pinned bytes now and
+/// then, so the overrun may turn nonzero more than once in this load,
+/// but it is not logged again at each install while it lasts.
+#[test]
+fn an_overrun_logs_an_event_when_it_turns_nonzero() {
+    const BUDGET: u64 = 256 * KIB as u64;
+    const FLOOR: u64 = 64 * KIB as u64;
+    let db = Db::open(
+        Arc::new(MemFs::new()) as Arc<dyn Vfs>,
+        "db",
+        DbOptions {
+            event_log_capacity: 1 << 16,
+            ..DbOptions::small().with_memory_budget(BUDGET as usize)
+        },
+    )
+    .unwrap();
+    let overruns = |db: &Db| -> Vec<(u64, u64)> {
+        let snap = db.events();
+        assert_eq!(snap.dropped, 0, "the ring holds the whole run");
+        (snap.events.iter())
+            .filter_map(|s| match s.event {
+                Event::BudgetOverrun {
+                    overrun_bytes,
+                    pinned_bytes,
+                } => Some((overrun_bytes, pinned_bytes)),
+                _ => None,
+            })
+            .collect()
+    };
+    let mut over_checkpoints = 0;
+    for i in 0..20_000u32 {
+        db.put(&key(i % 8_000), &value(i)).unwrap();
+        if i % 500 == 499 {
+            db.maintain().unwrap();
+            if db.stats_snapshot().memory_budget_overrun_bytes > 0 {
+                over_checkpoints += 1;
+                assert!(!overruns(&db).is_empty(), "op {i}: an overrun, no event");
+            }
+        }
+    }
+    let logged = overruns(&db);
+    assert!(
+        !logged.is_empty() && logged.len() < over_checkpoints,
+        "{logged:?} over {over_checkpoints} checkpoints"
+    );
+    for (overrun, pinned) in logged {
+        assert!(overrun > 0);
+        assert_eq!(overrun + BUDGET, pinned + FLOOR);
+    }
 }
 
 fn test_block(tag: u32) -> (Block, usize) {

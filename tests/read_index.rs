@@ -311,12 +311,7 @@ proptest! {
 /// sorted levels most files are excluded by the binary search.
 #[test]
 fn a_get_counts_every_file_once() {
-    let db = Db::open(
-        Arc::new(MemFs::new()),
-        "db",
-        DbOptions::small().with_trace_sampling(1),
-    )
-    .unwrap();
+    let db = Db::open(Arc::new(MemFs::new()), "db", DbOptions::small()).unwrap();
     for round in 0..6u32 {
         for i in 0..1500u32 {
             let k = (i * 7 + round * 131) % 3000;

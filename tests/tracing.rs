@@ -1,23 +1,26 @@
-//! Per-op tracing tests: the sampler, the retention buffer, and the
-//! wire-level `traced` round trip.
+//! Per-op tracing tests: the traced ops, the event ring they are read
+//! back from, and the wire-level `traced` round trip.
 //!
 //! * a wire-traced put and get round-trip with the client-chosen trace
 //!   id and decompose into at least four named stages each;
-//! * the power-of-two sampler captures exactly one in `2^k` ops and is
-//!   silent (zero counters, zero retained traces) when disabled;
+//! * every traced op, and only a traced op, leaves a whole trace in the
+//!   ring, and the `traces` command reads them back in order, on one
+//!   engine and on a fleet, even when two share a client-chosen id;
+//! * once the ring wraps, a trace it has partly overwritten is left
+//!   out, never returned short;
+//! * a traced put keeps the delete key its request carries;
 //! * a sharded fleet draws trace ids from one shared allocator, so ids
-//!   are fleet-unique and the sampled-trace counter reflects ops, not
-//!   ops multiplied by shard count;
+//!   are fleet-unique and the traced-op counter reflects ops, not ops
+//!   multiplied by shard count;
 //! * the stage sequence of every traced op path (put, delete, memtable
-//!   and table get, separated put and get, sampled batch) is pinned by
-//!   digest, on one engine and on a two-shard fleet.
+//!   and table get, separated put and get) is pinned by digest, on one
+//!   engine and on a two-shard fleet.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use acheron::db::WriteBatch;
-use acheron::{Db, DbOptions, OpTrace, ShardedDb, TraceOp};
-use acheron_server::{Client, Server, ServerOptions};
+use acheron::{shard_of, Db, DbOptions, Event, OpTrace, ShardedDb, TraceOp};
+use acheron_server::{answer, Client, Request, Response, Server, ServerOptions};
 use acheron_types::checksum::crc32c;
 use acheron_vfs::MemFs;
 
@@ -104,7 +107,7 @@ fn wire_traced_put_and_get_decompose_into_named_stages() {
         del.spans
     );
 
-    // Every wire-traced op is also retained server-side for `traces`.
+    // Every wire-traced op is read back from the ring by `traces`.
     let listing = client.traces().unwrap();
     for needle in ["trace 42 op=put", "trace 43 op=get", "trace 44 op=delete"] {
         assert!(
@@ -141,58 +144,39 @@ fn total_stage_bounds_timed_substages() {
 }
 
 // ---------------------------------------------------------------------
-// Sampler behavior
+// The ring is the recorder
 // ---------------------------------------------------------------------
 
-/// With `trace_sample_every = 1` every op lands in the retention
-/// buffer; the stats counter agrees with the retained count.
+/// Every traced op leaves its whole trace in the ring; the stats
+/// counter agrees with the count read back.
 #[test]
-fn sampler_at_one_captures_every_op() {
-    let db = open(DbOptions::small().with_trace_sampling(1));
+fn recent_traces_folds_every_traced_op() {
+    let db = open(DbOptions::small());
     for i in 0..10u32 {
-        db.put(format!("k{i:02}").as_bytes(), b"v").unwrap();
+        db.put_traced(format!("k{i:02}").as_bytes(), b"v", None)
+            .unwrap();
     }
     for i in 0..10u32 {
-        db.get(format!("k{i:02}").as_bytes()).unwrap();
+        db.get_traced(format!("k{i:02}").as_bytes(), None).unwrap();
     }
     let traces = db.recent_traces();
-    assert_eq!(traces.len(), 20, "1-in-1 sampling must capture all 20 ops");
+    assert_eq!(traces.len(), 20, "all 20 traced ops read back");
     assert_eq!(db.stats().snapshot().traces_sampled, 20);
     assert_eq!(traces.iter().filter(|t| t.op == TraceOp::Put).count(), 10);
     assert_eq!(traces.iter().filter(|t| t.op == TraceOp::Get).count(), 10);
     for t in &traces {
-        assert!(
-            t.spans.iter().any(|(s, _)| s.name() == "total_micros"),
-            "sampled trace missing total: {t:?}"
+        assert_eq!(
+            t.spans.last().map(|(s, _)| s.name()),
+            Some("total_micros"),
+            "{t:?}"
         );
     }
 }
 
-/// A power-of-two stride samples exactly one in `2^k` on a serial
-/// driver.
+/// Plain ops make no trace and count none: only the `*_traced` ops
+/// trace.
 #[test]
-fn sampler_stride_is_exact_on_serial_ops() {
-    let db = open(DbOptions::small().with_trace_sampling(4));
-    for i in 0..64u32 {
-        db.put(format!("k{i:02}").as_bytes(), b"v").unwrap();
-    }
-    assert_eq!(
-        db.stats().snapshot().traces_sampled,
-        16,
-        "64 ops / 4 = 16 samples"
-    );
-    assert_eq!(db.recent_traces().len(), 16);
-}
-
-/// Sampling off (the default) retains nothing and counts nothing —
-/// the zero-overhead configuration E17 measures.
-#[test]
-fn sampling_off_is_silent() {
-    assert_eq!(
-        DbOptions::default().trace_sample_every,
-        0,
-        "tracing must default to off"
-    );
+fn untraced_ops_leave_no_trace() {
     let db = open(DbOptions::small());
     for i in 0..32u32 {
         db.put(format!("k{i:02}").as_bytes(), b"v").unwrap();
@@ -203,19 +187,154 @@ fn sampling_off_is_silent() {
     assert_eq!(db.stats().snapshot().traces_sampled, 0);
 }
 
-/// A non-power-of-two stride is a configuration error, not a silent
-/// misconfiguration.
+/// One trace as the wire carries it: id, op name and named spans.
+type WireTrace = (u64, String, Vec<(String, u64)>);
+
+/// Each trace a `traces` listing renders.
+fn parse_listing(text: &str) -> Vec<WireTrace> {
+    let mut traces = Vec::new();
+    for line in text.lines().skip(1) {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        match words.as_slice() {
+            ["trace", id, op] => traces.push((
+                id.parse().unwrap(),
+                op.strip_prefix("op=").unwrap().to_string(),
+                Vec::new(),
+            )),
+            [name, value] => {
+                let spans = &mut traces.last_mut().unwrap().2;
+                spans.push((name.to_string(), value.parse().unwrap()));
+            }
+            _ => panic!("unexpected line {line:?}"),
+        }
+    }
+    traces
+}
+
+/// Wire-traced ops come back from `Request::Traces` whole and in order
+/// (shard by shard on a fleet), two of them under one client id.
 #[test]
-fn sampler_stride_must_be_power_of_two() {
-    let err = match Db::open(
-        Arc::new(MemFs::new()),
-        "db",
-        DbOptions::small().with_trace_sampling(3),
-    ) {
-        Ok(_) => panic!("stride 3 must be rejected"),
-        Err(e) => e,
+fn traces_come_back_whole_and_in_order_from_the_traces_command() {
+    for shards in [1, 2] {
+        let engine = if shards == 1 {
+            ShardedDb::from(open(DbOptions::small()))
+        } else {
+            ShardedDb::open(Arc::new(MemFs::new()), "fleet", DbOptions::small(), shards).unwrap()
+        };
+        let mut issued = Vec::new();
+        for i in 0..12u64 {
+            let key = format!("key{i:02}").into_bytes();
+            let inner = match i % 3 {
+                0 => Request::Put {
+                    key: key.clone(),
+                    value: b"v".to_vec(),
+                    dkey: None,
+                },
+                1 => Request::Get { key: key.clone() },
+                _ => Request::Delete { key: key.clone() },
+            };
+            // Ops 2 and 7 share id 3.
+            let trace_id = if i == 7 { 3 } else { i + 1 };
+            let req = Request::Traced {
+                trace_id,
+                inner: Box::new(inner),
+            };
+            let Response::Trace {
+                trace_id,
+                op,
+                spans,
+                ..
+            } = answer(&engine, &req, &[])
+            else {
+                panic!("op {i} returned no trace");
+            };
+            issued.push((shard_of(&key, shards), (trace_id, op, spans)));
+        }
+        // A fleet lists its shards in turn, each oldest first.
+        issued.sort_by_key(|(shard, _)| *shard);
+        let expected: Vec<_> = issued.into_iter().map(|(_, t)| t).collect();
+        let ids: Vec<u64> = expected.iter().map(|t| t.0).collect();
+        assert!(
+            ids.len() > ids.iter().collect::<BTreeSet<_>>().len(),
+            "{ids:?}"
+        );
+        let Response::Text(listing) = answer(&engine, &Request::Traces, &[]) else {
+            panic!("traces is text");
+        };
+        assert_eq!(
+            parse_listing(&listing),
+            expected,
+            "{shards} shards:\n{listing}"
+        );
+    }
+}
+
+/// After the ring wraps, every trace read back is exactly the trace its
+/// op returned: one whose first spans were overwritten is left out,
+/// not returned short. The ring is small enough that its window often
+/// begins inside a trace.
+#[test]
+fn a_wrapped_ring_returns_no_partial_trace() {
+    let db = open(DbOptions {
+        event_log_capacity: 16,
+        ..DbOptions::small()
+    });
+    let mut issued = BTreeMap::new();
+    let mut torn_windows = 0;
+    for i in 0..300u64 {
+        let key = format!("key{:03}", i % 40);
+        let trace = match i % 3 {
+            0 => db.put_traced(key.as_bytes(), &[b'v'; 64], Some(i)).unwrap(),
+            1 => db.get_traced(key.as_bytes(), Some(i)).unwrap().1,
+            _ => db.delete_traced(key.as_bytes(), Some(i)).unwrap(),
+        };
+        issued.insert(i, trace);
+        let snap = db.events();
+        if let Some(Event::TraceSpan {
+            trace_id, stage, ..
+        }) = snap.events.first().map(|s| s.event)
+        {
+            torn_windows += usize::from(issued[&trace_id].spans[0].0 != stage);
+        }
+        let traces = snap.traces();
+        assert_eq!(traces.last(), Some(&issued[&i]), "op {i}");
+        for t in traces {
+            assert_eq!(t, issued[&t.trace_id], "op {i}");
+        }
+    }
+    assert!(torn_windows > 0, "the window never began inside a trace");
+}
+
+/// A traced put with an explicit delete key answers with its trace and
+/// stores that key: a secondary range delete of exactly that key erases
+/// it and nothing else.
+#[test]
+fn a_traced_put_keeps_its_dkey() {
+    let engine = ShardedDb::from(open(DbOptions::small()));
+    let req = Request::Traced {
+        trace_id: 5,
+        inner: Box::new(Request::Put {
+            key: b"k".to_vec(),
+            value: b"v".to_vec(),
+            dkey: Some(42),
+        }),
     };
-    assert!(err.to_string().contains("power of two"), "got: {err}");
+    match answer(&engine, &req, &[]) {
+        Response::Trace {
+            trace_id: 5,
+            op,
+            inner,
+            ..
+        } => {
+            assert_eq!(op, "put");
+            assert_eq!(*inner, Response::Unit);
+        }
+        other => panic!("no trace: {other:?}"),
+    }
+    engine.put_with_dkey(b"other", b"v", 43).unwrap();
+    engine.range_delete_secondary(42, 42).unwrap();
+    assert_eq!(engine.get(b"k").unwrap(), None);
+    assert_eq!(engine.get(b"other").unwrap().as_deref(), Some(&b"v"[..]));
 }
 
 // ---------------------------------------------------------------------
@@ -223,31 +342,25 @@ fn sampler_stride_must_be_power_of_two() {
 // ---------------------------------------------------------------------
 
 /// All four shards draw trace ids from one shared allocator: ids are
-/// unique across the fleet, and the aggregated sampled-trace counter
+/// unique across the fleet, and the aggregated traced-op counter
 /// equals the op count (each op is routed to exactly one shard — the
 /// counter must not scale with shard count).
 #[test]
 fn fleet_trace_ids_are_unique_and_counters_unmultiplied() {
-    let db = ShardedDb::open(
-        Arc::new(MemFs::new()),
-        "db",
-        DbOptions::small().with_trace_sampling(1),
-        4,
-    )
-    .unwrap();
+    let db = ShardedDb::open(Arc::new(MemFs::new()), "db", DbOptions::small(), 4).unwrap();
     let ops = 200u32;
     for i in 0..ops {
-        db.put(format!("key{i:04}").as_bytes(), b"v").unwrap();
+        db.put_with_dkey_traced(format!("key{i:04}").as_bytes(), b"v", db.now(), None)
+            .unwrap();
     }
 
     let traces = db.recent_traces();
-    // Per-shard retention is bounded (64 per shard); with 200 ops over
-    // 4 shards no shard overflows, so every op's trace is retained.
+    // Each shard's ring holds its 50-odd traces whole.
     assert_eq!(traces.len(), ops as usize);
     let ids: BTreeSet<u64> = traces.iter().map(|t| t.trace_id).collect();
     assert_eq!(ids.len(), traces.len(), "trace ids must be fleet-unique");
 
-    // Shared-scope counter: 200 ops sampled once each, not once per
+    // Shared-scope counter: 200 ops traced once each, not once per
     // shard.
     assert_eq!(db.stats_snapshot().traces_sampled, u64::from(ops));
 }
@@ -257,7 +370,7 @@ fn fleet_trace_ids_are_unique_and_counters_unmultiplied() {
 #[test]
 fn sharded_traced_ops_propagate_ids() {
     let db = ShardedDb::open(Arc::new(MemFs::new()), "db", DbOptions::small(), 4).unwrap();
-    let put = db.put_traced(b"alpha", b"1", Some(7)).unwrap();
+    let put = db.put_with_dkey_traced(b"alpha", b"1", 0, Some(7)).unwrap();
     assert_eq!(put.trace_id, 7);
     assert_eq!(put.op, TraceOp::Put);
 
@@ -270,8 +383,7 @@ fn sharded_traced_ops_propagate_ids() {
     assert_eq!(del.trace_id, 9);
     assert_eq!(del.op, TraceOp::Delete);
 
-    // With sampling off, only the three forced traces are retained —
-    // exactly one shard retained each.
+    // Only the three traced ops left traces, each on exactly one shard.
     let traces = db.recent_traces();
     assert_eq!(traces.len(), 3);
 }
@@ -313,13 +425,11 @@ fn shape(trace: &OpTrace) -> String {
 
 /// The traced ops a write or read path can take, on an engine whose
 /// keys were seeded into a tree with several levels: a put, a delete,
-/// a memtable get, a table get, a separated put and its get, and a
-/// sampled batch.
+/// a memtable get, a table get, and a separated put and its get.
 fn trace_shapes(
     put: &dyn Fn(&[u8], &[u8]) -> OpTrace,
     delete: &dyn Fn(&[u8]) -> OpTrace,
     get: &dyn Fn(&[u8]) -> OpTrace,
-    batch: &dyn Fn() -> OpTrace,
 ) -> String {
     let mut text = String::new();
     text += &shape(&put(b"fresh-key", b"small"));
@@ -329,16 +439,13 @@ fn trace_shapes(
     text += &shape(&get(b"key99999"));
     text += &shape(&put(b"big-key", &[b'b'; 2048]));
     text += &shape(&get(b"big-key"));
-    text += &shape(&batch());
     text
 }
 
 fn shape_opts() -> DbOptions {
     DbOptions {
         block_cache_bytes: 256 << 10,
-        ..DbOptions::small()
-            .with_value_separation(1024)
-            .with_trace_sampling(1)
+        ..DbOptions::small().with_value_separation(1024)
     }
 }
 
@@ -346,16 +453,6 @@ fn seed_keys(put: &dyn Fn(&[u8], &[u8])) {
     for i in 0..1500u32 {
         put(format!("key{i:05}").as_bytes(), &[b'v'; 48]);
     }
-}
-
-fn sampled_batch(db: &Db) -> OpTrace {
-    let mut batch = WriteBatch::new();
-    batch.put(b"batch-a", b"1");
-    batch.put(b"batch-b", &[b'c'; 2048]);
-    batch.delete(b"key00042");
-    db.write_batch(batch).unwrap();
-    let traces = db.recent_traces();
-    traces.last().cloned().expect("the batch was sampled")
 }
 
 /// The stage sequence of every traced op path, on one engine and on a
@@ -370,10 +467,14 @@ fn sampled_batch(db: &Db) -> OpTrace {
 /// even when its seqno range could not have won either, so the two gets
 /// answered by the memtable read `bloom_prescreen_skips=8` (4 per shard)
 /// where they read `seqno_skips=8`. Probes did not move.
+/// Re-recorded (from `0x8781_cb5b`, `0x74f2_00aa`) when the trace
+/// sampler went: a batch can no longer be traced, so each text lost
+/// exactly its last line, the sampled batch's `Write: …`, and nothing
+/// else.
 #[test]
 fn trace_shapes_are_pinned() {
-    const DB_SHAPES: u32 = 0x8781_cb5b;
-    const FLEET_SHAPES: u32 = 0x74f2_00aa;
+    const DB_SHAPES: u32 = 0x2157_fed0;
+    const FLEET_SHAPES: u32 = 0xa7a4_690a;
 
     let db = open(shape_opts());
     seed_keys(&|k, v| db.put(k, v).unwrap());
@@ -381,16 +482,14 @@ fn trace_shapes_are_pinned() {
         &|k, v| db.put_traced(k, v, None).unwrap(),
         &|k| db.delete_traced(k, None).unwrap(),
         &|k| db.get_traced(k, None).unwrap().1,
-        &|| sampled_batch(&db),
     );
 
     let fleet = ShardedDb::open(Arc::new(MemFs::new()), "fleet", shape_opts(), 2).unwrap();
     seed_keys(&|k, v| fleet.put(k, v).unwrap());
     let fleet_text = trace_shapes(
-        &|k, v| fleet.put_traced(k, v, None).unwrap(),
+        &|k, v| fleet.put_with_dkey_traced(k, v, fleet.now(), None).unwrap(),
         &|k| fleet.delete_traced(k, None).unwrap(),
         &|k| fleet.get_traced(k, None).unwrap().1,
-        &|| sampled_batch(fleet.shard(1)),
     );
 
     assert_eq!(
