@@ -31,12 +31,13 @@
 //! order the lock was taken, every snapshot is a dense suffix of that
 //! order, and `dropped` counts only overwritten events. The lock is a
 //! leaf: nothing is called while it is held but the iterator `log_all`
-//! drains, which only builds events. One lock suffices because the ring has one steady emitter
-//! per engine: in a delete-heavy run 97% of events are `WalGroupCommit`,
-//! logged by the commit leader while it holds the commit exclusion, and
-//! the rest come from maintenance steps, about one event per write in
-//! all. An uncontended log costs about 25–30 ns on a 2-vCPU host, less
-//! than the lock-free seqlock ring it replaced (E40).
+//! drains, which only builds events. One lock suffices because the ring
+//! has one steady emitter per engine: in a delete-heavy run 97% of
+//! events are `WalGroupCommit`, logged by the commit leader while it
+//! holds the commit exclusion, and the rest come from maintenance
+//! steps, about one event per write in all. An uncontended log costs
+//! about 25–30 ns on a 2-vCPU host, less than the lock-free seqlock
+//! ring it replaced (E40).
 
 use std::collections::VecDeque;
 use std::fmt::{Display, Write};
@@ -396,8 +397,8 @@ impl EventSnapshot {
     /// are logged back to back and end in `total_micros`
     /// ([`EventLog::log_all`]), so a trace is a run of adjacent spans
     /// closed by its total; ids play no part, since a caller may reuse
-    /// one. Once the ring has overwritten anything, a run the window
-    /// begins inside of is left out: its first spans may be gone.
+    /// one. Once the ring has overwritten anything, a run that opens
+    /// the window is left out: its first spans may be gone.
     pub fn traces(&self) -> Vec<OpTrace> {
         let (mut traces, mut spans) = (Vec::new(), Vec::new());
         let mut torn = self.dropped > 0;

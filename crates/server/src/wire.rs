@@ -99,11 +99,10 @@ pub enum Request {
     /// The delete-lifecycle audit: per-cohort `D_th` slack plus the
     /// live unresolved-delete ages; answered with [`Response::Audit`].
     Audit,
-    /// Force-trace one data operation: the server executes `inner`
-    /// under a trace and answers
-    /// with [`Response::Trace`] carrying the span breakdown. Only
-    /// `Put`, `Delete`, and `Get` may be wrapped — nesting is a
-    /// protocol error.
+    /// Trace one data operation: the server executes `inner` under a
+    /// trace and answers with [`Response::Trace`] carrying the span
+    /// breakdown. Only `Put`, `Delete`, and `Get` may be wrapped —
+    /// nesting is a protocol error.
     Traced {
         /// Client-chosen trace id, echoed back so a caller can stitch
         /// its own timeline onto the server-side spans.
